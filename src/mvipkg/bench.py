@@ -73,6 +73,8 @@ def run_split(train, test, methods=METHODS, seed: int = 0, n_samples: int = 1000
 
     Returns (records, timing, search_info). The evaluation seed is shared
     across methods, so paired comparisons run on common random numbers.
+    Each variational record carries ``theta``, the log-space hyperparameters
+    its fit ended at; the Laplace ones are ``search_info["theta_la"]``.
     vi_diag fits both published initialisations and keeps the better
     held-out lpd, recording which variant won and the loser's lpd.
     """
@@ -126,12 +128,14 @@ def run_split(train, test, methods=METHODS, seed: int = 0, n_samples: int = 1000
             fit, sc = candidates[variant]
             rec = {"lpd": float(sc.lpd), metric: float(getattr(sc, metric)),
                    "elbo": float(fit.elbo), "n_iters": int(fit.opt.n_iters),
+                   "theta": [float(t) for t in fit.params.theta],
                    "variant": variant,
                    "lpd_other": float(candidates[other][1].lpd)}
         else:
             fit, sc = scored_fit(method)
             rec = {"lpd": float(sc.lpd), metric: float(getattr(sc, metric)),
-                   "elbo": float(fit.elbo), "n_iters": int(fit.opt.n_iters)}
+                   "elbo": float(fit.elbo), "n_iters": int(fit.opt.n_iters),
+                   "theta": [float(t) for t in fit.params.theta]}
         records[method] = rec
         timing[method] = time.perf_counter() - t0
     return records, timing, info
@@ -190,8 +194,15 @@ def _parallel_map(fn, n_jobs: int, n_workers: int):
         return list(pool.map(fn, range(n_jobs)))
 
 
-def _assemble(config, outcomes, methods, metrics, alpha, n_boot, base_seed):
-    """Shared report assembly for the split-based suites."""
+def _assemble(config, outcomes, methods, metrics, alpha, n_boot, base_seed,
+              started: float):
+    """Shared report assembly for the split-based suites.
+
+    ``started`` is the ``time.perf_counter()`` reading taken before the first
+    split ran; ``timing["wall"]`` is the suite's elapsed time from there,
+    while ``timing["total"]`` sums the per-split times, which overlap under
+    several workers.
+    """
     records = [o for o in outcomes if "error" not in o]
     skipped = [o for o in outcomes if "error" in o]
     run_times = [{"index": r["index"], **r.pop("_timing")} for r in records]
@@ -218,7 +229,8 @@ def _assemble(config, outcomes, methods, metrics, alpha, n_boot, base_seed):
         "markers": markers,
         "timing": {"splits": run_times,
                    "total": float(sum(sum(t for k, t in rt.items() if k != "index")
-                                      for rt in run_times))},
+                                      for rt in run_times)),
+                   "wall": time.perf_counter() - started},
     }
     return report
 
@@ -259,9 +271,10 @@ def run_cauchy(n_runs: int = 20, methods=METHODS, seed: int = 0,
         return {"index": i, "seed": run_seed, "search": info,
                 "methods": recs, "_timing": timing}
 
+    started = time.perf_counter()
     outcomes = _parallel_map(one, n_runs, n_workers)
     return _assemble(config, outcomes, methods, ("lpd", "mse"),
-                     alpha, n_boot, seed)
+                     alpha, n_boot, seed, started)
 
 
 def run_benchmark(dataset, methods=METHODS, plan=None,
@@ -297,9 +310,10 @@ def run_benchmark(dataset, methods=METHODS, plan=None,
         return {"index": i, "seed": split_seed, "search": info,
                 "methods": recs, "_timing": timing}
 
+    started = time.perf_counter()
     outcomes = _parallel_map(one, len(splits), n_workers)
     return _assemble(config, outcomes, methods, ("lpd", metric),
-                     alpha, n_boot, plan.seed)
+                     alpha, n_boot, plan.seed, started)
 
 
 # ---------------------------------------------------------------------------

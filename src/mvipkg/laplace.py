@@ -25,9 +25,7 @@ from scipy.linalg import cho_solve
 from .errors import NumericalError
 from .models import BinaryLogistic, CauchyRegression, SoftmaxRegression, kmeans
 from .optimize import MinimizeResult, OptimConfig, minimize
-from .variational import standardize_draws
-
-_HALF_LOG_2PIE = 0.5 * float(np.log(2.0 * np.pi) + 1.0)
+from .variational import _HALF_LOG_2PIE, standardize_draws
 
 # Jitter ladder for repairing a curvature matrix that is not quite positive
 # definite: relative steps 1e-8, 1e-7, ..., 1e-2 of the mean diagonal.

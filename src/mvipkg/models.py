@@ -30,7 +30,7 @@ the variational stage move alpha sensibly.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit, logsumexp
+from scipy.special import expit
 
 from .errors import DataError, NumericalError
 
@@ -129,9 +129,6 @@ class _ModelBase:
 
     def grad(self, w: np.ndarray) -> np.ndarray:
         return self.grads(_as_batch(w, self.P))[0]
-
-    def theta_grad(self, w: np.ndarray) -> np.ndarray:
-        return self.theta_grads(_as_batch(w, self.P))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +319,30 @@ class BinaryLogistic(_ModelBase):
 # multiclass softmax regression
 # ---------------------------------------------------------------------------
 
+def _shifted_exp(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Overwrite (B, K, N) scores F with exp(F - m), m the class maximum.
+
+    Every exponent is <= 0, so nothing overflows. A class far below the
+    maximum underflows to probability 0, its correctly rounded value, which
+    is not an error. Working in place spares allocating an array of F's
+    size, which costs more than the exponentials. Returns (F, m).
+    """
+    m = F.max(axis=1, keepdims=True)
+    F -= m
+    with np.errstate(under="ignore"):
+        np.exp(F, out=F)
+    return F, m
+
+
+def _logsumexp_classes(F: np.ndarray) -> np.ndarray:
+    """log sum_k exp F[:, k, :], shape (B, N); overwrites F."""
+    E, m = _shifted_exp(F)
+    out = E.sum(axis=1)
+    np.log(out, out=out)
+    out += m[:, 0, :]
+    return out
+
+
 class SoftmaxRegression(_ModelBase):
     """K-class softmax regression with one weight vector per class.
 
@@ -364,13 +385,28 @@ class SoftmaxRegression(_ModelBase):
         return rbf_features(X, self.centers, self.width)
 
     def _scores(self, W: np.ndarray, phi: np.ndarray) -> np.ndarray:
-        Wk = W.reshape(W.shape[0], self.K, self.D)
-        return np.einsum("nd,bkd->bnk", phi, Wk)
+        """Class scores F = W phi', shape (B, K, N), from one GEMM."""
+        B = W.shape[0]
+        return (W.reshape(B * self.K, self.D) @ phi.T).reshape(B, self.K, -1)
 
     def _loglik_rows(self, W: np.ndarray, phi: np.ndarray, Y: np.ndarray) -> np.ndarray:
         F = self._scores(W, phi)
-        # max-subtraction happens inside logsumexp
-        return (np.einsum("nk,bnk->b", Y, F) - logsumexp(F, axis=2).sum(axis=1))
+        # label term sum_{n,k} Y_nk F_bkn as one mat-vec over the (K, N)
+        # layout, taken before the log-sum-exp overwrites F
+        labels = F.reshape(F.shape[0], -1) @ Y.T.ravel()
+        return labels - _logsumexp_classes(F).sum(axis=1)
+
+    def _probabilities(self, W: np.ndarray, phi: np.ndarray) -> np.ndarray:
+        """Softmax over classes, shape (B, K, N)."""
+        E, _ = _shifted_exp(self._scores(W, phi))
+        E /= E.sum(axis=1, keepdims=True)
+        return E
+
+    def _residual(self, W: np.ndarray) -> np.ndarray:
+        """d loglik / d F = Y' - softmax(F), flattened to (B K, N)."""
+        G = self._probabilities(W, self.phi)
+        np.subtract(self.Y.T, G, out=G)
+        return G.reshape(-1, self.N)
 
     def values(self, W: np.ndarray) -> np.ndarray:
         W = _as_batch(W, self.P)
@@ -380,33 +416,29 @@ class SoftmaxRegression(_ModelBase):
 
     def grads(self, W: np.ndarray) -> np.ndarray:
         W = _as_batch(W, self.P)
-        F = self._scores(W, self.phi)
-        Pr = np.exp(F - logsumexp(F, axis=2, keepdims=True))
-        G = self.Y[None, :, :] - Pr
-        grad_k = np.einsum("bnk,nd->bkd", G, self.phi)
-        return grad_k.reshape(W.shape[0], self.P) - self.alpha * W
+        # row (b, k) of G @ phi is class k's block, so the class-major layout holds
+        return (self._residual(W) @ self.phi).reshape(W.shape[0], self.P) - self.alpha * W
 
     def hessian(self, w: np.ndarray) -> np.ndarray:
         w = np.asarray(w, dtype=float).ravel()
-        F = self._scores(w[None, :], self.phi)[0]
-        Pr = np.exp(F - logsumexp(F, axis=1, keepdims=True))
-        # R[n, k, l] = p_nk (delta_kl - p_nl): the per-point softmax curvature
-        R = np.einsum("nk,kl->nkl", Pr, np.eye(self.K)) - np.einsum("nk,nl->nkl", Pr, Pr)
-        H = -np.einsum("nd,nkl,ne->kdle", self.phi, R, self.phi).reshape(self.P, self.P)
+        Pr = self._probabilities(w[None, :], self.phi)[0]
+        # block (k, l) is -phi' diag(p_k (delta_kl - p_l)) phi, the per-point
+        # softmax curvature, as one GEMM per class pair
+        H = np.block([[-(self.phi.T * (Pr[k] * ((k == l) - Pr[l]))) @ self.phi
+                       for l in range(self.K)] for k in range(self.K)])
         H[np.diag_indices_from(H)] -= self.alpha
         return H
 
     def theta_grads(self, W: np.ndarray) -> np.ndarray:
         W = _as_batch(W, self.P)
-        F = self._scores(W, self.phi)
-        Pr = np.exp(F - logsumexp(F, axis=2, keepdims=True))
-        G = self.Y[None, :, :] - Pr
+        B = W.shape[0]
         d_lalpha = (0.5 * self.K * self.D
                     - 0.5 * self.alpha * np.einsum("bp,bp->b", W, W))
-        Wk = W.reshape(W.shape[0], self.K, self.D)
+        # sum_{k,n} G_bkn dF_bkn with dF = W_k,:-1 phi_w', contracted as
+        # ((G phi_w) * W_k,:-1) summed, so the (B, K, N) dF never forms
         phi_w = self.phi[:, :-1] * self._d2 / self.width**2
-        dF = np.einsum("nm,bkm->bnk", phi_w, Wk[:, :, :-1])
-        d_lwidth = np.einsum("bnk,bnk->b", G, dF)
+        Wk = W.reshape(B * self.K, self.D)[:, :-1]
+        d_lwidth = ((self._residual(W) @ phi_w) * Wk).reshape(B, -1).sum(axis=1)
         return np.stack([d_lalpha, d_lwidth], axis=1)
 
     def data_log_likelihoods(self, W: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -415,8 +447,7 @@ class SoftmaxRegression(_ModelBase):
 
     def predictive(self, W: np.ndarray, X: np.ndarray) -> np.ndarray:
         """Per-sample class probabilities, shape (B, N, K)."""
-        F = self._scores(_as_batch(W, self.P), self._features(X))
-        return np.exp(F - logsumexp(F, axis=2, keepdims=True))
+        return self._probabilities(_as_batch(W, self.P), self._features(X)).transpose(0, 2, 1)
 
 
 # ---------------------------------------------------------------------------

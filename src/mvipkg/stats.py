@@ -10,10 +10,10 @@ against every competitor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import binom
 
 from .errors import DataError
 
@@ -50,9 +50,11 @@ def sign_test(sample: PairedSample) -> float:
     if n == 0:
         raise DataError("all paired differences are zero; the sign test is undefined")
     k = int((d > 0).sum())
-    lower = binom.cdf(k, n, 0.5)
-    upper = binom.sf(k - 1, n, 0.5)  # P[X >= k]
-    return float(min(1.0, 2.0 * min(lower, upper)))
+    # tails as exact integer counts over 2^n outcomes; one true division of
+    # Python ints rounds the p-value correctly
+    lower = sum(math.comb(n, i) for i in range(k + 1))   # 2^n P[X <= k]
+    upper = sum(math.comb(n, i) for i in range(k, n + 1))  # 2^n P[X >= k]
+    return min(1.0, 2 * min(lower, upper) / 2**n)
 
 
 def bootstrap_median_diff_ci(sample: PairedSample, n_boot: int = 10_000,

@@ -43,7 +43,7 @@ Two details matter for exactness guarantees and are easy to miss:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np

@@ -59,6 +59,20 @@ def test_run_split_record_structure():
     assert len(info["theta_la"]) == 3
 
 
+def test_run_split_records_fitted_theta():
+    train, test = _small_task()
+    recs, _, info = bench.run_split(
+        train, test, methods=("laplace", "mvi_mu", "vi_diag"), seed=0,
+        n_samples=100, n_eval=200, grid=SMALL_GRID, optim=SMALL_OPTIM)
+    # the Laplace hyperparameters live in the search info, not the record
+    assert "theta" not in recs["laplace"]
+    for method in ("mvi_mu", "vi_diag"):
+        theta = recs[method]["theta"]
+        assert len(theta) == 3 and np.all(np.isfinite(theta))
+    # the variational stage moves theta off the Laplace values
+    assert recs["mvi_mu"]["theta"] != info["theta_la"]
+
+
 def test_run_split_deterministic():
     train, test = _small_task(seed=1)
     kwargs = dict(methods=("laplace", "mvi_eig"), seed=4, n_samples=100,
@@ -157,6 +171,12 @@ def test_run_cauchy_small():
     assert report["markers"]["lpd"]["best"] in ("laplace", "mvi_mu")
     assert len(report["timing"]["splits"]) == 2
     assert report["timing"]["total"] > 0
+    # one worker runs the splits one after another, so the suite's wall time
+    # covers the longest of them
+    longest = max(sum(t for k, t in rt.items() if k != "index")
+                  for rt in report["timing"]["splits"])
+    assert report["timing"]["wall"] > 0
+    assert report["timing"]["wall"] >= longest
     # records carry no timing; it all lives under the timing block
     assert all("_timing" not in r for r in report["records"])
 

@@ -139,6 +139,49 @@ def test_logistic_value_direct_formula():
     assert model.value(w) == pytest.approx(loglik + prior, rel=1.0e-12)
 
 
+def _softmax_loglik_direct(W, phi, Y):
+    """sum_n (f_{n,y_n} - log sum_k exp f_{n,k}), one weight row at a time."""
+    out = []
+    for w in W:
+        F = phi @ w.reshape(Y.shape[1], -1).T
+        out.append(sum(F[n, Y[n].argmax()] - math.log(sum(math.exp(f) for f in F[n]))
+                       for n in range(F.shape[0])))
+    return np.array(out)
+
+
+def test_softmax_value_direct_formula():
+    model = ALL_MODEL_MAKERS["softmax"]()
+    rng = np.random.default_rng(14)
+    W = rng.standard_normal((3, model.P))
+    loglik = _softmax_loglik_direct(W, model.phi, model.Y)
+    prior = (-0.5 * model.alpha * np.sum(W * W, axis=1)
+             + 0.5 * model.P * (np.log(model.alpha) - np.log(2 * np.pi)))
+    np.testing.assert_allclose(model.values(W), loglik + prior, rtol=1.0e-12)
+
+    X_test = rng.standard_normal((9, 2))
+    Y_test = np.eye(3)[rng.integers(0, 3, size=9)]
+    phi_test = rbf_features(X_test, model.centers, model.width)
+    np.testing.assert_allclose(model.data_log_likelihoods(W, X_test, Y_test),
+                               _softmax_loglik_direct(W, phi_test, Y_test),
+                               rtol=1.0e-12)
+
+
+def test_softmax_large_logits_stay_finite():
+    # class scores near +-800 overflow exp() unless the log-sum-exp and the
+    # probabilities are shifted by the per-point maximum
+    model = ALL_MODEL_MAKERS["softmax"]()
+    W = np.zeros((2, model.P))
+    bias = np.arange(model.D - 1, model.P, model.D)   # bias weight of each class
+    W[0, bias] = [800.0, -800.0, 0.0]
+    W[1, bias] = [-790.0, 805.0, 799.0]
+    with np.errstate(all="raise"):
+        values = model.values(W)
+        probs = model.predictive(W, model.X)
+    assert np.all(np.isfinite(values))
+    assert probs.shape == (2, model.N, model.K)
+    np.testing.assert_allclose(probs.sum(axis=2), 1.0, rtol=0.0, atol=1.0e-12)
+
+
 # ---------------------------------------------------------------------------
 # conjugate closed forms against independent routes
 # ---------------------------------------------------------------------------
