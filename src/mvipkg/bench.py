@@ -6,6 +6,7 @@ else bit-for-bit between reruns.
 """
 
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -66,6 +67,13 @@ def _optim_dict(optim: OptimConfig) -> dict:
 # one split
 # ---------------------------------------------------------------------------
 
+def _fit_diagnostics(res) -> dict:
+    """Iterations, evaluations, stop reason and final max|g| of a
+    MinimizeResult or ModeResult."""
+    return {"n_iters": int(res.n_iters), "n_evals": int(res.n_evals),
+            "stop_reason": str(res.reason), "grad_norm": float(res.grad_norm)}
+
+
 def run_split(train, test, methods=METHODS, seed: int = 0, n_samples: int = 1000,
               n_eval: int = 10_000, grid: GridConfig | None = None,
               optim: OptimConfig | None = None):
@@ -75,8 +83,13 @@ def run_split(train, test, methods=METHODS, seed: int = 0, n_samples: int = 1000
     across methods, so paired comparisons run on common random numbers.
     Each variational record carries ``theta``, the log-space hyperparameters
     its fit ended at; the Laplace ones are ``search_info["theta_la"]``.
-    vi_diag fits both published initialisations and keeps the better
-    held-out lpd, recording which variant won and the loser's lpd.
+    Every record carries its fit's diagnostics: ``n_iters``, ``n_evals``,
+    ``stop_reason`` and the final max-norm gradient ``grad_norm`` (for
+    laplace, those of the final mode search). vi_diag fits both published
+    initialisations and keeps the better held-out lpd, recording which
+    variant won (whose diagnostics the record holds) and the loser's lpd.
+    The search info counts the failed grid candidates (``grid_failed``) and
+    the failures of each kind (``grid_failures``).
     """
     methods = _check_methods(methods)
     if train.kind == "regression":
@@ -91,11 +104,14 @@ def run_split(train, test, methods=METHODS, seed: int = 0, n_samples: int = 1000
         n_samples=n_samples, grid=grid, optim=optim)
     timing["search"] = time.perf_counter() - t0
     model, lap = search.model, search.laplace
+    failures = Counter(c["reason"] for c in search.candidates if "reason" in c)
     info = {
         "n_centers": int(model.centers.shape[0]),
         "theta_la": [float(t) for t in lap.theta],
         "mode_converged": bool(search.mode.converged),
         "jitter": float(lap.jitter),
+        "grid_failed": int(sum(failures.values())),
+        "grid_failures": dict(sorted(failures.items())),
     }
 
     eval_seed = derive_seed(seed, SALT_EVAL)
@@ -120,21 +136,23 @@ def run_split(train, test, methods=METHODS, seed: int = 0, n_samples: int = 1000
                        test.X, test.y, n_samples=n_eval, seed=eval_seed)
             rec = {"lpd": float(sc.lpd), metric: float(getattr(sc, metric)),
                    "elbo": float(lap.bound_at_mode),
-                   "n_iters": int(search.mode.n_iters)}
+                   **_fit_diagnostics(search.mode)}
         elif method == "vi_diag":
             candidates = {v: scored_fit("vi_diag", v) for v in ("laplace", "small")}
             variant = max(candidates, key=lambda v: candidates[v][1].lpd)
             other = "small" if variant == "laplace" else "laplace"
             fit, sc = candidates[variant]
             rec = {"lpd": float(sc.lpd), metric: float(getattr(sc, metric)),
-                   "elbo": float(fit.elbo), "n_iters": int(fit.opt.n_iters),
+                   "elbo": float(fit.elbo),
+                   **_fit_diagnostics(fit.opt),
                    "theta": [float(t) for t in fit.params.theta],
                    "variant": variant,
                    "lpd_other": float(candidates[other][1].lpd)}
         else:
             fit, sc = scored_fit(method)
             rec = {"lpd": float(sc.lpd), metric: float(getattr(sc, metric)),
-                   "elbo": float(fit.elbo), "n_iters": int(fit.opt.n_iters),
+                   "elbo": float(fit.elbo),
+                   **_fit_diagnostics(fit.opt),
                    "theta": [float(t) for t in fit.params.theta]}
         records[method] = rec
         timing[method] = time.perf_counter() - t0

@@ -141,10 +141,16 @@ class MixtureTarget2D:
             out[:, i] = self._log_norm[i] - 0.5 * quad
         return out
 
-    def log_density(self, pts: np.ndarray) -> np.ndarray:
+    def _log_density_terms(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Log density, and the unnormalised responsibilities with their row sums."""
         lp = self._component_logpdfs(pts) + np.log(self.weights)[None, :]
         m = lp.max(axis=1, keepdims=True)
-        return (m + np.log(np.exp(lp - m).sum(axis=1, keepdims=True))).ravel()
+        resp = np.exp(lp - m)
+        total = resp.sum(axis=1, keepdims=True)
+        return (m + np.log(total)).ravel(), resp, total
+
+    def log_density(self, pts: np.ndarray) -> np.ndarray:
+        return self._log_density_terms(pts)[0]
 
     # -- log-posterior model surface ----------------------------------------
 
@@ -154,17 +160,19 @@ class MixtureTarget2D:
     def value(self, w: np.ndarray) -> float:
         return float(self.log_density(np.atleast_2d(w))[0])
 
-    def grads(self, W: np.ndarray) -> np.ndarray:
+    def evaluate(self, W: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(values, grads, theta_grads) from one pass over the components."""
         W = np.atleast_2d(np.asarray(W, dtype=float))
-        lp = self._component_logpdfs(W) + np.log(self.weights)[None, :]
-        m = lp.max(axis=1, keepdims=True)
-        resp = np.exp(lp - m)
-        resp /= resp.sum(axis=1, keepdims=True)
+        values, resp, total = self._log_density_terms(W)
+        resp /= total
         grad = np.zeros_like(W)
         for i in range(2):
             gi = -(W - self.means[i][None, :]) @ self._precs[i]
             grad += resp[:, i:i + 1] * gi
-        return grad
+        return values, grad, np.zeros((W.shape[0], 0))
+
+    def grads(self, W: np.ndarray) -> np.ndarray:
+        return self.evaluate(W)[1]
 
     def grad(self, w: np.ndarray) -> np.ndarray:
         return self.grads(np.atleast_2d(w))[0]

@@ -95,13 +95,13 @@ def classification_metrics(posterior: PosteriorGaussian, model, X_test, y_test,
     """Error rate and joint lpd from one set of posterior draws.
 
     Class probabilities are Monte Carlo averages of the per-draw predictive
-    probabilities. Binary labels are predicted 1 only above probability 0.5
-    (ties fall to class 0); multiclass predictions take the first argmax,
-    which also resolves ties toward the lowest class index.
+    probabilities; they and the per-draw likelihoods come from one pass of
+    ``model.score`` over the draws. Binary labels are predicted 1 only above
+    probability 0.5 (ties fall to class 0); multiclass predictions take the
+    first argmax, which also resolves ties toward the lowest class index.
     """
     draws = posterior_draws(posterior, n_samples, seed)
-    probs = model.predictive(draws, X_test)
-    mean_probs = probs.mean(axis=0)
+    mean_probs, ll = model.score(draws, X_test, y_test)
     y = np.asarray(y_test)
     if mean_probs.ndim == 1:
         predicted = (mean_probs > 0.5).astype(int)
@@ -110,7 +110,6 @@ def classification_metrics(posterior: PosteriorGaussian, model, X_test, y_test,
         predicted = mean_probs.argmax(axis=1)
         truth = np.atleast_2d(y).argmax(axis=1)
     error_rate = float(np.mean(predicted != truth))
-    ll = model.data_log_likelihoods(draws, X_test, y_test)
     value, _ = log_mean_exp(ll)
     if value == -np.inf:
         log.warning("every posterior draw gave zero test likelihood; lpd is -inf")
@@ -122,10 +121,9 @@ def regression_metrics(posterior: PosteriorGaussian, model, X_test, y_test,
                        n_samples: int = 10_000, seed: int = 0) -> PredictiveScore:
     """Mean squared error of the Monte Carlo mean prediction, plus per-point lpd."""
     draws = posterior_draws(posterior, n_samples, seed)
-    preds = model.predictive(draws, X_test).mean(axis=0)
+    preds, ll = model.score(draws, X_test, y_test)
     y = np.asarray(y_test, dtype=float).ravel()
     mse = float(np.mean((y - preds) ** 2))
-    ll = model.data_log_likelihoods(draws, X_test, y_test)
     value, _ = log_mean_exp(ll)
     if value == -np.inf:
         log.warning("every posterior draw gave zero test likelihood; lpd is -inf")

@@ -25,7 +25,7 @@ from scipy.linalg import cho_solve
 from .errors import NumericalError
 from .models import BinaryLogistic, CauchyRegression, SoftmaxRegression, kmeans
 from .optimize import MinimizeResult, OptimConfig, minimize
-from .variational import _HALF_LOG_2PIE, standardize_draws
+from .variational import FixedSampleSet, elbo_estimate, initialise, standardize_draws
 
 # Jitter ladder for repairing a curvature matrix that is not quite positive
 # definite: relative steps 1e-8, 1e-7, ..., 1e-2 of the mean diagonal.
@@ -39,6 +39,8 @@ class ModeResult:
     grad_norm: float
     n_iters: int
     converged: bool
+    reason: str            # the minimiser's stop reason
+    n_evals: int
     trace: list[float] = field(default_factory=list)
 
 
@@ -52,7 +54,8 @@ def find_mode(model, w0: np.ndarray, config: OptimConfig | None = None) -> ModeR
     cfg = config or OptimConfig(max_iters=1000)
 
     def objective(w: np.ndarray) -> tuple[float, np.ndarray]:
-        return -model.value(w), -model.grad(w)
+        values, grads, _ = model.evaluate(w)
+        return -float(values[0]), -grads[0]
 
     res = minimize(objective, np.asarray(w0, dtype=float), cfg)
     return ModeResult(
@@ -61,6 +64,8 @@ def find_mode(model, w0: np.ndarray, config: OptimConfig | None = None) -> ModeR
         grad_norm=res.grad_norm,
         n_iters=res.n_iters,
         converged=res.grad_norm <= cfg.grad_tol,
+        reason=res.reason,
+        n_evals=res.n_evals,
         trace=[-f for f in res.trace],
     )
 
@@ -176,17 +181,6 @@ def _candidate_model(task: str, X: np.ndarray, y: np.ndarray,
     raise ValueError(f"unknown task {task!r}")
 
 
-def _mc_bound(model, lap: LaplaceResult, z_slice: np.ndarray) -> float:
-    """Monte Carlo bound of the candidate's own Laplace Gaussian."""
-    z = standardize_draws(z_slice)
-    w = lap.mean[None, :] + z @ lap.chol.T
-    vals = model.values(w)
-    if not np.all(np.isfinite(vals)):
-        raise NumericalError("non-finite log posterior while scoring a candidate")
-    ent = lap.dim * _HALF_LOG_2PIE + float(np.sum(np.log(np.diag(lap.chol))))
-    return float(vals.mean()) + ent
-
-
 def hyperparameter_search(X: np.ndarray, y: np.ndarray, task: str, seed: int,
                           n_samples: int = 1000,
                           grid: GridConfig | None = None,
@@ -197,13 +191,17 @@ def hyperparameter_search(X: np.ndarray, y: np.ndarray, task: str, seed: int,
     from seeded k-means; ``n_pairs`` draws of (width, alpha) - and gamma for
     regression - from Uniform(0, 1) give the candidates. Each candidate gets
     a ``search_iters``-step mode search from zero and a curvature fit, and is
-    scored with :func:`_mc_bound` on a shared master sample matrix (candidate
-    of dimension P consumes its first P columns, so equal-sized candidates
-    share draws exactly). The best-scoring candidate is refined with a
-    ``final_iters``-step mode search warm-started at its short-search mode.
+    scored with the fixed-sample bound of its own Laplace Gaussian (the
+    ``mvi_mu`` family at the fit) on a shared master sample matrix: a
+    candidate of dimension P consumes its first P columns, standardised once
+    per distinct P, so equal-sized candidates share draws exactly. The
+    best-scoring candidate is refined with a ``final_iters``-step mode search
+    warm-started at its short-search mode.
 
     Failed candidates (indefinite curvature, non-finite objectives) score
-    -inf and are recorded; the search only errors if every candidate failed.
+    -inf and are recorded with the error and its kind (``reason``, the
+    message without its parenthesised numbers); the search only errors if
+    every candidate failed.
     """
     grid = grid or GridConfig()
     base_optim = optim or OptimConfig()
@@ -242,6 +240,7 @@ def hyperparameter_search(X: np.ndarray, y: np.ndarray, task: str, seed: int,
                              grad_tol=base_optim.grad_tol, f_tol=base_optim.f_tol)
     records = []
     scored = []
+    sample_sets = {}   # standardised draws per parameter dimension
     for idx, cand in enumerate(candidates):
         rec = {k: cand[k] for k in ("M", "width", "alpha", "gamma")}
         try:
@@ -249,12 +248,18 @@ def hyperparameter_search(X: np.ndarray, y: np.ndarray, task: str, seed: int,
                                      cand["width"], cand["alpha"], cand["gamma"])
             mode = find_mode(model, np.zeros(model.P), search_cfg)
             lap = laplace_approximation(model, mode.w)
-            score = _mc_bound(model, lap, z_master[:, :model.P])
+            if model.P not in sample_sets:
+                sample_sets[model.P] = FixedSampleSet(
+                    z=standardize_draws(z_master[:, :model.P]), seed=seed)
+            score = elbo_estimate(initialise("mvi_mu", lap),
+                                  sample_sets[model.P], model, lap)
             rec["score"] = score
             scored.append((score, idx, model, mode))
         except (NumericalError, np.linalg.LinAlgError) as exc:
             rec["score"] = -np.inf
             rec["error"] = str(exc)
+            # messages put their numbers in parentheses; the rest is the kind
+            rec["reason"] = rec["error"].split(" (")[0]
         records.append(rec)
 
     if not scored:

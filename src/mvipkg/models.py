@@ -1,7 +1,7 @@
 """Log-posterior models over radial-basis-function regression weights.
 
 Every model in this module exposes the same duck-typed surface, which is what
-the Laplace and variational layers program against:
+the Laplace, variational and evaluation layers program against:
 
     P               parameter dimension (weights, flattened for multiclass)
     theta           log-space vector of continuous hyperparameters
@@ -11,11 +11,20 @@ the Laplace and variational layers program against:
     value/values    unnormalised log posterior at one point / a batch (B, P)
     grad/grads      gradient of the log posterior w.r.t. the weights
     theta_grads     gradient w.r.t. theta (log-space), batch (B, T)
+    evaluate(W)     (values, grads, theta_grads) from one pass over the batch;
+                    the objective layers call this once per point
     hessian         dense Hessian w.r.t. the weights at one point
+    score(W, X, y)  held-out pass: (mean prediction over the draws, per-draw
+                    test log likelihood), streaming the draws in fixed blocks
     data_log_likelihoods(W, X, y)
                     likelihood-only terms on held-out data, summed over rows
+                    (the second half of ``score``)
     predictive(W, X)
                     per-sample predictions (regression) or probabilities
+
+The likelihood depends on the weights only through the projections
+F = W phi' (one row per draw, one column per data point), so ``evaluate`` and
+``score`` each form F once and derive every likelihood term from it.
 
 Predictions go through RBF features phi_m(x) = exp(-||x - c_m||^2 / (2 width^2))
 with a trailing bias column of ones, so D = M + 1 features per input. Centres
@@ -36,6 +45,12 @@ from .errors import DataError, NumericalError
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
+# Draws per block of the held-out pass; the buffer for F holds one block,
+# whatever the number of draws. With single-threaded OpenBLAS, a block of a
+# multiple of 24 draws gets the rows of the one-shot product W phi' bit for
+# bit; 256 draws did not, at 300 test points (edge tiles rounded apart).
+_SCORE_BLOCK = 288
+
 
 # ---------------------------------------------------------------------------
 # feature construction
@@ -49,6 +64,14 @@ def squared_distances(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.einsum("nmq,nmq->nm", d, d)
 
 
+def _bumps(d2: np.ndarray, width: float, bias: bool = True) -> np.ndarray:
+    """RBF features from squared centre distances d2, shape (N, M)."""
+    phi = np.exp(-d2 / (2.0 * width**2))
+    if bias:
+        phi = np.hstack([phi, np.ones((phi.shape[0], 1))])
+    return phi
+
+
 def rbf_features(X: np.ndarray, centers: np.ndarray, width: float,
                  bias: bool = True) -> np.ndarray:
     """Gaussian bump features with an optional bias column of ones.
@@ -58,11 +81,7 @@ def rbf_features(X: np.ndarray, centers: np.ndarray, width: float,
     """
     if width <= 0:
         raise NumericalError(f"RBF width must be positive, got {width}")
-    d2 = squared_distances(X, centers)
-    phi = np.exp(-d2 / (2.0 * width**2))
-    if bias:
-        phi = np.hstack([phi, np.ones((phi.shape[0], 1))])
-    return phi
+    return _bumps(squared_distances(X, centers), width, bias)
 
 
 def kmeans(X: np.ndarray, n_centers: int, seed: int, max_iters: int = 100) -> np.ndarray:
@@ -121,8 +140,66 @@ def _as_batch(w: np.ndarray, p: int) -> np.ndarray:
     return W
 
 
+# ---------------------------------------------------------------------------
+# the held-out pass, one block of draws at a time
+# ---------------------------------------------------------------------------
+
+def _projection_blocks(W: np.ndarray, phi: np.ndarray, rows_per_draw: int = 1):
+    """Yield (draw slice, F) with F = W[slice] phi' for consecutive blocks.
+
+    Every F is a view of one reused buffer, which the caller may overwrite.
+    A softmax draw contributes ``rows_per_draw`` = K rows of F. A lone last
+    draw joins the block before it: numpy forms a one-row product with a
+    matrix-vector call, whose rounding differs from the matrix product's.
+    """
+    B = W.shape[0]
+    flat = W.reshape(B * rows_per_draw, -1)
+    buf = np.empty((min(B, _SCORE_BLOCK + 1) * rows_per_draw, phi.shape[0]))
+    start = 0
+    while start < B:
+        stop = B if start + _SCORE_BLOCK + 1 >= B else start + _SCORE_BLOCK
+        F = buf[:(stop - start) * rows_per_draw]
+        np.matmul(flat[start * rows_per_draw:stop * rows_per_draw], phi.T, out=F)
+        yield slice(start, stop), F
+        start = stop
+
+
+def _add_rows(total: np.ndarray | None, rows: np.ndarray) -> np.ndarray:
+    """``total`` plus ``rows`` summed over its first axis, ``rows`` unchanged.
+
+    The rows are added onto the running total one after another, the order
+    in which numpy sums a whole (B, ...) array over axis 0, so a mean built
+    block by block equals ``mean(axis=0)`` of all the draws bit for bit.
+    """
+    if total is None:
+        return rows.sum(axis=0)
+    first = rows[0].copy()
+    rows[0] += total
+    np.sum(rows, axis=0, out=total)
+    rows[0] = first
+    return total
+
+
+def _residual_score(W: np.ndarray, phi: np.ndarray, y: np.ndarray, loglik):
+    """Held-out pass of a regression model.
+
+    Returns the mean prediction over the draws and, per draw,
+    ``loglik(y - F)``; ``loglik`` may overwrite its argument.
+    """
+    total, ll = None, np.empty(W.shape[0])
+    for rows, F in _projection_blocks(W, phi):
+        total = _add_rows(total, F)
+        np.subtract(y, F, out=F)
+        ll[rows] = loglik(F)
+    return total / W.shape[0], ll
+
+
+# ---------------------------------------------------------------------------
+# shared model pieces
+# ---------------------------------------------------------------------------
+
 class _ModelBase:
-    """Shared scalar wrappers over the batch methods."""
+    """Scalar wrappers, the Gaussian prior, and defaults over the batch methods."""
 
     def value(self, w: np.ndarray) -> float:
         return float(self.values(_as_batch(w, self.P))[0])
@@ -130,12 +207,48 @@ class _ModelBase:
     def grad(self, w: np.ndarray) -> np.ndarray:
         return self.grads(_as_batch(w, self.P))[0]
 
+    def evaluate(self, W: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(values, grads, theta_grads) at a batch of weights."""
+        W = _as_batch(W, self.P)
+        return self.values(W), self.grads(W), self.theta_grads(W)
+
+    def data_log_likelihoods(self, W: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Held-out log likelihood of each draw, shape (B,)."""
+        return self.score(W, X, y)[1]
+
+    def _prior(self, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Normalised N(0, I/alpha) log density of each row, and its log-alpha derivative."""
+        ww = np.einsum("bp,bp->b", W, W)
+        return (0.5 * self.P * (np.log(self.alpha) - _LOG_2PI) - 0.5 * self.alpha * ww,
+                0.5 * self.P - 0.5 * self.alpha * ww)
+
+
+class _RBFBase(_ModelBase):
+    """Features and their width derivative, shared by the three RBF models."""
+
+    def _set_basis(self, centers: np.ndarray) -> None:
+        self.centers = np.atleast_2d(np.asarray(centers, dtype=float))
+        self._d2 = squared_distances(self.X, self.centers)
+        self.phi = _bumps(self._d2, self.width)
+        self.N, self.D = self.phi.shape
+
+    def _features(self, X: np.ndarray) -> np.ndarray:
+        return rbf_features(X, self.centers, self.width)
+
+    def _phi_w(self) -> np.ndarray:
+        """d phi_nm / d log width = phi_nm d2_nm / width^2; bias column inert."""
+        return self.phi[:, :-1] * self._d2 / self.width**2
+
+    def _width_grad(self, gf: np.ndarray, W: np.ndarray) -> np.ndarray:
+        """d loglik / d log width per row, from gf = d loglik / d F."""
+        return np.einsum("bn,bn->b", gf, W[:, :-1] @ self._phi_w().T)
+
 
 # ---------------------------------------------------------------------------
 # robust regression with a Cauchy likelihood
 # ---------------------------------------------------------------------------
 
-class CauchyRegression(_ModelBase):
+class CauchyRegression(_RBFBase):
     """Nonlinear regression y = w'phi(x) + Cauchy(gamma) noise, Gaussian prior.
 
     The Cauchy density (pi gamma [1 + ((y - mu)/gamma)^2])^-1 gives the
@@ -155,15 +268,12 @@ class CauchyRegression(_ModelBase):
         self.y = np.asarray(y, dtype=float).ravel()
         if self.X.shape[0] != self.y.size:
             raise DataError("X and y disagree on the number of rows")
-        self.centers = np.atleast_2d(np.asarray(centers, dtype=float))
         self.gamma = float(gamma)
         self.alpha = float(alpha)
         self.width = float(width)
         if min(self.gamma, self.alpha, self.width) <= 0:
             raise NumericalError("gamma, alpha and width must all be positive")
-        self.phi = rbf_features(self.X, self.centers, self.width)
-        self._d2 = squared_distances(self.X, self.centers)
-        self.N, self.D = self.phi.shape
+        self._set_basis(centers)
         self.P = self.D
 
     @property
@@ -174,33 +284,39 @@ class CauchyRegression(_ModelBase):
         g, a, w = np.exp(np.asarray(theta, dtype=float))
         return CauchyRegression(self.X, self.y, self.centers, g, a, w)
 
-    # -- likelihood pieces ---------------------------------------------------
-
-    def _features(self, X: np.ndarray) -> np.ndarray:
-        return rbf_features(X, self.centers, self.width)
-
-    def _loglik_rows(self, W: np.ndarray, phi: np.ndarray, y: np.ndarray) -> np.ndarray:
-        resid = y[None, :] - W @ phi.T
-        n = y.size
-        return (-n * np.log(np.pi * self.gamma)
-                - np.log1p((resid / self.gamma) ** 2).sum(axis=1))
-
-    def _log_prior_rows(self, W: np.ndarray) -> np.ndarray:
-        return (0.5 * self.D * (np.log(self.alpha) - _LOG_2PI)
-                - 0.5 * self.alpha * np.einsum("bp,bp->b", W, W))
-
-    # -- model surface -------------------------------------------------------
+    def _loglik(self, R: np.ndarray) -> np.ndarray:
+        """Log likelihood of each row of residuals R; overwrites R."""
+        R /= self.gamma
+        np.square(R, out=R)
+        np.log1p(R, out=R)
+        return -R.shape[1] * np.log(np.pi * self.gamma) - R.sum(axis=1)
 
     def values(self, W: np.ndarray) -> np.ndarray:
         W = _as_batch(W, self.P)
-        return self._loglik_rows(W, self.phi, self.y) + self._log_prior_rows(W)
+        return self._loglik(self.y - W @ self.phi.T) + self._prior(W)[0]
+
+    def evaluate(self, W: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        W = _as_batch(W, self.P)
+        g2 = self.gamma**2
+        resid = self.y - W @ self.phi.T
+        r2 = np.square(resid)
+        den = g2 + r2
+        # d loglik / d f_n = 2 e_n / (gamma^2 + e_n^2)
+        gf = 2.0 * resid
+        gf /= den
+        r2 -= g2
+        r2 /= den
+        d_lgamma = r2.sum(axis=1)
+        prior, d_lalpha = self._prior(W)
+        values = self._loglik(resid) + prior
+        grads = gf @ self.phi - self.alpha * W
+        return values, grads, np.stack([d_lgamma, d_lalpha, self._width_grad(gf, W)], axis=1)
 
     def grads(self, W: np.ndarray) -> np.ndarray:
-        W = _as_batch(W, self.P)
-        resid = self.y[None, :] - W @ self.phi.T
-        # d loglik / d f_n = 2 e_n / (gamma^2 + e_n^2)
-        gf = 2.0 * resid / (self.gamma**2 + resid**2)
-        return gf @ self.phi - self.alpha * W
+        return self.evaluate(W)[1]
+
+    def theta_grads(self, W: np.ndarray) -> np.ndarray:
+        return self.evaluate(W)[2]
 
     def hessian(self, w: np.ndarray) -> np.ndarray:
         w = np.asarray(w, dtype=float).ravel()
@@ -210,22 +326,10 @@ class CauchyRegression(_ModelBase):
         H[np.diag_indices_from(H)] -= self.alpha
         return H
 
-    def theta_grads(self, W: np.ndarray) -> np.ndarray:
-        W = _as_batch(W, self.P)
-        resid = self.y[None, :] - W @ self.phi.T
-        gf = 2.0 * resid / (self.gamma**2 + resid**2)
-        d_lgamma = ((resid**2 - self.gamma**2) / (resid**2 + self.gamma**2)).sum(axis=1)
-        d_lalpha = 0.5 * self.D - 0.5 * self.alpha * np.einsum("bp,bp->b", W, W)
-        # d phi_nm / d log width = phi_nm * d2_nm / width^2; bias column inert.
-        phi_w = self.phi[:, :-1] * self._d2 / self.width**2
-        df_dlw = W[:, :-1] @ phi_w.T
-        d_lwidth = np.einsum("bn,bn->b", gf, df_dlw)
-        return np.stack([d_lgamma, d_lalpha, d_lwidth], axis=1)
-
-    def data_log_likelihoods(self, W: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-        W = _as_batch(W, self.P)
-        y = np.asarray(y, dtype=float).ravel()
-        return self._loglik_rows(W, self._features(X), y)
+    def score(self, W: np.ndarray, X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Mean prediction over the draws, shape (N,), and per-draw test log likelihood."""
+        return _residual_score(_as_batch(W, self.P), self._features(X),
+                               np.asarray(y, dtype=float).ravel(), self._loglik)
 
     def predictive(self, W: np.ndarray, X: np.ndarray) -> np.ndarray:
         """Per-sample mean predictions, shape (B, N)."""
@@ -236,7 +340,12 @@ class CauchyRegression(_ModelBase):
 # binary logistic regression
 # ---------------------------------------------------------------------------
 
-class BinaryLogistic(_ModelBase):
+def _logistic_loglik(F: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_n y_n f_n - softplus(f_n) per row of F."""
+    return (y * F - np.logaddexp(0.0, F)).sum(axis=1)
+
+
+class BinaryLogistic(_RBFBase):
     """Logistic regression on RBF features with labels in {0, 1}.
 
     theta = (log_alpha, log_width). The log likelihood is written as
@@ -253,14 +362,11 @@ class BinaryLogistic(_ModelBase):
             raise DataError("X and y disagree on the number of rows")
         if not np.isin(self.y, (0.0, 1.0)).all():
             raise DataError("binary labels must be coded as 0/1")
-        self.centers = np.atleast_2d(np.asarray(centers, dtype=float))
         self.alpha = float(alpha)
         self.width = float(width)
         if min(self.alpha, self.width) <= 0:
             raise NumericalError("alpha and width must be positive")
-        self.phi = rbf_features(self.X, self.centers, self.width)
-        self._d2 = squared_distances(self.X, self.centers)
-        self.N, self.D = self.phi.shape
+        self._set_basis(centers)
         self.P = self.D
 
     @property
@@ -271,24 +377,24 @@ class BinaryLogistic(_ModelBase):
         a, w = np.exp(np.asarray(theta, dtype=float))
         return BinaryLogistic(self.X, self.y, self.centers, a, w)
 
-    def _features(self, X: np.ndarray) -> np.ndarray:
-        return rbf_features(X, self.centers, self.width)
-
-    @staticmethod
-    def _loglik_rows(W: np.ndarray, phi: np.ndarray, y: np.ndarray) -> np.ndarray:
-        F = W @ phi.T
-        return (y[None, :] * F - np.logaddexp(0.0, F)).sum(axis=1)
-
     def values(self, W: np.ndarray) -> np.ndarray:
         W = _as_batch(W, self.P)
-        prior = (0.5 * self.D * (np.log(self.alpha) - _LOG_2PI)
-                 - 0.5 * self.alpha * np.einsum("bp,bp->b", W, W))
-        return self._loglik_rows(W, self.phi, self.y) + prior
+        return _logistic_loglik(W @ self.phi.T, self.y) + self._prior(W)[0]
+
+    def evaluate(self, W: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        W = _as_batch(W, self.P)
+        F = W @ self.phi.T
+        prior, d_lalpha = self._prior(W)
+        values = _logistic_loglik(F, self.y) + prior
+        gf = np.subtract(self.y, expit(F, out=F), out=F)
+        grads = gf @ self.phi - self.alpha * W
+        return values, grads, np.stack([d_lalpha, self._width_grad(gf, W)], axis=1)
 
     def grads(self, W: np.ndarray) -> np.ndarray:
-        W = _as_batch(W, self.P)
-        gf = self.y[None, :] - expit(W @ self.phi.T)
-        return gf @ self.phi - self.alpha * W
+        return self.evaluate(W)[1]
+
+    def theta_grads(self, W: np.ndarray) -> np.ndarray:
+        return self.evaluate(W)[2]
 
     def hessian(self, w: np.ndarray) -> np.ndarray:
         w = np.asarray(w, dtype=float).ravel()
@@ -298,17 +404,16 @@ class BinaryLogistic(_ModelBase):
         H[np.diag_indices_from(H)] -= self.alpha
         return H
 
-    def theta_grads(self, W: np.ndarray) -> np.ndarray:
+    def score(self, W: np.ndarray, X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Mean class-1 probability over the draws, shape (N,), and per-draw
+        test log likelihood."""
         W = _as_batch(W, self.P)
-        gf = self.y[None, :] - expit(W @ self.phi.T)
-        d_lalpha = 0.5 * self.D - 0.5 * self.alpha * np.einsum("bp,bp->b", W, W)
-        phi_w = self.phi[:, :-1] * self._d2 / self.width**2
-        d_lwidth = np.einsum("bn,bn->b", gf, W[:, :-1] @ phi_w.T)
-        return np.stack([d_lalpha, d_lwidth], axis=1)
-
-    def data_log_likelihoods(self, W: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-        W = _as_batch(W, self.P)
-        return self._loglik_rows(W, self._features(X), np.asarray(y, dtype=float).ravel())
+        y = np.asarray(y, dtype=float).ravel()
+        total, ll = None, np.empty(W.shape[0])
+        for rows, F in _projection_blocks(W, self._features(X)):
+            ll[rows] = _logistic_loglik(F, y)
+            total = _add_rows(total, expit(F, out=F))
+        return total / W.shape[0], ll
 
     def predictive(self, W: np.ndarray, X: np.ndarray) -> np.ndarray:
         """Per-sample class-1 probabilities, shape (B, N)."""
@@ -319,31 +424,29 @@ class BinaryLogistic(_ModelBase):
 # multiclass softmax regression
 # ---------------------------------------------------------------------------
 
-def _shifted_exp(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Overwrite (B, K, N) scores F with exp(F - m), m the class maximum.
+def _log_normaliser(F: np.ndarray, normalise: bool = False) -> np.ndarray:
+    """log sum_k exp F[:, k, :] of (B, K, N) scores, shape (B, N).
 
-    Every exponent is <= 0, so nothing overflows. A class far below the
-    maximum underflows to probability 0, its correctly rounded value, which
-    is not an error. Working in place spares allocating an array of F's
-    size, which costs more than the exponentials. Returns (F, m).
+    Overwrites F with exp(F - m), m the class maximum, or with the class
+    probabilities when ``normalise`` is set. Every exponent is <= 0, so
+    nothing overflows. A class far below the maximum underflows to
+    probability 0, its correctly rounded value, which is not an error.
+    Working in place spares allocating an array of F's size, which costs
+    more than the exponentials.
     """
     m = F.max(axis=1, keepdims=True)
     F -= m
     with np.errstate(under="ignore"):
         np.exp(F, out=F)
-    return F, m
-
-
-def _logsumexp_classes(F: np.ndarray) -> np.ndarray:
-    """log sum_k exp F[:, k, :], shape (B, N); overwrites F."""
-    E, m = _shifted_exp(F)
-    out = E.sum(axis=1)
+    out = F.sum(axis=1)
+    if normalise:
+        F /= out[:, None, :]
     np.log(out, out=out)
     out += m[:, 0, :]
     return out
 
 
-class SoftmaxRegression(_ModelBase):
+class SoftmaxRegression(_RBFBase):
     """K-class softmax regression with one weight vector per class.
 
     Weights are handled flattened, P = K * D, laid out class-major
@@ -362,14 +465,11 @@ class SoftmaxRegression(_ModelBase):
         row_sums = self.Y.sum(axis=1)
         if not (np.isin(self.Y, (0.0, 1.0)).all() and np.allclose(row_sums, 1.0)):
             raise DataError("multiclass labels must be one-hot rows")
-        self.centers = np.atleast_2d(np.asarray(centers, dtype=float))
         self.alpha = float(alpha)
         self.width = float(width)
         if min(self.alpha, self.width) <= 0:
             raise NumericalError("alpha and width must be positive")
-        self.phi = rbf_features(self.X, self.centers, self.width)
-        self._d2 = squared_distances(self.X, self.centers)
-        self.N, self.D = self.phi.shape
+        self._set_basis(centers)
         self.K = self.Y.shape[1]
         self.P = self.K * self.D
 
@@ -381,43 +481,50 @@ class SoftmaxRegression(_ModelBase):
         a, w = np.exp(np.asarray(theta, dtype=float))
         return SoftmaxRegression(self.X, self.Y, self.centers, a, w)
 
-    def _features(self, X: np.ndarray) -> np.ndarray:
-        return rbf_features(X, self.centers, self.width)
-
     def _scores(self, W: np.ndarray, phi: np.ndarray) -> np.ndarray:
         """Class scores F = W phi', shape (B, K, N), from one GEMM."""
         B = W.shape[0]
         return (W.reshape(B * self.K, self.D) @ phi.T).reshape(B, self.K, -1)
 
-    def _loglik_rows(self, W: np.ndarray, phi: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        F = self._scores(W, phi)
-        # label term sum_{n,k} Y_nk F_bkn as one mat-vec over the (K, N)
-        # layout, taken before the log-sum-exp overwrites F
-        labels = F.reshape(F.shape[0], -1) @ Y.T.ravel()
-        return labels - _logsumexp_classes(F).sum(axis=1)
+    @staticmethod
+    def _labels(F: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """sum_{n,k} Y_nk F_bkn per draw, one mat-vec over the (K, N) layout."""
+        return F.reshape(F.shape[0], -1) @ Y.T.ravel()
 
     def _probabilities(self, W: np.ndarray, phi: np.ndarray) -> np.ndarray:
         """Softmax over classes, shape (B, K, N)."""
-        E, _ = _shifted_exp(self._scores(W, phi))
-        E /= E.sum(axis=1, keepdims=True)
-        return E
-
-    def _residual(self, W: np.ndarray) -> np.ndarray:
-        """d loglik / d F = Y' - softmax(F), flattened to (B K, N)."""
-        G = self._probabilities(W, self.phi)
-        np.subtract(self.Y.T, G, out=G)
-        return G.reshape(-1, self.N)
+        F = self._scores(W, phi)
+        _log_normaliser(F, normalise=True)
+        return F
 
     def values(self, W: np.ndarray) -> np.ndarray:
         W = _as_batch(W, self.P)
-        prior = (0.5 * self.K * self.D * (np.log(self.alpha) - _LOG_2PI)
-                 - 0.5 * self.alpha * np.einsum("bp,bp->b", W, W))
-        return self._loglik_rows(W, self.phi, self.Y) + prior
+        F = self._scores(W, self.phi)
+        labels = self._labels(F, self.Y)   # before the log-sum-exp overwrites F
+        return labels - _log_normaliser(F).sum(axis=1) + self._prior(W)[0]
+
+    def evaluate(self, W: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        W = _as_batch(W, self.P)
+        B = W.shape[0]
+        F = self._scores(W, self.phi)
+        labels = self._labels(F, self.Y)
+        prior, d_lalpha = self._prior(W)
+        values = labels - _log_normaliser(F, normalise=True).sum(axis=1) + prior
+        # d loglik / d F = Y' - softmax(F), flattened to (B K, N); row (b, k)
+        # of G @ phi is class k's block, so the class-major layout holds
+        G = np.subtract(self.Y.T, F, out=F).reshape(-1, self.N)
+        grads = (G @ self.phi).reshape(B, self.P) - self.alpha * W
+        # sum_{k,n} G_bkn dF_bkn with dF = W_k,:-1 phi_w', contracted as
+        # ((G phi_w) * W_k,:-1) summed, so the (B, K, N) dF never forms
+        Wk = W.reshape(B * self.K, self.D)[:, :-1]
+        d_lwidth = ((G @ self._phi_w()) * Wk).reshape(B, -1).sum(axis=1)
+        return values, grads, np.stack([d_lalpha, d_lwidth], axis=1)
 
     def grads(self, W: np.ndarray) -> np.ndarray:
-        W = _as_batch(W, self.P)
-        # row (b, k) of G @ phi is class k's block, so the class-major layout holds
-        return (self._residual(W) @ self.phi).reshape(W.shape[0], self.P) - self.alpha * W
+        return self.evaluate(W)[1]
+
+    def theta_grads(self, W: np.ndarray) -> np.ndarray:
+        return self.evaluate(W)[2]
 
     def hessian(self, w: np.ndarray) -> np.ndarray:
         w = np.asarray(w, dtype=float).ravel()
@@ -429,21 +536,18 @@ class SoftmaxRegression(_ModelBase):
         H[np.diag_indices_from(H)] -= self.alpha
         return H
 
-    def theta_grads(self, W: np.ndarray) -> np.ndarray:
+    def score(self, W: np.ndarray, X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Mean class probabilities over the draws, shape (N, K), and per-draw
+        test log likelihood."""
         W = _as_batch(W, self.P)
-        B = W.shape[0]
-        d_lalpha = (0.5 * self.K * self.D
-                    - 0.5 * self.alpha * np.einsum("bp,bp->b", W, W))
-        # sum_{k,n} G_bkn dF_bkn with dF = W_k,:-1 phi_w', contracted as
-        # ((G phi_w) * W_k,:-1) summed, so the (B, K, N) dF never forms
-        phi_w = self.phi[:, :-1] * self._d2 / self.width**2
-        Wk = W.reshape(B * self.K, self.D)[:, :-1]
-        d_lwidth = ((self._residual(W) @ phi_w) * Wk).reshape(B, -1).sum(axis=1)
-        return np.stack([d_lalpha, d_lwidth], axis=1)
-
-    def data_log_likelihoods(self, W: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        W = _as_batch(W, self.P)
-        return self._loglik_rows(W, self._features(X), np.atleast_2d(np.asarray(Y, dtype=float)))
+        Y = np.atleast_2d(np.asarray(Y, dtype=float))
+        total, ll = None, np.empty(W.shape[0])
+        for rows, F in _projection_blocks(W, self._features(X), self.K):
+            F = F.reshape(-1, self.K, Y.shape[0])
+            labels = self._labels(F, Y)
+            ll[rows] = labels - _log_normaliser(F, normalise=True).sum(axis=1)
+            total = _add_rows(total, F)
+        return (total / W.shape[0]).T, ll
 
     def predictive(self, W: np.ndarray, X: np.ndarray) -> np.ndarray:
         """Per-sample class probabilities, shape (B, N, K)."""
@@ -466,8 +570,8 @@ class GaussianLinearModel(_ModelBase):
     empty and the variational stage has nothing to move.
 
     The design matrix is taken as given (identity feature map), so the X
-    argument of ``data_log_likelihoods``/``predictive`` is itself a design
-    matrix.
+    argument of ``score``/``data_log_likelihoods``/``predictive`` is itself a
+    design matrix.
     """
 
     theta_names: tuple = ()
@@ -493,17 +597,14 @@ class GaussianLinearModel(_ModelBase):
             raise ValueError("the conjugate oracle model has no free hyperparameters")
         return self
 
-    def _loglik_rows(self, W: np.ndarray, phi: np.ndarray, y: np.ndarray) -> np.ndarray:
-        resid = y[None, :] - W @ phi.T
-        n = y.size
-        return (0.5 * n * (np.log(self.beta) - _LOG_2PI)
-                - 0.5 * self.beta * np.einsum("bn,bn->b", resid, resid))
+    def _loglik(self, R: np.ndarray) -> np.ndarray:
+        """Log likelihood of each row of residuals R."""
+        return (0.5 * R.shape[1] * (np.log(self.beta) - _LOG_2PI)
+                - 0.5 * self.beta * np.einsum("bn,bn->b", R, R))
 
     def values(self, W: np.ndarray) -> np.ndarray:
         W = _as_batch(W, self.P)
-        prior = (0.5 * self.D * (np.log(self.alpha) - _LOG_2PI)
-                 - 0.5 * self.alpha * np.einsum("bp,bp->b", W, W))
-        return self._loglik_rows(W, self.phi, self.y) + prior
+        return self._loglik(self.y - W @ self.phi.T) + self._prior(W)[0]
 
     def grads(self, W: np.ndarray) -> np.ndarray:
         W = _as_batch(W, self.P)
@@ -518,10 +619,10 @@ class GaussianLinearModel(_ModelBase):
     def theta_grads(self, W: np.ndarray) -> np.ndarray:
         return np.zeros((_as_batch(W, self.P).shape[0], 0))
 
-    def data_log_likelihoods(self, W: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-        W = _as_batch(W, self.P)
-        return self._loglik_rows(W, np.atleast_2d(np.asarray(X, dtype=float)),
-                                 np.asarray(y, dtype=float).ravel())
+    def score(self, W: np.ndarray, X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Mean prediction over the draws and per-draw test log likelihood."""
+        return _residual_score(_as_batch(W, self.P), np.atleast_2d(np.asarray(X, dtype=float)),
+                               np.asarray(y, dtype=float).ravel(), self._loglik)
 
     def predictive(self, W: np.ndarray, X: np.ndarray) -> np.ndarray:
         return _as_batch(W, self.P) @ np.atleast_2d(np.asarray(X, dtype=float)).T

@@ -53,6 +53,7 @@ class MinimizeResult:
     grad_norm: float
     n_iters: int
     reason: str  # "grad_tol" | "f_tol" | "max_iters"
+    n_evals: int  # calls of the objective, the initial point and probes included
     trace: list[float] = field(default_factory=list)
 
 
@@ -72,9 +73,16 @@ def minimize(
             non-finite excursion cannot be recovered by shrinking the step.
     """
     cfg = config or OptimConfig()
+    n_evals = 0
+
+    def fun_counted(x):
+        nonlocal n_evals
+        n_evals += 1
+        return fun(x)
+
     x = np.array(x0, dtype=float).ravel()
     n = x.size
-    f, g = fun(x)
+    f, g = fun_counted(x)
     f = float(f)
     g = np.asarray(g, dtype=float)
     if not np.isfinite(f) or not np.all(np.isfinite(g)):
@@ -118,7 +126,7 @@ def minimize(
             # Second-order information: one gradient probe along p gives the
             # curvature p'Hp by finite differences.
             sigma = _SIGMA0 / np.sqrt(p_sq)
-            _, g_probe = fun(x + sigma * p)
+            _, g_probe = fun_counted(x + sigma * p)
             g_probe = np.asarray(g_probe, dtype=float)
             if np.all(np.isfinite(g_probe)):
                 delta_raw = float(p @ (g_probe - g)) / sigma
@@ -136,7 +144,7 @@ def minimize(
             lam = lam_bar
 
         alpha = mu / delta
-        f_trial, g_trial = fun(x + alpha * p)
+        f_trial, g_trial = fun_counted(x + alpha * p)
         f_trial = float(f_trial)
         g_trial = np.asarray(g_trial, dtype=float)
         trial_finite = np.isfinite(f_trial) and np.all(np.isfinite(g_trial))
@@ -192,7 +200,8 @@ def minimize(
             break
 
     grad_norm = float(np.max(np.abs(r))) if n else 0.0
-    return MinimizeResult(x=x, f=f, grad_norm=grad_norm, n_iters=k, reason=reason, trace=trace)
+    return MinimizeResult(x=x, f=f, grad_norm=grad_norm, n_iters=k, reason=reason,
+                          n_evals=n_evals, trace=trace)
 
 
 def finite_difference_gradient(

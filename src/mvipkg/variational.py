@@ -314,7 +314,7 @@ def elbo_estimate(params: VariationalParams, samples: FixedSampleSet,
     bad = ~np.isfinite(vals)
     if bad.any():
         raise NumericalError(
-            f"log posterior not finite at sample {int(np.argmax(bad))}")
+            f"log posterior not finite (first at sample {int(np.argmax(bad))})")
     return float(vals.mean()) + entropy(params, laplace)
 
 
@@ -332,12 +332,11 @@ def elbo_and_gradient(params: VariationalParams, samples: FixedSampleSet,
     z = family_samples(params.family, samples, laplace)
     gauss = covariance_root(params, laplace)
     w = params.mu[None, :] + z @ gauss.root.T
-    vals = m.values(w)
+    vals, g, theta_g = m.evaluate(w)
     bad = ~np.isfinite(vals)
     if bad.any():
         raise NumericalError(
-            f"log posterior not finite at sample {int(np.argmax(bad))}")
-    g = m.grads(w)
+            f"log posterior not finite (first at sample {int(np.argmax(bad))})")
 
     ent = entropy(params, laplace)
     value = float(vals.mean()) + ent
@@ -363,10 +362,7 @@ def elbo_and_gradient(params: VariationalParams, samples: FixedSampleSet,
         d_sigma = np.einsum("sp,sp->p", g, z) / z.shape[0] + 1.0 / sigma
         blocks.append(d_sigma * sigma)
 
-    if params.theta.size:
-        blocks.append(m.theta_grads(w).mean(axis=0))
-    else:
-        blocks.append(np.zeros(0))
+    blocks.append(theta_g.mean(axis=0))
     return value, np.concatenate(blocks)
 
 

@@ -154,7 +154,8 @@ def test_cauchy_single_run(tmp_path, capsys):
     assert report["config"]["methods"] == ["laplace"]
     assert report["n_completed"] == 1
     rec = report["records"][0]["methods"]["laplace"]
-    assert set(rec) == {"lpd", "mse", "elbo", "n_iters"}
+    assert set(rec) == {"lpd", "mse", "elbo", "n_iters", "n_evals",
+                        "stop_reason", "grad_norm"}
     table = (out / "table.csv").read_text().splitlines()
     assert table[0] == "metric,laplace"
     assert table[1].startswith("lpd,") and table[2].startswith("mse,")

@@ -1,12 +1,17 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.stats import multivariate_normal
 
+from mvipkg.data import mixture_2d_target
 from mvipkg.errors import DataError
-from mvipkg.models import (CauchyRegression, GaussianLinearModel, kmeans,
-                           rbf_features, squared_distances)
+from mvipkg.models import (BinaryLogistic, CauchyRegression, GaussianLinearModel,
+                           SoftmaxRegression, kmeans, rbf_features,
+                           squared_distances)
 from mvipkg.optimize import finite_difference_gradient, finite_difference_jacobian
 
 from conftest import ALL_MODEL_MAKERS, make_conjugate
@@ -257,3 +262,118 @@ def test_batched_grads_match_loop(name):
     batched = model.grads(W)
     looped = np.vstack([model.grad(w) for w in W])
     np.testing.assert_allclose(batched, looped, rtol=1.0e-12)
+
+
+# ---------------------------------------------------------------------------
+# fused passes: evaluate and score against the separate kernels
+# ---------------------------------------------------------------------------
+
+FIVE_MODEL_MAKERS = {**ALL_MODEL_MAKERS, "mixture2d": mixture_2d_target}
+
+
+@pytest.mark.parametrize("name", sorted(FIVE_MODEL_MAKERS))
+def test_evaluate_equals_separate_kernels(name):
+    model = FIVE_MODEL_MAKERS[name]()
+    rng = np.random.default_rng(16)
+    # at scale 30 the Cauchy residuals lie far above gamma = 0.4
+    for scale in (0.3, 30.0):
+        W = scale * rng.standard_normal((7, model.P))
+        values, grads, theta_grads = model.evaluate(W)
+        assert np.array_equal(values, model.values(W))
+        assert np.array_equal(grads, model.grads(W))
+        assert np.array_equal(theta_grads, model.theta_grads(W))
+        assert theta_grads.shape == (7, model.theta.size)
+
+
+def test_rbf_models_define_traced_kernels_on_the_class():
+    # benchmarks/tracing.py wraps these methods through each class's own
+    # __dict__; an inherited method would silently escape `run.py --trace 1`
+    for cls in (CauchyRegression, BinaryLogistic, SoftmaxRegression):
+        for method in ("values", "grads", "theta_grads", "hessian"):
+            assert method in vars(cls), (cls.__name__, method)
+
+
+def _one_shot_log_likelihoods(model, W, X, y):
+    """Per-draw test log likelihood from the whole product F = W phi' at once."""
+    phi = rbf_features(X, model.centers, model.width)
+    if isinstance(model, CauchyRegression):
+        resid = y[None, :] - W @ phi.T
+        return (-y.size * np.log(np.pi * model.gamma)
+                - np.log1p((resid / model.gamma) ** 2).sum(axis=1))
+    if isinstance(model, BinaryLogistic):
+        F = W @ phi.T
+        return (y[None, :] * F - np.logaddexp(0.0, F)).sum(axis=1)
+    B, K = W.shape[0], model.K
+    F = (W.reshape(B * K, model.D) @ phi.T).reshape(B, K, -1)
+    labels = F.reshape(B, -1) @ y.T.ravel()
+    m = F.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(F - m).sum(axis=1)) + m[:, 0, :]
+    return labels - lse.sum(axis=1)
+
+
+def _score_mismatches(exact: bool, draw_counts=(1, 289, 1001, 10_000)) -> list:
+    """Compare ``score`` with ``predictive(...).mean(0)`` and the one-shot
+    likelihood for Cauchy, binary and softmax models.
+
+    The models have 10 centres (D = 11), the benchmark's smallest basis.
+    Draw counts: one, one past a block (the lone draw joins its block), not
+    a multiple of the block, and the 10,000 of held-out scoring. Test sets
+    of 1,000 and 190 points are the benchmark's; at 300 points a 256-draw
+    block rounded apart from the one-shot product.
+    """
+    rng = np.random.default_rng(17)
+    X1 = rng.uniform(-3.0, 3.0, size=(50, 1))
+    X2 = rng.standard_normal((60, 2))
+    models = {
+        "cauchy": CauchyRegression(X1, np.sin(X1[:, 0]), X1[:10],
+                                   gamma=0.4, alpha=0.8, width=1.2),
+        "logistic": BinaryLogistic(X2, (X2[:, 0] > 0).astype(float), X2[:10],
+                                   alpha=0.6, width=1.5),
+        "softmax": SoftmaxRegression(X2, np.eye(3)[rng.integers(0, 3, size=60)],
+                                     X2[:10], alpha=0.7, width=1.0),
+    }
+    same = np.array_equal if exact else (
+        lambda a, b: np.allclose(a, b, rtol=1.0e-12, atol=1.0e-14))
+    bad = []
+    for name, model in models.items():
+        for n_test in (1000, 300, 190):
+            X = rng.uniform(-3.0, 3.0, size=(n_test, model.X.shape[1]))
+            if name == "cauchy":
+                y = np.sin(X[:, 0]) + rng.standard_cauchy(n_test)
+            elif name == "logistic":
+                y = (X[:, 0] > 0).astype(float)
+            else:
+                y = np.eye(model.K)[rng.integers(0, model.K, size=n_test)]
+            for n_draws in draw_counts:
+                W = rng.standard_normal((n_draws, model.P))
+                mean, ll = model.score(W, X, y)
+                for label, got, want in (
+                        ("mean", mean, model.predictive(W, X).mean(axis=0)),
+                        ("loglik", ll, _one_shot_log_likelihoods(model, W, X, y)),
+                        ("data_log_likelihoods", ll,
+                         model.data_log_likelihoods(W, X, y))):
+                    if got.shape != want.shape or not same(got, want):
+                        bad.append((name, n_test, n_draws, label))
+    return bad
+
+
+def test_score_matches_one_shot_pass():
+    # any BLAS threading: equal up to round-off
+    assert _score_mismatches(exact=False, draw_counts=(1, 289, 1001)) == []
+
+
+def test_score_matches_one_shot_pass_bit_for_bit():
+    # A fresh interpreter with BLAS pinned to one thread, as in the
+    # benchmark: a multi-threaded OpenBLAS splits a product by its size, so a
+    # block's rows may then round apart from the one-shot product's.
+    pinned = {k: "1" for k in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                               "MKL_NUM_THREADS")}
+    env = dict(os.environ, **pinned, PYTHONPATH=os.pathsep.join(sys.path))
+    run = subprocess.run([sys.executable, __file__], env=env,
+                         capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert run.stdout.strip() == "[]"
+
+
+if __name__ == "__main__":
+    print(_score_mismatches(exact=True))
