@@ -85,9 +85,9 @@ def run_split(train, test, methods=METHODS, seed: int = 0, n_samples: int = 1000
     its fit ended at; the Laplace ones are ``search_info["theta_la"]``.
     Every record carries its fit's diagnostics: ``n_iters``, ``n_evals``,
     ``stop_reason`` and the final max-norm gradient ``grad_norm`` (for
-    laplace, those of the final mode search). vi_diag fits both published
-    initialisations and keeps the better held-out lpd, recording which
-    variant won (whose diagnostics the record holds) and the loser's lpd.
+    laplace, those of the final mode search). A family with two published
+    starts (vi_diag) fits both and keeps the better held-out lpd, recording
+    which variant won (whose diagnostics the record holds) and the loser's lpd.
     The search info counts the failed grid candidates (``grid_failed``) and
     the failures of each kind (``grid_failures``).
     """
@@ -120,7 +120,7 @@ def run_split(train, test, methods=METHODS, seed: int = 0, n_samples: int = 1000
         samples = variational.draw_fixed_samples(
             n_samples, model.P, derive_seed(seed, SALT_SAMPLES))
 
-    def scored_fit(family, variant="laplace"):
+    def scored_fit(family, variant):
         fit = variational.fit_family(
             model, lap, samples, family, seed=derive_seed(seed, SALT_INIT),
             config=optim, diag_variant=variant)
@@ -137,23 +137,18 @@ def run_split(train, test, methods=METHODS, seed: int = 0, n_samples: int = 1000
             rec = {"lpd": float(sc.lpd), metric: float(getattr(sc, metric)),
                    "elbo": float(lap.bound_at_mode),
                    **_fit_diagnostics(search.mode)}
-        elif method == "vi_diag":
-            candidates = {v: scored_fit("vi_diag", v) for v in ("laplace", "small")}
-            variant = max(candidates, key=lambda v: candidates[v][1].lpd)
-            other = "small" if variant == "laplace" else "laplace"
-            fit, sc = candidates[variant]
-            rec = {"lpd": float(sc.lpd), metric: float(getattr(sc, metric)),
-                   "elbo": float(fit.elbo),
-                   **_fit_diagnostics(fit.opt),
-                   "theta": [float(t) for t in fit.params.theta],
-                   "variant": variant,
-                   "lpd_other": float(candidates[other][1].lpd)}
         else:
-            fit, sc = scored_fit(method)
+            candidates = {v: scored_fit(method, v)
+                          for v in variational.FAMILY_SPECS[method].variants}
+            variant = max(candidates, key=lambda v: candidates[v][1].lpd)
+            fit, sc = candidates.pop(variant)
             rec = {"lpd": float(sc.lpd), metric: float(getattr(sc, metric)),
                    "elbo": float(fit.elbo),
                    **_fit_diagnostics(fit.opt),
                    "theta": [float(t) for t in fit.params.theta]}
+            if candidates:   # the other published start
+                (_, other), = candidates.values()
+                rec.update(variant=variant, lpd_other=float(other.lpd))
         records[method] = rec
         timing[method] = time.perf_counter() - t0
     return records, timing, info
@@ -212,15 +207,29 @@ def _parallel_map(fn, n_jobs: int, n_workers: int):
         return list(pool.map(fn, range(n_jobs)))
 
 
-def _assemble(config, outcomes, methods, metrics, alpha, n_boot, base_seed,
-              started: float):
-    """Shared report assembly for the split-based suites.
+def _run_suite(config, split, n_splits: int, methods, metrics, base_seed,
+               **fit_options) -> dict:
+    """Run ``run_split`` on every split and assemble the suite's report.
 
-    ``started`` is the ``time.perf_counter()`` reading taken before the first
-    split ran; ``timing["wall"]`` is the suite's elapsed time from there,
-    while ``timing["total"]`` sums the per-split times, which overlap under
-    several workers.
+    ``split(i)`` gives split i's (train, test, seed). A split whose fit
+    fails numerically is recorded as skipped. ``timing["wall"]`` is the
+    suite's elapsed time, while ``timing["total"]`` sums the per-split
+    times, which overlap under several workers. ``alpha``, ``n_boot`` and
+    ``n_workers`` are read from ``config``.
     """
+    def one(i):
+        train, test, seed = split(i)
+        try:
+            recs, timing, info = run_split(train, test, methods, seed=seed,
+                                           **fit_options)
+        except (NumericalError, np.linalg.LinAlgError, FloatingPointError) as err:
+            return {"index": i, "seed": seed, "error": str(err)}
+        return {"index": i, "seed": seed, "search": info,
+                "methods": recs, "_timing": timing}
+
+    started = time.perf_counter()
+    outcomes = _parallel_map(one, n_splits, config["n_workers"])
+    alpha, n_boot = config["alpha"], config["n_boot"]
     records = [o for o in outcomes if "error" not in o]
     skipped = [o for o in outcomes if "error" in o]
     run_times = [{"index": r["index"], **r.pop("_timing")} for r in records]
@@ -276,23 +285,13 @@ def run_cauchy(n_runs: int = 20, methods=METHODS, seed: int = 0,
         "n_workers": int(n_workers),
     }
 
-    def one(i):
+    def split(i):
         run_seed = derive_seed(seed, i)
-        train, test = data_mod.generate_cauchy_task(
-            seed=run_seed, n_train=n_train, n_test=n_test)
-        try:
-            recs, timing, info = run_split(
-                train, test, methods, seed=run_seed, n_samples=n_samples,
-                n_eval=n_eval, grid=grid, optim=optim)
-        except (NumericalError, np.linalg.LinAlgError, FloatingPointError) as err:
-            return {"index": i, "seed": run_seed, "error": str(err)}
-        return {"index": i, "seed": run_seed, "search": info,
-                "methods": recs, "_timing": timing}
+        return (*data_mod.generate_cauchy_task(seed=run_seed, n_train=n_train,
+                                               n_test=n_test), run_seed)
 
-    started = time.perf_counter()
-    outcomes = _parallel_map(one, n_runs, n_workers)
-    return _assemble(config, outcomes, methods, ("lpd", "mse"),
-                     alpha, n_boot, seed, started)
+    return _run_suite(config, split, n_runs, methods, ("lpd", "mse"), seed,
+                      n_samples=n_samples, n_eval=n_eval, grid=grid, optim=optim)
 
 
 def run_benchmark(dataset, methods=METHODS, plan=None,
@@ -317,21 +316,9 @@ def run_benchmark(dataset, methods=METHODS, plan=None,
         "n_boot": int(n_boot), "n_workers": int(n_workers),
     }
 
-    def one(i):
-        train, test, split_seed = splits[i]
-        try:
-            recs, timing, info = run_split(
-                train, test, methods, seed=split_seed, n_samples=n_samples,
-                n_eval=n_eval, grid=grid, optim=optim)
-        except (NumericalError, np.linalg.LinAlgError, FloatingPointError) as err:
-            return {"index": i, "seed": split_seed, "error": str(err)}
-        return {"index": i, "seed": split_seed, "search": info,
-                "methods": recs, "_timing": timing}
-
-    started = time.perf_counter()
-    outcomes = _parallel_map(one, len(splits), n_workers)
-    return _assemble(config, outcomes, methods, ("lpd", metric),
-                     alpha, n_boot, plan.seed, started)
+    return _run_suite(config, splits.__getitem__, len(splits), methods,
+                      ("lpd", metric), plan.seed,
+                      n_samples=n_samples, n_eval=n_eval, grid=grid, optim=optim)
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +420,9 @@ def run_fit(train, method: str, seed: int = 0, n_samples: int = 1000,
     binary sidecar. ``meta["elbo_estimate"]`` is recomputed through
     elbo_estimate at the fitted parameters, so a reload that rebuilds the
     same inputs reproduces it bit-for-bit. For vi_diag both initialisations
-    are fitted and the better final bound is kept.
+    are fitted and the better final bound is kept. ``meta`` carries the
+    fit's diagnostics: ``n_iters``, ``n_evals``, ``stop_reason`` and
+    ``grad_norm``.
     """
     methods = _check_methods((method,))
     method = methods[0]
@@ -466,40 +455,24 @@ def run_fit(train, method: str, seed: int = 0, n_samples: int = 1000,
 
     samples = variational.draw_fixed_samples(
         n_samples, model.P, meta["sample_seed"])
-    if method == "vi_diag":
-        fits = {v: variational.fit_family(model, lap, samples, method,
-                                          seed=meta["init_seed"], config=optim,
-                                          diag_variant=v)
-                for v in ("laplace", "small")}
-        variant = max(fits, key=lambda v: fits[v].elbo)
-        fit = fits[variant]
+    spec = variational.FAMILY_SPECS[method]
+    fits = {v: variational.fit_family(model, lap, samples, method,
+                                      seed=meta["init_seed"], config=optim,
+                                      diag_variant=v)
+            for v in spec.variants}
+    variant = max(fits, key=lambda v: fits[v].elbo)
+    if len(fits) > 1:
         meta["variant"] = variant
-    else:
-        fit = variational.fit_family(model, lap, samples, method,
-                                     seed=meta["init_seed"], config=optim)
+    fit = fits[variant]
     params = fit.params
-    meta["n_iters"] = int(fit.opt.n_iters)
-    meta["stop_reason"] = fit.opt.reason
+    meta.update(_fit_diagnostics(fit.opt))
     meta["elbo_estimate"] = float(variational.elbo_estimate(
         params, samples, model, lap))
     arrays["mu"] = params.mu
     arrays["theta"] = params.theta
-    for name in ("log_r", "u", "v", "log_sigma"):
-        value = getattr(params, name)
-        if value is not None:
-            arrays[name] = value
+    for name in spec.fields:
+        arrays[name] = getattr(params, name)
     return meta, arrays
-
-
-def _rebuild_model(meta: dict, arrays: dict, train):
-    from .laplace import _candidate_model
-
-    theta_la = np.asarray(arrays["theta_la"], dtype=float)
-    gamma = 1.0 if meta["task"] == "regression" else None
-    model = _candidate_model(meta["task"], train.X, train.y,
-                             np.asarray(arrays["centers"], dtype=float),
-                             width=1.0, alpha=1.0, gamma=gamma)
-    return model.with_theta(theta_la)
 
 
 def load_fit(meta: dict, arrays: dict, train):
@@ -512,7 +485,8 @@ def load_fit(meta: dict, arrays: dict, train):
     if train.kind != meta["task"]:
         raise ConfigError(
             f"saved fit is for task {meta['task']!r}, dataset is {train.kind!r}")
-    model = _rebuild_model(meta, arrays, train)
+    model = laplace_mod.TASK_MODELS[meta["task"]].at_theta(
+        train.X, train.y, np.asarray(arrays["centers"], dtype=float), arrays["theta_la"])
     lap = laplace_mod.LaplaceResult(
         mean=np.asarray(arrays["la_mean"], dtype=float),
         cov=np.asarray(arrays["la_cov"], dtype=float),
@@ -526,10 +500,8 @@ def load_fit(meta: dict, arrays: dict, train):
     if meta["method"] == "laplace":
         return model, lap, variational.laplace_posterior(lap), None, None
 
-    fields = {}
-    for name in ("log_r", "u", "v", "log_sigma"):
-        if name in arrays:
-            fields[name] = np.asarray(arrays[name], dtype=float)
+    fields = {name: np.asarray(arrays[name], dtype=float)
+              for name in variational.FAMILY_SPECS[meta["method"]].fields}
     params = variational.VariationalParams(
         meta["method"], np.asarray(arrays["mu"], dtype=float),
         np.asarray(arrays["theta"], dtype=float), **fields)

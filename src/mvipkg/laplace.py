@@ -24,7 +24,7 @@ from scipy.linalg import cho_solve
 
 from .errors import NumericalError
 from .models import BinaryLogistic, CauchyRegression, SoftmaxRegression, kmeans
-from .optimize import MinimizeResult, OptimConfig, minimize
+from .optimize import OptimConfig, minimize
 from .variational import FixedSampleSet, elbo_estimate, initialise, standardize_draws
 
 # Jitter ladder for repairing a curvature matrix that is not quite positive
@@ -169,16 +169,8 @@ class SearchResult:
     candidates: list[dict]   # per-candidate record incl. score or failure
 
 
-def _candidate_model(task: str, X: np.ndarray, y: np.ndarray,
-                     centers: np.ndarray, width: float, alpha: float,
-                     gamma: float | None):
-    if task == "regression":
-        return CauchyRegression(X, y, centers, gamma=gamma, alpha=alpha, width=width)
-    if task == "binary":
-        return BinaryLogistic(X, y, centers, alpha=alpha, width=width)
-    if task == "multiclass":
-        return SoftmaxRegression(X, y, centers, alpha=alpha, width=width)
-    raise ValueError(f"unknown task {task!r}")
+TASK_MODELS = {"regression": CauchyRegression, "binary": BinaryLogistic,
+               "multiclass": SoftmaxRegression}
 
 
 def hyperparameter_search(X: np.ndarray, y: np.ndarray, task: str, seed: int,
@@ -203,6 +195,8 @@ def hyperparameter_search(X: np.ndarray, y: np.ndarray, task: str, seed: int,
     message without its parenthesised numbers); the search only errors if
     every candidate failed.
     """
+    if task not in TASK_MODELS:
+        raise ValueError(f"unknown task {task!r}")
     grid = grid or GridConfig()
     base_optim = optim or OptimConfig()
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -244,8 +238,9 @@ def hyperparameter_search(X: np.ndarray, y: np.ndarray, task: str, seed: int,
     for idx, cand in enumerate(candidates):
         rec = {k: cand[k] for k in ("M", "width", "alpha", "gamma")}
         try:
-            model = _candidate_model(task, X, y, cand["centers"],
-                                     cand["width"], cand["alpha"], cand["gamma"])
+            scale = {} if cand["gamma"] is None else {"gamma": cand["gamma"]}
+            model = TASK_MODELS[task](X, y, cand["centers"], alpha=cand["alpha"],
+                                      width=cand["width"], **scale)
             mode = find_mode(model, np.zeros(model.P), search_cfg)
             lap = laplace_approximation(model, mode.w)
             if model.P not in sample_sets:

@@ -31,6 +31,17 @@ with a trailing bias column of ones, so D = M + 1 features per input. Centres
 come from k-means on the training inputs and stay fixed; the width, the prior
 precision alpha, and any likelihood scale are the continuous hyperparameters.
 
+The three RBF models (Cauchy regression, binary logistic, softmax) are built
+in one place, ``_RBFBase``: a class declares ``theta_names`` and a
+``_targets`` check of its labels, and the shared constructor
+``Model(X, y, centers, **hyper)`` takes one positive keyword per name
+without its ``log_`` prefix, checks the rows, the labels and positivity,
+builds the features and sets ``P``; ``theta`` and ``with_theta`` follow from
+the same names. The kernels ``values``, ``grads``, ``theta_grads`` and
+``hessian`` stay defined on each class itself, even where one just returns
+part of ``evaluate``: the benchmark's tracer times them through each class's
+own ``__dict__``, so an inherited kernel would go untimed.
+
 Priors are kept fully normalised (including the (D/2) ln alpha term), so the
 log-alpha gradient picks up the normaliser's contribution; this is what lets
 the variational stage move alpha sensibly.
@@ -224,13 +235,44 @@ class _ModelBase:
 
 
 class _RBFBase(_ModelBase):
-    """Features and their width derivative, shared by the three RBF models."""
+    """Construction (see the module docstring), features and their width
+    derivative, shared by the RBF models."""
 
-    def _set_basis(self, centers: np.ndarray) -> None:
+    def __init__(self, X: np.ndarray, y: np.ndarray, centers: np.ndarray, **hyper: float):
+        self.X = np.atleast_2d(np.asarray(X, dtype=float))
+        self.y = self._targets(y)
+        if self.X.shape[0] != self.y.shape[0]:
+            raise DataError("X and the labels disagree on the number of rows")
+        names = self._hyper_names()
+        if set(hyper) != set(names):
+            raise TypeError(f"{type(self).__name__} takes the hyperparameters {names}")
+        for name in names:
+            setattr(self, name, float(hyper[name]))
+        if min(getattr(self, name) for name in names) <= 0:
+            raise NumericalError(f"{', '.join(names)} must all be positive")
         self.centers = np.atleast_2d(np.asarray(centers, dtype=float))
         self._d2 = squared_distances(self.X, self.centers)
         self.phi = _bumps(self._d2, self.width)
         self.N, self.D = self.phi.shape
+        self.K = 1 if self.y.ndim == 1 else self.y.shape[1]   # outputs per input
+        self.P = self.K * self.D
+
+    @classmethod
+    def _hyper_names(cls) -> tuple[str, ...]:
+        return tuple(name.removeprefix("log_") for name in cls.theta_names)
+
+    @classmethod
+    def at_theta(cls, X: np.ndarray, y: np.ndarray, centers: np.ndarray, theta: np.ndarray):
+        """The model with hyperparameters exp(theta), theta in ``theta_names`` order."""
+        values = np.exp(np.asarray(theta, dtype=float))
+        return cls(X, y, centers, **dict(zip(cls._hyper_names(), values, strict=True)))
+
+    @property
+    def theta(self) -> np.ndarray:
+        return np.log([getattr(self, name) for name in self._hyper_names()])
+
+    def with_theta(self, theta: np.ndarray):
+        return self.at_theta(self.X, self.y, self.centers, theta)
 
     def _features(self, X: np.ndarray) -> np.ndarray:
         return rbf_features(X, self.centers, self.width)
@@ -262,27 +304,9 @@ class CauchyRegression(_RBFBase):
 
     theta_names = ("log_gamma", "log_alpha", "log_width")
 
-    def __init__(self, X: np.ndarray, y: np.ndarray, centers: np.ndarray,
-                 gamma: float, alpha: float, width: float):
-        self.X = np.atleast_2d(np.asarray(X, dtype=float))
-        self.y = np.asarray(y, dtype=float).ravel()
-        if self.X.shape[0] != self.y.size:
-            raise DataError("X and y disagree on the number of rows")
-        self.gamma = float(gamma)
-        self.alpha = float(alpha)
-        self.width = float(width)
-        if min(self.gamma, self.alpha, self.width) <= 0:
-            raise NumericalError("gamma, alpha and width must all be positive")
-        self._set_basis(centers)
-        self.P = self.D
-
-    @property
-    def theta(self) -> np.ndarray:
-        return np.log([self.gamma, self.alpha, self.width])
-
-    def with_theta(self, theta: np.ndarray) -> "CauchyRegression":
-        g, a, w = np.exp(np.asarray(theta, dtype=float))
-        return CauchyRegression(self.X, self.y, self.centers, g, a, w)
+    @staticmethod
+    def _targets(y: np.ndarray) -> np.ndarray:
+        return np.asarray(y, dtype=float).ravel()
 
     def _loglik(self, R: np.ndarray) -> np.ndarray:
         """Log likelihood of each row of residuals R; overwrites R."""
@@ -354,28 +378,12 @@ class BinaryLogistic(_RBFBase):
 
     theta_names = ("log_alpha", "log_width")
 
-    def __init__(self, X: np.ndarray, y: np.ndarray, centers: np.ndarray,
-                 alpha: float, width: float):
-        self.X = np.atleast_2d(np.asarray(X, dtype=float))
-        self.y = np.asarray(y, dtype=float).ravel()
-        if self.X.shape[0] != self.y.size:
-            raise DataError("X and y disagree on the number of rows")
-        if not np.isin(self.y, (0.0, 1.0)).all():
+    @staticmethod
+    def _targets(y: np.ndarray) -> np.ndarray:
+        y = np.asarray(y, dtype=float).ravel()
+        if not np.isin(y, (0.0, 1.0)).all():
             raise DataError("binary labels must be coded as 0/1")
-        self.alpha = float(alpha)
-        self.width = float(width)
-        if min(self.alpha, self.width) <= 0:
-            raise NumericalError("alpha and width must be positive")
-        self._set_basis(centers)
-        self.P = self.D
-
-    @property
-    def theta(self) -> np.ndarray:
-        return np.log([self.alpha, self.width])
-
-    def with_theta(self, theta: np.ndarray) -> "BinaryLogistic":
-        a, w = np.exp(np.asarray(theta, dtype=float))
-        return BinaryLogistic(self.X, self.y, self.centers, a, w)
+        return y
 
     def values(self, W: np.ndarray) -> np.ndarray:
         W = _as_batch(W, self.P)
@@ -451,35 +459,17 @@ class SoftmaxRegression(_RBFBase):
 
     Weights are handled flattened, P = K * D, laid out class-major
     (w.reshape(K, D)). A single alpha is shared across all class blocks.
-    Labels arrive one-hot, shape (N, K). theta = (log_alpha, log_width).
+    Labels arrive one-hot, shape (N, K), and are kept as ``y``. theta = (log_alpha, log_width).
     """
 
     theta_names = ("log_alpha", "log_width")
 
-    def __init__(self, X: np.ndarray, Y: np.ndarray, centers: np.ndarray,
-                 alpha: float, width: float):
-        self.X = np.atleast_2d(np.asarray(X, dtype=float))
-        self.Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        if self.X.shape[0] != self.Y.shape[0]:
-            raise DataError("X and Y disagree on the number of rows")
-        row_sums = self.Y.sum(axis=1)
-        if not (np.isin(self.Y, (0.0, 1.0)).all() and np.allclose(row_sums, 1.0)):
+    @staticmethod
+    def _targets(Y: np.ndarray) -> np.ndarray:
+        Y = np.atleast_2d(np.asarray(Y, dtype=float))
+        if not (np.isin(Y, (0.0, 1.0)).all() and np.allclose(Y.sum(axis=1), 1.0)):
             raise DataError("multiclass labels must be one-hot rows")
-        self.alpha = float(alpha)
-        self.width = float(width)
-        if min(self.alpha, self.width) <= 0:
-            raise NumericalError("alpha and width must be positive")
-        self._set_basis(centers)
-        self.K = self.Y.shape[1]
-        self.P = self.K * self.D
-
-    @property
-    def theta(self) -> np.ndarray:
-        return np.log([self.alpha, self.width])
-
-    def with_theta(self, theta: np.ndarray) -> "SoftmaxRegression":
-        a, w = np.exp(np.asarray(theta, dtype=float))
-        return SoftmaxRegression(self.X, self.Y, self.centers, a, w)
+        return Y
 
     def _scores(self, W: np.ndarray, phi: np.ndarray) -> np.ndarray:
         """Class scores F = W phi', shape (B, K, N), from one GEMM."""
@@ -500,19 +490,19 @@ class SoftmaxRegression(_RBFBase):
     def values(self, W: np.ndarray) -> np.ndarray:
         W = _as_batch(W, self.P)
         F = self._scores(W, self.phi)
-        labels = self._labels(F, self.Y)   # before the log-sum-exp overwrites F
+        labels = self._labels(F, self.y)   # before the log-sum-exp overwrites F
         return labels - _log_normaliser(F).sum(axis=1) + self._prior(W)[0]
 
     def evaluate(self, W: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         W = _as_batch(W, self.P)
         B = W.shape[0]
         F = self._scores(W, self.phi)
-        labels = self._labels(F, self.Y)
+        labels = self._labels(F, self.y)
         prior, d_lalpha = self._prior(W)
         values = labels - _log_normaliser(F, normalise=True).sum(axis=1) + prior
         # d loglik / d F = Y' - softmax(F), flattened to (B K, N); row (b, k)
         # of G @ phi is class k's block, so the class-major layout holds
-        G = np.subtract(self.Y.T, F, out=F).reshape(-1, self.N)
+        G = np.subtract(self.y.T, F, out=F).reshape(-1, self.N)
         grads = (G @ self.phi).reshape(B, self.P) - self.alpha * W
         # sum_{k,n} G_bkn dF_bkn with dF = W_k,:-1 phi_w', contracted as
         # ((G phi_w) * W_k,:-1) summed, so the (B, K, N) dF never forms

@@ -13,6 +13,12 @@ machinery is involved.
 
 Families
 --------
+Each family is defined once, by its :class:`FamilySpec` record in
+``FAMILY_SPECS``: the packed fields, the covariance root built from the
+Laplace fit, the log-determinant terms of the entropy, the contraction of
+the sample gradient onto the fields, the sample remap and the starting
+values. The functions below read that table; none branches on the name.
+
 mvi_mu    free mean only; R = C (the Laplace Cholesky factor), covariance
           frozen at the Laplace fit.
 mvi_eig   free mean and eigen-scales; R = Q diag(r) with Q the Laplace
@@ -44,15 +50,13 @@ Two details matter for exactness guarantees and are easy to miss:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import NumericalError
 from .optimize import MinimizeResult, OptimConfig, minimize
-
-FAMILIES = ("mvi_mu", "mvi_eig", "mvi_lr", "vi_diag")
 
 # entropy of a unit-variance Gaussian coordinate: 0.5 * ln(2 pi e)
 _HALF_LOG_2PIE = 0.5 * float(np.log(2.0 * np.pi) + 1.0)
@@ -72,7 +76,6 @@ class FixedSampleSet:
 
     z: np.ndarray  # (S, P), read-only
     seed: int
-    antithetic: bool = False
 
     @property
     def n_samples(self) -> int:
@@ -100,29 +103,16 @@ def standardize_draws(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def draw_fixed_samples(n_samples: int, dim: int, seed: int,
-                       antithetic: bool = False) -> FixedSampleSet:
-    """Draw and standardise the base samples for one optimisation.
-
-    Deterministic given ``seed``. With ``antithetic`` the draws come in
-    (z, -z) pairs (``n_samples`` must be even); pairing survives the
-    standardisation because both centring and whitening are linear.
-    """
+def draw_fixed_samples(n_samples: int, dim: int, seed: int) -> FixedSampleSet:
+    """Draw and standardise the base samples for one optimisation; deterministic given ``seed``."""
     rng = np.random.default_rng(seed)
-    if antithetic:
-        if n_samples % 2:
-            raise ValueError("antithetic draws need an even sample count")
-        half = rng.standard_normal((n_samples // 2, dim))
-        raw = np.vstack([half, -half])
-    else:
-        raw = rng.standard_normal((n_samples, dim))
-    z = standardize_draws(raw)
+    z = standardize_draws(rng.standard_normal((n_samples, dim)))
     z.flags.writeable = False
-    return FixedSampleSet(z=z, seed=seed, antithetic=antithetic)
+    return FixedSampleSet(z=z, seed=seed)
 
 
 # ---------------------------------------------------------------------------
-# parameters and derived quantities
+# parameters and the family table
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -142,28 +132,21 @@ class PosteriorGaussian:
 
 @dataclass
 class VariationalParams:
-    """Free parameters of one family; exactly the declared family's fields are set."""
+    """Free parameters of one family; exactly the fields its spec lists are set."""
 
     family: str
     mu: np.ndarray
     theta: np.ndarray
-    log_r: Optional[np.ndarray] = None      # mvi_eig
-    u: Optional[np.ndarray] = None          # mvi_lr
-    v: Optional[np.ndarray] = None          # mvi_lr
-    log_sigma: Optional[np.ndarray] = None  # vi_diag
+    log_r: Optional[np.ndarray] = None
+    u: Optional[np.ndarray] = None
+    v: Optional[np.ndarray] = None
+    log_sigma: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
+        required = _spec(self.family).fields
         self.mu = np.asarray(self.mu, dtype=float).ravel()
         self.theta = np.asarray(self.theta, dtype=float).ravel()
-        required = {
-            "mvi_mu": (),
-            "mvi_eig": ("log_r",),
-            "mvi_lr": ("u", "v"),
-            "vi_diag": ("log_sigma",),
-        }[self.family]
-        for name in ("log_r", "u", "v", "log_sigma"):
+        for name in _ALL_FIELDS:
             val = getattr(self, name)
             if name in required:
                 if val is None:
@@ -180,22 +163,113 @@ class VariationalParams:
         return self.mu.size
 
     def copy(self) -> "VariationalParams":
-        fields = {n: (None if getattr(self, n) is None else getattr(self, n).copy())
-                  for n in ("log_r", "u", "v", "log_sigma")}
+        fields = {n: getattr(self, n).copy() for n in _spec(self.family).fields}
         return VariationalParams(self.family, self.mu.copy(), self.theta.copy(), **fields)
 
 
+@dataclass(frozen=True)
+class FamilySpec:
+    """What sets one family apart; g is the log-posterior gradient at mu + R z."""
+
+    fields: tuple[str, ...]     # packed between mu and theta, in this order
+    root: Callable              # (params, laplace) -> R
+    log_det: Callable           # (params, laplace) -> terms of ln|det R|, added in order
+    contract: Callable          # (params, laplace, g, z) -> gradient blocks of the fields
+    init: Callable              # (laplace, seed, variant) -> starting fields
+    variants: tuple[str, ...] = ("laplace",)  # starts ``init`` accepts; benchmarks fit each
+    remap: Optional[Callable] = None          # laplace -> M: the family's samples are z M
+
+
+def _log_det_chol(laplace) -> float:
+    return float(np.sum(np.log(np.diag(laplace.chol))))
+
+
+def _lemma(params: VariationalParams, laplace) -> tuple[np.ndarray, float]:
+    """t = C^-1 u and s = 1 + v' t, so that det(C + u v') = det(C) s."""
+    t = solve_triangular(laplace.chol, params.u, lower=True)
+    s = 1.0 + float(params.v @ t)
+    if abs(s) < _DET_LEMMA_FLOOR:
+        raise NumericalError(
+            "rank-one update made the covariance root numerically singular "
+            f"(|1 + v' C^-1 u| = {abs(s):.3e})")
+    return t, s
+
+
+def _log_scale_block(bg: np.ndarray, z: np.ndarray, log_s: np.ndarray) -> np.ndarray:
+    """Gradient in log s of a root R = B diag(s), from bg = g B: the sample
+    term mean(bg * z) plus the entropy's 1/s, times s for the log space."""
+    scale = np.exp(log_s)
+    d = np.einsum("sp,sp->p", bg, z) / z.shape[0] + 1.0 / scale
+    return d * scale
+
+
+def _contract_lr(params: VariationalParams, laplace, g: np.ndarray,
+                 z: np.ndarray) -> list[np.ndarray]:
+    t, s = _lemma(params, laplace)
+    vz = z @ params.v
+    gu = g @ params.u
+    d_u = (g * vz[:, None]).mean(axis=0) + \
+        solve_triangular(laplace.chol.T, params.v, lower=False) / s
+    d_v = (z * gu[:, None]).mean(axis=0) + t / s
+    return [d_u, d_v]
+
+
+def _init_lr(laplace, seed: int, variant: str) -> dict:
+    rng = np.random.default_rng(seed)
+    p = laplace.mean.size
+    return {"u": 0.1 * rng.standard_normal(p), "v": 0.1 * rng.standard_normal(p)}
+
+
+def _init_diag(laplace, seed: int, variant: str) -> dict:
+    if variant == "laplace":
+        return {"log_sigma": 0.5 * np.log(np.diag(laplace.cov))}
+    return {"log_sigma": np.full(laplace.mean.size, 0.5 * np.log(1.0e-4))}
+
+
+FAMILY_SPECS = {
+    "mvi_mu": FamilySpec(
+        fields=(),
+        root=lambda params, lap: lap.chol.copy(),
+        log_det=lambda params, lap: (_log_det_chol(lap),),
+        contract=lambda params, lap, g, z: [],
+        init=lambda lap, seed, variant: {}),
+    "mvi_eig": FamilySpec(
+        fields=("log_r",),
+        root=lambda params, lap: lap.eigvecs * np.exp(params.log_r)[None, :],
+        log_det=lambda params, lap: (float(np.sum(params.log_r)),),
+        contract=lambda params, lap, g, z: [
+            _log_scale_block(g @ lap.eigvecs, z, params.log_r)],
+        init=lambda lap, seed, variant: {"log_r": np.log(lap.eig_root)},
+        remap=lambda lap: (lap.chol.T @ lap.eigvecs) / lap.eig_root[None, :]),
+    "mvi_lr": FamilySpec(
+        fields=("u", "v"),
+        root=lambda params, lap: lap.chol + np.outer(params.u, params.v),
+        log_det=lambda params, lap: (_log_det_chol(lap),
+                                     float(np.log(abs(_lemma(params, lap)[1])))),
+        contract=_contract_lr,
+        init=_init_lr),
+    "vi_diag": FamilySpec(
+        fields=("log_sigma",),
+        root=lambda params, lap: np.diag(np.exp(params.log_sigma)),
+        log_det=lambda params, lap: (float(np.sum(params.log_sigma)),),
+        contract=lambda params, lap, g, z: [_log_scale_block(g, z, params.log_sigma)],
+        init=_init_diag,
+        variants=("laplace", "small")),
+}
+FAMILIES = tuple(FAMILY_SPECS)
+_ALL_FIELDS = tuple(n for spec in FAMILY_SPECS.values() for n in spec.fields)
+
+
+def _spec(family: str) -> FamilySpec:
+    if family not in FAMILY_SPECS:
+        raise ValueError(f"unknown family {family!r}")
+    return FAMILY_SPECS[family]
+
+
 def pack(params: VariationalParams) -> np.ndarray:
-    """Flatten free parameters for the optimiser: mu, family block, theta."""
-    blocks = [params.mu]
-    if params.family == "mvi_eig":
-        blocks.append(params.log_r)
-    elif params.family == "mvi_lr":
-        blocks.extend([params.u, params.v])
-    elif params.family == "vi_diag":
-        blocks.append(params.log_sigma)
-    blocks.append(params.theta)
-    return np.concatenate(blocks)
+    """Flatten free parameters for the optimiser: mu, family fields, theta."""
+    fields = [getattr(params, n) for n in _spec(params.family).fields]
+    return np.concatenate([params.mu, *fields, params.theta])
 
 
 def unpack(template: VariationalParams, x: np.ndarray) -> VariationalParams:
@@ -204,26 +278,14 @@ def unpack(template: VariationalParams, x: np.ndarray) -> VariationalParams:
     p = template.dim
     t = template.theta.size
     out = template.copy()
-    out.mu = x[:p].copy()
-    pos = p
-    if template.family == "mvi_eig":
-        out.log_r = x[pos:pos + p].copy()
-        pos += p
-    elif template.family == "mvi_lr":
-        out.u = x[pos:pos + p].copy()
-        out.v = x[pos + p:pos + 2 * p].copy()
-        pos += 2 * p
-    elif template.family == "vi_diag":
-        out.log_sigma = x[pos:pos + p].copy()
-        pos += p
+    names = ("mu",) + _spec(template.family).fields
+    for i, name in enumerate(names):
+        setattr(out, name, x[i * p:(i + 1) * p].copy())
+    pos = len(names) * p
     out.theta = x[pos:pos + t].copy()
     if pos + t != x.size:
         raise ValueError("packed vector length does not match the template")
     return out
-
-
-def n_free_parameters(params: VariationalParams) -> int:
-    return pack(params).size
 
 
 # ---------------------------------------------------------------------------
@@ -233,14 +295,7 @@ def n_free_parameters(params: VariationalParams) -> int:
 def covariance_root(params: VariationalParams, laplace) -> PosteriorGaussian:
     """The family's current Gaussian as (mean, root)."""
     p = params.dim
-    if params.family == "mvi_mu":
-        root = laplace.chol.copy()
-    elif params.family == "mvi_eig":
-        root = laplace.eigvecs * np.exp(params.log_r)[None, :]
-    elif params.family == "mvi_lr":
-        root = laplace.chol + np.outer(params.u, params.v)
-    else:  # vi_diag
-        root = np.diag(np.exp(params.log_sigma))
+    root = _spec(params.family).root(params, laplace)
     if root.shape != (p, p):
         raise ValueError("covariance root has inconsistent shape")
     return PosteriorGaussian(mean=params.mu.copy(), root=root)
@@ -259,23 +314,10 @@ def entropy(params: VariationalParams, laplace) -> float:
     det(C + u v') = det(C) (1 + v' C^-1 u) with one triangular solve, and
     refuses to proceed when the rank-one update collapses the determinant.
     """
-    p = params.dim
-    const = p * _HALF_LOG_2PIE
-    if params.family == "mvi_mu":
-        return const + float(np.sum(np.log(np.diag(laplace.chol))))
-    if params.family == "mvi_eig":
-        return const + float(np.sum(params.log_r))
-    if params.family == "vi_diag":
-        return const + float(np.sum(params.log_sigma))
-    # mvi_lr
-    c = laplace.chol
-    t = solve_triangular(c, params.u, lower=True)
-    s = 1.0 + float(params.v @ t)
-    if abs(s) < _DET_LEMMA_FLOOR:
-        raise NumericalError(
-            "rank-one update made the covariance root numerically singular "
-            f"(|1 + v' C^-1 u| = {abs(s):.3e})")
-    return const + float(np.sum(np.log(np.diag(c)))) + float(np.log(abs(s)))
+    value = params.dim * _HALF_LOG_2PIE
+    for term in _spec(params.family).log_det(params, laplace):
+        value += term
+    return value
 
 
 def family_samples(family: str, samples: FixedSampleSet, laplace) -> np.ndarray:
@@ -287,10 +329,8 @@ def family_samples(family: str, samples: FixedSampleSet, laplace) -> np.ndarray:
     Q diag(r) A z = C z, so nested families then see identical sample paths;
     orthogonality of A keeps the remapped draws standard (and standardised).
     """
-    if family != "mvi_eig":
-        return samples.z
-    m = (laplace.chol.T @ laplace.eigvecs) / laplace.eig_root[None, :]
-    return samples.z @ m
+    remap = _spec(family).remap
+    return samples.z if remap is None else samples.z @ remap(laplace)
 
 
 # ---------------------------------------------------------------------------
@@ -303,19 +343,29 @@ def _model_at(model, theta: np.ndarray):
     return model
 
 
-def elbo_estimate(params: VariationalParams, samples: FixedSampleSet,
-                  model, laplace) -> float:
-    """Fixed-sample evidence lower bound at the given parameters."""
+def _sample_points(params: VariationalParams, samples: FixedSampleSet,
+                   model, laplace):
+    """The model at the params' theta, the family's base samples z, and the
+    points mu + R z."""
     m = _model_at(model, params.theta)
     z = family_samples(params.family, samples, laplace)
-    gauss = covariance_root(params, laplace)
-    w = params.mu[None, :] + z @ gauss.root.T
-    vals = m.values(w)
+    w = params.mu[None, :] + z @ covariance_root(params, laplace).root.T
+    return m, z, w
+
+
+def _finite(vals: np.ndarray) -> np.ndarray:
     bad = ~np.isfinite(vals)
     if bad.any():
         raise NumericalError(
             f"log posterior not finite (first at sample {int(np.argmax(bad))})")
-    return float(vals.mean()) + entropy(params, laplace)
+    return vals
+
+
+def elbo_estimate(params: VariationalParams, samples: FixedSampleSet,
+                  model, laplace) -> float:
+    """Fixed-sample evidence lower bound at the given parameters."""
+    m, _, w = _sample_points(params, samples, model, laplace)
+    return float(_finite(m.values(w)).mean()) + entropy(params, laplace)
 
 
 def elbo_and_gradient(params: VariationalParams, samples: FixedSampleSet,
@@ -328,49 +378,11 @@ def elbo_and_gradient(params: VariationalParams, samples: FixedSampleSet,
     family. In log-space coordinates those entropy terms become the constant
     one. Hyperparameter gradients flow only through the log-posterior term.
     """
-    m = _model_at(model, params.theta)
-    z = family_samples(params.family, samples, laplace)
-    gauss = covariance_root(params, laplace)
-    w = params.mu[None, :] + z @ gauss.root.T
+    m, z, w = _sample_points(params, samples, model, laplace)
     vals, g, theta_g = m.evaluate(w)
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        raise NumericalError(
-            f"log posterior not finite (first at sample {int(np.argmax(bad))})")
-
-    ent = entropy(params, laplace)
-    value = float(vals.mean()) + ent
-    d_mu = g.mean(axis=0)
-    blocks = [d_mu]
-
-    if params.family == "mvi_eig":
-        r = np.exp(params.log_r)
-        qg = g @ laplace.eigvecs
-        d_r = np.einsum("sp,sp->p", qg, z) / z.shape[0] + 1.0 / r
-        blocks.append(d_r * r)  # chain rule into log space
-    elif params.family == "mvi_lr":
-        c = laplace.chol
-        t = solve_triangular(c, params.u, lower=True)
-        s = 1.0 + float(params.v @ t)
-        vz = z @ params.v
-        gu = g @ params.u
-        d_u = (g * vz[:, None]).mean(axis=0) + solve_triangular(c.T, params.v, lower=False) / s
-        d_v = (z * gu[:, None]).mean(axis=0) + t / s
-        blocks.extend([d_u, d_v])
-    elif params.family == "vi_diag":
-        sigma = np.exp(params.log_sigma)
-        d_sigma = np.einsum("sp,sp->p", g, z) / z.shape[0] + 1.0 / sigma
-        blocks.append(d_sigma * sigma)
-
-    blocks.append(theta_g.mean(axis=0))
-    return value, np.concatenate(blocks)
-
-
-def elbo_gradient(params: VariationalParams, samples: FixedSampleSet,
-                  model, laplace) -> VariationalParams:
-    """Gradient in parameter layout (a VariationalParams holding derivatives)."""
-    _, flat = elbo_and_gradient(params, samples, model, laplace)
-    return unpack(params, flat)
+    value = float(_finite(vals).mean()) + entropy(params, laplace)
+    fields = _spec(params.family).contract(params, laplace, g, z)
+    return value, np.concatenate([g.mean(axis=0), *fields, theta_g.mean(axis=0)])
 
 
 # ---------------------------------------------------------------------------
@@ -384,29 +396,14 @@ def initialise(family: str, laplace, seed: int = 0,
     vi_diag has two published starting points: sigma^2 equal to the Laplace
     covariance diagonal (``diag_variant="laplace"``) or sigma^2 = 1e-4
     (``diag_variant="small"``). Benchmarks run both and keep the better
-    held-out score.
+    held-out score. The other families have the one start, "laplace".
     """
-    p = laplace.mean.size
-    mu = laplace.mean.copy()
-    theta = np.asarray(laplace.theta, dtype=float).copy()
-    if family == "mvi_mu":
-        return VariationalParams("mvi_mu", mu, theta)
-    if family == "mvi_eig":
-        return VariationalParams("mvi_eig", mu, theta, log_r=np.log(laplace.eig_root))
-    if family == "mvi_lr":
-        rng = np.random.default_rng(seed)
-        u = 0.1 * rng.standard_normal(p)
-        v = 0.1 * rng.standard_normal(p)
-        return VariationalParams("mvi_lr", mu, theta, u=u, v=v)
-    if family == "vi_diag":
-        if diag_variant == "laplace":
-            log_sigma = 0.5 * np.log(np.diag(laplace.cov))
-        elif diag_variant == "small":
-            log_sigma = np.full(p, 0.5 * np.log(1.0e-4))
-        else:
-            raise ValueError(f"unknown vi_diag variant {diag_variant!r}")
-        return VariationalParams("vi_diag", mu, theta, log_sigma=log_sigma)
-    raise ValueError(f"unknown family {family!r}")
+    spec = _spec(family)
+    if diag_variant not in spec.variants:
+        raise ValueError(f"unknown {family} variant {diag_variant!r}")
+    return VariationalParams(family, laplace.mean.copy(),
+                             np.asarray(laplace.theta, dtype=float).copy(),
+                             **spec.init(laplace, seed, diag_variant))
 
 
 def warm_start(family: str, at: VariationalParams, laplace, seed: int = 0) -> VariationalParams:

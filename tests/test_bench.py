@@ -279,7 +279,7 @@ def test_run_demo2d_kl_ordering():
 # fit round trips
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("method", ["laplace", "mvi_eig", "mvi_lr", "vi_diag"])
+@pytest.mark.parametrize("method", ["laplace", "mvi_mu", "mvi_eig", "mvi_lr", "vi_diag"])
 def test_fit_round_trip(method):
     train, _ = _small_task(seed=3)
     meta, arrays = bench.run_fit(train, method, seed=2, n_samples=100,
@@ -296,6 +296,10 @@ def test_fit_round_trip(method):
         assert value == meta["elbo_estimate"]
         if method == "vi_diag":
             assert meta["variant"] in ("laplace", "small")
+        else:
+            assert "variant" not in meta
+        # fit.json carries the same diagnostics as a report record
+        assert {"n_iters", "n_evals", "stop_reason", "grad_norm"} <= set(meta)
     cov = posterior.cov()
     np.testing.assert_allclose(cov, cov.T, atol=1.0e-12)
 

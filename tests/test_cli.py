@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -334,3 +337,19 @@ def test_seed_override_changes_results(tmp_path):
     r2 = json.loads((out2 / "report.json").read_text())
     assert r1["config"]["seed"] == 0 and r2["config"]["seed"] == 1
     assert r1["records"] != r2["records"]
+
+
+# ---------------------------------------------------------------------------
+# start-up cost
+# ---------------------------------------------------------------------------
+
+def test_cli_import_leaves_out_heavy_scipy_modules():
+    # every `mvi` process pays for what mvipkg.cli imports: importing
+    # scipy.optimize or scipy.stats would add to start-up time and peak memory
+    code = ("import sys, mvipkg.cli; "
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.stats') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"

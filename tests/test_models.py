@@ -8,7 +8,7 @@ import pytest
 from scipy.stats import multivariate_normal
 
 from mvipkg.data import mixture_2d_target
-from mvipkg.errors import DataError
+from mvipkg.errors import DataError, NumericalError
 from mvipkg.models import (BinaryLogistic, CauchyRegression, GaussianLinearModel,
                            SoftmaxRegression, kmeans, rbf_features,
                            squared_distances)
@@ -63,6 +63,71 @@ def test_kmeans_separated_clusters_found():
                    rng.normal(10, 0.1, size=(20, 1))])
     centers = np.sort(kmeans(X, 2, seed=0).ravel())
     assert abs(centers[0] + 10) < 0.5 and abs(centers[1] - 10) < 0.5
+
+
+# ---------------------------------------------------------------------------
+# construction of the RBF models
+# ---------------------------------------------------------------------------
+
+RBF_CLASSES = {"cauchy": CauchyRegression, "logistic": BinaryLogistic,
+               "softmax": SoftmaxRegression}
+
+
+def _rbf_args(name, n=8):
+    """(X, labels, centers, hyperparameters) of a small valid model."""
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((n, 2))
+    labels = {"cauchy": X[:, 0], "logistic": (X[:, 0] > 0).astype(float),
+              "softmax": np.eye(3)[np.arange(n) % 3]}[name]
+    hyper = {"alpha": 0.7, "width": 1.3}
+    if name == "cauchy":
+        hyper["gamma"] = 0.4
+    return X, labels, X[:2].copy(), hyper
+
+
+@pytest.mark.parametrize("name", sorted(RBF_CLASSES))
+def test_rbf_constructor_rejects_row_mismatch(name):
+    X, labels, centers, hyper = _rbf_args(name)
+    with pytest.raises(DataError, match="rows"):
+        RBF_CLASSES[name](X[:-1], labels, centers, **hyper)
+
+
+@pytest.mark.parametrize("name", sorted(RBF_CLASSES))
+def test_rbf_constructor_rejects_nonpositive_hyperparameters(name):
+    X, labels, centers, hyper = _rbf_args(name)
+    for key in hyper:
+        for bad in (0.0, -1.0):
+            with pytest.raises(NumericalError, match="positive"):
+                RBF_CLASSES[name](X, labels, centers, **{**hyper, key: bad})
+
+
+def test_binary_constructor_rejects_labels_other_than_0_1():
+    X, labels, centers, hyper = _rbf_args("logistic")
+    for bad in (2.0, -1.0, 0.5):
+        y = labels.copy()
+        y[0] = bad
+        with pytest.raises(DataError, match="0/1"):
+            BinaryLogistic(X, y, centers, **hyper)
+
+
+def test_softmax_constructor_rejects_rows_that_are_not_one_hot():
+    X, Y, centers, hyper = _rbf_args("softmax")
+    for row in ([1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.5, 0.5, 0.0], [2.0, -1.0, 0.0]):
+        bad = Y.copy()
+        bad[0] = row
+        with pytest.raises(DataError, match="one-hot"):
+            SoftmaxRegression(X, bad, centers, **hyper)
+
+
+@pytest.mark.parametrize("name", sorted(RBF_CLASSES))
+def test_with_theta_at_own_theta_rebuilds_the_same_model(name):
+    X, labels, centers, hyper = _rbf_args(name)
+    model = RBF_CLASSES[name](X, labels, centers, **hyper)
+    again = model.with_theta(model.theta)
+    assert type(again) is type(model)
+    np.testing.assert_array_equal(again.theta, model.theta)
+    W = np.random.default_rng(4).standard_normal((5, model.P))
+    np.testing.assert_array_equal(again.values(W), model.values(W))
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +223,7 @@ def test_softmax_value_direct_formula():
     model = ALL_MODEL_MAKERS["softmax"]()
     rng = np.random.default_rng(14)
     W = rng.standard_normal((3, model.P))
-    loglik = _softmax_loglik_direct(W, model.phi, model.Y)
+    loglik = _softmax_loglik_direct(W, model.phi, model.y)
     prior = (-0.5 * model.alpha * np.sum(W * W, axis=1)
              + 0.5 * model.P * (np.log(model.alpha) - np.log(2 * np.pi)))
     np.testing.assert_allclose(model.values(W), loglik + prior, rtol=1.0e-12)

@@ -10,8 +10,7 @@ from mvipkg.variational import (FAMILIES, VariationalParams, covariance_root,
                                 draw_fixed_samples, elbo_and_gradient,
                                 elbo_estimate, entropy, family_samples,
                                 fit_family, initialise, laplace_posterior,
-                                n_free_parameters, pack, standardize_draws,
-                                unpack, warm_start)
+                                pack, standardize_draws, unpack, warm_start)
 
 from conftest import make_cauchy, make_conjugate
 
@@ -53,13 +52,6 @@ def test_single_draw_centres_to_zero():
     np.testing.assert_array_equal(z, np.zeros((1, 2)))
 
 
-def test_antithetic_pairs_survive_standardization():
-    s = draw_fixed_samples(40, 3, seed=3, antithetic=True)
-    np.testing.assert_allclose(s.z[:20], -s.z[20:], atol=1.0e-12)
-    with pytest.raises(ValueError):
-        draw_fixed_samples(5, 3, seed=0, antithetic=True)
-
-
 # ---------------------------------------------------------------------------
 # parameter layout
 # ---------------------------------------------------------------------------
@@ -88,7 +80,7 @@ def test_pack_unpack_round_trip(family, cauchy_model):
     p, t = params.dim, params.theta.size
     expected = {"mvi_mu": p + t, "mvi_eig": 2 * p + t,
                 "mvi_lr": 3 * p + t, "vi_diag": 2 * p + t}[family]
-    assert n_free_parameters(params) == expected
+    assert flat.size == expected
 
 
 def test_unpack_rejects_wrong_length(cauchy_model):
