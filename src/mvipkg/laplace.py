@@ -17,7 +17,7 @@ is refined with a long mode search.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import cho_solve
@@ -47,11 +47,12 @@ class ModeResult:
 def find_mode(model, w0: np.ndarray, config: OptimConfig | None = None) -> ModeResult:
     """Gradient-based ascent to a stationary point of the log posterior.
 
-    Runs the deterministic minimiser on the negated objective; ``converged``
-    reports whether the max-norm gradient tolerance was met rather than the
-    iteration cap.
+    Runs the deterministic minimiser on the negated objective with ``f_tol``
+    0: the search stops on the max-norm gradient test (``converged``), after
+    ``max_iters`` accepted steps, or (reason ``f_tol``) when no finite line
+    search trial lowers the value; ``config.f_tol`` is not used.
     """
-    cfg = config or OptimConfig(max_iters=1000)
+    cfg = replace(config or OptimConfig(max_iters=1000), f_tol=0.0)
 
     def objective(w: np.ndarray) -> tuple[float, np.ndarray]:
         values, grads, _ = model.evaluate(w)
@@ -230,8 +231,7 @@ def hyperparameter_search(X: np.ndarray, y: np.ndarray, task: str, seed: int,
     p_max = max((c["M"] + 1) * k_classes for c in candidates)
     z_master = np.random.default_rng(ss_z).standard_normal((n_samples, p_max))
 
-    search_cfg = OptimConfig(max_iters=grid.search_iters,
-                             grad_tol=base_optim.grad_tol, f_tol=base_optim.f_tol)
+    search_cfg = OptimConfig(max_iters=grid.search_iters, grad_tol=base_optim.grad_tol)
     records = []
     scored = []
     sample_sets = {}   # standardised draws per parameter dimension
@@ -264,8 +264,7 @@ def hyperparameter_search(X: np.ndarray, y: np.ndarray, task: str, seed: int,
     # Highest score wins; ties resolve to the earliest candidate.
     best_score, best_idx, best_model, best_mode = max(
         scored, key=lambda item: (item[0], -item[1]))
-    final_cfg = OptimConfig(max_iters=grid.final_iters,
-                            grad_tol=base_optim.grad_tol, f_tol=base_optim.f_tol)
+    final_cfg = OptimConfig(max_iters=grid.final_iters, grad_tol=base_optim.grad_tol)
     mode = find_mode(best_model, best_mode.w, final_cfg)
     lap = laplace_approximation(best_model, mode.w)
     for rec in records:

@@ -49,6 +49,8 @@ the variational stage move alpha sensibly.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.special import expit
 
@@ -75,24 +77,22 @@ def squared_distances(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.einsum("nmq,nmq->nm", d, d)
 
 
-def _bumps(d2: np.ndarray, width: float, bias: bool = True) -> np.ndarray:
-    """RBF features from squared centre distances d2, shape (N, M)."""
+def _bumps(d2: np.ndarray, width: float) -> np.ndarray:
+    """RBF features from squared centre distances d2 (N, M), with the bias
+    column appended: shape (N, M + 1)."""
     phi = np.exp(-d2 / (2.0 * width**2))
-    if bias:
-        phi = np.hstack([phi, np.ones((phi.shape[0], 1))])
-    return phi
+    return np.hstack([phi, np.ones((phi.shape[0], 1))])
 
 
-def rbf_features(X: np.ndarray, centers: np.ndarray, width: float,
-                 bias: bool = True) -> np.ndarray:
-    """Gaussian bump features with an optional bias column of ones.
+def rbf_features(X: np.ndarray, centers: np.ndarray, width: float) -> np.ndarray:
+    """Gaussian bump features with a trailing bias column of ones.
 
-    Returns shape (N, M + 1) when ``bias`` is set, (N, M) otherwise. All
-    entries lie in (0, 1]; a point sitting exactly on a centre scores 1 there.
+    Returns shape (N, M + 1). All entries lie in (0, 1]; a point sitting
+    exactly on a centre scores 1 there.
     """
     if width <= 0:
         raise NumericalError(f"RBF width must be positive, got {width}")
-    return _bumps(squared_distances(X, centers), width, bias)
+    return _bumps(squared_distances(X, centers), width)
 
 
 def kmeans(X: np.ndarray, n_centers: int, seed: int, max_iters: int = 100) -> np.ndarray:
@@ -246,10 +246,13 @@ class _RBFBase(_ModelBase):
         names = self._hyper_names()
         if set(hyper) != set(names):
             raise TypeError(f"{type(self).__name__} takes the hyperparameters {names}")
-        for name in names:
-            setattr(self, name, float(hyper[name]))
-        if min(getattr(self, name) for name in names) <= 0:
-            raise NumericalError(f"{', '.join(names)} must all be positive")
+        values = [float(hyper[name]) for name in names]
+        # width**2 and gamma**2 would raise OverflowError, where v * v gives inf
+        if not all(v > 0 and math.isfinite(v * v) for v in values):
+            raise NumericalError(f"{', '.join(names)} must all be positive with "
+                                 f"a finite square (got {values})")
+        for name, v in zip(names, values):
+            setattr(self, name, v)
         self.centers = np.atleast_2d(np.asarray(centers, dtype=float))
         self._d2 = squared_distances(self.X, self.centers)
         self.phi = _bumps(self._d2, self.width)

@@ -1,11 +1,10 @@
 """Deterministic batch minimisation.
 
-The workhorse here is scaled conjugate gradients (SCG): a conjugate-gradient
-method that replaces the line search with a one-sided curvature probe and a
-Levenberg-style scale parameter, so each iteration costs a small fixed number
-of objective/gradient evaluations and the whole trajectory is deterministic.
-That determinism is load-bearing: the variational objectives in this package
-are deterministic functions of their parameters (fixed sample sets), and the
+The workhorse here is limited-memory BFGS (Liu & Nocedal 1989): a
+quasi-Newton step from the last few gradient differences, found by a
+backtracking line search, so the whole trajectory is deterministic. That
+determinism is load-bearing: the variational objectives in this package are
+deterministic functions of their parameters (fixed sample sets), and the
 reproducibility guarantees of the CLI rest on the optimiser introducing no
 randomness of its own.
 
@@ -26,10 +25,13 @@ import numpy as np
 
 from .errors import NumericalError
 
-# Curvature probe offset and initial/ceiling values of the Levenberg scale.
-_SIGMA0 = 1.0e-4
-_LAMBDA0 = 1.0e-6
-_LAMBDA_MAX = 1.0e25
+# Curvature pairs (s, y) kept for the two-loop recursion.
+_MEMORY = 10
+# Armijo sufficient-decrease constant, and halvings per line search: enough to
+# take a unit step below the spacing of doubles, so a search stalled at the
+# edge of the finite region ends on a finite trial.
+_ARMIJO = 1.0e-4
+_MAX_HALVINGS = 60
 
 
 @dataclass
@@ -51,10 +53,27 @@ class MinimizeResult:
     x: np.ndarray
     f: float
     grad_norm: float
-    n_iters: int
+    n_iters: int  # accepted steps
     reason: str  # "grad_tol" | "f_tol" | "max_iters"
-    n_evals: int  # calls of the objective, the initial point and probes included
+    n_evals: int  # calls of the objective, the initial point and rejected trials included
     trace: list[float] = field(default_factory=list)
+
+
+def _two_loop(g: np.ndarray, memory: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """H g for the inverse-Hessian estimate H of the (s, y) pairs; I / max(1, ||g||) if none."""
+    q = g.copy()
+    alphas = []
+    for s, y in reversed(memory):
+        alphas.append(float(s @ q) / float(s @ y))
+        q -= alphas[-1] * y
+    if memory:
+        s, y = memory[-1]
+        q *= float(s @ y) / float(y @ y)
+    else:
+        q /= max(1.0, float(np.linalg.norm(g)))
+    for (s, y), a in zip(memory, reversed(alphas)):
+        q += (a - float(y @ q) / float(s @ y)) * s
+    return q
 
 
 def minimize(
@@ -62,146 +81,75 @@ def minimize(
     x0: Sequence[float] | np.ndarray,
     config: OptimConfig | None = None,
 ) -> MinimizeResult:
-    """Minimise ``fun`` from ``x0`` with scaled conjugate gradients.
+    """Minimise ``fun`` from ``x0`` with L-BFGS.
 
-    ``fun`` must return ``(value, gradient)``. The trace records the objective
-    at the start point and after every accepted step; it is monotone
-    non-increasing because a step is only accepted when it lowers the value.
+    ``fun`` must return ``(value, gradient)``. The line search halves the
+    quasi-Newton step until the Armijo test holds, passing over trial points
+    with a non-finite value or gradient. The trace records the objective at
+    the start point and after every accepted step, so it is monotone
+    non-increasing. Stops on ``grad_tol`` (max-norm gradient), on ``f_tol``
+    (see :class:`OptimConfig`, or no finite trial lowers the value), or after
+    ``max_iters`` accepted steps.
 
     Raises:
-        NumericalError: if the objective is non-finite at ``x0``, or a
-            non-finite excursion cannot be recovered by shrinking the step.
+        NumericalError: if the objective is non-finite at ``x0``, or every
+            trial point of one line search is non-finite.
     """
     cfg = config or OptimConfig()
     n_evals = 0
 
-    def fun_counted(x):
+    def evaluate(x):
         nonlocal n_evals
         n_evals += 1
-        return fun(x)
+        f, g = fun(x)
+        f, g = float(f), np.asarray(g, dtype=float)
+        return f, g, bool(np.isfinite(f) and np.all(np.isfinite(g)))
 
     x = np.array(x0, dtype=float).ravel()
-    n = x.size
-    f, g = fun_counted(x)
-    f = float(f)
-    g = np.asarray(g, dtype=float)
-    if not np.isfinite(f) or not np.all(np.isfinite(g)):
+    f, g, finite = evaluate(x)
+    if not finite:
         raise NumericalError("objective is not finite at the initial point")
 
-    r = -g
-    p = r.copy()
-    success = True
-    lam = _LAMBDA0
-    lam_bar = 0.0
-    delta_raw = 0.0
-    since_restart = 0
-    nonfinite_streak = False
-    trace = [f]
-    reason = "max_iters"
-    grad_norm = float(np.max(np.abs(r))) if n else 0.0
-    k = 0
-
-    while k < cfg.max_iters:
-        grad_norm = float(np.max(np.abs(r)))
-        if grad_norm <= cfg.grad_tol:
-            reason = "grad_tol"
+    memory, trace = [], [f]
+    reason = "grad_tol"
+    while float(np.max(np.abs(g))) > cfg.grad_tol:
+        if len(trace) > cfg.max_iters:
+            reason = "max_iters"
             break
-        p_sq = float(p @ p)
-        if p_sq == 0.0:
-            # Degenerate direction with a gradient still above tolerance:
-            # restart along steepest descent.
-            p = r.copy()
-            p_sq = float(p @ p)
-            success = True
-        mu = float(p @ r)
-        if mu <= 0.0:
-            # Conjugacy has drifted into a non-descent direction; restart.
-            p = r.copy()
-            p_sq = float(p @ p)
-            mu = p_sq
-            since_restart = 0
-            success = True
+        d = -_two_loop(g, memory)
+        if not float(g @ d) < 0.0:
+            # The recursion lost its descent property: forget the curvature.
+            memory.clear()
+            d = -_two_loop(g, memory)
+        slope = float(g @ d)
 
-        if success:
-            # Second-order information: one gradient probe along p gives the
-            # curvature p'Hp by finite differences.
-            sigma = _SIGMA0 / np.sqrt(p_sq)
-            _, g_probe = fun_counted(x + sigma * p)
-            g_probe = np.asarray(g_probe, dtype=float)
-            if np.all(np.isfinite(g_probe)):
-                delta_raw = float(p @ (g_probe - g)) / sigma
-            else:
-                # Probe left the finite region; fall back on the scale term
-                # alone so the step shrinks as lam grows.
-                delta_raw = 0.0
-                nonfinite_streak = True
-
-        delta = delta_raw + (lam - lam_bar) * p_sq
-        if delta <= 0.0:
-            # Indefinite curvature: raise the scale until the model is convex.
-            lam_bar = 2.0 * (lam - delta / p_sq)
-            delta = -delta + lam * p_sq
-            lam = lam_bar
-
-        alpha = mu / delta
-        f_trial, g_trial = fun_counted(x + alpha * p)
-        f_trial = float(f_trial)
-        g_trial = np.asarray(g_trial, dtype=float)
-        trial_finite = np.isfinite(f_trial) and np.all(np.isfinite(g_trial))
-        # Comparison of actual to predicted reduction.
-        comp = 2.0 * delta * (f - f_trial) / mu**2 if trial_finite else -np.inf
-
-        if comp >= 0.0:
-            improvement = f - f_trial
-            x = x + alpha * p
-            f = f_trial
-            g = g_trial
-            r_new = -g_trial
-            lam_bar = 0.0
-            success = True
-            nonfinite_streak = False
-            since_restart += 1
-            if since_restart >= n:
-                p = r_new.copy()
-                since_restart = 0
-            else:
-                beta = (float(r_new @ r_new) - float(r_new @ r)) / mu
-                p = r_new + beta * p
-            r = r_new
-            trace.append(f)
-            if comp >= 0.75:
-                lam *= 0.25
-            if comp < 0.25:
-                lam += delta * (1.0 - comp) / p_sq
-            k += 1
-            total_descent = trace[0] - f
-            if improvement <= cfg.f_tol * (1.0 + max(total_descent, 0.0)):
-                reason = "f_tol"
+        step, any_finite = 1.0, False
+        for _ in range(_MAX_HALVINGS):
+            f_new, g_new, finite = evaluate(x + step * d)
+            any_finite |= finite
+            if finite and f_new - f <= _ARMIJO * step * slope:
                 break
-            continue
-
-        # Rejected step: keep the iterate, grow the scale, retry.
-        lam_bar = lam
-        success = False
-        if trial_finite:
-            lam += delta * (1.0 - comp) / p_sq
+            step *= 0.5
         else:
-            lam *= 4.0
-            nonfinite_streak = True
-        k += 1
-        if lam > _LAMBDA_MAX:
-            if nonfinite_streak:
+            if not any_finite:
                 raise NumericalError(
                     "line search could not recover from a non-finite objective "
-                    f"(scale exhausted at iteration {k})"
-                )
-            # No descent achievable at any scale: numerically stationary.
+                    f"({_MAX_HALVINGS} halvings after {len(trace) - 1} steps)")
+            reason = "f_tol"   # no trial lowers the value: numerically stationary
+            break
+
+        s, y = step * d, g_new - g
+        if float(s @ y) > 0.0:
+            memory = (memory + [(s, y)])[-_MEMORY:]
+        improvement = f - f_new
+        x, f, g = x + s, f_new, g_new
+        trace.append(f)
+        if improvement <= cfg.f_tol * (1.0 + max(trace[0] - f, 0.0)):
             reason = "f_tol"
             break
 
-    grad_norm = float(np.max(np.abs(r))) if n else 0.0
-    return MinimizeResult(x=x, f=f, grad_norm=grad_norm, n_iters=k, reason=reason,
-                          n_evals=n_evals, trace=trace)
+    return MinimizeResult(x=x, f=f, grad_norm=float(np.max(np.abs(g))), n_iters=len(trace) - 1,
+                          reason=reason, n_evals=n_evals, trace=trace)
 
 
 def finite_difference_gradient(

@@ -7,9 +7,8 @@ expectation replaced by an average over a *fixed* set of base samples:
     bound(params) = (1/S) sum_s ln p~(mu + R z_s | theta, data) + entropy(R)
 
 Because the z_s never change during optimisation, the bound is an ordinary
-deterministic function of the parameters and is optimised with the scaled
-conjugate gradient routine from :mod:`.optimize`; no stochastic-gradient
-machinery is involved.
+deterministic function of the parameters and is optimised with the L-BFGS
+routine from :mod:`.optimize`; no stochastic-gradient machinery is involved.
 
 Families
 --------
@@ -454,10 +453,11 @@ def fit_family(model, laplace, samples: FixedSampleSet, family: str,
             val, grad = elbo_and_gradient(p, samples, model, laplace)
         except NumericalError:
             # A trial point outside the usable region (hyperparameters
-            # underflowed to zero, a sample with zero likelihood, a collapsed
-            # rank-one root). Report an infinite value so the optimiser's
-            # step-shrinking recovery handles it; only the initial point and
-            # exhausted recovery still surface as errors.
+            # underflowed to zero or with an overflowing square, a sample with
+            # zero likelihood, a collapsed rank-one root). Report an infinite
+            # value so the optimiser's line search halves the step past it;
+            # only the initial point and a line search without one finite
+            # trial still surface as errors.
             return np.inf, np.full(x.size, np.nan)
         return -val, -grad
 

@@ -4,9 +4,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from mvipkg.data import generate_cauchy_task
 from mvipkg.errors import NumericalError
 from mvipkg.laplace import (GridConfig, find_mode, hyperparameter_search,
                             laplace_approximation)
+from mvipkg.optimize import OptimConfig
 
 from conftest import make_cauchy, make_conjugate, make_logistic
 
@@ -22,6 +24,17 @@ def test_mode_search_finds_exact_posterior_mean():
     np.testing.assert_allclose(mode.w, mean, atol=1.0e-7)
     assert mode.converged
     assert mode.grad_norm <= 1.0e-6
+
+
+def test_mode_search_ignores_f_tol():
+    # a loose f_tol would stop a variational fit early; a mode search runs on
+    # to the gradient test
+    model = make_conjugate(seed=1, n=12, p=4)
+    mean, _ = model.exact_posterior()
+    mode = find_mode(model, np.zeros(4), OptimConfig(f_tol=1.0e-3))
+    assert mode.converged
+    assert mode.reason == "grad_tol"
+    np.testing.assert_allclose(mode.w, mean, atol=1.0e-7)
 
 
 def test_curvature_fit_recovers_exact_posterior():
@@ -195,3 +208,12 @@ def test_search_winner_has_best_score():
     np.testing.assert_allclose(
         np.exp(res.model.theta),
         [winner["gamma"], winner["alpha"], winner["width"]], rtol=1.0e-12)
+
+
+def test_search_completes_on_heavy_tail_run_5001():
+    # a run on which every candidate's ten-step mode search once ended at an
+    # indefinite curvature, and the search raised
+    train, _ = generate_cauchy_task(seed=5001)
+    res = hyperparameter_search(train.X, train.y, "regression", seed=5001)
+    assert any(np.isfinite(c["score"]) for c in res.candidates)
+    assert np.isfinite(res.laplace.bound_at_mode)

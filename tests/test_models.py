@@ -101,6 +101,21 @@ def test_rbf_constructor_rejects_nonpositive_hyperparameters(name):
                 RBF_CLASSES[name](X, labels, centers, **{**hyper, key: bad})
 
 
+@pytest.mark.parametrize("name", sorted(RBF_CLASSES))
+def test_rbf_constructor_rejects_hyperparameters_whose_square_overflows(name):
+    X, labels, centers, hyper = _rbf_args(name)
+    for key in hyper:
+        for bad in (np.inf, np.nan, 1.0e200):
+            with pytest.raises(NumericalError, match="finite square"):
+                RBF_CLASSES[name](X, labels, centers, **{**hyper, key: bad})
+    # a log-width one long quasi-Newton step can reach: exp(470)**2 overflows
+    model = RBF_CLASSES[name](X, labels, centers, **hyper)
+    theta = model.theta.copy()
+    theta[model.theta_names.index("log_width")] = 470.0
+    with pytest.raises(NumericalError, match="finite square"):
+        model.with_theta(theta)
+
+
 def test_binary_constructor_rejects_labels_other_than_0_1():
     X, labels, centers, hyper = _rbf_args("logistic")
     for bad in (2.0, -1.0, 0.5):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mvipkg.errors import NumericalError
 from mvipkg.optimize import (OptimConfig, finite_difference_gradient,
                              finite_difference_jacobian, minimize)
 
@@ -94,6 +95,18 @@ def test_non_finite_objective_raises():
     # minimizer must either step around it or give up loudly, never return nan
     res = minimize(bad, np.zeros(2), OptimConfig(max_iters=50))
     assert np.isfinite(res.f)
+
+
+def test_objective_finite_only_at_start_raises():
+    x0 = np.zeros(3)
+
+    def only_at_start(x):
+        if np.array_equal(x, x0):
+            return 1.0, np.ones_like(x)
+        return np.inf, np.full_like(x, np.nan)
+
+    with pytest.raises(NumericalError, match="non-finite"):
+        minimize(only_at_start, x0, OptimConfig(max_iters=50))
 
 
 def test_finite_difference_gradient_matches_analytic():
