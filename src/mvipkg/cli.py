@@ -124,7 +124,7 @@ def load_config_args(entries) -> dict:
 
 def effective_config(command: str, defaults: dict, file_config: dict,
                      overrides: dict) -> dict:
-    """defaults < config file < explicit flags, with command sanity check."""
+    """defaults < config file < explicit flags; checks the command and the counts."""
     config = json.loads(json.dumps(defaults))
     stated = file_config.get("command")
     if stated is not None and stated != command:
@@ -134,6 +134,9 @@ def effective_config(command: str, defaults: dict, file_config: dict,
     for key, value in overrides.items():
         if value is not None:
             config[key] = value
+    for key in ("n_samples", "n_eval", "n_workers"):
+        if key in config and (type(config[key]) is not int or config[key] < 1):
+            raise ConfigError(f"{key} must be an integer >= 1, got {config[key]!r}")
     config["command"] = command
     return config
 

@@ -198,6 +198,8 @@ def hyperparameter_search(X: np.ndarray, y: np.ndarray, task: str, seed: int,
     """
     if task not in TASK_MODELS:
         raise ValueError(f"unknown task {task!r}")
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     grid = grid or GridConfig()
     base_optim = optim or OptimConfig()
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -233,9 +235,9 @@ def hyperparameter_search(X: np.ndarray, y: np.ndarray, task: str, seed: int,
 
     search_cfg = OptimConfig(max_iters=grid.search_iters, grad_tol=base_optim.grad_tol)
     records = []
-    scored = []
+    best = None        # (score, model, mode) of the best candidate so far
     sample_sets = {}   # standardised draws per parameter dimension
-    for idx, cand in enumerate(candidates):
+    for cand in candidates:
         rec = {k: cand[k] for k in ("M", "width", "alpha", "gamma")}
         try:
             scale = {} if cand["gamma"] is None else {"gamma": cand["gamma"]}
@@ -249,7 +251,9 @@ def hyperparameter_search(X: np.ndarray, y: np.ndarray, task: str, seed: int,
             score = elbo_estimate(initialise("mvi_mu", lap),
                                   sample_sets[model.P], model, lap)
             rec["score"] = score
-            scored.append((score, idx, model, mode))
+            # highest score wins, ties go to the earliest; the rest are dropped
+            if best is None or score > best[0]:
+                best = (score, model, mode)
         except (NumericalError, np.linalg.LinAlgError) as exc:
             rec["score"] = -np.inf
             rec["error"] = str(exc)
@@ -257,13 +261,11 @@ def hyperparameter_search(X: np.ndarray, y: np.ndarray, task: str, seed: int,
             rec["reason"] = rec["error"].split(" (")[0]
         records.append(rec)
 
-    if not scored:
+    if best is None:
         failures = "; ".join(r.get("error", "?") for r in records[:5])
         raise NumericalError(f"every grid candidate failed: {failures}")
 
-    # Highest score wins; ties resolve to the earliest candidate.
-    best_score, best_idx, best_model, best_mode = max(
-        scored, key=lambda item: (item[0], -item[1]))
+    _, best_model, best_mode = best
     final_cfg = OptimConfig(max_iters=grid.final_iters, grad_tol=base_optim.grad_tol)
     mode = find_mode(best_model, best_mode.w, final_cfg)
     lap = laplace_approximation(best_model, mode.w)

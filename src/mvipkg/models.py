@@ -6,8 +6,8 @@ the Laplace, variational and evaluation layers program against:
     P               parameter dimension (weights, flattened for multiclass)
     theta           log-space vector of continuous hyperparameters
     theta_names     matching names, e.g. ("log_gamma", "log_alpha", "log_width")
-    with_theta(t)   new model instance with hyperparameters exp(t), features
-                    rebuilt if the basis width changed
+    with_theta(t)   new model instance with hyperparameters exp(t): same data,
+                    centres and centre distances, features rebuilt
     value/values    unnormalised log posterior at one point / a batch (B, P)
     grad/grads      gradient of the log posterior w.r.t. the weights
     theta_grads     gradient w.r.t. theta (log-space), batch (B, T)
@@ -24,7 +24,8 @@ the Laplace, variational and evaluation layers program against:
 
 The likelihood depends on the weights only through the projections
 F = W phi' (one row per draw, one column per data point), so ``evaluate`` and
-``score`` each form F once and derive every likelihood term from it.
+``score`` each form F once and derive every likelihood term from it, the
+Cauchy model from d = gamma^2 + r^2 with r = y - F (see ``CauchyRegression``).
 
 Predictions go through RBF features phi_m(x) = exp(-||x - c_m||^2 / (2 width^2))
 with a trailing bias column of ones, so D = M + 1 features per input. Centres
@@ -49,6 +50,7 @@ the variational stage move alpha sensibly.
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -243,6 +245,12 @@ class _RBFBase(_ModelBase):
         self.y = self._targets(y)
         if self.X.shape[0] != self.y.shape[0]:
             raise DataError("X and the labels disagree on the number of rows")
+        self.centers = np.atleast_2d(np.asarray(centers, dtype=float))
+        self._d2 = squared_distances(self.X, self.centers)
+        self._set_hyper(hyper)
+
+    def _set_hyper(self, hyper: dict) -> None:
+        """Check and set the hyperparameters; build phi and [phi | d phi / d log width]."""
         names = self._hyper_names()
         if set(hyper) != set(names):
             raise TypeError(f"{type(self).__name__} takes the hyperparameters {names}")
@@ -253,9 +261,9 @@ class _RBFBase(_ModelBase):
                                  f"a finite square (got {values})")
         for name, v in zip(names, values):
             setattr(self, name, v)
-        self.centers = np.atleast_2d(np.asarray(centers, dtype=float))
-        self._d2 = squared_distances(self.X, self.centers)
         self.phi = _bumps(self._d2, self.width)
+        # d phi_nm / d log width = phi_nm d2_nm / width^2; the bias column is inert
+        self._phi_stack = np.hstack([self.phi, self.phi[:, :-1] * self._d2 / self.width**2])
         self.N, self.D = self.phi.shape
         self.K = 1 if self.y.ndim == 1 else self.y.shape[1]   # outputs per input
         self.P = self.K * self.D
@@ -265,28 +273,36 @@ class _RBFBase(_ModelBase):
         return tuple(name.removeprefix("log_") for name in cls.theta_names)
 
     @classmethod
+    def _hyper_at(cls, theta: np.ndarray) -> dict:
+        return dict(zip(cls._hyper_names(), np.exp(np.asarray(theta, dtype=float)), strict=True))
+
+    @classmethod
     def at_theta(cls, X: np.ndarray, y: np.ndarray, centers: np.ndarray, theta: np.ndarray):
         """The model with hyperparameters exp(theta), theta in ``theta_names`` order."""
-        values = np.exp(np.asarray(theta, dtype=float))
-        return cls(X, y, centers, **dict(zip(cls._hyper_names(), values, strict=True)))
+        return cls(X, y, centers, **cls._hyper_at(theta))
 
     @property
     def theta(self) -> np.ndarray:
         return np.log([getattr(self, name) for name in self._hyper_names()])
 
     def with_theta(self, theta: np.ndarray):
-        return self.at_theta(self.X, self.y, self.centers, theta)
+        """``at_theta`` on this model's data and centres; only the features are rebuilt."""
+        model = copy.copy(self)
+        model._set_hyper(self._hyper_at(theta))
+        return model
 
     def _features(self, X: np.ndarray) -> np.ndarray:
         return rbf_features(X, self.centers, self.width)
 
     def _phi_w(self) -> np.ndarray:
-        """d phi_nm / d log width = phi_nm d2_nm / width^2; bias column inert."""
-        return self.phi[:, :-1] * self._d2 / self.width**2
+        """d phi_nm / d log width, shape (N, M)."""
+        return self._phi_stack[:, self.D:]
 
-    def _width_grad(self, gf: np.ndarray, W: np.ndarray) -> np.ndarray:
-        """d loglik / d log width per row, from gf = d loglik / d F."""
-        return np.einsum("bn,bn->b", gf, W[:, :-1] @ self._phi_w().T)
+    def _contract(self, gf: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """From gf = d loglik / d F, one GEMM gf [phi | phi_w] gives the likelihood's
+        weight gradient and, contracted with W, its log-width derivative per row."""
+        both = gf @ self._phi_stack
+        return both[:, :self.D], np.einsum("bm,bm->b", both[:, self.D:], W[:, :-1])
 
 
 # ---------------------------------------------------------------------------
@@ -311,33 +327,34 @@ class CauchyRegression(_RBFBase):
     def _targets(y: np.ndarray) -> np.ndarray:
         return np.asarray(y, dtype=float).ravel()
 
-    def _loglik(self, R: np.ndarray) -> np.ndarray:
-        """Log likelihood of each row of residuals R; overwrites R."""
-        R /= self.gamma
-        np.square(R, out=R)
-        np.log1p(R, out=R)
-        return -R.shape[1] * np.log(np.pi * self.gamma) - R.sum(axis=1)
+    def _spread(self, R: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """d = gamma^2 + r^2 of each residual r in R."""
+        d = np.square(R, out=out)
+        d += self.gamma**2
+        return d
+
+    def _loglik(self, d: np.ndarray) -> np.ndarray:
+        """Log likelihood of each row, N log(gamma / pi) - sum_n log d_n, from
+        d = gamma^2 + r^2 (see ``_spread``); overwrites d with log d."""
+        np.log(d, out=d)
+        return d.shape[1] * np.log(self.gamma / np.pi) - d @ np.ones(d.shape[1])
 
     def values(self, W: np.ndarray) -> np.ndarray:
         W = _as_batch(W, self.P)
-        return self._loglik(self.y - W @ self.phi.T) + self._prior(W)[0]
+        R = W @ self.phi.T
+        return self._loglik(self._spread(np.subtract(self.y, R, out=R), out=R)) + self._prior(W)[0]
 
     def evaluate(self, W: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         W = _as_batch(W, self.P)
-        g2 = self.gamma**2
-        resid = self.y - W @ self.phi.T
-        r2 = np.square(resid)
-        den = g2 + r2
-        # d loglik / d f_n = 2 e_n / (gamma^2 + e_n^2)
-        gf = 2.0 * resid
-        gf /= den
-        r2 -= g2
-        r2 /= den
-        d_lgamma = r2.sum(axis=1)
+        R = W @ self.phi.T
+        d = self._spread(np.subtract(self.y, R, out=R))
+        # d loglik / d f_n = 2 r_n / d_n, with the factor 2 applied after the GEMM
+        gf, d_lwidth = self._contract(np.divide(R, d, out=R), W)
+        # d loglik / d log gamma = sum_n (r_n^2 - gamma^2) / d_n = N - 2 gamma^2 sum_n 1 / d_n
+        d_lgamma = self.N - 2.0 * self.gamma**2 * (np.reciprocal(d, out=R) @ np.ones(self.N))
         prior, d_lalpha = self._prior(W)
-        values = self._loglik(resid) + prior
-        grads = gf @ self.phi - self.alpha * W
-        return values, grads, np.stack([d_lgamma, d_lalpha, self._width_grad(gf, W)], axis=1)
+        return (self._loglik(d) + prior, 2.0 * gf - self.alpha * W,
+                np.stack([d_lgamma, d_lalpha, 2.0 * d_lwidth], axis=1))
 
     def grads(self, W: np.ndarray) -> np.ndarray:
         return self.evaluate(W)[1]
@@ -356,7 +373,8 @@ class CauchyRegression(_RBFBase):
     def score(self, W: np.ndarray, X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Mean prediction over the draws, shape (N,), and per-draw test log likelihood."""
         return _residual_score(_as_batch(W, self.P), self._features(X),
-                               np.asarray(y, dtype=float).ravel(), self._loglik)
+                               np.asarray(y, dtype=float).ravel(),
+                               lambda R: self._loglik(self._spread(R, out=R)))
 
     def predictive(self, W: np.ndarray, X: np.ndarray) -> np.ndarray:
         """Per-sample mean predictions, shape (B, N)."""
@@ -398,8 +416,9 @@ class BinaryLogistic(_RBFBase):
         prior, d_lalpha = self._prior(W)
         values = _logistic_loglik(F, self.y) + prior
         gf = np.subtract(self.y, expit(F, out=F), out=F)
-        grads = gf @ self.phi - self.alpha * W
-        return values, grads, np.stack([d_lalpha, self._width_grad(gf, W)], axis=1)
+        grads, d_lwidth = self._contract(gf, W)
+        grads -= self.alpha * W
+        return values, grads, np.stack([d_lalpha, d_lwidth], axis=1)
 
     def grads(self, W: np.ndarray) -> np.ndarray:
         return self.evaluate(W)[1]

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import NumericalError
 
-# Curvature pairs (s, y) kept for the two-loop recursion.
+# Curvature pairs (s, y), kept with s'y and y'y for the two-loop recursion.
 _MEMORY = 10
 # Armijo sufficient-decrease constant, and halvings per line search: enough to
 # take a unit step below the spacing of doubles, so a search stalled at the
@@ -59,20 +59,20 @@ class MinimizeResult:
     trace: list[float] = field(default_factory=list)
 
 
-def _two_loop(g: np.ndarray, memory: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """H g for the inverse-Hessian estimate H of the (s, y) pairs; I / max(1, ||g||) if none."""
+def _two_loop(g: np.ndarray, memory: list[tuple]) -> np.ndarray:
+    """H g for the inverse Hessian of the (s, y, s'y, y'y) pairs; I / max(1, ||g||) if none."""
     q = g.copy()
     alphas = []
-    for s, y in reversed(memory):
-        alphas.append(float(s @ q) / float(s @ y))
+    for s, y, sy, _ in reversed(memory):
+        alphas.append(float(s @ q) / sy)
         q -= alphas[-1] * y
     if memory:
-        s, y = memory[-1]
-        q *= float(s @ y) / float(y @ y)
+        _, _, sy, yy = memory[-1]
+        q *= sy / yy
     else:
         q /= max(1.0, float(np.linalg.norm(g)))
-    for (s, y), a in zip(memory, reversed(alphas)):
-        q += (a - float(y @ q) / float(s @ y)) * s
+    for (s, y, sy, _), a in zip(memory, reversed(alphas)):
+        q += (a - float(y @ q) / sy) * s
     return q
 
 
@@ -139,8 +139,9 @@ def minimize(
             break
 
         s, y = step * d, g_new - g
-        if float(s @ y) > 0.0:
-            memory = (memory + [(s, y)])[-_MEMORY:]
+        sy = float(s @ y)
+        if sy > 0.0:
+            memory = (memory + [(s, y, sy, float(y @ y))])[-_MEMORY:]
         improvement = f - f_new
         x, f, g = x + s, f_new, g_new
         trace.append(f)

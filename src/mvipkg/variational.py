@@ -172,11 +172,12 @@ class FamilySpec:
 
     fields: tuple[str, ...]     # packed between mu and theta, in this order
     root: Callable              # (params, laplace) -> R
-    log_det: Callable           # (params, laplace) -> terms of ln|det R|, added in order
-    contract: Callable          # (params, laplace, g, z) -> gradient blocks of the fields
+    log_det: Callable           # (params, laplace, shared) -> terms of ln|det R|, added in order
+    contract: Callable          # (params, laplace, g, z, shared) -> gradient blocks of the fields
     init: Callable              # (laplace, seed, variant) -> starting fields
     variants: tuple[str, ...] = ("laplace",)  # starts ``init`` accepts; benchmarks fit each
     remap: Optional[Callable] = None          # laplace -> M: the family's samples are z M
+    shared: Callable = lambda params, lap: None  # what log_det and contract share per point
 
 
 def _log_det_chol(laplace) -> float:
@@ -203,14 +204,11 @@ def _log_scale_block(bg: np.ndarray, z: np.ndarray, log_s: np.ndarray) -> np.nda
 
 
 def _contract_lr(params: VariationalParams, laplace, g: np.ndarray,
-                 z: np.ndarray) -> list[np.ndarray]:
-    t, s = _lemma(params, laplace)
-    vz = z @ params.v
-    gu = g @ params.u
-    d_u = (g * vz[:, None]).mean(axis=0) + \
-        solve_triangular(laplace.chol.T, params.v, lower=False) / s
-    d_v = (z * gu[:, None]).mean(axis=0) + t / s
-    return [d_u, d_v]
+                 z: np.ndarray, lemma: tuple[np.ndarray, float]) -> list[np.ndarray]:
+    t, s = lemma
+    n = z.shape[0]   # the sample means as matrix-vector products
+    return [(z @ params.v) @ g / n + solve_triangular(laplace.chol.T, params.v, lower=False) / s,
+            (g @ params.u) @ z / n + t / s]
 
 
 def _init_lr(laplace, seed: int, variant: str) -> dict:
@@ -229,29 +227,29 @@ FAMILY_SPECS = {
     "mvi_mu": FamilySpec(
         fields=(),
         root=lambda params, lap: lap.chol.copy(),
-        log_det=lambda params, lap: (_log_det_chol(lap),),
-        contract=lambda params, lap, g, z: [],
+        log_det=lambda params, lap, _: (_log_det_chol(lap),),
+        contract=lambda params, lap, g, z, _: [],
         init=lambda lap, seed, variant: {}),
     "mvi_eig": FamilySpec(
         fields=("log_r",),
         root=lambda params, lap: lap.eigvecs * np.exp(params.log_r)[None, :],
-        log_det=lambda params, lap: (float(np.sum(params.log_r)),),
-        contract=lambda params, lap, g, z: [
+        log_det=lambda params, lap, _: (float(np.sum(params.log_r)),),
+        contract=lambda params, lap, g, z, _: [
             _log_scale_block(g @ lap.eigvecs, z, params.log_r)],
         init=lambda lap, seed, variant: {"log_r": np.log(lap.eig_root)},
         remap=lambda lap: (lap.chol.T @ lap.eigvecs) / lap.eig_root[None, :]),
     "mvi_lr": FamilySpec(
         fields=("u", "v"),
         root=lambda params, lap: lap.chol + np.outer(params.u, params.v),
-        log_det=lambda params, lap: (_log_det_chol(lap),
-                                     float(np.log(abs(_lemma(params, lap)[1])))),
+        log_det=lambda params, lap, lemma: (_log_det_chol(lap), float(np.log(abs(lemma[1])))),
         contract=_contract_lr,
-        init=_init_lr),
+        init=_init_lr,
+        shared=_lemma),
     "vi_diag": FamilySpec(
         fields=("log_sigma",),
         root=lambda params, lap: np.diag(np.exp(params.log_sigma)),
-        log_det=lambda params, lap: (float(np.sum(params.log_sigma)),),
-        contract=lambda params, lap, g, z: [_log_scale_block(g, z, params.log_sigma)],
+        log_det=lambda params, lap, _: (float(np.sum(params.log_sigma)),),
+        contract=lambda params, lap, g, z, _: [_log_scale_block(g, z, params.log_sigma)],
         init=_init_diag,
         variants=("laplace", "small")),
 }
@@ -305,16 +303,19 @@ def laplace_posterior(laplace) -> PosteriorGaussian:
     return PosteriorGaussian(mean=laplace.mean.copy(), root=laplace.chol.copy())
 
 
-def entropy(params: VariationalParams, laplace) -> float:
+def entropy(params: VariationalParams, laplace, shared=None) -> float:
     """Differential entropy of the family's Gaussian.
 
     mvi_mu reads it off the Laplace Cholesky diagonal; mvi_eig and vi_diag
     reduce to sums of log scales; mvi_lr uses the matrix determinant lemma
     det(C + u v') = det(C) (1 + v' C^-1 u) with one triangular solve, and
     refuses to proceed when the rank-one update collapses the determinant.
+    ``shared`` is the family's ``shared`` value at ``params``, if known.
     """
+    spec = _spec(params.family)
+    shared = spec.shared(params, laplace) if shared is None else shared
     value = params.dim * _HALF_LOG_2PIE
-    for term in _spec(params.family).log_det(params, laplace):
+    for term in spec.log_det(params, laplace, shared):
         value += term
     return value
 
@@ -342,14 +343,21 @@ def _model_at(model, theta: np.ndarray):
     return model
 
 
-def _sample_points(params: VariationalParams, samples: FixedSampleSet,
-                   model, laplace):
-    """The model at the params' theta, the family's base samples z, and the
-    points mu + R z."""
-    m = _model_at(model, params.theta)
+def _family_draws(params: VariationalParams, samples: FixedSampleSet, laplace):
+    """What every evaluation of one family's bound shares: its base samples z
+    and, for a root without free fields (mvi_mu), the sample paths z R'."""
     z = family_samples(params.family, samples, laplace)
-    w = params.mu[None, :] + z @ covariance_root(params, laplace).root.T
-    return m, z, w
+    spec = _spec(params.family)
+    return z, None if spec.fields else z @ spec.root(params, laplace).T
+
+
+def _sample_points(params: VariationalParams, draws, model, laplace):
+    """The model at the params' theta, the family's base samples z, and the
+    points mu + R z, from ``_family_draws``."""
+    z, paths = draws
+    if paths is None:
+        paths = z @ covariance_root(params, laplace).root.T
+    return _model_at(model, params.theta), z, params.mu[None, :] + paths
 
 
 def _finite(vals: np.ndarray) -> np.ndarray:
@@ -363,12 +371,12 @@ def _finite(vals: np.ndarray) -> np.ndarray:
 def elbo_estimate(params: VariationalParams, samples: FixedSampleSet,
                   model, laplace) -> float:
     """Fixed-sample evidence lower bound at the given parameters."""
-    m, _, w = _sample_points(params, samples, model, laplace)
+    m, _, w = _sample_points(params, _family_draws(params, samples, laplace), model, laplace)
     return float(_finite(m.values(w)).mean()) + entropy(params, laplace)
 
 
 def elbo_and_gradient(params: VariationalParams, samples: FixedSampleSet,
-                      model, laplace) -> tuple[float, np.ndarray]:
+                      model, laplace, draws=None) -> tuple[float, np.ndarray]:
     """Bound and its gradient w.r.t. the packed free parameters.
 
     All gradients are analytic. The sample term differentiates through
@@ -376,12 +384,18 @@ def elbo_and_gradient(params: VariationalParams, samples: FixedSampleSet,
     scale coordinates and the determinant-lemma terms for the rank-one
     family. In log-space coordinates those entropy terms become the constant
     one. Hyperparameter gradients flow only through the log-posterior term.
+    :func:`fit_family` passes ``draws`` (``_family_draws``) computed once per fit.
     """
-    m, z, w = _sample_points(params, samples, model, laplace)
+    m, z, w = _sample_points(params, draws or _family_draws(params, samples, laplace),
+                             model, laplace)
     vals, g, theta_g = m.evaluate(w)
-    value = float(_finite(vals).mean()) + entropy(params, laplace)
-    fields = _spec(params.family).contract(params, laplace, g, z)
-    return value, np.concatenate([g.mean(axis=0), *fields, theta_g.mean(axis=0)])
+    value = float(_finite(vals).mean())
+    spec = _spec(params.family)
+    shared = spec.shared(params, laplace)
+    value += entropy(params, laplace, shared)
+    fields = spec.contract(params, laplace, g, z, shared)
+    mean = np.full(z.shape[0], 1.0 / z.shape[0])   # a GEMV beats numpy's mean(axis=0) here
+    return value, np.concatenate([mean @ g, *fields, mean @ theta_g])
 
 
 # ---------------------------------------------------------------------------
@@ -446,11 +460,12 @@ def fit_family(model, laplace, samples: FixedSampleSet, family: str,
     """Optimise one family's fixed-sample bound from its standard (or given) start."""
     params0 = init if init is not None else initialise(family, laplace, seed, diag_variant)
     template = params0.copy()
+    draws = _family_draws(params0, samples, laplace)
 
     def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
         p = unpack(template, x)
         try:
-            val, grad = elbo_and_gradient(p, samples, model, laplace)
+            val, grad = elbo_and_gradient(p, samples, model, laplace, draws)
         except NumericalError:
             # A trial point outside the usable region (hyperparameters
             # underflowed to zero or with an overflowing square, a sample with

@@ -300,6 +300,31 @@ def test_exit_code_config_error(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["--samples", "0"], "n_samples"),
+    (["--samples", "-5"], "n_samples"),
+    (["--eval-samples", "0"], "n_eval"),
+    (["--workers", "0"], "n_workers"),
+    (["--workers", "-2"], "n_workers"),
+    (["--config", "n_samples=0"], "n_samples"),
+    (["--config", "n_eval=-1"], "n_eval"),
+    (["--config", "n_workers=0"], "n_workers"),
+], ids=["samples-0", "samples-neg", "eval-samples-0", "workers-0", "workers-neg",
+        "config-samples", "config-eval", "config-workers"])
+def test_exit_code_bad_count(tmp_path, capsys, argv, key):
+    code = cli.main(["cauchy", "--splits", "1", "--out", str(tmp_path / "x")] + argv)
+    assert code == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_exit_code_bad_count_in_config_file(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n_workers": -3}))
+    assert cli.main(["cauchy", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+    assert "n_workers" in capsys.readouterr().err
+
+
 def test_exit_code_command_mismatch(tmp_path):
     out1 = tmp_path / "a"
     assert cli.main(["demo2d", "--samples", "200",

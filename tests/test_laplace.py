@@ -165,6 +165,13 @@ def test_search_single_candidate():
     assert res.model.theta.size == 3
 
 
+@pytest.mark.parametrize("n_samples", [0, -5])
+def test_search_rejects_sample_count_below_one(n_samples):
+    X, y = _toy_regression()
+    with pytest.raises(ValueError, match="n_samples"):
+        hyperparameter_search(X, y, "regression", seed=0, n_samples=n_samples)
+
+
 def test_search_clamps_basis_to_training_size():
     X, y = _toy_regression(n=8)
     grid = GridConfig(basis_sizes=(4, 50), n_pairs=2, search_iters=5,

@@ -145,6 +145,23 @@ def test_with_theta_at_own_theta_rebuilds_the_same_model(name):
     np.testing.assert_array_equal(again.values(W), model.values(W))
 
 
+@pytest.mark.parametrize("name", sorted(RBF_CLASSES))
+def test_with_theta_matches_at_theta_bit_for_bit(name):
+    X, labels, centers, hyper = _rbf_args(name)
+    cls = RBF_CLASSES[name]
+    model = cls(X, labels, centers, **hyper)
+    theta = model.theta + np.linspace(-0.3, 0.5, model.theta.size)
+    moved = model.with_theta(theta)
+    assert moved._d2 is model._d2 and moved.y is model.y
+    W = np.random.default_rng(5).standard_normal((7, model.P))
+    for got, want in zip(moved.evaluate(W), cls.at_theta(X, labels, centers, theta).evaluate(W)):
+        np.testing.assert_array_equal(got, want)
+    for i in range(theta.size):
+        for bad in (-np.inf, -800.0, np.nan, 470.0):
+            with pytest.raises(NumericalError, match="positive"):
+                model.with_theta(np.where(np.arange(theta.size) == i, bad, theta))
+
+
 # ---------------------------------------------------------------------------
 # finite-difference oracles for every model
 # ---------------------------------------------------------------------------
@@ -210,6 +227,24 @@ def test_cauchy_value_at_zero_residual():
     model = CauchyRegression(X, y, centers, gamma=gamma, alpha=1.0, width=1.0)
     expected = -math.log(math.pi * gamma) - 0.5 * 2 * math.log(2 * math.pi)
     assert model.value(w) == pytest.approx(expected, rel=1.0e-12)
+
+
+def test_cauchy_value_direct_formula():
+    # residuals from 1e-6 to 1e6 widths at the first draw, either sign
+    model = ALL_MODEL_MAKERS["cauchy"]()
+    rng = np.random.default_rng(12)
+    W = rng.standard_normal((3, model.P))
+    phi = rbf_features(model.X, model.centers, model.width)
+    signs = np.where(np.arange(model.N) % 2 == 0, 1.0, -1.0)
+    y = phi @ W[0] + signs * model.gamma * np.logspace(-6.0, 6.0, model.N)
+    model = CauchyRegression(model.X, y, model.centers, gamma=model.gamma,
+                             alpha=model.alpha, width=model.width)
+    loglik = np.array([math.fsum(-math.log(math.pi * model.gamma * (1.0 + (r / model.gamma) ** 2))
+                                 for r in y - phi @ w) for w in W])
+    prior = -0.5 * model.alpha * np.einsum("bp,bp->b", W, W) \
+        + 0.5 * model.P * (np.log(model.alpha) - np.log(2 * np.pi))
+    np.testing.assert_allclose(model.values(W), loglik + prior, rtol=1.0e-12)
+    np.testing.assert_allclose(model.data_log_likelihoods(W, model.X, y), loglik, rtol=1.0e-12)
 
 
 def test_logistic_value_direct_formula():
@@ -377,9 +412,8 @@ def _one_shot_log_likelihoods(model, W, X, y):
     """Per-draw test log likelihood from the whole product F = W phi' at once."""
     phi = rbf_features(X, model.centers, model.width)
     if isinstance(model, CauchyRegression):
-        resid = y[None, :] - W @ phi.T
-        return (-y.size * np.log(np.pi * model.gamma)
-                - np.log1p((resid / model.gamma) ** 2).sum(axis=1))
+        d = model.gamma**2 + (y[None, :] - W @ phi.T) ** 2
+        return y.size * np.log(model.gamma / np.pi) - np.log(d) @ np.ones(y.size)
     if isinstance(model, BinaryLogistic):
         F = W @ phi.T
         return (y[None, :] * F - np.logaddexp(0.0, F)).sum(axis=1)

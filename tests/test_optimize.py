@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mvipkg.errors import NumericalError
-from mvipkg.optimize import (OptimConfig, finite_difference_gradient,
+from mvipkg.optimize import (OptimConfig, _two_loop, finite_difference_gradient,
                              finite_difference_jacobian, minimize)
 
 
@@ -25,6 +25,28 @@ def rosenbrock(x):
         200.0 * (x[1] - x[0] ** 2),
     ])
     return val, grad
+
+
+@pytest.mark.parametrize("n_pairs", [1, 4, 10])
+def test_two_loop_matches_dense_bfgs_inverse_hessian(n_pairs):
+    # H_0 = (s'y / y'y) I from the newest pair, then for each pair oldest
+    # first H <- (I - rho s y') H (I - rho y s') + rho s s', rho = 1 / s'y
+    rng = np.random.default_rng(n_pairs)
+    n = 12
+    a = rng.standard_normal((n, n))
+    a = a @ a.T + n * np.eye(n)
+    memory = []
+    for _ in range(n_pairs):
+        s = rng.standard_normal(n)
+        y = a @ s
+        memory.append((s, y, float(s @ y), float(y @ y)))
+    s, y = memory[-1][:2]
+    h = (s @ y) / (y @ y) * np.eye(n)
+    for s, y, sy, _ in memory:
+        v = np.eye(n) - np.outer(y, s) / sy
+        h = v.T @ h @ v + np.outer(s, s) / sy
+    g = rng.standard_normal(n)
+    np.testing.assert_allclose(_two_loop(g, memory), h @ g, rtol=1.0e-12)
 
 
 @pytest.mark.parametrize("n", [2, 5, 10])
