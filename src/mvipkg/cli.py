@@ -134,7 +134,7 @@ def effective_config(command: str, defaults: dict, file_config: dict,
     for key, value in overrides.items():
         if value is not None:
             config[key] = value
-    for key in ("n_samples", "n_eval", "n_workers"):
+    for key in ("n_samples", "n_eval", "n_workers", "n_runs", "n_splits", "n_boot"):
         if key in config and (type(config[key]) is not int or config[key] < 1):
             raise ConfigError(f"{key} must be an integer >= 1, got {config[key]!r}")
     config["command"] = command

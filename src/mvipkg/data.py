@@ -23,6 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DataError
+from .models import sampled_expectation
 
 TASKS = ("regression", "binary", "multiclass")
 
@@ -170,6 +171,8 @@ class MixtureTarget2D:
             gi = -(W - self.means[i][None, :]) @ self._precs[i]
             grad += resp[:, i:i + 1] * gi
         return values, grad, np.zeros((W.shape[0], 0))
+
+    expectation = sampled_expectation   # from ``evaluate`` at the points mu + R z
 
     def grads(self, W: np.ndarray) -> np.ndarray:
         return self.evaluate(W)[1]

@@ -8,11 +8,17 @@ the Laplace, variational and evaluation layers program against:
     theta_names     matching names, e.g. ("log_gamma", "log_alpha", "log_width")
     with_theta(t)   new model instance with hyperparameters exp(t): same data,
                     centres and centre distances, features rebuilt
+                    (``set_theta`` moves an RBF model itself)
     value/values    unnormalised log posterior at one point / a batch (B, P)
     grad/grads      gradient of the log posterior w.r.t. the weights
     theta_grads     gradient w.r.t. theta (log-space), batch (B, T)
     evaluate(W)     (values, grads, theta_grads) from one pass over the batch;
-                    the objective layers call this once per point
+                    the mode search calls this once per point
+    expectation(mu, R, draws)
+                    means over fixed draws w_s = mu + R z_s (``FixedDraws``):
+                    (value, g-bar, G, theta gradient), i.e. the log posterior,
+                    its weight gradient g, G = sum_s g_s z_s' / S and the
+                    theta gradient; one call per variational evaluation
     hessian         dense Hessian w.r.t. the weights at one point
     score(W, X, y)  held-out pass: (mean prediction over the draws, per-draw
                     test log likelihood), streaming the draws in fixed blocks
@@ -26,6 +32,12 @@ The likelihood depends on the weights only through the projections
 F = W phi' (one row per draw, one column per data point), so ``evaluate`` and
 ``score`` each form F once and derive every likelihood term from it, the
 Cauchy model from d = gamma^2 + r^2 with r = y - F (see ``CauchyRegression``).
+For draws w_s = mu + R z_s, F - y = Z1 A' exactly, with Z1 = [1 | z] and
+A = [phi mu - y | phi R]: ``expectation`` forms every residual with that one
+GEMM, the model's ``_pass`` turns them in place into E = d loglik / dF, and
+the mean gradients follow from one GEMM E' Z1 and products of size P
+(Cauchy, binary and the conjugate model). Softmax and the 2-D mixture use
+``sampled_expectation``, which forms the points and the per-draw gradients.
 
 Predictions go through RBF features phi_m(x) = exp(-||x - c_m||^2 / (2 width^2))
 with a trailing bias column of ones, so D = M + 1 features per input. Centres
@@ -52,6 +64,7 @@ from __future__ import annotations
 
 import copy
 import math
+from functools import cached_property
 
 import numpy as np
 from scipy.special import expit
@@ -154,6 +167,44 @@ def _as_batch(w: np.ndarray, p: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# expectations over fixed draws w_s = mu + R z_s
+# ---------------------------------------------------------------------------
+
+class FixedDraws:
+    """Base draws z (S, P) and what every expectation over them shares;
+    ``work(n)`` hands out the same two S x n buffers on every call."""
+
+    def __init__(self, z: np.ndarray):
+        self.z = np.asarray(z, dtype=float)
+        self.S = self.z.shape[0]
+        self.weights = np.full(self.S, 1.0 / self.S)   # sample means as GEMVs
+        self._work = None
+
+    @cached_property
+    def moments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Z1 = [1 | z], z-bar and z'z / S, formed on first use."""
+        return (np.hstack([np.ones((self.S, 1)), self.z]), self.weights @ self.z,
+                self.z.T @ self.z / self.S)
+
+    def work(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        if self._work is None or self._work[0].shape[1] != n:
+            self._work = (np.empty((self.S, n)), np.empty((self.S, n)))
+        return self._work
+
+
+def sampled_expectation(model, mu: np.ndarray, R: np.ndarray, draws: FixedDraws,
+                        gradient: bool = True):
+    """``expectation`` of a likelihood that is not one F = W phi': from the
+    model's own batch methods at W = mu + z R', per-draw gradients and all."""
+    W = mu[None, :] + draws.z @ R.T
+    if not gradient:
+        return float(model.values(W).mean()), None, None, None
+    vals, g, theta_g = model.evaluate(W)
+    return (float(vals.mean()), draws.weights @ g, g.T @ draws.z / draws.S,
+            draws.weights @ theta_g)
+
+
+# ---------------------------------------------------------------------------
 # the held-out pass, one block of draws at a time
 # ---------------------------------------------------------------------------
 
@@ -235,6 +286,38 @@ class _ModelBase:
         return (0.5 * self.P * (np.log(self.alpha) - _LOG_2PI) - 0.5 * self.alpha * ww,
                 0.5 * self.P - 0.5 * self.alpha * ww)
 
+    def expectation(self, mu: np.ndarray, R: np.ndarray, draws: FixedDraws,
+                    gradient: bool = True):
+        """(value, g-bar, G, theta gradient) over the draws w_s = mu + R z_s,
+        the gradient terms None unless ``gradient``; see the module docstring.
+        No S x P array forms: the prior's terms come from z-bar and z'z / S."""
+        z1, zbar, second = draws.moments
+        MR = np.column_stack([mu, R])
+        A = self.phi @ MR
+        if self._residual:
+            A[:, 0] -= self.y
+        Q, spare = draws.work(self.N)
+        spare = spare if gradient else Q   # a value-only pass runs in place
+        np.matmul(z1, A.T, out=Q)
+        rows, scale, lead = self._pass(Q, spare, gradient)
+        Rz, RM = R @ zbar, R @ second
+        ww = mu @ mu + 2.0 * (mu @ Rz) + np.vdot(RM, R)   # mean of |w_s|^2
+        value = (float(draws.weights @ rows) + 0.5 * self.P * (math.log(self.alpha) - _LOG_2PI)
+                 - 0.5 * self.alpha * ww)
+        if not gradient:
+            return value, None, None, None
+        # now E = scale * Q; [phi | phi_w]' E' Z1 / S in one more small GEMM
+        B = Q.T @ z1
+        B *= scale / draws.S
+        T = self._phi_stack.T @ B
+        gbar = T[:self.D, 0] - self.alpha * (mu + Rz)
+        G = T[:self.D, 1:] - self.alpha * (np.outer(mu, zbar) + RM)
+        if not self.theta_names:   # the conjugate oracle's precisions are fixed
+            return value, gbar, G, np.zeros(0)
+        # d loglik / d log width = E[sum_nm e_n phi_w,nm w_m] over the draws
+        d_lwidth = np.vdot(T[self.D:], MR[:-1])
+        return value, gbar, G, np.array([*lead, 0.5 * self.P - 0.5 * self.alpha * ww, d_lwidth])
+
 
 class _RBFBase(_ModelBase):
     """Construction (see the module docstring), features and their width
@@ -285,10 +368,14 @@ class _RBFBase(_ModelBase):
     def theta(self) -> np.ndarray:
         return np.log([getattr(self, name) for name in self._hyper_names()])
 
+    def set_theta(self, theta: np.ndarray) -> None:
+        """``with_theta`` in place: this model moves to exp(theta)."""
+        self._set_hyper(self._hyper_at(theta))
+
     def with_theta(self, theta: np.ndarray):
         """``at_theta`` on this model's data and centres; only the features are rebuilt."""
         model = copy.copy(self)
-        model._set_hyper(self._hyper_at(theta))
+        model.set_theta(theta)
         return model
 
     def _features(self, X: np.ndarray) -> np.ndarray:
@@ -343,6 +430,23 @@ class CauchyRegression(_RBFBase):
         W = _as_batch(W, self.P)
         R = W @ self.phi.T
         return self._loglik(self._spread(np.subtract(self.y, R, out=R), out=R)) + self._prior(W)[0]
+
+    _residual = True   # ``expectation`` hands ``_pass`` the residuals F - y
+
+    def _pass(self, Q: np.ndarray, spare: np.ndarray, gradient: bool):
+        """Log likelihood per row of Q = F - y and, if ``gradient``, the mean
+        d loglik / d log gamma, with Q overwritten by (F - y)/d, so that
+        d loglik / dF = -2 Q: one reciprocal and a multiply, no division."""
+        d = self._spread(Q, out=spare)
+        if not gradient:
+            return self._loglik(d), -2.0, []
+        inv = np.reciprocal(d, out=d)
+        ones = np.ones(self.N)
+        # d loglik / d log gamma = N - 2 gamma^2 sum_n 1/d_n, averaged
+        lead = [self.N - 2.0 * self.gamma**2 * float((inv @ ones).sum()) / Q.shape[0]]
+        np.multiply(Q, inv, out=Q)
+        logs = np.log(inv, out=inv)   # log(1/d) = -log d
+        return self.N * math.log(self.gamma / math.pi) + logs @ ones, -2.0, lead
 
     def evaluate(self, W: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         W = _as_batch(W, self.P)
@@ -409,6 +513,16 @@ class BinaryLogistic(_RBFBase):
     def values(self, W: np.ndarray) -> np.ndarray:
         W = _as_batch(W, self.P)
         return _logistic_loglik(W @ self.phi.T, self.y) + self._prior(W)[0]
+
+    _residual = False   # ``expectation`` hands ``_pass`` the scores F
+
+    def _pass(self, F: np.ndarray, spare: np.ndarray, gradient: bool):
+        """Log likelihood per row of F, and (if ``gradient``) F overwritten
+        with d loglik / dF = y - expit(F)."""
+        rows = F @ self.y - np.logaddexp(0.0, F, out=spare) @ np.ones(self.N)
+        if gradient:
+            np.subtract(self.y, expit(F, out=F), out=F)
+        return rows, 1.0, []
 
     def evaluate(self, W: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         W = _as_batch(W, self.P)
@@ -532,6 +646,8 @@ class SoftmaxRegression(_RBFBase):
         d_lwidth = ((G @ self._phi_w()) * Wk).reshape(B, -1).sum(axis=1)
         return values, grads, np.stack([d_lalpha, d_lwidth], axis=1)
 
+    expectation = sampled_expectation   # the K class scores are not one F
+
     def grads(self, W: np.ndarray) -> np.ndarray:
         return self.evaluate(W)[1]
 
@@ -599,6 +715,7 @@ class GaussianLinearModel(_ModelBase):
             raise NumericalError("beta and alpha must be positive")
         self.N, self.D = self.phi.shape
         self.P = self.D
+        self._phi_stack = self.phi   # no hyperparameter moves the features
 
     @property
     def theta(self) -> np.ndarray:
@@ -617,6 +734,13 @@ class GaussianLinearModel(_ModelBase):
     def values(self, W: np.ndarray) -> np.ndarray:
         W = _as_batch(W, self.P)
         return self._loglik(self.y - W @ self.phi.T) + self._prior(W)[0]
+
+    _residual = True   # ``expectation`` hands ``_pass`` the residuals F - y
+
+    def _pass(self, Q: np.ndarray, spare: np.ndarray, gradient: bool):
+        """Log likelihood per row of Q = F - y; d loglik / dF = -beta Q."""
+        sq = np.square(Q, out=spare) @ np.ones(self.N)
+        return 0.5 * self.N * (math.log(self.beta) - _LOG_2PI) - 0.5 * self.beta * sq, -self.beta, []
 
     def grads(self, W: np.ndarray) -> np.ndarray:
         W = _as_batch(W, self.P)

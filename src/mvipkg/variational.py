@@ -10,13 +10,20 @@ Because the z_s never change during optimisation, the bound is an ordinary
 deterministic function of the parameters and is optimised with the L-BFGS
 routine from :mod:`.optimize`; no stochastic-gradient machinery is involved.
 
+The sample term is the model's ``expectation(mu, R, draws)``: the means
+over the draws of the log posterior, of its gradient g_s at w_s = mu + R z_s
+(g-bar), of g_s z_s' (G) and of the theta gradient. Each family's
+``contract`` maps G onto its fields, so no evaluation forms a gradient per
+draw here. A :class:`Workspace`, built once per fit, holds the draws and a
+private model copy whose features are rebuilt in place when theta moves.
+
 Families
 --------
 Each family is defined once, by its :class:`FamilySpec` record in
 ``FAMILY_SPECS``: the packed fields, the covariance root built from the
 Laplace fit, the log-determinant terms of the entropy, the contraction of
-the sample gradient onto the fields, the sample remap and the starting
-values. The functions below read that table; none branches on the name.
+G onto the fields, the sample remap and the starting values. The functions
+below read that table; none branches on the name.
 
 mvi_mu    free mean only; R = C (the Laplace Cholesky factor), covariance
           frozen at the Laplace fit.
@@ -48,13 +55,17 @@ Two details matter for exactness guarantees and are easy to miss:
 
 from __future__ import annotations
 
+import copy
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
 from .errors import NumericalError
+from .models import FixedDraws
 from .optimize import MinimizeResult, OptimConfig, minimize
 
 # entropy of a unit-variance Gaussian coordinate: 0.5 * ln(2 pi e)
@@ -168,12 +179,14 @@ class VariationalParams:
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """What sets one family apart; g is the log-posterior gradient at mu + R z."""
+    """What sets one family apart. G = sum_s g_s z_s' / S, g_s the log-posterior
+    gradient at mu + R z_s, is all the fields' sample terms need."""
 
     fields: tuple[str, ...]     # packed between mu and theta, in this order
     root: Callable              # (params, laplace) -> R
     log_det: Callable           # (params, laplace, shared) -> terms of ln|det R|, added in order
-    contract: Callable          # (params, laplace, g, z, shared) -> gradient blocks of the fields
+    contract: Callable          # (params, laplace, G, shared) -> gradient blocks of the fields:
+                                # the sample term from G alone plus the entropy's terms
     init: Callable              # (laplace, seed, variant) -> starting fields
     variants: tuple[str, ...] = ("laplace",)  # starts ``init`` accepts; benchmarks fit each
     remap: Optional[Callable] = None          # laplace -> M: the family's samples are z M
@@ -184,9 +197,18 @@ def _log_det_chol(laplace) -> float:
     return float(np.sum(np.log(np.diag(laplace.chol))))
 
 
+def _chol_solve(laplace, b: np.ndarray, transposed: bool = False) -> np.ndarray:
+    """C^-1 b, or C^-T b, for the Laplace Cholesky factor C: the LAPACK call
+    that ``solve_triangular`` makes (on C' as stored), without its checks."""
+    x, info = dtrtrs(laplace.chol.T, b, lower=0, trans=0 if transposed else 1)
+    if info:
+        raise NumericalError(f"triangular solve failed (LAPACK info {info})")
+    return x
+
+
 def _lemma(params: VariationalParams, laplace) -> tuple[np.ndarray, float]:
     """t = C^-1 u and s = 1 + v' t, so that det(C + u v') = det(C) s."""
-    t = solve_triangular(laplace.chol, params.u, lower=True)
+    t = _chol_solve(laplace, params.u)
     s = 1.0 + float(params.v @ t)
     if abs(s) < _DET_LEMMA_FLOOR:
         raise NumericalError(
@@ -195,20 +217,18 @@ def _lemma(params: VariationalParams, laplace) -> tuple[np.ndarray, float]:
     return t, s
 
 
-def _log_scale_block(bg: np.ndarray, z: np.ndarray, log_s: np.ndarray) -> np.ndarray:
-    """Gradient in log s of a root R = B diag(s), from bg = g B: the sample
-    term mean(bg * z) plus the entropy's 1/s, times s for the log space."""
+def _log_scale_block(BG: np.ndarray, log_s: np.ndarray) -> np.ndarray:
+    """Gradient in log s of a root R = B diag(s), from BG = B' G: the sample
+    term diag(BG) plus the entropy's 1/s, times s for the log space."""
     scale = np.exp(log_s)
-    d = np.einsum("sp,sp->p", bg, z) / z.shape[0] + 1.0 / scale
-    return d * scale
+    return (np.diagonal(BG) + 1.0 / scale) * scale
 
 
-def _contract_lr(params: VariationalParams, laplace, g: np.ndarray,
-                 z: np.ndarray, lemma: tuple[np.ndarray, float]) -> list[np.ndarray]:
+def _contract_lr(params: VariationalParams, laplace, G: np.ndarray,
+                 lemma: tuple[np.ndarray, float]) -> list[np.ndarray]:
     t, s = lemma
-    n = z.shape[0]   # the sample means as matrix-vector products
-    return [(z @ params.v) @ g / n + solve_triangular(laplace.chol.T, params.v, lower=False) / s,
-            (g @ params.u) @ z / n + t / s]
+    return [G @ params.v + _chol_solve(laplace, params.v, transposed=True) / s,
+            G.T @ params.u + t / s]
 
 
 def _init_lr(laplace, seed: int, variant: str) -> dict:
@@ -228,14 +248,13 @@ FAMILY_SPECS = {
         fields=(),
         root=lambda params, lap: lap.chol.copy(),
         log_det=lambda params, lap, _: (_log_det_chol(lap),),
-        contract=lambda params, lap, g, z, _: [],
+        contract=lambda params, lap, G, _: [],
         init=lambda lap, seed, variant: {}),
     "mvi_eig": FamilySpec(
         fields=("log_r",),
         root=lambda params, lap: lap.eigvecs * np.exp(params.log_r)[None, :],
         log_det=lambda params, lap, _: (float(np.sum(params.log_r)),),
-        contract=lambda params, lap, g, z, _: [
-            _log_scale_block(g @ lap.eigvecs, z, params.log_r)],
+        contract=lambda params, lap, G, _: [_log_scale_block(lap.eigvecs.T @ G, params.log_r)],
         init=lambda lap, seed, variant: {"log_r": np.log(lap.eig_root)},
         remap=lambda lap: (lap.chol.T @ lap.eigvecs) / lap.eig_root[None, :]),
     "mvi_lr": FamilySpec(
@@ -249,7 +268,7 @@ FAMILY_SPECS = {
         fields=("log_sigma",),
         root=lambda params, lap: np.diag(np.exp(params.log_sigma)),
         log_det=lambda params, lap, _: (float(np.sum(params.log_sigma)),),
-        contract=lambda params, lap, g, z, _: [_log_scale_block(g, z, params.log_sigma)],
+        contract=lambda params, lap, G, _: [_log_scale_block(G, params.log_sigma)],
         init=_init_diag,
         variants=("laplace", "small")),
 }
@@ -337,65 +356,62 @@ def family_samples(family: str, samples: FixedSampleSet, laplace) -> np.ndarray:
 # bound and gradient
 # ---------------------------------------------------------------------------
 
-def _model_at(model, theta: np.ndarray):
-    if theta.size and not np.array_equal(theta, np.asarray(model.theta)):
-        return model.with_theta(theta)
-    return model
+class Workspace:
+    """What every evaluation of one family's bound shares: the family's
+    samples as :class:`~.models.FixedDraws` and a private copy of the model,
+    moved in place when theta moves."""
+
+    def __init__(self, family: str, samples: FixedSampleSet, model, laplace):
+        self.draws = FixedDraws(family_samples(family, samples, laplace))
+        self._model = copy.copy(model)
+        self._theta = np.asarray(model.theta, dtype=float)
+
+    def model_at(self, theta: np.ndarray):
+        if theta.size and not np.array_equal(theta, self._theta):
+            self._model.set_theta(theta)   # raises NumericalError, leaving it unmoved
+            self._theta = theta.copy()
+        return self._model
 
 
-def _family_draws(params: VariationalParams, samples: FixedSampleSet, laplace):
-    """What every evaluation of one family's bound shares: its base samples z
-    and, for a root without free fields (mvi_mu), the sample paths z R'."""
-    z = family_samples(params.family, samples, laplace)
-    spec = _spec(params.family)
-    return z, None if spec.fields else z @ spec.root(params, laplace).T
-
-
-def _sample_points(params: VariationalParams, draws, model, laplace):
-    """The model at the params' theta, the family's base samples z, and the
-    points mu + R z, from ``_family_draws``."""
-    z, paths = draws
-    if paths is None:
-        paths = z @ covariance_root(params, laplace).root.T
-    return _model_at(model, params.theta), z, params.mu[None, :] + paths
-
-
-def _finite(vals: np.ndarray) -> np.ndarray:
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        raise NumericalError(
-            f"log posterior not finite (first at sample {int(np.argmax(bad))})")
-    return vals
+def _expectation(params: VariationalParams, samples: FixedSampleSet, model, laplace,
+                 work: Workspace | None, gradient: bool):
+    """The model's (value, g-bar, G, theta gradient) over the family's draws."""
+    work = work or Workspace(params.family, samples, model, laplace)
+    out = work.model_at(params.theta).expectation(
+        params.mu, _spec(params.family).root(params, laplace), work.draws, gradient)
+    if not math.isfinite(out[0]):
+        raise NumericalError(f"log posterior not finite (mean over the draws {out[0]})")
+    return out
 
 
 def elbo_estimate(params: VariationalParams, samples: FixedSampleSet,
                   model, laplace) -> float:
     """Fixed-sample evidence lower bound at the given parameters."""
-    m, _, w = _sample_points(params, _family_draws(params, samples, laplace), model, laplace)
-    return float(_finite(m.values(w)).mean()) + entropy(params, laplace)
+    value = _expectation(params, samples, model, laplace, None, gradient=False)[0]
+    return value + entropy(params, laplace)
 
 
 def elbo_and_gradient(params: VariationalParams, samples: FixedSampleSet,
-                      model, laplace, draws=None) -> tuple[float, np.ndarray]:
+                      model, laplace, work: Workspace | None = None) -> tuple[float, np.ndarray]:
     """Bound and its gradient w.r.t. the packed free parameters.
 
     All gradients are analytic. The sample term differentiates through
-    w_s = mu + R z_s; the entropy contributes 1/r (resp. 1/sigma) in the
-    scale coordinates and the determinant-lemma terms for the rank-one
-    family. In log-space coordinates those entropy terms become the constant
-    one. Hyperparameter gradients flow only through the log-posterior term.
-    :func:`fit_family` passes ``draws`` (``_family_draws``) computed once per fit.
+    w_s = mu + R z_s (g-bar for mu, G through ``contract``); the entropy
+    contributes 1/r (resp. 1/sigma) in the scale coordinates and the
+    determinant-lemma terms for the rank-one family. In log-space
+    coordinates those entropy terms become the constant one. Hyperparameter
+    gradients flow only through the log-posterior term. :func:`fit_family`
+    passes ``work``, built once per fit.
     """
-    m, z, w = _sample_points(params, draws or _family_draws(params, samples, laplace),
-                             model, laplace)
-    vals, g, theta_g = m.evaluate(w)
-    value = float(_finite(vals).mean())
+    value, gbar, G, theta_g = _expectation(params, samples, model, laplace, work,
+                                           gradient=True)
     spec = _spec(params.family)
     shared = spec.shared(params, laplace)
     value += entropy(params, laplace, shared)
-    fields = spec.contract(params, laplace, g, z, shared)
-    mean = np.full(z.shape[0], 1.0 / z.shape[0])   # a GEMV beats numpy's mean(axis=0) here
-    return value, np.concatenate([mean @ g, *fields, mean @ theta_g])
+    grad = np.concatenate([gbar, *spec.contract(params, laplace, G, shared), theta_g])
+    if not np.isfinite(grad).all():
+        raise NumericalError("bound gradient not finite")
+    return value, grad
 
 
 # ---------------------------------------------------------------------------
@@ -460,19 +476,19 @@ def fit_family(model, laplace, samples: FixedSampleSet, family: str,
     """Optimise one family's fixed-sample bound from its standard (or given) start."""
     params0 = init if init is not None else initialise(family, laplace, seed, diag_variant)
     template = params0.copy()
-    draws = _family_draws(params0, samples, laplace)
+    work = Workspace(family, samples, model, laplace)
 
     def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
         p = unpack(template, x)
         try:
-            val, grad = elbo_and_gradient(p, samples, model, laplace, draws)
+            val, grad = elbo_and_gradient(p, samples, model, laplace, work)
         except NumericalError:
             # A trial point outside the usable region (hyperparameters
             # underflowed to zero or with an overflowing square, a sample with
-            # zero likelihood, a collapsed rank-one root). Report an infinite
-            # value so the optimiser's line search halves the step past it;
-            # only the initial point and a line search without one finite
-            # trial still surface as errors.
+            # zero likelihood, a non-finite gradient, a collapsed rank-one
+            # root). Report an infinite value so the optimiser's line search
+            # halves the step past it; only the initial point and a line
+            # search without one finite trial still surface as errors.
             return np.inf, np.full(x.size, np.nan)
         return -val, -grad
 

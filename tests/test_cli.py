@@ -309,8 +309,12 @@ def test_exit_code_config_error(tmp_path):
     (["--config", "n_samples=0"], "n_samples"),
     (["--config", "n_eval=-1"], "n_eval"),
     (["--config", "n_workers=0"], "n_workers"),
+    (["--splits", "0"], "n_runs"),
+    (["--splits", "-3"], "n_runs"),
+    (["--config", "n_boot=0"], "n_boot"),
 ], ids=["samples-0", "samples-neg", "eval-samples-0", "workers-0", "workers-neg",
-        "config-samples", "config-eval", "config-workers"])
+        "config-samples", "config-eval", "config-workers", "splits-0", "splits-neg",
+        "config-boot"])
 def test_exit_code_bad_count(tmp_path, capsys, argv, key):
     code = cli.main(["cauchy", "--splits", "1", "--out", str(tmp_path / "x")] + argv)
     assert code == 2
@@ -323,6 +327,36 @@ def test_exit_code_bad_count_in_config_file(tmp_path, capsys):
     path.write_text(json.dumps({"n_workers": -3}))
     assert cli.main(["cauchy", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
     assert "n_workers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, argv, key", [
+    ("benchmark", ["--splits", "0"], "n_splits"),
+    ("benchmark", ["--splits", "-3"], "n_splits"),
+    ("benchmark", ["--config", "n_splits=0"], "n_splits"),
+    ("benchmark", ["--config", "n_boot=0"], "n_boot"),
+    ("cauchy", ["--config", "n_runs=0"], "n_runs"),
+    ("cauchy", {"n_runs": 0}, "n_runs"),
+    ("cauchy", {"n_runs": -3}, "n_runs"),
+    ("cauchy", {"n_boot": 0}, "n_boot"),
+    ("benchmark", {"n_splits": 0}, "n_splits"),
+    ("benchmark", {"n_splits": -3}, "n_splits"),
+    ("benchmark", {"n_boot": 0}, "n_boot"),
+], ids=["bench-splits-0", "bench-splits-neg", "bench-config-splits", "bench-config-boot",
+        "config-runs", "file-runs-0", "file-runs-neg", "file-boot", "bench-file-splits-0",
+        "bench-file-splits-neg", "bench-file-boot"])
+def test_exit_code_bad_run_count(tmp_path, capsys, command, argv, key):
+    # the counts of runs, splits and bootstrap draws are checked before any
+    # data is read or any split is fitted, from flags, --config and files
+    if isinstance(argv, dict):   # a config file
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(argv))
+        argv = ["--config", str(path)]
+    data = ["--data", str(tmp_path / "missing.csv")] if command == "benchmark" else []
+    code = cli.main([command, "--out", str(tmp_path / "x")] + data + argv)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+    assert not (tmp_path / "x").exists()
 
 
 def test_exit_code_command_mismatch(tmp_path):

@@ -2,17 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
+from mvipkg.data import mixture_2d_target
 from mvipkg.errors import NumericalError
 from mvipkg.laplace import find_mode, laplace_approximation
 from mvipkg.optimize import OptimConfig, finite_difference_gradient
-from mvipkg.variational import (FAMILIES, VariationalParams, covariance_root,
-                                draw_fixed_samples, elbo_and_gradient,
+from mvipkg.variational import (FAMILIES, FixedSampleSet, VariationalParams, _lemma,
+                                covariance_root, draw_fixed_samples, elbo_and_gradient,
                                 elbo_estimate, entropy, family_samples,
                                 fit_family, initialise, laplace_posterior,
                                 pack, standardize_draws, unpack, warm_start)
 
-from conftest import make_cauchy, make_conjugate
+from conftest import make_cauchy, make_conjugate, make_logistic, make_softmax
 
 HALF_LOG_2PIE = 0.5 * (math.log(2 * math.pi) + 1.0)
 
@@ -202,13 +204,9 @@ def test_elbo_exact_for_conjugate_model():
         pytest.approx(model.log_evidence(), abs=1.0e-9)
 
 
-@pytest.mark.parametrize("family", FAMILIES)
-def test_elbo_gradient_matches_finite_differences(family, cauchy_model):
-    lap = _lap(cauchy_model)
-    samples = draw_fixed_samples(40, lap.dim, seed=11)
-    rng = np.random.default_rng(12)
+def _perturbed(family, lap, rng):
+    """A family's start moved off the Laplace fit in every packed block, theta too."""
     params = initialise(family, lap, seed=3)
-    # perturb away from the stationary start
     params.mu = params.mu + 0.2 * rng.standard_normal(params.dim)
     params.theta = params.theta + 0.1 * rng.standard_normal(params.theta.size)
     if family == "mvi_eig":
@@ -218,6 +216,15 @@ def test_elbo_gradient_matches_finite_differences(family, cauchy_model):
         params.v = 0.3 * rng.standard_normal(params.dim)
     elif family == "vi_diag":
         params.log_sigma = params.log_sigma + 0.2 * rng.standard_normal(params.dim)
+    return params
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_elbo_gradient_matches_finite_differences(family, cauchy_model):
+    lap = _lap(cauchy_model)
+    samples = draw_fixed_samples(40, lap.dim, seed=11)
+    # perturb away from the stationary start
+    params = _perturbed(family, lap, np.random.default_rng(12))
 
     value, grad = elbo_and_gradient(params, samples, cauchy_model, lap)
     assert value == pytest.approx(
@@ -228,6 +235,69 @@ def test_elbo_gradient_matches_finite_differences(family, cauchy_model):
 
     fd = finite_difference_gradient(f, pack(params))
     np.testing.assert_allclose(grad, fd, rtol=5.0e-6, atol=1.0e-7)
+
+
+def _per_draw_bound(params, samples, model, lap):
+    """The bound and its gradient from per-draw gradients: W = mu + z R',
+    ``model.evaluate``, sample means, and each family's contraction of g
+    with its draws z written out, plus the entropy's terms."""
+    z = family_samples(params.family, samples, lap)
+    n = z.shape[0]
+    R = covariance_root(params, lap).root
+    moved = model.with_theta(params.theta) if params.theta.size else model
+    vals, g, theta_g = moved.evaluate(params.mu[None, :] + z @ R.T)
+    value = vals.mean() + entropy(params, lap)
+    blocks = [g.mean(axis=0)]
+    if params.family == "mvi_eig":
+        r = np.exp(params.log_r)
+        blocks.append(((g @ lap.eigvecs) * z).mean(axis=0) * r + 1.0)
+    elif params.family == "vi_diag":
+        sigma = np.exp(params.log_sigma)
+        blocks.append((g * z).mean(axis=0) * sigma + 1.0)
+    elif params.family == "mvi_lr":
+        t = solve_triangular(lap.chol, params.u, lower=True)
+        s = 1.0 + params.v @ t
+        c_inv_t_v = solve_triangular(lap.chol.T, params.v, lower=False)
+        blocks.append(np.einsum("s,sp->p", z @ params.v, g) / n + c_inv_t_v / s)
+        blocks.append(np.einsum("s,sp->p", g @ params.u, z) / n + t / s)
+    blocks.append(theta_g.mean(axis=0))
+    return value, np.concatenate(blocks)
+
+
+ORACLE_MODELS = {"cauchy": make_cauchy, "binary": make_logistic,
+                 "conjugate": make_conjugate, "softmax": make_softmax,
+                 "mixture2d": mixture_2d_target}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("name", ORACLE_MODELS)
+def test_elbo_and_gradient_match_per_draw_oracle(name, family):
+    # the projected pass (Cauchy, binary, conjugate) and the sampled route
+    # (softmax, the mixture) against the per-draw computation, theta moved
+    model = ORACLE_MODELS[name]()
+    lap = _lap(model)
+    # raw draws: their mean and second moment are not 0 and I, so the
+    # prior's terms in z-bar and z'z / S are checked too
+    samples = FixedSampleSet(np.random.default_rng(17).standard_normal((60, lap.dim)), seed=17)
+    params = _perturbed(family, lap, np.random.default_rng(18))
+    if name in ("cauchy", "binary", "softmax"):
+        assert not np.array_equal(params.theta, lap.theta)
+    at_mode = model.value(lap.mean)
+    want_value, want_grad = _per_draw_bound(params, samples, model, lap)
+    value, grad = elbo_and_gradient(params, samples, model, lap)
+    assert value == pytest.approx(want_value, rel=1.0e-12)
+    np.testing.assert_allclose(grad, want_grad, rtol=1.0e-12)
+    assert elbo_estimate(params, samples, model, lap) == pytest.approx(want_value, rel=1.0e-12)
+    assert model.value(lap.mean) == at_mode   # the caller's model never moves
+
+
+def test_lemma_solve_matches_solve_triangular_bit_for_bit(cauchy_model):
+    lap = _lap(cauchy_model)
+    params = initialise("mvi_lr", lap, seed=5)
+    params.u = np.random.default_rng(6).standard_normal(lap.dim)
+    t, s = _lemma(params, lap)
+    np.testing.assert_array_equal(t, solve_triangular(lap.chol, params.u, lower=True))
+    assert s == 1.0 + float(params.v @ t)
 
 
 def test_elbo_raises_on_nonfinite_values(cauchy_model):
