@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 config error, 3 data error, 4 numerical failure.
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -122,9 +123,22 @@ def load_config_args(entries) -> dict:
     return merged
 
 
+def _count(value, key: str) -> int:
+    if type(value) is not int or value < 1:
+        raise ConfigError(f"{key} must be an integer >= 1, got {value!r}")
+    return value
+
+
+def _tolerance(value, key: str) -> float:
+    if type(value) not in (int, float) or not (math.isfinite(value) and value >= 0):
+        raise ConfigError(f"{key} must be a finite number >= 0, got {value!r}")
+    return float(value)
+
+
 def effective_config(command: str, defaults: dict, file_config: dict,
                      overrides: dict) -> dict:
-    """defaults < config file < explicit flags; checks the command and the counts."""
+    """defaults < config file < explicit flags; checks the command, the
+    counts, the grid and optim settings and the ellipse mass."""
     config = json.loads(json.dumps(defaults))
     stated = file_config.get("command")
     if stated is not None and stated != command:
@@ -135,34 +149,40 @@ def effective_config(command: str, defaults: dict, file_config: dict,
         if value is not None:
             config[key] = value
     for key in ("n_samples", "n_eval", "n_workers", "n_runs", "n_splits", "n_boot"):
-        if key in config and (type(config[key]) is not int or config[key] < 1):
-            raise ConfigError(f"{key} must be an integer >= 1, got {config[key]!r}")
+        if key in config:
+            _count(config[key], key)
+    if "grid" in config:
+        _grid_from(config)
+    if "optim" in config:
+        _optim_from(config)
+    mass = config.get("ellipse_mass", 0.5)   # only demo2d has one
+    if type(mass) not in (int, float) or not 0.0 < mass < 1.0:
+        raise ConfigError(f"ellipse_mass must lie in (0, 1), got {mass!r}")
     config["command"] = command
     return config
 
 
 def _grid_from(config: dict) -> GridConfig:
-    g = config.get("grid") or {}
-    try:
-        return GridConfig(
-            basis_sizes=tuple(int(m) for m in g.get("basis_sizes",
-                                                    GridConfig.basis_sizes)),
-            n_pairs=int(g.get("n_pairs", GridConfig.n_pairs)),
-            search_iters=int(g.get("search_iters", GridConfig.search_iters)),
-            final_iters=int(g.get("final_iters", GridConfig.final_iters)))
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"bad grid config: {err}")
+    g = config.get("grid", {})
+    if not isinstance(g, dict):
+        raise ConfigError(f"grid must be an object, got {g!r}")
+    sizes = g.get("basis_sizes", GridConfig.basis_sizes)
+    if not isinstance(sizes, (list, tuple)) or not sizes:
+        raise ConfigError(f"grid.basis_sizes must be a non-empty list, got {sizes!r}")
+    return GridConfig(
+        basis_sizes=tuple(_count(m, "grid.basis_sizes") for m in sizes),
+        **{k: _count(g.get(k, getattr(GridConfig, k)), f"grid.{k}")
+           for k in ("n_pairs", "search_iters", "final_iters")})
 
 
 def _optim_from(config: dict) -> OptimConfig:
-    o = config.get("optim") or {}
-    try:
-        return OptimConfig(
-            max_iters=int(o.get("max_iters", OptimConfig.max_iters)),
-            grad_tol=float(o.get("grad_tol", OptimConfig.grad_tol)),
-            f_tol=float(o.get("f_tol", OptimConfig.f_tol)))
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"bad optim config: {err}")
+    o = config.get("optim", {})
+    if not isinstance(o, dict):
+        raise ConfigError(f"optim must be an object, got {o!r}")
+    return OptimConfig(
+        max_iters=_count(o.get("max_iters", OptimConfig.max_iters), "optim.max_iters"),
+        **{k: _tolerance(o.get(k, getattr(OptimConfig, k)), f"optim.{k}")
+           for k in ("grad_tol", "f_tol")})
 
 
 def _parse_methods(raw):

@@ -28,16 +28,28 @@ the Laplace, variational and evaluation layers program against:
     predictive(W, X)
                     per-sample predictions (regression) or probabilities
 
-The likelihood depends on the weights only through the projections
-F = W phi' (one row per draw, one column per data point), so ``evaluate`` and
-``score`` each form F once and derive every likelihood term from it, the
-Cauchy model from d = gamma^2 + r^2 with r = y - F (see ``CauchyRegression``).
-For draws w_s = mu + R z_s, F - y = Z1 A' exactly, with Z1 = [1 | z] and
-A = [phi mu - y | phi R]: ``expectation`` forms every residual with that one
-GEMM, the model's ``_pass`` turns them in place into E = d loglik / dF, and
-the mean gradients follow from one GEMM E' Z1 and products of size P
-(Cauchy, binary and the conjugate model). Softmax and the 2-D mixture use
-``sampled_expectation``, which forms the points and the per-draw gradients.
+The Cauchy, binary and conjugate likelihoods depend on the weights only
+through the projections F = W phi' (one row per draw, one column per data
+point), and each is written once, as the model's ``_pass(Q, spare,
+gradient, y)``. Q holds F - y for a regression (``_residual``) or F for the
+binary model. The pass returns the log likelihood of each row; the factor
+``scale`` with d loglik / dF = scale * Q once a gradient pass has rewritten
+Q; and, per row, the derivatives in the likelihood's own hyperparameters
+(log gamma for Cauchy). ``_ModelBase`` derives the rest from it, once:
+``values`` (the pass in place), ``evaluate`` with ``grads`` and
+``theta_grads`` (one GEMM of scale * Q with [phi | d phi / d log width]),
+``score`` and ``predictive`` (through the ``_predict`` link of F: the
+identity, or expit for binary), and ``hessian`` from ``_curvature``, the
+per-point -d^2 loglik / dF^2. For draws w_s = mu + R z_s, F - y = Z1 A'
+exactly, with Z1 = [1 | z] and A = [phi mu - y | phi R]: ``expectation``
+forms every residual with that one GEMM, runs the pass in the draws'
+buffers, and takes the mean gradients from one GEMM E' Z1 and products of
+size P.
+
+Softmax and the 2-D mixture keep kernels of their own and use
+``sampled_expectation``, which forms the points and the per-draw gradients:
+K class scores are not one F, and on the 3-class benchmark split the
+projected form would need about twice the flops.
 
 Predictions go through RBF features phi_m(x) = exp(-||x - c_m||^2 / (2 width^2))
 with a trailing bias column of ones, so D = M + 1 features per input. Centres
@@ -50,10 +62,10 @@ in one place, ``_RBFBase``: a class declares ``theta_names`` and a
 ``Model(X, y, centers, **hyper)`` takes one positive keyword per name
 without its ``log_`` prefix, checks the rows, the labels and positivity,
 builds the features and sets ``P``; ``theta`` and ``with_theta`` follow from
-the same names. The kernels ``values``, ``grads``, ``theta_grads`` and
-``hessian`` stay defined on each class itself, even where one just returns
-part of ``evaluate``: the benchmark's tracer times them through each class's
-own ``__dict__``, so an inherited kernel would go untimed.
+the same names. ``values``, ``grads``, ``theta_grads`` and ``hessian`` stay
+bound on each RBF class itself, even where it only re-binds ``_ModelBase``'s:
+the benchmark's tracer times them through each class's own ``__dict__``, so
+an inherited kernel would go untimed.
 
 Priors are kept fully normalised (including the (D/2) ln alpha term), so the
 log-alpha gradient picks up the normaliser's contribution; this is what lets
@@ -244,26 +256,20 @@ def _add_rows(total: np.ndarray | None, rows: np.ndarray) -> np.ndarray:
     return total
 
 
-def _residual_score(W: np.ndarray, phi: np.ndarray, y: np.ndarray, loglik):
-    """Held-out pass of a regression model.
-
-    Returns the mean prediction over the draws and, per draw,
-    ``loglik(y - F)``; ``loglik`` may overwrite its argument.
-    """
-    total, ll = None, np.empty(W.shape[0])
-    for rows, F in _projection_blocks(W, phi):
-        total = _add_rows(total, F)
-        np.subtract(y, F, out=F)
-        ll[rows] = loglik(F)
-    return total / W.shape[0], ll
-
-
 # ---------------------------------------------------------------------------
 # shared model pieces
 # ---------------------------------------------------------------------------
 
 class _ModelBase:
-    """Scalar wrappers, the Gaussian prior, and defaults over the batch methods."""
+    """Scalar wrappers, the Gaussian prior, and every batch method of a model
+    whose likelihood is one F = W phi', derived from its ``_pass``."""
+
+    _residual = True   # ``_pass`` gets the residuals F - y, else the scores F
+
+    @staticmethod
+    def _predict(F: np.ndarray) -> np.ndarray:
+        """Mean prediction from scores F: the identity link of a regression."""
+        return F
 
     def value(self, w: np.ndarray) -> float:
         return float(self.values(_as_batch(w, self.P))[0])
@@ -271,10 +277,65 @@ class _ModelBase:
     def grad(self, w: np.ndarray) -> np.ndarray:
         return self.grads(_as_batch(w, self.P))[0]
 
-    def evaluate(self, W: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(values, grads, theta_grads) at a batch of weights."""
+    def _projections(self, W: np.ndarray) -> np.ndarray:
+        """Q = W phi' - y of a residual likelihood, else W phi', shape (B, N)."""
+        Q = W @ self.phi.T
+        if self._residual:
+            Q -= self.y
+        return Q
+
+    def values(self, W: np.ndarray) -> np.ndarray:
         W = _as_batch(W, self.P)
-        return self.values(W), self.grads(W), self.theta_grads(W)
+        Q = self._projections(W)
+        return self._pass(Q, Q, False, self.y)[0] + self._prior(W)[0]
+
+    def evaluate(self, W: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(values, grads, theta_grads) at a batch of weights, from one pass;
+        the theta columns are the pass's lead rows, log alpha and log width."""
+        W = _as_batch(W, self.P)
+        Q = self._projections(W)
+        rows, scale, lead = self._pass(Q, np.empty_like(Q), True, self.y)
+        Q *= scale   # d loglik / dF
+        # one GEMM gives the weight gradient and d loglik / d phi_w, which,
+        # contracted with the weights, is the log-width derivative of each row
+        both = Q @ self._phi_stack
+        prior, d_lalpha = self._prior(W)
+        grads = both[:, :self.D] - self.alpha * W
+        if not self.theta_names:
+            return rows + prior, grads, np.zeros((W.shape[0], 0))
+        d_lwidth = np.einsum("bm,bm->b", both[:, self.D:], W[:, :-1])
+        return rows + prior, grads, np.stack([*lead, d_lalpha, d_lwidth], axis=1)
+
+    def grads(self, W: np.ndarray) -> np.ndarray:
+        return self.evaluate(W)[1]
+
+    def theta_grads(self, W: np.ndarray) -> np.ndarray:
+        return self.evaluate(W)[2]
+
+    def hessian(self, w: np.ndarray) -> np.ndarray:
+        """-phi' diag(c) phi - alpha I, c the likelihood's ``_curvature`` at w."""
+        F = self.phi @ np.asarray(w, dtype=float).ravel()
+        c = self._curvature(F - self.y if self._residual else F)
+        H = -(self.phi * c[:, None]).T @ self.phi
+        H[np.diag_indices_from(H)] -= self.alpha
+        return H
+
+    def score(self, W: np.ndarray, X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Mean prediction over the draws, shape (N,), and per-draw test log
+        likelihood; each block's F is scored in place after its prediction."""
+        W = _as_batch(W, self.P)
+        y = np.asarray(y, dtype=float).ravel()
+        total, ll = None, np.empty(W.shape[0])
+        for rows, F in _projection_blocks(W, self._features(X)):
+            total = _add_rows(total, self._predict(F))
+            if self._residual:
+                F -= y
+            ll[rows] = self._pass(F, F, False, y)[0]
+        return total / W.shape[0], ll
+
+    def predictive(self, W: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """Per-sample predictions through the ``_predict`` link, shape (B, N)."""
+        return self._predict(_as_batch(W, self.P) @ self._features(X).T)
 
     def data_log_likelihoods(self, W: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Held-out log likelihood of each draw, shape (B,)."""
@@ -299,7 +360,7 @@ class _ModelBase:
         Q, spare = draws.work(self.N)
         spare = spare if gradient else Q   # a value-only pass runs in place
         np.matmul(z1, A.T, out=Q)
-        rows, scale, lead = self._pass(Q, spare, gradient)
+        rows, scale, lead = self._pass(Q, spare, gradient, self.y)
         Rz, RM = R @ zbar, R @ second
         ww = mu @ mu + 2.0 * (mu @ Rz) + np.vdot(RM, R)   # mean of |w_s|^2
         value = (float(draws.weights @ rows) + 0.5 * self.P * (math.log(self.alpha) - _LOG_2PI)
@@ -316,7 +377,8 @@ class _ModelBase:
             return value, gbar, G, np.zeros(0)
         # d loglik / d log width = E[sum_nm e_n phi_w,nm w_m] over the draws
         d_lwidth = np.vdot(T[self.D:], MR[:-1])
-        return value, gbar, G, np.array([*lead, 0.5 * self.P - 0.5 * self.alpha * ww, d_lwidth])
+        return value, gbar, G, np.array([*(draws.weights @ row for row in lead),
+                                         0.5 * self.P - 0.5 * self.alpha * ww, d_lwidth])
 
 
 class _RBFBase(_ModelBase):
@@ -381,16 +443,6 @@ class _RBFBase(_ModelBase):
     def _features(self, X: np.ndarray) -> np.ndarray:
         return rbf_features(X, self.centers, self.width)
 
-    def _phi_w(self) -> np.ndarray:
-        """d phi_nm / d log width, shape (N, M)."""
-        return self._phi_stack[:, self.D:]
-
-    def _contract(self, gf: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """From gf = d loglik / d F, one GEMM gf [phi | phi_w] gives the likelihood's
-        weight gradient and, contracted with W, its log-width derivative per row."""
-        both = gf @ self._phi_stack
-        return both[:, :self.D], np.einsum("bm,bm->b", both[:, self.D:], W[:, :-1])
-
 
 # ---------------------------------------------------------------------------
 # robust regression with a Cauchy likelihood
@@ -414,85 +466,33 @@ class CauchyRegression(_RBFBase):
     def _targets(y: np.ndarray) -> np.ndarray:
         return np.asarray(y, dtype=float).ravel()
 
-    def _spread(self, R: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """d = gamma^2 + r^2 of each residual r in R."""
-        d = np.square(R, out=out)
+    def _pass(self, Q: np.ndarray, spare: np.ndarray, gradient: bool, y: np.ndarray):
+        """Log likelihood N log(gamma / pi) - sum_n log d_n of each row of
+        Q = F - y, with d = gamma^2 + r^2 formed in ``spare``. If ``gradient``,
+        Q becomes (F - y) / d, so that d loglik / dF = -2 Q, and the lead row
+        is d loglik / d log gamma = sum_n (r_n^2 - gamma^2) / d_n
+        = 2 sum_n r_n^2 / d_n - N, from r^2 / d = Q^2 d with no S x N temporary."""
+        d = np.square(Q, out=spare)
         d += self.gamma**2
-        return d
-
-    def _loglik(self, d: np.ndarray) -> np.ndarray:
-        """Log likelihood of each row, N log(gamma / pi) - sum_n log d_n, from
-        d = gamma^2 + r^2 (see ``_spread``); overwrites d with log d."""
+        lead = []
+        if gradient:
+            np.divide(Q, d, out=Q)
+            lead = [2.0 * np.einsum("bn,bn,bn->b", Q, Q, d) - Q.shape[1]]
         np.log(d, out=d)
-        return d.shape[1] * np.log(self.gamma / np.pi) - d @ np.ones(d.shape[1])
+        return Q.shape[1] * np.log(self.gamma / np.pi) - d @ np.ones(Q.shape[1]), -2.0, lead
 
-    def values(self, W: np.ndarray) -> np.ndarray:
-        W = _as_batch(W, self.P)
-        R = W @ self.phi.T
-        return self._loglik(self._spread(np.subtract(self.y, R, out=R), out=R)) + self._prior(W)[0]
+    def _curvature(self, Q: np.ndarray) -> np.ndarray:
+        """-d^2 loglik / df^2 = 2 (gamma^2 - r^2) / (gamma^2 + r^2)^2 at each
+        residual of Q; negative where |r| > gamma."""
+        return 2.0 * (self.gamma**2 - Q**2) / (self.gamma**2 + Q**2) ** 2
 
-    _residual = True   # ``expectation`` hands ``_pass`` the residuals F - y
-
-    def _pass(self, Q: np.ndarray, spare: np.ndarray, gradient: bool):
-        """Log likelihood per row of Q = F - y and, if ``gradient``, the mean
-        d loglik / d log gamma, with Q overwritten by (F - y)/d, so that
-        d loglik / dF = -2 Q: one reciprocal and a multiply, no division."""
-        d = self._spread(Q, out=spare)
-        if not gradient:
-            return self._loglik(d), -2.0, []
-        inv = np.reciprocal(d, out=d)
-        ones = np.ones(self.N)
-        # d loglik / d log gamma = N - 2 gamma^2 sum_n 1/d_n, averaged
-        lead = [self.N - 2.0 * self.gamma**2 * float((inv @ ones).sum()) / Q.shape[0]]
-        np.multiply(Q, inv, out=Q)
-        logs = np.log(inv, out=inv)   # log(1/d) = -log d
-        return self.N * math.log(self.gamma / math.pi) + logs @ ones, -2.0, lead
-
-    def evaluate(self, W: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        W = _as_batch(W, self.P)
-        R = W @ self.phi.T
-        d = self._spread(np.subtract(self.y, R, out=R))
-        # d loglik / d f_n = 2 r_n / d_n, with the factor 2 applied after the GEMM
-        gf, d_lwidth = self._contract(np.divide(R, d, out=R), W)
-        # d loglik / d log gamma = sum_n (r_n^2 - gamma^2) / d_n = N - 2 gamma^2 sum_n 1 / d_n
-        d_lgamma = self.N - 2.0 * self.gamma**2 * (np.reciprocal(d, out=R) @ np.ones(self.N))
-        prior, d_lalpha = self._prior(W)
-        return (self._loglik(d) + prior, 2.0 * gf - self.alpha * W,
-                np.stack([d_lgamma, d_lalpha, 2.0 * d_lwidth], axis=1))
-
-    def grads(self, W: np.ndarray) -> np.ndarray:
-        return self.evaluate(W)[1]
-
-    def theta_grads(self, W: np.ndarray) -> np.ndarray:
-        return self.evaluate(W)[2]
-
-    def hessian(self, w: np.ndarray) -> np.ndarray:
-        w = np.asarray(w, dtype=float).ravel()
-        resid = self.y - self.phi @ w
-        c = 2.0 * (self.gamma**2 - resid**2) / (self.gamma**2 + resid**2) ** 2
-        H = -(self.phi * c[:, None]).T @ self.phi
-        H[np.diag_indices_from(H)] -= self.alpha
-        return H
-
-    def score(self, W: np.ndarray, X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Mean prediction over the draws, shape (N,), and per-draw test log likelihood."""
-        return _residual_score(_as_batch(W, self.P), self._features(X),
-                               np.asarray(y, dtype=float).ravel(),
-                               lambda R: self._loglik(self._spread(R, out=R)))
-
-    def predictive(self, W: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """Per-sample mean predictions, shape (B, N)."""
-        return _as_batch(W, self.P) @ self._features(X).T
+    values, grads, theta_grads, hessian = (_ModelBase.values, _ModelBase.grads,
+                                           _ModelBase.theta_grads, _ModelBase.hessian)
 
 
 # ---------------------------------------------------------------------------
 # binary logistic regression
 # ---------------------------------------------------------------------------
-
-def _logistic_loglik(F: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """sum_n y_n f_n - softplus(f_n) per row of F."""
-    return (y * F - np.logaddexp(0.0, F)).sum(axis=1)
-
 
 class BinaryLogistic(_RBFBase):
     """Logistic regression on RBF features with labels in {0, 1}.
@@ -510,58 +510,24 @@ class BinaryLogistic(_RBFBase):
             raise DataError("binary labels must be coded as 0/1")
         return y
 
-    def values(self, W: np.ndarray) -> np.ndarray:
-        W = _as_batch(W, self.P)
-        return _logistic_loglik(W @ self.phi.T, self.y) + self._prior(W)[0]
+    _residual = False   # the pass gets the scores F
+    _predict = staticmethod(expit)   # the mean prediction is a class-1 probability
 
-    _residual = False   # ``expectation`` hands ``_pass`` the scores F
-
-    def _pass(self, F: np.ndarray, spare: np.ndarray, gradient: bool):
-        """Log likelihood per row of F, and (if ``gradient``) F overwritten
-        with d loglik / dF = y - expit(F)."""
-        rows = F @ self.y - np.logaddexp(0.0, F, out=spare) @ np.ones(self.N)
+    def _pass(self, F: np.ndarray, spare: np.ndarray, gradient: bool, y: np.ndarray):
+        """Log likelihood sum_n y_n f_n - softplus(f_n) of each row of F and,
+        if ``gradient``, F overwritten with d loglik / dF = y - expit(F)."""
+        rows = (y * F - np.logaddexp(0.0, F)).sum(axis=1)
         if gradient:
-            np.subtract(self.y, expit(F, out=F), out=F)
+            np.subtract(y, expit(F, out=F), out=F)
         return rows, 1.0, []
 
-    def evaluate(self, W: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        W = _as_batch(W, self.P)
-        F = W @ self.phi.T
-        prior, d_lalpha = self._prior(W)
-        values = _logistic_loglik(F, self.y) + prior
-        gf = np.subtract(self.y, expit(F, out=F), out=F)
-        grads, d_lwidth = self._contract(gf, W)
-        grads -= self.alpha * W
-        return values, grads, np.stack([d_lalpha, d_lwidth], axis=1)
+    def _curvature(self, F: np.ndarray) -> np.ndarray:
+        """-d^2 loglik / df^2 = s (1 - s), s = expit(f), at each score of F."""
+        s = expit(F)
+        return s * (1.0 - s)
 
-    def grads(self, W: np.ndarray) -> np.ndarray:
-        return self.evaluate(W)[1]
-
-    def theta_grads(self, W: np.ndarray) -> np.ndarray:
-        return self.evaluate(W)[2]
-
-    def hessian(self, w: np.ndarray) -> np.ndarray:
-        w = np.asarray(w, dtype=float).ravel()
-        s = expit(self.phi @ w)
-        r = s * (1.0 - s)
-        H = -(self.phi * r[:, None]).T @ self.phi
-        H[np.diag_indices_from(H)] -= self.alpha
-        return H
-
-    def score(self, W: np.ndarray, X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Mean class-1 probability over the draws, shape (N,), and per-draw
-        test log likelihood."""
-        W = _as_batch(W, self.P)
-        y = np.asarray(y, dtype=float).ravel()
-        total, ll = None, np.empty(W.shape[0])
-        for rows, F in _projection_blocks(W, self._features(X)):
-            ll[rows] = _logistic_loglik(F, y)
-            total = _add_rows(total, expit(F, out=F))
-        return total / W.shape[0], ll
-
-    def predictive(self, W: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """Per-sample class-1 probabilities, shape (B, N)."""
-        return expit(_as_batch(W, self.P) @ self._features(X).T)
+    values, grads, theta_grads, hessian = (_ModelBase.values, _ModelBase.grads,
+                                           _ModelBase.theta_grads, _ModelBase.hessian)
 
 
 # ---------------------------------------------------------------------------
@@ -643,16 +609,11 @@ class SoftmaxRegression(_RBFBase):
         # sum_{k,n} G_bkn dF_bkn with dF = W_k,:-1 phi_w', contracted as
         # ((G phi_w) * W_k,:-1) summed, so the (B, K, N) dF never forms
         Wk = W.reshape(B * self.K, self.D)[:, :-1]
-        d_lwidth = ((G @ self._phi_w()) * Wk).reshape(B, -1).sum(axis=1)
+        d_lwidth = ((G @ self._phi_stack[:, self.D:]) * Wk).reshape(B, -1).sum(axis=1)
         return values, grads, np.stack([d_lalpha, d_lwidth], axis=1)
 
     expectation = sampled_expectation   # the K class scores are not one F
-
-    def grads(self, W: np.ndarray) -> np.ndarray:
-        return self.evaluate(W)[1]
-
-    def theta_grads(self, W: np.ndarray) -> np.ndarray:
-        return self.evaluate(W)[2]
+    grads, theta_grads = _ModelBase.grads, _ModelBase.theta_grads
 
     def hessian(self, w: np.ndarray) -> np.ndarray:
         w = np.asarray(w, dtype=float).ravel()
@@ -726,42 +687,18 @@ class GaussianLinearModel(_ModelBase):
             raise ValueError("the conjugate oracle model has no free hyperparameters")
         return self
 
-    def _loglik(self, R: np.ndarray) -> np.ndarray:
-        """Log likelihood of each row of residuals R."""
-        return (0.5 * R.shape[1] * (np.log(self.beta) - _LOG_2PI)
-                - 0.5 * self.beta * np.einsum("bn,bn->b", R, R))
+    @staticmethod
+    def _features(X: np.ndarray) -> np.ndarray:
+        return np.atleast_2d(np.asarray(X, dtype=float))   # a design matrix
 
-    def values(self, W: np.ndarray) -> np.ndarray:
-        W = _as_batch(W, self.P)
-        return self._loglik(self.y - W @ self.phi.T) + self._prior(W)[0]
+    def _pass(self, Q: np.ndarray, spare: np.ndarray, gradient: bool, y: np.ndarray):
+        """Log likelihood of each row of Q = F - y; d loglik / dF = -beta Q."""
+        return (0.5 * Q.shape[1] * (np.log(self.beta) - _LOG_2PI)
+                - 0.5 * self.beta * np.einsum("bn,bn->b", Q, Q)), -self.beta, []
 
-    _residual = True   # ``expectation`` hands ``_pass`` the residuals F - y
-
-    def _pass(self, Q: np.ndarray, spare: np.ndarray, gradient: bool):
-        """Log likelihood per row of Q = F - y; d loglik / dF = -beta Q."""
-        sq = np.square(Q, out=spare) @ np.ones(self.N)
-        return 0.5 * self.N * (math.log(self.beta) - _LOG_2PI) - 0.5 * self.beta * sq, -self.beta, []
-
-    def grads(self, W: np.ndarray) -> np.ndarray:
-        W = _as_batch(W, self.P)
-        resid = self.y[None, :] - W @ self.phi.T
-        return self.beta * resid @ self.phi - self.alpha * W
-
-    def hessian(self, w: np.ndarray) -> np.ndarray:
-        H = -self.beta * self.phi.T @ self.phi
-        H[np.diag_indices_from(H)] -= self.alpha
-        return H
-
-    def theta_grads(self, W: np.ndarray) -> np.ndarray:
-        return np.zeros((_as_batch(W, self.P).shape[0], 0))
-
-    def score(self, W: np.ndarray, X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Mean prediction over the draws and per-draw test log likelihood."""
-        return _residual_score(_as_batch(W, self.P), np.atleast_2d(np.asarray(X, dtype=float)),
-                               np.asarray(y, dtype=float).ravel(), self._loglik)
-
-    def predictive(self, W: np.ndarray, X: np.ndarray) -> np.ndarray:
-        return _as_batch(W, self.P) @ np.atleast_2d(np.asarray(X, dtype=float)).T
+    def _curvature(self, Q: np.ndarray) -> np.ndarray:
+        """-d^2 loglik / df^2 = beta at every point."""
+        return np.full_like(Q, self.beta)
 
     # -- closed forms --------------------------------------------------------
 

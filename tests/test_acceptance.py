@@ -29,7 +29,7 @@ from mvipkg.variational import (FAMILIES, VariationalParams, draw_fixed_samples,
 from mvipkg.evaluate import lpd
 from mvipkg.variational import PosteriorGaussian
 
-from conftest import ALL_MODEL_MAKERS, make_conjugate
+from makers import ALL_MODEL_MAKERS, make_conjugate
 
 
 def _verdict(num: int, label: str, ok: bool, detail: str, elapsed: float = None):

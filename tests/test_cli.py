@@ -312,9 +312,21 @@ def test_exit_code_config_error(tmp_path):
     (["--splits", "0"], "n_runs"),
     (["--splits", "-3"], "n_runs"),
     (["--config", "n_boot=0"], "n_boot"),
+    (["--config", "grid.n_pairs=0"], "grid.n_pairs"),
+    (["--config", "grid.basis_sizes=[]"], "grid.basis_sizes"),
+    (["--config", "grid.basis_sizes=[10, 0]"], "grid.basis_sizes"),
+    (["--config", "grid.search_iters=-1"], "grid.search_iters"),
+    (["--config", "grid.final_iters=2.5"], "grid.final_iters"),
+    (["--config", "optim.max_iters=0"], "optim.max_iters"),
+    (["--config", "optim.grad_tol=-1"], "optim.grad_tol"),
+    (["--config", "optim.f_tol=NaN"], "optim.f_tol"),
+    (["--config", "optim.f_tol=Infinity"], "optim.f_tol"),
+    (["--config", "grid=5"], "grid"),
 ], ids=["samples-0", "samples-neg", "eval-samples-0", "workers-0", "workers-neg",
         "config-samples", "config-eval", "config-workers", "splits-0", "splits-neg",
-        "config-boot"])
+        "config-boot", "grid-pairs-0", "grid-sizes-empty", "grid-sizes-0",
+        "grid-search-neg", "grid-final-float", "optim-iters-0", "optim-grad-tol-neg",
+        "optim-f-tol-nan", "optim-f-tol-inf", "grid-not-object"])
 def test_exit_code_bad_count(tmp_path, capsys, argv, key):
     code = cli.main(["cauchy", "--splits", "1", "--out", str(tmp_path / "x")] + argv)
     assert code == 2
@@ -341,11 +353,23 @@ def test_exit_code_bad_count_in_config_file(tmp_path, capsys):
     ("benchmark", {"n_splits": 0}, "n_splits"),
     ("benchmark", {"n_splits": -3}, "n_splits"),
     ("benchmark", {"n_boot": 0}, "n_boot"),
+    ("benchmark", ["--config", "grid.n_pairs=0"], "grid.n_pairs"),
+    ("benchmark", {"grid": {"basis_sizes": []}}, "grid.basis_sizes"),
+    ("cauchy", {"optim": {"max_iters": 0}}, "optim.max_iters"),
+    ("demo2d", ["--config", "optim.grad_tol=-1"], "optim.grad_tol"),
+    ("demo2d", ["--config", "ellipse_mass=1.5"], "ellipse_mass"),
+    ("demo2d", ["--config", "ellipse_mass=0"], "ellipse_mass"),
+    ("demo2d", {"ellipse_mass": 1}, "ellipse_mass"),
+    ("demo2d", {"optim": [1]}, "optim"),
 ], ids=["bench-splits-0", "bench-splits-neg", "bench-config-splits", "bench-config-boot",
         "config-runs", "file-runs-0", "file-runs-neg", "file-boot", "bench-file-splits-0",
-        "bench-file-splits-neg", "bench-file-boot"])
+        "bench-file-splits-neg", "bench-file-boot", "bench-grid-pairs-0",
+        "bench-file-grid-sizes", "file-optim-iters", "demo-grad-tol-neg",
+        "demo-ellipse-mass-high", "demo-ellipse-mass-0", "demo-file-ellipse-mass-1",
+        "demo-file-optim-not-object"])
 def test_exit_code_bad_run_count(tmp_path, capsys, command, argv, key):
-    # the counts of runs, splits and bootstrap draws are checked before any
+    # the counts of runs, splits and bootstrap draws, the grid and optim
+    # settings and the ellipse mass are checked before any
     # data is read or any split is fitted, from flags, --config and files
     if isinstance(argv, dict):   # a config file
         path = tmp_path / "cfg.json"

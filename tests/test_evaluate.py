@@ -13,7 +13,7 @@ from mvipkg.laplace import find_mode, laplace_approximation
 from mvipkg.models import BinaryLogistic, SoftmaxRegression, rbf_features
 from mvipkg.variational import PosteriorGaussian
 
-from conftest import make_cauchy, make_conjugate, make_logistic, make_softmax
+from makers import make_cauchy, make_conjugate, make_logistic, make_softmax
 
 
 def _posterior_for(model):

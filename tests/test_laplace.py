@@ -10,7 +10,7 @@ from mvipkg.laplace import (GridConfig, find_mode, hyperparameter_search,
                             laplace_approximation)
 from mvipkg.optimize import OptimConfig
 
-from conftest import make_cauchy, make_conjugate, make_logistic
+from makers import make_cauchy, make_conjugate, make_logistic
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from mvipkg.models import (BinaryLogistic, CauchyRegression, GaussianLinearModel
                            squared_distances)
 from mvipkg.optimize import finite_difference_gradient, finite_difference_jacobian
 
-from conftest import ALL_MODEL_MAKERS, make_conjugate
+from makers import ALL_MODEL_MAKERS, make_conjugate
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +377,12 @@ def test_batched_grads_match_loop(name):
     batched = model.grads(W)
     looped = np.vstack([model.grad(w) for w in W])
     np.testing.assert_allclose(batched, looped, rtol=1.0e-12)
+    # per row, not only summed over the batch: a lead averaged over the rows
+    # and broadcast back would still match a finite difference of the sum
+    batched = model.theta_grads(W)
+    looped = np.vstack([model.theta_grads(w[None, :])[0] for w in W])
+    assert batched.shape == (W.shape[0], model.theta.size)
+    np.testing.assert_allclose(batched, looped, rtol=1.0e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +412,17 @@ def test_rbf_models_define_traced_kernels_on_the_class():
     for cls in (CauchyRegression, BinaryLogistic, SoftmaxRegression):
         for method in ("values", "grads", "theta_grads", "hessian"):
             assert method in vars(cls), (cls.__name__, method)
+
+
+def test_binary_predictions_are_class_one_probabilities():
+    # the binary link: predictive and score's mean go through expit(W phi'),
+    # where the regression models return the projections themselves
+    model = ALL_MODEL_MAKERS["logistic"]()
+    W = np.random.default_rng(18).standard_normal((4, model.P))
+    want = 1.0 / (1.0 + np.exp(-(W @ model.phi.T)))
+    np.testing.assert_allclose(model.predictive(W, model.X), want, rtol=1.0e-12)
+    np.testing.assert_allclose(model.score(W, model.X, model.y)[0], want.mean(axis=0),
+                               rtol=1.0e-12)
 
 
 def _one_shot_log_likelihoods(model, W, X, y):

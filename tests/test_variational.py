@@ -14,7 +14,7 @@ from mvipkg.variational import (FAMILIES, FixedSampleSet, VariationalParams, _le
                                 fit_family, initialise, laplace_posterior,
                                 pack, standardize_draws, unpack, warm_start)
 
-from conftest import make_cauchy, make_conjugate, make_logistic, make_softmax
+from makers import make_cauchy, make_conjugate, make_logistic, make_softmax
 
 HALF_LOG_2PIE = 0.5 * (math.log(2 * math.pi) + 1.0)
 
