@@ -80,14 +80,17 @@ def run_split(train, test, methods=METHODS, seed: int = 0, n_samples: int = 1000
     """Fit the requested methods on one train/test pair and score them.
 
     Returns (records, timing, search_info). The evaluation seed is shared
-    across methods, so paired comparisons run on common random numbers.
+    across methods, so paired comparisons run on common random numbers;
+    each method is scored once.
     Each variational record carries ``theta``, the log-space hyperparameters
     its fit ended at; the Laplace ones are ``search_info["theta_la"]``.
     Every record carries its fit's diagnostics: ``n_iters``, ``n_evals``,
     ``stop_reason`` and the final max-norm gradient ``grad_norm`` (for
     laplace, those of the final mode search). A family with two published
-    starts (vi_diag) fits both and keeps the better held-out lpd, recording
-    which variant won (whose diagnostics the record holds) and the loser's lpd.
+    starts (vi_diag) fits both and keeps the higher training bound
+    (``variational.fit_best``); its record names the kept ``variant`` and
+    holds the other start's bound ``elbo_other`` and its diagnostics under
+    the same names with the suffix ``_other``.
     The search info counts the failed grid candidates (``grid_failed``) and
     the failures of each kind (``grid_failures``).
     """
@@ -120,15 +123,6 @@ def run_split(train, test, methods=METHODS, seed: int = 0, n_samples: int = 1000
         samples = variational.draw_fixed_samples(
             n_samples, model.P, derive_seed(seed, SALT_SAMPLES))
 
-    def scored_fit(family, variant):
-        fit = variational.fit_family(
-            model, lap, samples, family, seed=derive_seed(seed, SALT_INIT),
-            config=optim, diag_variant=variant)
-        posterior = variational.covariance_root(fit.params, lap)
-        sc = score(posterior, model.with_theta(fit.params.theta),
-                   test.X, test.y, n_samples=n_eval, seed=eval_seed)
-        return fit, sc
-
     for method in methods:
         t0 = time.perf_counter()
         if method == "laplace":
@@ -138,17 +132,20 @@ def run_split(train, test, methods=METHODS, seed: int = 0, n_samples: int = 1000
                    "elbo": float(lap.bound_at_mode),
                    **_fit_diagnostics(search.mode)}
         else:
-            candidates = {v: scored_fit(method, v)
-                          for v in variational.FAMILY_SPECS[method].variants}
-            variant = max(candidates, key=lambda v: candidates[v][1].lpd)
-            fit, sc = candidates.pop(variant)
+            variant, fit, others = variational.fit_best(
+                model, lap, samples, method, seed=derive_seed(seed, SALT_INIT),
+                config=optim)
+            sc = score(variational.covariance_root(fit.params, lap),
+                       model.with_theta(fit.params.theta),
+                       test.X, test.y, n_samples=n_eval, seed=eval_seed)
             rec = {"lpd": float(sc.lpd), metric: float(getattr(sc, metric)),
                    "elbo": float(fit.elbo),
                    **_fit_diagnostics(fit.opt),
                    "theta": [float(t) for t in fit.params.theta]}
-            if candidates:   # the other published start
-                (_, other), = candidates.values()
-                rec.update(variant=variant, lpd_other=float(other.lpd))
+            if others:   # the other published start
+                (other,) = others.values()
+                rec.update(variant=variant, elbo_other=float(other.elbo),
+                           **{f"{k}_other": v for k, v in _fit_diagnostics(other.opt).items()})
         records[method] = rec
         timing[method] = time.perf_counter() - t0
     return records, timing, info
@@ -420,7 +417,8 @@ def run_fit(train, method: str, seed: int = 0, n_samples: int = 1000,
     binary sidecar. ``meta["elbo_estimate"]`` is recomputed through
     elbo_estimate at the fitted parameters, so a reload that rebuilds the
     same inputs reproduces it bit-for-bit. For vi_diag both initialisations
-    are fitted and the better final bound is kept. ``meta`` carries the
+    are fitted and, as in ``run_split``, the higher final bound is kept
+    (``variational.fit_best``). ``meta`` carries the
     fit's diagnostics: ``n_iters``, ``n_evals``, ``stop_reason`` and
     ``grad_norm``.
     """
@@ -455,22 +453,17 @@ def run_fit(train, method: str, seed: int = 0, n_samples: int = 1000,
 
     samples = variational.draw_fixed_samples(
         n_samples, model.P, meta["sample_seed"])
-    spec = variational.FAMILY_SPECS[method]
-    fits = {v: variational.fit_family(model, lap, samples, method,
-                                      seed=meta["init_seed"], config=optim,
-                                      diag_variant=v)
-            for v in spec.variants}
-    variant = max(fits, key=lambda v: fits[v].elbo)
-    if len(fits) > 1:
+    variant, fit, others = variational.fit_best(model, lap, samples, method,
+                                                seed=meta["init_seed"], config=optim)
+    if others:
         meta["variant"] = variant
-    fit = fits[variant]
     params = fit.params
     meta.update(_fit_diagnostics(fit.opt))
     meta["elbo_estimate"] = float(variational.elbo_estimate(
         params, samples, model, lap))
     arrays["mu"] = params.mu
     arrays["theta"] = params.theta
-    for name in spec.fields:
+    for name in variational.FAMILY_SPECS[method].fields:
         arrays[name] = getattr(params, name)
     return meta, arrays
 

@@ -1,9 +1,9 @@
 """Held-out evaluation of fitted Gaussian posteriors.
 
 The central quantity is the Monte Carlo log predictive density: draw weights
-from the posterior, average the test-set likelihood over the draws in
-probability space, take the log. The average is computed with log-sum-exp, so
-only the log-likelihoods themselves ever need to be finite.
+w_s = mean + R z_s from the posterior, average the test-set likelihood over
+the draws in probability space, take the log. The average is computed with
+log-sum-exp, so only the log-likelihoods themselves ever need to be finite.
 
 Conventions worth stating once:
 
@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .variational import PosteriorGaussian
 
 log = logging.getLogger(__name__)
@@ -43,36 +43,22 @@ def log_mean_exp(values: np.ndarray) -> tuple[float, float]:
 
     The standard error is for the log-mean (delta method): sd of the
     normalised weights over sqrt(S) divided by their mean. Returns
-    (-inf, inf) when every value is -inf.
+    (-inf, inf) when every value is -inf, and raises NumericalError on a
+    NaN or +inf value, which no likelihood can give.
     """
     values = np.asarray(values, dtype=float)
     s = values.size
     m = np.max(values)
-    if not np.isfinite(m):
+    if np.isnan(m) or m == np.inf:   # max propagates NaN
+        raise NumericalError(f"a held-out log likelihood is {m}; the draws "
+                             "cannot be averaged")
+    if m == -np.inf:
         return -np.inf, np.inf
     w = np.exp(values - m)
     w_mean = float(w.mean())
     lme = float(m + np.log(w_mean))
     se = float(w.std(ddof=1) / (np.sqrt(s) * w_mean)) if s > 1 else np.inf
     return lme, se
-
-
-def lpd(posterior: PosteriorGaussian, model, X_test, y_test,
-        n_samples: int = 10_000, seed: int = 0,
-        with_se: bool = False):
-    """Joint test-set log predictive density under the posterior.
-
-    A root of zeros collapses every draw onto the mean, and the estimate
-    reduces to the test log-likelihood at the mean for any sample count.
-    Returns -inf (with a logged diagnostic) if every draw assigns the test
-    set zero likelihood.
-    """
-    draws = posterior_draws(posterior, n_samples, seed)
-    ll = model.data_log_likelihoods(draws, X_test, y_test)
-    value, se = log_mean_exp(ll)
-    if value == -np.inf:
-        log.warning("every posterior draw gave zero test likelihood; lpd is -inf")
-    return (value, se) if with_se else value
 
 
 @dataclass
@@ -90,6 +76,18 @@ class PredictiveScore:
     seed: int = 0
 
 
+def _scored(posterior: PosteriorGaussian, model, X_test, y_test, n_samples: int,
+            seed: int) -> tuple[np.ndarray, float]:
+    """(mean prediction, joint lpd) from one ``model.score`` pass over the
+    draws mean + R z_s, z drawn under ``seed``."""
+    z = np.random.default_rng(seed).standard_normal((n_samples, posterior.dim))
+    mean, ll = model.score(posterior.mean, posterior.root, z, X_test, y_test)
+    value, _ = log_mean_exp(ll)
+    if value == -np.inf:
+        log.warning("every posterior draw gave zero test likelihood; lpd is -inf")
+    return mean, value
+
+
 def classification_metrics(posterior: PosteriorGaussian, model, X_test, y_test,
                            n_samples: int = 10_000, seed: int = 0) -> PredictiveScore:
     """Error rate and joint lpd from one set of posterior draws.
@@ -100,8 +98,7 @@ def classification_metrics(posterior: PosteriorGaussian, model, X_test, y_test,
     probability 0.5 (ties fall to class 0); multiclass predictions take the
     first argmax, which also resolves ties toward the lowest class index.
     """
-    draws = posterior_draws(posterior, n_samples, seed)
-    mean_probs, ll = model.score(draws, X_test, y_test)
+    mean_probs, value = _scored(posterior, model, X_test, y_test, n_samples, seed)
     y = np.asarray(y_test)
     if mean_probs.ndim == 1:
         predicted = (mean_probs > 0.5).astype(int)
@@ -110,9 +107,6 @@ def classification_metrics(posterior: PosteriorGaussian, model, X_test, y_test,
         predicted = mean_probs.argmax(axis=1)
         truth = np.atleast_2d(y).argmax(axis=1)
     error_rate = float(np.mean(predicted != truth))
-    value, _ = log_mean_exp(ll)
-    if value == -np.inf:
-        log.warning("every posterior draw gave zero test likelihood; lpd is -inf")
     return PredictiveScore(lpd=value, error_rate=error_rate,
                            n_samples=n_samples, seed=seed)
 
@@ -120,16 +114,10 @@ def classification_metrics(posterior: PosteriorGaussian, model, X_test, y_test,
 def regression_metrics(posterior: PosteriorGaussian, model, X_test, y_test,
                        n_samples: int = 10_000, seed: int = 0) -> PredictiveScore:
     """Mean squared error of the Monte Carlo mean prediction, plus per-point lpd."""
-    draws = posterior_draws(posterior, n_samples, seed)
-    preds, ll = model.score(draws, X_test, y_test)
+    preds, value = _scored(posterior, model, X_test, y_test, n_samples, seed)
     y = np.asarray(y_test, dtype=float).ravel()
     mse = float(np.mean((y - preds) ** 2))
-    value, _ = log_mean_exp(ll)
-    if value == -np.inf:
-        log.warning("every posterior draw gave zero test likelihood; lpd is -inf")
-    else:
-        value = value / y.size
-    return PredictiveScore(lpd=value, mse=mse, n_samples=n_samples, seed=seed)
+    return PredictiveScore(lpd=value / y.size, mse=mse, n_samples=n_samples, seed=seed)
 
 
 def predictive_curve(posterior: PosteriorGaussian, model, x_grid,

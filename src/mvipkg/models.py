@@ -20,11 +20,10 @@ the Laplace, variational and evaluation layers program against:
                     its weight gradient g, G = sum_s g_s z_s' / S and the
                     theta gradient; one call per variational evaluation
     hessian         dense Hessian w.r.t. the weights at one point
-    score(W, X, y)  held-out pass: (mean prediction over the draws, per-draw
-                    test log likelihood), streaming the draws in fixed blocks
-    data_log_likelihoods(W, X, y)
-                    likelihood-only terms on held-out data, summed over rows
-                    (the second half of ``score``)
+    score(mu, R, z, X, y)
+                    held-out pass over the draws w_s = mu + R z_s: (mean
+                    prediction over the draws, per-draw test log likelihood),
+                    streaming the draws in fixed blocks
     predictive(W, X)
                     per-sample predictions (regression) or probabilities
 
@@ -38,13 +37,16 @@ Q; and, per row, the derivatives in the likelihood's own hyperparameters
 (log gamma for Cauchy). ``_ModelBase`` derives the rest from it, once:
 ``values`` (the pass in place), ``evaluate`` with ``grads`` and
 ``theta_grads`` (one GEMM of scale * Q with [phi | d phi / d log width]),
-``score`` and ``predictive`` (through the ``_predict`` link of F: the
-identity, or expit for binary), and ``hessian`` from ``_curvature``, the
-per-point -d^2 loglik / dF^2. For draws w_s = mu + R z_s, F - y = Z1 A'
-exactly, with Z1 = [1 | z] and A = [phi mu - y | phi R]: ``expectation``
-forms every residual with that one GEMM, runs the pass in the draws'
-buffers, and takes the mean gradients from one GEMM E' Z1 and products of
-size P.
+``predictive`` (through the ``_predict`` link of F: the identity, or expit
+for binary), and ``hessian`` from ``_curvature``, the per-point
+-d^2 loglik / dF^2. For draws w_s = mu + R z_s, F - y = Z1 A' exactly, with
+Z1 = [1 | z] and A = [phi mu - y | phi R]: ``expectation`` forms every
+residual with that one GEMM, runs the pass in the draws' buffers, and takes
+the mean gradients from one GEMM E' Z1 and products of size P. ``score``
+forms the held-out residuals the same way, with phi the test features, one
+block of draws at a time; the identity link's mean prediction is
+phi (mu + R z-bar) in closed form, and binary's is the mean of expit(F)
+over the draws.
 
 Softmax and the 2-D mixture keep kernels of their own and use
 ``sampled_expectation``, which forms the points and the per-draw gradients:
@@ -221,7 +223,8 @@ def sampled_expectation(model, mu: np.ndarray, R: np.ndarray, draws: FixedDraws,
 # ---------------------------------------------------------------------------
 
 def _projection_blocks(W: np.ndarray, phi: np.ndarray, rows_per_draw: int = 1):
-    """Yield (draw slice, F) with F = W[slice] phi' for consecutive blocks.
+    """Yield (draw slice, F) with F = W[slice] phi' for consecutive blocks:
+    the scores of softmax draws W, or the residuals Z1 A' when W = Z1, phi = A.
 
     Every F is a view of one reused buffer, which the caller may overwrite.
     A softmax draw contributes ``rows_per_draw`` = K rows of F. A lone last
@@ -320,26 +323,31 @@ class _ModelBase:
         H[np.diag_indices_from(H)] -= self.alpha
         return H
 
-    def score(self, W: np.ndarray, X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Mean prediction over the draws, shape (N,), and per-draw test log
-        likelihood; each block's F is scored in place after its prediction."""
-        W = _as_batch(W, self.P)
+    def score(self, mu: np.ndarray, R: np.ndarray, z: np.ndarray, X: np.ndarray,
+              y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Mean prediction over the draws w_s = mu + R z_s, shape (N,), and
+        per-draw test log likelihood. Each block of residuals (of scores, for
+        binary) is one GEMM Z1 A' with A = [phi mu - y | phi R], scored in
+        place. The identity link's mean is linear in the draws, so a residual
+        likelihood takes it in closed form, phi (mu + R z-bar)."""
+        phi = self._features(X)
         y = np.asarray(y, dtype=float).ravel()
-        total, ll = None, np.empty(W.shape[0])
-        for rows, F in _projection_blocks(W, self._features(X)):
-            total = _add_rows(total, self._predict(F))
-            if self._residual:
-                F -= y
-            ll[rows] = self._pass(F, F, False, y)[0]
-        return total / W.shape[0], ll
+        A = phi @ np.column_stack([mu, R])
+        if self._residual:
+            A[:, 0] -= y
+        S = z.shape[0]
+        total, ll = None, np.empty(S)
+        for rows, Q in _projection_blocks(np.hstack([np.ones((S, 1)), z]), A):
+            if not self._residual:
+                total = _add_rows(total, self._predict(Q))
+            ll[rows] = self._pass(Q, Q, False, y)[0]
+        if self._residual:
+            return phi @ (mu + R @ z.mean(axis=0)), ll
+        return total / S, ll
 
     def predictive(self, W: np.ndarray, X: np.ndarray) -> np.ndarray:
         """Per-sample predictions through the ``_predict`` link, shape (B, N)."""
         return self._predict(_as_batch(W, self.P) @ self._features(X).T)
-
-    def data_log_likelihoods(self, W: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Held-out log likelihood of each draw, shape (B,)."""
-        return self.score(W, X, y)[1]
 
     def _prior(self, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Normalised N(0, I/alpha) log density of each row, and its log-alpha derivative."""
@@ -625,10 +633,12 @@ class SoftmaxRegression(_RBFBase):
         H[np.diag_indices_from(H)] -= self.alpha
         return H
 
-    def score(self, W: np.ndarray, X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Mean class probabilities over the draws, shape (N, K), and per-draw
-        test log likelihood."""
-        W = _as_batch(W, self.P)
+    def score(self, mu: np.ndarray, R: np.ndarray, z: np.ndarray, X: np.ndarray,
+              Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Mean class probabilities over the draws w_s = mu + R z_s, shape
+        (N, K), and per-draw test log likelihood, from the draws themselves:
+        projecting them would cost K times the flops."""
+        W = mu[None, :] + z @ R.T
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
         total, ll = None, np.empty(W.shape[0])
         for rows, F in _projection_blocks(W, self._features(X), self.K):
@@ -659,8 +669,7 @@ class GaussianLinearModel(_ModelBase):
     empty and the variational stage has nothing to move.
 
     The design matrix is taken as given (identity feature map), so the X
-    argument of ``score``/``data_log_likelihoods``/``predictive`` is itself a
-    design matrix.
+    argument of ``score``/``predictive`` is itself a design matrix.
     """
 
     theta_names: tuple = ()

@@ -188,7 +188,7 @@ class FamilySpec:
     contract: Callable          # (params, laplace, G, shared) -> gradient blocks of the fields:
                                 # the sample term from G alone plus the entropy's terms
     init: Callable              # (laplace, seed, variant) -> starting fields
-    variants: tuple[str, ...] = ("laplace",)  # starts ``init`` accepts; benchmarks fit each
+    variants: tuple[str, ...] = ("laplace",)  # starts ``init`` accepts; ``fit_best`` fits each
     remap: Optional[Callable] = None          # laplace -> M: the family's samples are z M
     shared: Callable = lambda params, lap: None  # what log_det and contract share per point
 
@@ -424,8 +424,9 @@ def initialise(family: str, laplace, seed: int = 0,
 
     vi_diag has two published starting points: sigma^2 equal to the Laplace
     covariance diagonal (``diag_variant="laplace"``) or sigma^2 = 1e-4
-    (``diag_variant="small"``). Benchmarks run both and keep the better
-    held-out score. The other families have the one start, "laplace".
+    (``diag_variant="small"``). :func:`fit_best` fits both and keeps the
+    higher training bound, never a test-set score. The other families have
+    the one start, "laplace".
     """
     spec = _spec(family)
     if diag_variant not in spec.variants:
@@ -495,3 +496,14 @@ def fit_family(model, laplace, samples: FixedSampleSet, family: str,
     result = minimize(objective, pack(params0), config or OptimConfig())
     fitted = unpack(template, result.x)
     return FitResult(params=fitted, elbo=-result.f, opt=result)
+
+
+def fit_best(model, laplace, samples: FixedSampleSet, family: str, seed: int = 0,
+             config: OptimConfig | None = None) -> tuple[str, FitResult, dict[str, FitResult]]:
+    """Fit every start the family lists and keep the highest bound, ties to
+    the first listed: (kept variant, its fit, the other fits by variant)."""
+    fits = {v: fit_family(model, laplace, samples, family, seed=seed, config=config,
+                          diag_variant=v)
+            for v in _spec(family).variants}
+    variant = max(fits, key=lambda v: fits[v].elbo)   # max keeps the first of equals
+    return variant, fits.pop(variant), fits

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mvipkg import bench
+from mvipkg import bench, evaluate, models, variational
 from mvipkg.data import Dataset, SplitPlan, generate_cauchy_task
 from mvipkg.errors import ConfigError
 from mvipkg.laplace import GridConfig
@@ -50,10 +50,16 @@ def test_run_split_record_structure():
     for rec in recs.values():
         assert {"lpd", "mse", "elbo", "n_iters"} <= set(rec)
         assert np.isfinite(rec["lpd"]) and np.isfinite(rec["mse"])
-    assert recs["vi_diag"]["variant"] in ("laplace", "small")
-    assert np.isfinite(recs["vi_diag"]["lpd_other"])
-    assert recs["vi_diag"]["lpd"] >= recs["vi_diag"]["lpd_other"]
+    diag = recs["vi_diag"]
+    assert diag["variant"] in ("laplace", "small")
+    # the kept start has the higher training bound; the other start's bound
+    # and diagnostics ride along, and no test-set score of it exists
+    assert np.isfinite(diag["elbo_other"]) and diag["elbo"] >= diag["elbo_other"]
+    assert {"n_iters_other", "n_evals_other", "stop_reason_other",
+            "grad_norm_other"} <= set(diag)
+    assert "lpd_other" not in diag
     assert "variant" not in recs["mvi_mu"]
+    assert not any(k.endswith("_other") for k in recs["mvi_mu"])
     assert set(timing) == {"search", "laplace", "mvi_mu", "vi_diag"}
     assert info["n_centers"] == 6 - 1  # M = 5 centres
     assert len(info["theta_la"]) == 3
@@ -93,6 +99,87 @@ def test_run_split_shares_evaluation_draws():
         train, test, methods=("mvi_mu",), seed=5, n_samples=100,
         n_eval=200, grid=SMALL_GRID, optim=SMALL_OPTIM)
     assert joint["mvi_mu"] == solo["mvi_mu"]
+
+
+def test_run_split_scores_each_method_once(monkeypatch):
+    # one metrics call per reported method, vi_diag's two starts included,
+    # each on the evaluation draws: the same count under the same seed
+    calls = []
+    real = evaluate.regression_metrics
+
+    def counted(*args, **kwargs):
+        calls.append((kwargs["n_samples"], kwargs["seed"]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(evaluate, "regression_metrics", counted)
+    train, test = _small_task(seed=2)
+    methods = ("laplace", "mvi_mu", "vi_diag")
+    recs, _, _ = bench.run_split(
+        train, test, methods=methods, seed=5, n_samples=100, n_eval=200,
+        grid=SMALL_GRID, optim=SMALL_OPTIM)
+    assert len(calls) == len(methods) == len(recs)
+    assert set(calls) == {(200, bench.derive_seed(5, bench.SALT_EVAL))}
+
+
+def _fake_fits(monkeypatch, elbos):
+    """Make ``fit_family`` return a stub fit whose bound is ``elbos[variant]``."""
+    real = variational.fit_family
+
+    def fake(model, laplace, samples, family, seed=0, config=None, init=None,
+             diag_variant="laplace"):
+        fit = real(model, laplace, samples, family, seed=seed,
+                   config=OptimConfig(max_iters=1), diag_variant=diag_variant)
+        return variational.FitResult(fit.params, elbos[diag_variant], fit.opt)
+
+    monkeypatch.setattr(variational, "fit_family", fake)
+
+
+@pytest.mark.parametrize("elbos, kept", [
+    ({"laplace": -3.0, "small": -2.0}, "small"),
+    ({"laplace": -2.0, "small": -3.0}, "laplace"),
+    ({"laplace": -2.0, "small": -2.0}, "laplace"),   # a tie goes to the first
+])
+def test_vi_diag_keeps_the_highest_bound(monkeypatch, elbos, kept):
+    _fake_fits(monkeypatch, elbos)
+    train, test = _small_task(seed=1)
+    recs, _, _ = bench.run_split(
+        train, test, methods=("vi_diag",), seed=3, n_samples=50, n_eval=50,
+        grid=SMALL_GRID, optim=SMALL_OPTIM)
+    other = "small" if kept == "laplace" else "laplace"
+    assert recs["vi_diag"]["variant"] == kept
+    assert recs["vi_diag"]["elbo"] == elbos[kept]
+    assert recs["vi_diag"]["elbo_other"] == elbos[other]
+    meta, _ = bench.run_fit(train, "vi_diag", seed=3, n_samples=50,
+                            grid=SMALL_GRID, optim=SMALL_OPTIM)
+    assert meta["variant"] == kept
+
+
+def test_run_fit_and_run_split_keep_the_same_variant():
+    train, test = _small_task(seed=3)
+    recs, _, _ = bench.run_split(
+        train, test, methods=("vi_diag",), seed=2, n_samples=100, n_eval=50,
+        grid=SMALL_GRID, optim=SMALL_OPTIM)
+    meta, _ = bench.run_fit(train, "vi_diag", seed=2, n_samples=100,
+                            grid=SMALL_GRID, optim=SMALL_OPTIM)
+    assert meta["variant"] == recs["vi_diag"]["variant"]
+    for key in ("n_iters", "n_evals", "stop_reason", "grad_norm"):
+        assert meta[key] == recs["vi_diag"][key]
+
+
+def test_non_finite_held_out_draw_skips_the_split(monkeypatch):
+    # a NaN log likelihood is a NumericalError, which the suite records as a
+    # skipped split, not as an lpd of -inf
+    def nan_score(self, mu, R, z, X, y):
+        ll = np.zeros(z.shape[0])
+        ll[0] = np.nan
+        return np.zeros(len(y)), ll
+
+    monkeypatch.setattr(models.CauchyRegression, "score", nan_score)
+    report = bench.run_cauchy(n_runs=1, methods=("laplace",), seed=0,
+                              n_samples=50, n_eval=20, n_train=20, n_test=40,
+                              grid=SMALL_GRID, optim=SMALL_OPTIM, n_boot=100)
+    assert report["n_completed"] == 0 and report["n_skipped"] == 1
+    assert "held-out log likelihood is nan" in report["skipped"][0]["error"]
 
 
 def test_run_split_rejects_unknown_method():

@@ -1,16 +1,18 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.stats import multivariate_normal
 
-from mvipkg.errors import ConfigError
+from mvipkg.errors import ConfigError, NumericalError
 from mvipkg.evaluate import (classification_metrics, kl_to_target_2d,
-                             log_mean_exp, lpd, posterior_draws,
+                             log_mean_exp, posterior_draws,
                              predictive_curve, regression_metrics)
 from mvipkg.laplace import find_mode, laplace_approximation
-from mvipkg.models import BinaryLogistic, SoftmaxRegression, rbf_features
+from mvipkg.models import (BinaryLogistic, CauchyRegression, SoftmaxRegression,
+                           rbf_features)
 from mvipkg.variational import PosteriorGaussian
 
 from makers import make_cauchy, make_conjugate, make_logistic, make_softmax
@@ -53,6 +55,15 @@ def test_log_mean_exp_all_minus_inf():
     assert lme == -np.inf and se == np.inf
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_log_mean_exp_rejects_nan_and_plus_inf(bad):
+    # no likelihood is NaN or +inf; averaging one in would report -inf or
+    # skew which method wins, so it is a typed error
+    for values in ([bad, -1.0, -2.0], [-1.0, bad], [-np.inf, bad]):
+        with pytest.raises(NumericalError, match="held-out log likelihood"):
+            log_mean_exp(np.array(values))
+
+
 def test_log_mean_exp_single_value():
     lme, se = log_mean_exp(np.array([-2.0]))
     assert lme == pytest.approx(-2.0)
@@ -72,27 +83,39 @@ def test_posterior_draws_moments():
     np.testing.assert_allclose(np.cov(draws.T), root @ root.T, atol=0.05)
 
 
+def _joint_lpd(posterior, model, X, y, n_samples, seed):
+    """(lpd, se) of log_mean_exp over one ``score`` pass on fresh base draws."""
+    z = np.random.default_rng(seed).standard_normal((n_samples, posterior.dim))
+    return log_mean_exp(model.score(posterior.mean, posterior.root, z, X, y)[1])
+
+
 def test_zero_root_lpd_is_loglik_at_mean():
     model = make_logistic(seed=1)
     post = _posterior_for(model)
     collapsed = PosteriorGaussian(mean=post.mean,
                                   root=np.zeros((model.P, model.P)))
-    value = lpd(collapsed, model, model.X, model.y, n_samples=17, seed=5)
-    direct = float(model.data_log_likelihoods(post.mean[None, :],
-                                              model.X, model.y)[0])
+    value = classification_metrics(collapsed, model, model.X, model.y,
+                                   n_samples=17, seed=5).lpd
+    f = model.phi @ post.mean
+    direct = math.fsum(model.y * f - np.logaddexp(0.0, f))
     assert value == pytest.approx(direct, rel=1.0e-12)
 
 
 def test_lpd_matches_manual_average():
+    # the held-out pass scores the draws mean + R z_s of the seed's z, and
+    # the metric is the log-mean-exp of their per-draw log likelihoods
     model = make_cauchy(seed=2)
     post = _posterior_for(model)
-    value, se = lpd(post, model, model.X, model.y, n_samples=256, seed=9,
-                    with_se=True)
-    draws = posterior_draws(post, 256, seed=9)
-    ll = model.data_log_likelihoods(draws, model.X, model.y)
-    expected, expected_se = log_mean_exp(ll)
-    assert value == expected and se == expected_se
-    assert np.isfinite(value) and se > 0
+    score = regression_metrics(post, model, model.X, model.y, n_samples=256, seed=9)
+    z = np.random.default_rng(9).standard_normal((256, model.P))
+    ll = model.score(post.mean, post.root, z, model.X, model.y)[1]
+    expected, se = log_mean_exp(ll)
+    assert score.lpd == expected / model.y.size
+    assert np.isfinite(expected) and se > 0
+    W = posterior_draws(post, 256, seed=9)
+    r = model.y[None, :] - W @ model.phi.T
+    manual = -np.log(np.pi * model.gamma * (1.0 + (r / model.gamma) ** 2)).sum(axis=1)
+    np.testing.assert_allclose(ll, manual, rtol=1.0e-12)
 
 
 def test_lpd_exact_on_conjugate_model():
@@ -104,10 +127,43 @@ def test_lpd_exact_on_conjugate_model():
     rng = np.random.default_rng(4)
     phi_t = rng.standard_normal((5, 3))
     y_t = phi_t @ mean + 0.3 * rng.standard_normal(5)
-    value, se = lpd(post, model, phi_t, y_t, n_samples=40_000, seed=11,
-                    with_se=True)
+    value, se = _joint_lpd(post, model, phi_t, y_t, n_samples=40_000, seed=11)
     exact = model.test_log_marginal(phi_t, y_t)
     assert abs(value - exact) < 4.0 * se
+
+
+def test_non_finite_draw_is_a_numerical_error(monkeypatch):
+    model = make_cauchy(seed=7)
+    post = _posterior_for(model)
+
+    def nan_draw(mu, R, z, X, y):
+        ll = np.full(z.shape[0], -3.0)
+        ll[1] = np.nan
+        return np.zeros(len(y)), ll
+
+    monkeypatch.setattr(model, "score", nan_draw)
+    with pytest.raises(NumericalError):
+        regression_metrics(post, model, model.X, model.y, n_samples=4, seed=0)
+
+
+def test_scoring_memory_is_one_block():
+    # 10,000 draws on 1,000 test points: Z1 A' for all draws at once would
+    # take 80 MB; the blocked pass holds one block of it
+    rng = np.random.default_rng(21)
+    X = rng.uniform(-3.0, 3.0, size=(50, 1))
+    model = CauchyRegression(X, np.sin(X[:, 0]), X[:30], gamma=0.4, alpha=0.8, width=1.2)
+    post = PosteriorGaussian(mean=rng.standard_normal(model.P),
+                             root=0.1 * np.tril(rng.standard_normal((model.P, model.P))))
+    X_test = rng.uniform(-3.0, 3.0, size=(1000, 1))
+    y_test = np.sin(X_test[:, 0])
+    tracemalloc.start()
+    try:
+        score = regression_metrics(post, model, X_test, y_test, n_samples=10_000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(score.lpd)
+    assert peak < 20e6, f"peak {peak / 1e6:.1f} MB"
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +175,7 @@ def test_regression_metrics_per_point_convention():
     post = _posterior_for(model)
     score = regression_metrics(post, model, model.X, model.y, n_samples=128,
                                seed=3)
-    joint = lpd(post, model, model.X, model.y, n_samples=128, seed=3)
+    joint, _ = _joint_lpd(post, model, model.X, model.y, n_samples=128, seed=3)
     assert score.lpd == pytest.approx(joint / model.y.size, rel=1.0e-12)
     assert score.error_rate is None
     draws = posterior_draws(post, 128, seed=3)
@@ -133,7 +189,7 @@ def test_classification_metrics_joint_convention():
     post = _posterior_for(model)
     score = classification_metrics(post, model, model.X, model.y,
                                    n_samples=128, seed=3)
-    joint = lpd(post, model, model.X, model.y, n_samples=128, seed=3)
+    joint, _ = _joint_lpd(post, model, model.X, model.y, n_samples=128, seed=3)
     assert score.lpd == pytest.approx(joint, rel=1.0e-12)
     assert score.mse is None
     assert 0.0 <= score.error_rate <= 1.0

@@ -244,7 +244,9 @@ def test_cauchy_value_direct_formula():
     prior = -0.5 * model.alpha * np.einsum("bp,bp->b", W, W) \
         + 0.5 * model.P * (np.log(model.alpha) - np.log(2 * np.pi))
     np.testing.assert_allclose(model.values(W), loglik + prior, rtol=1.0e-12)
-    np.testing.assert_allclose(model.data_log_likelihoods(W, model.X, y), loglik, rtol=1.0e-12)
+    # the draws w = 0 + I z, z = W, through the held-out pass
+    held_out = model.score(np.zeros(model.P), np.eye(model.P), W, model.X, y)[1]
+    np.testing.assert_allclose(held_out, loglik, rtol=1.0e-12)
 
 
 def test_logistic_value_direct_formula():
@@ -281,7 +283,8 @@ def test_softmax_value_direct_formula():
     X_test = rng.standard_normal((9, 2))
     Y_test = np.eye(3)[rng.integers(0, 3, size=9)]
     phi_test = rbf_features(X_test, model.centers, model.width)
-    np.testing.assert_allclose(model.data_log_likelihoods(W, X_test, Y_test),
+    np.testing.assert_allclose(model.score(np.zeros(model.P), np.eye(model.P), W,
+                                           X_test, Y_test)[1],
                                _softmax_loglik_direct(W, phi_test, Y_test),
                                rtol=1.0e-12)
 
@@ -421,30 +424,54 @@ def test_binary_predictions_are_class_one_probabilities():
     W = np.random.default_rng(18).standard_normal((4, model.P))
     want = 1.0 / (1.0 + np.exp(-(W @ model.phi.T)))
     np.testing.assert_allclose(model.predictive(W, model.X), want, rtol=1.0e-12)
-    np.testing.assert_allclose(model.score(W, model.X, model.y)[0], want.mean(axis=0),
-                               rtol=1.0e-12)
+    np.testing.assert_allclose(model.score(np.zeros(model.P), np.eye(model.P), W,
+                                           model.X, model.y)[0],
+                               want.mean(axis=0), rtol=1.0e-12)
 
 
-def _one_shot_log_likelihoods(model, W, X, y):
-    """Per-draw test log likelihood from the whole product F = W phi' at once."""
-    phi = rbf_features(X, model.centers, model.width)
+def _one_shot_residuals(model, mu, R, z, X, y):
+    """Z1 A' for all draws at once: the residuals F - y of the draws
+    mu + R z_s (their scores F, for binary), Z1 = [1 | z], A = [phi mu - y | phi R]."""
+    phi = model._features(X)
+    A = phi @ np.column_stack([mu, R])
+    if not isinstance(model, BinaryLogistic):
+        A[:, 0] -= y
+    return np.hstack([np.ones((z.shape[0], 1)), z]) @ A.T
+
+
+def _one_shot_log_likelihoods(model, mu, R, z, X, y):
+    """Per-draw test log likelihood from the whole projection at once."""
+    if isinstance(model, SoftmaxRegression):
+        W = mu[None, :] + z @ R.T
+        phi = model._features(X)
+        B, K = W.shape[0], model.K
+        F = (W.reshape(B * K, model.D) @ phi.T).reshape(B, K, -1)
+        labels = F.reshape(B, -1) @ y.T.ravel()
+        m = F.max(axis=1, keepdims=True)
+        lse = np.log(np.exp(F - m).sum(axis=1)) + m[:, 0, :]
+        return labels - lse.sum(axis=1)
+    Q = _one_shot_residuals(model, mu, R, z, X, y)
     if isinstance(model, CauchyRegression):
-        d = model.gamma**2 + (y[None, :] - W @ phi.T) ** 2
+        d = model.gamma**2 + Q**2
         return y.size * np.log(model.gamma / np.pi) - np.log(d) @ np.ones(y.size)
     if isinstance(model, BinaryLogistic):
-        F = W @ phi.T
-        return (y[None, :] * F - np.logaddexp(0.0, F)).sum(axis=1)
-    B, K = W.shape[0], model.K
-    F = (W.reshape(B * K, model.D) @ phi.T).reshape(B, K, -1)
-    labels = F.reshape(B, -1) @ y.T.ravel()
-    m = F.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(F - m).sum(axis=1)) + m[:, 0, :]
-    return labels - lse.sum(axis=1)
+        return (y[None, :] * Q - np.logaddexp(0.0, Q)).sum(axis=1)
+    return (0.5 * y.size * (np.log(model.beta) - np.log(2.0 * np.pi))
+            - 0.5 * model.beta * np.einsum("bn,bn->b", Q, Q))
 
 
 def _score_mismatches(exact: bool, draw_counts=(1, 289, 1001, 10_000)) -> list:
-    """Compare ``score`` with ``predictive(...).mean(0)`` and the one-shot
-    likelihood for Cauchy, binary and softmax models.
+    """Compare ``score`` over the draws mu + R z_s with one-shot oracles for
+    Cauchy, binary, softmax and conjugate models.
+
+    The per-draw log likelihoods must equal the one-shot pass over Z1 A'
+    (over W phi', W = mu + z R', for softmax). The binary and softmax means
+    must equal the per-draw mean of the same one-shot predictions; the
+    Cauchy and conjugate means must equal phi (mu + R z-bar). The binary,
+    Cauchy and conjugate means must also equal the per-draw mean of
+    ``predictive`` at rtol 1e-12, with an absolute floor of 1e-12 of the mean
+    |prediction| where a mean cancels to near zero, in either mode. ``exact``
+    asks for bit-for-bit equality, else equality up to round-off.
 
     The models have 10 centres (D = 11), the benchmark's smallest basis.
     Draw counts: one, one past a block (the lone draw joins its block), not
@@ -462,28 +489,48 @@ def _score_mismatches(exact: bool, draw_counts=(1, 289, 1001, 10_000)) -> list:
                                    alpha=0.6, width=1.5),
         "softmax": SoftmaxRegression(X2, np.eye(3)[rng.integers(0, 3, size=60)],
                                      X2[:10], alpha=0.7, width=1.0),
+        "conjugate": GaussianLinearModel(rng.standard_normal((50, 11)),
+                                         rng.standard_normal(50), beta=2.0, alpha=0.5),
     }
     same = np.array_equal if exact else (
         lambda a, b: np.allclose(a, b, rtol=1.0e-12, atol=1.0e-14))
     bad = []
     for name, model in models.items():
+        mu = rng.standard_normal(model.P)
+        R = 0.3 * np.tril(rng.standard_normal((model.P, model.P)))
         for n_test in (1000, 300, 190):
-            X = rng.uniform(-3.0, 3.0, size=(n_test, model.X.shape[1]))
+            if name == "conjugate":
+                X = rng.standard_normal((n_test, model.P))
+            else:
+                X = rng.uniform(-3.0, 3.0, size=(n_test, model.X.shape[1]))
             if name == "cauchy":
                 y = np.sin(X[:, 0]) + rng.standard_cauchy(n_test)
             elif name == "logistic":
                 y = (X[:, 0] > 0).astype(float)
-            else:
+            elif name == "softmax":
                 y = np.eye(model.K)[rng.integers(0, model.K, size=n_test)]
+            else:
+                y = X @ mu + rng.standard_normal(n_test)
             for n_draws in draw_counts:
-                W = rng.standard_normal((n_draws, model.P))
-                mean, ll = model.score(W, X, y)
-                for label, got, want in (
-                        ("mean", mean, model.predictive(W, X).mean(axis=0)),
-                        ("loglik", ll, _one_shot_log_likelihoods(model, W, X, y)),
-                        ("data_log_likelihoods", ll,
-                         model.data_log_likelihoods(W, X, y))):
-                    if got.shape != want.shape or not same(got, want):
+                z = rng.standard_normal((n_draws, model.P))
+                per_draw = model.predictive(mu[None, :] + z @ R.T, X)
+                # rtol 1e-12, and where a mean cancels to near zero (rounding
+                # like its terms, not its result) 1e-12 of the mean |prediction|
+                close = lambda a, b: np.allclose(  # noqa: E731
+                    a, b, rtol=1.0e-12, atol=1.0e-12 * np.abs(per_draw).mean())
+                mean, ll = model.score(mu, R, z, X, y)
+                checks = [(same, "loglik", ll, _one_shot_log_likelihoods(model, mu, R, z, X, y))]
+                if name == "softmax":
+                    checks.append((same, "mean", mean, per_draw.mean(axis=0)))
+                elif name == "logistic":
+                    checks += [(same, "mean", mean,
+                                model._predict(_one_shot_residuals(model, mu, R, z, X, y)).mean(axis=0)),
+                               (close, "per-draw mean", mean, per_draw.mean(axis=0))]
+                else:
+                    checks += [(same, "mean", mean, model._features(X) @ (mu + R @ z.mean(axis=0))),
+                               (close, "per-draw mean", mean, per_draw.mean(axis=0))]
+                for equal, label, got, want in checks:
+                    if got.shape != want.shape or not equal(got, want):
                         bad.append((name, n_test, n_draws, label))
     return bad
 
