@@ -5,9 +5,10 @@ times live under a single "timing" key so callers can compare everything
 else bit-for-bit between reruns.
 """
 
+import os
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 
@@ -30,6 +31,7 @@ SALT_EVAL = 3_000_000
 SALT_BOOT = 4_000_000
 
 _METRIC_SENSE = {"lpd": 1.0, "mse": -1.0, "error_rate": -1.0}
+_BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def derive_seed(base: int, salt: int = 0) -> int:
@@ -135,6 +137,8 @@ def run_split(train, test, methods=METHODS, seed: int = 0, n_samples: int = 1000
             variant, fit, others = variational.fit_best(
                 model, lap, samples, method, seed=derive_seed(seed, SALT_INIT),
                 config=optim)
+            timing[f"{method}.fit"] = time.perf_counter() - t0
+            t0 = time.perf_counter()
             sc = score(variational.covariance_root(fit.params, lap),
                        model.with_theta(fit.params.theta),
                        test.X, test.y, n_samples=n_eval, seed=eval_seed)
@@ -147,7 +151,7 @@ def run_split(train, test, methods=METHODS, seed: int = 0, n_samples: int = 1000
                 rec.update(variant=variant, elbo_other=float(other.elbo),
                            **{f"{k}_other": v for k, v in _fit_diagnostics(other.opt).items()})
         records[method] = rec
-        timing[method] = time.perf_counter() - t0
+        timing[f"{method}.score"] = time.perf_counter() - t0
     return records, timing, info
 
 
@@ -196,36 +200,72 @@ def significance_block(method_records: list[dict], methods, metric: str,
     return block
 
 
-def _parallel_map(fn, n_jobs: int, n_workers: int):
-    """Index-ordered map; results never depend on scheduling."""
+def usable_cores() -> int:
+    """CPUs this process may run on: its affinity mask, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _parallel_map(fn, items, n_workers: int) -> list:
+    """``[fn(item) for item in items]``, on ``n_workers`` processes when more than one.
+
+    The pool's processes start by ``spawn``, each a fresh interpreter that
+    imports numpy with BLAS pinned to one thread (the parent's environment is
+    restored afterwards), so a pool's results do not depend on the parent's
+    BLAS settings or on scheduling. ``fn`` and every item and result are
+    pickled: ``fn`` must be importable by name, or a ``functools.partial`` of
+    such a function. An exception raised by ``fn`` reaches the caller with its
+    class. Results come back in item order, and the pool is shut down, its
+    processes joined, before this returns.
+    """
     if n_workers <= 1:
-        return [fn(i) for i in range(n_jobs)]
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(fn, range(n_jobs)))
+        return [fn(item) for item in items]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    pool = ProcessPoolExecutor(n_workers, mp_context=multiprocessing.get_context("spawn"))
+    try:
+        return list(pool.map(fn, items))
+    finally:
+        pool.shutdown(cancel_futures=True)
+        for var, value in saved.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value
 
 
-def _run_suite(config, split, n_splits: int, methods, metrics, base_seed,
-               **fit_options) -> dict:
+def _split_outcome(methods, fit_options, job) -> dict:
+    """Fit and score split ``job = (index, (train, test, seed))``; a split whose
+    fit fails numerically is returned as skipped."""
+    i, (train, test, seed) = job
+    try:
+        recs, timing, info = run_split(train, test, methods, seed=seed, **fit_options)
+    except (NumericalError, np.linalg.LinAlgError, FloatingPointError) as err:
+        return {"index": i, "seed": seed, "error": str(err)}
+    return {"index": i, "seed": seed, "search": info,
+            "methods": recs, "_timing": timing}
+
+
+def _run_suite(config, splits, methods, metrics, base_seed, **fit_options) -> dict:
     """Run ``run_split`` on every split and assemble the suite's report.
 
-    ``split(i)`` gives split i's (train, test, seed). A split whose fit
-    fails numerically is recorded as skipped. ``timing["wall"]`` is the
-    suite's elapsed time, while ``timing["total"]`` sums the per-split
-    times, which overlap under several workers. ``alpha``, ``n_boot`` and
-    ``n_workers`` are read from ``config``.
+    ``splits`` holds each split's (train, test, seed). A split whose fit
+    fails numerically is recorded as skipped. ``config["n_workers"]`` is the
+    requested worker count; None asks for one per usable core. Either is
+    capped at the number of splits, and the count used is
+    ``timing["n_workers"]``. ``timing["wall"]`` is the suite's elapsed time,
+    while ``timing["total"]`` sums the per-split times, which overlap under
+    several workers. ``alpha`` and ``n_boot`` are read from ``config`` too.
     """
-    def one(i):
-        train, test, seed = split(i)
-        try:
-            recs, timing, info = run_split(train, test, methods, seed=seed,
-                                           **fit_options)
-        except (NumericalError, np.linalg.LinAlgError, FloatingPointError) as err:
-            return {"index": i, "seed": seed, "error": str(err)}
-        return {"index": i, "seed": seed, "search": info,
-                "methods": recs, "_timing": timing}
-
+    n_workers = max(1, min(config["n_workers"] or usable_cores(), len(splits)))
     started = time.perf_counter()
-    outcomes = _parallel_map(one, n_splits, config["n_workers"])
+    outcomes = _parallel_map(partial(_split_outcome, methods, fit_options),
+                             enumerate(splits), n_workers)
     alpha, n_boot = config["alpha"], config["n_boot"]
     records = [o for o in outcomes if "error" not in o]
     skipped = [o for o in outcomes if "error" in o]
@@ -254,7 +294,8 @@ def _run_suite(config, split, n_splits: int, methods, metrics, base_seed,
         "timing": {"splits": run_times,
                    "total": float(sum(sum(t for k, t in rt.items() if k != "index")
                                       for rt in run_times)),
-                   "wall": time.perf_counter() - started},
+                   "wall": time.perf_counter() - started,
+                   "n_workers": n_workers},
     }
     return report
 
@@ -268,8 +309,12 @@ def run_cauchy(n_runs: int = 20, methods=METHODS, seed: int = 0,
                n_train: int = 50, n_test: int = 1000,
                grid: GridConfig | None = None, optim: OptimConfig | None = None,
                alpha: float = 0.05, n_boot: int = 10_000,
-               n_workers: int = 1) -> dict:
-    """The synthetic heavy-tail regression suite: n_runs fresh datasets."""
+               n_workers: int | None = None) -> dict:
+    """The synthetic heavy-tail regression suite: n_runs fresh datasets.
+
+    ``n_workers`` processes run the splits; None (the default) starts one
+    per usable core.
+    """
     methods = _check_methods(methods)
     grid = grid or GridConfig()
     optim = optim or OptimConfig()
@@ -279,15 +324,13 @@ def run_cauchy(n_runs: int = 20, methods=METHODS, seed: int = 0,
         "n_train": int(n_train), "n_test": int(n_test),
         "grid": _grid_dict(grid), "optim": _optim_dict(optim),
         "alpha": float(alpha), "n_boot": int(n_boot),
-        "n_workers": int(n_workers),
+        "n_workers": None if n_workers is None else int(n_workers),
     }
-
-    def split(i):
-        run_seed = derive_seed(seed, i)
-        return (*data_mod.generate_cauchy_task(seed=run_seed, n_train=n_train,
-                                               n_test=n_test), run_seed)
-
-    return _run_suite(config, split, n_runs, methods, ("lpd", "mse"), seed,
+    splits = [(*data_mod.generate_cauchy_task(seed=derive_seed(seed, i),
+                                              n_train=n_train, n_test=n_test),
+               derive_seed(seed, i))
+              for i in range(n_runs)]
+    return _run_suite(config, splits, methods, ("lpd", "mse"), seed,
                       n_samples=n_samples, n_eval=n_eval, grid=grid, optim=optim)
 
 
@@ -295,8 +338,9 @@ def run_benchmark(dataset, methods=METHODS, plan=None,
                   n_samples: int = 1000, n_eval: int = 10_000,
                   grid: GridConfig | None = None, optim: OptimConfig | None = None,
                   alpha: float = 0.05, n_boot: int = 10_000,
-                  n_workers: int = 1) -> dict:
-    """Split-resampling benchmark on a loaded dataset."""
+                  n_workers: int | None = None) -> dict:
+    """Split-resampling benchmark on a loaded dataset; ``n_workers`` as in
+    :func:`run_cauchy`."""
     methods = _check_methods(methods)
     plan = plan or data_mod.SplitPlan()
     grid = grid or GridConfig()
@@ -310,11 +354,9 @@ def run_benchmark(dataset, methods=METHODS, plan=None,
         "methods": list(methods), "n_samples": int(n_samples),
         "n_eval": int(n_eval), "grid": _grid_dict(grid),
         "optim": _optim_dict(optim), "alpha": float(alpha),
-        "n_boot": int(n_boot), "n_workers": int(n_workers),
+        "n_boot": int(n_boot), "n_workers": None if n_workers is None else int(n_workers),
     }
-
-    return _run_suite(config, splits.__getitem__, len(splits), methods,
-                      ("lpd", metric), plan.seed,
+    return _run_suite(config, splits, methods, ("lpd", metric), plan.seed,
                       n_samples=n_samples, n_eval=n_eval, grid=grid, optim=optim)
 
 

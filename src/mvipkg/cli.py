@@ -149,8 +149,8 @@ def effective_config(command: str, defaults: dict, file_config: dict,
         if value is not None:
             config[key] = value
     for key in ("n_samples", "n_eval", "n_workers", "n_runs", "n_splits", "n_boot"):
-        if key in config:
-            _count(config[key], key)
+        if key in config and (key, config[key]) != ("n_workers", None):
+            _count(config[key], key)   # n_workers None: one per usable core
     if "grid" in config:
         _grid_from(config)
     if "optim" in config:
@@ -202,7 +202,7 @@ def _common_defaults() -> dict:
         "seed": 0,
         "alpha": 0.05,
         "n_boot": 10_000,
-        "n_workers": 1,
+        "n_workers": None,
         "grid": bench._grid_dict(GridConfig()),
         "optim": bench._optim_dict(OptimConfig()),
     }
@@ -241,7 +241,7 @@ def cmd_cauchy(config: dict, out_dir: Path) -> int:
         n_eval=int(config["n_eval"]), n_train=int(config["n_train"]),
         n_test=int(config["n_test"]), grid=_grid_from(config),
         optim=_optim_from(config), alpha=float(config["alpha"]),
-        n_boot=int(config["n_boot"]), n_workers=int(config["n_workers"]))
+        n_boot=int(config["n_boot"]), n_workers=config["n_workers"])
     write_report(out_dir, report)
     write_median_table(out_dir / "table.csv", report, ("lpd", "mse"))
     done, skip = report["n_completed"], report["n_skipped"]
@@ -271,7 +271,7 @@ def cmd_benchmark(config: dict, out_dir: Path) -> int:
             n_samples=int(config["n_samples"]), n_eval=int(config["n_eval"]),
             grid=_grid_from(config), optim=_optim_from(config),
             alpha=float(config["alpha"]), n_boot=int(config["n_boot"]),
-            n_workers=int(config["n_workers"]))
+            n_workers=config["n_workers"])
         # carry the CLI-level keys a rerun needs but run_benchmark doesn't
         report["config"]["data"] = [str(path)]
         report["config"]["splits_file"] = config.get("splits_file")
@@ -332,7 +332,8 @@ def _add_common(sub, methods=True, splits=None):
                      help="JSON config file, a previous report.json, or a "
                           "dotted key=value override; repeatable")
     sub.add_argument("--workers", type=int,
-                     help="worker threads for independent splits (default 1)")
+                     help="worker processes for independent splits (default "
+                          "one per usable core; 1 runs them in this process)")
     if methods:
         sub.add_argument("--methods",
                          help="comma-separated subset of " + ",".join(bench.METHODS))

@@ -11,9 +11,6 @@ randomness of its own.
 Objectives are callables ``fun(x) -> (value, gradient)``; values and gradients
 are usually produced by one shared forward pass, which is why the interface
 asks for both at once.
-
-Also provides central finite differences, used throughout the test suite as an
-independent oracle for analytic gradients.
 """
 
 from __future__ import annotations
@@ -151,46 +148,3 @@ def minimize(
 
     return MinimizeResult(x=x, f=f, grad_norm=float(np.max(np.abs(g))), n_iters=len(trace) - 1,
                           reason=reason, n_evals=n_evals, trace=trace)
-
-
-def finite_difference_gradient(
-    f: Callable[[np.ndarray], float],
-    x: Sequence[float] | np.ndarray,
-    h: float = 1.0e-5,
-) -> np.ndarray:
-    """Central-difference gradient of a scalar function.
-
-    Used as the independent oracle against which every analytic gradient in
-    this package is checked. O(h^2) accurate.
-    """
-    x = np.asarray(x, dtype=float)
-    grad = np.empty_like(x)
-    for i in range(x.size):
-        step = np.zeros_like(x)
-        step[i] = h
-        f_plus = float(f(x + step))
-        f_minus = float(f(x - step))
-        if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-            raise NumericalError(f"function not finite near x along coordinate {i}")
-        grad[i] = (f_plus - f_minus) / (2.0 * h)
-    return grad
-
-
-def finite_difference_jacobian(
-    g: Callable[[np.ndarray], np.ndarray],
-    x: Sequence[float] | np.ndarray,
-    h: float = 1.0e-5,
-) -> np.ndarray:
-    """Central-difference Jacobian of a vector function (e.g. a gradient,
-    giving a Hessian oracle). Column i holds d g / d x_i."""
-    x = np.asarray(x, dtype=float)
-    cols = []
-    for i in range(x.size):
-        step = np.zeros_like(x)
-        step[i] = h
-        g_plus = np.asarray(g(x + step), dtype=float)
-        g_minus = np.asarray(g(x - step), dtype=float)
-        if not (np.all(np.isfinite(g_plus)) and np.all(np.isfinite(g_minus))):
-            raise NumericalError(f"gradient not finite near x along coordinate {i}")
-        cols.append((g_plus - g_minus) / (2.0 * h))
-    return np.stack(cols, axis=1)

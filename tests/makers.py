@@ -1,7 +1,9 @@
-"""Small models shared by the test modules: ``from makers import ...``."""
+"""Small models and finite-difference oracles shared by the test modules:
+``from makers import ...``."""
 
 import numpy as np
 
+from mvipkg.errors import NumericalError
 from mvipkg.models import (BinaryLogistic, CauchyRegression,
                            GaussianLinearModel, SoftmaxRegression)
 
@@ -49,3 +51,38 @@ ALL_MODEL_MAKERS = {
     "softmax": make_softmax,
     "conjugate": make_conjugate,
 }
+
+
+def finite_difference_gradient(f, x, h: float = 1.0e-5) -> np.ndarray:
+    """Central-difference gradient of a scalar function.
+
+    The independent oracle against which every analytic gradient of the
+    package is checked. O(h^2) accurate.
+    """
+    x = np.asarray(x, dtype=float)
+    grad = np.empty_like(x)
+    for i in range(x.size):
+        step = np.zeros_like(x)
+        step[i] = h
+        f_plus = float(f(x + step))
+        f_minus = float(f(x - step))
+        if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
+            raise NumericalError(f"function not finite near x along coordinate {i}")
+        grad[i] = (f_plus - f_minus) / (2.0 * h)
+    return grad
+
+
+def finite_difference_jacobian(g, x, h: float = 1.0e-5) -> np.ndarray:
+    """Central-difference Jacobian of a vector function (e.g. a gradient,
+    giving a Hessian oracle). Column i holds d g / d x_i."""
+    x = np.asarray(x, dtype=float)
+    cols = []
+    for i in range(x.size):
+        step = np.zeros_like(x)
+        step[i] = h
+        g_plus = np.asarray(g(x + step), dtype=float)
+        g_minus = np.asarray(g(x - step), dtype=float)
+        if not (np.all(np.isfinite(g_plus)) and np.all(np.isfinite(g_minus))):
+            raise NumericalError(f"gradient not finite near x along coordinate {i}")
+        cols.append((g_plus - g_minus) / (2.0 * h))
+    return np.stack(cols, axis=1)

@@ -20,7 +20,7 @@ from mvipkg import bench, cli
 from mvipkg import data as data_mod
 from mvipkg.laplace import find_mode, laplace_approximation
 from mvipkg.models import CauchyRegression
-from mvipkg.optimize import OptimConfig, finite_difference_gradient
+from mvipkg.optimize import OptimConfig
 from mvipkg.stats import PairedSample, bootstrap_median_diff_ci, sign_test
 from mvipkg.variational import (FAMILIES, VariationalParams, draw_fixed_samples,
                                 elbo_and_gradient, elbo_estimate, entropy,
@@ -29,7 +29,7 @@ from mvipkg.variational import (FAMILIES, VariationalParams, draw_fixed_samples,
 from mvipkg.evaluate import log_mean_exp
 from mvipkg.variational import PosteriorGaussian
 
-from makers import ALL_MODEL_MAKERS, make_conjugate
+from makers import ALL_MODEL_MAKERS, finite_difference_gradient, make_conjugate
 
 
 def _verdict(num: int, label: str, ok: bool, detail: str, elapsed: float = None):

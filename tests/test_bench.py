@@ -1,9 +1,14 @@
+import multiprocessing
+import operator
+import os
+import time
+
 import numpy as np
 import pytest
 
 from mvipkg import bench, evaluate, models, variational
 from mvipkg.data import Dataset, SplitPlan, generate_cauchy_task
-from mvipkg.errors import ConfigError
+from mvipkg.errors import ConfigError, DataError
 from mvipkg.laplace import GridConfig
 from mvipkg.optimize import OptimConfig
 from mvipkg.variational import PosteriorGaussian, elbo_estimate
@@ -60,7 +65,8 @@ def test_run_split_record_structure():
     assert "lpd_other" not in diag
     assert "variant" not in recs["mvi_mu"]
     assert not any(k.endswith("_other") for k in recs["mvi_mu"])
-    assert set(timing) == {"search", "laplace", "mvi_mu", "vi_diag"}
+    assert set(timing) == {"search", "laplace.score", "mvi_mu.fit", "mvi_mu.score",
+                           "vi_diag.fit", "vi_diag.score"}
     assert info["n_centers"] == 6 - 1  # M = 5 centres
     assert len(info["theta_la"]) == 3
 
@@ -234,10 +240,66 @@ def test_significance_block_nonfinite_scores_noted():
     assert "comparisons" not in block
 
 
+# a pool pickles its function by name, so the ones sent to it live at module level
+
+def _square_later_first(i):
+    time.sleep(0.05 * (5 - i))   # the last items finish first
+    return i * i
+
+
+def _blas_variables(_):
+    return [os.environ.get(v) for v in bench._BLAS_THREAD_VARS]
+
+
+def _raise_at_one(job):
+    i, error = job
+    if i == 1:
+        raise error("raised in a pool process")
+    return i
+
+
 def test_parallel_map_orders_results():
-    out = bench._parallel_map(lambda i: i * i, 6, n_workers=3)
+    out = bench._parallel_map(_square_later_first, range(6), n_workers=3)
     assert out == [0, 1, 4, 9, 16, 25]
-    assert bench._parallel_map(lambda i: -i, 4, n_workers=1) == [0, -1, -2, -3]
+    assert bench._parallel_map(operator.neg, range(4), n_workers=1) == [0, -1, -2, -3]
+
+
+@pytest.mark.parametrize("error", [ConfigError, DataError])
+def test_parallel_map_raises_a_pool_error_with_its_class(error):
+    # the CLI maps the class onto its exit code, so it must survive the pool
+    with pytest.raises(error, match="raised in a pool process"):
+        bench._parallel_map(_raise_at_one, [(i, error) for i in range(4)], n_workers=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_pool_records_a_numerical_failure_as_skipped():
+    train, test = _small_task()
+    nan_train = Dataset(train.X, np.full_like(train.y, np.nan), "regression")
+    config = {"n_workers": 2, "alpha": 0.05, "n_boot": 100}
+    report = bench._run_suite(config, [(nan_train, test, 7), (train, test, 8)],
+                              ("laplace",), ("lpd", "mse"), 0, n_samples=50,
+                              n_eval=50, grid=SMALL_GRID, optim=SMALL_OPTIM)
+    assert report["timing"]["n_workers"] == 2
+    assert report["n_skipped"] == 1 and report["n_completed"] == 1
+    assert report["skipped"][0]["index"] == 0 and report["skipped"][0]["seed"] == 7
+    assert "every grid candidate failed" in report["skipped"][0]["error"]
+    assert report["records"][0]["index"] == 1
+
+
+def test_pool_leaves_no_process_and_the_blas_variables_as_they_were(monkeypatch):
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    report = bench.run_cauchy(n_runs=2, methods=("laplace",), seed=0,
+                              n_samples=50, n_eval=50, n_train=20, n_test=40,
+                              grid=SMALL_GRID, optim=SMALL_OPTIM, n_boot=100,
+                              n_workers=2)
+    assert report["timing"]["n_workers"] == 2
+    assert multiprocessing.active_children() == []
+    assert _blas_variables(None) == ["3", "2", None]
+    # while the parent keeps its own, the pool's processes start pinned
+    assert bench._parallel_map(_blas_variables, range(2), n_workers=2) == [["1"] * 3] * 2
+    assert _blas_variables(None) == ["3", "2", None]
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +320,8 @@ def test_run_cauchy_small():
     assert report["markers"]["lpd"]["best"] in ("laplace", "mvi_mu")
     assert len(report["timing"]["splits"]) == 2
     assert report["timing"]["total"] > 0
-    # one worker runs the splits one after another, so the suite's wall time
-    # covers the longest of them
+    # every split runs inside the suite's wall time, so it covers the
+    # longest of them
     longest = max(sum(t for k, t in rt.items() if k != "index")
                   for rt in report["timing"]["splits"])
     assert report["timing"]["wall"] > 0
@@ -272,13 +334,18 @@ def test_run_cauchy_deterministic_and_worker_invariant():
     kwargs = dict(n_runs=2, methods=("laplace", "mvi_mu"), seed=3,
                   n_samples=100, n_eval=200, n_train=20, n_test=40,
                   grid=SMALL_GRID, optim=SMALL_OPTIM, n_boot=200)
-    a = bench.run_cauchy(**kwargs)
-    b = bench.run_cauchy(**kwargs)
+    a = bench.run_cauchy(n_workers=1, **kwargs)
+    b = bench.run_cauchy(n_workers=1, **kwargs)
     c = bench.run_cauchy(n_workers=2, **kwargs)
-    for other in (b, c):
+    d = bench.run_cauchy(**kwargs)
+    for other in (b, c, d):
         assert a["records"] == other["records"]
         assert a["medians"] == other["medians"]
         assert a["significance"] == other["significance"]
+    # the report holds the requested count, timing the one used
+    assert [r["config"]["n_workers"] for r in (a, c, d)] == [1, 2, None]
+    assert [r["timing"]["n_workers"] for r in (a, c, d)] == [
+        1, 2, min(bench.usable_cores(), 2)]
 
 
 def test_run_benchmark_small():

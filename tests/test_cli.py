@@ -426,6 +426,25 @@ def test_seed_override_changes_results(tmp_path):
 # start-up cost
 # ---------------------------------------------------------------------------
 
+def test_pool_reports_do_not_depend_on_the_parent_blas_threads(tmp_path):
+    # the pool's processes pin BLAS to one thread before numpy loads, so
+    # parents started at different BLAS thread counts write the same report
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
+                   OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        argv = ["cauchy", "--splits", "2", "--workers", "2", "--methods", "laplace,mvi_mu",
+                "--config", "n_train=20", "--config", "n_test=40", "--out", str(out)]
+        run = subprocess.run([sys.executable, "-m", "mvipkg.cli", *argv, *SMALL], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        assert json.loads((out / "timing.json").read_text())["n_workers"] == 2
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_cli_import_leaves_out_heavy_scipy_modules():
     # every `mvi` process pays for what mvipkg.cli imports: importing
     # scipy.optimize or scipy.stats would add to start-up time and peak memory

@@ -9,7 +9,8 @@ from mvipkg.data import (Dataset, MixtureTarget2D, SplitPlan, cauchy_curve,
                          load_split_indices, make_splits, mixture_2d_target,
                          standardize)
 from mvipkg.errors import DataError
-from mvipkg.optimize import finite_difference_gradient, finite_difference_jacobian
+
+from makers import finite_difference_gradient, finite_difference_jacobian
 
 
 # ---------------------------------------------------------------------------

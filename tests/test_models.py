@@ -12,9 +12,9 @@ from mvipkg.errors import DataError, NumericalError
 from mvipkg.models import (BinaryLogistic, CauchyRegression, GaussianLinearModel,
                            SoftmaxRegression, kmeans, rbf_features,
                            squared_distances)
-from mvipkg.optimize import finite_difference_gradient, finite_difference_jacobian
 
-from makers import ALL_MODEL_MAKERS, make_conjugate
+from makers import (ALL_MODEL_MAKERS, finite_difference_gradient,
+                    finite_difference_jacobian, make_conjugate)
 
 
 # ---------------------------------------------------------------------------

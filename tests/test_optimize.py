@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from mvipkg.errors import NumericalError
-from mvipkg.optimize import (OptimConfig, _two_loop, finite_difference_gradient,
-                             finite_difference_jacobian, minimize)
+from mvipkg.optimize import OptimConfig, _two_loop, minimize
 
 
 def quadratic_problem(n, seed):
@@ -129,28 +128,3 @@ def test_objective_finite_only_at_start_raises():
 
     with pytest.raises(NumericalError, match="non-finite"):
         minimize(only_at_start, x0, OptimConfig(max_iters=50))
-
-
-def test_finite_difference_gradient_matches_analytic():
-    rng = np.random.default_rng(0)
-    a = rng.standard_normal((5, 5))
-    a = a @ a.T + 5 * np.eye(5)
-
-    def f(x):
-        return float(0.5 * x @ a @ x)
-
-    x = rng.standard_normal(5)
-    fd = finite_difference_gradient(f, x)
-    np.testing.assert_allclose(fd, a @ x, rtol=1.0e-6)
-
-
-def test_finite_difference_jacobian_matches_analytic():
-    rng = np.random.default_rng(1)
-    a = rng.standard_normal((4, 4))
-
-    def g(x):
-        return a @ x
-
-    x = rng.standard_normal(4)
-    fd = finite_difference_jacobian(g, x)
-    np.testing.assert_allclose(fd, a, atol=1.0e-7)

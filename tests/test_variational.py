@@ -7,14 +7,15 @@ from scipy.linalg import solve_triangular
 from mvipkg.data import mixture_2d_target
 from mvipkg.errors import NumericalError
 from mvipkg.laplace import find_mode, laplace_approximation
-from mvipkg.optimize import OptimConfig, finite_difference_gradient
+from mvipkg.optimize import OptimConfig
 from mvipkg.variational import (FAMILIES, FixedSampleSet, VariationalParams, _lemma,
                                 covariance_root, draw_fixed_samples, elbo_and_gradient,
                                 elbo_estimate, entropy, family_samples,
                                 fit_family, initialise, laplace_posterior,
                                 pack, standardize_draws, unpack, warm_start)
 
-from makers import make_cauchy, make_conjugate, make_logistic, make_softmax
+from makers import (finite_difference_gradient, make_cauchy, make_conjugate,
+                    make_logistic, make_softmax)
 
 HALF_LOG_2PIE = 0.5 * (math.log(2 * math.pi) + 1.0)
 
