@@ -1,5 +1,11 @@
 """Command-line harness: demo2d | cauchy | benchmark | fit.
 
+Every setting is one entry of ``_SETTINGS``: its default, its check and, if
+it has one, its flag. ``_COMMANDS`` names the settings each command reads; a
+subcommand takes ``--out``, ``--config`` and the flags of its own settings.
+A setting comes from its default, then the config files, then its flag, and
+every setting a command reads is checked before its output directory exists.
+
 Reports go to --out as JSON plus CSV tables. Every report embeds its full
 effective config; pointing --config at a previous report.json reruns it and
 reproduces all emitted numbers (wall-clock times live in timing.json, the
@@ -109,7 +115,7 @@ def load_config_args(entries) -> dict:
             key, _, raw = entry.partition("=")
             _set_dotted(merged, key.strip(), _parse_literal(raw))
             continue
-        if not path.exists():
+        if not path.is_file():
             raise ConfigError(f"config file not found: {entry}")
         try:
             payload = json.loads(path.read_text())
@@ -129,37 +135,53 @@ def _count(value, key: str) -> int:
     return value
 
 
+def _seed(value, key: str) -> int:
+    if type(value) is not int or value < 0:
+        raise ConfigError(f"{key} must be an integer >= 0, got {value!r}")
+    return value
+
+
 def _tolerance(value, key: str) -> float:
     if type(value) not in (int, float) or not (math.isfinite(value) and value >= 0):
         raise ConfigError(f"{key} must be a finite number >= 0, got {value!r}")
     return float(value)
 
 
-def effective_config(command: str, defaults: dict, file_config: dict,
-                     overrides: dict) -> dict:
-    """defaults < config file < explicit flags; checks the command, the
-    counts, the grid and optim settings and the ellipse mass."""
-    config = json.loads(json.dumps(defaults))
-    stated = file_config.get("command")
-    if stated is not None and stated != command:
-        raise ConfigError(
-            f"config is for command {stated!r} but {command!r} was invoked")
-    _deep_update(config, {k: v for k, v in file_config.items() if k != "command"})
-    for key, value in overrides.items():
-        if value is not None:
-            config[key] = value
-    for key in ("n_samples", "n_eval", "n_workers", "n_runs", "n_splits", "n_boot"):
-        if key in config and (key, config[key]) != ("n_workers", None):
-            _count(config[key], key)   # n_workers None: one per usable core
-    if "grid" in config:
-        _grid_from(config)
-    if "optim" in config:
-        _optim_from(config)
-    mass = config.get("ellipse_mass", 0.5)   # only demo2d has one
-    if type(mass) not in (int, float) or not 0.0 < mass < 1.0:
-        raise ConfigError(f"ellipse_mass must lie in (0, 1), got {mass!r}")
-    config["command"] = command
-    return config
+def _fraction(value, key: str) -> float:
+    if type(value) not in (int, float) or not 0.0 < value < 1.0:
+        raise ConfigError(f"{key} must be a number in (0, 1), got {value!r}")
+    return float(value)
+
+
+def _path(value, key: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{key} must be a path, got {value!r}")
+    return value
+
+
+def _paths(value, key: str) -> list:
+    paths = [value] if isinstance(value, str) else value
+    if not isinstance(paths, list) or not paths:
+        raise ConfigError(f"{key} must be a path or a list of paths, got {value!r}")
+    return [_path(path, key) for path in paths]
+
+
+def _names(value, key: str) -> list:
+    if not isinstance(value, list) or not value or not all(isinstance(m, str) for m in value):
+        raise ConfigError(f"{key} must be a non-empty list of names, got {value!r}")
+    return list(bench._check_methods(value))
+
+
+def _one_of(choices):
+    def check(value, key: str):
+        if value not in choices:
+            raise ConfigError(f"{key} must be one of {choices}, got {value!r}")
+        return value
+    return check
+
+
+def _or_null(check):
+    return lambda value, key: None if value is None else check(value, key)
 
 
 def _grid_from(config: dict) -> GridConfig:
@@ -185,27 +207,69 @@ def _optim_from(config: dict) -> OptimConfig:
            for k in ("grad_tol", "f_tol")})
 
 
-def _parse_methods(raw):
-    if raw is None:
-        return None
-    if isinstance(raw, (list, tuple)):
-        return list(raw)
+def _parse_methods(raw: str) -> list:
+    """The --methods flag: comma-separated names, or "all"."""
     names = [tok.strip() for tok in raw.split(",") if tok.strip()]
     return list(bench.METHODS) if names == ["all"] else names
 
 
-def _common_defaults() -> dict:
-    return {
-        "methods": list(bench.METHODS),
-        "n_samples": 1000,
-        "n_eval": 10_000,
-        "seed": 0,
-        "alpha": 0.05,
-        "n_boot": 10_000,
-        "n_workers": None,
-        "grid": bench._grid_dict(GridConfig()),
-        "optim": bench._optim_dict(OptimConfig()),
-    }
+# setting: (default, check[, (flag, argparse keywords)]). A check takes the
+# value and the key, raises ConfigError naming the key, and returns the value
+# the command passes on.
+_SETTINGS = {
+    "seed": (0, _seed, ("--seed", dict(type=int, help="base seed (default 0)"))),
+    "n_samples": (1000, _count, ("--samples", dict(
+        type=int, metavar="S",
+        help="fixed draws for the variational objectives (default 1000)"))),
+    "n_eval": (10_000, _count, ("--eval-samples", dict(
+        type=int, metavar="SP",
+        help="posterior draws for predictive evaluation (default 10000)"))),
+    "n_workers": (None, _or_null(_count), ("--workers", dict(
+        type=int, help="worker processes for independent splits (default one "
+                       "per usable core; 1 runs them in this process)"))),
+    "methods": (list(bench.METHODS), _names, ("--methods", dict(
+        type=_parse_methods,
+        help="comma-separated subset of " + ",".join(bench.METHODS) + ", or all"))),
+    "n_runs": (100, _count, ("--splits", dict(
+        type=int, help="number of seeded runs (default 100)"))),
+    "n_train": (50, _count),
+    "n_test": (1000, _count),
+    "n_splits": (100, _count, ("--splits", dict(
+        type=int, help="number of random splits (default 100)"))),
+    "train_fraction": (0.7, _fraction, ("--train-fraction", dict(
+        type=float, help="training fraction for random splits (default 0.7)"))),
+    "data": (None, _paths, ("--data", dict(
+        action="append", metavar="PATH",
+        help="dataset CSV (last column is the target); benchmark takes several"))),
+    "splits_file": (None, _or_null(_path), ("--splits-file", dict(
+        metavar="PATH", help="file of 1-based training indices, one split per line"))),
+    "task": (None, _or_null(_one_of(data_mod.TASKS)), ("--task", dict(
+        choices=data_mod.TASKS, help="override the inferred task kind"))),
+    "method": (None, _one_of(bench.METHODS), ("--method", dict(
+        choices=bench.METHODS, help="method to fit"))),
+    "alpha": (0.05, _fraction),
+    "n_boot": (10_000, _count),
+    "grid": ({}, lambda g, key: _grid_from({key: g})),
+    "optim": ({}, lambda o, key: _optim_from({key: o})),
+    "curve_points": (201, _count),
+    "contour_resolution": (201, _count),
+    "ellipse_mass": (0.70, _fraction),
+}
+
+
+def effective_config(command: str, file_config: dict, overrides: dict) -> dict:
+    """The settings ``command`` reads, each checked: defaults < config files <
+    flags (an override of None is no flag). Other keys are dropped."""
+    stated = file_config.get("command")
+    if stated is not None and stated != command:
+        raise ConfigError(
+            f"config is for command {stated!r} but {command!r} was invoked")
+    config = {}
+    for key in _COMMANDS[command][2]:
+        default, check = _SETTINGS[key][:2]
+        flag = overrides.get(key)
+        config[key] = check(file_config.get(key, default) if flag is None else flag, key)
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -213,11 +277,7 @@ def _common_defaults() -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_demo2d(config: dict, out_dir: Path) -> int:
-    report = bench.run_demo2d(
-        seed=int(config["seed"]), n_samples=int(config["n_samples"]),
-        optim=_optim_from(config),
-        contour_resolution=int(config["contour_resolution"]),
-        ellipse_mass=float(config["ellipse_mass"]))
+    report = bench.run_demo2d(**config)
     arrays = report.pop("arrays")
     dump_json(out_dir / "kl.json", report["kl"])
     write_csv(out_dir / "contours.csv", ["x", "y", "log_density"],
@@ -235,13 +295,7 @@ def cmd_demo2d(config: dict, out_dir: Path) -> int:
 
 
 def cmd_cauchy(config: dict, out_dir: Path) -> int:
-    report = bench.run_cauchy(
-        n_runs=int(config["n_runs"]), methods=tuple(config["methods"]),
-        seed=int(config["seed"]), n_samples=int(config["n_samples"]),
-        n_eval=int(config["n_eval"]), n_train=int(config["n_train"]),
-        n_test=int(config["n_test"]), grid=_grid_from(config),
-        optim=_optim_from(config), alpha=float(config["alpha"]),
-        n_boot=int(config["n_boot"]), n_workers=config["n_workers"])
+    report = bench.run_cauchy(**config)
     write_report(out_dir, report)
     write_median_table(out_dir / "table.csv", report, ("lpd", "mse"))
     done, skip = report["n_completed"], report["n_skipped"]
@@ -251,30 +305,17 @@ def cmd_cauchy(config: dict, out_dir: Path) -> int:
 
 
 def cmd_benchmark(config: dict, out_dir: Path) -> int:
-    paths = config.get("data") or ([config["dataset"]] if config.get("dataset")
-                                   else [])
-    if not paths:
-        raise ConfigError("benchmark needs --data PATH (or a config with one)")
-    if isinstance(paths, str):
-        paths = [paths]
-    multi = len(paths) > 1
-    for path in paths:
-        dataset = data_mod.load_csv_dataset(path, task=config.get("task"),
-                                            name=str(path))
-        plan = data_mod.SplitPlan(
-            n_splits=int(config["n_splits"]),
-            train_fraction=float(config["train_fraction"]),
-            seed=int(config["seed"]),
-            indices_path=config.get("splits_file"))
+    plan = data_mod.SplitPlan(
+        n_splits=config["n_splits"], train_fraction=config["train_fraction"],
+        seed=config["seed"], indices_path=config["splits_file"])
+    multi = len(config["data"]) > 1
+    for path in config["data"]:
+        dataset = data_mod.load_csv_dataset(path, task=config["task"], name=path)
         report = bench.run_benchmark(
-            dataset, methods=tuple(config["methods"]), plan=plan,
-            n_samples=int(config["n_samples"]), n_eval=int(config["n_eval"]),
-            grid=_grid_from(config), optim=_optim_from(config),
-            alpha=float(config["alpha"]), n_boot=int(config["n_boot"]),
-            n_workers=config["n_workers"])
+            dataset, plan=plan, **{key: config[key] for key in _SUITE if key != "seed"})
         # carry the CLI-level keys a rerun needs but run_benchmark doesn't
-        report["config"]["data"] = [str(path)]
-        report["config"]["splits_file"] = config.get("splits_file")
+        report["config"]["data"] = [path]
+        report["config"]["splits_file"] = config["splits_file"]
         target = out_dir / Path(path).stem if multi else out_dir
         target.mkdir(parents=True, exist_ok=True)
         write_report(target, report)
@@ -287,28 +328,26 @@ def cmd_benchmark(config: dict, out_dir: Path) -> int:
 
 
 def cmd_fit(config: dict, out_dir: Path) -> int:
-    if not config.get("data"):
-        raise ConfigError("fit needs --data PATH")
-    if not config.get("method"):
-        raise ConfigError("fit needs --method NAME")
-    dataset = data_mod.load_csv_dataset(config["data"], task=config.get("task"),
-                                        name=str(config["data"]))
+    if len(config["data"]) != 1:
+        raise ConfigError(f"fit takes one data path, got {config['data']!r}")
+    path = config["data"][0]
+    dataset = data_mod.load_csv_dataset(path, task=config["task"], name=path)
     meta, arrays = bench.run_fit(
-        dataset, config["method"], seed=int(config["seed"]),
-        n_samples=int(config["n_samples"]), grid=_grid_from(config),
-        optim=_optim_from(config))
-    meta["config"] = config
+        dataset, config["method"], seed=config["seed"], n_samples=config["n_samples"],
+        grid=config["grid"], optim=config["optim"])
+    meta["config"] = dict(config, command="fit", data=path,
+                          grid=bench._grid_dict(config["grid"]),
+                          optim=bench._optim_dict(config["optim"]))
     np.savez(out_dir / "fit_arrays.npz", **arrays)
     dump_json(out_dir / "fit.json", meta)
     made = ["fit.json", "fit_arrays.npz"]
     if dataset.kind == "regression" and dataset.n_features == 1:
         model, lap, posterior, params, samples = bench.load_fit(
             meta, arrays, dataset)
-        x = np.linspace(dataset.X.min(), dataset.X.max(),
-                        int(config["curve_points"]))
+        x = np.linspace(dataset.X.min(), dataset.X.max(), config["curve_points"])
         mean, sd = evaluate.predictive_curve(
-            posterior, model, x, n_samples=int(config["n_eval"]),
-            seed=bench.derive_seed(int(config["seed"]), bench.SALT_EVAL))
+            posterior, model, x, n_samples=config["n_eval"],
+            seed=bench.derive_seed(config["seed"], bench.SALT_EVAL))
         write_csv(out_dir / "curve.csv", ["x", "mean", "sd"],
                   zip(x.tolist(), mean.tolist(), sd.tolist()))
         made.append("curve.csv")
@@ -321,24 +360,23 @@ def cmd_fit(config: dict, out_dir: Path) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(sub, methods=True, splits=None):
-    sub.add_argument("--samples", type=int, metavar="S",
-                     help="fixed draws for the variational objectives (default 1000)")
-    sub.add_argument("--eval-samples", type=int, metavar="SP",
-                     help="posterior draws for predictive evaluation (default 10000)")
-    sub.add_argument("--seed", type=int, help="base seed (default 0)")
-    sub.add_argument("--out", help=f"output directory (default {_DEFAULT_OUT})")
-    sub.add_argument("--config", action="append", metavar="FILE|key=value",
-                     help="JSON config file, a previous report.json, or a "
-                          "dotted key=value override; repeatable")
-    sub.add_argument("--workers", type=int,
-                     help="worker processes for independent splits (default "
-                          "one per usable core; 1 runs them in this process)")
-    if methods:
-        sub.add_argument("--methods",
-                         help="comma-separated subset of " + ",".join(bench.METHODS))
-    if splits:
-        sub.add_argument("--splits", type=int, help=splits)
+# the settings of the two split suites
+_SUITE = ("methods", "seed", "n_samples", "n_eval", "grid", "optim", "alpha",
+          "n_boot", "n_workers")
+
+# command: (runner, help, the settings it reads)
+_COMMANDS = {
+    "demo2d": (cmd_demo2d, "fit the 2-D mixture target and export contours, "
+                           "ellipses, and numeric KLs",
+               ("seed", "n_samples", "optim", "contour_resolution", "ellipse_mass")),
+    "cauchy": (cmd_cauchy, "synthetic heavy-tail regression suite",
+               _SUITE + ("n_runs", "n_train", "n_test")),
+    "benchmark": (cmd_benchmark, "split-resampling benchmark on CSV datasets",
+                  _SUITE + ("data", "task", "n_splits", "train_fraction", "splits_file")),
+    "fit": (cmd_fit, "fit one method once and serialise it",
+            ("data", "task", "method", "seed", "n_samples", "n_eval", "grid", "optim",
+             "curve_points")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -346,86 +384,24 @@ def build_parser() -> argparse.ArgumentParser:
         prog="mvi",
         description="Laplace-seeded Gaussian variational inference experiments")
     commands = parser.add_subparsers(dest="command", required=True)
-
-    p = commands.add_parser("demo2d",
-                            help="fit the 2-D mixture target and export contours, "
-                                 "ellipses, and numeric KLs")
-    _add_common(p, methods=False)
-
-    p = commands.add_parser("cauchy",
-                            help="synthetic heavy-tail regression suite")
-    _add_common(p, splits="number of seeded runs (default 100)")
-
-    p = commands.add_parser("benchmark",
-                            help="split-resampling benchmark on CSV datasets")
-    _add_common(p, splits="number of random splits (default 100)")
-    p.add_argument("--data", action="append", metavar="PATH",
-                   help="dataset CSV (last column is the target); repeatable")
-    p.add_argument("--splits-file", metavar="PATH",
-                   help="file of 1-based training indices, one split per line")
-    p.add_argument("--task", choices=data_mod.TASKS,
-                   help="override the inferred task kind")
-    p.add_argument("--train-fraction", type=float,
-                   help="training fraction for random splits (default 0.7)")
-
-    p = commands.add_parser("fit", help="fit one method once and serialise it")
-    _add_common(p, methods=False)
-    p.add_argument("--data", metavar="PATH", help="dataset CSV")
-    p.add_argument("--task", choices=data_mod.TASKS,
-                   help="override the inferred task kind")
-    p.add_argument("--method", choices=bench.METHODS, help="method to fit")
+    for command, (_, help_text, settings) in _COMMANDS.items():
+        sub = commands.add_parser(command, help=help_text)
+        sub.add_argument("--out", help=f"output directory (default {_DEFAULT_OUT})")
+        sub.add_argument("--config", action="append", metavar="FILE|key=value",
+                         help="JSON config file, a previous report.json, or a "
+                              "dotted key=value override; repeatable")
+        for key in settings:
+            for flag, keywords in _SETTINGS[key][2:]:   # settings with a flag
+                sub.add_argument(flag, dest=key, **keywords)
     return parser
 
 
 def _dispatch(args) -> int:
     file_config = load_config_args(args.config)
-    overrides = {
-        "n_samples": args.samples,
-        "n_eval": getattr(args, "eval_samples", None),
-        "seed": args.seed,
-        "n_workers": args.workers,
-    }
-    defaults = _common_defaults()
-
-    if args.command == "demo2d":
-        defaults.update({"contour_resolution": 201, "ellipse_mass": 0.70})
-        for key in ("methods", "alpha", "n_boot", "grid"):
-            defaults.pop(key, None)
-        config = effective_config("demo2d", defaults, file_config, overrides)
-        runner = cmd_demo2d
-    elif args.command == "cauchy":
-        defaults.update({"n_runs": 100, "n_train": 50, "n_test": 1000})
-        overrides["methods"] = _parse_methods(args.methods)
-        overrides["n_runs"] = args.splits
-        config = effective_config("cauchy", defaults, file_config, overrides)
-        runner = cmd_cauchy
-    elif args.command == "benchmark":
-        defaults.update({"n_splits": 100, "train_fraction": 0.7,
-                         "splits_file": None, "task": None, "data": None})
-        overrides.update({
-            "methods": _parse_methods(args.methods),
-            "n_splits": args.splits,
-            "data": args.data,
-            "splits_file": args.splits_file,
-            "task": args.task,
-            "train_fraction": args.train_fraction,
-        })
-        config = effective_config("benchmark", defaults, file_config, overrides)
-        runner = cmd_benchmark
-    else:  # fit
-        defaults.update({"data": None, "task": None, "method": None,
-                         "curve_points": 201})
-        for key in ("methods", "alpha", "n_boot", "n_workers"):
-            defaults.pop(key, None)
-        overrides.pop("n_workers", None)
-        overrides.update({"data": args.data, "task": args.task,
-                          "method": args.method})
-        config = effective_config("fit", defaults, file_config, overrides)
-        runner = cmd_fit
-
-    out_dir = Path(args.out or config.get("out") or _DEFAULT_OUT)
+    config = effective_config(args.command, file_config, vars(args))
+    out_dir = Path(args.out or _path(file_config.get("out") or _DEFAULT_OUT, "out"))
     out_dir.mkdir(parents=True, exist_ok=True)
-    return runner(config, out_dir)
+    return _COMMANDS[args.command][0](config, out_dir)
 
 
 def main(argv=None) -> int:

@@ -219,7 +219,7 @@ def load_csv_dataset(path, task: Optional[str] = None, target_column: int = -1,
     is tolerated and skipped.
     """
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise DataError(f"dataset file not found: {path}")
     rows: list[list[float]] = []
     with open(path, newline="") as handle:
@@ -292,7 +292,7 @@ class SplitPlan:
 def load_split_indices(path, n_rows: int) -> list[np.ndarray]:
     """Read a split-index file: 1-based training indices, one split per line."""
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise DataError(f"split-index file not found: {path}")
     splits = []
     with open(path) as handle:

@@ -436,29 +436,6 @@ def initialise(family: str, laplace, seed: int = 0,
                              **spec.init(laplace, seed, diag_variant))
 
 
-def warm_start(family: str, at: VariationalParams, laplace, seed: int = 0) -> VariationalParams:
-    """Start a richer family at a free-mean optimum without losing its bound.
-
-    The eigen family at r equal to the Laplace scales, and the rank-one
-    family at u = 0, reproduce the free-mean family's root exactly, so the
-    warm-started bound equals the donor's bound to rounding. v is drawn small
-    and nonzero because the (u, v) origin is a joint stationary point the
-    optimiser could not leave.
-    """
-    if at.family != "mvi_mu":
-        raise ValueError("warm starts are defined from a mvi_mu optimum")
-    mu = at.mu.copy()
-    theta = at.theta.copy()
-    p = mu.size
-    if family == "mvi_eig":
-        return VariationalParams("mvi_eig", mu, theta, log_r=np.log(laplace.eig_root))
-    if family == "mvi_lr":
-        rng = np.random.default_rng(seed)
-        return VariationalParams("mvi_lr", mu, theta,
-                                 u=np.zeros(p), v=0.1 * rng.standard_normal(p))
-    raise ValueError(f"no warm start defined for family {family!r}")
-
-
 @dataclass
 class FitResult:
     params: VariationalParams

@@ -1,11 +1,12 @@
-"""Small models and finite-difference oracles shared by the test modules:
-``from makers import ...``."""
+"""Small models, finite-difference oracles and the nesting warm start shared
+by the test modules: ``from makers import ...``."""
 
 import numpy as np
 
 from mvipkg.errors import NumericalError
 from mvipkg.models import (BinaryLogistic, CauchyRegression,
                            GaussianLinearModel, SoftmaxRegression)
+from mvipkg.variational import VariationalParams
 
 
 def make_cauchy(seed=0, n=12):
@@ -86,3 +87,26 @@ def finite_difference_jacobian(g, x, h: float = 1.0e-5) -> np.ndarray:
             raise NumericalError(f"gradient not finite near x along coordinate {i}")
         cols.append((g_plus - g_minus) / (2.0 * h))
     return np.stack(cols, axis=1)
+
+
+def warm_start(family: str, at: VariationalParams, laplace, seed: int = 0) -> VariationalParams:
+    """Start a richer family at a free-mean optimum without losing its bound.
+
+    The eigen family at r equal to the Laplace scales, and the rank-one
+    family at u = 0, reproduce the free-mean family's root exactly, so the
+    warm-started bound equals the donor's bound to rounding. v is drawn small
+    and nonzero because the (u, v) origin is a joint stationary point the
+    optimiser could not leave.
+    """
+    if at.family != "mvi_mu":
+        raise ValueError("warm starts are defined from a mvi_mu optimum")
+    mu = at.mu.copy()
+    theta = at.theta.copy()
+    p = mu.size
+    if family == "mvi_eig":
+        return VariationalParams("mvi_eig", mu, theta, log_r=np.log(laplace.eig_root))
+    if family == "mvi_lr":
+        rng = np.random.default_rng(seed)
+        return VariationalParams("mvi_lr", mu, theta,
+                                 u=np.zeros(p), v=0.1 * rng.standard_normal(p))
+    raise ValueError(f"no warm start defined for family {family!r}")

@@ -24,12 +24,12 @@ from mvipkg.optimize import OptimConfig
 from mvipkg.stats import PairedSample, bootstrap_median_diff_ci, sign_test
 from mvipkg.variational import (FAMILIES, VariationalParams, draw_fixed_samples,
                                 elbo_and_gradient, elbo_estimate, entropy,
-                                fit_family, initialise, pack, unpack,
-                                warm_start)
+                                fit_family, initialise, pack, unpack)
 from mvipkg.evaluate import log_mean_exp
 from mvipkg.variational import PosteriorGaussian
 
-from makers import ALL_MODEL_MAKERS, finite_difference_gradient, make_conjugate
+from makers import (ALL_MODEL_MAKERS, finite_difference_gradient, make_conjugate,
+                    warm_start)
 
 
 def _verdict(num: int, label: str, ok: bool, detail: str, elapsed: float = None):

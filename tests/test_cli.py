@@ -15,6 +15,8 @@ SMALL = [
     "--config", "optim.max_iters=150", "--config", "n_boot=200",
     "--samples", "100", "--eval-samples", "200",
 ]
+# a fit's required flags; the file is never read when a setting is bad
+FIT = ["--data", "missing.csv", "--method", "laplace"]
 
 
 def _write_regression_csv(tmp_path, n=25, seed=0, name="toy.csv"):
@@ -49,10 +51,9 @@ def test_dump_json_deterministic(tmp_path):
 
 
 def test_parse_methods():
-    assert cli._parse_methods(None) is None
     assert cli._parse_methods("all") == list(cli.bench.METHODS)
     assert cli._parse_methods("laplace, mvi_mu") == ["laplace", "mvi_mu"]
-    assert cli._parse_methods(["mvi_lr"]) == ["mvi_lr"]
+    assert cli._parse_methods("mvi_lr,") == ["mvi_lr"]
 
 
 def test_load_config_args_layering(tmp_path):
@@ -71,6 +72,8 @@ def test_load_config_args_unwraps_reports(tmp_path):
 def test_load_config_args_errors(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         cli.load_config_args(["/missing/conf.json"])
+    with pytest.raises(ConfigError, match="not found"):   # a directory
+        cli.load_config_args([str(tmp_path)])
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
     with pytest.raises(ConfigError, match="JSON"):
@@ -82,14 +85,16 @@ def test_load_config_args_errors(tmp_path):
 
 
 def test_effective_config_precedence():
-    cfg = cli.effective_config(
-        "cauchy", {"seed": 0, "n_runs": 100}, {"seed": 5}, {"seed": 9})
+    cfg = cli.effective_config("cauchy", {"seed": 5}, {"seed": 9})
     assert cfg["seed"] == 9 and cfg["n_runs"] == 100
-    cfg = cli.effective_config(
-        "cauchy", {"seed": 0}, {"seed": 5}, {"seed": None})
+    cfg = cli.effective_config("cauchy", {"seed": 5}, {"seed": None})
     assert cfg["seed"] == 5
+    # only the settings the command reads, without the command itself
+    cfg = cli.effective_config("demo2d", {"n_runs": 3, "command": "demo2d"}, {})
+    assert set(cfg) == {"seed", "n_samples", "optim", "contour_resolution",
+                        "ellipse_mass"}
     with pytest.raises(ConfigError, match="command"):
-        cli.effective_config("demo2d", {}, {"command": "cauchy"}, {})
+        cli.effective_config("demo2d", {"command": "cauchy"}, {})
 
 
 def test_grid_and_optim_from_config_errors():
@@ -322,11 +327,23 @@ def test_exit_code_config_error(tmp_path):
     (["--config", "optim.f_tol=NaN"], "optim.f_tol"),
     (["--config", "optim.f_tol=Infinity"], "optim.f_tol"),
     (["--config", "grid=5"], "grid"),
+    (["--seed", "-1"], "seed"),
+    (["--config", "seed=1.5"], "seed"),
+    (["--config", 'seed="abc"'], "seed"),
+    (["--config", "alpha=2"], "alpha"),
+    (["--config", "alpha=0"], "alpha"),
+    (["--config", "n_train=0"], "n_train"),
+    (["--config", "n_test=0"], "n_test"),
+    (["--config", "methods=5"], "methods"),
+    (["--config", 'methods="laplace"'], "methods"),
 ], ids=["samples-0", "samples-neg", "eval-samples-0", "workers-0", "workers-neg",
         "config-samples", "config-eval", "config-workers", "splits-0", "splits-neg",
         "config-boot", "grid-pairs-0", "grid-sizes-empty", "grid-sizes-0",
         "grid-search-neg", "grid-final-float", "optim-iters-0", "optim-grad-tol-neg",
-        "optim-f-tol-nan", "optim-f-tol-inf", "grid-not-object"])
+        "optim-f-tol-nan", "optim-f-tol-inf", "grid-not-object", "seed-neg",
+        "config-seed-float", "config-seed-string", "config-alpha-2", "config-alpha-0",
+        "config-train-0", "config-test-0", "config-methods-number",
+        "config-methods-string"])
 def test_exit_code_bad_count(tmp_path, capsys, argv, key):
     code = cli.main(["cauchy", "--splits", "1", "--out", str(tmp_path / "x")] + argv)
     assert code == 2
@@ -361,21 +378,31 @@ def test_exit_code_bad_count_in_config_file(tmp_path, capsys):
     ("demo2d", ["--config", "ellipse_mass=0"], "ellipse_mass"),
     ("demo2d", {"ellipse_mass": 1}, "ellipse_mass"),
     ("demo2d", {"optim": [1]}, "optim"),
+    ("benchmark", ["--config", "train_fraction=1.5"], "train_fraction"),
+    ("benchmark", ["--config", 'train_fraction="abc"'], "train_fraction"),
+    ("benchmark", {"data": 5}, "data"),
+    ("fit", FIT + ["--config", "seed=-2"], "seed"),
+    ("fit", FIT + ["--config", "curve_points=0"], "curve_points"),
+    ("fit", FIT + ["--config", 'curve_points="abc"'], "curve_points"),
+    ("demo2d", ["--config", 'contour_resolution="abc"'], "contour_resolution"),
 ], ids=["bench-splits-0", "bench-splits-neg", "bench-config-splits", "bench-config-boot",
         "config-runs", "file-runs-0", "file-runs-neg", "file-boot", "bench-file-splits-0",
         "bench-file-splits-neg", "bench-file-boot", "bench-grid-pairs-0",
         "bench-file-grid-sizes", "file-optim-iters", "demo-grad-tol-neg",
         "demo-ellipse-mass-high", "demo-ellipse-mass-0", "demo-file-ellipse-mass-1",
-        "demo-file-optim-not-object"])
+        "demo-file-optim-not-object", "bench-train-fraction-high",
+        "bench-train-fraction-string", "bench-file-data-number", "fit-seed-neg",
+        "fit-curve-points-0", "fit-curve-points-string", "demo-contour-string"])
 def test_exit_code_bad_run_count(tmp_path, capsys, command, argv, key):
-    # the counts of runs, splits and bootstrap draws, the grid and optim
-    # settings and the ellipse mass are checked before any
-    # data is read or any split is fitted, from flags, --config and files
+    # every setting a command reads (counts, seed, fractions, methods, paths,
+    # the grid and optim settings) is checked before any data is read or any
+    # split is fitted, from flags, --config and files
+    data = (["--data", str(tmp_path / "missing.csv")]
+            if command == "benchmark" and "data" not in argv else [])
     if isinstance(argv, dict):   # a config file
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(argv))
         argv = ["--config", str(path)]
-    data = ["--data", str(tmp_path / "missing.csv")] if command == "benchmark" else []
     code = cli.main([command, "--out", str(tmp_path / "x")] + data + argv)
     assert code == 2
     err = capsys.readouterr().err
@@ -408,6 +435,19 @@ def test_argparse_rejects_unknown_command():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["demo2d", "--workers", "2"],
+    ["demo2d", "--eval-samples", "10"],
+    ["fit", "--workers", "2"],
+], ids=["demo-workers", "demo-eval-samples", "fit-workers"])
+def test_subcommands_take_only_their_own_flags(tmp_path, argv):
+    # a flag for a setting the command does not read is a usage error
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "x").exists()
 
 
 def test_seed_override_changes_results(tmp_path):

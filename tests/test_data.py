@@ -175,9 +175,11 @@ def test_csv_errors_cite_line_numbers(tmp_path):
         load_csv_dataset(textual)
 
 
-def test_csv_missing_file():
+def test_csv_missing_file(tmp_path):
     with pytest.raises(DataError, match="not found"):
         load_csv_dataset("/nonexistent/path.csv")
+    with pytest.raises(DataError, match="not found"):   # a directory
+        load_csv_dataset(tmp_path)
 
 
 def test_csv_empty_and_single_column(tmp_path):
@@ -234,6 +236,8 @@ def test_split_index_file_validation(tmp_path):
     bad.write_text("\n\n")
     with pytest.raises(DataError, match="no splits"):
         load_split_indices(bad, n_rows=4)
+    with pytest.raises(DataError, match="not found"):   # a directory
+        load_split_indices(tmp_path, n_rows=4)
 
 
 def test_standardize_uses_training_statistics_only():

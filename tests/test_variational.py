@@ -12,10 +12,10 @@ from mvipkg.variational import (FAMILIES, FixedSampleSet, VariationalParams, _le
                                 covariance_root, draw_fixed_samples, elbo_and_gradient,
                                 elbo_estimate, entropy, family_samples,
                                 fit_family, initialise, laplace_posterior,
-                                pack, standardize_draws, unpack, warm_start)
+                                pack, standardize_draws, unpack)
 
 from makers import (finite_difference_gradient, make_cauchy, make_conjugate,
-                    make_logistic, make_softmax)
+                    make_logistic, make_softmax, warm_start)
 
 HALF_LOG_2PIE = 0.5 * (math.log(2 * math.pi) + 1.0)
 
@@ -332,26 +332,6 @@ def test_lr_initialisation_scale(cauchy_model):
     rng = np.random.default_rng(21)
     np.testing.assert_array_equal(params.u, 0.1 * rng.standard_normal(lap.dim))
     np.testing.assert_array_equal(params.v, 0.1 * rng.standard_normal(lap.dim))
-
-
-def test_warm_start_preserves_bound_exactly(cauchy_model):
-    lap = _lap(cauchy_model)
-    samples = draw_fixed_samples(60, lap.dim, seed=13)
-    fit_mu = fit_family(cauchy_model, lap, samples, "mvi_mu",
-                        config=OptimConfig(max_iters=200))
-    for family in ("mvi_eig", "mvi_lr"):
-        warm = warm_start(family, fit_mu.params, lap, seed=1)
-        np.testing.assert_array_equal(warm.mu, fit_mu.params.mu)
-        np.testing.assert_array_equal(warm.theta, fit_mu.params.theta)
-        warm_val = elbo_estimate(warm, samples, cauchy_model, lap)
-        assert warm_val == pytest.approx(fit_mu.elbo, abs=1.0e-9)
-    assert np.array_equal(warm_start("mvi_lr", fit_mu.params, lap, seed=1).u,
-                          np.zeros(lap.dim))
-    with pytest.raises(ValueError):
-        warm_start("vi_diag", fit_mu.params, lap)
-    eig = initialise("mvi_eig", lap)
-    with pytest.raises(ValueError):
-        warm_start("mvi_lr", eig, lap)
 
 
 # ---------------------------------------------------------------------------
