@@ -269,6 +269,8 @@ def effective_config(command: str, file_config: dict, overrides: dict) -> dict:
         default, check = _SETTINGS[key][:2]
         flag = overrides.get(key)
         config[key] = check(file_config.get(key, default) if flag is None else flag, key)
+    if command == "fit" and len(config["data"]) != 1:
+        raise ConfigError(f"fit takes one data path, got {config['data']!r}")
     return config
 
 
@@ -328,8 +330,6 @@ def cmd_benchmark(config: dict, out_dir: Path) -> int:
 
 
 def cmd_fit(config: dict, out_dir: Path) -> int:
-    if len(config["data"]) != 1:
-        raise ConfigError(f"fit takes one data path, got {config['data']!r}")
     path = config["data"][0]
     dataset = data_mod.load_csv_dataset(path, task=config["task"], name=path)
     meta, arrays = bench.run_fit(

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .errors import NumericalError
 from .models import BinaryLogistic, CauchyRegression, SoftmaxRegression, kmeans
@@ -93,6 +93,14 @@ class LaplaceResult:
     def dim(self) -> int:
         return self.mean.size
 
+    @cached_property
+    def chol_inv(self) -> np.ndarray:
+        """C^-1, formed once per fit: the rank-one family applies it as mat-vecs."""
+        inv = np.linalg.inv(self.chol)
+        if not np.isfinite(inv).all():
+            raise NumericalError("inverse of the Laplace Cholesky factor is not finite")
+        return inv
+
 
 def laplace_approximation(model, w_star: np.ndarray) -> LaplaceResult:
     """Fit the Gaussian N(w*, (-H)^-1) at a (near-)mode w*.
@@ -110,8 +118,6 @@ def laplace_approximation(model, w_star: np.ndarray) -> LaplaceResult:
         raise NumericalError(
             f"negated Hessian has non-positive mean diagonal ({diag_scale:.3e})")
 
-    chol_a = None
-    jitter = 0.0
     for step in (0.0,) + _JITTER_STEPS:
         jitter = step * diag_scale
         try:
@@ -119,14 +125,14 @@ def laplace_approximation(model, w_star: np.ndarray) -> LaplaceResult:
             break
         except np.linalg.LinAlgError:
             continue
-    if chol_a is None:
+    else:
         smallest = float(np.linalg.eigvalsh(a).min())
         raise NumericalError(
             "negated Hessian is not positive definite even after jitter up to "
             f"1e-2 of the mean diagonal (smallest eigenvalue {smallest:.3e})")
 
-    cov = cho_solve((chol_a, True), np.eye(p))
-    cov = 0.5 * (cov + cov.T)
+    inv_a = np.linalg.inv(chol_a)
+    cov = inv_a.T @ inv_a   # Sigma = L^-T L^-1 for -H + jitter = L L', symmetric to the bit
     try:
         chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
@@ -269,6 +275,4 @@ def hyperparameter_search(X: np.ndarray, y: np.ndarray, task: str, seed: int,
     final_cfg = OptimConfig(max_iters=grid.final_iters, grad_tol=base_optim.grad_tol)
     mode = find_mode(best_model, best_mode.w, final_cfg)
     lap = laplace_approximation(best_model, mode.w)
-    for rec in records:
-        rec.pop("centers", None)
     return SearchResult(model=best_model, laplace=lap, mode=mode, candidates=records)

@@ -81,7 +81,6 @@ import math
 from functools import cached_property
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import DataError, NumericalError
 
@@ -92,6 +91,14 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 # multiple of 24 draws gets the rows of the one-shot product W phi' bit for
 # bit; 256 draws did not, at 300 test points (edge tiles rounded apart).
 _SCORE_BLOCK = 288
+
+
+def expit(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The logistic 1 / (1 + e^-x) of an array, in place if ``out`` is ``x``. x is raised
+    to -709 first so that e^-x cannot overflow; below -709 the error is under 1.3e-308."""
+    out = np.maximum(x, -709.0, out=out)
+    np.exp(np.negative(out, out=out), out=out)
+    return np.reciprocal(np.add(out, 1.0, out=out), out=out)
 
 
 # ---------------------------------------------------------------------------

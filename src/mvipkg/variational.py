@@ -61,8 +61,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dtrtrs
 
 from .errors import NumericalError
 from .models import FixedDraws
@@ -106,10 +104,8 @@ def standardize_draws(z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     z = z - z.mean(axis=0, keepdims=True)
     s, p = z.shape
-    if s > p:
-        second = z.T @ z / s
-        chol = np.linalg.cholesky(second)
-        z = solve_triangular(chol, z.T, lower=True).T
+    if s > p:   # z C'^-1, with C C' the second moment
+        z = np.linalg.solve(np.linalg.cholesky(z.T @ z / s), z.T).T
     return z
 
 
@@ -197,18 +193,9 @@ def _log_det_chol(laplace) -> float:
     return float(np.sum(np.log(np.diag(laplace.chol))))
 
 
-def _chol_solve(laplace, b: np.ndarray, transposed: bool = False) -> np.ndarray:
-    """C^-1 b, or C^-T b, for the Laplace Cholesky factor C: the LAPACK call
-    that ``solve_triangular`` makes (on C' as stored), without its checks."""
-    x, info = dtrtrs(laplace.chol.T, b, lower=0, trans=0 if transposed else 1)
-    if info:
-        raise NumericalError(f"triangular solve failed (LAPACK info {info})")
-    return x
-
-
 def _lemma(params: VariationalParams, laplace) -> tuple[np.ndarray, float]:
     """t = C^-1 u and s = 1 + v' t, so that det(C + u v') = det(C) s."""
-    t = _chol_solve(laplace, params.u)
+    t = laplace.chol_inv @ params.u
     s = 1.0 + float(params.v @ t)
     if abs(s) < _DET_LEMMA_FLOOR:
         raise NumericalError(
@@ -227,7 +214,7 @@ def _log_scale_block(BG: np.ndarray, log_s: np.ndarray) -> np.ndarray:
 def _contract_lr(params: VariationalParams, laplace, G: np.ndarray,
                  lemma: tuple[np.ndarray, float]) -> list[np.ndarray]:
     t, s = lemma
-    return [G @ params.v + _chol_solve(laplace, params.v, transposed=True) / s,
+    return [G @ params.v + params.v @ laplace.chol_inv / s,   # C^-T v = v' C^-1
             G.T @ params.u + t / s]
 
 
@@ -327,8 +314,9 @@ def entropy(params: VariationalParams, laplace, shared=None) -> float:
 
     mvi_mu reads it off the Laplace Cholesky diagonal; mvi_eig and vi_diag
     reduce to sums of log scales; mvi_lr uses the matrix determinant lemma
-    det(C + u v') = det(C) (1 + v' C^-1 u) with one triangular solve, and
-    refuses to proceed when the rank-one update collapses the determinant.
+    det(C + u v') = det(C) (1 + v' C^-1 u), C^-1 u one mat-vec with the fit's
+    C^-1, and refuses to proceed when the rank-one update collapses the
+    determinant.
     ``shared`` is the family's ``shared`` value at ``params``, if known.
     """
     spec = _spec(params.family)

@@ -256,7 +256,8 @@ def test_criterion_6_determinant_lemma():
         v = 0.5 * rng.standard_normal(p)
         params = VariationalParams("mvi_lr", np.zeros(p), np.zeros(0),
                                    u=u, v=v)
-        via_lemma = entropy(params, SimpleNamespace(chol=chol))
+        fit = SimpleNamespace(chol=chol, chol_inv=np.linalg.inv(chol))   # C and C^-1 of a fit
+        via_lemma = entropy(params, fit)
         sign, logdet = np.linalg.slogdet(chol + np.outer(u, v))
         direct = p * half_log_2pie + logdet
         worst = max(worst, abs(via_lemma - direct) / abs(direct))

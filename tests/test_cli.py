@@ -384,6 +384,8 @@ def test_exit_code_bad_count_in_config_file(tmp_path, capsys):
     ("fit", FIT + ["--config", "seed=-2"], "seed"),
     ("fit", FIT + ["--config", "curve_points=0"], "curve_points"),
     ("fit", FIT + ["--config", 'curve_points="abc"'], "curve_points"),
+    ("fit", FIT + ["--data", "b.csv"], "data"),
+    ("fit", {"data": ["a.csv", "b.csv"], "method": "laplace"}, "data"),
     ("demo2d", ["--config", 'contour_resolution="abc"'], "contour_resolution"),
 ], ids=["bench-splits-0", "bench-splits-neg", "bench-config-splits", "bench-config-boot",
         "config-runs", "file-runs-0", "file-runs-neg", "file-boot", "bench-file-splits-0",
@@ -392,7 +394,8 @@ def test_exit_code_bad_count_in_config_file(tmp_path, capsys):
         "demo-ellipse-mass-high", "demo-ellipse-mass-0", "demo-file-ellipse-mass-1",
         "demo-file-optim-not-object", "bench-train-fraction-high",
         "bench-train-fraction-string", "bench-file-data-number", "fit-seed-neg",
-        "fit-curve-points-0", "fit-curve-points-string", "demo-contour-string"])
+        "fit-curve-points-0", "fit-curve-points-string", "fit-two-data",
+        "fit-file-two-data", "demo-contour-string"])
 def test_exit_code_bad_run_count(tmp_path, capsys, command, argv, key):
     # every setting a command reads (counts, seed, fractions, methods, paths,
     # the grid and optim settings) is checked before any data is read or any
@@ -486,12 +489,26 @@ def test_pool_reports_do_not_depend_on_the_parent_blas_threads(tmp_path):
 
 
 def test_cli_import_leaves_out_heavy_scipy_modules():
-    # every `mvi` process pays for what mvipkg.cli imports: importing
-    # scipy.optimize or scipy.stats would add to start-up time and peak memory
-    code = ("import sys, mvipkg.cli; "
-            "print(sorted(m for m in ('scipy.optimize', 'scipy.stats') if m in sys.modules))")
+    # every `mvi` process and every pool process pays for what it imports, and
+    # any scipy submodule loads scipy._lib._array_api, which brings in
+    # numpy.testing, unittest, numpy.f2py and numpy.ma. No scipy module may
+    # load, neither on import nor during one split of every method: the split
+    # catches an import deferred into the fitting or scoring code
+    code = "\n".join([
+        "import sys, mvipkg.cli",
+        "from mvipkg import bench, data, laplace, optimize",
+        "def scipy_modules():",
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')",
+        "print(scipy_modules())",
+        "train, test = data.generate_cauchy_task(0, n_train=20, n_test=40)",
+        "grid = laplace.GridConfig(basis_sizes=(5,), n_pairs=2, search_iters=5,",
+        "                          final_iters=50)",
+        "bench.run_split(train, test, n_samples=50, n_eval=100, grid=grid,",
+        "                optim=optimize.OptimConfig(max_iters=30))",
+        "print(scipy_modules())",
+    ])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     run = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "[]"
+    assert run.stdout.split("\n")[:2] == ["[]", "[]"]

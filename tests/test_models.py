@@ -5,12 +5,13 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.special import expit as scipy_expit
 from scipy.stats import multivariate_normal
 
 from mvipkg.data import mixture_2d_target
 from mvipkg.errors import DataError, NumericalError
 from mvipkg.models import (BinaryLogistic, CauchyRegression, GaussianLinearModel,
-                           SoftmaxRegression, kmeans, rbf_features,
+                           SoftmaxRegression, expit, kmeans, rbf_features,
                            squared_distances)
 
 from makers import (ALL_MODEL_MAKERS, finite_difference_gradient,
@@ -247,6 +248,18 @@ def test_cauchy_value_direct_formula():
     # the draws w = 0 + I z, z = W, through the held-out pass
     held_out = model.score(np.zeros(model.P), np.eye(model.P), W, model.X, y)[1]
     np.testing.assert_allclose(held_out, loglik, rtol=1.0e-12)
+
+
+def test_expit_matches_scipy_and_never_overflows():
+    x = np.linspace(-700.0, 700.0, 14_001)
+    np.testing.assert_allclose(expit(x), scipy_expit(x), rtol=1.0e-12)
+    with np.errstate(over="raise", invalid="raise"):
+        far = expit(np.array([-800.0, 800.0]))
+        inplace = x.copy()
+        assert expit(inplace, out=inplace) is inplace
+    assert np.isfinite(far).all() and ((far >= 0.0) & (far <= 1.0)).all()
+    assert far[0] < 1.3e-308 and far[1] == 1.0
+    np.testing.assert_array_equal(inplace, expit(x))
 
 
 def test_logistic_value_direct_formula():

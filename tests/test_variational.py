@@ -8,8 +8,8 @@ from mvipkg.data import mixture_2d_target
 from mvipkg.errors import NumericalError
 from mvipkg.laplace import find_mode, laplace_approximation
 from mvipkg.optimize import OptimConfig
-from mvipkg.variational import (FAMILIES, FixedSampleSet, VariationalParams, _lemma,
-                                covariance_root, draw_fixed_samples, elbo_and_gradient,
+from mvipkg.variational import (FAMILIES, FixedSampleSet, VariationalParams, _contract_lr,
+                                _lemma, covariance_root, draw_fixed_samples, elbo_and_gradient,
                                 elbo_estimate, entropy, family_samples,
                                 fit_family, initialise, laplace_posterior,
                                 pack, standardize_draws, unpack)
@@ -48,6 +48,15 @@ def test_standardize_skips_whitening_when_underdetermined():
     z = standardize_draws(raw)
     np.testing.assert_allclose(z.mean(axis=0), 0.0, atol=1.0e-14)
     np.testing.assert_allclose(z, raw - raw.mean(axis=0), atol=1.0e-14)
+
+
+@pytest.mark.parametrize("p", (11, 31, 93))
+def test_standardized_draws_whitened_to_identity(p):
+    # the sizes the suites draw: P = 11 to 93 coordinates, 1000 rows
+    raw = np.random.default_rng(p).standard_normal((1000, p)) * np.linspace(0.5, 3.0, p) + 2.0
+    z = standardize_draws(raw)
+    np.testing.assert_allclose(z.mean(axis=0), 0.0, atol=1.0e-12)
+    np.testing.assert_allclose(z.T @ z / 1000, np.eye(p), atol=1.0e-12)
 
 
 def test_single_draw_centres_to_zero():
@@ -292,13 +301,26 @@ def test_elbo_and_gradient_match_per_draw_oracle(name, family):
     assert model.value(lap.mean) == at_mode   # the caller's model never moves
 
 
-def test_lemma_solve_matches_solve_triangular_bit_for_bit(cauchy_model):
-    lap = _lap(cauchy_model)
-    params = initialise("mvi_lr", lap, seed=5)
-    params.u = np.random.default_rng(6).standard_normal(lap.dim)
+@pytest.mark.parametrize("name", ("cauchy", "binary", "softmax", "conjugate"))
+def test_lemma_solves_match_solve_triangular(name):
+    # C^-1 u and C^-T v as mat-vecs with the fit's cached C^-1, against
+    # triangular substitution on the Laplace factor C
+    lap = _lap(ORACLE_MODELS[name]())
+    params = _perturbed("mvi_lr", lap, np.random.default_rng(6))
     t, s = _lemma(params, lap)
-    np.testing.assert_array_equal(t, solve_triangular(lap.chol, params.u, lower=True))
+    np.testing.assert_allclose(t, solve_triangular(lap.chol, params.u, lower=True),
+                               rtol=1.0e-12)
     assert s == 1.0 + float(params.v @ t)
+    c_inv_t_v = _contract_lr(params, lap, np.zeros((lap.dim, lap.dim)), (t, s))[0] * s
+    np.testing.assert_allclose(c_inv_t_v, solve_triangular(lap.chol.T, params.v, lower=False),
+                               rtol=1.0e-12)
+
+
+def test_laplace_chol_inv_rejects_a_singular_factor(cauchy_model):
+    lap = _lap(cauchy_model)
+    lap.chol[1, 1] = 1.0e-320   # C^-1 overflows
+    with pytest.raises(NumericalError, match="not finite"):
+        lap.chol_inv
 
 
 def test_elbo_raises_on_nonfinite_values(cauchy_model):
