@@ -11,7 +11,7 @@ Submodules:
     models       differentiable log-posterior models (Cauchy RBF regression,
                  binary logistic, softmax, and a conjugate linear-Gaussian
                  oracle with closed forms)
-    optimize     L-BFGS minimiser and finite differences
+    optimize     deterministic L-BFGS minimiser
     laplace      mode finding, curvature fit, hyperparameter grid search
     variational  families, entropies, fixed-sample ELBO and gradients
     evaluate     predictive metrics, Monte Carlo LPD, 2-D quadrature KL

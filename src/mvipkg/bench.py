@@ -70,8 +70,7 @@ def _optim_dict(optim: OptimConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 def _fit_diagnostics(res) -> dict:
-    """Iterations, evaluations, stop reason and final max|g| of a
-    MinimizeResult or ModeResult."""
+    """Iterations, evaluations, stop reason and final max|g| of a MinimizeResult."""
     return {"n_iters": int(res.n_iters), "n_evals": int(res.n_evals),
             "stop_reason": str(res.reason), "grad_norm": float(res.grad_norm)}
 
@@ -258,9 +257,9 @@ def _run_suite(config, splits, methods, metrics, base_seed, **fit_options) -> di
     fails numerically is recorded as skipped. ``config["n_workers"]`` is the
     requested worker count; None asks for one per usable core. Either is
     capped at the number of splits, and the count used is
-    ``timing["n_workers"]``. ``timing["wall"]`` is the suite's elapsed time,
-    while ``timing["total"]`` sums the per-split times, which overlap under
-    several workers. ``alpha`` and ``n_boot`` are read from ``config`` too.
+    ``timing["n_workers"]``. ``timing["wall"]`` is the suite's elapsed time;
+    the per-split times under ``timing["splits"]`` overlap under several
+    workers. ``alpha`` and ``n_boot`` are read from ``config`` too.
     """
     n_workers = max(1, min(config["n_workers"] or usable_cores(), len(splits)))
     started = time.perf_counter()
@@ -292,8 +291,6 @@ def _run_suite(config, splits, methods, metrics, base_seed, **fit_options) -> di
         "significance": significance,
         "markers": markers,
         "timing": {"splits": run_times,
-                   "total": float(sum(sum(t for k, t in rt.items() if k != "index")
-                                      for rt in run_times)),
                    "wall": time.perf_counter() - started,
                    "n_workers": n_workers},
     }
@@ -401,7 +398,7 @@ def run_demo2d(seed: int = 0, n_samples: int = 1000,
     mode = laplace_mod.find_mode(target, np.zeros(2))
     if not mode.converged:
         raise NumericalError("mode search did not converge on the mixture target")
-    lap = laplace_mod.laplace_approximation(target, mode.w)
+    lap = laplace_mod.laplace_approximation(target, mode.x)
     timing["laplace"] = time.perf_counter() - t0
 
     samples = variational.draw_fixed_samples(
@@ -439,7 +436,7 @@ def run_demo2d(seed: int = 0, n_samples: int = 1000,
         "kl": kl,
         "elbo": elbos,
         "n_iters": iters,
-        "mode": [float(v) for v in mode.w],
+        "mode": [float(v) for v in mode.x],
         "timing": timing,
         "arrays": arrays,
     }

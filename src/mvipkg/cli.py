@@ -184,10 +184,18 @@ def _or_null(check):
     return lambda value, key: None if value is None else check(value, key)
 
 
+def _object(value, known, key: str = "") -> dict:
+    """``value``, an object whose keys all are in ``known``; ``key`` names it."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be an object, got {value!r}")
+    unknown = [f"{key}.{k}" if key else k for k in value if k not in known]
+    if unknown:
+        raise ConfigError(f"unknown config key(s) {', '.join(unknown)}")
+    return value
+
+
 def _grid_from(config: dict) -> GridConfig:
-    g = config.get("grid", {})
-    if not isinstance(g, dict):
-        raise ConfigError(f"grid must be an object, got {g!r}")
+    g = _object(config.get("grid", {}), GridConfig.__dataclass_fields__, "grid")
     sizes = g.get("basis_sizes", GridConfig.basis_sizes)
     if not isinstance(sizes, (list, tuple)) or not sizes:
         raise ConfigError(f"grid.basis_sizes must be a non-empty list, got {sizes!r}")
@@ -198,9 +206,7 @@ def _grid_from(config: dict) -> GridConfig:
 
 
 def _optim_from(config: dict) -> OptimConfig:
-    o = config.get("optim", {})
-    if not isinstance(o, dict):
-        raise ConfigError(f"optim must be an object, got {o!r}")
+    o = _object(config.get("optim", {}), OptimConfig.__dataclass_fields__, "optim")
     return OptimConfig(
         max_iters=_count(o.get("max_iters", OptimConfig.max_iters), "optim.max_iters"),
         **{k: _tolerance(o.get(k, getattr(OptimConfig, k)), f"optim.{k}")
@@ -255,11 +261,14 @@ _SETTINGS = {
     "contour_resolution": (201, _count),
     "ellipse_mass": (0.70, _fraction),
 }
+_REPORT_KEYS = ("command", "dataset", "indices_path", "out")   # beside the settings
 
 
 def effective_config(command: str, file_config: dict, overrides: dict) -> dict:
     """The settings ``command`` reads, each checked: defaults < config files <
-    flags (an override of None is no flag). Other keys are dropped."""
+    flags (an override of None is no flag). Other settings are dropped; a key
+    that is neither a setting nor a report's is refused."""
+    _object(file_config, (*_SETTINGS, *_REPORT_KEYS))
     stated = file_config.get("command")
     if stated is not None and stated != command:
         raise ConfigError(
@@ -277,6 +286,18 @@ def effective_config(command: str, file_config: dict, overrides: dict) -> dict:
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
+
+def _write_suite(out_dir: Path, report: dict, metric: str, label: str, unit: str):
+    """A suite's report, timing and median table, and its two summary lines."""
+    write_report(out_dir, report)
+    write_median_table(out_dir / "table.csv", report, ("lpd", metric))
+    print(f"{label}: {report['n_completed']} {unit} completed, {report['n_skipped']} "
+          f"skipped; medians in {out_dir / 'table.csv'}")
+    searches = [r["search"] for r in report["records"]]
+    print(f"{label}: mode converged in {sum(s['mode_converged'] for s in searches)}/"
+          f"{len(searches)} splits; {sum(s['grid_failed'] for s in searches)} "
+          "grid candidates failed")
+
 
 def cmd_demo2d(config: dict, out_dir: Path) -> int:
     report = bench.run_demo2d(**config)
@@ -297,12 +318,7 @@ def cmd_demo2d(config: dict, out_dir: Path) -> int:
 
 
 def cmd_cauchy(config: dict, out_dir: Path) -> int:
-    report = bench.run_cauchy(**config)
-    write_report(out_dir, report)
-    write_median_table(out_dir / "table.csv", report, ("lpd", "mse"))
-    done, skip = report["n_completed"], report["n_skipped"]
-    print(f"cauchy: {done} runs completed, {skip} skipped; "
-          f"medians in {out_dir / 'table.csv'}")
+    _write_suite(out_dir, bench.run_cauchy(**config), "mse", "cauchy", "runs")
     return 0
 
 
@@ -320,12 +336,8 @@ def cmd_benchmark(config: dict, out_dir: Path) -> int:
         report["config"]["splits_file"] = config["splits_file"]
         target = out_dir / Path(path).stem if multi else out_dir
         target.mkdir(parents=True, exist_ok=True)
-        write_report(target, report)
         metric = "mse" if dataset.kind == "regression" else "error_rate"
-        write_median_table(target / "table.csv", report, ("lpd", metric))
-        done, skip = report["n_completed"], report["n_skipped"]
-        print(f"benchmark[{dataset.name}]: {done} splits completed, "
-              f"{skip} skipped; medians in {target / 'table.csv'}")
+        _write_suite(target, report, metric, f"benchmark[{dataset.name}]", "splits")
     return 0
 
 

@@ -72,8 +72,6 @@ class PredictiveScore:
     lpd: float
     error_rate: Optional[float] = None
     mse: Optional[float] = None
-    n_samples: int = 0
-    seed: int = 0
 
 
 def _scored(posterior: PosteriorGaussian, model, X_test, y_test, n_samples: int,
@@ -107,8 +105,7 @@ def classification_metrics(posterior: PosteriorGaussian, model, X_test, y_test,
         predicted = mean_probs.argmax(axis=1)
         truth = np.atleast_2d(y).argmax(axis=1)
     error_rate = float(np.mean(predicted != truth))
-    return PredictiveScore(lpd=value, error_rate=error_rate,
-                           n_samples=n_samples, seed=seed)
+    return PredictiveScore(lpd=value, error_rate=error_rate)
 
 
 def regression_metrics(posterior: PosteriorGaussian, model, X_test, y_test,
@@ -117,7 +114,7 @@ def regression_metrics(posterior: PosteriorGaussian, model, X_test, y_test,
     preds, value = _scored(posterior, model, X_test, y_test, n_samples, seed)
     y = np.asarray(y_test, dtype=float).ravel()
     mse = float(np.mean((y - preds) ** 2))
-    return PredictiveScore(lpd=value / y.size, mse=mse, n_samples=n_samples, seed=seed)
+    return PredictiveScore(lpd=value / y.size, mse=mse)
 
 
 def predictive_curve(posterior: PosteriorGaussian, model, x_grid,

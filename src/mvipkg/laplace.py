@@ -17,40 +17,29 @@ is refined with a long mode search.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
 from .errors import NumericalError
-from .models import BinaryLogistic, CauchyRegression, SoftmaxRegression, kmeans
-from .optimize import OptimConfig, minimize
-from .variational import FixedSampleSet, elbo_estimate, initialise, standardize_draws
+from .models import BinaryLogistic, CauchyRegression, FixedDraws, SoftmaxRegression, kmeans
+from .optimize import MinimizeResult, OptimConfig, minimize
+from .variational import elbo_estimate, initialise, standardize_draws
 
 # Jitter ladder for repairing a curvature matrix that is not quite positive
 # definite: relative steps 1e-8, 1e-7, ..., 1e-2 of the mean diagonal.
 _JITTER_STEPS = tuple(10.0**k for k in range(-8, -1))
 
 
-@dataclass
-class ModeResult:
-    w: np.ndarray
-    value: float
-    grad_norm: float
-    n_iters: int
-    converged: bool
-    reason: str            # the minimiser's stop reason
-    n_evals: int
-    trace: list[float] = field(default_factory=list)
-
-
-def find_mode(model, w0: np.ndarray, config: OptimConfig | None = None) -> ModeResult:
+def find_mode(model, w0: np.ndarray, config: OptimConfig | None = None) -> MinimizeResult:
     """Gradient-based ascent to a stationary point of the log posterior.
 
-    Runs the deterministic minimiser on the negated objective with ``f_tol``
-    0: the search stops on the max-norm gradient test (``converged``), after
-    ``max_iters`` accepted steps, or (reason ``f_tol``) when no finite line
-    search trial lowers the value; ``config.f_tol`` is not used.
+    Returns the deterministic minimiser's result on the negated objective
+    (``f`` is minus the log posterior at ``x``), run with ``f_tol`` 0: it
+    stops on the max-norm gradient test (``converged``), after ``max_iters``
+    accepted steps, or (reason ``f_tol``) when no finite line search trial
+    lowers the value; ``config.f_tol`` is not used.
     """
     cfg = replace(config or OptimConfig(max_iters=1000), f_tol=0.0)
 
@@ -58,17 +47,7 @@ def find_mode(model, w0: np.ndarray, config: OptimConfig | None = None) -> ModeR
         values, grads, _ = model.evaluate(w)
         return -float(values[0]), -grads[0]
 
-    res = minimize(objective, np.asarray(w0, dtype=float), cfg)
-    return ModeResult(
-        w=res.x,
-        value=-res.f,
-        grad_norm=res.grad_norm,
-        n_iters=res.n_iters,
-        converged=res.grad_norm <= cfg.grad_tol,
-        reason=res.reason,
-        n_evals=res.n_evals,
-        trace=[-f for f in res.trace],
-    )
+    return minimize(objective, np.asarray(w0, dtype=float), cfg)
 
 
 @dataclass
@@ -172,7 +151,7 @@ class GridConfig:
 class SearchResult:
     model: object            # winning model at its fitted mode's hyperparameters
     laplace: LaplaceResult
-    mode: ModeResult
+    mode: MinimizeResult     # the final mode search
     candidates: list[dict]   # per-candidate record incl. score or failure
 
 
@@ -223,49 +202,37 @@ def hyperparameter_search(X: np.ndarray, y: np.ndarray, task: str, seed: int,
     km_seeds = ss_km.spawn(len(sizes))
     n_hyper = 3 if task == "regression" else 2
 
-    candidates = []
-    for m, km_seed in zip(sizes, km_seeds):
-        centers = kmeans(X, m, seed=km_seed)
-        draws = pair_rng.uniform(size=(grid.n_pairs, n_hyper))
-        for row in draws:
-            width, alpha = float(row[0]), float(row[1])
-            gamma = float(row[2]) if task == "regression" else None
-            candidates.append({
-                "M": m, "centers": centers, "width": width,
-                "alpha": alpha, "gamma": gamma,
-            })
-
     k_classes = np.atleast_2d(np.asarray(y)).shape[1] if task == "multiclass" else 1
-    p_max = max((c["M"] + 1) * k_classes for c in candidates)
+    p_max = (max(sizes) + 1) * k_classes
     z_master = np.random.default_rng(ss_z).standard_normal((n_samples, p_max))
 
     search_cfg = OptimConfig(max_iters=grid.search_iters, grad_tol=base_optim.grad_tol)
     records = []
     best = None        # (score, model, mode) of the best candidate so far
     sample_sets = {}   # standardised draws per parameter dimension
-    for cand in candidates:
-        rec = {k: cand[k] for k in ("M", "width", "alpha", "gamma")}
-        try:
-            scale = {} if cand["gamma"] is None else {"gamma": cand["gamma"]}
-            model = TASK_MODELS[task](X, y, cand["centers"], alpha=cand["alpha"],
-                                      width=cand["width"], **scale)
-            mode = find_mode(model, np.zeros(model.P), search_cfg)
-            lap = laplace_approximation(model, mode.w)
-            if model.P not in sample_sets:
-                sample_sets[model.P] = FixedSampleSet(
-                    z=standardize_draws(z_master[:, :model.P]), seed=seed)
-            score = elbo_estimate(initialise("mvi_mu", lap),
-                                  sample_sets[model.P], model, lap)
-            rec["score"] = score
-            # highest score wins, ties go to the earliest; the rest are dropped
-            if best is None or score > best[0]:
-                best = (score, model, mode)
-        except (NumericalError, np.linalg.LinAlgError) as exc:
-            rec["score"] = -np.inf
-            rec["error"] = str(exc)
-            # messages put their numbers in parentheses; the rest is the kind
-            rec["reason"] = rec["error"].split(" (")[0]
-        records.append(rec)
+    for m, km_seed in zip(sizes, km_seeds):
+        centers = kmeans(X, m, seed=km_seed)
+        for row in pair_rng.uniform(size=(grid.n_pairs, n_hyper)):
+            hyper = dict(zip(("width", "alpha", "gamma"), row.tolist()))
+            rec = {"M": m, "gamma": None, **hyper}
+            try:
+                model = TASK_MODELS[task](X, y, centers, **hyper)
+                mode = find_mode(model, np.zeros(model.P), search_cfg)
+                lap = laplace_approximation(model, mode.x)
+                if model.P not in sample_sets:
+                    sample_sets[model.P] = FixedDraws(standardize_draws(z_master[:, :model.P]))
+                score = elbo_estimate(initialise("mvi_mu", lap),
+                                      sample_sets[model.P], model, lap)
+                rec["score"] = score
+                # highest score wins, ties go to the earliest; the rest are dropped
+                if best is None or score > best[0]:
+                    best = (score, model, mode)
+            except (NumericalError, np.linalg.LinAlgError) as exc:
+                rec["score"] = -np.inf
+                rec["error"] = str(exc)
+                # messages put their numbers in parentheses; the rest is the kind
+                rec["reason"] = rec["error"].split(" (")[0]
+            records.append(rec)
 
     if best is None:
         failures = "; ".join(r.get("error", "?") for r in records[:5])
@@ -273,6 +240,6 @@ def hyperparameter_search(X: np.ndarray, y: np.ndarray, task: str, seed: int,
 
     _, best_model, best_mode = best
     final_cfg = OptimConfig(max_iters=grid.final_iters, grad_tol=base_optim.grad_tol)
-    mode = find_mode(best_model, best_mode.w, final_cfg)
-    lap = laplace_approximation(best_model, mode.w)
+    mode = find_mode(best_model, best_mode.x, final_cfg)
+    lap = laplace_approximation(best_model, mode.x)
     return SearchResult(model=best_model, laplace=lap, mode=mode, candidates=records)

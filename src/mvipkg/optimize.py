@@ -51,6 +51,7 @@ class MinimizeResult:
     f: float
     grad_norm: float
     n_iters: int  # accepted steps
+    converged: bool  # max-norm gradient <= grad_tol
     reason: str  # "grad_tol" | "f_tol" | "max_iters"
     n_evals: int  # calls of the objective, the initial point and rejected trials included
     trace: list[float] = field(default_factory=list)
@@ -146,5 +147,7 @@ def minimize(
             reason = "f_tol"
             break
 
-    return MinimizeResult(x=x, f=f, grad_norm=float(np.max(np.abs(g))), n_iters=len(trace) - 1,
-                          reason=reason, n_evals=n_evals, trace=trace)
+    grad_norm = float(np.max(np.abs(g)))
+    return MinimizeResult(x=x, f=f, grad_norm=grad_norm, n_iters=len(trace) - 1,
+                          converged=grad_norm <= cfg.grad_tol, reason=reason,
+                          n_evals=n_evals, trace=trace)

@@ -78,22 +78,6 @@ _DET_LEMMA_FLOOR = 1.0e-12
 # fixed sample sets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FixedSampleSet:
-    """Frozen matrix of base samples, one row per draw."""
-
-    z: np.ndarray  # (S, P), read-only
-    seed: int
-
-    @property
-    def n_samples(self) -> int:
-        return self.z.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.z.shape[1]
-
-
 def standardize_draws(z: np.ndarray) -> np.ndarray:
     """Centre columns and whiten the empirical second moment to identity.
 
@@ -109,12 +93,13 @@ def standardize_draws(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def draw_fixed_samples(n_samples: int, dim: int, seed: int) -> FixedSampleSet:
-    """Draw and standardise the base samples for one optimisation; deterministic given ``seed``."""
+def draw_fixed_samples(n_samples: int, dim: int, seed: int) -> FixedDraws:
+    """Draw and standardise the base samples for one optimisation, read-only;
+    deterministic given ``seed``."""
     rng = np.random.default_rng(seed)
     z = standardize_draws(rng.standard_normal((n_samples, dim)))
     z.flags.writeable = False
-    return FixedSampleSet(z=z, seed=seed)
+    return FixedDraws(z)
 
 
 # ---------------------------------------------------------------------------
@@ -167,10 +152,6 @@ class VariationalParams:
     @property
     def dim(self) -> int:
         return self.mu.size
-
-    def copy(self) -> "VariationalParams":
-        fields = {n: getattr(self, n).copy() for n in _spec(self.family).fields}
-        return VariationalParams(self.family, self.mu.copy(), self.theta.copy(), **fields)
 
 
 @dataclass(frozen=True)
@@ -276,19 +257,16 @@ def pack(params: VariationalParams) -> np.ndarray:
 
 
 def unpack(template: VariationalParams, x: np.ndarray) -> VariationalParams:
-    """Inverse of :func:`pack`, using the template for family and sizes."""
+    """Inverse of :func:`pack`, using the template for family and sizes; the
+    fields are views of ``x``."""
     x = np.asarray(x, dtype=float).ravel()
     p = template.dim
-    t = template.theta.size
-    out = template.copy()
-    names = ("mu",) + _spec(template.family).fields
-    for i, name in enumerate(names):
-        setattr(out, name, x[i * p:(i + 1) * p].copy())
-    pos = len(names) * p
-    out.theta = x[pos:pos + t].copy()
-    if pos + t != x.size:
+    names = _spec(template.family).fields
+    pos = (len(names) + 1) * p
+    if pos + template.theta.size != x.size:
         raise ValueError("packed vector length does not match the template")
-    return out
+    return VariationalParams(template.family, x[:p], x[pos:],
+                             **{n: x[(i + 1) * p:(i + 2) * p] for i, n in enumerate(names)})
 
 
 # ---------------------------------------------------------------------------
@@ -297,10 +275,7 @@ def unpack(template: VariationalParams, x: np.ndarray) -> VariationalParams:
 
 def covariance_root(params: VariationalParams, laplace) -> PosteriorGaussian:
     """The family's current Gaussian as (mean, root)."""
-    p = params.dim
     root = _spec(params.family).root(params, laplace)
-    if root.shape != (p, p):
-        raise ValueError("covariance root has inconsistent shape")
     return PosteriorGaussian(mean=params.mu.copy(), root=root)
 
 
@@ -327,7 +302,7 @@ def entropy(params: VariationalParams, laplace, shared=None) -> float:
     return value
 
 
-def family_samples(family: str, samples: FixedSampleSet, laplace) -> np.ndarray:
+def family_samples(family: str, samples: FixedDraws, laplace) -> np.ndarray:
     """Base samples as consumed by a family.
 
     The eigen family's root factors the same covariance differently from the
@@ -349,7 +324,7 @@ class Workspace:
     samples as :class:`~.models.FixedDraws` and a private copy of the model,
     moved in place when theta moves."""
 
-    def __init__(self, family: str, samples: FixedSampleSet, model, laplace):
+    def __init__(self, family: str, samples: FixedDraws, model, laplace):
         self.draws = FixedDraws(family_samples(family, samples, laplace))
         self._model = copy.copy(model)
         self._theta = np.asarray(model.theta, dtype=float)
@@ -361,7 +336,7 @@ class Workspace:
         return self._model
 
 
-def _expectation(params: VariationalParams, samples: FixedSampleSet, model, laplace,
+def _expectation(params: VariationalParams, samples: FixedDraws, model, laplace,
                  work: Workspace | None, gradient: bool):
     """The model's (value, g-bar, G, theta gradient) over the family's draws."""
     work = work or Workspace(params.family, samples, model, laplace)
@@ -372,14 +347,14 @@ def _expectation(params: VariationalParams, samples: FixedSampleSet, model, lapl
     return out
 
 
-def elbo_estimate(params: VariationalParams, samples: FixedSampleSet,
+def elbo_estimate(params: VariationalParams, samples: FixedDraws,
                   model, laplace) -> float:
     """Fixed-sample evidence lower bound at the given parameters."""
     value = _expectation(params, samples, model, laplace, None, gradient=False)[0]
     return value + entropy(params, laplace)
 
 
-def elbo_and_gradient(params: VariationalParams, samples: FixedSampleSet,
+def elbo_and_gradient(params: VariationalParams, samples: FixedDraws,
                       model, laplace, work: Workspace | None = None) -> tuple[float, np.ndarray]:
     """Bound and its gradient w.r.t. the packed free parameters.
 
@@ -435,17 +410,16 @@ class FitResult:
         return self.params.family
 
 
-def fit_family(model, laplace, samples: FixedSampleSet, family: str,
+def fit_family(model, laplace, samples: FixedDraws, family: str,
                seed: int = 0, config: OptimConfig | None = None,
                init: VariationalParams | None = None,
                diag_variant: str = "laplace") -> FitResult:
     """Optimise one family's fixed-sample bound from its standard (or given) start."""
     params0 = init if init is not None else initialise(family, laplace, seed, diag_variant)
-    template = params0.copy()
     work = Workspace(family, samples, model, laplace)
 
     def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
-        p = unpack(template, x)
+        p = unpack(params0, x)
         try:
             val, grad = elbo_and_gradient(p, samples, model, laplace, work)
         except NumericalError:
@@ -459,11 +433,11 @@ def fit_family(model, laplace, samples: FixedSampleSet, family: str,
         return -val, -grad
 
     result = minimize(objective, pack(params0), config or OptimConfig())
-    fitted = unpack(template, result.x)
+    fitted = unpack(params0, result.x)
     return FitResult(params=fitted, elbo=-result.f, opt=result)
 
 
-def fit_best(model, laplace, samples: FixedSampleSet, family: str, seed: int = 0,
+def fit_best(model, laplace, samples: FixedDraws, family: str, seed: int = 0,
              config: OptimConfig | None = None) -> tuple[str, FitResult, dict[str, FitResult]]:
     """Fit every start the family lists and keep the highest bound, ties to
     the first listed: (kept variant, its fit, the other fits by variant)."""

@@ -57,7 +57,7 @@ def test_criterion_1_conjugate_exactness():
         mean, cov = model.exact_posterior()
 
         mode = find_mode(model, np.zeros(p), tight)
-        lap = laplace_approximation(model, mode.w)
+        lap = laplace_approximation(model, mode.x)
         err_mean = np.linalg.norm(lap.mean - mean) / np.linalg.norm(mean)
         err_cov = np.linalg.norm(lap.cov - cov) / np.linalg.norm(cov)
         worst_mean = max(worst_mean, err_mean)
@@ -86,7 +86,7 @@ def test_criterion_2_gradient_suite():
     for model_name, maker in sorted(ALL_MODEL_MAKERS.items()):
         model = maker()
         mode = find_mode(model, np.zeros(model.P))
-        lap = laplace_approximation(model, mode.w)
+        lap = laplace_approximation(model, mode.x)
         samples = draw_fixed_samples(50, model.P, seed=2)
         for family in FAMILIES:
             for point in range(5):
@@ -220,7 +220,7 @@ def test_criterion_5_nesting_monotonicity():
     for model_name in ("cauchy", "logistic", "conjugate"):
         model = ALL_MODEL_MAKERS[model_name]()
         mode = find_mode(model, np.zeros(model.P))
-        lap = laplace_approximation(model, mode.w)
+        lap = laplace_approximation(model, mode.x)
         samples = draw_fixed_samples(200, model.P, seed=4)
         fit_mu = fit_family(model, lap, samples, "mvi_mu", seed=0)
         for family in ("mvi_eig", "mvi_lr"):

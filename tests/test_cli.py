@@ -95,6 +95,10 @@ def test_effective_config_precedence():
                         "ellipse_mass"}
     with pytest.raises(ConfigError, match="command"):
         cli.effective_config("demo2d", {"command": "cauchy"}, {})
+    # a report's own keys pass; any other unknown key is refused by name
+    cli.effective_config("cauchy", {"dataset": "d", "indices_path": None, "out": "o"}, {})
+    with pytest.raises(ConfigError, match="n_sample"):
+        cli.effective_config("cauchy", {"n_sample": 5}, {})
 
 
 def test_grid_and_optim_from_config_errors():
@@ -168,7 +172,11 @@ def test_cauchy_single_run(tmp_path, capsys):
     assert table[0] == "metric,laplace"
     assert table[1].startswith("lpd,") and table[2].startswith("mse,")
     assert float(table[1].split(",")[1]) == report["medians"]["laplace"]["lpd"]
-    assert "cauchy: 1 runs completed" in capsys.readouterr().out
+    out_text = capsys.readouterr().out
+    assert "cauchy: 1 runs completed" in out_text
+    search = report["records"][0]["search"]
+    assert (f"cauchy: mode converged in {int(search['mode_converged'])}/1 splits; "
+            f"{search['grid_failed']} grid candidates failed") in out_text.splitlines()
 
 
 def test_cauchy_rerun_from_report_byte_identical(tmp_path):
@@ -188,7 +196,7 @@ def test_cauchy_rerun_from_report_byte_identical(tmp_path):
 # benchmark
 # ---------------------------------------------------------------------------
 
-def test_benchmark_on_csv(tmp_path):
+def test_benchmark_on_csv(tmp_path, capsys):
     data = _write_regression_csv(tmp_path)
     out = tmp_path / "b"
     code = cli.main(["benchmark", "--data", str(data), "--splits", "2",
@@ -201,6 +209,10 @@ def test_benchmark_on_csv(tmp_path):
     assert report["n_completed"] == 2
     table = (out / "table.csv").read_text().splitlines()
     assert table[0] == "metric,laplace,vi_diag"
+    converged = sum(r["search"]["mode_converged"] for r in report["records"])
+    failed = sum(r["search"]["grid_failed"] for r in report["records"])
+    assert (f"benchmark[{data}]: mode converged in {converged}/2 splits; "
+            f"{failed} grid candidates failed") in capsys.readouterr().out.splitlines()
 
 
 def test_benchmark_rerun_byte_identical(tmp_path):
@@ -336,6 +348,9 @@ def test_exit_code_config_error(tmp_path):
     (["--config", "n_test=0"], "n_test"),
     (["--config", "methods=5"], "methods"),
     (["--config", 'methods="laplace"'], "methods"),
+    (["--config", "n_sample=5"], "n_sample"),
+    (["--config", "grid.n_pair=3"], "grid.n_pair"),
+    (["--config", "optim.gradtol=1e-3"], "optim.gradtol"),
 ], ids=["samples-0", "samples-neg", "eval-samples-0", "workers-0", "workers-neg",
         "config-samples", "config-eval", "config-workers", "splits-0", "splits-neg",
         "config-boot", "grid-pairs-0", "grid-sizes-empty", "grid-sizes-0",
@@ -343,7 +358,8 @@ def test_exit_code_config_error(tmp_path):
         "optim-f-tol-nan", "optim-f-tol-inf", "grid-not-object", "seed-neg",
         "config-seed-float", "config-seed-string", "config-alpha-2", "config-alpha-0",
         "config-train-0", "config-test-0", "config-methods-number",
-        "config-methods-string"])
+        "config-methods-string", "config-unknown-key", "config-unknown-grid-key",
+        "config-unknown-optim-key"])
 def test_exit_code_bad_count(tmp_path, capsys, argv, key):
     code = cli.main(["cauchy", "--splits", "1", "--out", str(tmp_path / "x")] + argv)
     assert code == 2

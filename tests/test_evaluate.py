@@ -20,7 +20,7 @@ from makers import make_cauchy, make_conjugate, make_logistic, make_softmax
 
 def _posterior_for(model):
     mode = find_mode(model, np.zeros(model.P))
-    lap = laplace_approximation(model, mode.w)
+    lap = laplace_approximation(model, mode.x)
     return PosteriorGaussian(mean=lap.mean, root=lap.chol)
 
 

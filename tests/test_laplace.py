@@ -8,7 +8,7 @@ from mvipkg.data import generate_cauchy_task
 from mvipkg.errors import NumericalError
 from mvipkg.laplace import (GridConfig, find_mode, hyperparameter_search,
                             laplace_approximation)
-from mvipkg.optimize import OptimConfig
+from mvipkg.optimize import MinimizeResult, OptimConfig
 
 from makers import make_cauchy, make_conjugate, make_logistic
 
@@ -21,7 +21,9 @@ def test_mode_search_finds_exact_posterior_mean():
     model = make_conjugate(seed=1, n=12, p=4)
     mean, _ = model.exact_posterior()
     mode = find_mode(model, np.zeros(4))
-    np.testing.assert_allclose(mode.w, mean, atol=1.0e-7)
+    assert isinstance(mode, MinimizeResult)
+    np.testing.assert_allclose(mode.x, mean, atol=1.0e-7)
+    assert mode.f == pytest.approx(-model.value(mode.x), rel=1.0e-12)
     assert mode.converged
     assert mode.grad_norm <= 1.0e-6
 
@@ -34,7 +36,7 @@ def test_mode_search_ignores_f_tol():
     mode = find_mode(model, np.zeros(4), OptimConfig(f_tol=1.0e-3))
     assert mode.converged
     assert mode.reason == "grad_tol"
-    np.testing.assert_allclose(mode.w, mean, atol=1.0e-7)
+    np.testing.assert_allclose(mode.x, mean, atol=1.0e-7)
 
 
 def test_curvature_fit_recovers_exact_posterior():
@@ -58,9 +60,9 @@ def test_bound_at_mode_equals_log_evidence_for_gaussian():
 def test_bound_at_mode_formula():
     model = make_cauchy(seed=4)
     mode = find_mode(model, np.zeros(model.P))
-    lap = laplace_approximation(model, mode.w)
+    lap = laplace_approximation(model, mode.x)
     _, logdet = np.linalg.slogdet(lap.cov)
-    expected = (model.value(mode.w)
+    expected = (model.value(mode.x)
                 + 0.5 * model.P * math.log(2 * math.pi) + 0.5 * logdet)
     assert lap.bound_at_mode == pytest.approx(expected, rel=1.0e-12)
 
@@ -72,7 +74,7 @@ def test_bound_at_mode_formula():
 def test_factor_fields_reassemble_covariance():
     model = make_logistic(seed=5)
     mode = find_mode(model, np.zeros(model.P))
-    lap = laplace_approximation(model, mode.w)
+    lap = laplace_approximation(model, mode.x)
     np.testing.assert_allclose(lap.chol @ lap.chol.T, lap.cov, atol=1.0e-12)
     rebuilt = lap.eigvecs @ np.diag(lap.eig_root ** 2) @ lap.eigvecs.T
     np.testing.assert_allclose(rebuilt, lap.cov, atol=1.0e-10)
@@ -85,7 +87,7 @@ def test_factor_fields_reassemble_covariance():
 def test_theta_snapshot_stored():
     model = make_cauchy(seed=6)
     mode = find_mode(model, np.zeros(model.P))
-    lap = laplace_approximation(model, mode.w)
+    lap = laplace_approximation(model, mode.x)
     np.testing.assert_array_equal(lap.theta, model.theta)
 
 

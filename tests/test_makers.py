@@ -38,7 +38,7 @@ def test_finite_difference_jacobian_matches_analytic():
 
 def test_warm_start_preserves_bound_exactly(cauchy_model):
     mode = find_mode(cauchy_model, np.zeros(cauchy_model.P))
-    lap = laplace_approximation(cauchy_model, mode.w)
+    lap = laplace_approximation(cauchy_model, mode.x)
     samples = draw_fixed_samples(60, lap.dim, seed=13)
     fit_mu = fit_family(cauchy_model, lap, samples, "mvi_mu",
                         config=OptimConfig(max_iters=200))

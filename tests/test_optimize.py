@@ -54,6 +54,7 @@ def test_spd_quadratic_converges_within_3n_iterations(n):
     cfg = OptimConfig(max_iters=10 * n, grad_tol=1.0e-8, f_tol=0.0)
     res = minimize(f, np.zeros(n), cfg)
     assert res.grad_norm <= 1.0e-8
+    assert res.reason == "grad_tol" and res.converged
     assert res.n_iters <= 3 * n
     assert np.max(np.abs(res.x - x_star)) < 1.0e-6
 
@@ -97,6 +98,7 @@ def test_max_iters_termination_reports_reason():
     res = minimize(f, np.ones(8), OptimConfig(max_iters=2, grad_tol=0.0, f_tol=0.0))
     assert res.reason == "max_iters"
     assert res.n_iters == 2
+    assert not res.converged
 
 
 def test_deterministic_given_start():

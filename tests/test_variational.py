@@ -7,8 +7,9 @@ from scipy.linalg import solve_triangular
 from mvipkg.data import mixture_2d_target
 from mvipkg.errors import NumericalError
 from mvipkg.laplace import find_mode, laplace_approximation
+from mvipkg.models import FixedDraws
 from mvipkg.optimize import OptimConfig
-from mvipkg.variational import (FAMILIES, FixedSampleSet, VariationalParams, _contract_lr,
+from mvipkg.variational import (FAMILIES, VariationalParams, _contract_lr,
                                 _lemma, covariance_root, draw_fixed_samples, elbo_and_gradient,
                                 elbo_estimate, entropy, family_samples,
                                 fit_family, initialise, laplace_posterior,
@@ -22,7 +23,7 @@ HALF_LOG_2PIE = 0.5 * (math.log(2 * math.pi) + 1.0)
 
 def _lap(model, seed=0):
     mode = find_mode(model, np.zeros(model.P))
-    return laplace_approximation(model, mode.w)
+    return laplace_approximation(model, mode.x)
 
 
 # ---------------------------------------------------------------------------
@@ -33,6 +34,7 @@ def test_draw_fixed_samples_deterministic():
     a = draw_fixed_samples(64, 3, seed=5)
     b = draw_fixed_samples(64, 3, seed=5)
     np.testing.assert_array_equal(a.z, b.z)
+    assert isinstance(a, FixedDraws)
     assert a.z.flags.writeable is False
 
 
@@ -288,7 +290,7 @@ def test_elbo_and_gradient_match_per_draw_oracle(name, family):
     lap = _lap(model)
     # raw draws: their mean and second moment are not 0 and I, so the
     # prior's terms in z-bar and z'z / S are checked too
-    samples = FixedSampleSet(np.random.default_rng(17).standard_normal((60, lap.dim)), seed=17)
+    samples = FixedDraws(np.random.default_rng(17).standard_normal((60, lap.dim)))
     params = _perturbed(family, lap, np.random.default_rng(18))
     if name in ("cauchy", "binary", "softmax"):
         assert not np.array_equal(params.theta, lap.theta)
