@@ -8,6 +8,7 @@ else bit-for-bit between reruns.
 import os
 import time
 from collections import Counter
+from dataclasses import asdict
 from functools import partial
 
 import numpy as np
@@ -48,23 +49,6 @@ def _check_methods(methods):
     return methods
 
 
-def _grid_dict(grid: GridConfig) -> dict:
-    return {
-        "basis_sizes": [int(m) for m in grid.basis_sizes],
-        "n_pairs": int(grid.n_pairs),
-        "search_iters": int(grid.search_iters),
-        "final_iters": int(grid.final_iters),
-    }
-
-
-def _optim_dict(optim: OptimConfig) -> dict:
-    return {
-        "max_iters": int(optim.max_iters),
-        "grad_tol": float(optim.grad_tol),
-        "f_tol": float(optim.f_tol),
-    }
-
-
 # ---------------------------------------------------------------------------
 # one split
 # ---------------------------------------------------------------------------
@@ -73,6 +57,34 @@ def _fit_diagnostics(res) -> dict:
     """Iterations, evaluations, stop reason and final max|g| of a MinimizeResult."""
     return {"n_iters": int(res.n_iters), "n_evals": int(res.n_evals),
             "stop_reason": str(res.reason), "grad_norm": float(res.grad_norm)}
+
+
+def _search_and_fit(train, methods, seed: int, n_samples: int, grid: GridConfig | None,
+            optim: OptimConfig | None):
+    """The grid search on ``train``, and ``fit(method)``: one method's
+    (posterior, scoring model, fit). For laplace these are the search's
+    Laplace Gaussian and model, and None; for a variational method the
+    family's Gaussian, the model at its hyperparameters and
+    ``variational.fit_best``'s (variant, fit, other fits), fitted from the
+    start of ``seed`` on draws of ``seed`` that every method shares.
+    """
+    search = laplace_mod.hyperparameter_search(
+        train.X, train.y, train.kind, seed=derive_seed(seed),
+        n_samples=n_samples, grid=grid, optim=optim)
+    model, lap = search.model, search.laplace
+    samples = (variational.draw_fixed_samples(n_samples, model.P,
+                                              derive_seed(seed, SALT_SAMPLES))
+               if any(m != "laplace" for m in methods) else None)
+
+    def fit(method: str):
+        if method == "laplace":
+            return variational.laplace_posterior(lap), model, None
+        best = variational.fit_best(model, lap, samples, method,
+                                    seed=derive_seed(seed, SALT_INIT), config=optim)
+        params = best[1].params
+        return (variational.covariance_root(params, lap), model.with_theta(params.theta),
+                best)
+    return search, fit
 
 
 def run_split(train, test, methods=METHODS, seed: int = 0, n_samples: int = 1000,
@@ -103,9 +115,7 @@ def run_split(train, test, methods=METHODS, seed: int = 0, n_samples: int = 1000
 
     records, timing = {}, {}
     t0 = time.perf_counter()
-    search = laplace_mod.hyperparameter_search(
-        train.X, train.y, train.kind, seed=derive_seed(seed),
-        n_samples=n_samples, grid=grid, optim=optim)
+    search, fit = _search_and_fit(train, methods, seed, n_samples, grid, optim)
     timing["search"] = time.perf_counter() - t0
     model, lap = search.model, search.laplace
     failures = Counter(c["reason"] for c in search.candidates if "reason" in c)
@@ -119,36 +129,23 @@ def run_split(train, test, methods=METHODS, seed: int = 0, n_samples: int = 1000
     }
 
     eval_seed = derive_seed(seed, SALT_EVAL)
-    samples = None
-    if any(m != "laplace" for m in methods):
-        samples = variational.draw_fixed_samples(
-            n_samples, model.P, derive_seed(seed, SALT_SAMPLES))
-
     for method in methods:
         t0 = time.perf_counter()
-        if method == "laplace":
-            sc = score(variational.laplace_posterior(lap), model,
-                       test.X, test.y, n_samples=n_eval, seed=eval_seed)
-            rec = {"lpd": float(sc.lpd), metric: float(getattr(sc, metric)),
-                   "elbo": float(lap.bound_at_mode),
-                   **_fit_diagnostics(search.mode)}
+        posterior, scorer, best = fit(method)
+        if best is None:
+            rec = {"elbo": float(lap.bound_at_mode), **_fit_diagnostics(search.mode)}
         else:
-            variant, fit, others = variational.fit_best(
-                model, lap, samples, method, seed=derive_seed(seed, SALT_INIT),
-                config=optim)
+            variant, fitted, others = best
             timing[f"{method}.fit"] = time.perf_counter() - t0
             t0 = time.perf_counter()
-            sc = score(variational.covariance_root(fit.params, lap),
-                       model.with_theta(fit.params.theta),
-                       test.X, test.y, n_samples=n_eval, seed=eval_seed)
-            rec = {"lpd": float(sc.lpd), metric: float(getattr(sc, metric)),
-                   "elbo": float(fit.elbo),
-                   **_fit_diagnostics(fit.opt),
-                   "theta": [float(t) for t in fit.params.theta]}
+            rec = {"elbo": float(fitted.elbo), **_fit_diagnostics(fitted.opt),
+                   "theta": [float(t) for t in fitted.params.theta]}
             if others:   # the other published start
                 (other,) = others.values()
                 rec.update(variant=variant, elbo_other=float(other.elbo),
                            **{f"{k}_other": v for k, v in _fit_diagnostics(other.opt).items()})
+        sc = score(posterior, scorer, test.X, test.y, n_samples=n_eval, seed=eval_seed)
+        rec.update({"lpd": float(sc.lpd), metric: float(getattr(sc, metric))})
         records[method] = rec
         timing[f"{method}.score"] = time.perf_counter() - t0
     return records, timing, info
@@ -319,7 +316,7 @@ def run_cauchy(n_runs: int = 20, methods=METHODS, seed: int = 0,
         "command": "cauchy", "n_runs": int(n_runs), "methods": list(methods),
         "seed": int(seed), "n_samples": int(n_samples), "n_eval": int(n_eval),
         "n_train": int(n_train), "n_test": int(n_test),
-        "grid": _grid_dict(grid), "optim": _optim_dict(optim),
+        "grid": asdict(grid), "optim": asdict(optim),
         "alpha": float(alpha), "n_boot": int(n_boot),
         "n_workers": None if n_workers is None else int(n_workers),
     }
@@ -349,8 +346,8 @@ def run_benchmark(dataset, methods=METHODS, plan=None,
         "n_splits": len(splits), "train_fraction": float(plan.train_fraction),
         "seed": int(plan.seed), "indices_path": plan.indices_path,
         "methods": list(methods), "n_samples": int(n_samples),
-        "n_eval": int(n_eval), "grid": _grid_dict(grid),
-        "optim": _optim_dict(optim), "alpha": float(alpha),
+        "n_eval": int(n_eval), "grid": asdict(grid),
+        "optim": asdict(optim), "alpha": float(alpha),
         "n_boot": int(n_boot), "n_workers": None if n_workers is None else int(n_workers),
     }
     return _run_suite(config, splits, methods, ("lpd", metric), plan.seed,
@@ -388,7 +385,7 @@ def run_demo2d(seed: int = 0, n_samples: int = 1000,
     target = data_mod.mixture_2d_target()
     config = {
         "command": "demo2d", "seed": int(seed), "n_samples": int(n_samples),
-        "optim": _optim_dict(optim),
+        "optim": asdict(optim),
         "contour_resolution": int(contour_resolution),
         "ellipse_mass": float(ellipse_mass),
     }
@@ -444,100 +441,53 @@ def run_demo2d(seed: int = 0, n_samples: int = 1000,
 
 
 # ---------------------------------------------------------------------------
-# single fits with round-trip serialisation
+# single fits
 # ---------------------------------------------------------------------------
 
 def run_fit(train, method: str, seed: int = 0, n_samples: int = 1000,
-            grid: GridConfig | None = None,
-            optim: OptimConfig | None = None) -> tuple[dict, dict]:
-    """Fit one method on a dataset and package it for serialisation.
+            grid: GridConfig | None = None, optim: OptimConfig | None = None):
+    """Fit one method on a dataset, as ``run_split`` fits it, and package it
+    for serialisation.
 
-    Returns (meta, arrays): JSON-safe metadata plus the numpy arrays for a
-    binary sidecar. ``meta["elbo_estimate"]`` is recomputed through
-    elbo_estimate at the fitted parameters, so a reload that rebuilds the
-    same inputs reproduces it bit-for-bit. For vi_diag both initialisations
-    are fitted and, as in ``run_split``, the higher final bound is kept
-    (``variational.fit_best``). ``meta`` carries the
-    fit's diagnostics: ``n_iters``, ``n_evals``, ``stop_reason`` and
-    ``grad_norm``.
+    Returns (meta, arrays, posterior, model): JSON-safe metadata, the numpy
+    arrays for a binary sidecar, the fitted Gaussian, and the model
+    ``run_split`` scores it with. ``meta["elbo_estimate"]`` is the fit's
+    training bound (for laplace, the bound at the mode). For vi_diag both
+    initialisations are fitted and the higher final bound is kept
+    (``variational.fit_best``), its start named by ``meta["variant"]``. A
+    variational ``meta`` carries the fit's diagnostics: ``n_iters``,
+    ``n_evals``, ``stop_reason`` and ``grad_norm``.
     """
-    methods = _check_methods((method,))
-    method = methods[0]
+    (method,) = _check_methods((method,))
     grid = grid or GridConfig()
     optim = optim or OptimConfig()
-    search = laplace_mod.hyperparameter_search(
-        train.X, train.y, train.kind, seed=derive_seed(seed),
-        n_samples=n_samples, grid=grid, optim=optim)
+    search, fit = _search_and_fit(train, (method,), seed, n_samples, grid, optim)
     model, lap = search.model, search.laplace
+    posterior, scorer, best = fit(method)
 
     meta = {
         "method": method, "task": train.kind, "seed": int(seed),
         "n_samples": int(n_samples),
         "sample_seed": derive_seed(seed, SALT_SAMPLES),
         "init_seed": derive_seed(seed, SALT_INIT),
-        "grid": _grid_dict(grid), "optim": _optim_dict(optim),
+        "grid": asdict(grid), "optim": asdict(optim),
         "n_centers": int(model.centers.shape[0]),
         "jitter": float(lap.jitter),
         "bound_at_mode": float(lap.bound_at_mode),
+        "elbo_estimate": float(lap.bound_at_mode),
     }
     arrays = {
         "la_mean": lap.mean, "la_cov": lap.cov, "la_chol": lap.chol,
         "la_eigvecs": lap.eigvecs, "la_eig_root": lap.eig_root,
         "theta_la": lap.theta, "centers": model.centers,
     }
-
-    if method == "laplace":
-        meta["elbo_estimate"] = float(lap.bound_at_mode)
-        return meta, arrays
-
-    samples = variational.draw_fixed_samples(
-        n_samples, model.P, meta["sample_seed"])
-    variant, fit, others = variational.fit_best(model, lap, samples, method,
-                                                seed=meta["init_seed"], config=optim)
-    if others:
-        meta["variant"] = variant
-    params = fit.params
-    meta.update(_fit_diagnostics(fit.opt))
-    meta["elbo_estimate"] = float(variational.elbo_estimate(
-        params, samples, model, lap))
-    arrays["mu"] = params.mu
-    arrays["theta"] = params.theta
-    for name in variational.FAMILY_SPECS[method].fields:
-        arrays[name] = getattr(params, name)
-    return meta, arrays
-
-
-def load_fit(meta: dict, arrays: dict, train):
-    """Rebuild (model, laplace, posterior, params, samples) from a saved fit.
-
-    ``train`` must be the dataset the fit was made on; the artifact stores
-    hyperparameters, decompositions, and seeds but not the data itself.
-    For the laplace method ``params`` and ``samples`` are None.
-    """
-    if train.kind != meta["task"]:
-        raise ConfigError(
-            f"saved fit is for task {meta['task']!r}, dataset is {train.kind!r}")
-    model = laplace_mod.TASK_MODELS[meta["task"]].at_theta(
-        train.X, train.y, np.asarray(arrays["centers"], dtype=float), arrays["theta_la"])
-    lap = laplace_mod.LaplaceResult(
-        mean=np.asarray(arrays["la_mean"], dtype=float),
-        cov=np.asarray(arrays["la_cov"], dtype=float),
-        chol=np.asarray(arrays["la_chol"], dtype=float),
-        eigvecs=np.asarray(arrays["la_eigvecs"], dtype=float),
-        eig_root=np.asarray(arrays["la_eig_root"], dtype=float),
-        theta=np.asarray(arrays["theta_la"], dtype=float),
-        bound_at_mode=float(meta["bound_at_mode"]),
-        jitter=float(meta["jitter"]),
-    )
-    if meta["method"] == "laplace":
-        return model, lap, variational.laplace_posterior(lap), None, None
-
-    fields = {name: np.asarray(arrays[name], dtype=float)
-              for name in variational.FAMILY_SPECS[meta["method"]].fields}
-    params = variational.VariationalParams(
-        meta["method"], np.asarray(arrays["mu"], dtype=float),
-        np.asarray(arrays["theta"], dtype=float), **fields)
-    samples = variational.draw_fixed_samples(
-        meta["n_samples"], model.P, meta["sample_seed"])
-    posterior = variational.covariance_root(params, lap)
-    return model.with_theta(params.theta), lap, posterior, params, samples
+    if best is not None:
+        variant, fitted, others = best
+        if others:
+            meta["variant"] = variant
+        meta.update(_fit_diagnostics(fitted.opt), elbo_estimate=float(fitted.elbo))
+        params = fitted.params
+        arrays.update(mu=params.mu, theta=params.theta)
+        for name in variational.FAMILY_SPECS[method].fields:
+            arrays[name] = getattr(params, name)
+    return meta, arrays, posterior, scorer

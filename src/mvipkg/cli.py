@@ -19,6 +19,7 @@ import csv
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -344,18 +345,15 @@ def cmd_benchmark(config: dict, out_dir: Path) -> int:
 def cmd_fit(config: dict, out_dir: Path) -> int:
     path = config["data"][0]
     dataset = data_mod.load_csv_dataset(path, task=config["task"], name=path)
-    meta, arrays = bench.run_fit(
+    meta, arrays, posterior, model = bench.run_fit(
         dataset, config["method"], seed=config["seed"], n_samples=config["n_samples"],
         grid=config["grid"], optim=config["optim"])
-    meta["config"] = dict(config, command="fit", data=path,
-                          grid=bench._grid_dict(config["grid"]),
-                          optim=bench._optim_dict(config["optim"]))
+    meta["config"] = dict(config, command="fit", data=path, grid=asdict(config["grid"]),
+                          optim=asdict(config["optim"]))
     np.savez(out_dir / "fit_arrays.npz", **arrays)
     dump_json(out_dir / "fit.json", meta)
     made = ["fit.json", "fit_arrays.npz"]
     if dataset.kind == "regression" and dataset.n_features == 1:
-        model, lap, posterior, params, samples = bench.load_fit(
-            meta, arrays, dataset)
         x = np.linspace(dataset.X.min(), dataset.X.max(), config["curve_points"])
         mean, sd = evaluate.predictive_curve(
             posterior, model, x, n_samples=config["n_eval"],

@@ -200,7 +200,7 @@ def hyperparameter_search(X: np.ndarray, y: np.ndarray, task: str, seed: int,
             f"no admissible basis size: training set has {n_train} rows, "
             f"grid asks for {grid.basis_sizes}")
     km_seeds = ss_km.spawn(len(sizes))
-    n_hyper = 3 if task == "regression" else 2
+    n_hyper = len(TASK_MODELS[task].theta_names)
 
     k_classes = np.atleast_2d(np.asarray(y)).shape[1] if task == "multiclass" else 1
     p_max = (max(sizes) + 1) * k_classes

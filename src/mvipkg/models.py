@@ -436,11 +436,6 @@ class _RBFBase(_ModelBase):
     def _hyper_at(cls, theta: np.ndarray) -> dict:
         return dict(zip(cls._hyper_names(), np.exp(np.asarray(theta, dtype=float)), strict=True))
 
-    @classmethod
-    def at_theta(cls, X: np.ndarray, y: np.ndarray, centers: np.ndarray, theta: np.ndarray):
-        """The model with hyperparameters exp(theta), theta in ``theta_names`` order."""
-        return cls(X, y, centers, **cls._hyper_at(theta))
-
     @property
     def theta(self) -> np.ndarray:
         return np.log([getattr(self, name) for name in self._hyper_names()])
@@ -450,7 +445,8 @@ class _RBFBase(_ModelBase):
         self._set_hyper(self._hyper_at(theta))
 
     def with_theta(self, theta: np.ndarray):
-        """``at_theta`` on this model's data and centres; only the features are rebuilt."""
+        """This model at hyperparameters exp(theta), theta in ``theta_names``
+        order, on the same data and centres; only the features are rebuilt."""
         model = copy.copy(self)
         model.set_theta(theta)
         return model

@@ -15,7 +15,7 @@ asks for both at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -54,7 +54,6 @@ class MinimizeResult:
     converged: bool  # max-norm gradient <= grad_tol
     reason: str  # "grad_tol" | "f_tol" | "max_iters"
     n_evals: int  # calls of the objective, the initial point and rejected trials included
-    trace: list[float] = field(default_factory=list)
 
 
 def _two_loop(g: np.ndarray, memory: list[tuple]) -> np.ndarray:
@@ -83,9 +82,8 @@ def minimize(
 
     ``fun`` must return ``(value, gradient)``. The line search halves the
     quasi-Newton step until the Armijo test holds, passing over trial points
-    with a non-finite value or gradient. The trace records the objective at
-    the start point and after every accepted step, so it is monotone
-    non-increasing. Stops on ``grad_tol`` (max-norm gradient), on ``f_tol``
+    with a non-finite value or gradient, so every accepted step lowers the
+    objective. Stops on ``grad_tol`` (max-norm gradient), on ``f_tol``
     (see :class:`OptimConfig`, or no finite trial lowers the value), or after
     ``max_iters`` accepted steps.
 
@@ -108,10 +106,10 @@ def minimize(
     if not finite:
         raise NumericalError("objective is not finite at the initial point")
 
-    memory, trace = [], [f]
+    memory, f0, n_iters = [], f, 0
     reason = "grad_tol"
     while float(np.max(np.abs(g))) > cfg.grad_tol:
-        if len(trace) > cfg.max_iters:
+        if n_iters >= cfg.max_iters:
             reason = "max_iters"
             break
         d = -_two_loop(g, memory)
@@ -132,7 +130,7 @@ def minimize(
             if not any_finite:
                 raise NumericalError(
                     "line search could not recover from a non-finite objective "
-                    f"({_MAX_HALVINGS} halvings after {len(trace) - 1} steps)")
+                    f"({_MAX_HALVINGS} halvings after {n_iters} steps)")
             reason = "f_tol"   # no trial lowers the value: numerically stationary
             break
 
@@ -142,12 +140,12 @@ def minimize(
             memory = (memory + [(s, y, sy, float(y @ y))])[-_MEMORY:]
         improvement = f - f_new
         x, f, g = x + s, f_new, g_new
-        trace.append(f)
-        if improvement <= cfg.f_tol * (1.0 + max(trace[0] - f, 0.0)):
+        n_iters += 1
+        if improvement <= cfg.f_tol * (1.0 + max(f0 - f, 0.0)):
             reason = "f_tol"
             break
 
     grad_norm = float(np.max(np.abs(g)))
-    return MinimizeResult(x=x, f=f, grad_norm=grad_norm, n_iters=len(trace) - 1,
+    return MinimizeResult(x=x, f=f, grad_norm=grad_norm, n_iters=n_iters,
                           converged=grad_norm <= cfg.grad_tol, reason=reason,
-                          n_evals=n_evals, trace=trace)
+                          n_evals=n_evals)

@@ -325,7 +325,10 @@ class Workspace:
     moved in place when theta moves."""
 
     def __init__(self, family: str, samples: FixedDraws, model, laplace):
-        self.draws = FixedDraws(family_samples(family, samples, laplace))
+        # a family without a remap runs on the caller's draws, so their
+        # moments and buffers are formed once per draw set, not once per fit
+        self.draws = (samples if _spec(family).remap is None
+                      else FixedDraws(family_samples(family, samples, laplace)))
         self._model = copy.copy(model)
         self._theta = np.asarray(model.theta, dtype=float)
 

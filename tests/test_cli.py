@@ -277,10 +277,11 @@ def test_fit_writes_artifacts_and_curve(tmp_path, capsys):
     assert "fit[mvi_eig]" in capsys.readouterr().out
 
 
-def test_fit_rerun_byte_identical(tmp_path):
+@pytest.mark.parametrize("method", ["laplace", "vi_diag"])
+def test_fit_rerun_byte_identical(tmp_path, method):
     data = _write_regression_csv(tmp_path)
     out1, out2 = tmp_path / "f1", tmp_path / "f2"
-    args = ["fit", "--data", str(data), "--method", "vi_diag",
+    args = ["fit", "--data", str(data), "--method", method,
             "--config", "curve_points=11", "--out", str(out1)] + SMALL
     assert cli.main(args) == 0
     assert cli.main(["fit", "--config", str(out1 / "fit.json"),

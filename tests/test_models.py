@@ -155,7 +155,8 @@ def test_with_theta_matches_at_theta_bit_for_bit(name):
     moved = model.with_theta(theta)
     assert moved._d2 is model._d2 and moved.y is model.y
     W = np.random.default_rng(5).standard_normal((7, model.P))
-    for got, want in zip(moved.evaluate(W), cls.at_theta(X, labels, centers, theta).evaluate(W)):
+    hyper = {name.removeprefix("log_"): v for name, v in zip(cls.theta_names, np.exp(theta))}
+    for got, want in zip(moved.evaluate(W), cls(X, labels, centers, **hyper).evaluate(W)):
         np.testing.assert_array_equal(got, want)
     for i in range(theta.size):
         for bad in (-np.inf, -800.0, np.nan, 470.0):

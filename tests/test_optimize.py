@@ -81,9 +81,13 @@ def test_constant_shift_leaves_iterates_unchanged():
 
 
 def test_trace_is_monotone_non_increasing():
-    res = minimize(rosenbrock, np.array([-1.2, 1.0]), OptimConfig(max_iters=200))
-    trace = np.asarray(res.trace)
-    assert trace.size >= 1
+    # minimize is deterministic: max_iters = k stops the one trajectory after
+    # k accepted steps, so the final values over k = 0..K are its trace
+    x0 = np.array([-1.2, 1.0])
+    full = minimize(rosenbrock, x0, OptimConfig(max_iters=200))
+    trace = [minimize(rosenbrock, x0, OptimConfig(max_iters=k)).f
+             for k in range(full.n_iters + 1)]
+    assert len(trace) > 1 and trace[-1] == full.f
     assert np.all(np.diff(trace) <= 0.0)
 
 

@@ -9,13 +9,14 @@ from mvipkg.errors import NumericalError
 from mvipkg.laplace import find_mode, laplace_approximation
 from mvipkg.models import FixedDraws
 from mvipkg.optimize import OptimConfig
-from mvipkg.variational import (FAMILIES, VariationalParams, _contract_lr,
+from mvipkg.variational import (FAMILIES, FAMILY_SPECS, VariationalParams, Workspace,
+                                _contract_lr,
                                 _lemma, covariance_root, draw_fixed_samples, elbo_and_gradient,
                                 elbo_estimate, entropy, family_samples,
                                 fit_family, initialise, laplace_posterior,
                                 pack, standardize_draws, unpack)
 
-from makers import (finite_difference_gradient, make_cauchy, make_conjugate,
+from makers import (ALL_MODEL_MAKERS, finite_difference_gradient, make_cauchy, make_conjugate,
                     make_logistic, make_softmax, warm_start)
 
 HALF_LOG_2PIE = 0.5 * (math.log(2 * math.pi) + 1.0)
@@ -375,6 +376,32 @@ def test_fit_improves_on_initial_bound(cauchy_model):
         assert fit.elbo == pytest.approx(
             elbo_estimate(fit.params, samples, cauchy_model, lap),
             rel=1.0e-12)
+
+
+@pytest.mark.parametrize("name", sorted(ALL_MODEL_MAKERS))
+@pytest.mark.parametrize("family, variant", [(family, variant) for family in FAMILIES
+                                             for variant in FAMILY_SPECS[family].variants])
+def test_fit_elbo_is_the_bound_at_its_params(name, family, variant):
+    # a fit's reported bound needs no recompute: it is elbo_estimate's, to the bit
+    model = ALL_MODEL_MAKERS[name]()
+    lap = _lap(model)
+    samples = draw_fixed_samples(60, lap.dim, seed=8)
+    fit = fit_family(model, lap, samples, family, seed=1,
+                     config=OptimConfig(max_iters=100), diag_variant=variant)
+    assert fit.elbo == elbo_estimate(fit.params, samples, model, lap)
+
+
+def test_fits_share_the_callers_draws_unless_remapped(cauchy_model):
+    lap = _lap(cauchy_model)
+    samples = draw_fixed_samples(40, lap.dim, seed=3)
+    cfg = OptimConfig(max_iters=5)
+    fit_family(cauchy_model, lap, samples, "mvi_eig", config=cfg)
+    assert "moments" not in samples.__dict__   # mvi_eig ran on remapped draws
+    work = Workspace("mvi_eig", samples, cauchy_model, lap)
+    np.testing.assert_array_equal(work.draws.z, family_samples("mvi_eig", samples, lap))
+    fit_family(cauchy_model, lap, samples, "mvi_mu", config=cfg)
+    assert "moments" in samples.__dict__
+    assert Workspace("mvi_mu", samples, cauchy_model, lap).draws is samples
 
 
 def test_fit_deterministic(cauchy_model):
