@@ -382,7 +382,7 @@ def run_demo2d(seed: int = 0, n_samples: int = 1000,
     ``ellipse_mass`` ellipse polyline.
     """
     optim = optim or OptimConfig()
-    target = data_mod.mixture_2d_target()
+    target = data_mod.MixtureTarget2D()
     config = {
         "command": "demo2d", "seed": int(seed), "n_samples": int(n_samples),
         "optim": asdict(optim),

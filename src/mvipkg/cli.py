@@ -195,22 +195,22 @@ def _object(value, known, key: str = "") -> dict:
     return value
 
 
-def _grid_from(config: dict) -> GridConfig:
-    g = _object(config.get("grid", {}), GridConfig.__dataclass_fields__, "grid")
+def _grid_from(value, key: str) -> GridConfig:
+    g = _object(value, GridConfig.__dataclass_fields__, key)
     sizes = g.get("basis_sizes", GridConfig.basis_sizes)
     if not isinstance(sizes, (list, tuple)) or not sizes:
-        raise ConfigError(f"grid.basis_sizes must be a non-empty list, got {sizes!r}")
+        raise ConfigError(f"{key}.basis_sizes must be a non-empty list, got {sizes!r}")
     return GridConfig(
-        basis_sizes=tuple(_count(m, "grid.basis_sizes") for m in sizes),
-        **{k: _count(g.get(k, getattr(GridConfig, k)), f"grid.{k}")
+        basis_sizes=tuple(_count(m, f"{key}.basis_sizes") for m in sizes),
+        **{k: _count(g.get(k, getattr(GridConfig, k)), f"{key}.{k}")
            for k in ("n_pairs", "search_iters", "final_iters")})
 
 
-def _optim_from(config: dict) -> OptimConfig:
-    o = _object(config.get("optim", {}), OptimConfig.__dataclass_fields__, "optim")
+def _optim_from(value, key: str) -> OptimConfig:
+    o = _object(value, OptimConfig.__dataclass_fields__, key)
     return OptimConfig(
-        max_iters=_count(o.get("max_iters", OptimConfig.max_iters), "optim.max_iters"),
-        **{k: _tolerance(o.get(k, getattr(OptimConfig, k)), f"optim.{k}")
+        max_iters=_count(o.get("max_iters", OptimConfig.max_iters), f"{key}.max_iters"),
+        **{k: _tolerance(o.get(k, getattr(OptimConfig, k)), f"{key}.{k}")
            for k in ("grad_tol", "f_tol")})
 
 
@@ -256,8 +256,8 @@ _SETTINGS = {
         choices=bench.METHODS, help="method to fit"))),
     "alpha": (0.05, _fraction),
     "n_boot": (10_000, _count),
-    "grid": ({}, lambda g, key: _grid_from({key: g})),
-    "optim": ({}, lambda o, key: _optim_from({key: o})),
+    "grid": ({}, _grid_from),
+    "optim": ({}, _optim_from),
     "curve_points": (201, _count),
     "contour_resolution": (201, _count),
     "ellipse_mass": (0.70, _fraction),

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DataError
-from .models import sampled_expectation
+from .models import Target, sampled_expectation
 
 TASKS = ("regression", "binary", "multiclass")
 
@@ -102,7 +102,7 @@ def generate_cauchy_task(seed: int, n_train: int = 50, n_test: int = 1000,
 # 2-D mixture target
 # ---------------------------------------------------------------------------
 
-class MixtureTarget2D:
+class MixtureTarget2D(Target):
     """A fixed two-component Gaussian mixture density on the plane.
 
     Normalised, with analytic gradient and Hessian of the log density, so it
@@ -112,7 +112,6 @@ class MixtureTarget2D:
     KL evaluation.
     """
 
-    theta_names: tuple = ()
     bounds = (-10.0, 10.0)
     resolution = 801
     P = 2
@@ -125,13 +124,6 @@ class MixtureTarget2D:
         self._log_norm = np.array([
             -np.log(2.0 * np.pi) - 0.5 * np.linalg.slogdet(c)[1] for c in self.covs
         ])
-
-    @property
-    def theta(self) -> np.ndarray:
-        return np.zeros(0)
-
-    def with_theta(self, theta) -> "MixtureTarget2D":
-        return self
 
     def _component_logpdfs(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -153,13 +145,10 @@ class MixtureTarget2D:
     def log_density(self, pts: np.ndarray) -> np.ndarray:
         return self._log_density_terms(pts)[0]
 
-    # -- log-posterior model surface ----------------------------------------
+    # -- log-posterior model surface (``Target`` adds the rest) ---------------
 
     def values(self, W: np.ndarray) -> np.ndarray:
         return self.log_density(W)
-
-    def value(self, w: np.ndarray) -> float:
-        return float(self.log_density(np.atleast_2d(w))[0])
 
     def evaluate(self, W: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(values, grads, theta_grads) from one pass over the components."""
@@ -173,15 +162,6 @@ class MixtureTarget2D:
         return values, grad, np.zeros((W.shape[0], 0))
 
     expectation = sampled_expectation   # from ``evaluate`` at the points mu + R z
-
-    def grads(self, W: np.ndarray) -> np.ndarray:
-        return self.evaluate(W)[1]
-
-    def grad(self, w: np.ndarray) -> np.ndarray:
-        return self.grads(np.atleast_2d(w))[0]
-
-    def theta_grads(self, W: np.ndarray) -> np.ndarray:
-        return np.zeros((np.atleast_2d(W).shape[0], 0))
 
     def hessian(self, w: np.ndarray) -> np.ndarray:
         w = np.asarray(w, dtype=float).ravel()
@@ -200,10 +180,6 @@ class MixtureTarget2D:
             gi = comp_grads[i]
             h += resp[i] * (np.outer(gi, gi) - self._precs[i])
         return h - np.outer(g_total, g_total)
-
-
-def mixture_2d_target() -> MixtureTarget2D:
-    return MixtureTarget2D()
 
 
 # ---------------------------------------------------------------------------

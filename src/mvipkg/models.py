@@ -27,31 +27,37 @@ the Laplace, variational and evaluation layers program against:
     predictive(W, X)
                     per-sample predictions (regression) or probabilities
 
-The Cauchy, binary and conjugate likelihoods depend on the weights only
-through the projections F = W phi' (one row per draw, one column per data
-point), and each is written once, as the model's ``_pass(Q, spare,
-gradient, y)``. Q holds F - y for a regression (``_residual``) or F for the
-binary model. The pass returns the log likelihood of each row; the factor
-``scale`` with d loglik / dF = scale * Q once a gradient pass has rewritten
-Q; and, per row, the derivatives in the likelihood's own hyperparameters
-(log gamma for Cauchy). ``_ModelBase`` derives the rest from it, once:
-``values`` (the pass in place), ``evaluate`` with ``grads`` and
-``theta_grads`` (one GEMM of scale * Q with [phi | d phi / d log width]),
-``predictive`` (through the ``_predict`` link of F: the identity, or expit
-for binary), and ``hessian`` from ``_curvature``, the per-point
--d^2 loglik / dF^2. For draws w_s = mu + R z_s, F - y = Z1 A' exactly, with
-Z1 = [1 | z] and A = [phi mu - y | phi R]: ``expectation`` forms every
-residual with that one GEMM, runs the pass in the draws' buffers, and takes
-the mean gradients from one GEMM E' Z1 and products of size P. ``score``
-forms the held-out residuals the same way, with phi the test features, one
-block of draws at a time; the identity link's mean prediction is
-phi (mu + R z-bar) in closed form, and binary's is the mean of expit(F)
-over the draws.
+Every likelihood here (Cauchy, binary, softmax and the conjugate oracle's)
+depends on the weights only through the projections F = W phi' (one row per
+draw and output, one column per data point; a softmax draw's K class blocks
+give K rows, class-major), and each is written once, as the model's
+``_pass(Q, spare, gradient, y)``. Q holds F - y for a regression
+(``_residual``) or F for the classifiers. The pass returns the log likelihood
+of each draw; the factor ``scale`` with d loglik / dF = scale * Q once a
+gradient pass has rewritten Q; and, per draw, the derivatives in the
+likelihood's own hyperparameters (log gamma for Cauchy). ``_ModelBase``
+derives the rest from it, once: ``values`` (the pass in place), ``evaluate``
+with ``grads`` and ``theta_grads`` (one GEMM of scale * Q with
+[phi | d phi / d log width]), ``predictive`` (through the ``_predict`` link
+of F: the identity, or expit for binary), and ``hessian`` from
+``_curvature``, the per-point -d^2 loglik / dF^2. For draws
+w_s = mu + R z_s, F - y = Z1 A' exactly, with Z1 = [1 | z] and
+A = [phi mu - y | phi R]: ``expectation`` forms every residual with that one
+GEMM, runs the pass in the draws' buffers, and takes the mean gradients from
+one GEMM E' Z1 and products of size P. ``score`` forms the held-out
+residuals the same way, with phi the test features, one block of draws at a
+time; the identity link's mean prediction is phi (mu + R z-bar) in closed
+form, and binary's is the mean of expit(F) over the draws.
 
-Softmax and the 2-D mixture keep kernels of their own and use
+Softmax keeps its own ``hessian`` (K x K class blocks), ``score`` and
+``predictive`` (class probabilities), and ``expectation`` from
 ``sampled_expectation``, which forms the points and the per-draw gradients:
-K class scores are not one F, and on the 3-class benchmark split the
-projected form would need about twice the flops.
+projecting its draws through A would cost K times the flops. The 2-D mixture
+is no F at all; it writes its own ``values``, ``evaluate`` and ``hessian``.
+Every target, the mixture too, takes the scalar wrappers ``value`` and
+``grad``, ``grads`` and ``theta_grads`` from ``Target``, and a target without
+hyperparameters (the mixture, the conjugate oracle) its empty ``theta`` and
+a ``with_theta`` that refuses a non-empty one.
 
 Predictions go through RBF features phi_m(x) = exp(-||x - c_m||^2 / (2 width^2))
 with a trailing bias column of ones, so D = M + 1 features per input. Centres
@@ -64,8 +70,8 @@ in one place, ``_RBFBase``: a class declares ``theta_names`` and a
 ``Model(X, y, centers, **hyper)`` takes one positive keyword per name
 without its ``log_`` prefix, checks the rows, the labels and positivity,
 builds the features and sets ``P``; ``theta`` and ``with_theta`` follow from
-the same names. ``values``, ``grads``, ``theta_grads`` and ``hessian`` stay
-bound on each RBF class itself, even where it only re-binds ``_ModelBase``'s:
+the same names. Each RBF class re-binds the shared ``values``, ``grads``,
+``theta_grads`` and ``hessian`` (softmax: its own ``hessian``) on itself:
 the benchmark's tracer times them through each class's own ``__dict__``, so
 an inherited kernel would go untimed.
 
@@ -270,9 +276,38 @@ def _add_rows(total: np.ndarray | None, rows: np.ndarray) -> np.ndarray:
 # shared model pieces
 # ---------------------------------------------------------------------------
 
-class _ModelBase:
-    """Scalar wrappers, the Gaussian prior, and every batch method of a model
-    whose likelihood is one F = W phi', derived from its ``_pass``."""
+class Target:
+    """The surface every target shares over its own ``values`` and
+    ``evaluate``: the scalar and single-output wrappers, and an empty theta,
+    which a target with hyperparameters overrides."""
+
+    theta_names: tuple = ()
+
+    @property
+    def theta(self) -> np.ndarray:
+        return np.zeros(0)
+
+    def with_theta(self, theta: np.ndarray):
+        if np.asarray(theta).size:
+            raise ValueError(f"{type(self).__name__} has no free hyperparameters")
+        return self
+
+    def value(self, w: np.ndarray) -> float:
+        return float(self.values(_as_batch(w, self.P))[0])
+
+    def grad(self, w: np.ndarray) -> np.ndarray:
+        return self.grads(_as_batch(w, self.P))[0]
+
+    def grads(self, W: np.ndarray) -> np.ndarray:
+        return self.evaluate(W)[1]
+
+    def theta_grads(self, W: np.ndarray) -> np.ndarray:
+        return self.evaluate(W)[2]
+
+
+class _ModelBase(Target):
+    """The Gaussian prior, and every batch method of a model whose likelihood
+    is one F = W phi', derived from its ``_pass``."""
 
     _residual = True   # ``_pass`` gets the residuals F - y, else the scores F
 
@@ -281,15 +316,10 @@ class _ModelBase:
         """Mean prediction from scores F: the identity link of a regression."""
         return F
 
-    def value(self, w: np.ndarray) -> float:
-        return float(self.values(_as_batch(w, self.P))[0])
-
-    def grad(self, w: np.ndarray) -> np.ndarray:
-        return self.grads(_as_batch(w, self.P))[0]
-
     def _projections(self, W: np.ndarray) -> np.ndarray:
-        """Q = W phi' - y of a residual likelihood, else W phi', shape (B, N)."""
-        Q = W @ self.phi.T
+        """Q = W phi' - y of a residual likelihood, else W phi', with W read as
+        (B K, D) rows, class-major: shape (B K, N), (B, N) for one output."""
+        Q = W.reshape(-1, self.D) @ self.phi.T
         if self._residual:
             Q -= self.y
         return Q
@@ -304,23 +334,21 @@ class _ModelBase:
         the theta columns are the pass's lead rows, log alpha and log width."""
         W = _as_batch(W, self.P)
         Q = self._projections(W)
-        rows, scale, lead = self._pass(Q, np.empty_like(Q), True, self.y)
-        Q *= scale   # d loglik / dF
+        rows, scale, lead = self._pass(Q, None, True, self.y)
+        if scale != 1.0:
+            Q *= scale   # d loglik / dF
         # one GEMM gives the weight gradient and d loglik / d phi_w, which,
-        # contracted with the weights, is the log-width derivative of each row
+        # contracted with the weights, is the log-width derivative of each
+        # draw (over its K class rows: views for K = 1, copies otherwise)
         both = Q @ self._phi_stack
         prior, d_lalpha = self._prior(W)
-        grads = both[:, :self.D] - self.alpha * W
+        grads = both[:, :self.D].reshape(W.shape) - self.alpha * W
         if not self.theta_names:
             return rows + prior, grads, np.zeros((W.shape[0], 0))
-        d_lwidth = np.einsum("bm,bm->b", both[:, self.D:], W[:, :-1])
+        B = W.shape[0]
+        d_lwidth = np.einsum("bm,bm->b", both[:, self.D:].reshape(B, -1),
+                             W.reshape(-1, self.D)[:, :-1].reshape(B, -1))
         return rows + prior, grads, np.stack([*lead, d_lalpha, d_lwidth], axis=1)
-
-    def grads(self, W: np.ndarray) -> np.ndarray:
-        return self.evaluate(W)[1]
-
-    def theta_grads(self, W: np.ndarray) -> np.ndarray:
-        return self.evaluate(W)[2]
 
     def hessian(self, w: np.ndarray) -> np.ndarray:
         """-phi' diag(c) phi - alpha I, c the likelihood's ``_curvature`` at w."""
@@ -477,9 +505,10 @@ class CauchyRegression(_RBFBase):
     def _targets(y: np.ndarray) -> np.ndarray:
         return np.asarray(y, dtype=float).ravel()
 
-    def _pass(self, Q: np.ndarray, spare: np.ndarray, gradient: bool, y: np.ndarray):
+    def _pass(self, Q: np.ndarray, spare: np.ndarray | None, gradient: bool, y: np.ndarray):
         """Log likelihood N log(gamma / pi) - sum_n log d_n of each row of
-        Q = F - y, with d = gamma^2 + r^2 formed in ``spare``. If ``gradient``,
+        Q = F - y, with d = gamma^2 + r^2 formed in ``spare`` (a new array if
+        None). If ``gradient``,
         Q becomes (F - y) / d, so that d loglik / dF = -2 Q, and the lead row
         is d loglik / d log gamma = sum_n (r_n^2 - gamma^2) / d_n
         = 2 sum_n r_n^2 / d_n - N, from r^2 / d = Q^2 d with no S x N temporary."""
@@ -524,7 +553,7 @@ class BinaryLogistic(_RBFBase):
     _residual = False   # the pass gets the scores F
     _predict = staticmethod(expit)   # the mean prediction is a class-1 probability
 
-    def _pass(self, F: np.ndarray, spare: np.ndarray, gradient: bool, y: np.ndarray):
+    def _pass(self, F: np.ndarray, spare: np.ndarray | None, gradient: bool, y: np.ndarray):
         """Log likelihood sum_n y_n f_n - softplus(f_n) of each row of F and,
         if ``gradient``, F overwritten with d loglik / dF = y - expit(F)."""
         rows = (y * F - np.logaddexp(0.0, F)).sum(axis=1)
@@ -584,10 +613,7 @@ class SoftmaxRegression(_RBFBase):
             raise DataError("multiclass labels must be one-hot rows")
         return Y
 
-    def _scores(self, W: np.ndarray, phi: np.ndarray) -> np.ndarray:
-        """Class scores F = W phi', shape (B, K, N), from one GEMM."""
-        B = W.shape[0]
-        return (W.reshape(B * self.K, self.D) @ phi.T).reshape(B, self.K, -1)
+    _residual = False   # the pass gets the scores F, K rows per draw
 
     @staticmethod
     def _labels(F: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -595,36 +621,25 @@ class SoftmaxRegression(_RBFBase):
         return F.reshape(F.shape[0], -1) @ Y.T.ravel()
 
     def _probabilities(self, W: np.ndarray, phi: np.ndarray) -> np.ndarray:
-        """Softmax over classes, shape (B, K, N)."""
-        F = self._scores(W, phi)
+        """Softmax over classes of the scores W phi', shape (B, K, N)."""
+        F = (W.reshape(-1, self.D) @ phi.T).reshape(W.shape[0], self.K, -1)
         _log_normaliser(F, normalise=True)
         return F
 
-    def values(self, W: np.ndarray) -> np.ndarray:
-        W = _as_batch(W, self.P)
-        F = self._scores(W, self.phi)
-        labels = self._labels(F, self.y)   # before the log-sum-exp overwrites F
-        return labels - _log_normaliser(F).sum(axis=1) + self._prior(W)[0]
+    def _pass(self, F: np.ndarray, spare: np.ndarray | None, gradient: bool, y: np.ndarray):
+        """Log likelihood sum_{k,n} Y_nk F_kn - log sum_k exp F_kn of each
+        draw's K rows of F and, if ``gradient``, F overwritten with
+        d loglik / dF = Y' - softmax(F), row (b, k) being class k of draw b."""
+        F = F.reshape(-1, self.K, F.shape[1])
+        labels = self._labels(F, y)   # before the log-sum-exp overwrites F
+        rows = labels - _log_normaliser(F, normalise=gradient).sum(axis=1)
+        if gradient:
+            np.subtract(y.T, F, out=F)
+        return rows, 1.0, []
 
-    def evaluate(self, W: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        W = _as_batch(W, self.P)
-        B = W.shape[0]
-        F = self._scores(W, self.phi)
-        labels = self._labels(F, self.y)
-        prior, d_lalpha = self._prior(W)
-        values = labels - _log_normaliser(F, normalise=True).sum(axis=1) + prior
-        # d loglik / d F = Y' - softmax(F), flattened to (B K, N); row (b, k)
-        # of G @ phi is class k's block, so the class-major layout holds
-        G = np.subtract(self.y.T, F, out=F).reshape(-1, self.N)
-        grads = (G @ self.phi).reshape(B, self.P) - self.alpha * W
-        # sum_{k,n} G_bkn dF_bkn with dF = W_k,:-1 phi_w', contracted as
-        # ((G phi_w) * W_k,:-1) summed, so the (B, K, N) dF never forms
-        Wk = W.reshape(B * self.K, self.D)[:, :-1]
-        d_lwidth = ((G @ self._phi_stack[:, self.D:]) * Wk).reshape(B, -1).sum(axis=1)
-        return values, grads, np.stack([d_lalpha, d_lwidth], axis=1)
-
-    expectation = sampled_expectation   # the K class scores are not one F
-    grads, theta_grads = _ModelBase.grads, _ModelBase.theta_grads
+    # projecting the draws through A would cost K times the flops of forming them
+    expectation = sampled_expectation
+    values, grads, theta_grads = _ModelBase.values, _ModelBase.grads, _ModelBase.theta_grads
 
     def hessian(self, w: np.ndarray) -> np.ndarray:
         w = np.asarray(w, dtype=float).ravel()
@@ -675,8 +690,6 @@ class GaussianLinearModel(_ModelBase):
     argument of ``score``/``predictive`` is itself a design matrix.
     """
 
-    theta_names: tuple = ()
-
     def __init__(self, phi: np.ndarray, y: np.ndarray, beta: float, alpha: float):
         self.phi = np.atleast_2d(np.asarray(phi, dtype=float))
         self.y = np.asarray(y, dtype=float).ravel()
@@ -690,20 +703,11 @@ class GaussianLinearModel(_ModelBase):
         self.P = self.D
         self._phi_stack = self.phi   # no hyperparameter moves the features
 
-    @property
-    def theta(self) -> np.ndarray:
-        return np.zeros(0)
-
-    def with_theta(self, theta: np.ndarray) -> "GaussianLinearModel":
-        if np.asarray(theta).size:
-            raise ValueError("the conjugate oracle model has no free hyperparameters")
-        return self
-
     @staticmethod
     def _features(X: np.ndarray) -> np.ndarray:
         return np.atleast_2d(np.asarray(X, dtype=float))   # a design matrix
 
-    def _pass(self, Q: np.ndarray, spare: np.ndarray, gradient: bool, y: np.ndarray):
+    def _pass(self, Q: np.ndarray, spare: np.ndarray | None, gradient: bool, y: np.ndarray):
         """Log likelihood of each row of Q = F - y; d loglik / dF = -beta Q."""
         return (0.5 * Q.shape[1] * (np.log(self.beta) - _LOG_2PI)
                 - 0.5 * self.beta * np.einsum("bn,bn->b", Q, Q)), -self.beta, []

@@ -102,10 +102,12 @@ def test_effective_config_precedence():
 
 
 def test_grid_and_optim_from_config_errors():
-    with pytest.raises(ConfigError, match="grid"):
-        cli._grid_from({"grid": {"basis_sizes": ["many"]}})
-    with pytest.raises(ConfigError, match="optim"):
-        cli._optim_from({"optim": {"max_iters": "lots"}})
+    with pytest.raises(ConfigError, match=r"grid\.basis_sizes"):
+        cli._grid_from({"basis_sizes": ["many"]}, "grid")
+    with pytest.raises(ConfigError, match=r"optim\.max_iters"):
+        cli._optim_from({"max_iters": "lots"}, "optim")
+    with pytest.raises(ConfigError, match=r"optim\.step"):
+        cli._optim_from({"step": 1.0}, "optim")
 
 
 # ---------------------------------------------------------------------------

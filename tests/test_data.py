@@ -6,8 +6,7 @@ from scipy.stats import multivariate_normal
 
 from mvipkg.data import (Dataset, MixtureTarget2D, SplitPlan, cauchy_curve,
                          generate_cauchy_task, load_csv_dataset,
-                         load_split_indices, make_splits, mixture_2d_target,
-                         standardize)
+                         load_split_indices, make_splits, standardize)
 from mvipkg.errors import DataError
 
 from makers import finite_difference_gradient, finite_difference_jacobian
@@ -70,7 +69,7 @@ def test_generated_task_seeded():
 # ---------------------------------------------------------------------------
 
 def test_mixture_normalized():
-    target = mixture_2d_target()
+    target = MixtureTarget2D()
     xs = np.linspace(-10, 10, 501)
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
     pts = np.column_stack([gx.ravel(), gy.ravel()])
@@ -79,7 +78,7 @@ def test_mixture_normalized():
 
 
 def test_mixture_log_density_matches_scipy():
-    target = mixture_2d_target()
+    target = MixtureTarget2D()
     rng = np.random.default_rng(1)
     pts = rng.uniform(-4, 4, size=(20, 2))
     dens = sum(w * multivariate_normal(mean=m, cov=c).pdf(pts)
@@ -89,7 +88,7 @@ def test_mixture_log_density_matches_scipy():
 
 
 def test_mixture_gradient_matches_finite_differences():
-    target = mixture_2d_target()
+    target = MixtureTarget2D()
     rng = np.random.default_rng(2)
     for _ in range(4):
         w = rng.uniform(-3, 3, size=2)
@@ -99,7 +98,7 @@ def test_mixture_gradient_matches_finite_differences():
 
 
 def test_mixture_hessian_matches_finite_differences():
-    target = mixture_2d_target()
+    target = MixtureTarget2D()
     rng = np.random.default_rng(3)
     for _ in range(4):
         w = rng.uniform(-3, 3, size=2)
@@ -120,7 +119,7 @@ def test_mixture_model_protocol():
 
 
 def test_mixture_dominant_mode_near_origin():
-    target = mixture_2d_target()
+    target = MixtureTarget2D()
     # the 2/3-weight component is the round one at the origin
     assert target.value(np.zeros(2)) > target.value(np.array([-1.0, -2.0]))
 

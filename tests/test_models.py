@@ -8,9 +8,9 @@ import pytest
 from scipy.special import expit as scipy_expit
 from scipy.stats import multivariate_normal
 
-from mvipkg.data import mixture_2d_target
+from mvipkg.data import MixtureTarget2D
 from mvipkg.errors import DataError, NumericalError
-from mvipkg.models import (BinaryLogistic, CauchyRegression, GaussianLinearModel,
+from mvipkg.models import (BinaryLogistic, CauchyRegression, GaussianLinearModel, _ModelBase,
                            SoftmaxRegression, expit, kmeans, rbf_features,
                            squared_distances)
 
@@ -293,6 +293,16 @@ def test_softmax_value_direct_formula():
     prior = (-0.5 * model.alpha * np.sum(W * W, axis=1)
              + 0.5 * model.P * (np.log(model.alpha) - np.log(2 * np.pi)))
     np.testing.assert_allclose(model.values(W), loglik + prior, rtol=1.0e-12)
+    # class k's block of the gradient is (Y[:, k] - P[:, k])' phi - alpha w_k,
+    # P the per-point class probabilities: the class-major layout of W
+    for w, g in zip(W, model.grads(W)):
+        Wk = w.reshape(model.K, model.D)
+        F = model.phi @ Wk.T
+        Pr = np.exp(F - F.max(axis=1, keepdims=True))
+        Pr /= Pr.sum(axis=1, keepdims=True)
+        np.testing.assert_allclose(g.reshape(model.K, model.D),
+                                   (model.y - Pr).T @ model.phi - model.alpha * Wk,
+                                   rtol=1.0e-12)
 
     X_test = rng.standard_normal((9, 2))
     Y_test = np.eye(3)[rng.integers(0, 3, size=9)]
@@ -367,9 +377,11 @@ def test_conjugate_evidence_consistency_via_posterior_identity():
 
 
 def test_conjugate_rejects_nonempty_theta():
-    model = make_conjugate()
-    with pytest.raises(ValueError):
-        model.with_theta(np.array([0.1]))
+    # and the mixture: both targets without hyperparameters share with_theta
+    for model in (make_conjugate(), MixtureTarget2D()):
+        assert model.with_theta(np.zeros(0)) is model
+        with pytest.raises(ValueError):
+            model.with_theta(np.array([0.1]))
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +418,7 @@ def test_batched_grads_match_loop(name):
 # fused passes: evaluate and score against the separate kernels
 # ---------------------------------------------------------------------------
 
-FIVE_MODEL_MAKERS = {**ALL_MODEL_MAKERS, "mixture2d": mixture_2d_target}
+FIVE_MODEL_MAKERS = {**ALL_MODEL_MAKERS, "mixture2d": MixtureTarget2D}
 
 
 @pytest.mark.parametrize("name", sorted(FIVE_MODEL_MAKERS))
@@ -425,10 +437,13 @@ def test_evaluate_equals_separate_kernels(name):
 
 def test_rbf_models_define_traced_kernels_on_the_class():
     # benchmarks/tracing.py wraps these methods through each class's own
-    # __dict__; an inherited method would silently escape `run.py --trace 1`
+    # __dict__; an inherited method would silently escape `run.py --trace 1`.
+    # The batch kernels are the shared ones, softmax's too: one likelihood pass
     for cls in (CauchyRegression, BinaryLogistic, SoftmaxRegression):
         for method in ("values", "grads", "theta_grads", "hessian"):
             assert method in vars(cls), (cls.__name__, method)
+        for method in ("values", "grads", "theta_grads"):
+            assert vars(cls)[method] is getattr(_ModelBase, method), (cls.__name__, method)
 
 
 def test_binary_predictions_are_class_one_probabilities():

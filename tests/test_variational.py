@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
-from mvipkg.data import mixture_2d_target
+from mvipkg.data import MixtureTarget2D
 from mvipkg.errors import NumericalError
 from mvipkg.laplace import find_mode, laplace_approximation
 from mvipkg.models import FixedDraws
@@ -279,7 +279,7 @@ def _per_draw_bound(params, samples, model, lap):
 
 ORACLE_MODELS = {"cauchy": make_cauchy, "binary": make_logistic,
                  "conjugate": make_conjugate, "softmax": make_softmax,
-                 "mixture2d": mixture_2d_target}
+                 "mixture2d": MixtureTarget2D}
 
 
 @pytest.mark.parametrize("family", FAMILIES)
