@@ -1,14 +1,15 @@
 """Experiment orchestration: per-split fits, aggregation, and reports.
 
-Each runner returns a plain dict that serialises to JSON as-is. Wall-clock
-times live under a single "timing" key so callers can compare everything
-else bit-for-bit between reruns.
+Each runner returns a plain dict that serialises to JSON as-is. It holds
+what the run produced, not the settings it ran with: the caller, which chose
+them, records those (the CLI writes them under "config"). Wall-clock times
+live under a single "timing" key so callers can compare everything else
+bit-for-bit between reruns.
 """
 
 import os
 import time
 from collections import Counter
-from dataclasses import asdict
 from functools import partial
 
 import numpy as np
@@ -37,6 +38,11 @@ _BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS
 
 def derive_seed(base: int, salt: int = 0) -> int:
     return int(base) + int(salt)
+
+
+def error_metric(kind: str) -> str:
+    """The metric reported beside lpd for a task kind."""
+    return "mse" if kind == "regression" else "error_rate"
 
 
 def _check_methods(methods):
@@ -108,10 +114,9 @@ def run_split(train, test, methods=METHODS, seed: int = 0, n_samples: int = 1000
     the failures of each kind (``grid_failures``).
     """
     methods = _check_methods(methods)
-    if train.kind == "regression":
-        score, metric = evaluate.regression_metrics, "mse"
-    else:
-        score, metric = evaluate.classification_metrics, "error_rate"
+    metric = error_metric(train.kind)
+    score = (evaluate.regression_metrics if metric == "mse"
+             else evaluate.classification_metrics)
 
     records, timing = {}, {}
     t0 = time.perf_counter()
@@ -247,22 +252,22 @@ def _split_outcome(methods, fit_options, job) -> dict:
             "methods": recs, "_timing": timing}
 
 
-def _run_suite(config, splits, methods, metrics, base_seed, **fit_options) -> dict:
+def _run_suite(splits, methods, metrics, base_seed, n_workers, alpha, n_boot,
+               **fit_options) -> dict:
     """Run ``run_split`` on every split and assemble the suite's report.
 
     ``splits`` holds each split's (train, test, seed). A split whose fit
-    fails numerically is recorded as skipped. ``config["n_workers"]`` is the
-    requested worker count; None asks for one per usable core. Either is
-    capped at the number of splits, and the count used is
-    ``timing["n_workers"]``. ``timing["wall"]`` is the suite's elapsed time;
-    the per-split times under ``timing["splits"]`` overlap under several
-    workers. ``alpha`` and ``n_boot`` are read from ``config`` too.
+    fails numerically is recorded as skipped. ``n_workers`` is the requested
+    worker count; None asks for one per usable core. Either is capped at the
+    number of splits, and the count used is ``timing["n_workers"]``.
+    ``timing["wall"]`` is the suite's elapsed time; the per-split times under
+    ``timing["splits"]`` overlap under several workers. ``alpha`` and
+    ``n_boot`` set the significance tests.
     """
-    n_workers = max(1, min(config["n_workers"] or usable_cores(), len(splits)))
+    n_workers = max(1, min(n_workers or usable_cores(), len(splits)))
     started = time.perf_counter()
     outcomes = _parallel_map(partial(_split_outcome, methods, fit_options),
                              enumerate(splits), n_workers)
-    alpha, n_boot = config["alpha"], config["n_boot"]
     records = [o for o in outcomes if "error" not in o]
     skipped = [o for o in outcomes if "error" in o]
     run_times = [{"index": r["index"], **r.pop("_timing")} for r in records]
@@ -278,8 +283,7 @@ def _run_suite(config, splits, methods, metrics, base_seed, **fit_options) -> di
             significance[metric] = block
             markers[metric] = {"best": block["best"],
                                "significant": block["overall_significant"]}
-    report = {
-        "config": config,
+    return {
         "n_completed": len(records),
         "n_skipped": len(skipped),
         "skipped": skipped,
@@ -291,7 +295,6 @@ def _run_suite(config, splits, methods, metrics, base_seed, **fit_options) -> di
                    "wall": time.perf_counter() - started,
                    "n_workers": n_workers},
     }
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -310,21 +313,12 @@ def run_cauchy(n_runs: int = 20, methods=METHODS, seed: int = 0,
     per usable core.
     """
     methods = _check_methods(methods)
-    grid = grid or GridConfig()
-    optim = optim or OptimConfig()
-    config = {
-        "command": "cauchy", "n_runs": int(n_runs), "methods": list(methods),
-        "seed": int(seed), "n_samples": int(n_samples), "n_eval": int(n_eval),
-        "n_train": int(n_train), "n_test": int(n_test),
-        "grid": asdict(grid), "optim": asdict(optim),
-        "alpha": float(alpha), "n_boot": int(n_boot),
-        "n_workers": None if n_workers is None else int(n_workers),
-    }
     splits = [(*data_mod.generate_cauchy_task(seed=derive_seed(seed, i),
                                               n_train=n_train, n_test=n_test),
                derive_seed(seed, i))
               for i in range(n_runs)]
-    return _run_suite(config, splits, methods, ("lpd", "mse"), seed,
+    return _run_suite(splits, methods, ("lpd", error_metric("regression")), seed,
+                      n_workers, alpha, n_boot,
                       n_samples=n_samples, n_eval=n_eval, grid=grid, optim=optim)
 
 
@@ -334,24 +328,14 @@ def run_benchmark(dataset, methods=METHODS, plan=None,
                   alpha: float = 0.05, n_boot: int = 10_000,
                   n_workers: int | None = None) -> dict:
     """Split-resampling benchmark on a loaded dataset; ``n_workers`` as in
-    :func:`run_cauchy`."""
+    :func:`run_cauchy`. The report's ``task`` is the dataset's task kind."""
     methods = _check_methods(methods)
     plan = plan or data_mod.SplitPlan()
-    grid = grid or GridConfig()
-    optim = optim or OptimConfig()
     splits = data_mod.make_splits(dataset, plan)
-    metric = "mse" if dataset.kind == "regression" else "error_rate"
-    config = {
-        "command": "benchmark", "dataset": dataset.name, "task": dataset.kind,
-        "n_splits": len(splits), "train_fraction": float(plan.train_fraction),
-        "seed": int(plan.seed), "indices_path": plan.indices_path,
-        "methods": list(methods), "n_samples": int(n_samples),
-        "n_eval": int(n_eval), "grid": asdict(grid),
-        "optim": asdict(optim), "alpha": float(alpha),
-        "n_boot": int(n_boot), "n_workers": None if n_workers is None else int(n_workers),
-    }
-    return _run_suite(config, splits, methods, ("lpd", metric), plan.seed,
-                      n_samples=n_samples, n_eval=n_eval, grid=grid, optim=optim)
+    report = _run_suite(splits, methods, ("lpd", error_metric(dataset.kind)), plan.seed,
+                        n_workers, alpha, n_boot,
+                        n_samples=n_samples, n_eval=n_eval, grid=grid, optim=optim)
+    return {"task": dataset.kind, **report}
 
 
 # ---------------------------------------------------------------------------
@@ -381,15 +365,7 @@ def run_demo2d(seed: int = 0, n_samples: int = 1000,
     log-density grid and, per method, the posterior mean and its
     ``ellipse_mass`` ellipse polyline.
     """
-    optim = optim or OptimConfig()
     target = data_mod.MixtureTarget2D()
-    config = {
-        "command": "demo2d", "seed": int(seed), "n_samples": int(n_samples),
-        "optim": asdict(optim),
-        "contour_resolution": int(contour_resolution),
-        "ellipse_mass": float(ellipse_mass),
-    }
-
     timing = {}
     t0 = time.perf_counter()
     mode = laplace_mod.find_mode(target, np.zeros(2))
@@ -428,8 +404,7 @@ def run_demo2d(seed: int = 0, n_samples: int = 1000,
         "ellipses": {name: ellipse_points(post, ellipse_mass)
                      for name, post in posteriors.items()},
     }
-    report = {
-        "config": config,
+    return {
         "kl": kl,
         "elbo": elbos,
         "n_iters": iters,
@@ -437,7 +412,6 @@ def run_demo2d(seed: int = 0, n_samples: int = 1000,
         "timing": timing,
         "arrays": arrays,
     }
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -449,28 +423,25 @@ def run_fit(train, method: str, seed: int = 0, n_samples: int = 1000,
     """Fit one method on a dataset, as ``run_split`` fits it, and package it
     for serialisation.
 
-    Returns (meta, arrays, posterior, model): JSON-safe metadata, the numpy
-    arrays for a binary sidecar, the fitted Gaussian, and the model
-    ``run_split`` scores it with. ``meta["elbo_estimate"]`` is the fit's
-    training bound (for laplace, the bound at the mode). For vi_diag both
-    initialisations are fitted and the higher final bound is kept
-    (``variational.fit_best``), its start named by ``meta["variant"]``. A
-    variational ``meta`` carries the fit's diagnostics: ``n_iters``,
+    Returns (meta, arrays, posterior, model): the fit's JSON-safe outputs
+    (the dataset's ``task``, the derived seeds and the bounds; not its
+    settings), the numpy arrays for a binary sidecar, the fitted Gaussian,
+    and the model ``run_split`` scores it with. ``meta["elbo_estimate"]``
+    is the fit's training bound (for laplace, the bound at the mode). For
+    vi_diag both initialisations are fitted and the higher final bound is
+    kept (``variational.fit_best``), its start named by ``meta["variant"]``.
+    A variational ``meta`` carries the fit's diagnostics: ``n_iters``,
     ``n_evals``, ``stop_reason`` and ``grad_norm``.
     """
     (method,) = _check_methods((method,))
-    grid = grid or GridConfig()
-    optim = optim or OptimConfig()
     search, fit = _search_and_fit(train, (method,), seed, n_samples, grid, optim)
     model, lap = search.model, search.laplace
     posterior, scorer, best = fit(method)
 
     meta = {
-        "method": method, "task": train.kind, "seed": int(seed),
-        "n_samples": int(n_samples),
+        "task": train.kind,
         "sample_seed": derive_seed(seed, SALT_SAMPLES),
         "init_seed": derive_seed(seed, SALT_INIT),
-        "grid": asdict(grid), "optim": asdict(optim),
         "n_centers": int(model.centers.shape[0]),
         "jitter": float(lap.jitter),
         "bound_at_mode": float(lap.bound_at_mode),

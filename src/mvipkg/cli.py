@@ -6,10 +6,10 @@ subcommand takes ``--out``, ``--config`` and the flags of its own settings.
 A setting comes from its default, then the config files, then its flag, and
 every setting a command reads is checked before its output directory exists.
 
-Reports go to --out as JSON plus CSV tables. Every report embeds its full
-effective config; pointing --config at a previous report.json reruns it and
-reproduces all emitted numbers (wall-clock times live in timing.json, the
-one file that never reproduces).
+Reports go to --out as JSON plus CSV tables; ``write_report`` alone puts the
+command and its full effective config under "config". Pointing --config at a
+previous report.json reruns it and reproduces all emitted numbers (wall-clock
+times live in timing.json, the one file that never reproduces).
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numerical failure.
 """
@@ -55,22 +55,24 @@ def write_csv(path, header, rows):
 
 
 def dump_json(path, payload):
+    """Sorted, indented JSON; dataclasses (grid, optim) become objects."""
     with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
+        json.dump(payload, handle, indent=2, sort_keys=True, default=asdict)
         handle.write("\n")
 
 
-def write_report(out_dir: Path, report: dict):
-    """report.json holds everything reproducible; timing.json the rest."""
-    report = dict(report)
+def write_report(out_dir: Path, command: str, report: dict, config: dict):
+    """``report`` with ``command`` and its effective ``config`` under "config",
+    in fit.json for ``fit`` and report.json otherwise; "timing" goes to
+    timing.json, the one file that does not reproduce."""
+    report = dict(report, config={"command": command, **config})
     timing = report.pop("timing", None)
-    dump_json(out_dir / "report.json", report)
+    dump_json(out_dir / ("fit.json" if command == "fit" else "report.json"), report)
     if timing is not None:
         dump_json(out_dir / "timing.json", timing)
 
 
-def write_median_table(path, report, metrics):
-    methods = report["config"]["methods"]
+def write_median_table(path, report, methods, metrics):
     rows = [[metric] + [report["medians"].get(m, {}).get(metric)
                         for m in methods]
             for metric in metrics]
@@ -164,7 +166,12 @@ def _paths(value, key: str) -> list:
     paths = [value] if isinstance(value, str) else value
     if not isinstance(paths, list) or not paths:
         raise ConfigError(f"{key} must be a path or a list of paths, got {value!r}")
-    return [_path(path, key) for path in paths]
+    stems = [Path(_path(path, key)).stem for path in paths]
+    shared = sorted({stem for stem in stems if stems.count(stem) > 1})
+    if shared:   # a dataset's file stem names its output directory
+        raise ConfigError(f"{key} paths share the file stem(s) {shared}; each "
+                          "names one dataset's output directory")
+    return paths
 
 
 def _names(value, key: str) -> list:
@@ -262,7 +269,7 @@ _SETTINGS = {
     "contour_resolution": (201, _count),
     "ellipse_mass": (0.70, _fraction),
 }
-_REPORT_KEYS = ("command", "dataset", "indices_path", "out")   # beside the settings
+_REPORT_KEYS = ("command", "out")   # beside the settings
 
 
 def effective_config(command: str, file_config: dict, overrides: dict) -> dict:
@@ -288,10 +295,13 @@ def effective_config(command: str, file_config: dict, overrides: dict) -> dict:
 # commands
 # ---------------------------------------------------------------------------
 
-def _write_suite(out_dir: Path, report: dict, metric: str, label: str, unit: str):
-    """A suite's report, timing and median table, and its two summary lines."""
-    write_report(out_dir, report)
-    write_median_table(out_dir / "table.csv", report, ("lpd", metric))
+def _write_suite(out_dir: Path, command: str, report: dict, config: dict, kind: str,
+                 label: str, unit: str):
+    """A suite's report, timing and median table, and its two summary lines;
+    the task ``kind`` picks the table's error metric."""
+    write_report(out_dir, command, report, config)
+    write_median_table(out_dir / "table.csv", report, config["methods"],
+                       ("lpd", bench.error_metric(kind)))
     print(f"{label}: {report['n_completed']} {unit} completed, {report['n_skipped']} "
           f"skipped; medians in {out_dir / 'table.csv'}")
     searches = [r["search"] for r in report["records"]]
@@ -313,13 +323,14 @@ def cmd_demo2d(config: dict, out_dir: Path) -> int:
         rows.extend([method, "ellipse", float(x), float(y)]
                     for x, y in arrays["ellipses"][method])
     write_csv(out_dir / "ellipses.csv", ["method", "kind", "x", "y"], rows)
-    write_report(out_dir, report)
+    write_report(out_dir, "demo2d", report, config)
     print(f"demo2d: KL " + ", ".join(f"{k}={v:.4f}" for k, v in report["kl"].items()))
     return 0
 
 
 def cmd_cauchy(config: dict, out_dir: Path) -> int:
-    _write_suite(out_dir, bench.run_cauchy(**config), "mse", "cauchy", "runs")
+    _write_suite(out_dir, "cauchy", bench.run_cauchy(**config), config, "regression",
+                 "cauchy", "runs")
     return 0
 
 
@@ -332,13 +343,10 @@ def cmd_benchmark(config: dict, out_dir: Path) -> int:
         dataset = data_mod.load_csv_dataset(path, task=config["task"], name=path)
         report = bench.run_benchmark(
             dataset, plan=plan, **{key: config[key] for key in _SUITE if key != "seed"})
-        # carry the CLI-level keys a rerun needs but run_benchmark doesn't
-        report["config"]["data"] = [path]
-        report["config"]["splits_file"] = config["splits_file"]
         target = out_dir / Path(path).stem if multi else out_dir
         target.mkdir(parents=True, exist_ok=True)
-        metric = "mse" if dataset.kind == "regression" else "error_rate"
-        _write_suite(target, report, metric, f"benchmark[{dataset.name}]", "splits")
+        _write_suite(target, "benchmark", report, dict(config, data=[path]),
+                     report["task"], f"benchmark[{dataset.name}]", "splits")
     return 0
 
 
@@ -348,10 +356,8 @@ def cmd_fit(config: dict, out_dir: Path) -> int:
     meta, arrays, posterior, model = bench.run_fit(
         dataset, config["method"], seed=config["seed"], n_samples=config["n_samples"],
         grid=config["grid"], optim=config["optim"])
-    meta["config"] = dict(config, command="fit", data=path, grid=asdict(config["grid"]),
-                          optim=asdict(config["optim"]))
     np.savez(out_dir / "fit_arrays.npz", **arrays)
-    dump_json(out_dir / "fit.json", meta)
+    write_report(out_dir, "fit", meta, config)
     made = ["fit.json", "fit_arrays.npz"]
     if dataset.kind == "regression" and dataset.n_features == 1:
         x = np.linspace(dataset.X.min(), dataset.X.max(), config["curve_points"])

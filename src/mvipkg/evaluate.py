@@ -132,16 +132,15 @@ def kl_to_target_2d(posterior: PosteriorGaussian, target,
                     resolution: int | None = None) -> float:
     """KL(q || target) for a 2-D Gaussian q by Riemann quadrature.
 
-    ``target`` needs a batch ``log_density`` over (G, 2) points and supplies
-    default ``bounds``/``resolution`` (the package default is the square
-    [-10, 10]^2 at 801 points per axis). The grid must cover at least six
-    q-standard deviations around q's mean and capture all but 1e-6 of q's
-    mass; otherwise a ConfigError suggests wider bounds.
+    ``target`` needs a batch ``log_density`` over (G, 2) points, and its
+    ``bounds`` and ``resolution`` are the defaults. The grid must cover at
+    least six q-standard deviations around q's mean and capture all but 1e-6
+    of q's mass; otherwise a ConfigError suggests wider bounds.
     """
     if posterior.dim != 2:
         raise ConfigError("quadrature KL is only defined for 2-D posteriors")
-    lo, hi = bounds if bounds is not None else getattr(target, "bounds", (-10.0, 10.0))
-    res = resolution if resolution is not None else getattr(target, "resolution", 801)
+    lo, hi = target.bounds if bounds is None else bounds
+    res = target.resolution if resolution is None else resolution
 
     cov = posterior.cov()
     sd_max = float(np.sqrt(np.linalg.eigvalsh(cov).max()))

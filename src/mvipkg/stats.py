@@ -41,14 +41,12 @@ def sign_test(sample: PairedSample) -> float:
     """Exact two-sided sign test p-value for median(a - b) = 0.
 
     Zero differences carry no sign information and are discarded; if all
-    differences are zero there is nothing to test and a DataError is raised.
+    differences are zero there is no evidence of a difference and p = 1.
     p = 2 min(P[X <= k], P[X >= k]) under Binomial(n, 1/2), clipped to 1.
     """
     d = sample.differences()
     d = d[d != 0.0]
     n = d.size
-    if n == 0:
-        raise DataError("all paired differences are zero; the sign test is undefined")
     k = int((d > 0).sum())
     # tails as exact integer counts over 2^n outcomes; one true division of
     # Python ints rounds the p-value correctly
@@ -91,20 +89,15 @@ def significance_decision(best: str, others: dict[str, PairedSample],
 
     ``others`` maps competitor names to paired samples with the best method's
     scores in ``a``. Per pair, significance requires the sign test to reject
-    at ``alpha`` and the bootstrap interval to exclude zero. Identical score
-    vectors (all differences zero) are treated as p = 1, not an error: no
-    evidence of a difference. Bootstrap seeds derive deterministically from
-    ``seed`` and the competitor's position in sorted name order.
+    at ``alpha`` and the bootstrap interval to exclude zero. Bootstrap seeds
+    derive deterministically from ``seed`` and the competitor's position in
+    sorted name order.
     """
     report = SignificanceReport(best=best, alpha=alpha)
     verdicts = []
     for j, name in enumerate(sorted(others)):
         sample = others[name]
-        d = sample.differences()
-        if np.all(d == 0.0):
-            p_value = 1.0
-        else:
-            p_value = sign_test(sample)
+        p_value = sign_test(sample)
         lo, hi = bootstrap_median_diff_ci(sample, n_boot=n_boot, level=level,
                                           seed=seed + j)
         excludes_zero = lo > 0.0 or hi < 0.0

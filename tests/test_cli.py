@@ -95,10 +95,12 @@ def test_effective_config_precedence():
                         "ellipse_mass"}
     with pytest.raises(ConfigError, match="command"):
         cli.effective_config("demo2d", {"command": "cauchy"}, {})
-    # a report's own keys pass; any other unknown key is refused by name
-    cli.effective_config("cauchy", {"dataset": "d", "indices_path": None, "out": "o"}, {})
-    with pytest.raises(ConfigError, match="n_sample"):
-        cli.effective_config("cauchy", {"n_sample": 5}, {})
+    # a report's own keys pass; any other unknown key is refused by name,
+    # the ones reports carried before the CLI wrote their config included
+    cli.effective_config("cauchy", {"command": "cauchy", "out": "o"}, {})
+    for key in ("n_sample", "dataset", "indices_path"):
+        with pytest.raises(ConfigError, match=key):
+            cli.effective_config("cauchy", {key: 5}, {})
 
 
 def test_grid_and_optim_from_config_errors():
@@ -206,7 +208,7 @@ def test_benchmark_on_csv(tmp_path, capsys):
                      "--out", str(out)] + SMALL)
     assert code == 0
     report = json.loads((out / "report.json").read_text())
-    assert report["config"]["task"] == "regression"
+    assert report["task"] == "regression" and report["config"]["task"] is None
     assert report["config"]["data"] == [str(data)]
     assert report["n_completed"] == 2
     table = (out / "table.csv").read_text().splitlines()
@@ -252,7 +254,9 @@ def test_benchmark_with_split_file(tmp_path):
                      "--out", str(out)] + SMALL)
     assert code == 0
     report = json.loads((out / "report.json").read_text())
-    assert report["config"]["n_splits"] == 2
+    # the file sets the splits; n_splits is the setting, unused
+    assert report["n_completed"] + report["n_skipped"] == 2
+    assert report["config"]["n_splits"] == 100
     assert report["config"]["splits_file"] == str(splits)
 
 
@@ -267,7 +271,7 @@ def test_fit_writes_artifacts_and_curve(tmp_path, capsys):
                      "--config", "curve_points=11", "--out", str(out)] + SMALL)
     assert code == 0
     meta = json.loads((out / "fit.json").read_text())
-    assert meta["method"] == "mvi_eig"
+    assert meta["config"]["method"] == "mvi_eig"
     assert np.isfinite(meta["elbo_estimate"])
     arrays = np.load(out / "fit_arrays.npz")
     assert {"la_mean", "la_chol", "centers", "mu", "log_r"} <= set(arrays.files)
@@ -307,6 +311,46 @@ def test_fit_classification_skips_curve(tmp_path):
     assert not (out / "curve.csv").exists()
     meta = json.loads((out / "fit.json").read_text())
     assert meta["task"] == "binary"
+
+
+# ---------------------------------------------------------------------------
+# what a report says of its settings
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("command", ["demo2d", "cauchy", "benchmark", "fit"])
+def test_report_config_holds_the_settings_once(tmp_path, command):
+    # the CLI writes every setting the command read, and only those, under
+    # "config"; the rest of the report holds outputs
+    data = str(_write_regression_csv(tmp_path))
+    argv = {
+        "demo2d": ["--samples", "200", "--config", "contour_resolution=41",
+                   "--config", "optim.max_iters=300"],
+        "cauchy": ["--splits", "1", "--methods", "laplace", "--workers", "2",
+                   "--config", "n_train=20", "--config", "n_test=40"] + SMALL,
+        "benchmark": ["--data", data, "--splits", "1", "--train-fraction", "0.6",
+                      "--methods", "laplace"] + SMALL,
+        "fit": ["--data", data, "--method", "laplace",
+                "--config", "curve_points=11"] + SMALL,
+    }[command]
+    out = tmp_path / "o"
+    assert cli.main([command, *argv, "--out", str(out)]) == 0
+    report = json.loads((out / ("fit.json" if command == "fit" else "report.json"))
+                        .read_text())
+    config = report["config"]
+    assert set(config) == set(cli._COMMANDS[command][2]) | {"command"}
+    assert config["command"] == command
+    if command in ("benchmark", "fit"):
+        # the inferred task kind is an output; the setting stays null
+        assert report["task"] == "regression" and config["task"] is None
+        assert config["data"] == [data]
+    # no other key of the report repeats a setting
+    assert set(report) & set(config) <= {"task"}
+    if command == "cauchy":
+        # the requested worker count, not the one used (capped at one split)
+        assert config["n_workers"] == 2
+        assert json.loads((out / "timing.json").read_text())["n_workers"] == 1
+    if command == "benchmark":
+        assert config["n_workers"] is None
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +450,10 @@ def test_exit_code_bad_count_in_config_file(tmp_path, capsys):
     ("fit", FIT + ["--data", "b.csv"], "data"),
     ("fit", {"data": ["a.csv", "b.csv"], "method": "laplace"}, "data"),
     ("demo2d", ["--config", 'contour_resolution="abc"'], "contour_resolution"),
+    ("benchmark", ["--data", "a/x.csv", "--data", "b/x.csv"], "stem(s) ['x']"),
+    ("benchmark", ["--data", "a/x.csv", "--data", "a/x.csv"], "stem(s) ['x']"),
+    ("benchmark", {"command": "benchmark", "dataset": "x.csv", "indices_path": None},
+     "dataset"),
 ], ids=["bench-splits-0", "bench-splits-neg", "bench-config-splits", "bench-config-boot",
         "config-runs", "file-runs-0", "file-runs-neg", "file-boot", "bench-file-splits-0",
         "bench-file-splits-neg", "bench-file-boot", "bench-grid-pairs-0",
@@ -414,11 +462,13 @@ def test_exit_code_bad_count_in_config_file(tmp_path, capsys):
         "demo-file-optim-not-object", "bench-train-fraction-high",
         "bench-train-fraction-string", "bench-file-data-number", "fit-seed-neg",
         "fit-curve-points-0", "fit-curve-points-string", "fit-two-data",
-        "fit-file-two-data", "demo-contour-string"])
+        "fit-file-two-data", "demo-contour-string", "bench-data-same-stem",
+        "bench-data-same-path", "bench-file-old-report-key"])
 def test_exit_code_bad_run_count(tmp_path, capsys, command, argv, key):
     # every setting a command reads (counts, seed, fractions, methods, paths,
     # the grid and optim settings) is checked before any data is read or any
-    # split is fitted, from flags, --config and files
+    # split is fitted, from flags, --config and files; two datasets of one
+    # file stem would write to the same output subdirectory
     data = (["--data", str(tmp_path / "missing.csv")]
             if command == "benchmark" and "data" not in argv else [])
     if isinstance(argv, dict):   # a config file

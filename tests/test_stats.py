@@ -59,9 +59,12 @@ def test_sign_test_drops_zero_differences():
         pytest.approx(exact_two_sided_p(3, 3), rel=1.0e-12)
 
 
-def test_sign_test_all_zero_raises():
-    with pytest.raises(DataError, match="zero"):
-        sign_test(PairedSample(np.ones(4), np.ones(4)))
+def test_sign_test_all_zero_gives_one():
+    # no nonzero difference is no evidence of one: p = 1, exactly
+    assert sign_test(PairedSample(np.ones(4), np.ones(4))) == 1.0
+    # one nonzero difference among zeros is a test on n = 1
+    assert sign_test(PairedSample(np.array([1.0, 2.0, 3.0]),
+                                  np.array([1.0, 2.0, 2.5]))) == 1.0
 
 
 def test_sign_test_symmetric():
