@@ -36,10 +36,6 @@ _METRIC_SENSE = {"lpd": 1.0, "mse": -1.0, "error_rate": -1.0}
 _BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def derive_seed(base: int, salt: int = 0) -> int:
-    return int(base) + int(salt)
-
-
 def error_metric(kind: str) -> str:
     """The metric reported beside lpd for a task kind."""
     return "mse" if kind == "regression" else "error_rate"
@@ -75,18 +71,17 @@ def _search_and_fit(train, methods, seed: int, n_samples: int, grid: GridConfig 
     start of ``seed`` on draws of ``seed`` that every method shares.
     """
     search = laplace_mod.hyperparameter_search(
-        train.X, train.y, train.kind, seed=derive_seed(seed),
+        train.X, train.y, train.kind, seed=seed,
         n_samples=n_samples, grid=grid, optim=optim)
     model, lap = search.model, search.laplace
-    samples = (variational.draw_fixed_samples(n_samples, model.P,
-                                              derive_seed(seed, SALT_SAMPLES))
+    samples = (variational.draw_fixed_samples(n_samples, model.P, seed + SALT_SAMPLES)
                if any(m != "laplace" for m in methods) else None)
 
     def fit(method: str):
         if method == "laplace":
             return variational.laplace_posterior(lap), model, None
         best = variational.fit_best(model, lap, samples, method,
-                                    seed=derive_seed(seed, SALT_INIT), config=optim)
+                                    seed=seed + SALT_INIT, config=optim)
         params = best[1].params
         return (variational.covariance_root(params, lap), model.with_theta(params.theta),
                 best)
@@ -133,7 +128,7 @@ def run_split(train, test, methods=METHODS, seed: int = 0, n_samples: int = 1000
         "grid_failures": dict(sorted(failures.items())),
     }
 
-    eval_seed = derive_seed(seed, SALT_EVAL)
+    eval_seed = seed + SALT_EVAL
     for method in methods:
         t0 = time.perf_counter()
         posterior, scorer, best = fit(method)
@@ -276,9 +271,8 @@ def _run_suite(splits, methods, metrics, base_seed, n_workers, alpha, n_boot,
     medians = median_table(ok, methods, metrics) if ok else {}
     significance, markers = {}, {}
     for metric in metrics:
-        block = significance_block(ok, methods, metric, alpha=alpha,
-                                   n_boot=n_boot,
-                                   seed=derive_seed(base_seed, SALT_BOOT))
+        block = significance_block(ok, methods, metric, alpha=alpha, n_boot=n_boot,
+                                   seed=base_seed + SALT_BOOT)
         if block is not None:
             significance[metric] = block
             markers[metric] = {"best": block["best"],
@@ -313,9 +307,7 @@ def run_cauchy(n_runs: int = 20, methods=METHODS, seed: int = 0,
     per usable core.
     """
     methods = _check_methods(methods)
-    splits = [(*data_mod.generate_cauchy_task(seed=derive_seed(seed, i),
-                                              n_train=n_train, n_test=n_test),
-               derive_seed(seed, i))
+    splits = [(*data_mod.generate_cauchy_task(seed + i, n_train, n_test), seed + i)
               for i in range(n_runs)]
     return _run_suite(splits, methods, ("lpd", error_metric("regression")), seed,
                       n_workers, alpha, n_boot,
@@ -374,15 +366,13 @@ def run_demo2d(seed: int = 0, n_samples: int = 1000,
     lap = laplace_mod.laplace_approximation(target, mode.x)
     timing["laplace"] = time.perf_counter() - t0
 
-    samples = variational.draw_fixed_samples(
-        n_samples, 2, derive_seed(seed, SALT_SAMPLES))
+    samples = variational.draw_fixed_samples(n_samples, 2, seed + SALT_SAMPLES)
     posteriors = {"laplace": variational.laplace_posterior(lap)}
     elbos = {"laplace": float(lap.bound_at_mode)}
     iters = {}
     for family in DEMO_FAMILIES:
         t0 = time.perf_counter()
-        fit = variational.fit_family(target, lap, samples, family,
-                                     seed=derive_seed(seed, SALT_INIT),
+        fit = variational.fit_family(target, lap, samples, family, seed=seed + SALT_INIT,
                                      config=optim)
         posteriors[family] = variational.covariance_root(fit.params, lap)
         elbos[family] = float(fit.elbo)
@@ -440,8 +430,8 @@ def run_fit(train, method: str, seed: int = 0, n_samples: int = 1000,
 
     meta = {
         "task": train.kind,
-        "sample_seed": derive_seed(seed, SALT_SAMPLES),
-        "init_seed": derive_seed(seed, SALT_INIT),
+        "sample_seed": seed + SALT_SAMPLES,
+        "init_seed": seed + SALT_INIT,
         "n_centers": int(model.centers.shape[0]),
         "jitter": float(lap.jitter),
         "bound_at_mode": float(lap.bound_at_mode),

@@ -248,10 +248,10 @@ _SETTINGS = {
         type=int, help="number of seeded runs (default 100)"))),
     "n_train": (50, _count),
     "n_test": (1000, _count),
-    "n_splits": (100, _count, ("--splits", dict(
-        type=int, help="number of random splits (default 100)"))),
-    "train_fraction": (0.7, _fraction, ("--train-fraction", dict(
-        type=float, help="training fraction for random splits (default 0.7)"))),
+    "n_splits": (100, _or_null(_count), ("--splits", dict(
+        type=int, help="number of random splits (default 100; none with --splits-file)"))),
+    "train_fraction": (0.7, _or_null(_fraction), ("--train-fraction", dict(
+        type=float, help="training fraction (default 0.7; none with --splits-file)"))),
     "data": (None, _paths, ("--data", dict(
         action="append", metavar="PATH",
         help="dataset CSV (last column is the target); benchmark takes several"))),
@@ -270,12 +270,15 @@ _SETTINGS = {
     "ellipse_mass": (0.70, _fraction),
 }
 _REPORT_KEYS = ("command", "out")   # beside the settings
+_RANDOM_SPLITS = ("n_splits", "train_fraction")   # null when a splits file sets the splits
 
 
 def effective_config(command: str, file_config: dict, overrides: dict) -> dict:
     """The settings ``command`` reads, each checked: defaults < config files <
     flags (an override of None is no flag). Other settings are dropped; a key
-    that is neither a setting nor a report's is refused."""
+    that is neither a setting nor a report's is refused. A splits file sets
+    the splits, so benchmark's ``_RANDOM_SPLITS`` are then null, and stating
+    either beside it is refused; without a splits file neither may be null."""
     _object(file_config, (*_SETTINGS, *_REPORT_KEYS))
     stated = file_config.get("command")
     if stated is not None and stated != command:
@@ -288,6 +291,14 @@ def effective_config(command: str, file_config: dict, overrides: dict) -> dict:
         config[key] = check(file_config.get(key, default) if flag is None else flag, key)
     if command == "fit" and len(config["data"]) != 1:
         raise ConfigError(f"fit takes one data path, got {config['data']!r}")
+    for key in _RANDOM_SPLITS if command == "benchmark" else ():
+        if config["splits_file"] is None:
+            if config[key] is None:
+                raise ConfigError(f"{key} must be set unless a splits_file is")
+        elif overrides.get(key) is not None or file_config.get(key) is not None:
+            raise ConfigError(f"{key} must be null beside a splits_file, which sets the splits")
+        else:
+            config[key] = None
     return config
 
 
@@ -363,7 +374,7 @@ def cmd_fit(config: dict, out_dir: Path) -> int:
         x = np.linspace(dataset.X.min(), dataset.X.max(), config["curve_points"])
         mean, sd = evaluate.predictive_curve(
             posterior, model, x, n_samples=config["n_eval"],
-            seed=bench.derive_seed(config["seed"], bench.SALT_EVAL))
+            seed=config["seed"] + bench.SALT_EVAL)
         write_csv(out_dir / "curve.csv", ["x", "mean", "sd"],
                   zip(x.tolist(), mean.tolist(), sd.tolist()))
         made.append("curve.csv")

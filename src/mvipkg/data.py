@@ -1,7 +1,7 @@
 """Datasets, synthetic tasks, and split management.
 
-CSV conventions: numeric, comma-separated, optional header row, one target
-column (last by default). Binary targets may arrive as {0, 1} or {-1, +1}
+CSV conventions: numeric, comma-separated, optional header row, the target
+in the last column. Binary targets may arrive as {0, 1} or {-1, +1}
 (mapped to {0, 1}); multiclass targets must be integers and are one-hot
 encoded against the sorted distinct values; anything else is regression.
 
@@ -26,6 +26,10 @@ from .errors import DataError
 from .models import Target, sampled_expectation
 
 TASKS = ("regression", "binary", "multiclass")
+
+# the heavy-tail task: inputs uniform on the range, noise uniform on +-half width
+CAUCHY_X_RANGE = (-10.0, 10.0)
+CAUCHY_NOISE_HALF_WIDTH = 0.5
 
 
 @dataclass
@@ -76,23 +80,21 @@ def cauchy_curve(x: np.ndarray) -> np.ndarray:
     return 0.3 * x * np.sin(0.7 * x) - 0.03 * x**2
 
 
-def generate_cauchy_task(seed: int, n_train: int = 50, n_test: int = 1000,
-                         x_low: float = -10.0, x_high: float = 10.0,
-                         noise_half_width: float = 0.5) -> tuple[Dataset, Dataset]:
+def generate_cauchy_task(seed: int, n_train: int = 50,
+                         n_test: int = 1000) -> tuple[Dataset, Dataset]:
     """Sample one train/test instance of the heavy-tail regression benchmark.
 
-    Inputs are uniform on [x_low, x_high]; observations add uniform noise on
-    [-noise_half_width, +noise_half_width] to the latent curve. The draw
-    order (train inputs, train noise, test inputs, test noise) is fixed, so
-    a seed pins the whole instance.
+    Inputs are uniform on ``CAUCHY_X_RANGE``; observations add uniform noise
+    on +-``CAUCHY_NOISE_HALF_WIDTH`` to the latent curve. The draw order
+    (train inputs, train noise, test inputs, test noise) is fixed, so a seed
+    pins the whole instance.
     """
     rng = np.random.default_rng(seed)
-    x_train = rng.uniform(x_low, x_high, size=n_train)
-    y_train = cauchy_curve(x_train) + rng.uniform(-noise_half_width, noise_half_width,
-                                                  size=n_train)
-    x_test = rng.uniform(x_low, x_high, size=n_test)
-    y_test = cauchy_curve(x_test) + rng.uniform(-noise_half_width, noise_half_width,
-                                                size=n_test)
+    a = CAUCHY_NOISE_HALF_WIDTH
+    x_train = rng.uniform(*CAUCHY_X_RANGE, size=n_train)
+    y_train = cauchy_curve(x_train) + rng.uniform(-a, a, size=n_train)
+    x_test = rng.uniform(*CAUCHY_X_RANGE, size=n_test)
+    y_test = cauchy_curve(x_test) + rng.uniform(-a, a, size=n_test)
     train = Dataset(x_train.reshape(-1, 1), y_train, "regression", name="cauchy-train")
     test = Dataset(x_test.reshape(-1, 1), y_test, "regression", name="cauchy-test")
     return train, test
@@ -186,9 +188,9 @@ class MixtureTarget2D(Target):
 # CSV loading
 # ---------------------------------------------------------------------------
 
-def load_csv_dataset(path, task: Optional[str] = None, target_column: int = -1,
+def load_csv_dataset(path, task: Optional[str] = None,
                      name: Optional[str] = None) -> Dataset:
-    """Read a numeric CSV into a Dataset.
+    """Read a numeric CSV into a Dataset, the last column the target.
 
     Raises DataError with the offending 1-based line number for ragged rows
     or non-numeric fields. A single leading header row of non-numeric names
@@ -219,12 +221,10 @@ def load_csv_dataset(path, task: Optional[str] = None, target_column: int = -1,
     if table.shape[1] < 2:
         raise DataError(f"{path}: need at least one feature column plus a target")
 
-    t_col = target_column if target_column >= 0 else table.shape[1] + target_column
-    y_raw = table[:, t_col]
-    X = np.delete(table, t_col, axis=1)
+    y_raw = table[:, -1]
     kind = task or _infer_task(y_raw)
     y = _code_targets(y_raw, kind, path)
-    return Dataset(X, y, kind, name=name or path.stem)
+    return Dataset(np.delete(table, -1, axis=1), y, kind, name=name or path.stem)
 
 
 def _infer_task(y: np.ndarray) -> str:

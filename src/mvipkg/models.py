@@ -8,7 +8,6 @@ the Laplace, variational and evaluation layers program against:
     theta_names     matching names, e.g. ("log_gamma", "log_alpha", "log_width")
     with_theta(t)   new model instance with hyperparameters exp(t): same data,
                     centres and centre distances, features rebuilt
-                    (``set_theta`` moves an RBF model itself)
     value/values    unnormalised log posterior at one point / a batch (B, P)
     grad/grads      gradient of the log posterior w.r.t. the weights
     theta_grads     gradient w.r.t. theta (log-space), batch (B, T)
@@ -19,13 +18,14 @@ the Laplace, variational and evaluation layers program against:
                     (value, g-bar, G, theta gradient), i.e. the log posterior,
                     its weight gradient g, G = sum_s g_s z_s' / S and the
                     theta gradient; one call per variational evaluation
-    hessian         dense Hessian w.r.t. the weights at one point
+    hessian         dense Hessian w.r.t. the weights at one point, (P, P)
     score(mu, R, z, X, y)
                     held-out pass over the draws w_s = mu + R z_s: (mean
                     prediction over the draws, per-draw test log likelihood),
                     streaming the draws in fixed blocks
     predictive(W, X)
-                    per-sample predictions (regression) or probabilities
+                    per-sample predictions (regression), class-1 (binary) or
+                    class probabilities (softmax, shape (B, N, K))
 
 Every likelihood here (Cauchy, binary, softmax and the conjugate oracle's)
 depends on the weights only through the projections F = W phi' (one row per
@@ -39,8 +39,10 @@ likelihood's own hyperparameters (log gamma for Cauchy). ``_ModelBase``
 derives the rest from it, once: ``values`` (the pass in place), ``evaluate``
 with ``grads`` and ``theta_grads`` (one GEMM of scale * Q with
 [phi | d phi / d log width]), ``predictive`` (through the ``_predict`` link
-of F: the identity, or expit for binary), and ``hessian`` from
-``_curvature``, the per-point -d^2 loglik / dF^2. For draws
+of F: the identity, expit for binary, the class softmax), and ``hessian``,
+the blocks -phi' diag(c_kl) phi - alpha I from ``_curvature``, the
+per-point c_kl = -d^2 loglik / dF_k dF_l: one block for K = 1, and
+p_k (delta_kl - p_l) for softmax (Williams & Barber, 1998). For draws
 w_s = mu + R z_s, F - y = Z1 A' exactly, with Z1 = [1 | z] and
 A = [phi mu - y | phi R]: ``expectation`` forms every residual with that one
 GEMM, runs the pass in the draws' buffers, and takes the mean gradients from
@@ -49,11 +51,11 @@ residuals the same way, with phi the test features, one block of draws at a
 time; the identity link's mean prediction is phi (mu + R z-bar) in closed
 form, and binary's is the mean of expit(F) over the draws.
 
-Softmax keeps its own ``hessian`` (K x K class blocks), ``score`` and
-``predictive`` (class probabilities), and ``expectation`` from
-``sampled_expectation``, which forms the points and the per-draw gradients:
-projecting its draws through A would cost K times the flops. The 2-D mixture
-is no F at all; it writes its own ``values``, ``evaluate`` and ``hessian``.
+Softmax keeps its own ``score`` (mean class probabilities) and
+``expectation`` from ``sampled_expectation``, which forms the points and the
+per-draw gradients: projecting its draws through A would cost K times the
+flops. The 2-D mixture is no F at all; it writes its own ``values``,
+``evaluate`` and ``hessian``.
 Every target, the mixture too, takes the scalar wrappers ``value`` and
 ``grad``, ``grads`` and ``theta_grads`` from ``Target``, and a target without
 hyperparameters (the mixture, the conjugate oracle) its empty ``theta`` and
@@ -71,9 +73,9 @@ in one place, ``_RBFBase``: a class declares ``theta_names`` and a
 without its ``log_`` prefix, checks the rows, the labels and positivity,
 builds the features and sets ``P``; ``theta`` and ``with_theta`` follow from
 the same names. Each RBF class re-binds the shared ``values``, ``grads``,
-``theta_grads`` and ``hessian`` (softmax: its own ``hessian``) on itself:
-the benchmark's tracer times them through each class's own ``__dict__``, so
-an inherited kernel would go untimed.
+``theta_grads`` and ``hessian`` on itself: the benchmark's tracer times them
+through each class's own ``__dict__``, so an inherited kernel would go
+untimed.
 
 Priors are kept fully normalised (including the (D/2) ln alpha term), so the
 log-alpha gradient picks up the normaliser's contribution; this is what lets
@@ -310,6 +312,7 @@ class _ModelBase(Target):
     is one F = W phi', derived from its ``_pass``."""
 
     _residual = True   # ``_pass`` gets the residuals F - y, else the scores F
+    K = 1              # outputs per input: rows of F per draw
 
     @staticmethod
     def _predict(F: np.ndarray) -> np.ndarray:
@@ -351,10 +354,11 @@ class _ModelBase(Target):
         return rows + prior, grads, np.stack([*lead, d_lalpha, d_lwidth], axis=1)
 
     def hessian(self, w: np.ndarray) -> np.ndarray:
-        """-phi' diag(c) phi - alpha I, c the likelihood's ``_curvature`` at w."""
-        F = self.phi @ np.asarray(w, dtype=float).ravel()
-        c = self._curvature(F - self.y if self._residual else F)
-        H = -(self.phi * c[:, None]).T @ self.phi
+        """Blocks (k, l) -phi' diag(c_kl) phi, one GEMM each, minus alpha I:
+        c (K, K, N) the likelihood's ``_curvature`` at w, one block for K = 1."""
+        c = self._curvature(self._projections(_as_batch(w, self.P))).reshape(self.K, self.K, -1)
+        H = np.block([[-(self.phi.T * c[k, l]) @ self.phi for l in range(self.K)]
+                      for k in range(self.K)])
         H[np.diag_indices_from(H)] -= self.alpha
         return H
 
@@ -381,8 +385,10 @@ class _ModelBase(Target):
         return total / S, ll
 
     def predictive(self, W: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """Per-sample predictions through the ``_predict`` link, shape (B, N)."""
-        return self._predict(_as_batch(W, self.P) @ self._features(X).T)
+        """Per-sample predictions through the ``_predict`` link of the scores,
+        W read as (B K, D) rows like ``_projections``: shape (B, N), or
+        (B, N, K) class probabilities."""
+        return self._predict(_as_batch(W, self.P).reshape(-1, self.D) @ self._features(X).T)
 
     def _prior(self, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Normalised N(0, I/alpha) log density of each row, and its log-alpha derivative."""
@@ -431,6 +437,7 @@ class _RBFBase(_ModelBase):
     def __init__(self, X: np.ndarray, y: np.ndarray, centers: np.ndarray, **hyper: float):
         self.X = np.atleast_2d(np.asarray(X, dtype=float))
         self.y = self._targets(y)
+        self.K = 1 if self.y.ndim == 1 else self.y.shape[1]
         if self.X.shape[0] != self.y.shape[0]:
             raise DataError("X and the labels disagree on the number of rows")
         self.centers = np.atleast_2d(np.asarray(centers, dtype=float))
@@ -453,30 +460,22 @@ class _RBFBase(_ModelBase):
         # d phi_nm / d log width = phi_nm d2_nm / width^2; the bias column is inert
         self._phi_stack = np.hstack([self.phi, self.phi[:, :-1] * self._d2 / self.width**2])
         self.N, self.D = self.phi.shape
-        self.K = 1 if self.y.ndim == 1 else self.y.shape[1]   # outputs per input
         self.P = self.K * self.D
 
     @classmethod
     def _hyper_names(cls) -> tuple[str, ...]:
         return tuple(name.removeprefix("log_") for name in cls.theta_names)
 
-    @classmethod
-    def _hyper_at(cls, theta: np.ndarray) -> dict:
-        return dict(zip(cls._hyper_names(), np.exp(np.asarray(theta, dtype=float)), strict=True))
-
     @property
     def theta(self) -> np.ndarray:
         return np.log([getattr(self, name) for name in self._hyper_names()])
-
-    def set_theta(self, theta: np.ndarray) -> None:
-        """``with_theta`` in place: this model moves to exp(theta)."""
-        self._set_hyper(self._hyper_at(theta))
 
     def with_theta(self, theta: np.ndarray):
         """This model at hyperparameters exp(theta), theta in ``theta_names``
         order, on the same data and centres; only the features are rebuilt."""
         model = copy.copy(self)
-        model.set_theta(theta)
+        model._set_hyper(dict(zip(self._hyper_names(), np.exp(np.asarray(theta, dtype=float)),
+                                  strict=True)))
         return model
 
     def _features(self, X: np.ndarray) -> np.ndarray:
@@ -620,12 +619,6 @@ class SoftmaxRegression(_RBFBase):
         """sum_{n,k} Y_nk F_bkn per draw, one mat-vec over the (K, N) layout."""
         return F.reshape(F.shape[0], -1) @ Y.T.ravel()
 
-    def _probabilities(self, W: np.ndarray, phi: np.ndarray) -> np.ndarray:
-        """Softmax over classes of the scores W phi', shape (B, K, N)."""
-        F = (W.reshape(-1, self.D) @ phi.T).reshape(W.shape[0], self.K, -1)
-        _log_normaliser(F, normalise=True)
-        return F
-
     def _pass(self, F: np.ndarray, spare: np.ndarray | None, gradient: bool, y: np.ndarray):
         """Log likelihood sum_{k,n} Y_nk F_kn - log sum_k exp F_kn of each
         draw's K rows of F and, if ``gradient``, F overwritten with
@@ -637,19 +630,22 @@ class SoftmaxRegression(_RBFBase):
             np.subtract(y.T, F, out=F)
         return rows, 1.0, []
 
+    def _curvature(self, F: np.ndarray) -> np.ndarray:
+        """-d^2 loglik / df_k df_l = p_k (delta_kl - p_l), shape (K, K, N),
+        p = softmax of the (K, N) scores F, formed in F."""
+        _log_normaliser(F.reshape(1, self.K, -1), normalise=True)
+        return F[:, None, :] * (np.eye(self.K)[:, :, None] - F[None, :, :])
+
+    def _predict(self, F: np.ndarray) -> np.ndarray:
+        """Class probabilities from (B K, N) scores F, formed in F: (B, N, K)."""
+        F = F.reshape(-1, self.K, F.shape[1])
+        _log_normaliser(F, normalise=True)
+        return F.transpose(0, 2, 1)
+
     # projecting the draws through A would cost K times the flops of forming them
     expectation = sampled_expectation
-    values, grads, theta_grads = _ModelBase.values, _ModelBase.grads, _ModelBase.theta_grads
-
-    def hessian(self, w: np.ndarray) -> np.ndarray:
-        w = np.asarray(w, dtype=float).ravel()
-        Pr = self._probabilities(w[None, :], self.phi)[0]
-        # block (k, l) is -phi' diag(p_k (delta_kl - p_l)) phi, the per-point
-        # softmax curvature, as one GEMM per class pair
-        H = np.block([[-(self.phi.T * (Pr[k] * ((k == l) - Pr[l]))) @ self.phi
-                       for l in range(self.K)] for k in range(self.K)])
-        H[np.diag_indices_from(H)] -= self.alpha
-        return H
+    values, grads, theta_grads, hessian = (_ModelBase.values, _ModelBase.grads,
+                                           _ModelBase.theta_grads, _ModelBase.hessian)
 
     def score(self, mu: np.ndarray, R: np.ndarray, z: np.ndarray, X: np.ndarray,
               Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -665,10 +661,6 @@ class SoftmaxRegression(_RBFBase):
             ll[rows] = labels - _log_normaliser(F, normalise=True).sum(axis=1)
             total = _add_rows(total, F)
         return (total / W.shape[0]).T, ll
-
-    def predictive(self, W: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """Per-sample class probabilities, shape (B, N, K)."""
-        return self._probabilities(_as_batch(W, self.P), self._features(X)).transpose(0, 2, 1)
 
 
 # ---------------------------------------------------------------------------

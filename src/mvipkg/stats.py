@@ -3,7 +3,7 @@
 Two ingredients, combined conservatively: an exact two-sided sign test on the
 paired differences, and a seeded percentile bootstrap interval for the median
 difference. A method is declared significantly better than a competitor only
-when the sign test rejects at the given level *and* the bootstrap interval
+when the sign test rejects at level alpha *and* the 95% bootstrap interval
 excludes zero; a benchmark winner is flagged overall only when that holds
 against every competitor.
 """
@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
+
+LEVEL = 0.95   # confidence of the bootstrap interval
 
 
 @dataclass
@@ -56,20 +58,19 @@ def sign_test(sample: PairedSample) -> float:
 
 
 def bootstrap_median_diff_ci(sample: PairedSample, n_boot: int = 10_000,
-                             level: float = 0.95, seed: int = 0) -> tuple[float, float]:
-    """Seeded percentile bootstrap interval for median(a) - median(b).
+                             seed: int = 0) -> tuple[float, float]:
+    """Seeded percentile bootstrap interval for median(a) - median(b), at
+    confidence ``LEVEL``.
 
     Resampling is paired: each bootstrap replicate draws split indices with
     replacement and applies them to both conditions, so a constant offset
     a = b + c yields the degenerate interval [c, c].
     """
-    if not 0.0 < level < 1.0:
-        raise DataError(f"confidence level must lie in (0, 1), got {level}")
     rng = np.random.default_rng(seed)
     n = sample.a.size
     idx = rng.integers(0, n, size=(n_boot, n))
     stat = np.median(sample.a[idx], axis=1) - np.median(sample.b[idx], axis=1)
-    tail = 0.5 * (1.0 - level)
+    tail = 0.5 * (1.0 - LEVEL)
     lo, hi = np.quantile(stat, [tail, 1.0 - tail])
     return float(lo), float(hi)
 
@@ -84,7 +85,7 @@ class SignificanceReport:
 
 def significance_decision(best: str, others: dict[str, PairedSample],
                           alpha: float = 0.05, n_boot: int = 10_000,
-                          level: float = 0.95, seed: int = 0) -> SignificanceReport:
+                          seed: int = 0) -> SignificanceReport:
     """Joint decision: is ``best`` significantly better than every competitor?
 
     ``others`` maps competitor names to paired samples with the best method's
@@ -98,8 +99,7 @@ def significance_decision(best: str, others: dict[str, PairedSample],
     for j, name in enumerate(sorted(others)):
         sample = others[name]
         p_value = sign_test(sample)
-        lo, hi = bootstrap_median_diff_ci(sample, n_boot=n_boot, level=level,
-                                          seed=seed + j)
+        lo, hi = bootstrap_median_diff_ci(sample, n_boot=n_boot, seed=seed + j)
         excludes_zero = lo > 0.0 or hi < 0.0
         significant = (p_value < alpha) and excludes_zero
         report.comparisons[name] = {

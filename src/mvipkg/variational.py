@@ -14,8 +14,9 @@ The sample term is the model's ``expectation(mu, R, draws)``: the means
 over the draws of the log posterior, of its gradient g_s at w_s = mu + R z_s
 (g-bar), of g_s z_s' (G) and of the theta gradient. Each family's
 ``contract`` maps G onto its fields, so no evaluation forms a gradient per
-draw here. A :class:`Workspace`, built once per fit, holds the draws and a
-private model copy whose features are rebuilt in place when theta moves.
+draw here. A fit forms its family's draws once; an evaluation at a theta
+other than the model's own scores ``model.with_theta(theta)``, a copy with
+the features rebuilt.
 
 Families
 --------
@@ -55,7 +56,6 @@ Two details matter for exactness guarantees and are easy to miss:
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -302,8 +302,10 @@ def entropy(params: VariationalParams, laplace, shared=None) -> float:
     return value
 
 
-def family_samples(family: str, samples: FixedDraws, laplace) -> np.ndarray:
-    """Base samples as consumed by a family.
+def family_samples(family: str, samples: FixedDraws, laplace) -> FixedDraws:
+    """Base samples as consumed by a family: ``samples`` itself unless the
+    family remaps them, so their moments and buffers are formed once per draw
+    set, not once per fit.
 
     The eigen family's root factors the same covariance differently from the
     Cholesky-based families, so the shared draws are remapped by the
@@ -312,39 +314,21 @@ def family_samples(family: str, samples: FixedDraws, laplace) -> np.ndarray:
     orthogonality of A keeps the remapped draws standard (and standardised).
     """
     remap = _spec(family).remap
-    return samples.z if remap is None else samples.z @ remap(laplace)
+    return samples if remap is None else FixedDraws(samples.z @ remap(laplace))
 
 
 # ---------------------------------------------------------------------------
 # bound and gradient
 # ---------------------------------------------------------------------------
 
-class Workspace:
-    """What every evaluation of one family's bound shares: the family's
-    samples as :class:`~.models.FixedDraws` and a private copy of the model,
-    moved in place when theta moves."""
-
-    def __init__(self, family: str, samples: FixedDraws, model, laplace):
-        # a family without a remap runs on the caller's draws, so their
-        # moments and buffers are formed once per draw set, not once per fit
-        self.draws = (samples if _spec(family).remap is None
-                      else FixedDraws(family_samples(family, samples, laplace)))
-        self._model = copy.copy(model)
-        self._theta = np.asarray(model.theta, dtype=float)
-
-    def model_at(self, theta: np.ndarray):
-        if theta.size and not np.array_equal(theta, self._theta):
-            self._model.set_theta(theta)   # raises NumericalError, leaving it unmoved
-            self._theta = theta.copy()
-        return self._model
-
-
-def _expectation(params: VariationalParams, samples: FixedDraws, model, laplace,
-                 work: Workspace | None, gradient: bool):
-    """The model's (value, g-bar, G, theta gradient) over the family's draws."""
-    work = work or Workspace(params.family, samples, model, laplace)
-    out = work.model_at(params.theta).expectation(
-        params.mu, _spec(params.family).root(params, laplace), work.draws, gradient)
+def _expectation(params: VariationalParams, draws: FixedDraws, model, laplace,
+                 gradient: bool):
+    """The model's (value, g-bar, G, theta gradient) over the family's draws,
+    at ``params.theta`` (the caller's model itself while theta is its own)."""
+    if not np.array_equal(params.theta, model.theta):
+        model = model.with_theta(params.theta)
+    out = model.expectation(params.mu, _spec(params.family).root(params, laplace), draws,
+                            gradient)
     if not math.isfinite(out[0]):
         raise NumericalError(f"log posterior not finite (mean over the draws {out[0]})")
     return out
@@ -353,12 +337,13 @@ def _expectation(params: VariationalParams, samples: FixedDraws, model, laplace,
 def elbo_estimate(params: VariationalParams, samples: FixedDraws,
                   model, laplace) -> float:
     """Fixed-sample evidence lower bound at the given parameters."""
-    value = _expectation(params, samples, model, laplace, None, gradient=False)[0]
+    draws = family_samples(params.family, samples, laplace)
+    value = _expectation(params, draws, model, laplace, gradient=False)[0]
     return value + entropy(params, laplace)
 
 
 def elbo_and_gradient(params: VariationalParams, samples: FixedDraws,
-                      model, laplace, work: Workspace | None = None) -> tuple[float, np.ndarray]:
+                      model, laplace, draws: FixedDraws | None = None) -> tuple[float, np.ndarray]:
     """Bound and its gradient w.r.t. the packed free parameters.
 
     All gradients are analytic. The sample term differentiates through
@@ -366,11 +351,12 @@ def elbo_and_gradient(params: VariationalParams, samples: FixedDraws,
     contributes 1/r (resp. 1/sigma) in the scale coordinates and the
     determinant-lemma terms for the rank-one family. In log-space
     coordinates those entropy terms become the constant one. Hyperparameter
-    gradients flow only through the log-posterior term. :func:`fit_family`
-    passes ``work``, built once per fit.
+    gradients flow only through the log-posterior term. ``draws`` are the
+    family's samples, :func:`family_samples` of ``samples`` unless given;
+    :func:`fit_family` forms them once per fit.
     """
-    value, gbar, G, theta_g = _expectation(params, samples, model, laplace, work,
-                                           gradient=True)
+    draws = family_samples(params.family, samples, laplace) if draws is None else draws
+    value, gbar, G, theta_g = _expectation(params, draws, model, laplace, gradient=True)
     spec = _spec(params.family)
     shared = spec.shared(params, laplace)
     value += entropy(params, laplace, shared)
@@ -419,12 +405,12 @@ def fit_family(model, laplace, samples: FixedDraws, family: str,
                diag_variant: str = "laplace") -> FitResult:
     """Optimise one family's fixed-sample bound from its standard (or given) start."""
     params0 = init if init is not None else initialise(family, laplace, seed, diag_variant)
-    work = Workspace(family, samples, model, laplace)
+    draws = family_samples(family, samples, laplace)
 
     def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
         p = unpack(params0, x)
         try:
-            val, grad = elbo_and_gradient(p, samples, model, laplace, work)
+            val, grad = elbo_and_gradient(p, samples, model, laplace, draws)
         except NumericalError:
             # A trial point outside the usable region (hyperparameters
             # underflowed to zero or with an overflowing square, a sample with

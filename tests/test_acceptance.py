@@ -7,7 +7,6 @@ from the data generator: the best expected lpd any Cauchy predictive can
 reach on the generator's uniform noise, even with the true curve.
 """
 
-import inspect
 import json
 import math
 import time
@@ -175,8 +174,7 @@ def test_criterion_4_cauchy_desk_scale():
     report = bench.run_cauchy(n_runs=20, seed=0)
     med = report["medians"]
     elapsed = time.perf_counter() - t0
-    half_width = inspect.signature(data_mod.generate_cauchy_task) \
-        .parameters["noise_half_width"].default
+    half_width = data_mod.CAUCHY_NOISE_HALF_WIDTH
     ceiling, gamma_oracle = _cauchy_oracle_lpd(half_width)
     k_gamma = CauchyRegression.theta_names.index("log_gamma")
     gamma_la = float(np.median([math.exp(r["search"]["theta_la"][k_gamma])

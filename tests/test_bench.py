@@ -26,14 +26,6 @@ def _small_task(seed=0):
 # seeds and method validation
 # ---------------------------------------------------------------------------
 
-def test_derive_seed_arithmetic():
-    assert bench.derive_seed(7) == 7
-    assert bench.derive_seed(7, bench.SALT_EVAL) == 7 + 3_000_000
-    salts = [bench.SALT_SAMPLES, bench.SALT_INIT, bench.SALT_EVAL,
-             bench.SALT_BOOT]
-    assert len(set(salts)) == 4  # distinct random streams
-
-
 def test_check_methods():
     assert bench._check_methods(["laplace", "mvi_mu"]) == ("laplace", "mvi_mu")
     with pytest.raises(ConfigError, match="unknown"):
@@ -124,7 +116,7 @@ def test_run_split_scores_each_method_once(monkeypatch):
         train, test, methods=methods, seed=5, n_samples=100, n_eval=200,
         grid=SMALL_GRID, optim=SMALL_OPTIM)
     assert len(calls) == len(methods) == len(recs)
-    assert set(calls) == {(200, bench.derive_seed(5, bench.SALT_EVAL))}
+    assert set(calls) == {(200, 5 + bench.SALT_EVAL)}
 
 
 def _fake_fits(monkeypatch, elbos):

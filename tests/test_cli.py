@@ -254,9 +254,10 @@ def test_benchmark_with_split_file(tmp_path):
                      "--out", str(out)] + SMALL)
     assert code == 0
     report = json.loads((out / "report.json").read_text())
-    # the file sets the splits; n_splits is the setting, unused
+    # the file sets the splits, so the random splits' settings are null
     assert report["n_completed"] + report["n_skipped"] == 2
-    assert report["config"]["n_splits"] == 100
+    assert report["config"]["n_splits"] is None
+    assert report["config"]["train_fraction"] is None
     assert report["config"]["splits_file"] == str(splits)
 
 
@@ -454,6 +455,9 @@ def test_exit_code_bad_count_in_config_file(tmp_path, capsys):
     ("benchmark", ["--data", "a/x.csv", "--data", "a/x.csv"], "stem(s) ['x']"),
     ("benchmark", {"command": "benchmark", "dataset": "x.csv", "indices_path": None},
      "dataset"),
+    ("benchmark", ["--splits-file", "s.txt", "--splits", "5"], "n_splits"),
+    ("benchmark", {"splits_file": "s.txt", "train_fraction": 0.7}, "train_fraction"),
+    ("benchmark", {"n_splits": None}, "n_splits"),
 ], ids=["bench-splits-0", "bench-splits-neg", "bench-config-splits", "bench-config-boot",
         "config-runs", "file-runs-0", "file-runs-neg", "file-boot", "bench-file-splits-0",
         "bench-file-splits-neg", "bench-file-boot", "bench-grid-pairs-0",
@@ -463,7 +467,8 @@ def test_exit_code_bad_count_in_config_file(tmp_path, capsys):
         "bench-train-fraction-string", "bench-file-data-number", "fit-seed-neg",
         "fit-curve-points-0", "fit-curve-points-string", "fit-two-data",
         "fit-file-two-data", "demo-contour-string", "bench-data-same-stem",
-        "bench-data-same-path", "bench-file-old-report-key"])
+        "bench-data-same-path", "bench-file-old-report-key", "bench-splits-beside-file",
+        "bench-file-fraction-beside-file", "bench-file-splits-null"])
 def test_exit_code_bad_run_count(tmp_path, capsys, command, argv, key):
     # every setting a command reads (counts, seed, fractions, methods, paths,
     # the grid and optim settings) is checked before any data is read or any

@@ -158,13 +158,6 @@ def test_csv_multiclass_one_hot(tmp_path):
     np.testing.assert_array_equal(d.y.sum(axis=1), 1.0)
 
 
-def test_csv_target_column_override(tmp_path):
-    p = _write(tmp_path, "7,1,2\n8,3,4\n")
-    d = load_csv_dataset(p, task="regression", target_column=0)
-    np.testing.assert_array_equal(d.y, [7, 8])
-    np.testing.assert_array_equal(d.X, [[1, 2], [3, 4]])
-
-
 def test_csv_errors_cite_line_numbers(tmp_path):
     ragged = _write(tmp_path, "1,2,3\n4,5\n", name="r.csv")
     with pytest.raises(DataError, match="r.csv:2"):

@@ -188,6 +188,42 @@ def test_hessian_matches_finite_differences(name):
     np.testing.assert_allclose(model.hessian(w), fd, rtol=5.0e-5, atol=1.0e-6)
 
 
+def _curvature_blocks(model, phi_n, y_n, w):
+    """-d^2 loglik / df_k df_l at one data point, from the closed forms."""
+    f = [math.fsum(a * b for a, b in zip(phi_n, wk)) for wk in w.reshape(model.K, -1)]
+    if isinstance(model, CauchyRegression):
+        r2, g2 = (f[0] - y_n) ** 2, model.gamma ** 2
+        return [[2.0 * (g2 - r2) / (g2 + r2) ** 2]]
+    if isinstance(model, BinaryLogistic):
+        s = 1.0 / (1.0 + math.exp(-f[0]))
+        return [[s * (1.0 - s)]]
+    if isinstance(model, SoftmaxRegression):   # p_k (delta_kl - p_l)
+        top = max(f)
+        e = [math.exp(v - top) for v in f]
+        p = [v / math.fsum(e) for v in e]
+        return [[p[k] * ((k == l) - p[l]) for l in range(model.K)] for k in range(model.K)]
+    return [[model.beta]]
+
+
+@pytest.mark.parametrize("name", sorted(ALL_MODEL_MAKERS))
+def test_hessian_matches_per_point_curvature_loop(name):
+    # H = -sum_n phi_n phi_n' (x) c_n - alpha I, one data point at a time, with
+    # c_n the K x K curvature block (softmax) or scalar (K = 1) in closed form
+    model = ALL_MODEL_MAKERS[name]()
+    rng = np.random.default_rng(19)
+    K, D = model.K, model.phi.shape[1]
+    for scale in (0.3, 3.0):
+        w = scale * rng.standard_normal(model.P)
+        want = -model.alpha * np.eye(model.P)
+        for phi_n, y_n in zip(model.phi, model.y):
+            c = _curvature_blocks(model, phi_n, y_n, w)
+            outer = np.outer(phi_n, phi_n)
+            for k in range(K):
+                for l in range(K):
+                    want[k * D:(k + 1) * D, l * D:(l + 1) * D] -= c[k][l] * outer
+        np.testing.assert_allclose(model.hessian(w), want, rtol=1.0e-12)
+
+
 @pytest.mark.parametrize("name", ["cauchy", "logistic", "softmax"])
 def test_theta_gradients_match_finite_differences(name):
     model = ALL_MODEL_MAKERS[name]()
@@ -311,6 +347,10 @@ def test_softmax_value_direct_formula():
                                            X_test, Y_test)[1],
                                _softmax_loglik_direct(W, phi_test, Y_test),
                                rtol=1.0e-12)
+    # predictive: the softmax of each test row's class scores, draw by draw
+    want = np.array([[[math.exp(f_k - math.log(sum(math.exp(v) for v in f))) for f_k in f]
+                      for f in phi_test @ w.reshape(model.K, -1).T] for w in W])
+    np.testing.assert_allclose(model.predictive(W, X_test), want, rtol=1.0e-12)
 
 
 def test_softmax_large_logits_stay_finite():
@@ -438,11 +478,11 @@ def test_evaluate_equals_separate_kernels(name):
 def test_rbf_models_define_traced_kernels_on_the_class():
     # benchmarks/tracing.py wraps these methods through each class's own
     # __dict__; an inherited method would silently escape `run.py --trace 1`.
-    # The batch kernels are the shared ones, softmax's too: one likelihood pass
+    # The kernels and the Hessian are the shared ones, softmax's too: one
+    # likelihood pass, one per-point curvature
     for cls in (CauchyRegression, BinaryLogistic, SoftmaxRegression):
         for method in ("values", "grads", "theta_grads", "hessian"):
             assert method in vars(cls), (cls.__name__, method)
-        for method in ("values", "grads", "theta_grads"):
             assert vars(cls)[method] is getattr(_ModelBase, method), (cls.__name__, method)
 
 

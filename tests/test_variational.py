@@ -9,8 +9,7 @@ from mvipkg.errors import NumericalError
 from mvipkg.laplace import find_mode, laplace_approximation
 from mvipkg.models import FixedDraws
 from mvipkg.optimize import OptimConfig
-from mvipkg.variational import (FAMILIES, FAMILY_SPECS, VariationalParams, Workspace,
-                                _contract_lr,
+from mvipkg.variational import (FAMILIES, FAMILY_SPECS, VariationalParams, _contract_lr,
                                 _lemma, covariance_root, draw_fixed_samples, elbo_and_gradient,
                                 elbo_estimate, entropy, family_samples,
                                 fit_family, initialise, laplace_posterior,
@@ -173,12 +172,12 @@ def test_eigen_family_shares_sample_paths_at_laplace_scales(cauchy_model):
     # the points the Cholesky families visit
     lap = _lap(cauchy_model)
     samples = draw_fixed_samples(50, lap.dim, seed=9)
-    z_eig = family_samples("mvi_eig", samples, lap)
+    z_eig = family_samples("mvi_eig", samples, lap).z
     root = lap.eigvecs * lap.eig_root[None, :]
     np.testing.assert_allclose(z_eig @ root.T, samples.z @ lap.chol.T,
                                atol=1.0e-10)
     for family in ("mvi_mu", "mvi_lr", "vi_diag"):
-        np.testing.assert_array_equal(family_samples(family, samples, lap),
+        np.testing.assert_array_equal(family_samples(family, samples, lap).z,
                                       samples.z)
 
 
@@ -254,7 +253,7 @@ def _per_draw_bound(params, samples, model, lap):
     """The bound and its gradient from per-draw gradients: W = mu + z R',
     ``model.evaluate``, sample means, and each family's contraction of g
     with its draws z written out, plus the entropy's terms."""
-    z = family_samples(params.family, samples, lap)
+    z = family_samples(params.family, samples, lap).z
     n = z.shape[0]
     R = covariance_root(params, lap).root
     moved = model.with_theta(params.theta) if params.theta.size else model
@@ -395,13 +394,19 @@ def test_fits_share_the_callers_draws_unless_remapped(cauchy_model):
     lap = _lap(cauchy_model)
     samples = draw_fixed_samples(40, lap.dim, seed=3)
     cfg = OptimConfig(max_iters=5)
+    phi, theta = cauchy_model.phi, cauchy_model.theta
     fit_family(cauchy_model, lap, samples, "mvi_eig", config=cfg)
     assert "moments" not in samples.__dict__   # mvi_eig ran on remapped draws
-    work = Workspace("mvi_eig", samples, cauchy_model, lap)
-    np.testing.assert_array_equal(work.draws.z, family_samples("mvi_eig", samples, lap))
+    eig = family_samples("mvi_eig", samples, lap)
+    assert eig is not samples
+    np.testing.assert_array_equal(eig.z, samples.z @ FAMILY_SPECS["mvi_eig"].remap(lap))
     fit_family(cauchy_model, lap, samples, "mvi_mu", config=cfg)
     assert "moments" in samples.__dict__
-    assert Workspace("mvi_mu", samples, cauchy_model, lap).draws is samples
+    for family in ("mvi_mu", "mvi_lr", "vi_diag"):
+        assert family_samples(family, samples, lap) is samples
+    # the fits moved theta on copies: the caller's model keeps its features
+    assert cauchy_model.phi is phi
+    np.testing.assert_array_equal(cauchy_model.theta, theta)
 
 
 def test_fit_deterministic(cauchy_model):
