@@ -10,7 +10,7 @@ bit-for-bit between reruns.
 import os
 import time
 from collections import Counter
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -61,26 +61,29 @@ def _fit_diagnostics(res) -> dict:
             "stop_reason": str(res.reason), "grad_norm": float(res.grad_norm)}
 
 
-def _search_and_fit(train, methods, seed: int, n_samples: int, grid: GridConfig | None,
-            optim: OptimConfig | None):
+def _search_and_fit(train, seed: int, n_samples: int, grid: GridConfig | None,
+                    optim: OptimConfig | None):
     """The grid search on ``train``, and ``fit(method)``: one method's
     (posterior, scoring model, fit). For laplace these are the search's
     Laplace Gaussian and model, and None; for a variational method the
     family's Gaussian, the model at its hyperparameters and
     ``variational.fit_best``'s (variant, fit, other fits), fitted from the
-    start of ``seed`` on draws of ``seed`` that every method shares.
+    start of ``seed`` on draws of ``seed`` that every method shares, drawn
+    by the first variational fit.
     """
     search = laplace_mod.hyperparameter_search(
         train.X, train.y, train.kind, seed=seed,
         n_samples=n_samples, grid=grid, optim=optim)
     model, lap = search.model, search.laplace
-    samples = (variational.draw_fixed_samples(n_samples, model.P, seed + SALT_SAMPLES)
-               if any(m != "laplace" for m in methods) else None)
+
+    @cache
+    def samples():
+        return variational.draw_fixed_samples(n_samples, model.P, seed + SALT_SAMPLES)
 
     def fit(method: str):
         if method == "laplace":
             return variational.laplace_posterior(lap), model, None
-        best = variational.fit_best(model, lap, samples, method,
+        best = variational.fit_best(model, lap, samples(), method,
                                     seed=seed + SALT_INIT, config=optim)
         params = best[1].params
         return (variational.covariance_root(params, lap), model.with_theta(params.theta),
@@ -106,17 +109,18 @@ def run_split(train, test, methods=METHODS, seed: int = 0, n_samples: int = 1000
     holds the other start's bound ``elbo_other`` and its diagnostics under
     the same names with the suffix ``_other``.
     The search info counts the failed grid candidates (``grid_failed``) and
-    the failures of each kind (``grid_failures``).
+    the failures of each kind (``grid_failures``). The timing holds the
+    search's seconds (``grid``, ``final_mode``, ``curvature``), then
+    ``<method>.fit`` for each variational method and ``<method>.score``.
     """
     methods = _check_methods(methods)
     metric = error_metric(train.kind)
     score = (evaluate.regression_metrics if metric == "mse"
              else evaluate.classification_metrics)
 
-    records, timing = {}, {}
-    t0 = time.perf_counter()
-    search, fit = _search_and_fit(train, methods, seed, n_samples, grid, optim)
-    timing["search"] = time.perf_counter() - t0
+    records = {}
+    search, fit = _search_and_fit(train, seed, n_samples, grid, optim)
+    timing = dict(search.timing)
     model, lap = search.model, search.laplace
     failures = Counter(c["reason"] for c in search.candidates if "reason" in c)
     info = {
@@ -256,8 +260,9 @@ def _run_suite(splits, methods, metrics, base_seed, n_workers, alpha, n_boot,
     worker count; None asks for one per usable core. Either is capped at the
     number of splits, and the count used is ``timing["n_workers"]``.
     ``timing["wall"]`` is the suite's elapsed time; the per-split times under
-    ``timing["splits"]`` overlap under several workers. ``alpha`` and
-    ``n_boot`` set the significance tests.
+    ``timing["splits"]`` overlap under several workers, and
+    ``timing["significance"]`` is the seconds of the significance tests,
+    which ``alpha`` and ``n_boot`` set.
     """
     n_workers = max(1, min(n_workers or usable_cores(), len(splits)))
     started = time.perf_counter()
@@ -269,6 +274,7 @@ def _run_suite(splits, methods, metrics, base_seed, n_workers, alpha, n_boot,
     ok = [r["methods"] for r in records]
 
     medians = median_table(ok, methods, metrics) if ok else {}
+    tests_started = time.perf_counter()
     significance, markers = {}, {}
     for metric in metrics:
         block = significance_block(ok, methods, metric, alpha=alpha, n_boot=n_boot,
@@ -277,6 +283,7 @@ def _run_suite(splits, methods, metrics, base_seed, n_workers, alpha, n_boot,
             significance[metric] = block
             markers[metric] = {"best": block["best"],
                                "significant": block["overall_significant"]}
+    tests_s = time.perf_counter() - tests_started
     return {
         "n_completed": len(records),
         "n_skipped": len(skipped),
@@ -286,6 +293,7 @@ def _run_suite(splits, methods, metrics, base_seed, n_workers, alpha, n_boot,
         "significance": significance,
         "markers": markers,
         "timing": {"splits": run_times,
+                   "significance": tests_s,
                    "wall": time.perf_counter() - started,
                    "n_workers": n_workers},
     }
@@ -424,7 +432,7 @@ def run_fit(train, method: str, seed: int = 0, n_samples: int = 1000,
     ``n_evals``, ``stop_reason`` and ``grad_norm``.
     """
     (method,) = _check_methods((method,))
-    search, fit = _search_and_fit(train, (method,), seed, n_samples, grid, optim)
+    search, fit = _search_and_fit(train, seed, n_samples, grid, optim)
     model, lap = search.model, search.laplace
     posterior, scorer, best = fit(method)
 

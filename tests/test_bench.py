@@ -40,9 +40,11 @@ def test_check_methods():
 
 def test_run_split_record_structure():
     train, test = _small_task()
+    started = time.perf_counter()
     recs, timing, info = bench.run_split(
         train, test, methods=("laplace", "mvi_mu", "vi_diag"), seed=0,
         n_samples=100, n_eval=200, grid=SMALL_GRID, optim=SMALL_OPTIM)
+    elapsed = time.perf_counter() - started
     assert set(recs) == {"laplace", "mvi_mu", "vi_diag"}
     for rec in recs.values():
         assert {"lpd", "mse", "elbo", "n_iters"} <= set(rec)
@@ -57,8 +59,11 @@ def test_run_split_record_structure():
     assert "lpd_other" not in diag
     assert "variant" not in recs["mvi_mu"]
     assert not any(k.endswith("_other") for k in recs["mvi_mu"])
-    assert set(timing) == {"search", "laplace.score", "mvi_mu.fit", "mvi_mu.score",
-                           "vi_diag.fit", "vi_diag.score"}
+    # the search's three stages, then each method's; no two overlap
+    assert set(timing) == {"grid", "final_mode", "curvature", "laplace.score",
+                           "mvi_mu.fit", "mvi_mu.score", "vi_diag.fit", "vi_diag.score"}
+    assert all(t >= 0.0 for t in timing.values())
+    assert sum(timing.values()) <= elapsed
     assert info["n_centers"] == 6 - 1  # M = 5 centres
     assert len(info["theta_la"]) == 3
 
@@ -313,7 +318,8 @@ def test_run_cauchy_small():
     assert set(report["significance"]) == {"lpd", "mse"}
     assert report["markers"]["lpd"]["best"] in ("laplace", "mvi_mu")
     assert len(report["timing"]["splits"]) == 2
-    assert set(report["timing"]) == {"splits", "wall", "n_workers"}
+    assert set(report["timing"]) == {"splits", "significance", "wall", "n_workers"}
+    assert 0.0 <= report["timing"]["significance"] < report["timing"]["wall"]
     # every split runs inside the suite's wall time, so it covers the
     # longest of them
     longest = max(sum(t for k, t in rt.items() if k != "index")

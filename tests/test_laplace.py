@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from mvipkg import optimize
 from mvipkg.data import generate_cauchy_task
 from mvipkg.errors import NumericalError
 from mvipkg.laplace import (GridConfig, find_mode, hyperparameter_search,
@@ -165,6 +166,8 @@ def test_search_single_candidate():
     assert len(res.candidates) == 1
     assert res.model.P == 6
     assert res.model.theta.size == 3
+    assert set(res.timing) == {"grid", "final_mode", "curvature"}
+    assert all(t >= 0.0 for t in res.timing.values())
 
 
 @pytest.mark.parametrize("n_samples", [0, -5])
@@ -226,3 +229,24 @@ def test_search_completes_on_heavy_tail_run_5001():
     res = hyperparameter_search(train.X, train.y, "regression", seed=5001)
     assert any(np.isfinite(c["score"]) for c in res.candidates)
     assert np.isfinite(res.laplace.bound_at_mode)
+
+
+def test_grid_does_not_depend_on_the_memory(monkeypatch):
+    # every candidate's search stops within the optimiser's memory, so its
+    # record and the winner are the same at a memory of 10 and at _MEMORY;
+    # only the final mode search from the winner can move
+    train, _ = generate_cauchy_task(seed=2, n_train=30)
+    grid = GridConfig(basis_sizes=(10, 20), n_pairs=5)
+    assert grid.search_iters <= 10
+
+    def search():
+        return hyperparameter_search(train.X, train.y, "regression", seed=2,
+                                     n_samples=200, grid=grid)
+
+    now = search()
+    monkeypatch.setattr(optimize, "_MEMORY", 10)
+    old = search()
+    assert any("error" in c for c in now.candidates)
+    assert any(np.isfinite(c["score"]) for c in now.candidates)
+    assert now.candidates == old.candidates
+    np.testing.assert_array_equal(now.laplace.theta, old.laplace.theta)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from mvipkg import optimize
 from mvipkg.errors import NumericalError
+from mvipkg.laplace import GridConfig
 from mvipkg.optimize import OptimConfig, _two_loop, minimize
 
 
@@ -26,7 +28,7 @@ def rosenbrock(x):
     return val, grad
 
 
-@pytest.mark.parametrize("n_pairs", [1, 4, 10])
+@pytest.mark.parametrize("n_pairs", sorted({1, 4, 10, optimize._MEMORY}))
 def test_two_loop_matches_dense_bfgs_inverse_hessian(n_pairs):
     # H_0 = (s'y / y'y) I from the newest pair, then for each pair oldest
     # first H <- (I - rho s y') H (I - rho y s') + rho s s', rho = 1 / s'y
@@ -46,6 +48,30 @@ def test_two_loop_matches_dense_bfgs_inverse_hessian(n_pairs):
         h = v.T @ h @ v + np.outer(s, s) / sy
     g = rng.standard_normal(n)
     np.testing.assert_allclose(_two_loop(g, memory), h @ g, rtol=1.0e-12)
+
+
+@pytest.mark.parametrize("objective, x0", [
+    (rosenbrock, np.array([-1.2, 1.0])),
+    (quadratic_problem(30, seed=4)[0], np.ones(30)),
+])
+def test_short_searches_do_not_depend_on_the_memory(monkeypatch, objective, x0):
+    # k accepted steps store at most k pairs, so a search of up to 10 steps
+    # drops none at any memory of 10 or more: the grid's short mode searches
+    # are the same at a memory of 10 and at _MEMORY
+    cfg = OptimConfig(grad_tol=0.0, f_tol=0.0)
+    for max_iters in range(11):
+        cfg.max_iters = max_iters
+        now = minimize(objective, x0, cfg)
+        monkeypatch.setattr(optimize, "_MEMORY", 10)
+        old = minimize(objective, x0, cfg)
+        monkeypatch.undo()
+        assert now.n_iters == old.n_iters == max_iters
+        np.testing.assert_array_equal(now.x, old.x)
+        assert (now.f, now.n_evals) == (old.f, old.n_evals)
+
+
+def test_grid_searches_fit_in_the_memory():
+    assert GridConfig().search_iters <= optimize._MEMORY
 
 
 @pytest.mark.parametrize("n", [2, 5, 10])
