@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from scipy.stats import multivariate_normal
 
 from mvipkg.data import MixtureTarget2D
 from mvipkg.errors import DataError, NumericalError
-from mvipkg.models import (BinaryLogistic, CauchyRegression, GaussianLinearModel, _ModelBase,
-                           SoftmaxRegression, expit, kmeans, rbf_features,
+from mvipkg.models import (_SCORE_BLOCK, BinaryLogistic, CauchyRegression, GaussianLinearModel,
+                           _ModelBase, SoftmaxRegression, expit, kmeans, rbf_features,
                            squared_distances)
 
 from makers import (ALL_MODEL_MAKERS, finite_difference_gradient,
@@ -115,6 +116,17 @@ def test_rbf_constructor_rejects_hyperparameters_whose_square_overflows(name):
     theta[model.theta_names.index("log_width")] = 470.0
     with pytest.raises(NumericalError, match="finite square"):
         model.with_theta(theta)
+
+
+@pytest.mark.parametrize("name", sorted(RBF_CLASSES))
+def test_with_theta_overflow_raises_without_a_warning(name):
+    # exp(800) overflows to inf, which the finite-square check refuses
+    model = RBF_CLASSES[name](*_rbf_args(name)[:3], **_rbf_args(name)[3])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for i in range(model.theta.size):
+            with pytest.raises(NumericalError, match="finite square"):
+                model.with_theta(np.where(np.arange(model.theta.size) == i, 800.0, model.theta))
 
 
 def test_binary_constructor_rejects_labels_other_than_0_1():
@@ -285,6 +297,29 @@ def test_cauchy_value_direct_formula():
     # the draws w = 0 + I z, z = W, through the held-out pass
     held_out = model.score(np.zeros(model.P), np.eye(model.P), W, model.X, y)[1]
     np.testing.assert_allclose(held_out, loglik, rtol=1.0e-12)
+
+
+def test_cauchy_gradient_pass_direct_formula():
+    # residuals from 1e-6 to 1e6 widths at the first draw, either sign: Q
+    # becomes r / d and the lead row sum_n (r_n^2 - gamma^2) / d_n, d = gamma^2 + r^2
+    model = ALL_MODEL_MAKERS["cauchy"]()
+    rng = np.random.default_rng(13)
+    W = rng.standard_normal((4, model.P))
+    signs = np.where(np.arange(model.N) % 2 == 0, 1.0, -1.0)
+    y = model.phi @ W[0] + signs * model.gamma * np.logspace(-6.0, 6.0, model.N)
+    model = CauchyRegression(model.X, y, model.centers, gamma=model.gamma,
+                             alpha=model.alpha, width=model.width)
+    g2 = model.gamma ** 2
+    r = [[float(f) - float(t) for f, t in zip(row, y)] for row in W @ model.phi.T]
+    Q = model._projections(W)
+    rows, scale, (lead,) = model._pass(Q, None, True, model.y)
+    assert scale == -2.0
+    np.testing.assert_allclose(Q, [[v / (g2 + v * v) for v in row] for row in r], rtol=1.0e-12)
+    # the first draw's terms cancel to a sum near 0: an absolute floor of
+    # 1e-12 of sum_n |term_n| = N, as the rounding of either form allows
+    np.testing.assert_allclose(lead, [math.fsum((v * v - g2) / (g2 + v * v) for v in row)
+                                      for row in r], rtol=1.0e-12, atol=1.0e-12 * model.N)
+    np.testing.assert_allclose(rows, model.values(W) - model._prior(W)[0], rtol=1.0e-12)
 
 
 def test_expit_matches_scipy_and_never_overflows():
@@ -543,8 +578,9 @@ def _score_mismatches(exact: bool, draw_counts=(1, 289, 1001, 10_000)) -> list:
     asks for bit-for-bit equality, else equality up to round-off.
 
     The models have 10 centres (D = 11), the benchmark's smallest basis.
-    Draw counts: one, one past a block (the lone draw joins its block), not
-    a multiple of the block, and the 10,000 of held-out scoring. Test sets
+    Draw counts (``_SCORE_BLOCK`` = 96): one; 289 = 3 x 96 + 1, one past a
+    block (the lone draw joins its block); 1,001, not a multiple of the
+    block; and the 10,000 of held-out scoring. Test sets
     of 1,000 and 190 points are the benchmark's; at 300 points a 256-draw
     block rounded apart from the one-shot product.
     """
@@ -606,6 +642,7 @@ def _score_mismatches(exact: bool, draw_counts=(1, 289, 1001, 10_000)) -> list:
 
 def test_score_matches_one_shot_pass():
     # any BLAS threading: equal up to round-off
+    assert 289 % _SCORE_BLOCK == 1 and 1001 % _SCORE_BLOCK > 1
     assert _score_mismatches(exact=False, draw_counts=(1, 289, 1001)) == []
 
 

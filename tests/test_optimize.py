@@ -4,7 +4,7 @@ import pytest
 from mvipkg import optimize
 from mvipkg.errors import NumericalError
 from mvipkg.laplace import GridConfig
-from mvipkg.optimize import OptimConfig, _two_loop, minimize
+from mvipkg.optimize import OptimConfig, _Memory, minimize
 
 
 def quadratic_problem(n, seed):
@@ -28,26 +28,55 @@ def rosenbrock(x):
     return val, grad
 
 
-@pytest.mark.parametrize("n_pairs", sorted({1, 4, 10, optimize._MEMORY}))
-def test_two_loop_matches_dense_bfgs_inverse_hessian(n_pairs):
-    # H_0 = (s'y / y'y) I from the newest pair, then for each pair oldest
-    # first H <- (I - rho s y') H (I - rho y s') + rho s s', rho = 1 / s'y
+def _pairs(n_pairs, n=12):
+    """Curvature pairs (s, A s) of one SPD matrix A, all with s'y > 0."""
     rng = np.random.default_rng(n_pairs)
-    n = 12
     a = rng.standard_normal((n, n))
     a = a @ a.T + n * np.eye(n)
-    memory = []
-    for _ in range(n_pairs):
-        s = rng.standard_normal(n)
-        y = a @ s
-        memory.append((s, y, float(s @ y), float(y @ y)))
-    s, y = memory[-1][:2]
-    h = (s @ y) / (y @ y) * np.eye(n)
-    for s, y, sy, _ in memory:
-        v = np.eye(n) - np.outer(y, s) / sy
-        h = v.T @ h @ v + np.outer(s, s) / sy
-    g = rng.standard_normal(n)
-    np.testing.assert_allclose(_two_loop(g, memory), h @ g, rtol=1.0e-12)
+    pairs = [(s, a @ s) for s in rng.standard_normal((n_pairs, n))]
+    return pairs, rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("n_pairs", sorted({1, 4, 10, optimize._MEMORY, optimize._MEMORY + 7}))
+def test_compact_memory_matches_dense_bfgs_inverse_hessian(n_pairs):
+    # H_0 = (s'y / y'y) I from the newest pair, then for each kept pair oldest
+    # first H <- (I - rho s y') H (I - rho y s') + rho s s', rho = 1 / s'y; past
+    # _MEMORY pairs the oldest are dropped, so the reference uses the newest
+    pairs, g = _pairs(n_pairs)
+    memory = _Memory(g.size)
+    for s, y in pairs:
+        memory.add(s, y, float(s @ y))
+    kept = pairs[-optimize._MEMORY:]
+    assert memory.m == len(kept)
+    s, y = kept[-1]
+    h = (s @ y) / (y @ y) * np.eye(g.size)
+    for s, y in kept:
+        v = np.eye(g.size) - np.outer(y, s) / (s @ y)
+        h = v.T @ h @ v + np.outer(s, s) / (s @ y)
+    np.testing.assert_allclose(memory.direction(g), h @ g, rtol=1.0e-12)
+
+
+def test_pairs_without_positive_curvature_are_not_stored(monkeypatch):
+    # s'y <= 0 would make H indefinite: every step of a concave objective
+    # skips its pair, and every step of a convex quadratic keeps its own
+    seen = []
+    add = _Memory.add
+    monkeypatch.setattr(_Memory, "add",
+                        lambda memory, s, y, sy: (seen.append(sy), add(memory, s, y, sy)))
+    concave = minimize(lambda x: (-0.5 * x @ x, -x), np.ones(3), OptimConfig(max_iters=5))
+    assert concave.n_iters == 5 and seen == []
+    convex = minimize(quadratic_problem(5, seed=1)[0], np.ones(5), OptimConfig(max_iters=5))
+    assert len(seen) == convex.n_iters > 0 and min(seen) > 0.0
+
+
+def test_cleared_memory_gives_a_scaled_gradient_step():
+    pairs, g = _pairs(4)
+    memory = _Memory(g.size)
+    for s, y in pairs:
+        memory.add(s, y, float(s @ y))
+    memory.m = 0
+    np.testing.assert_array_equal(memory.direction(g), g / max(1.0, np.linalg.norm(g)))
+    np.testing.assert_array_equal(memory.direction(g / 1e3), g / 1e3)
 
 
 @pytest.mark.parametrize("objective, x0", [
