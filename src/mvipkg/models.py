@@ -84,7 +84,6 @@ the variational stage move alpha sensibly.
 
 from __future__ import annotations
 
-import copy
 import math
 from functools import cached_property
 
@@ -442,25 +441,37 @@ class _RBFBase(_ModelBase):
             raise DataError("X and the labels disagree on the number of rows")
         self.centers = np.atleast_2d(np.asarray(centers, dtype=float))
         self._d2 = squared_distances(self.X, self.centers)
-        self._set_hyper(hyper)
-
-    def _set_hyper(self, hyper: dict) -> None:
-        """Check and set the hyperparameters; build phi and [phi | d phi / d log width]."""
+        self.N, self.D = self._d2.shape[0], self._d2.shape[1] + 1
+        self.P = self.K * self.D
         names = self._hyper_names()
         if set(hyper) != set(names):
             raise TypeError(f"{type(self).__name__} takes the hyperparameters {names}")
-        values = [float(hyper[name]) for name in names]
+        self._set_hyper([float(hyper[name]) for name in names])
+
+    def _set_hyper(self, values) -> None:
+        """Check and set the hyperparameters, given in ``theta_names`` order, and
+        build [phi | d phi / d log width] in one array, ``_phi_stack``; ``phi``
+        is a view of its leading D columns. Each entry is the one that
+        ``rbf_features`` and phi d2 / width^2 give, bit for bit."""
+        names = self._hyper_names()
         # width**2 and gamma**2 would raise OverflowError, where v * v gives inf
         if not all(v > 0 and math.isfinite(v * v) for v in values):
             raise NumericalError(f"{', '.join(names)} must all be positive with "
                                  f"a finite square (got {values})")
-        for name, v in zip(names, values):
+        for name, v in zip(names, values, strict=True):
             setattr(self, name, v)
-        self.phi = _bumps(self._d2, self.width)
+        M = self.D - 1
+        bumps = np.negative(self._d2)   # worked on whole: a strided pass costs twice
+        bumps /= 2.0 * self.width**2
+        np.exp(bumps, out=bumps)
+        self._phi_stack = np.empty((self.N, 2 * M + 1))
+        self._phi_stack[:, :M] = bumps
+        self._phi_stack[:, M] = 1.0
         # d phi_nm / d log width = phi_nm d2_nm / width^2; the bias column is inert
-        self._phi_stack = np.hstack([self.phi, self.phi[:, :-1] * self._d2 / self.width**2])
-        self.N, self.D = self.phi.shape
-        self.P = self.K * self.D
+        bumps *= self._d2
+        bumps /= self.width**2
+        self._phi_stack[:, self.D:] = bumps
+        self.phi = self._phi_stack[:, :self.D]
 
     @classmethod
     def _hyper_names(cls) -> tuple[str, ...]:
@@ -473,10 +484,11 @@ class _RBFBase(_ModelBase):
     def with_theta(self, theta: np.ndarray):
         """This model at hyperparameters exp(theta), theta in ``theta_names``
         order, on the same data and centres; only the features are rebuilt."""
-        model = copy.copy(self)
+        model = object.__new__(type(self))
+        model.__dict__.update(self.__dict__)
         with np.errstate(over="ignore"):   # inf fails _set_hyper's finite-square check
             hyper = np.exp(np.asarray(theta, dtype=float))
-        model._set_hyper(dict(zip(self._hyper_names(), hyper, strict=True)))
+        model._set_hyper(hyper.tolist())
         return model
 
     def _features(self, X: np.ndarray) -> np.ndarray:

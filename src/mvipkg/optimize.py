@@ -23,7 +23,9 @@ iterations, and a largest final max|g| over the fits of 2.3e-2, 3.1e-2,
 1.1e-2, 1.4e-2, 4.7e-3 and 2.3e-3. A search of k steps stores at most k pairs,
 so while the grid's ``search_iters <= _MEMORY`` no pair of a grid candidate's
 search is dropped: its steps, its score and the grid's winner are the same
-at every such memory, and only the long searches move.
+at every such memory, and only the long searches move. The sweep's fit
+counts come from fits in the raw coordinates; mvi_mu, mvi_eig and vi_diag
+now run in whitened ones (see :mod:`.variational`) and take fewer.
 
 The pairs are held in the compact form of Byrd, Nocedal & Schnabel (1994), ``_Memory``:
 a direction is seven matrix-vector products, 25 us at 60 pairs against 320-460 us for the

@@ -176,6 +176,23 @@ def test_with_theta_matches_at_theta_bit_for_bit(name):
                 model.with_theta(np.where(np.arange(theta.size) == i, bad, theta))
 
 
+@pytest.mark.parametrize("name", sorted(RBF_CLASSES))
+def test_features_and_width_derivative_are_one_array_bit_for_bit(name):
+    # phi is the leading block of [phi | d phi / d log width], at every theta
+    X, labels, centers, hyper = _rbf_args(name)
+    model = RBF_CLASSES[name](X, labels, centers, **hyper)
+    k = model.theta_names.index("log_width")
+    for log_width in (-2.5, -0.3, 0.0, 0.7, 3.0):
+        moved = model.with_theta(np.where(np.arange(model.theta.size) == k, log_width,
+                                          model.theta))
+        phi = rbf_features(X, centers, moved.width)
+        np.testing.assert_array_equal(moved.phi, phi)
+        np.testing.assert_array_equal(
+            moved._phi_stack, np.hstack([phi, phi[:, :-1] * moved._d2 / moved.width**2]))
+        assert np.shares_memory(moved.phi, moved._phi_stack)
+        assert moved.phi.shape == (X.shape[0], model.D)
+
+
 # ---------------------------------------------------------------------------
 # finite-difference oracles for every model
 # ---------------------------------------------------------------------------

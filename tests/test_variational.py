@@ -1,16 +1,19 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
+from mvipkg import variational
 from mvipkg.data import MixtureTarget2D
 from mvipkg.errors import NumericalError
 from mvipkg.laplace import find_mode, laplace_approximation
 from mvipkg.models import FixedDraws
-from mvipkg.optimize import OptimConfig
-from mvipkg.variational import (FAMILIES, FAMILY_SPECS, VariationalParams, _contract_lr,
-                                _lemma, covariance_root, draw_fixed_samples, elbo_and_gradient,
+from mvipkg.optimize import MinimizeResult, OptimConfig, minimize
+from mvipkg.variational import (FAMILIES, FAMILY_SPECS, FitResult, VariationalParams,
+                                _contract_lr, _kept_start, _lemma, _theta_scales, _Whitened,
+                                covariance_root, draw_fixed_samples, elbo_and_gradient,
                                 elbo_estimate, entropy, family_samples,
                                 fit_family, initialise, laplace_posterior,
                                 pack, standardize_draws, unpack)
@@ -431,3 +434,135 @@ def test_richer_families_dominate_at_optimum(cauchy_model):
         fit = fit_family(cauchy_model, lap, samples, family, config=cfg,
                          init=warm)
         assert fit.elbo >= fit_mu.elbo - 1.0e-8
+
+
+# ---------------------------------------------------------------------------
+# whitened coordinates
+# ---------------------------------------------------------------------------
+
+WHITENED = tuple(f for f in FAMILIES if FAMILY_SPECS[f].whiten)
+
+
+def test_every_family_but_rank_one_fits_whitened():
+    assert WHITENED == ("mvi_mu", "mvi_eig", "vi_diag")
+
+
+def _negated_bound(params, samples, model, lap):
+    def fun(x):
+        value, grad = elbo_and_gradient(unpack(params, x), samples, model, lap)
+        return -value, -grad
+    return fun
+
+
+@pytest.mark.parametrize("family", WHITENED)
+def test_whitened_gradient_matches_finite_differences(family, cauchy_model):
+    # the gradient T' g the minimiser sees, against differences of the bound in y
+    lap = _lap(cauchy_model)
+    samples = draw_fixed_samples(40, lap.dim, seed=11)
+    params = _perturbed(family, lap, np.random.default_rng(19))
+    fun = _negated_bound(params, samples, cauchy_model, lap)
+    x0 = pack(params)
+    whitened = _Whitened(fun, x0, fun(x0), lap.chol, params.theta.size)
+    assert whitened.scales.size == 3 and not np.array_equal(whitened.scales, np.ones(3))
+    whitened(np.zeros(x0.size))   # the start, taken from ``fun(x0)``
+    y = 0.05 * np.random.default_rng(20).standard_normal(x0.size)
+    _, grad = whitened(y)
+    fd = finite_difference_gradient(lambda v: fun(whitened.x(v))[0], y)
+    assert np.linalg.norm(grad - fd) / np.linalg.norm(fd) < 1.0e-5
+
+
+@pytest.mark.parametrize("family", WHITENED)
+def test_whitened_fits_reach_the_raw_fits_bound_on_the_conjugate_oracle(family, monkeypatch):
+    model = make_conjugate(seed=5, n=12, p=3)
+    lap = _lap(model)
+    samples = draw_fixed_samples(200, lap.dim, seed=6)
+    tight = OptimConfig(max_iters=5000, grad_tol=1.0e-10, f_tol=1.0e-16)
+    whitened = fit_family(model, lap, samples, family, config=tight)
+    monkeypatch.setitem(FAMILY_SPECS, family, replace(FAMILY_SPECS[family], whiten=False))
+    raw = fit_family(model, lap, samples, family, config=tight)
+    assert abs(whitened.elbo - raw.elbo) < 1.0e-8
+    if family != "vi_diag":   # the exact posterior is in these families
+        assert abs(whitened.elbo - model.log_evidence()) < 1.0e-8
+
+
+def test_rank_one_fit_is_the_minimiser_on_the_raw_bound(cauchy_model):
+    lap = _lap(cauchy_model)
+    samples = draw_fixed_samples(60, lap.dim, seed=7)
+    cfg = OptimConfig(max_iters=80)
+    fit = fit_family(cauchy_model, lap, samples, "mvi_lr", seed=3, config=cfg)
+    params = initialise("mvi_lr", lap, seed=3)
+    direct = minimize(_negated_bound(params, samples, cauchy_model, lap), pack(params), cfg)
+    np.testing.assert_array_equal(pack(fit.params), direct.x)
+    np.testing.assert_array_equal(fit.opt.x, direct.x)
+    assert fit.elbo == -direct.f
+    assert fit.opt.n_evals == direct.n_evals
+    assert fit.opt.grad_norm == direct.grad_norm
+
+
+@pytest.mark.parametrize("name", ("cauchy", "softmax", "conjugate"))
+@pytest.mark.parametrize("family", FAMILIES)
+def test_reported_grad_norm_is_the_raw_gradient_at_the_fit(name, family):
+    model = ORACLE_MODELS[name]()
+    lap = _lap(model)
+    samples = draw_fixed_samples(60, lap.dim, seed=8)
+    fit = fit_family(model, lap, samples, family, seed=1, config=OptimConfig(max_iters=60))
+    _, grad = elbo_and_gradient(fit.params, samples, model, lap)
+    assert fit.opt.grad_norm == float(np.max(np.abs(grad)))
+    np.testing.assert_array_equal(fit.opt.x, pack(fit.params))
+
+
+def test_whitened_fit_counts_the_curvature_probes(cauchy_model, monkeypatch):
+    # n_evals counts every evaluation of the bound: the start once, each probe, each trial
+    lap = _lap(cauchy_model)
+    samples = draw_fixed_samples(60, lap.dim, seed=8)
+    calls = []
+    real = elbo_and_gradient
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(variational, "elbo_and_gradient", counted)
+    fit = fit_family(cauchy_model, lap, samples, "mvi_mu", config=OptimConfig(max_iters=20))
+    assert fit.opt.n_evals == len(calls)
+    start = elbo_estimate(initialise("mvi_mu", lap), samples, cauchy_model, lap)
+    assert fit.gain == pytest.approx(fit.elbo - start, rel=1.0e-12)
+
+
+def test_theta_scales_come_from_the_curvature():
+    # f = sum c_j x_j^2 / 2 over the last three coordinates: s_j = 1 / sqrt(c_j)
+    # where c_j > 0, and 1 where the curvature is zero, negative or not finite
+    def fun(x):
+        c = np.array([4.0, 0.25, -1.0])
+        g = np.concatenate([[x[0]], c * x[1:]])
+        return 0.5 * float(x @ g), g
+
+    x0 = np.array([1.0, 0.5, -2.0, 3.0])
+    scales = _theta_scales(fun, x0, fun(x0)[1], 3)
+    np.testing.assert_allclose(scales, [0.5, 2.0, 1.0], rtol=1.0e-9)
+    assert _theta_scales(fun, x0, fun(x0)[1], 0).size == 0
+
+    def flat_then_broken(x):
+        if x[1] != x0[1]:
+            return np.inf, np.full(x.size, np.nan)   # a probe outside the usable region
+        return 0.0, np.zeros(x.size)
+
+    np.testing.assert_array_equal(_theta_scales(flat_then_broken, x0, np.zeros(4), 3),
+                                  np.ones(3))
+
+
+def _stub_fit(elbo, gain):
+    opt = MinimizeResult(x=np.zeros(1), f=-elbo, grad_norm=0.0, n_iters=1, converged=False,
+                         reason="f_tol", n_evals=2)
+    return FitResult(VariationalParams("mvi_mu", np.zeros(1), np.zeros(0)), elbo, opt, gain)
+
+
+def test_bounds_within_the_stop_margin_tie_to_the_first_start():
+    # margins f_tol (1 + gain) of 5.1e-8 each: bounds 3e-8 apart tie, either way round
+    first, second = _stub_fit(-55.73112775, 50.0), _stub_fit(-55.73112772, 50.0)
+    assert _kept_start({"laplace": first, "small": second}, 1.0e-9) == "laplace"
+    assert _kept_start({"laplace": second, "small": first}, 1.0e-9) == "laplace"
+    # 2e-7 apart is beyond both margins: the higher bound is kept
+    higher = _stub_fit(-55.73112755, 50.0)
+    assert _kept_start({"laplace": first, "small": higher}, 1.0e-9) == "small"
+    assert _kept_start({"laplace": higher, "small": first}, 1.0e-9) == "laplace"
