@@ -13,8 +13,7 @@ Conventions worth stating once:
   that the regression benchmarks are quoted on.
 * Evaluation draws are fresh, raw standard normals under their own seed; the
   standardisation applied to optimisation sample sets is deliberately not
-  applied here, so the reported numbers are plain Monte Carlo estimates with
-  honest standard errors.
+  applied here, so the reported numbers are plain Monte Carlo estimates.
 """
 
 from __future__ import annotations
@@ -38,27 +37,20 @@ def posterior_draws(posterior: PosteriorGaussian, n_samples: int, seed: int) -> 
     return posterior.mean[None, :] + z @ posterior.root.T
 
 
-def log_mean_exp(values: np.ndarray) -> tuple[float, float]:
-    """log of the mean of exp(values), with an estimated standard error.
+def log_mean_exp(values: np.ndarray) -> float:
+    """log of the mean of exp(values).
 
-    The standard error is for the log-mean (delta method): sd of the
-    normalised weights over sqrt(S) divided by their mean. Returns
-    (-inf, inf) when every value is -inf, and raises NumericalError on a
+    Returns -inf when every value is -inf, and raises NumericalError on a
     NaN or +inf value, which no likelihood can give.
     """
     values = np.asarray(values, dtype=float)
-    s = values.size
     m = np.max(values)
     if np.isnan(m) or m == np.inf:   # max propagates NaN
         raise NumericalError(f"a held-out log likelihood is {m}; the draws "
                              "cannot be averaged")
     if m == -np.inf:
-        return -np.inf, np.inf
-    w = np.exp(values - m)
-    w_mean = float(w.mean())
-    lme = float(m + np.log(w_mean))
-    se = float(w.std(ddof=1) / (np.sqrt(s) * w_mean)) if s > 1 else np.inf
-    return lme, se
+        return -np.inf
+    return float(m + np.log(float(np.exp(values - m).mean())))
 
 
 @dataclass
@@ -80,7 +72,7 @@ def _scored(posterior: PosteriorGaussian, model, X_test, y_test, n_samples: int,
     draws mean + R z_s, z drawn under ``seed``."""
     z = np.random.default_rng(seed).standard_normal((n_samples, posterior.dim))
     mean, ll = model.score(posterior.mean, posterior.root, z, X_test, y_test)
-    value, _ = log_mean_exp(ll)
+    value = log_mean_exp(ll)
     if value == -np.inf:
         log.warning("every posterior draw gave zero test likelihood; lpd is -inf")
     return mean, value

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -72,14 +71,6 @@ class LaplaceResult:
     @property
     def dim(self) -> int:
         return self.mean.size
-
-    @cached_property
-    def chol_inv(self) -> np.ndarray:
-        """C^-1, formed once per fit: the rank-one family applies it as mat-vecs."""
-        inv = np.linalg.inv(self.chol)
-        if not np.isfinite(inv).all():
-            raise NumericalError("inverse of the Laplace Cholesky factor is not finite")
-        return inv
 
 
 def laplace_approximation(model, w_star: np.ndarray) -> LaplaceResult:

@@ -18,6 +18,9 @@ import numpy as np
 from .errors import DataError
 
 LEVEL = 0.95   # confidence of the bootstrap interval
+# Bootstrap replicates drawn and reduced at once: the memory is a block's
+# index and gather arrays, not n_boot x n of them.
+_BOOT_BLOCK = 1024
 
 
 @dataclass
@@ -64,12 +67,16 @@ def bootstrap_median_diff_ci(sample: PairedSample, n_boot: int = 10_000,
 
     Resampling is paired: each bootstrap replicate draws split indices with
     replacement and applies them to both conditions, so a constant offset
-    a = b + c yields the degenerate interval [c, c].
+    a = b + c yields the degenerate interval [c, c]. Replicates are drawn and
+    reduced ``_BOOT_BLOCK`` at a time, the same stream as one n_boot x n draw.
     """
     rng = np.random.default_rng(seed)
     n = sample.a.size
-    idx = rng.integers(0, n, size=(n_boot, n))
-    stat = np.median(sample.a[idx], axis=1) - np.median(sample.b[idx], axis=1)
+    stat = np.empty(n_boot)
+    for start in range(0, n_boot, _BOOT_BLOCK):
+        idx = rng.integers(0, n, size=(min(_BOOT_BLOCK, n_boot - start), n))
+        stat[start:start + len(idx)] = (np.median(sample.a[idx], axis=1)
+                                        - np.median(sample.b[idx], axis=1))
     tail = 0.5 * (1.0 - LEVEL)
     lo, hi = np.quantile(stat, [tail, 1.0 - tail])
     return float(lo), float(hi)

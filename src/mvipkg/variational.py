@@ -9,12 +9,13 @@ expectation replaced by an average over a *fixed* set of base samples:
 Because the z_s never change during optimisation, the bound is an ordinary
 deterministic function of the parameters and is optimised with the L-BFGS
 routine from :mod:`.optimize`; no stochastic-gradient machinery is involved.
-mvi_mu, mvi_eig and vi_diag are optimised in Laplace-whitened coordinates
+Every family is optimised in Laplace-whitened coordinates
 (:class:`_Whitened`): the mean as mu0 + C xi, C the Laplace Cholesky factor,
-and theta scaled by its curvature at the start. The change of variables
-leaves the bound and its optimum as they are and halves the evaluations: on
-the 20-run heavy-tail suite 419, 633 and 1,468 against 911, 1,297 and 3,552
-in the raw coordinates. mvi_lr stays in the raw coordinates.
+and theta scaled by its curvature at the start; mvi_lr's rank-one update is
+written in the same frame, C t v'. The change of variables leaves the
+bound as it is and saves evaluations: on the 20-run heavy-tail suite mvi_mu,
+mvi_eig, mvi_lr and vi_diag take 419, 633, 1,884 and 1,468 against 911,
+1,297, 2,449 and 3,552 in the raw coordinates (mvi_lr's as C + u v').
 
 The sample term is the model's ``expectation(mu, R, draws)``: the means
 over the draws of the log posterior, of its gradient g_s at w_s = mu + R z_s
@@ -37,8 +38,9 @@ mvi_mu    free mean only; R = C (the Laplace Cholesky factor), covariance
 mvi_eig   free mean and eigen-scales; R = Q diag(r) with Q the Laplace
           eigenvector matrix. Initialised at r equal to the Laplace
           eigenvalue square roots.
-mvi_lr    free mean plus a rank-one update of the Cholesky factor;
-          R = C + u v'. u, v start as small Gaussian noise.
+mvi_lr    free mean plus a rank-one update of the Cholesky factor,
+          in the Laplace frame: R = C (I + t v') = C + (C t) v'. v and
+          C t start as small Gaussian noise.
 vi_diag   mean-field baseline; R = diag(sigma), no Laplace coupling beyond
           the initialisation of sigma.
 
@@ -75,7 +77,7 @@ from .optimize import MinimizeResult, OptimConfig, minimize
 # entropy of a unit-variance Gaussian coordinate: 0.5 * ln(2 pi e)
 _HALF_LOG_2PIE = 0.5 * float(np.log(2.0 * np.pi) + 1.0)
 
-# |1 + v' C^-1 u| below this means the rank-one update has numerically
+# |1 + v' t| below this means the rank-one update has numerically
 # annihilated the root determinant
 _DET_LEMMA_FLOOR = 1.0e-12
 
@@ -135,7 +137,7 @@ class VariationalParams:
     mu: np.ndarray
     theta: np.ndarray
     log_r: Optional[np.ndarray] = None
-    u: Optional[np.ndarray] = None
+    t: Optional[np.ndarray] = None
     v: Optional[np.ndarray] = None
     log_sigma: Optional[np.ndarray] = None
 
@@ -163,7 +165,9 @@ class VariationalParams:
 @dataclass(frozen=True)
 class FamilySpec:
     """What sets one family apart. G = sum_s g_s z_s' / S, g_s the log-posterior
-    gradient at mu + R z_s, is all the fields' sample terms need."""
+    gradient at mu + R z_s, is all the fields' sample terms need. The fields
+    take no change of variables of their own: :func:`fit_family` fits every
+    family in the one frame of :class:`_Whitened`."""
 
     fields: tuple[str, ...]     # packed between mu and theta, in this order
     root: Callable              # (params, laplace) -> R
@@ -174,22 +178,20 @@ class FamilySpec:
     variants: tuple[str, ...] = ("laplace",)  # starts ``init`` accepts; ``fit_best`` fits each
     remap: Optional[Callable] = None          # laplace -> M: the family's samples are z M
     shared: Callable = lambda params, lap: None  # what log_det and contract share per point
-    whiten: bool = True   # fitted in the coordinates of :class:`_Whitened`, else in its own
 
 
 def _log_det_chol(laplace) -> float:
     return float(np.sum(np.log(np.diag(laplace.chol))))
 
 
-def _lemma(params: VariationalParams, laplace) -> tuple[np.ndarray, float]:
-    """t = C^-1 u and s = 1 + v' t, so that det(C + u v') = det(C) s."""
-    t = laplace.chol_inv @ params.u
-    s = 1.0 + float(params.v @ t)
+def _lemma(params: VariationalParams, laplace) -> float:
+    """s = 1 + v' t, so that det(C (I + t v')) = det(C) s."""
+    s = 1.0 + float(params.v @ params.t)
     if abs(s) < _DET_LEMMA_FLOOR:
         raise NumericalError(
             "rank-one update made the covariance root numerically singular "
-            f"(|1 + v' C^-1 u| = {abs(s):.3e})")
-    return t, s
+            f"(|1 + v' t| = {abs(s):.3e})")
+    return s
 
 
 def _log_scale_block(BG: np.ndarray, log_s: np.ndarray) -> np.ndarray:
@@ -200,16 +202,21 @@ def _log_scale_block(BG: np.ndarray, log_s: np.ndarray) -> np.ndarray:
 
 
 def _contract_lr(params: VariationalParams, laplace, G: np.ndarray,
-                 lemma: tuple[np.ndarray, float]) -> list[np.ndarray]:
-    t, s = lemma
-    return [G @ params.v + params.v @ laplace.chol_inv / s,   # C^-T v = v' C^-1
-            G.T @ params.u + t / s]
+                 s: float) -> list[np.ndarray]:
+    """[C' G v + v / s, G' C t + t / s]: the sample term of R = C + (C t) v'
+    and the entropy's ln|s|."""
+    return [laplace.chol.T @ (G @ params.v) + params.v / s,
+            G.T @ (laplace.chol @ params.t) + params.t / s]
 
 
 def _init_lr(laplace, seed: int, variant: str) -> dict:
+    """t = C^-1 u and v, u and v small Gaussian noise: the root C + u v'."""
     rng = np.random.default_rng(seed)
     p = laplace.mean.size
-    return {"u": 0.1 * rng.standard_normal(p), "v": 0.1 * rng.standard_normal(p)}
+    t = np.linalg.solve(laplace.chol, 0.1 * rng.standard_normal(p))
+    if not np.isfinite(t).all():
+        raise NumericalError("rank-one start C^-1 u is not finite")
+    return {"t": t, "v": 0.1 * rng.standard_normal(p)}
 
 
 def _init_diag(laplace, seed: int, variant: str) -> dict:
@@ -233,13 +240,12 @@ FAMILY_SPECS = {
         init=lambda lap, seed, variant: {"log_r": np.log(lap.eig_root)},
         remap=lambda lap: (lap.chol.T @ lap.eigvecs) / lap.eig_root[None, :]),
     "mvi_lr": FamilySpec(
-        fields=("u", "v"),
-        root=lambda params, lap: lap.chol + np.outer(params.u, params.v),
-        log_det=lambda params, lap, lemma: (_log_det_chol(lap), float(np.log(abs(lemma[1])))),
+        fields=("t", "v"),
+        root=lambda params, lap: lap.chol + np.outer(lap.chol @ params.t, params.v),
+        log_det=lambda params, lap, s: (_log_det_chol(lap), float(np.log(abs(s)))),
         contract=_contract_lr,
         init=_init_lr,
-        shared=_lemma,
-        whiten=False),
+        shared=_lemma),
     "vi_diag": FamilySpec(
         fields=("log_sigma",),
         root=lambda params, lap: np.diag(np.exp(params.log_sigma)),
@@ -297,9 +303,8 @@ def entropy(params: VariationalParams, laplace, shared=None) -> float:
 
     mvi_mu reads it off the Laplace Cholesky diagonal; mvi_eig and vi_diag
     reduce to sums of log scales; mvi_lr uses the matrix determinant lemma
-    det(C + u v') = det(C) (1 + v' C^-1 u), C^-1 u one mat-vec with the fit's
-    C^-1, and refuses to proceed when the rank-one update collapses the
-    determinant.
+    det(C (I + t v')) = det(C) (1 + v' t), and refuses to proceed when the
+    rank-one update collapses the determinant.
     ``shared`` is the family's ``shared`` value at ``params``, if known.
     """
     spec = _spec(params.family)
@@ -476,11 +481,9 @@ def fit_family(model, laplace, samples: FixedDraws, family: str,
                diag_variant: str = "laplace") -> FitResult:
     """Optimise one family's fixed-sample bound from its standard (or given) start.
 
-    A family whose spec sets ``whiten`` (mvi_mu, mvi_eig, vi_diag) is fitted
-    in the coordinates of :class:`_Whitened`, so its stop test reads the
-    whitened gradient; mvi_lr in the packed parameters themselves. Either
-    way ``opt`` holds the packed parameters, the raw max|gradient| of the
-    bound there, and every evaluation of the objective.
+    The fit runs in the coordinates of :class:`_Whitened`, so its stop test
+    reads the whitened gradient; ``opt`` holds the packed parameters, the raw
+    max|gradient| of the bound there, and every evaluation of the objective.
     """
     params0 = init if init is not None else initialise(family, laplace, seed, diag_variant)
     draws = family_samples(family, samples, laplace)
@@ -499,13 +502,12 @@ def fit_family(model, laplace, samples: FixedDraws, family: str,
             return np.inf, np.full(x.size, np.nan)
         return -val, -grad
 
-    x0, cfg = pack(params0), config or OptimConfig()
+    x0 = pack(params0)
     start = bound(x0)   # the minimiser's first evaluation, made once
-    if _spec(family).whiten and math.isfinite(start[0]):
-        result = _Whitened(bound, x0, start, laplace.chol, params0.theta.size).minimize(cfg)
-    else:
-        pending = [start]
-        result = minimize(lambda x: pending.pop() if pending else bound(x), x0, cfg)
+    if not math.isfinite(start[0]):
+        raise NumericalError("objective is not finite at the initial point")
+    result = _Whitened(bound, x0, start, laplace.chol,
+                       params0.theta.size).minimize(config or OptimConfig())
     fitted = unpack(params0, result.x)
     return FitResult(params=fitted, elbo=-result.f, opt=result, gain=start[0] - result.f)
 

@@ -1,5 +1,5 @@
-"""Small models, finite-difference oracles and the nesting warm start shared
-by the test modules: ``from makers import ...``."""
+"""Small models, finite-difference oracles, the nesting warm start and the
+Monte Carlo standard error shared by the test modules: ``from makers import ...``."""
 
 import numpy as np
 
@@ -93,9 +93,9 @@ def warm_start(family: str, at: VariationalParams, laplace, seed: int = 0) -> Va
     """Start a richer family at a free-mean optimum without losing its bound.
 
     The eigen family at r equal to the Laplace scales, and the rank-one
-    family at u = 0, reproduce the free-mean family's root exactly, so the
+    family at t = 0, reproduce the free-mean family's root exactly, so the
     warm-started bound equals the donor's bound to rounding. v is drawn small
-    and nonzero because the (u, v) origin is a joint stationary point the
+    and nonzero because the (t, v) origin is a joint stationary point the
     optimiser could not leave.
     """
     if at.family != "mvi_mu":
@@ -108,5 +108,12 @@ def warm_start(family: str, at: VariationalParams, laplace, seed: int = 0) -> Va
     if family == "mvi_lr":
         rng = np.random.default_rng(seed)
         return VariationalParams("mvi_lr", mu, theta,
-                                 u=np.zeros(p), v=0.1 * rng.standard_normal(p))
+                                 t=np.zeros(p), v=0.1 * rng.standard_normal(p))
     raise ValueError(f"no warm start defined for family {family!r}")
+
+
+def log_mean_exp_se(values: np.ndarray) -> float:
+    """Delta-method standard error of ln mean exp(values): the sd of the
+    normalised weights over sqrt(S), divided by their mean."""
+    w = np.exp(values - np.max(values))
+    return float(w.std(ddof=1) / (np.sqrt(w.size) * w.mean()))

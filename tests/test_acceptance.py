@@ -27,8 +27,8 @@ from mvipkg.variational import (FAMILIES, VariationalParams, draw_fixed_samples,
 from mvipkg.evaluate import log_mean_exp
 from mvipkg.variational import PosteriorGaussian
 
-from makers import (ALL_MODEL_MAKERS, finite_difference_gradient, make_conjugate,
-                    warm_start)
+from makers import (ALL_MODEL_MAKERS, finite_difference_gradient, log_mean_exp_se,
+                    make_conjugate, warm_start)
 
 
 def _verdict(num: int, label: str, ok: bool, detail: str, elapsed: float = None):
@@ -98,7 +98,7 @@ def test_criterion_2_gradient_suite():
                     params.log_r = params.log_r + \
                         0.2 * rng.standard_normal(params.dim)
                 elif family == "mvi_lr":
-                    params.u = 0.3 * rng.standard_normal(params.dim)
+                    params.t = 0.3 * rng.standard_normal(params.dim)
                     params.v = 0.3 * rng.standard_normal(params.dim)
                 elif family == "vi_diag":
                     params.log_sigma = params.log_sigma + \
@@ -253,9 +253,8 @@ def test_criterion_6_determinant_lemma():
         u = 0.5 * rng.standard_normal(p)
         v = 0.5 * rng.standard_normal(p)
         params = VariationalParams("mvi_lr", np.zeros(p), np.zeros(0),
-                                   u=u, v=v)
-        fit = SimpleNamespace(chol=chol, chol_inv=np.linalg.inv(chol))   # C and C^-1 of a fit
-        via_lemma = entropy(params, fit)
+                                   t=np.linalg.solve(chol, u), v=v)   # C t = u
+        via_lemma = entropy(params, SimpleNamespace(chol=chol))   # C of a fit
         sign, logdet = np.linalg.slogdet(chol + np.outer(u, v))
         direct = p * half_log_2pie + logdet
         worst = max(worst, abs(via_lemma - direct) / abs(direct))
@@ -307,7 +306,7 @@ def test_criterion_8_lpd_estimator():
     for trial in range(100):
         z = np.random.default_rng(trial).standard_normal((10_000, 4))
         ll = model.score(post.mean, post.root, z, phi_t, y_t)[1]
-        value, se = log_mean_exp(ll)
+        value, se = log_mean_exp(ll), log_mean_exp_se(ll)
         if abs(value - exact) <= 3.0 * se:
             hits += 1
     elapsed = time.perf_counter() - t0

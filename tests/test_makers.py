@@ -48,7 +48,7 @@ def test_warm_start_preserves_bound_exactly(cauchy_model):
         np.testing.assert_array_equal(warm.theta, fit_mu.params.theta)
         warm_val = elbo_estimate(warm, samples, cauchy_model, lap)
         assert warm_val == pytest.approx(fit_mu.elbo, abs=1.0e-9)
-    assert np.array_equal(warm_start("mvi_lr", fit_mu.params, lap, seed=1).u,
+    assert np.array_equal(warm_start("mvi_lr", fit_mu.params, lap, seed=1).t,
                           np.zeros(lap.dim))
     with pytest.raises(ValueError):
         warm_start("vi_diag", fit_mu.params, lap)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mvipkg.errors import DataError
-from mvipkg.stats import (PairedSample, bootstrap_median_diff_ci,
+from mvipkg.stats import (LEVEL, PairedSample, bootstrap_median_diff_ci,
                           sign_test, significance_decision)
 
 
@@ -113,6 +113,25 @@ def test_bootstrap_interval_ordered_and_covers_clear_shift():
     assert lo <= hi
     assert lo > 0.0  # unambiguous improvement excludes zero
     assert lo < 2.0 < hi or abs(hi - 2.0) < 0.3
+
+
+def _one_shot_ci(sample, n_boot, seed):
+    """The interval from a single n_boot x n draw of the indices."""
+    idx = np.random.default_rng(seed).integers(0, sample.a.size, size=(n_boot, sample.a.size))
+    stat = np.median(sample.a[idx], axis=1) - np.median(sample.b[idx], axis=1)
+    tail = 0.5 * (1.0 - LEVEL)
+    lo, hi = np.quantile(stat, [tail, 1.0 - tail])
+    return float(lo), float(hi)
+
+
+@pytest.mark.parametrize("n", (3, 7, 20))
+@pytest.mark.parametrize("n_boot", (1, 1023, 1024, 1025, 2049))
+def test_blocked_bootstrap_matches_one_shot_draw(n, n_boot):
+    # replicates drawn and reduced in blocks give the one-shot interval to the bit
+    rng = np.random.default_rng(n + n_boot)
+    sample = PairedSample(rng.standard_normal(n), rng.standard_normal(n))
+    assert bootstrap_median_diff_ci(sample, n_boot=n_boot, seed=2) == \
+        _one_shot_ci(sample, n_boot, seed=2)
 
 
 # ---------------------------------------------------------------------------

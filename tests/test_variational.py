@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +11,7 @@ from mvipkg.laplace import find_mode, laplace_approximation
 from mvipkg.models import FixedDraws
 from mvipkg.optimize import MinimizeResult, OptimConfig, minimize
 from mvipkg.variational import (FAMILIES, FAMILY_SPECS, FitResult, VariationalParams,
-                                _contract_lr, _kept_start, _lemma, _theta_scales, _Whitened,
+                                _kept_start, _theta_scales, _Whitened,
                                 covariance_root, draw_fixed_samples, elbo_and_gradient,
                                 elbo_estimate, entropy, family_samples,
                                 fit_family, initialise, laplace_posterior,
@@ -80,7 +79,7 @@ def test_params_field_validation():
     with pytest.raises(ValueError):
         VariationalParams("mvi_eig", np.zeros(2), np.zeros(1))
     with pytest.raises(ValueError):
-        VariationalParams("mvi_lr", np.zeros(2), np.zeros(1), u=np.zeros(3),
+        VariationalParams("mvi_lr", np.zeros(2), np.zeros(1), t=np.zeros(3),
                           v=np.zeros(2))
     with pytest.raises(ValueError):
         VariationalParams("nope", np.zeros(2), np.zeros(1))
@@ -132,7 +131,7 @@ def test_entropy_matches_slogdet(family, cauchy_model):
     if family == "mvi_eig":
         params.log_r = params.log_r + 0.3 * rng.standard_normal(params.dim)
     elif family == "mvi_lr":
-        params.u = rng.standard_normal(params.dim)
+        params.t = rng.standard_normal(params.dim)
         params.v = 0.5 * rng.standard_normal(params.dim)
     elif family == "vi_diag":
         params.log_sigma = params.log_sigma + 0.4 * rng.standard_normal(params.dim)
@@ -145,10 +144,10 @@ def test_entropy_matches_slogdet(family, cauchy_model):
 def test_rank_one_entropy_uses_determinant_lemma_safely(cauchy_model):
     lap = _lap(cauchy_model)
     params = initialise("mvi_lr", lap, seed=2)
-    # choose u = -C q / (v' q) so that 1 + v' C^-1 u = 0 exactly
+    # choose t = -q / (v' q) so that 1 + v' t = 0 exactly
     q = np.ones(params.dim)
     params.v = np.ones(params.dim)
-    params.u = -(lap.chol @ q) / float(params.v @ q)
+    params.t = -q / float(params.v @ q)
     with pytest.raises(NumericalError, match="singular"):
         entropy(params, lap)
 
@@ -227,7 +226,7 @@ def _perturbed(family, lap, rng):
     if family == "mvi_eig":
         params.log_r = params.log_r + 0.2 * rng.standard_normal(params.dim)
     elif family == "mvi_lr":
-        params.u = 0.3 * rng.standard_normal(params.dim)
+        params.t = 0.3 * rng.standard_normal(params.dim)
         params.v = 0.3 * rng.standard_normal(params.dim)
     elif family == "vi_diag":
         params.log_sigma = params.log_sigma + 0.2 * rng.standard_normal(params.dim)
@@ -269,12 +268,11 @@ def _per_draw_bound(params, samples, model, lap):
     elif params.family == "vi_diag":
         sigma = np.exp(params.log_sigma)
         blocks.append((g * z).mean(axis=0) * sigma + 1.0)
-    elif params.family == "mvi_lr":
-        t = solve_triangular(lap.chol, params.u, lower=True)
-        s = 1.0 + params.v @ t
-        c_inv_t_v = solve_triangular(lap.chol.T, params.v, lower=False)
-        blocks.append(np.einsum("s,sp->p", z @ params.v, g) / n + c_inv_t_v / s)
-        blocks.append(np.einsum("s,sp->p", g @ params.u, z) / n + t / s)
+    elif params.family == "mvi_lr":   # R = C + u v', u = C t
+        t, v = params.t, params.v
+        s = 1.0 + v @ t
+        blocks.append(lap.chol.T @ np.einsum("s,sp->p", z @ v, g) / n + v / s)
+        blocks.append(np.einsum("s,sp->p", g @ (lap.chol @ t), z) / n + t / s)
     blocks.append(theta_g.mean(axis=0))
     return value, np.concatenate(blocks)
 
@@ -306,28 +304,6 @@ def test_elbo_and_gradient_match_per_draw_oracle(name, family):
     assert model.value(lap.mean) == at_mode   # the caller's model never moves
 
 
-@pytest.mark.parametrize("name", ("cauchy", "binary", "softmax", "conjugate"))
-def test_lemma_solves_match_solve_triangular(name):
-    # C^-1 u and C^-T v as mat-vecs with the fit's cached C^-1, against
-    # triangular substitution on the Laplace factor C
-    lap = _lap(ORACLE_MODELS[name]())
-    params = _perturbed("mvi_lr", lap, np.random.default_rng(6))
-    t, s = _lemma(params, lap)
-    np.testing.assert_allclose(t, solve_triangular(lap.chol, params.u, lower=True),
-                               rtol=1.0e-12)
-    assert s == 1.0 + float(params.v @ t)
-    c_inv_t_v = _contract_lr(params, lap, np.zeros((lap.dim, lap.dim)), (t, s))[0] * s
-    np.testing.assert_allclose(c_inv_t_v, solve_triangular(lap.chol.T, params.v, lower=False),
-                               rtol=1.0e-12)
-
-
-def test_laplace_chol_inv_rejects_a_singular_factor(cauchy_model):
-    lap = _lap(cauchy_model)
-    lap.chol[1, 1] = 1.0e-320   # C^-1 overflows
-    with pytest.raises(NumericalError, match="not finite"):
-        lap.chol_inv
-
-
 def test_elbo_raises_on_nonfinite_values(cauchy_model):
     lap = _lap(cauchy_model)
     samples = draw_fixed_samples(10, lap.dim, seed=0)
@@ -354,11 +330,30 @@ def test_diag_variants(cauchy_model):
 
 
 def test_lr_initialisation_scale(cauchy_model):
+    # the start C + u v' with u, v small noise, as C t = u and v
     lap = _lap(cauchy_model)
     params = initialise("mvi_lr", lap, seed=21)
     rng = np.random.default_rng(21)
-    np.testing.assert_array_equal(params.u, 0.1 * rng.standard_normal(lap.dim))
+    np.testing.assert_allclose(lap.chol @ params.t, 0.1 * rng.standard_normal(lap.dim),
+                               rtol=1.0e-12)
     np.testing.assert_array_equal(params.v, 0.1 * rng.standard_normal(lap.dim))
+
+
+@pytest.mark.parametrize("name", ("cauchy", "binary", "softmax", "conjugate"))
+def test_lr_start_solve_matches_solve_triangular(name):
+    # t = C^-1 u by a general solve, against triangular substitution on C
+    lap = _lap(ORACLE_MODELS[name]())
+    params = initialise("mvi_lr", lap, seed=6)
+    u = 0.1 * np.random.default_rng(6).standard_normal(lap.dim)
+    np.testing.assert_allclose(params.t, solve_triangular(lap.chol, u, lower=True),
+                               rtol=1.0e-12)
+
+
+def test_lr_start_on_a_singular_factor_is_a_numerical_error(cauchy_model):
+    lap = _lap(cauchy_model)
+    lap.chol[1, 1] = 1.0e-320   # C^-1 u overflows
+    with pytest.raises(NumericalError, match="not finite"):
+        initialise("mvi_lr", lap)
 
 
 # ---------------------------------------------------------------------------
@@ -440,13 +435,6 @@ def test_richer_families_dominate_at_optimum(cauchy_model):
 # whitened coordinates
 # ---------------------------------------------------------------------------
 
-WHITENED = tuple(f for f in FAMILIES if FAMILY_SPECS[f].whiten)
-
-
-def test_every_family_but_rank_one_fits_whitened():
-    assert WHITENED == ("mvi_mu", "mvi_eig", "vi_diag")
-
-
 def _negated_bound(params, samples, model, lap):
     def fun(x):
         value, grad = elbo_and_gradient(unpack(params, x), samples, model, lap)
@@ -454,7 +442,42 @@ def _negated_bound(params, samples, model, lap):
     return fun
 
 
-@pytest.mark.parametrize("family", WHITENED)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_every_family_fits_whitened(family, cauchy_model):
+    # one fitting path: the fit is the whitened minimiser of the negated bound
+    lap = _lap(cauchy_model)
+    samples = draw_fixed_samples(60, lap.dim, seed=7)
+    cfg = OptimConfig(max_iters=40)
+    fit = fit_family(cauchy_model, lap, samples, family, seed=3, config=cfg)
+    params = initialise(family, lap, seed=3)
+    fun, x0 = _negated_bound(params, samples, cauchy_model, lap), pack(params)
+    direct = _Whitened(fun, x0, fun(x0), lap.chol, params.theta.size).minimize(cfg)
+    np.testing.assert_array_equal(fit.opt.x, direct.x)
+    np.testing.assert_array_equal(pack(fit.params), direct.x)
+    assert fit.elbo == -direct.f
+    assert (fit.opt.n_evals, fit.opt.grad_norm) == (direct.n_evals, direct.grad_norm)
+
+
+def test_a_non_finite_start_is_an_error_before_any_probe(cauchy_model, monkeypatch):
+    lap = _lap(cauchy_model)
+    samples = draw_fixed_samples(10, lap.dim, seed=0)
+    params = initialise("mvi_lr", lap)
+    params.theta = np.array([800.0, 0.0, 0.0])   # exp overflows
+    calls = []
+    real = elbo_and_gradient
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(variational, "elbo_and_gradient", counted)
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericalError, match="not finite at the initial point"):
+            fit_family(cauchy_model, lap, samples, "mvi_lr", init=params)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("family", FAMILIES)
 def test_whitened_gradient_matches_finite_differences(family, cauchy_model):
     # the gradient T' g the minimiser sees, against differences of the bound in y
     lap = _lap(cauchy_model)
@@ -471,32 +494,19 @@ def test_whitened_gradient_matches_finite_differences(family, cauchy_model):
     assert np.linalg.norm(grad - fd) / np.linalg.norm(fd) < 1.0e-5
 
 
-@pytest.mark.parametrize("family", WHITENED)
-def test_whitened_fits_reach_the_raw_fits_bound_on_the_conjugate_oracle(family, monkeypatch):
+@pytest.mark.parametrize("family", FAMILIES)
+def test_whitened_fits_reach_the_raw_fits_bound_on_the_conjugate_oracle(family):
+    # the raw reference: L-BFGS on the packed bound itself, from the same start
     model = make_conjugate(seed=5, n=12, p=3)
     lap = _lap(model)
     samples = draw_fixed_samples(200, lap.dim, seed=6)
     tight = OptimConfig(max_iters=5000, grad_tol=1.0e-10, f_tol=1.0e-16)
     whitened = fit_family(model, lap, samples, family, config=tight)
-    monkeypatch.setitem(FAMILY_SPECS, family, replace(FAMILY_SPECS[family], whiten=False))
-    raw = fit_family(model, lap, samples, family, config=tight)
-    assert abs(whitened.elbo - raw.elbo) < 1.0e-8
+    params = initialise(family, lap)
+    raw = minimize(_negated_bound(params, samples, model, lap), pack(params), tight)
+    assert abs(whitened.elbo + raw.f) < 1.0e-8
     if family != "vi_diag":   # the exact posterior is in these families
         assert abs(whitened.elbo - model.log_evidence()) < 1.0e-8
-
-
-def test_rank_one_fit_is_the_minimiser_on_the_raw_bound(cauchy_model):
-    lap = _lap(cauchy_model)
-    samples = draw_fixed_samples(60, lap.dim, seed=7)
-    cfg = OptimConfig(max_iters=80)
-    fit = fit_family(cauchy_model, lap, samples, "mvi_lr", seed=3, config=cfg)
-    params = initialise("mvi_lr", lap, seed=3)
-    direct = minimize(_negated_bound(params, samples, cauchy_model, lap), pack(params), cfg)
-    np.testing.assert_array_equal(pack(fit.params), direct.x)
-    np.testing.assert_array_equal(fit.opt.x, direct.x)
-    assert fit.elbo == -direct.f
-    assert fit.opt.n_evals == direct.n_evals
-    assert fit.opt.grad_norm == direct.grad_norm
 
 
 @pytest.mark.parametrize("name", ("cauchy", "softmax", "conjugate"))
