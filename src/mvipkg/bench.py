@@ -66,10 +66,10 @@ def _search_and_fit(train, seed: int, n_samples: int, grid: GridConfig | None,
     """The grid search on ``train``, and ``fit(method)``: one method's
     (posterior, scoring model, fit). For laplace these are the search's
     Laplace Gaussian and model, and None; for a variational method the
-    family's Gaussian, the model at its hyperparameters and
-    ``variational.fit_best``'s (variant, fit, other fits), fitted from the
-    start of ``seed`` on draws of ``seed`` that every method shares, drawn
-    by the first variational fit.
+    family's Gaussian, the model at its hyperparameters and the
+    ``variational.fit_family`` fit, from the family's one start (seeded by
+    ``seed``) on draws of ``seed`` that every method shares, drawn by the
+    first variational fit.
     """
     search = laplace_mod.hyperparameter_search(
         train.X, train.y, train.kind, seed=seed,
@@ -83,11 +83,11 @@ def _search_and_fit(train, seed: int, n_samples: int, grid: GridConfig | None,
     def fit(method: str):
         if method == "laplace":
             return variational.laplace_posterior(lap), model, None
-        best = variational.fit_best(model, lap, samples(), method,
-                                    seed=seed + SALT_INIT, config=optim)
-        params = best[1].params
+        fitted = variational.fit_family(model, lap, samples(), method,
+                                        seed=seed + SALT_INIT, config=optim)
+        params = fitted.params
         return (variational.covariance_root(params, lap), model.with_theta(params.theta),
-                best)
+                fitted)
     return search, fit
 
 
@@ -103,11 +103,8 @@ def run_split(train, test, methods=METHODS, seed: int = 0, n_samples: int = 1000
     its fit ended at; the Laplace ones are ``search_info["theta_la"]``.
     Every record carries its fit's diagnostics: ``n_iters``, ``n_evals``,
     ``stop_reason`` and the final max-norm gradient ``grad_norm`` (for
-    laplace, those of the final mode search). A family with two published
-    starts (vi_diag) fits both and keeps the higher training bound
-    (``variational.fit_best``); its record names the kept ``variant`` and
-    holds the other start's bound ``elbo_other`` and its diagnostics under
-    the same names with the suffix ``_other``.
+    laplace, those of the final mode search). Every variational record has
+    the same keys.
     The search info counts the failed grid candidates (``grid_failed``) and
     the failures of each kind (``grid_failures``). The timing holds the
     search's seconds (``grid``, ``final_mode``, ``curvature``), then
@@ -135,19 +132,14 @@ def run_split(train, test, methods=METHODS, seed: int = 0, n_samples: int = 1000
     eval_seed = seed + SALT_EVAL
     for method in methods:
         t0 = time.perf_counter()
-        posterior, scorer, best = fit(method)
-        if best is None:
+        posterior, scorer, fitted = fit(method)
+        if fitted is None:
             rec = {"elbo": float(lap.bound_at_mode), **_fit_diagnostics(search.mode)}
         else:
-            variant, fitted, others = best
             timing[f"{method}.fit"] = time.perf_counter() - t0
             t0 = time.perf_counter()
             rec = {"elbo": float(fitted.elbo), **_fit_diagnostics(fitted.opt),
                    "theta": [float(t) for t in fitted.params.theta]}
-            if others:   # the other published start
-                (other,) = others.values()
-                rec.update(variant=variant, elbo_other=float(other.elbo),
-                           **{f"{k}_other": v for k, v in _fit_diagnostics(other.opt).items()})
         sc = score(posterior, scorer, test.X, test.y, n_samples=n_eval, seed=eval_seed)
         rec.update({"lpd": float(sc.lpd), metric: float(getattr(sc, metric))})
         records[method] = rec
@@ -425,16 +417,14 @@ def run_fit(train, method: str, seed: int = 0, n_samples: int = 1000,
     (the dataset's ``task``, the derived seeds and the bounds; not its
     settings), the numpy arrays for a binary sidecar, the fitted Gaussian,
     and the model ``run_split`` scores it with. ``meta["elbo_estimate"]``
-    is the fit's training bound (for laplace, the bound at the mode). For
-    vi_diag both initialisations are fitted and the higher final bound is
-    kept (``variational.fit_best``), its start named by ``meta["variant"]``.
+    is the fit's training bound (for laplace, the bound at the mode).
     A variational ``meta`` carries the fit's diagnostics: ``n_iters``,
     ``n_evals``, ``stop_reason`` and ``grad_norm``.
     """
     (method,) = _check_methods((method,))
     search, fit = _search_and_fit(train, seed, n_samples, grid, optim)
     model, lap = search.model, search.laplace
-    posterior, scorer, best = fit(method)
+    posterior, scorer, fitted = fit(method)
 
     meta = {
         "task": train.kind,
@@ -450,10 +440,7 @@ def run_fit(train, method: str, seed: int = 0, n_samples: int = 1000,
         "la_eigvecs": lap.eigvecs, "la_eig_root": lap.eig_root,
         "theta_la": lap.theta, "centers": model.centers,
     }
-    if best is not None:
-        variant, fitted, others = best
-        if others:
-            meta["variant"] = variant
+    if fitted is not None:
         meta.update(_fit_diagnostics(fitted.opt), elbo_estimate=float(fitted.elbo))
         params = fitted.params
         arrays.update(mu=params.mu, theta=params.theta)

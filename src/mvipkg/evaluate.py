@@ -8,9 +8,10 @@ log-sum-exp, so only the log-likelihoods themselves ever need to be finite.
 Conventions worth stating once:
 
 * ``lpd`` is the *joint* test-set quantity ln (1/S) sum_s p(D_test | w_s).
-  Classification metrics report it as is. Regression metrics divide by the
-  number of test points, which puts the value on the per-observation scale
-  that the regression benchmarks are quoted on.
+  Classification metrics report it as is. Regression metrics divide it by
+  the number of test points N. That is the joint lpd over N, not the
+  pointwise mean_n ln (1/S) sum_s p(y_n | w_s) that published regression
+  benchmarks quote, and the two differ in general.
 * Evaluation draws are fresh, raw standard normals under their own seed; the
   standardisation applied to optimisation sample sets is deliberately not
   applied here, so the reported numbers are plain Monte Carlo estimates.
@@ -102,7 +103,8 @@ def classification_metrics(posterior: PosteriorGaussian, model, X_test, y_test,
 
 def regression_metrics(posterior: PosteriorGaussian, model, X_test, y_test,
                        n_samples: int = 10_000, seed: int = 0) -> PredictiveScore:
-    """Mean squared error of the Monte Carlo mean prediction, plus per-point lpd."""
+    """Mean squared error of the Monte Carlo mean prediction, plus the joint
+    lpd divided by the number of test points (not the pointwise mean lpd)."""
     preds, value = _scored(posterior, model, X_test, y_test, n_samples, seed)
     y = np.asarray(y_test, dtype=float).ravel()
     mse = float(np.mean((y - preds) ** 2))

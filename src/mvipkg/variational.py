@@ -14,8 +14,9 @@ Every family is optimised in Laplace-whitened coordinates
 and theta scaled by its curvature at the start; mvi_lr's rank-one update is
 written in the same frame, C t v'. The change of variables leaves the
 bound as it is and saves evaluations: on the 20-run heavy-tail suite mvi_mu,
-mvi_eig, mvi_lr and vi_diag take 419, 633, 1,884 and 1,468 against 911,
-1,297, 2,449 and 3,552 in the raw coordinates (mvi_lr's as C + u v').
+mvi_eig, mvi_lr and vi_diag take 419, 633, 1,884 and 731 against 911,
+1,297, 2,449 and 3,552 in the raw coordinates (mvi_lr's as C + u v'; the
+raw vi_diag count covers two starts, Laplace diagonal and sigma^2 = 1e-4).
 
 The sample term is the model's ``expectation(mu, R, draws)``: the means
 over the draws of the log posterior, of its gradient g_s at w_s = mu + R z_s
@@ -42,7 +43,7 @@ mvi_lr    free mean plus a rank-one update of the Cholesky factor,
           in the Laplace frame: R = C (I + t v') = C + (C t) v'. v and
           C t start as small Gaussian noise.
 vi_diag   mean-field baseline; R = diag(sigma), no Laplace coupling beyond
-          the initialisation of sigma.
+          the start, sigma^2 equal to the Laplace covariance diagonal.
 
 All positive quantities (r, sigma, and the model hyperparameters) are
 optimised in log space. Model hyperparameters theta enter only through the
@@ -174,8 +175,7 @@ class FamilySpec:
     log_det: Callable           # (params, laplace, shared) -> terms of ln|det R|, added in order
     contract: Callable          # (params, laplace, G, shared) -> gradient blocks of the fields:
                                 # the sample term from G alone plus the entropy's terms
-    init: Callable              # (laplace, seed, variant) -> starting fields
-    variants: tuple[str, ...] = ("laplace",)  # starts ``init`` accepts; ``fit_best`` fits each
+    init: Callable              # (laplace, seed) -> starting fields
     remap: Optional[Callable] = None          # laplace -> M: the family's samples are z M
     shared: Callable = lambda params, lap: None  # what log_det and contract share per point
 
@@ -209,7 +209,7 @@ def _contract_lr(params: VariationalParams, laplace, G: np.ndarray,
             G.T @ (laplace.chol @ params.t) + params.t / s]
 
 
-def _init_lr(laplace, seed: int, variant: str) -> dict:
+def _init_lr(laplace, seed: int) -> dict:
     """t = C^-1 u and v, u and v small Gaussian noise: the root C + u v'."""
     rng = np.random.default_rng(seed)
     p = laplace.mean.size
@@ -219,25 +219,19 @@ def _init_lr(laplace, seed: int, variant: str) -> dict:
     return {"t": t, "v": 0.1 * rng.standard_normal(p)}
 
 
-def _init_diag(laplace, seed: int, variant: str) -> dict:
-    if variant == "laplace":
-        return {"log_sigma": 0.5 * np.log(np.diag(laplace.cov))}
-    return {"log_sigma": np.full(laplace.mean.size, 0.5 * np.log(1.0e-4))}
-
-
 FAMILY_SPECS = {
     "mvi_mu": FamilySpec(
         fields=(),
         root=lambda params, lap: lap.chol.copy(),
         log_det=lambda params, lap, _: (_log_det_chol(lap),),
         contract=lambda params, lap, G, _: [],
-        init=lambda lap, seed, variant: {}),
+        init=lambda lap, seed: {}),
     "mvi_eig": FamilySpec(
         fields=("log_r",),
         root=lambda params, lap: lap.eigvecs * np.exp(params.log_r)[None, :],
         log_det=lambda params, lap, _: (float(np.sum(params.log_r)),),
         contract=lambda params, lap, G, _: [_log_scale_block(lap.eigvecs.T @ G, params.log_r)],
-        init=lambda lap, seed, variant: {"log_r": np.log(lap.eig_root)},
+        init=lambda lap, seed: {"log_r": np.log(lap.eig_root)},
         remap=lambda lap: (lap.chol.T @ lap.eigvecs) / lap.eig_root[None, :]),
     "mvi_lr": FamilySpec(
         fields=("t", "v"),
@@ -251,8 +245,7 @@ FAMILY_SPECS = {
         root=lambda params, lap: np.diag(np.exp(params.log_sigma)),
         log_det=lambda params, lap, _: (float(np.sum(params.log_sigma)),),
         contract=lambda params, lap, G, _: [_log_scale_block(G, params.log_sigma)],
-        init=_init_diag,
-        variants=("laplace", "small")),
+        init=lambda lap, seed: {"log_sigma": 0.5 * np.log(np.diag(lap.cov))}),
 }
 FAMILIES = tuple(FAMILY_SPECS)
 _ALL_FIELDS = tuple(n for spec in FAMILY_SPECS.values() for n in spec.fields)
@@ -383,22 +376,13 @@ def elbo_and_gradient(params: VariationalParams, samples: FixedDraws,
 # initialisation and fitting
 # ---------------------------------------------------------------------------
 
-def initialise(family: str, laplace, seed: int = 0,
-               diag_variant: str = "laplace") -> VariationalParams:
-    """Standard initialisation of a family at the Laplace fit.
-
-    vi_diag has two published starting points: sigma^2 equal to the Laplace
-    covariance diagonal (``diag_variant="laplace"``) or sigma^2 = 1e-4
-    (``diag_variant="small"``). :func:`fit_best` fits both and keeps the
-    higher training bound, never a test-set score. The other families have
-    the one start, "laplace".
-    """
-    spec = _spec(family)
-    if diag_variant not in spec.variants:
-        raise ValueError(f"unknown {family} variant {diag_variant!r}")
+def initialise(family: str, laplace, seed: int = 0) -> VariationalParams:
+    """The family's one start, at the Laplace fit: its mean and theta, and
+    the fields its spec's ``init`` gives (vi_diag's sigma^2 the Laplace
+    covariance diagonal)."""
     return VariationalParams(family, laplace.mean.copy(),
                              np.asarray(laplace.theta, dtype=float).copy(),
-                             **spec.init(laplace, seed, diag_variant))
+                             **_spec(family).init(laplace, seed))
 
 
 @dataclass
@@ -406,7 +390,6 @@ class FitResult:
     params: VariationalParams
     elbo: float
     opt: MinimizeResult
-    gain: float = 0.0   # the bound's rise from the start
 
     @property
     def family(self) -> str:
@@ -477,15 +460,14 @@ class _Whitened:
 
 def fit_family(model, laplace, samples: FixedDraws, family: str,
                seed: int = 0, config: OptimConfig | None = None,
-               init: VariationalParams | None = None,
-               diag_variant: str = "laplace") -> FitResult:
+               init: VariationalParams | None = None) -> FitResult:
     """Optimise one family's fixed-sample bound from its standard (or given) start.
 
     The fit runs in the coordinates of :class:`_Whitened`, so its stop test
     reads the whitened gradient; ``opt`` holds the packed parameters, the raw
     max|gradient| of the bound there, and every evaluation of the objective.
     """
-    params0 = init if init is not None else initialise(family, laplace, seed, diag_variant)
+    params0 = init if init is not None else initialise(family, laplace, seed)
     draws = family_samples(family, samples, laplace)
 
     def bound(x: np.ndarray) -> tuple[float, np.ndarray]:
@@ -509,31 +491,4 @@ def fit_family(model, laplace, samples: FixedDraws, family: str,
     result = _Whitened(bound, x0, start, laplace.chol,
                        params0.theta.size).minimize(config or OptimConfig())
     fitted = unpack(params0, result.x)
-    return FitResult(params=fitted, elbo=-result.f, opt=result, gain=start[0] - result.f)
-
-
-def _kept_start(fits: dict[str, FitResult], f_tol: float) -> str:
-    """The first listed start, unless a later fit's bound is higher by more than
-    the two fits' margins f_tol (1 + gain) added. The ``f_tol`` stop ends a fit
-    once a step gains at most its margin, so each fit may end about that far
-    short of its optimum, and two fits of one optimum that far apart: closer
-    than that, round-off would pick the start."""
-    kept = next(iter(fits))
-    for variant, fit in fits.items():
-        margin = f_tol * (2.0 + fit.gain + fits[kept].gain)
-        if fit.elbo - fits[kept].elbo > margin:
-            kept = variant
-    return kept
-
-
-def fit_best(model, laplace, samples: FixedDraws, family: str, seed: int = 0,
-             config: OptimConfig | None = None) -> tuple[str, FitResult, dict[str, FitResult]]:
-    """Fit every start the family lists and keep the highest bound, bounds within
-    the stop rule's margin tied and a tie to the first listed (:func:`_kept_start`):
-    (kept variant, its fit, the other fits by variant)."""
-    cfg = config or OptimConfig()
-    fits = {v: fit_family(model, laplace, samples, family, seed=seed, config=cfg,
-                          diag_variant=v)
-            for v in _spec(family).variants}
-    variant = _kept_start(fits, cfg.f_tol)
-    return variant, fits.pop(variant), fits
+    return FitResult(params=fitted, elbo=-result.f, opt=result)

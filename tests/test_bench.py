@@ -49,16 +49,12 @@ def test_run_split_record_structure():
     for rec in recs.values():
         assert {"lpd", "mse", "elbo", "n_iters"} <= set(rec)
         assert np.isfinite(rec["lpd"]) and np.isfinite(rec["mse"])
-    diag = recs["vi_diag"]
-    assert diag["variant"] in ("laplace", "small")
-    # the kept start has the higher training bound; the other start's bound
-    # and diagnostics ride along, and no test-set score of it exists
-    assert np.isfinite(diag["elbo_other"]) and diag["elbo"] >= diag["elbo_other"]
-    assert {"n_iters_other", "n_evals_other", "stop_reason_other",
-            "grad_norm_other"} <= set(diag)
-    assert "lpd_other" not in diag
-    assert "variant" not in recs["mvi_mu"]
-    assert not any(k.endswith("_other") for k in recs["mvi_mu"])
+    # one fit per family: every variational record has the same keys, the
+    # Laplace record those but the fitted theta
+    fitted = {"elbo", "n_iters", "n_evals", "stop_reason", "grad_norm", "theta",
+              "lpd", "mse"}
+    assert set(recs["mvi_mu"]) == set(recs["vi_diag"]) == fitted
+    assert set(recs["laplace"]) == fitted - {"theta"}
     # the search's three stages, then each method's; no two overlap
     assert set(timing) == {"grid", "final_mode", "curvature", "laplace.score",
                            "mvi_mu.fit", "mvi_mu.score", "vi_diag.fit", "vi_diag.score"}
@@ -105,8 +101,8 @@ def test_run_split_shares_evaluation_draws():
 
 
 def test_run_split_scores_each_method_once(monkeypatch):
-    # one metrics call per reported method, vi_diag's two starts included,
-    # each on the evaluation draws: the same count under the same seed
+    # one metrics call per reported method, each on the evaluation draws:
+    # the same count under the same seed
     calls = []
     real = evaluate.regression_metrics
 
@@ -124,50 +120,19 @@ def test_run_split_scores_each_method_once(monkeypatch):
     assert set(calls) == {(200, 5 + bench.SALT_EVAL)}
 
 
-def _fake_fits(monkeypatch, elbos):
-    """Make ``fit_family`` return a stub fit whose bound is ``elbos[variant]``."""
-    real = variational.fit_family
-
-    def fake(model, laplace, samples, family, seed=0, config=None, init=None,
-             diag_variant="laplace"):
-        fit = real(model, laplace, samples, family, seed=seed,
-                   config=OptimConfig(max_iters=1), diag_variant=diag_variant)
-        return variational.FitResult(fit.params, elbos[diag_variant], fit.opt)
-
-    monkeypatch.setattr(variational, "fit_family", fake)
-
-
-@pytest.mark.parametrize("elbos, kept", [
-    ({"laplace": -3.0, "small": -2.0}, "small"),
-    ({"laplace": -2.0, "small": -3.0}, "laplace"),
-    ({"laplace": -2.0, "small": -2.0}, "laplace"),   # a tie goes to the first
-])
-def test_vi_diag_keeps_the_highest_bound(monkeypatch, elbos, kept):
-    _fake_fits(monkeypatch, elbos)
-    train, test = _small_task(seed=1)
-    recs, _, _ = bench.run_split(
-        train, test, methods=("vi_diag",), seed=3, n_samples=50, n_eval=50,
-        grid=SMALL_GRID, optim=SMALL_OPTIM)
-    other = "small" if kept == "laplace" else "laplace"
-    assert recs["vi_diag"]["variant"] == kept
-    assert recs["vi_diag"]["elbo"] == elbos[kept]
-    assert recs["vi_diag"]["elbo_other"] == elbos[other]
-    meta, *_ = bench.run_fit(train, "vi_diag", seed=3, n_samples=50,
-                            grid=SMALL_GRID, optim=SMALL_OPTIM)
-    assert meta["variant"] == kept
-
-
-def test_run_fit_and_run_split_keep_the_same_variant():
+@pytest.mark.parametrize("family", variational.FAMILIES)
+def test_run_fit_matches_run_split(family):
     train, test = _small_task(seed=3)
     recs, _, _ = bench.run_split(
-        train, test, methods=("vi_diag",), seed=2, n_samples=100, n_eval=50,
+        train, test, methods=(family,), seed=2, n_samples=100, n_eval=50,
         grid=SMALL_GRID, optim=SMALL_OPTIM)
-    meta, *_ = bench.run_fit(train, "vi_diag", seed=2, n_samples=100,
-                             grid=SMALL_GRID, optim=SMALL_OPTIM)
-    assert meta["variant"] == recs["vi_diag"]["variant"]
-    assert meta["elbo_estimate"] == recs["vi_diag"]["elbo"]
+    meta, arrays, *_ = bench.run_fit(train, family, seed=2, n_samples=100,
+                                     grid=SMALL_GRID, optim=SMALL_OPTIM)
+    rec = recs[family]
+    assert meta["elbo_estimate"] == rec["elbo"]
     for key in ("n_iters", "n_evals", "stop_reason", "grad_norm"):
-        assert meta[key] == recs["vi_diag"][key]
+        assert meta[key] == rec[key]
+    assert [float(t) for t in arrays["theta"]] == rec["theta"]
 
 
 def test_non_finite_held_out_draw_skips_the_split(monkeypatch):
@@ -446,10 +411,6 @@ def test_run_fit_outputs(method):
         np.testing.assert_array_equal(posterior.root, arrays["la_chol"])
         np.testing.assert_allclose(model.theta, arrays["theta_la"], rtol=1.0e-12)
     else:
-        if method == "vi_diag":
-            assert meta["variant"] in ("laplace", "small")
-        else:
-            assert "variant" not in meta
         # fit.json carries the same diagnostics as a report record
         assert {"n_iters", "n_evals", "stop_reason", "grad_norm"} <= set(meta)
         np.testing.assert_array_equal(posterior.mean, arrays["mu"])
