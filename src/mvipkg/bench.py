@@ -304,7 +304,9 @@ def run_cauchy(n_runs: int = 20, methods=METHODS, seed: int = 0,
     """The synthetic heavy-tail regression suite: n_runs fresh datasets.
 
     ``n_workers`` processes run the splits; None (the default) starts one
-    per usable core.
+    per usable core. Several are ``spawn`` processes, which import the
+    caller's ``__main__`` again: call this under ``if __name__ ==
+    "__main__":``, or the pool dies with ``BrokenProcessPool``.
     """
     methods = _check_methods(methods)
     splits = [(*data_mod.generate_cauchy_task(seed + i, n_train, n_test), seed + i)
@@ -319,8 +321,9 @@ def run_benchmark(dataset, methods=METHODS, plan=None,
                   grid: GridConfig | None = None, optim: OptimConfig | None = None,
                   alpha: float = 0.05, n_boot: int = 10_000,
                   n_workers: int | None = None) -> dict:
-    """Split-resampling benchmark on a loaded dataset; ``n_workers`` as in
-    :func:`run_cauchy`. The report's ``task`` is the dataset's task kind."""
+    """Split-resampling benchmark on a loaded dataset; ``n_workers``, and
+    the ``__main__`` guard, as in :func:`run_cauchy`. The report's ``task``
+    is the dataset's task kind."""
     methods = _check_methods(methods)
     plan = plan or data_mod.SplitPlan()
     splits = data_mod.make_splits(dataset, plan)

@@ -217,8 +217,7 @@ def _optim_from(value, key: str) -> OptimConfig:
     o = _object(value, OptimConfig.__dataclass_fields__, key)
     return OptimConfig(
         max_iters=_count(o.get("max_iters", OptimConfig.max_iters), f"{key}.max_iters"),
-        **{k: _tolerance(o.get(k, getattr(OptimConfig, k)), f"{key}.{k}")
-           for k in ("grad_tol", "f_tol")})
+        grad_tol=_tolerance(o.get("grad_tol", OptimConfig.grad_tol), f"{key}.grad_tol"))
 
 
 def _parse_methods(raw: str) -> list:

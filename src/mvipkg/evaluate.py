@@ -58,8 +58,8 @@ def log_mean_exp(values: np.ndarray) -> float:
 class PredictiveScore:
     """Held-out summary for one fitted method on one split.
 
-    ``lpd`` follows the module convention: joint for classification,
-    per-test-point for regression.
+    ``lpd`` follows the module convention: the joint test-set lpd for
+    classification, and that joint lpd divided by N for regression.
     """
 
     lpd: float

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,18 +36,17 @@ def find_mode(model, w0: np.ndarray, config: OptimConfig | None = None) -> Minim
     """Gradient-based ascent to a stationary point of the log posterior.
 
     Returns the deterministic minimiser's result on the negated objective
-    (``f`` is minus the log posterior at ``x``), run with ``f_tol`` 0: it
-    stops on the max-norm gradient test (``converged``), after ``max_iters``
-    accepted steps, or (reason ``f_tol``) when no finite line search trial
-    lowers the value; ``config.f_tol`` is not used.
+    (``f`` is minus the log posterior at ``x``): it stops on the max-norm
+    gradient test (``converged``), after ``max_iters`` accepted steps, or
+    (reason ``f_tol``) when no finite line search trial lowers the value.
     """
-    cfg = replace(config or OptimConfig(max_iters=1000), f_tol=0.0)
 
     def objective(w: np.ndarray) -> tuple[float, np.ndarray]:
         values, grads, _ = model.evaluate(w)
         return -float(values[0]), -grads[0]
 
-    return minimize(objective, np.asarray(w0, dtype=float), cfg)
+    return minimize(objective, np.asarray(w0, dtype=float),
+                    config or OptimConfig(max_iters=1000))
 
 
 @dataclass

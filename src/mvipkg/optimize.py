@@ -14,18 +14,15 @@ asks for both at once.
 
 The memory, the number of curvature pairs kept (``_MEMORY``), is the constant
 to tune (Nocedal & Wright 2006, ch. 7). It is 60, well above the usual 3-20,
-because the variational fits stop on ``f_tol`` and a longer memory takes them
-nearer the optimum in fewer evaluations. On the 20-run heavy-tail suite
-(``bench.run_cauchy(n_runs=20, seed=0)``, one worker) a sweep over 10, 20,
-30, 40, 60 and 100 pairs gave 15,666, 12,091, 10,105, 8,936, 8,208 and 7,912
-fit evaluations, 1,631, 1,205, 1,002, 875, 822 and 822 final mode search
-iterations, and a largest final max|g| over the fits of 2.3e-2, 3.1e-2,
-1.1e-2, 1.4e-2, 4.7e-3 and 2.3e-3. A search of k steps stores at most k pairs,
-so while the grid's ``search_iters <= _MEMORY`` no pair of a grid candidate's
-search is dropped: its steps, its score and the grid's winner are the same
-at every such memory, and only the long searches move. The sweep's fit
-counts come from fits in the raw coordinates; the fits now run in whitened
-ones (see :mod:`.variational`) and take fewer.
+because a longer memory reaches the gradient test in fewer evaluations. On
+the 20-run heavy-tail suite (``bench.run_cauchy(n_runs=20, seed=0)``, one
+worker, every fit stopping on ``grad_tol``) 10, 20, 30 and 60 pairs took
+5,290, 3,938, 3,618 and 3,397 fit evaluations and 1,634, 1,204, 1,002 and
+822 final mode search iterations, with every median lpd the same to 5
+decimals. A search of k steps stores at most k pairs, so while the grid's
+``search_iters <= _MEMORY`` no pair of a grid candidate's search is dropped:
+its steps, its score and the grid's winner are the same at every such
+memory, and only the long searches move.
 
 The pairs are held in the compact form of Byrd, Nocedal & Schnabel (1994), ``_Memory``:
 a direction is seven matrix-vector products, 25 us at 60 pairs against 320-460 us for the
@@ -54,16 +51,11 @@ _MAX_HALVINGS = 60
 
 @dataclass
 class OptimConfig:
-    """Termination settings for :func:`minimize`.
-
-    ``f_tol`` is measured relative to the total descent achieved so far
-    (plus one), which keeps the iterate sequence invariant under adding a
-    constant to the objective.
-    """
+    """Termination settings for :func:`minimize`: the max-norm gradient test
+    and the cap on accepted steps."""
 
     max_iters: int = 2000
     grad_tol: float = 1.0e-6
-    f_tol: float = 1.0e-9
 
 
 @dataclass
@@ -73,7 +65,7 @@ class MinimizeResult:
     grad_norm: float
     n_iters: int  # accepted steps
     converged: bool  # max-norm gradient <= grad_tol
-    reason: str  # "grad_tol" | "f_tol" | "max_iters"
+    reason: str  # "grad_tol" | "max_iters" | "f_tol": the value stopped decreasing
     n_evals: int  # calls of the objective, the initial point and rejected trials included
 
 
@@ -123,9 +115,9 @@ def minimize(
     ``fun`` must return ``(value, gradient)``. The line search halves the
     quasi-Newton step until the Armijo test holds, passing over trial points
     with a non-finite value or gradient, so every accepted step lowers the
-    objective. Stops on ``grad_tol`` (max-norm gradient), on ``f_tol``
-    (see :class:`OptimConfig`, or no finite trial lowers the value), or after
-    ``max_iters`` accepted steps.
+    objective. Stops on ``grad_tol`` (max-norm gradient), after ``max_iters``
+    accepted steps, or when no finite trial lowers the value: the value
+    stopped decreasing, reason ``"f_tol"``.
 
     Raises:
         NumericalError: if the objective is non-finite at ``x0``, or every
@@ -146,7 +138,7 @@ def minimize(
     if not finite:
         raise NumericalError("objective is not finite at the initial point")
 
-    memory, f0, n_iters = _Memory(x.size), f, 0
+    memory, n_iters = _Memory(x.size), 0
     reason = "grad_tol"
     while float(np.max(np.abs(g))) > cfg.grad_tol:
         if n_iters >= cfg.max_iters:
@@ -171,19 +163,15 @@ def minimize(
                 raise NumericalError(
                     "line search could not recover from a non-finite objective "
                     f"({_MAX_HALVINGS} halvings after {n_iters} steps)")
-            reason = "f_tol"   # no trial lowers the value: numerically stationary
+            reason = "f_tol"   # no trial lowers the value: it stopped decreasing
             break
 
         s, y = step * d, g_new - g
         sy = float(s @ y)
         if sy > 0.0:
             memory.add(s, y, sy)
-        improvement = f - f_new
         x, f, g = x + s, f_new, g_new
         n_iters += 1
-        if improvement <= cfg.f_tol * (1.0 + max(f0 - f, 0.0)):
-            reason = "f_tol"
-            break
 
     grad_norm = float(np.max(np.abs(g)))
     return MinimizeResult(x=x, f=f, grad_norm=grad_norm, n_iters=n_iters,

@@ -13,10 +13,11 @@ Every family is optimised in Laplace-whitened coordinates
 (:class:`_Whitened`): the mean as mu0 + C xi, C the Laplace Cholesky factor,
 and theta scaled by its curvature at the start; mvi_lr's rank-one update is
 written in the same frame, C t v'. The change of variables leaves the
-bound as it is and saves evaluations: on the 20-run heavy-tail suite mvi_mu,
-mvi_eig, mvi_lr and vi_diag take 419, 633, 1,884 and 731 against 911,
-1,297, 2,449 and 3,552 in the raw coordinates (mvi_lr's as C + u v'; the
-raw vi_diag count covers two starts, Laplace diagonal and sigma^2 = 1e-4).
+bound as it is and saves evaluations: stopped by a relative-descent test
+on the 20-run heavy-tail suite, mvi_mu, mvi_eig, mvi_lr and vi_diag took
+419, 633, 1,884 and 1,468 against 911, 1,297, 2,449 and 3,552 in the raw
+coordinates (mvi_lr's as C + u v'; vi_diag from two starts). Run to their
+gradient tests, from one start each, they take 474, 717, 1,368 and 838.
 
 The sample term is the model's ``expectation(mu, R, draws)``: the means
 over the draws of the log posterior, of its gradient g_s at w_s = mu + R z_s
@@ -40,8 +41,9 @@ mvi_eig   free mean and eigen-scales; R = Q diag(r) with Q the Laplace
           eigenvector matrix. Initialised at r equal to the Laplace
           eigenvalue square roots.
 mvi_lr    free mean plus a rank-one update of the Cholesky factor,
-          in the Laplace frame: R = C (I + t v') = C + (C t) v'. v and
-          C t start as small Gaussian noise.
+          in the Laplace frame: R = C (I + t v') = C + (C t) v'. The
+          start's C t v' is an outer product of small Gaussian noise,
+          balanced to |t| = |v|.
 vi_diag   mean-field baseline; R = diag(sigma), no Laplace coupling beyond
           the start, sigma^2 equal to the Laplace covariance diagonal.
 
@@ -210,13 +212,17 @@ def _contract_lr(params: VariationalParams, laplace, G: np.ndarray,
 
 
 def _init_lr(laplace, seed: int) -> dict:
-    """t = C^-1 u and v, u and v small Gaussian noise: the root C + u v'."""
+    """The root C + u v', u and v small Gaussian noise, as t = c C^-1 u and
+    v / c with c = sqrt(|v| / |C^-1 u|): the bound is flat along (c t, v / c),
+    and the start is the point of that orbit with |t| = |v|."""
     rng = np.random.default_rng(seed)
     p = laplace.mean.size
     t = np.linalg.solve(laplace.chol, 0.1 * rng.standard_normal(p))
     if not np.isfinite(t).all():
         raise NumericalError("rank-one start C^-1 u is not finite")
-    return {"t": t, "v": 0.1 * rng.standard_normal(p)}
+    v = 0.1 * rng.standard_normal(p)
+    c = math.sqrt(np.linalg.norm(v) / np.linalg.norm(t))
+    return {"t": c * t, "v": v / c}
 
 
 FAMILY_SPECS = {

@@ -45,7 +45,7 @@ def _verdict(num: int, label: str, ok: bool, detail: str, elapsed: float = None)
 def test_criterion_1_conjugate_exactness():
     t0 = time.perf_counter()
     rng = np.random.default_rng(0)
-    tight = OptimConfig(max_iters=5000, grad_tol=1.0e-11, f_tol=1.0e-18)
+    tight = OptimConfig(max_iters=5000, grad_tol=1.0e-11)
     worst_mean = worst_cov = worst_elbo = 0.0
     for trial in range(10):
         n = int(rng.integers(10, 51))

@@ -312,6 +312,40 @@ def test_run_cauchy_deterministic_and_worker_invariant():
         1, 2, min(bench.usable_cores(), 2)]
 
 
+def _spiral_table(seed, n_rows):
+    """Three classes on [-2, 2]^2 from a softmax over the logits
+    1.5 r cos(angle - 2 pi k / 3 - r / 2): spiral sectors whose labels grow
+    noisier towards the origin; the targets one-hot."""
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-2.0, 2.0, size=(n_rows, 2))
+    angle = np.arctan2(X[:, 1], X[:, 0])[:, None]
+    r = np.hypot(X[:, 0], X[:, 1])[:, None]
+    logits = 1.5 * r * np.cos(angle - 2.0 * np.pi * np.arange(3) / 3.0 - 0.5 * r)
+    prob = np.exp(logits - logits.max(axis=1, keepdims=True))
+    prob /= prob.sum(axis=1, keepdims=True)
+    labels = (rng.uniform(size=n_rows)[:, None] > np.cumsum(prob, axis=1)).sum(axis=1)
+    return Dataset(X, np.eye(3)[np.minimum(labels, 2)], "multiclass", name="spiral")
+
+
+@pytest.mark.parametrize("suite", ["cauchy", "multiclass"])
+def test_every_variational_fit_stops_on_its_gradient_test(suite):
+    # at the default settings; mvi_lr's bound is flat along (c t, v / c), and
+    # from an unbalanced start a softmax mvi_lr fit once ran 2,000 iterations
+    families = bench.METHODS[1:]
+    if suite == "cauchy":
+        report = bench.run_cauchy(n_runs=2, methods=families, seed=0, n_eval=200,
+                                  n_boot=200)
+    else:
+        plan = SplitPlan(n_splits=2, train_fraction=0.525, seed=0)
+        report = bench.run_benchmark(_spiral_table(0, 400), methods=families, plan=plan,
+                                     n_eval=200, n_boot=200)
+    assert report["n_completed"] == 2
+    reasons = [(r["index"], m, rec["stop_reason"], rec["n_evals"])
+               for r in report["records"] for m, rec in r["methods"].items()]
+    assert len(reasons) == 8
+    assert all(reason == "grad_tol" for _, _, reason, _ in reasons), reasons
+
+
 def test_run_benchmark_small():
     rng = np.random.default_rng(1)
     X = rng.uniform(-2, 2, size=(30, 1))

@@ -384,8 +384,6 @@ def test_exit_code_config_error(tmp_path):
     (["--config", "grid.final_iters=2.5"], "grid.final_iters"),
     (["--config", "optim.max_iters=0"], "optim.max_iters"),
     (["--config", "optim.grad_tol=-1"], "optim.grad_tol"),
-    (["--config", "optim.f_tol=NaN"], "optim.f_tol"),
-    (["--config", "optim.f_tol=Infinity"], "optim.f_tol"),
     (["--config", "grid=5"], "grid"),
     (["--seed", "-1"], "seed"),
     (["--config", "seed=1.5"], "seed"),
@@ -403,7 +401,7 @@ def test_exit_code_config_error(tmp_path):
         "config-samples", "config-eval", "config-workers", "splits-0", "splits-neg",
         "config-boot", "grid-pairs-0", "grid-sizes-empty", "grid-sizes-0",
         "grid-search-neg", "grid-final-float", "optim-iters-0", "optim-grad-tol-neg",
-        "optim-f-tol-nan", "optim-f-tol-inf", "grid-not-object", "seed-neg",
+        "grid-not-object", "seed-neg",
         "config-seed-float", "config-seed-string", "config-alpha-2", "config-alpha-0",
         "config-train-0", "config-test-0", "config-methods-number",
         "config-methods-string", "config-unknown-key", "config-unknown-grid-key",
@@ -412,6 +410,28 @@ def test_exit_code_bad_count(tmp_path, capsys, argv, key):
     code = cli.main(["cauchy", "--splits", "1", "--out", str(tmp_path / "x")] + argv)
     assert code == 2
     assert key in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("source", ["1e-9", "NaN", "Infinity", "report"])
+def test_optim_f_tol_is_refused(tmp_path, capsys, source):
+    # fits stop on their gradient test alone: optim.f_tol is an unknown key,
+    # set by hand or carried by the config of a report written while it was
+    # a setting
+    if source == "report":
+        path = tmp_path / "report.json"
+        config = dict(cli.effective_config("cauchy", {}, {}), command="cauchy")
+        cli.dump_json(path, {"config": config, "records": []})
+        payload = json.loads(path.read_text())
+        payload["config"]["optim"]["f_tol"] = 1.0e-9
+        path.write_text(json.dumps(payload))
+        argv = ["--config", str(path)]
+    else:
+        argv = ["--config", f"optim.f_tol={source}"]
+    code = cli.main(["cauchy", "--splits", "1", "--out", str(tmp_path / "x")] + argv)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "optim.f_tol" in err
     assert not (tmp_path / "x").exists()
 
 

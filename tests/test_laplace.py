@@ -9,7 +9,7 @@ from mvipkg.data import generate_cauchy_task
 from mvipkg.errors import NumericalError
 from mvipkg.laplace import (GridConfig, find_mode, hyperparameter_search,
                             laplace_approximation)
-from mvipkg.optimize import MinimizeResult, OptimConfig
+from mvipkg.optimize import MinimizeResult
 
 from makers import make_cauchy, make_conjugate, make_logistic
 
@@ -27,17 +27,6 @@ def test_mode_search_finds_exact_posterior_mean():
     assert mode.f == pytest.approx(-model.value(mode.x), rel=1.0e-12)
     assert mode.converged
     assert mode.grad_norm <= 1.0e-6
-
-
-def test_mode_search_ignores_f_tol():
-    # a loose f_tol would stop a variational fit early; a mode search runs on
-    # to the gradient test
-    model = make_conjugate(seed=1, n=12, p=4)
-    mean, _ = model.exact_posterior()
-    mode = find_mode(model, np.zeros(4), OptimConfig(f_tol=1.0e-3))
-    assert mode.converged
-    assert mode.reason == "grad_tol"
-    np.testing.assert_allclose(mode.x, mean, atol=1.0e-7)
 
 
 def test_curvature_fit_recovers_exact_posterior():

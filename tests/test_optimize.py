@@ -87,7 +87,7 @@ def test_short_searches_do_not_depend_on_the_memory(monkeypatch, objective, x0):
     # k accepted steps store at most k pairs, so a search of up to 10 steps
     # drops none at any memory of 10 or more: the grid's short mode searches
     # are the same at a memory of 10 and at _MEMORY
-    cfg = OptimConfig(grad_tol=0.0, f_tol=0.0)
+    cfg = OptimConfig(grad_tol=0.0)
     for max_iters in range(11):
         cfg.max_iters = max_iters
         now = minimize(objective, x0, cfg)
@@ -106,7 +106,7 @@ def test_grid_searches_fit_in_the_memory():
 @pytest.mark.parametrize("n", [2, 5, 10])
 def test_spd_quadratic_converges_within_3n_iterations(n):
     f, x_star = quadratic_problem(n, seed=n)
-    cfg = OptimConfig(max_iters=10 * n, grad_tol=1.0e-8, f_tol=0.0)
+    cfg = OptimConfig(max_iters=10 * n, grad_tol=1.0e-8)
     res = minimize(f, np.zeros(n), cfg)
     assert res.grad_norm <= 1.0e-8
     assert res.reason == "grad_tol" and res.converged
@@ -116,7 +116,7 @@ def test_spd_quadratic_converges_within_3n_iterations(n):
 
 def test_rosenbrock_reaches_minimum():
     res = minimize(rosenbrock, np.array([-1.2, 1.0]),
-                   OptimConfig(max_iters=500, grad_tol=1.0e-8, f_tol=0.0))
+                   OptimConfig(max_iters=500, grad_tol=1.0e-8))
     assert res.f < 1.0e-8
     assert np.max(np.abs(res.x - 1.0)) < 1.0e-4
 
@@ -146,15 +146,20 @@ def test_trace_is_monotone_non_increasing():
     assert np.all(np.diff(trace) <= 0.0)
 
 
-def test_f_tol_termination_reports_reason():
-    f, _ = quadratic_problem(4, seed=2)
-    res = minimize(f, np.ones(4), OptimConfig(grad_tol=0.0, f_tol=1.0e-6))
-    assert res.reason == "f_tol"
+def test_a_stalled_line_search_returns_the_last_point_as_f_tol():
+    # the gradient points uphill, so no trial of the first line search lowers
+    # the finite value: the search gives up at x0 with the stall reason
+    x0 = np.ones(3)
+    res = minimize(lambda x: (float(x @ x), -2.0 * x), x0, OptimConfig())
+    assert res.reason == "f_tol" and not res.converged
+    assert res.n_iters == 0 and res.n_evals == 1 + optimize._MAX_HALVINGS
+    np.testing.assert_array_equal(res.x, x0)
+    assert res.f == 3.0 and np.isfinite(res.grad_norm)
 
 
 def test_max_iters_termination_reports_reason():
     f, _ = quadratic_problem(8, seed=3)
-    res = minimize(f, np.ones(8), OptimConfig(max_iters=2, grad_tol=0.0, f_tol=0.0))
+    res = minimize(f, np.ones(8), OptimConfig(max_iters=2, grad_tol=0.0))
     assert res.reason == "max_iters"
     assert res.n_iters == 2
     assert not res.converged

@@ -325,23 +325,35 @@ def test_diag_starts_at_the_laplace_diagonal(cauchy_model):
                                rtol=1.0e-12)
 
 
+def _lr_noise(dim, seed):
+    """u and v of the rank-one start C + u v', as ``initialise`` draws them."""
+    rng = np.random.default_rng(seed)
+    return 0.1 * rng.standard_normal(dim), 0.1 * rng.standard_normal(dim)
+
+
 def test_lr_initialisation_scale(cauchy_model):
-    # the start C + u v' with u, v small noise, as C t = u and v
+    # the start C + u v' with u, v small noise, balanced on its gauge:
+    # (C t) v' = u v' and |t| = |v|
     lap = _lap(cauchy_model)
     params = initialise("mvi_lr", lap, seed=21)
-    rng = np.random.default_rng(21)
-    np.testing.assert_allclose(lap.chol @ params.t, 0.1 * rng.standard_normal(lap.dim),
+    u, v = _lr_noise(lap.dim, seed=21)
+    np.testing.assert_allclose(np.outer(lap.chol @ params.t, params.v), np.outer(u, v),
                                rtol=1.0e-12)
-    np.testing.assert_array_equal(params.v, 0.1 * rng.standard_normal(lap.dim))
+    np.testing.assert_allclose(np.linalg.norm(params.t), np.linalg.norm(params.v),
+                               rtol=1.0e-12)
 
 
 @pytest.mark.parametrize("name", ("cauchy", "binary", "softmax", "conjugate"))
 def test_lr_start_solve_matches_solve_triangular(name):
-    # t = C^-1 u by a general solve, against triangular substitution on C
+    # t v' = C^-1 u v' by a general solve, against triangular substitution
+    # on C, and the start balanced at |t| = |v|
     lap = _lap(ORACLE_MODELS[name]())
     params = initialise("mvi_lr", lap, seed=6)
-    u = 0.1 * np.random.default_rng(6).standard_normal(lap.dim)
-    np.testing.assert_allclose(params.t, solve_triangular(lap.chol, u, lower=True),
+    u, v = _lr_noise(lap.dim, seed=6)
+    np.testing.assert_allclose(np.outer(params.t, params.v),
+                               np.outer(solve_triangular(lap.chol, u, lower=True), v),
+                               rtol=1.0e-12)
+    np.testing.assert_allclose(np.linalg.norm(params.t), np.linalg.norm(params.v),
                                rtol=1.0e-12)
 
 
@@ -495,7 +507,7 @@ def test_whitened_fits_reach_the_raw_fits_bound_on_the_conjugate_oracle(family):
     model = make_conjugate(seed=5, n=12, p=3)
     lap = _lap(model)
     samples = draw_fixed_samples(200, lap.dim, seed=6)
-    tight = OptimConfig(max_iters=5000, grad_tol=1.0e-10, f_tol=1.0e-16)
+    tight = OptimConfig(max_iters=5000, grad_tol=1.0e-10)
     whitened = fit_family(model, lap, samples, family, config=tight)
     params = initialise(family, lap)
     raw = minimize(_negated_bound(params, samples, model, lap), pack(params), tight)
