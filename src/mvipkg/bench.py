@@ -210,18 +210,25 @@ def _parallel_map(fn, items, n_workers: int) -> list:
     pickled: ``fn`` must be importable by name, or a ``functools.partial`` of
     such a function. An exception raised by ``fn`` reaches the caller with its
     class. Results come back in item order, and the pool is shut down, its
-    processes joined, before this returns.
+    processes joined, before this returns. A pool whose processes die raises
+    ``BrokenProcessPool`` naming the ``__main__`` guard, the usual cause.
     """
     if n_workers <= 1:
         return [fn(item) for item in items]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
     saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
     os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
     pool = ProcessPoolExecutor(n_workers, mp_context=multiprocessing.get_context("spawn"))
     try:
         return list(pool.map(fn, items))
+    except BrokenProcessPool as err:
+        raise BrokenProcessPool(
+            "a worker process died. The workers are spawned and import the caller's "
+            "__main__ again: a script that runs a suite must do so under "
+            '`if __name__ == "__main__":`') from err
     finally:
         pool.shutdown(cancel_futures=True)
         for var, value in saved.items():

@@ -210,7 +210,7 @@ def _grid_from(value, key: str) -> GridConfig:
     return GridConfig(
         basis_sizes=tuple(_count(m, f"{key}.basis_sizes") for m in sizes),
         **{k: _count(g.get(k, getattr(GridConfig, k)), f"{key}.{k}")
-           for k in ("n_pairs", "search_iters", "final_iters")})
+           for k in ("n_pairs", "search_iters")})
 
 
 def _optim_from(value, key: str) -> OptimConfig:

@@ -45,8 +45,7 @@ def find_mode(model, w0: np.ndarray, config: OptimConfig | None = None) -> Minim
         values, grads, _ = model.evaluate(w)
         return -float(values[0]), -grads[0]
 
-    return minimize(objective, np.asarray(w0, dtype=float),
-                    config or OptimConfig(max_iters=1000))
+    return minimize(objective, np.asarray(w0, dtype=float), config or OptimConfig())
 
 
 @dataclass
@@ -135,7 +134,6 @@ class GridConfig:
     basis_sizes: tuple[int, ...] = (10, 20, 30)
     n_pairs: int = 10
     search_iters: int = 10
-    final_iters: int = 1000
 
 
 @dataclass
@@ -165,7 +163,7 @@ def hyperparameter_search(X: np.ndarray, y: np.ndarray, task: str, seed: int,
     ``mvi_mu`` family at the fit) on a shared master sample matrix: a
     candidate of dimension P consumes its first P columns, standardised once
     per distinct P, so equal-sized candidates share draws exactly. The
-    best-scoring candidate is refined with a ``final_iters``-step mode search
+    best-scoring candidate is refined by a mode search under ``optim``,
     warm-started at its short-search mode.
 
     Failed candidates (indefinite curvature, non-finite objectives) score
@@ -236,9 +234,8 @@ def hyperparameter_search(X: np.ndarray, y: np.ndarray, task: str, seed: int,
         raise NumericalError(f"every grid candidate failed: {failures}")
 
     _, best_model, best_mode = best
-    final_cfg = OptimConfig(max_iters=grid.final_iters, grad_tol=base_optim.grad_tol)
     grid_done = time.perf_counter()
-    mode = find_mode(best_model, best_mode.x, final_cfg)
+    mode = find_mode(best_model, best_mode.x, base_optim)
     mode_done = time.perf_counter()
     lap = laplace_approximation(best_model, mode.x)
     timing = {"grid": grid_done - started, "final_mode": mode_done - grid_done,

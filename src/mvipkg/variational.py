@@ -13,11 +13,9 @@ Every family is optimised in Laplace-whitened coordinates
 (:class:`_Whitened`): the mean as mu0 + C xi, C the Laplace Cholesky factor,
 and theta scaled by its curvature at the start; mvi_lr's rank-one update is
 written in the same frame, C t v'. The change of variables leaves the
-bound as it is and saves evaluations: stopped by a relative-descent test
-on the 20-run heavy-tail suite, mvi_mu, mvi_eig, mvi_lr and vi_diag took
-419, 633, 1,884 and 1,468 against 911, 1,297, 2,449 and 3,552 in the raw
-coordinates (mvi_lr's as C + u v'; vi_diag from two starts). Run to their
-gradient tests, from one start each, they take 474, 717, 1,368 and 838.
+bound as it is; since the Laplace fit holds the posterior's geometry, the
+whitened bound is better scaled, and L-BFGS reaches its optimum in fewer
+evaluations.
 
 The sample term is the model's ``expectation(mu, R, draws)``: the means
 over the draws of the log posterior, of its gradient g_s at w_s = mu + R z_s
@@ -30,7 +28,7 @@ the features rebuilt.
 Families
 --------
 Each family is defined once, by its :class:`FamilySpec` record in
-``FAMILY_SPECS``: the packed fields, the covariance root built from the
+``FAMILY_SPECS``: its parameter fields, the covariance root built from the
 Laplace fit, the log-determinant terms of the entropy, the contraction of
 G onto the fields, the sample remap and the starting values. The functions
 below read that table; none branches on the name.
@@ -69,6 +67,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -132,37 +131,47 @@ class PosteriorGaussian:
         return self.root @ self.root.T
 
 
-@dataclass
 class VariationalParams:
-    """Free parameters of one family; exactly the fields its spec lists are set."""
+    """Free parameters of one family, stored as one vector ``x``: the mean,
+    then the fields its spec lists, in order, then theta. That vector is the
+    point the optimiser moves. ``mu``, ``theta`` and each field are views of
+    ``x`` that cannot be rebound, so ``x`` and the names never disagree: move
+    a point in place through a view (``params.t[:] = ...``) or build a new
+    one. The keyword constructor checks the family, the field names and the
+    sizes once, then copies; :meth:`wrap` checks and copies nothing."""
 
-    family: str
-    mu: np.ndarray
-    theta: np.ndarray
-    log_r: Optional[np.ndarray] = None
-    t: Optional[np.ndarray] = None
-    v: Optional[np.ndarray] = None
-    log_sigma: Optional[np.ndarray] = None
+    def __new__(cls, family: str, mu, theta, **fields):
+        names = _spec(family).fields
+        blocks = [np.asarray(b, dtype=float).ravel() for b in (mu, *map(fields.get, names))]
+        if set(fields) != set(names) or any(b.size != blocks[0].size for b in blocks):
+            raise ValueError(f"family {family} takes the fields {names}, each the size "
+                             f"of mu; got {tuple(fields)}")
+        return cls.wrap(family, np.concatenate([*blocks, np.asarray(theta, dtype=float).ravel()]),
+                        blocks[0].size)
 
-    def __post_init__(self):
-        required = _spec(self.family).fields
-        self.mu = np.asarray(self.mu, dtype=float).ravel()
-        self.theta = np.asarray(self.theta, dtype=float).ravel()
-        for name in _ALL_FIELDS:
-            val = getattr(self, name)
-            if name in required:
-                if val is None:
-                    raise ValueError(f"family {self.family} requires field {name}")
-                arr = np.asarray(val, dtype=float).ravel()
-                if arr.size != self.mu.size:
-                    raise ValueError(f"{name} must match the dimension of mu")
-                setattr(self, name, arr)
-            elif val is not None:
-                raise ValueError(f"family {self.family} does not use field {name}")
+    @classmethod
+    def wrap(cls, family: str, x: np.ndarray, dim: int) -> VariationalParams:
+        """The parameters stored in ``x`` itself, for a mean of ``dim``
+        coordinates: the optimiser's point, unchecked and not copied."""
+        params = object.__new__(cls)
+        vars(params).update(family=family, x=x, dim=dim)
+        return params
 
-    @property
-    def dim(self) -> int:
-        return self.mu.size
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot rebind {name!r}: write in place or build new parameters")
+
+    def __reduce__(self):
+        return VariationalParams.wrap, (self.family, self.x, self.dim)
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        """``mu``, ``theta`` or a field of the family's spec, as its view of ``x``."""
+        names = ("mu", *FAMILY_SPECS[self.family].fields)
+        if name == "theta":
+            return self.x[len(names) * self.dim:]
+        if name not in names:
+            raise AttributeError(f"family {self.family} has no field {name!r}")
+        i = names.index(name)
+        return self.x[i * self.dim:(i + 1) * self.dim]
 
 
 @dataclass(frozen=True)
@@ -172,21 +181,20 @@ class FamilySpec:
     take no change of variables of their own: :func:`fit_family` fits every
     family in the one frame of :class:`_Whitened`."""
 
-    fields: tuple[str, ...]     # packed between mu and theta, in this order
+    fields: tuple[str, ...]     # stored between mu and theta, in this order
     root: Callable              # (params, laplace) -> R
-    log_det: Callable           # (params, laplace, shared) -> terms of ln|det R|, added in order
-    contract: Callable          # (params, laplace, G, shared) -> gradient blocks of the fields:
+    log_det: Callable           # (params, laplace) -> terms of ln|det R|, added in order
+    contract: Callable          # (params, laplace, G) -> gradient blocks of the fields:
                                 # the sample term from G alone plus the entropy's terms
     init: Callable              # (laplace, seed) -> starting fields
-    remap: Optional[Callable] = None          # laplace -> M: the family's samples are z M
-    shared: Callable = lambda params, lap: None  # what log_det and contract share per point
+    remap: Optional[Callable] = None    # laplace -> M: the family's samples are z M
 
 
 def _log_det_chol(laplace) -> float:
     return float(np.sum(np.log(np.diag(laplace.chol))))
 
 
-def _lemma(params: VariationalParams, laplace) -> float:
+def _lemma(params: VariationalParams) -> float:
     """s = 1 + v' t, so that det(C (I + t v')) = det(C) s."""
     s = 1.0 + float(params.v @ params.t)
     if abs(s) < _DET_LEMMA_FLOOR:
@@ -203,10 +211,10 @@ def _log_scale_block(BG: np.ndarray, log_s: np.ndarray) -> np.ndarray:
     return (np.diagonal(BG) + 1.0 / scale) * scale
 
 
-def _contract_lr(params: VariationalParams, laplace, G: np.ndarray,
-                 s: float) -> list[np.ndarray]:
+def _contract_lr(params: VariationalParams, laplace, G: np.ndarray) -> list[np.ndarray]:
     """[C' G v + v / s, G' C t + t / s]: the sample term of R = C + (C t) v'
-    and the entropy's ln|s|."""
+    and the entropy's ln|s|, s from :func:`_lemma`."""
+    s = _lemma(params)
     return [laplace.chol.T @ (G @ params.v) + params.v / s,
             G.T @ (laplace.chol @ params.t) + params.t / s]
 
@@ -229,32 +237,30 @@ FAMILY_SPECS = {
     "mvi_mu": FamilySpec(
         fields=(),
         root=lambda params, lap: lap.chol.copy(),
-        log_det=lambda params, lap, _: (_log_det_chol(lap),),
-        contract=lambda params, lap, G, _: [],
+        log_det=lambda params, lap: (_log_det_chol(lap),),
+        contract=lambda params, lap, G: [],
         init=lambda lap, seed: {}),
     "mvi_eig": FamilySpec(
         fields=("log_r",),
         root=lambda params, lap: lap.eigvecs * np.exp(params.log_r)[None, :],
-        log_det=lambda params, lap, _: (float(np.sum(params.log_r)),),
-        contract=lambda params, lap, G, _: [_log_scale_block(lap.eigvecs.T @ G, params.log_r)],
+        log_det=lambda params, lap: (float(np.sum(params.log_r)),),
+        contract=lambda params, lap, G: [_log_scale_block(lap.eigvecs.T @ G, params.log_r)],
         init=lambda lap, seed: {"log_r": np.log(lap.eig_root)},
         remap=lambda lap: (lap.chol.T @ lap.eigvecs) / lap.eig_root[None, :]),
     "mvi_lr": FamilySpec(
         fields=("t", "v"),
         root=lambda params, lap: lap.chol + np.outer(lap.chol @ params.t, params.v),
-        log_det=lambda params, lap, s: (_log_det_chol(lap), float(np.log(abs(s)))),
+        log_det=lambda params, lap: (_log_det_chol(lap), float(np.log(abs(_lemma(params))))),
         contract=_contract_lr,
-        init=_init_lr,
-        shared=_lemma),
+        init=_init_lr),
     "vi_diag": FamilySpec(
         fields=("log_sigma",),
         root=lambda params, lap: np.diag(np.exp(params.log_sigma)),
-        log_det=lambda params, lap, _: (float(np.sum(params.log_sigma)),),
-        contract=lambda params, lap, G, _: [_log_scale_block(G, params.log_sigma)],
+        log_det=lambda params, lap: (float(np.sum(params.log_sigma)),),
+        contract=lambda params, lap, G: [_log_scale_block(G, params.log_sigma)],
         init=lambda lap, seed: {"log_sigma": 0.5 * np.log(np.diag(lap.cov))}),
 }
 FAMILIES = tuple(FAMILY_SPECS)
-_ALL_FIELDS = tuple(n for spec in FAMILY_SPECS.values() for n in spec.fields)
 
 
 def _spec(family: str) -> FamilySpec:
@@ -263,33 +269,13 @@ def _spec(family: str) -> FamilySpec:
     return FAMILY_SPECS[family]
 
 
-def pack(params: VariationalParams) -> np.ndarray:
-    """Flatten free parameters for the optimiser: mu, family fields, theta."""
-    fields = [getattr(params, n) for n in _spec(params.family).fields]
-    return np.concatenate([params.mu, *fields, params.theta])
-
-
-def unpack(template: VariationalParams, x: np.ndarray) -> VariationalParams:
-    """Inverse of :func:`pack`, using the template for family and sizes; the
-    fields are views of ``x``."""
-    x = np.asarray(x, dtype=float).ravel()
-    p = template.dim
-    names = _spec(template.family).fields
-    pos = (len(names) + 1) * p
-    if pos + template.theta.size != x.size:
-        raise ValueError("packed vector length does not match the template")
-    return VariationalParams(template.family, x[:p], x[pos:],
-                             **{n: x[(i + 1) * p:(i + 2) * p] for i, n in enumerate(names)})
-
-
 # ---------------------------------------------------------------------------
 # family geometry
 # ---------------------------------------------------------------------------
 
 def covariance_root(params: VariationalParams, laplace) -> PosteriorGaussian:
     """The family's current Gaussian as (mean, root)."""
-    root = _spec(params.family).root(params, laplace)
-    return PosteriorGaussian(mean=params.mu.copy(), root=root)
+    return PosteriorGaussian(params.mu.copy(), _spec(params.family).root(params, laplace))
 
 
 def laplace_posterior(laplace) -> PosteriorGaussian:
@@ -297,19 +283,16 @@ def laplace_posterior(laplace) -> PosteriorGaussian:
     return PosteriorGaussian(mean=laplace.mean.copy(), root=laplace.chol.copy())
 
 
-def entropy(params: VariationalParams, laplace, shared=None) -> float:
+def entropy(params: VariationalParams, laplace) -> float:
     """Differential entropy of the family's Gaussian.
 
     mvi_mu reads it off the Laplace Cholesky diagonal; mvi_eig and vi_diag
     reduce to sums of log scales; mvi_lr uses the matrix determinant lemma
     det(C (I + t v')) = det(C) (1 + v' t), and refuses to proceed when the
     rank-one update collapses the determinant.
-    ``shared`` is the family's ``shared`` value at ``params``, if known.
     """
-    spec = _spec(params.family)
-    shared = spec.shared(params, laplace) if shared is None else shared
     value = params.dim * _HALF_LOG_2PIE
-    for term in spec.log_det(params, laplace, shared):
+    for term in _spec(params.family).log_det(params, laplace):
         value += term
     return value
 
@@ -356,7 +339,7 @@ def elbo_estimate(params: VariationalParams, samples: FixedDraws,
 
 def elbo_and_gradient(params: VariationalParams, samples: FixedDraws,
                       model, laplace, draws: FixedDraws | None = None) -> tuple[float, np.ndarray]:
-    """Bound and its gradient w.r.t. the packed free parameters.
+    """Bound and its gradient w.r.t. the free parameters, laid out as ``params.x``.
 
     All gradients are analytic. The sample term differentiates through
     w_s = mu + R z_s (g-bar for mu, G through ``contract``); the entropy
@@ -369,10 +352,8 @@ def elbo_and_gradient(params: VariationalParams, samples: FixedDraws,
     """
     draws = family_samples(params.family, samples, laplace) if draws is None else draws
     value, gbar, G, theta_g = _expectation(params, draws, model, laplace, gradient=True)
-    spec = _spec(params.family)
-    shared = spec.shared(params, laplace)
-    value += entropy(params, laplace, shared)
-    grad = np.concatenate([gbar, *spec.contract(params, laplace, G, shared), theta_g])
+    value += entropy(params, laplace)
+    grad = np.concatenate([gbar, *_spec(params.family).contract(params, laplace, G), theta_g])
     if not np.isfinite(grad).all():
         raise NumericalError("bound gradient not finite")
     return value, grad
@@ -386,8 +367,7 @@ def initialise(family: str, laplace, seed: int = 0) -> VariationalParams:
     """The family's one start, at the Laplace fit: its mean and theta, and
     the fields its spec's ``init`` gives (vi_diag's sigma^2 the Laplace
     covariance diagonal)."""
-    return VariationalParams(family, laplace.mean.copy(),
-                             np.asarray(laplace.theta, dtype=float).copy(),
+    return VariationalParams(family, laplace.mean, laplace.theta,
                              **_spec(family).init(laplace, seed))
 
 
@@ -470,16 +450,18 @@ def fit_family(model, laplace, samples: FixedDraws, family: str,
     """Optimise one family's fixed-sample bound from its standard (or given) start.
 
     The fit runs in the coordinates of :class:`_Whitened`, so its stop test
-    reads the whitened gradient; ``opt`` holds the packed parameters, the raw
-    max|gradient| of the bound there, and every evaluation of the objective.
+    reads the whitened gradient; ``opt`` holds the fitted parameter vector,
+    the raw max|gradient| of the bound there, and every evaluation of the
+    objective. ``params`` is that vector itself: ``params.x is opt.x``.
     """
     params0 = init if init is not None else initialise(family, laplace, seed)
     draws = family_samples(family, samples, laplace)
 
+    at = partial(VariationalParams.wrap, params0.family, dim=params0.dim)
+
     def bound(x: np.ndarray) -> tuple[float, np.ndarray]:
-        p = unpack(params0, x)
         try:
-            val, grad = elbo_and_gradient(p, samples, model, laplace, draws)
+            val, grad = elbo_and_gradient(at(x), samples, model, laplace, draws)
         except NumericalError:
             # A trial point outside the usable region (hyperparameters
             # underflowed to zero or with an overflowing square, a sample with
@@ -490,11 +472,9 @@ def fit_family(model, laplace, samples: FixedDraws, family: str,
             return np.inf, np.full(x.size, np.nan)
         return -val, -grad
 
-    x0 = pack(params0)
-    start = bound(x0)   # the minimiser's first evaluation, made once
+    start = bound(params0.x)   # the minimiser's first evaluation, made once
     if not math.isfinite(start[0]):
         raise NumericalError("objective is not finite at the initial point")
-    result = _Whitened(bound, x0, start, laplace.chol,
+    result = _Whitened(bound, params0.x, start, laplace.chol,
                        params0.theta.size).minimize(config or OptimConfig())
-    fitted = unpack(params0, result.x)
-    return FitResult(params=fitted, elbo=-result.f, opt=result)
+    return FitResult(params=at(result.x), elbo=-result.f, opt=result)

@@ -1,6 +1,8 @@
 import multiprocessing
 import operator
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -13,8 +15,7 @@ from mvipkg.laplace import GridConfig
 from mvipkg.optimize import OptimConfig
 from mvipkg.variational import PosteriorGaussian
 
-SMALL_GRID = GridConfig(basis_sizes=(5,), n_pairs=4, search_iters=5,
-                        final_iters=100)
+SMALL_GRID = GridConfig(basis_sizes=(5,), n_pairs=4, search_iters=5)
 SMALL_OPTIM = OptimConfig(max_iters=150)
 
 
@@ -263,6 +264,30 @@ def test_pool_leaves_no_process_and_the_blas_variables_as_they_were(monkeypatch)
     # while the parent keeps its own, the pool's processes start pinned
     assert bench._parallel_map(_blas_variables, range(2), n_workers=2) == [["1"] * 3] * 2
     assert _blas_variables(None) == ["3", "2", None]
+
+
+def test_unguarded_pool_script_names_the_main_guard(tmp_path):
+    # a script that runs a suite at its top level starts it again in every
+    # spawned worker; the caller's error must name the guard it lacks
+    script = tmp_path / "unguarded.py"
+    script.write_text("\n".join([
+        "from mvipkg import bench",
+        "from mvipkg.laplace import GridConfig",
+        "from mvipkg.optimize import OptimConfig",
+        "bench.run_cauchy(n_runs=2, methods=('laplace',), n_samples=20, n_eval=20,",
+        "                 n_train=10, n_test=10, n_boot=10, n_workers=2,",
+        "                 grid=GridConfig(basis_sizes=(3,), n_pairs=1, search_iters=2),",
+        "                 optim=OptimConfig(max_iters=5))",
+    ]))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    run = subprocess.run([sys.executable, str(script)], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert run.returncode == 1
+    # the caller's traceback ends on the pool's error, chained to the pool's
+    # own; the workers' tracebacks and exit warnings may come around it
+    raised = [line for line in run.stderr.splitlines()
+              if line.startswith("concurrent.futures.process.BrokenProcessPool: ")]
+    assert raised and 'if __name__ == "__main__":' in raised[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ from mvipkg.errors import ConfigError
 
 SMALL = [
     "--config", "grid.basis_sizes=[5]", "--config", "grid.n_pairs=4",
-    "--config", "grid.search_iters=5", "--config", "grid.final_iters=100",
-    "--config", "optim.max_iters=150", "--config", "n_boot=200",
+    "--config", "grid.search_iters=5", "--config", "optim.max_iters=150",
+    "--config", "n_boot=200",
     "--samples", "100", "--eval-samples", "200",
 ]
 # a fit's required flags; the file is never read when a setting is bad
@@ -435,6 +435,27 @@ def test_optim_f_tol_is_refused(tmp_path, capsys, source):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("source", ["100", "report"])
+def test_grid_final_iters_is_refused(tmp_path, capsys, source):
+    # the final mode search runs under optim: grid.final_iters is an unknown
+    # key, set by hand or carried by the config of an older report
+    if source == "report":
+        path = tmp_path / "report.json"
+        config = dict(cli.effective_config("cauchy", {}, {}), command="cauchy")
+        cli.dump_json(path, {"config": config, "records": []})
+        payload = json.loads(path.read_text())
+        payload["config"]["grid"]["final_iters"] = 1000
+        path.write_text(json.dumps(payload))
+        argv = ["--config", str(path)]
+    else:
+        argv = ["--config", f"grid.final_iters={source}"]
+    code = cli.main(["cauchy", "--splits", "1", "--out", str(tmp_path / "x")] + argv)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "unknown config key(s) grid.final_iters" in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_exit_code_bad_count_in_config_file(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"n_workers": -3}))
@@ -582,6 +603,18 @@ def test_pool_reports_do_not_depend_on_the_parent_blas_threads(tmp_path):
     assert reports[0] == reports[1]
 
 
+def test_cli_import_loads_no_pool_and_no_scipy():
+    # every `mvi` process and every pool process imports the CLI: the pool's
+    # machinery loads only when a suite starts one, and scipy never
+    code = ("import sys, mvipkg.cli; print(sorted({m.split('.')[0] for m in sys.modules}"
+            " & {'multiprocessing', 'concurrent', 'scipy'}))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
+
+
 def test_cli_import_leaves_out_heavy_scipy_modules():
     # every `mvi` process and every pool process pays for what it imports, and
     # any scipy submodule loads scipy._lib._array_api, which brings in
@@ -595,8 +628,7 @@ def test_cli_import_leaves_out_heavy_scipy_modules():
         "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')",
         "print(scipy_modules())",
         "train, test = data.generate_cauchy_task(0, n_train=20, n_test=40)",
-        "grid = laplace.GridConfig(basis_sizes=(5,), n_pairs=2, search_iters=5,",
-        "                          final_iters=50)",
+        "grid = laplace.GridConfig(basis_sizes=(5,), n_pairs=2, search_iters=5)",
         "bench.run_split(train, test, n_samples=50, n_eval=100, grid=grid,",
         "                optim=optimize.OptimConfig(max_iters=30))",
         "print(scipy_modules())",

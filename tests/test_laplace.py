@@ -127,8 +127,7 @@ def _toy_regression(seed=0, n=18):
 
 def test_search_is_deterministic():
     X, y = _toy_regression()
-    grid = GridConfig(basis_sizes=(4, 6), n_pairs=3, search_iters=5,
-                      final_iters=50)
+    grid = GridConfig(basis_sizes=(4, 6), n_pairs=3, search_iters=5)
     a = hyperparameter_search(X, y, "regression", seed=7, n_samples=64, grid=grid)
     b = hyperparameter_search(X, y, "regression", seed=7, n_samples=64, grid=grid)
     np.testing.assert_array_equal(a.laplace.mean, b.laplace.mean)
@@ -139,8 +138,7 @@ def test_search_is_deterministic():
 
 def test_search_seed_changes_candidates():
     X, y = _toy_regression()
-    grid = GridConfig(basis_sizes=(4,), n_pairs=3, search_iters=5,
-                      final_iters=50)
+    grid = GridConfig(basis_sizes=(4,), n_pairs=3, search_iters=5)
     a = hyperparameter_search(X, y, "regression", seed=1, n_samples=64, grid=grid)
     b = hyperparameter_search(X, y, "regression", seed=2, n_samples=64, grid=grid)
     assert [c["width"] for c in a.candidates] != [c["width"] for c in b.candidates]
@@ -148,8 +146,7 @@ def test_search_seed_changes_candidates():
 
 def test_search_single_candidate():
     X, y = _toy_regression()
-    grid = GridConfig(basis_sizes=(5,), n_pairs=1, search_iters=5,
-                      final_iters=50)
+    grid = GridConfig(basis_sizes=(5,), n_pairs=1, search_iters=5)
     res = hyperparameter_search(X, y, "regression", seed=0, n_samples=64,
                                 grid=grid)
     assert len(res.candidates) == 1
@@ -168,8 +165,7 @@ def test_search_rejects_sample_count_below_one(n_samples):
 
 def test_search_clamps_basis_to_training_size():
     X, y = _toy_regression(n=8)
-    grid = GridConfig(basis_sizes=(4, 50), n_pairs=2, search_iters=5,
-                      final_iters=50)
+    grid = GridConfig(basis_sizes=(4, 50), n_pairs=2, search_iters=5)
     res = hyperparameter_search(X, y, "regression", seed=0, n_samples=64,
                                 grid=grid)
     assert {c["M"] for c in res.candidates} == {4}
@@ -187,8 +183,7 @@ def test_search_binary_task():
     rng = np.random.default_rng(9)
     X = rng.standard_normal((16, 2))
     y = (X[:, 0] + 0.3 * rng.standard_normal(16) > 0).astype(float)
-    grid = GridConfig(basis_sizes=(4,), n_pairs=2, search_iters=5,
-                      final_iters=50)
+    grid = GridConfig(basis_sizes=(4,), n_pairs=2, search_iters=5)
     res = hyperparameter_search(X, y, "binary", seed=3, n_samples=64, grid=grid)
     assert res.model.theta.size == 2
     assert all(c["gamma"] is None for c in res.candidates)
@@ -197,8 +192,7 @@ def test_search_binary_task():
 
 def test_search_winner_has_best_score():
     X, y = _toy_regression()
-    grid = GridConfig(basis_sizes=(4, 6), n_pairs=3, search_iters=5,
-                      final_iters=50)
+    grid = GridConfig(basis_sizes=(4, 6), n_pairs=3, search_iters=5)
     res = hyperparameter_search(X, y, "regression", seed=11, n_samples=64,
                                 grid=grid)
     scores = [c["score"] for c in res.candidates if "score" in c]

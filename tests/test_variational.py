@@ -15,7 +15,7 @@ from mvipkg.variational import (FAMILIES, FAMILY_SPECS, VariationalParams,
                                 covariance_root, draw_fixed_samples, elbo_and_gradient,
                                 elbo_estimate, entropy, family_samples,
                                 fit_family, initialise, laplace_posterior,
-                                pack, standardize_draws, unpack)
+                                standardize_draws)
 
 from makers import (ALL_MODEL_MAKERS, finite_difference_gradient, make_cauchy, make_conjugate,
                     make_logistic, make_softmax, warm_start)
@@ -86,24 +86,44 @@ def test_params_field_validation():
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-def test_pack_unpack_round_trip(family, cauchy_model):
+def test_params_layout(family, cauchy_model):
+    # x is mu, then the spec's fields in order, then theta; every name is a
+    # view of x, and wrap stores the optimiser's point without a copy
     lap = _lap(cauchy_model)
     params = initialise(family, lap, seed=4)
-    flat = pack(params)
-    back = unpack(params, flat)
-    np.testing.assert_array_equal(pack(back), flat)
-    assert back.family == family
     p, t = params.dim, params.theta.size
     expected = {"mvi_mu": p + t, "mvi_eig": 2 * p + t,
                 "mvi_lr": 3 * p + t, "vi_diag": 2 * p + t}[family]
-    assert flat.size == expected
+    assert params.x.shape == (expected,)
+    names = ("mu", *FAMILY_SPECS[family].fields, "theta")
+    np.testing.assert_array_equal(np.concatenate([getattr(params, n) for n in names]),
+                                  params.x)
+    for name in names:
+        assert getattr(params, name).base is params.x
+    x = np.arange(float(expected))
+    wrapped = VariationalParams.wrap(family, x, p)
+    assert wrapped.x is x and wrapped.family == family and wrapped.dim == p
+    np.testing.assert_array_equal(wrapped.theta, x[expected - t:])
 
 
-def test_unpack_rejects_wrong_length(cauchy_model):
-    lap = _lap(cauchy_model)
-    params = initialise("mvi_mu", lap)
-    with pytest.raises(ValueError):
-        unpack(params, np.zeros(pack(params).size + 1))
+@pytest.mark.parametrize("name", ("mu", "theta", "t", "v", "x", "family"))
+def test_params_cannot_be_rebound(name, cauchy_model):
+    params = initialise("mvi_lr", _lap(cauchy_model), seed=4)
+    before = params.x.copy()
+    with pytest.raises(AttributeError, match="cannot rebind"):
+        setattr(params, name, np.zeros(params.dim))
+    np.testing.assert_array_equal(params.x, before)
+    params.t[:] = 7.0   # a move is made in place, through the view
+    np.testing.assert_array_equal(params.x[params.dim:2 * params.dim], 7.0)
+    with pytest.raises(AttributeError, match="no field 'log_r'"):
+        params.log_r
+
+
+def test_params_keyword_constructor_copies():
+    mu, t = np.zeros(2), np.ones(2)
+    params = VariationalParams("mvi_lr", mu, [0.5], t=t, v=[2.0, 3.0])
+    assert not np.shares_memory(params.x, mu) and not np.shares_memory(params.x, t)
+    np.testing.assert_array_equal(params.x, [0.0, 0.0, 1.0, 1.0, 2.0, 3.0, 0.5])
 
 
 # ---------------------------------------------------------------------------
@@ -129,12 +149,12 @@ def test_entropy_matches_slogdet(family, cauchy_model):
     params = initialise(family, lap, seed=1)
     # move off the initial point so the test is not about initialisation
     if family == "mvi_eig":
-        params.log_r = params.log_r + 0.3 * rng.standard_normal(params.dim)
+        params.log_r[:] += 0.3 * rng.standard_normal(params.dim)
     elif family == "mvi_lr":
-        params.t = rng.standard_normal(params.dim)
-        params.v = 0.5 * rng.standard_normal(params.dim)
+        params.t[:] = rng.standard_normal(params.dim)
+        params.v[:] = 0.5 * rng.standard_normal(params.dim)
     elif family == "vi_diag":
-        params.log_sigma = params.log_sigma + 0.4 * rng.standard_normal(params.dim)
+        params.log_sigma[:] += 0.4 * rng.standard_normal(params.dim)
     gauss = covariance_root(params, lap)
     _, logdet = np.linalg.slogdet(gauss.cov())
     expected = params.dim * HALF_LOG_2PIE + 0.5 * logdet
@@ -146,8 +166,8 @@ def test_rank_one_entropy_uses_determinant_lemma_safely(cauchy_model):
     params = initialise("mvi_lr", lap, seed=2)
     # choose t = -q / (v' q) so that 1 + v' t = 0 exactly
     q = np.ones(params.dim)
-    params.v = np.ones(params.dim)
-    params.t = -q / float(params.v @ q)
+    params.v[:] = 1.0
+    params.t[:] = -q / float(params.v @ q)
     with pytest.raises(NumericalError, match="singular"):
         entropy(params, lap)
 
@@ -219,17 +239,17 @@ def test_elbo_exact_for_conjugate_model():
 
 
 def _perturbed(family, lap, rng):
-    """A family's start moved off the Laplace fit in every packed block, theta too."""
+    """A family's start moved off the Laplace fit in every block of x, theta too."""
     params = initialise(family, lap, seed=3)
-    params.mu = params.mu + 0.2 * rng.standard_normal(params.dim)
-    params.theta = params.theta + 0.1 * rng.standard_normal(params.theta.size)
+    params.mu[:] += 0.2 * rng.standard_normal(params.dim)
+    params.theta[:] += 0.1 * rng.standard_normal(params.theta.size)
     if family == "mvi_eig":
-        params.log_r = params.log_r + 0.2 * rng.standard_normal(params.dim)
+        params.log_r[:] += 0.2 * rng.standard_normal(params.dim)
     elif family == "mvi_lr":
-        params.t = 0.3 * rng.standard_normal(params.dim)
-        params.v = 0.3 * rng.standard_normal(params.dim)
+        params.t[:] = 0.3 * rng.standard_normal(params.dim)
+        params.v[:] = 0.3 * rng.standard_normal(params.dim)
     elif family == "vi_diag":
-        params.log_sigma = params.log_sigma + 0.2 * rng.standard_normal(params.dim)
+        params.log_sigma[:] += 0.2 * rng.standard_normal(params.dim)
     return params
 
 
@@ -245,9 +265,10 @@ def test_elbo_gradient_matches_finite_differences(family, cauchy_model):
         elbo_estimate(params, samples, cauchy_model, lap), rel=1.0e-12)
 
     def f(x):
-        return elbo_estimate(unpack(params, x), samples, cauchy_model, lap)
+        return elbo_estimate(VariationalParams.wrap(family, x, params.dim), samples,
+                             cauchy_model, lap)
 
-    fd = finite_difference_gradient(f, pack(params))
+    fd = finite_difference_gradient(f, params.x)
     np.testing.assert_allclose(grad, fd, rtol=5.0e-6, atol=1.0e-7)
 
 
@@ -308,7 +329,7 @@ def test_elbo_raises_on_nonfinite_values(cauchy_model):
     lap = _lap(cauchy_model)
     samples = draw_fixed_samples(10, lap.dim, seed=0)
     params = initialise("mvi_mu", lap)
-    params.theta = np.array([800.0, 0.0, 0.0])  # exp overflows
+    params.theta[:] = [800.0, 0.0, 0.0]   # exp overflows
     with np.errstate(over="ignore"):
         with pytest.raises(NumericalError):
             elbo_estimate(params, samples, cauchy_model, lap)
@@ -420,7 +441,7 @@ def test_fit_deterministic(cauchy_model):
     cfg = OptimConfig(max_iters=100)
     a = fit_family(cauchy_model, lap, samples, "mvi_lr", seed=7, config=cfg)
     b = fit_family(cauchy_model, lap, samples, "mvi_lr", seed=7, config=cfg)
-    np.testing.assert_array_equal(pack(a.params), pack(b.params))
+    np.testing.assert_array_equal(a.params.x, b.params.x)
     assert a.elbo == b.elbo
 
 
@@ -444,7 +465,8 @@ def test_richer_families_dominate_at_optimum(cauchy_model):
 
 def _negated_bound(params, samples, model, lap):
     def fun(x):
-        value, grad = elbo_and_gradient(unpack(params, x), samples, model, lap)
+        value, grad = elbo_and_gradient(VariationalParams.wrap(params.family, x, params.dim),
+                                        samples, model, lap)
         return -value, -grad
     return fun
 
@@ -457,10 +479,10 @@ def test_every_family_fits_whitened(family, cauchy_model):
     cfg = OptimConfig(max_iters=40)
     fit = fit_family(cauchy_model, lap, samples, family, seed=3, config=cfg)
     params = initialise(family, lap, seed=3)
-    fun, x0 = _negated_bound(params, samples, cauchy_model, lap), pack(params)
+    fun, x0 = _negated_bound(params, samples, cauchy_model, lap), params.x
     direct = _Whitened(fun, x0, fun(x0), lap.chol, params.theta.size).minimize(cfg)
     np.testing.assert_array_equal(fit.opt.x, direct.x)
-    np.testing.assert_array_equal(pack(fit.params), direct.x)
+    np.testing.assert_array_equal(fit.params.x, direct.x)
     assert fit.elbo == -direct.f
     assert (fit.opt.n_evals, fit.opt.grad_norm) == (direct.n_evals, direct.grad_norm)
 
@@ -469,7 +491,7 @@ def test_a_non_finite_start_is_an_error_before_any_probe(cauchy_model, monkeypat
     lap = _lap(cauchy_model)
     samples = draw_fixed_samples(10, lap.dim, seed=0)
     params = initialise("mvi_lr", lap)
-    params.theta = np.array([800.0, 0.0, 0.0])   # exp overflows
+    params.theta[:] = [800.0, 0.0, 0.0]   # exp overflows
     calls = []
     real = elbo_and_gradient
 
@@ -491,7 +513,7 @@ def test_whitened_gradient_matches_finite_differences(family, cauchy_model):
     samples = draw_fixed_samples(40, lap.dim, seed=11)
     params = _perturbed(family, lap, np.random.default_rng(19))
     fun = _negated_bound(params, samples, cauchy_model, lap)
-    x0 = pack(params)
+    x0 = params.x
     whitened = _Whitened(fun, x0, fun(x0), lap.chol, params.theta.size)
     assert whitened.scales.size == 3 and not np.array_equal(whitened.scales, np.ones(3))
     whitened(np.zeros(x0.size))   # the start, taken from ``fun(x0)``
@@ -503,14 +525,14 @@ def test_whitened_gradient_matches_finite_differences(family, cauchy_model):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_whitened_fits_reach_the_raw_fits_bound_on_the_conjugate_oracle(family):
-    # the raw reference: L-BFGS on the packed bound itself, from the same start
+    # the raw reference: L-BFGS on the bound over x itself, from the same start
     model = make_conjugate(seed=5, n=12, p=3)
     lap = _lap(model)
     samples = draw_fixed_samples(200, lap.dim, seed=6)
     tight = OptimConfig(max_iters=5000, grad_tol=1.0e-10)
     whitened = fit_family(model, lap, samples, family, config=tight)
     params = initialise(family, lap)
-    raw = minimize(_negated_bound(params, samples, model, lap), pack(params), tight)
+    raw = minimize(_negated_bound(params, samples, model, lap), params.x, tight)
     assert abs(whitened.elbo + raw.f) < 1.0e-8
     if family != "vi_diag":   # the exact posterior is in these families
         assert abs(whitened.elbo - model.log_evidence()) < 1.0e-8
@@ -525,7 +547,10 @@ def test_reported_grad_norm_is_the_raw_gradient_at_the_fit(name, family):
     fit = fit_family(model, lap, samples, family, seed=1, config=OptimConfig(max_iters=60))
     _, grad = elbo_and_gradient(fit.params, samples, model, lap)
     assert fit.opt.grad_norm == float(np.max(np.abs(grad)))
-    np.testing.assert_array_equal(fit.opt.x, pack(fit.params))
+    # the fit's parameters are the minimiser's point itself, every name a view of it
+    assert fit.params.x is fit.opt.x
+    for name in ("mu", *FAMILY_SPECS[family].fields, "theta"):
+        assert getattr(fit.params, name).base is fit.opt.x
 
 
 def test_whitened_fit_counts_the_curvature_probes(cauchy_model, monkeypatch):
