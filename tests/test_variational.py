@@ -88,7 +88,7 @@ def test_params_field_validation():
 @pytest.mark.parametrize("family", FAMILIES)
 def test_params_layout(family, cauchy_model):
     # x is mu, then the spec's fields in order, then theta; every name is a
-    # view of x, and wrap stores the optimiser's point without a copy
+    # view of x
     lap = _lap(cauchy_model)
     params = initialise(family, lap, seed=4)
     p, t = params.dim, params.theta.size
@@ -100,10 +100,33 @@ def test_params_layout(family, cauchy_model):
                                   params.x)
     for name in names:
         assert getattr(params, name).base is params.x
-    x = np.arange(float(expected))
-    wrapped = VariationalParams.wrap(family, x, p)
-    assert wrapped.x is x and wrapped.family == family and wrapped.dim == p
-    np.testing.assert_array_equal(wrapped.theta, x[expected - t:])
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_pack_unpack_round_trip(family, cauchy_model):
+    # the keyword constructor packs the blocks into x; wrap unpacks the
+    # optimiser's point into the same blocks, without a copy
+    params = initialise(family, _lap(cauchy_model), seed=4)
+    fields = {n: getattr(params, n) for n in FAMILY_SPECS[family].fields}
+    packed = VariationalParams(family, params.mu, params.theta, **fields)
+    np.testing.assert_array_equal(packed.x, params.x)
+    x = params.x.copy()
+    back = VariationalParams.wrap(family, x, params.dim)
+    assert back.x is x and back.family == family and back.dim == params.dim
+    for name in ("mu", *fields, "theta"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(params, name))
+
+
+def test_unpack_rejects_wrong_length(cauchy_model):
+    # wrap checks nothing, so a point of the wrong length is caught where the
+    # blocks are packed: each field must be the size of mu
+    lap = _lap(cauchy_model)
+    params = initialise("mvi_eig", lap)
+    with pytest.raises(ValueError):
+        VariationalParams("mvi_eig", params.mu, params.theta,
+                          log_r=np.append(params.log_r, 0.0))
+    with pytest.raises(ValueError):
+        VariationalParams("mvi_mu", params.mu, params.theta, log_r=params.log_r)
 
 
 @pytest.mark.parametrize("name", ("mu", "theta", "t", "v", "x", "family"))
