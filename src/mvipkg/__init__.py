@@ -14,7 +14,7 @@ Submodules:
     optimize     deterministic L-BFGS minimiser
     laplace      mode finding, curvature fit, hyperparameter grid search
     variational  families, entropies, fixed-sample ELBO and gradients
-    evaluate     predictive metrics, Monte Carlo LPD, 2-D quadrature KL
+    evaluate     Monte Carlo LPD, error metrics, exact fit curve, 2-D KL
     stats        sign test, bootstrap intervals, significance decisions
     data         synthetic tasks, CSV loading, split plans
     bench        per-split orchestration and report assembly

@@ -236,7 +236,7 @@ _SETTINGS = {
         help="fixed draws for the variational objectives (default 1000)"))),
     "n_eval": (10_000, _count, ("--eval-samples", dict(
         type=int, metavar="SP",
-        help="posterior draws for predictive evaluation (default 10000)"))),
+        help="posterior draws for held-out scoring (default 10000)"))),
     "n_workers": (None, _or_null(_count), ("--workers", dict(
         type=int, help="worker processes for independent splits (default one "
                        "per usable core; 1 runs them in this process)"))),
@@ -371,9 +371,7 @@ def cmd_fit(config: dict, out_dir: Path) -> int:
     made = ["fit.json", "fit_arrays.npz"]
     if dataset.kind == "regression" and dataset.n_features == 1:
         x = np.linspace(dataset.X.min(), dataset.X.max(), config["curve_points"])
-        mean, sd = evaluate.predictive_curve(
-            posterior, model, x, n_samples=config["n_eval"],
-            seed=config["seed"] + bench.SALT_EVAL)
+        mean, sd = evaluate.predictive_curve(posterior, model, x)
         write_csv(out_dir / "curve.csv", ["x", "mean", "sd"],
                   zip(x.tolist(), mean.tolist(), sd.tolist()))
         made.append("curve.csv")
@@ -400,8 +398,7 @@ _COMMANDS = {
     "benchmark": (cmd_benchmark, "split-resampling benchmark on CSV datasets",
                   _SUITE + ("data", "task", "n_splits", "train_fraction", "splits_file")),
     "fit": (cmd_fit, "fit one method once and serialise it",
-            ("data", "task", "method", "seed", "n_samples", "n_eval", "grid", "optim",
-             "curve_points")),
+            ("data", "task", "method", "seed", "n_samples", "grid", "optim", "curve_points")),
 }
 
 

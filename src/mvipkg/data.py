@@ -110,12 +110,10 @@ class MixtureTarget2D(Target):
     Normalised, with analytic gradient and Hessian of the log density, so it
     doubles as a log-posterior model for the 2-D demonstration: mode finding
     and the curvature fit run directly on it. ``theta`` is empty (nothing to
-    tune), and ``bounds``/``resolution`` supply the quadrature defaults for
-    KL evaluation.
+    tune), and ``bounds`` is the square the demo draws its contours on.
     """
 
     bounds = (-10.0, 10.0)
-    resolution = 801
     P = 2
 
     def __init__(self):
@@ -193,22 +191,22 @@ def load_csv_dataset(path, task: Optional[str] = None,
     """Read a numeric CSV into a Dataset, the last column the target.
 
     Raises DataError with the offending 1-based line number for ragged rows
-    or non-numeric fields. A single leading header row of non-numeric names
-    is tolerated and skipped.
+    or non-numeric fields. The first non-blank row is a header, and skipped,
+    when none of its fields is a number; a UTF-8 byte-order mark is dropped.
     """
     path = Path(path)
     if not path.is_file():
         raise DataError(f"dataset file not found: {path}")
     rows: list[list[float]] = []
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        for line_no, row in enumerate(reader, start=1):
-            if not row or all(not c.strip() for c in row):
+    seen = False   # a non-blank row came before
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        for line_no, row in enumerate(csv.reader(handle), start=1):
+            if all(not c.strip() for c in row):
                 continue
-            try:
-                values = [float(c) for c in row]
-            except ValueError:
-                if line_no == 1 and not rows:
+            first, seen = not seen, True
+            values = [_number(c) for c in row]
+            if None in values:
+                if first and values.count(None) == len(values):
                     continue  # header
                 raise DataError(f"{path}:{line_no}: non-numeric field in {row!r}")
             if rows and len(values) != len(rows[0]):
@@ -225,6 +223,13 @@ def load_csv_dataset(path, task: Optional[str] = None,
     kind = task or _infer_task(y_raw)
     y = _code_targets(y_raw, kind, path)
     return Dataset(np.delete(table, -1, axis=1), y, kind, name=name or path.stem)
+
+
+def _number(field: str) -> float | None:
+    try:
+        return float(field)
+    except ValueError:
+        return None
 
 
 def _infer_task(y: np.ndarray) -> str:

@@ -155,9 +155,10 @@ def hyperparameter_search(X: np.ndarray, y: np.ndarray, task: str, seed: int,
                           optim: OptimConfig | None = None) -> SearchResult:
     """Randomized grid over basis size, width, and precisions.
 
-    For each basis size M (clamped to the training-set size) the centres come
-    from seeded k-means; ``n_pairs`` draws of (width, alpha) - and gamma for
-    regression - from Uniform(0, 1) give the candidates. Each candidate gets
+    Basis sizes above the training-set size are dropped. For each remaining
+    size M the centres come from seeded k-means; ``n_pairs`` draws of (width,
+    alpha) - and gamma for regression - from Uniform(0, 1) give the
+    candidates. Each candidate gets
     a ``search_iters``-step mode search from zero and a curvature fit, and is
     scored with the fixed-sample bound of its own Laplace Gaussian (the
     ``mvi_mu`` family at the fit) on a shared master sample matrix: a

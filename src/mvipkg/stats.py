@@ -11,7 +11,7 @@ against every competitor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,39 +82,29 @@ def bootstrap_median_diff_ci(sample: PairedSample, n_boot: int = 10_000,
     return float(lo), float(hi)
 
 
-@dataclass
-class SignificanceReport:
-    best: str
-    alpha: float
-    comparisons: dict[str, dict] = field(default_factory=dict)
-    overall: bool = False
-
-
-def significance_decision(best: str, others: dict[str, PairedSample],
-                          alpha: float = 0.05, n_boot: int = 10_000,
-                          seed: int = 0) -> SignificanceReport:
-    """Joint decision: is ``best`` significantly better than every competitor?
+def significance_decision(others: dict[str, PairedSample], alpha: float = 0.05,
+                          n_boot: int = 10_000, seed: int = 0) -> dict:
+    """Joint decision: is the best method significantly better than every
+    competitor?
 
     ``others`` maps competitor names to paired samples with the best method's
     scores in ``a``. Per pair, significance requires the sign test to reject
     at ``alpha`` and the bootstrap interval to exclude zero. Bootstrap seeds
     derive deterministically from ``seed`` and the competitor's position in
-    sorted name order.
+    sorted name order. Returns ``{"comparisons", "overall_significant"}``:
+    each competitor's p-value, interval and verdict, and whether the best
+    method wins against all of them.
     """
-    report = SignificanceReport(best=best, alpha=alpha)
-    verdicts = []
-    for j, name in enumerate(sorted(others)):
-        sample = others[name]
+    comparisons = {}
+    for j, (name, sample) in enumerate(sorted(others.items())):
         p_value = sign_test(sample)
         lo, hi = bootstrap_median_diff_ci(sample, n_boot=n_boot, seed=seed + j)
-        excludes_zero = lo > 0.0 or hi < 0.0
-        significant = (p_value < alpha) and excludes_zero
-        report.comparisons[name] = {
+        comparisons[name] = {
             "p_value": p_value,
             "ci_low": lo,
             "ci_high": hi,
-            "significant": significant,
+            "significant": p_value < alpha and (lo > 0.0 or hi < 0.0),
         }
-        verdicts.append(significant)
-    report.overall = bool(verdicts) and all(verdicts)
-    return report
+    verdicts = [c["significant"] for c in comparisons.values()]
+    return {"comparisons": comparisons,
+            "overall_significant": bool(verdicts) and all(verdicts)}

@@ -321,7 +321,8 @@ def test_criterion_9_determinism(tmp_path):
     small = ["--config", "grid.basis_sizes=[5]", "--config", "grid.n_pairs=4",
              "--config", "grid.search_iters=5",
              "--config", "optim.max_iters=150", "--config", "n_boot=200",
-             "--samples", "100", "--eval-samples", "200"]
+             "--samples", "100"]
+    scored = ["--eval-samples", "200"]   # the suites' held-out draws
     rng = np.random.default_rng(10)
     x = rng.uniform(-2.0, 2.0, size=25)
     y = np.sin(2.0 * x) + 0.1 * rng.standard_normal(25)
@@ -334,11 +335,11 @@ def test_criterion_9_determinism(tmp_path):
                     "--config", "contour_resolution=41",
                     "--config", "optim.max_iters=300"], "report.json"),
         "cauchy": (["cauchy", "--splits", "2", "--methods", "all",
-                    "--config", "n_train=20", "--config", "n_test=40"] + small,
+                    "--config", "n_train=20", "--config", "n_test=40"] + small + scored,
                    "report.json"),
         "benchmark": (["benchmark", "--data", str(csv_path), "--splits", "2",
                        "--train-fraction", "0.6",
-                       "--methods", "laplace,mvi_lr"] + small, "report.json"),
+                       "--methods", "laplace,mvi_lr"] + small + scored, "report.json"),
         "fit": (["fit", "--data", str(csv_path), "--method", "mvi_eig",
                  "--config", "curve_points=11"] + small, "fit.json"),
     }

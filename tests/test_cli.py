@@ -9,12 +9,13 @@ import pytest
 from mvipkg import cli
 from mvipkg.errors import ConfigError
 
-SMALL = [
+SMALL_FIT = [
     "--config", "grid.basis_sizes=[5]", "--config", "grid.n_pairs=4",
     "--config", "grid.search_iters=5", "--config", "optim.max_iters=150",
-    "--config", "n_boot=200",
-    "--samples", "100", "--eval-samples", "200",
+    "--config", "n_boot=200", "--samples", "100",
 ]
+# a suite also scores with fewer posterior draws
+SMALL = SMALL_FIT + ["--eval-samples", "200"]
 # a fit's required flags; the file is never read when a setting is bad
 FIT = ["--data", "missing.csv", "--method", "laplace"]
 
@@ -269,7 +270,7 @@ def test_fit_writes_artifacts_and_curve(tmp_path, capsys):
     data = _write_regression_csv(tmp_path)
     out = tmp_path / "f"
     code = cli.main(["fit", "--data", str(data), "--method", "mvi_eig",
-                     "--config", "curve_points=11", "--out", str(out)] + SMALL)
+                     "--config", "curve_points=11", "--out", str(out)] + SMALL_FIT)
     assert code == 0
     meta = json.loads((out / "fit.json").read_text())
     assert meta["config"]["method"] == "mvi_eig"
@@ -289,9 +290,26 @@ def test_fit_rerun_byte_identical(tmp_path, method):
     data = _write_regression_csv(tmp_path)
     out1, out2 = tmp_path / "f1", tmp_path / "f2"
     args = ["fit", "--data", str(data), "--method", method,
-            "--config", "curve_points=11", "--out", str(out1)] + SMALL
+            "--config", "curve_points=11", "--out", str(out1)] + SMALL_FIT
     assert cli.main(args) == 0
     assert cli.main(["fit", "--config", str(out1 / "fit.json"),
+                     "--out", str(out2)]) == 0
+    for name in ("fit.json", "fit_arrays.npz", "curve.csv"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+def test_fit_accepts_an_older_report_with_n_eval(tmp_path):
+    # n_eval is a known setting that fit does not read, so a fit.json that
+    # carries it reruns to the same files
+    data = _write_regression_csv(tmp_path)
+    out1, out2 = tmp_path / "f1", tmp_path / "f2"
+    assert cli.main(["fit", "--data", str(data), "--method", "laplace",
+                     "--config", "curve_points=11", "--out", str(out1)] + SMALL_FIT) == 0
+    old = json.loads((out1 / "fit.json").read_text())
+    assert "n_eval" not in old["config"]
+    old["config"]["n_eval"] = 200
+    (tmp_path / "old.json").write_text(json.dumps(old))
+    assert cli.main(["fit", "--config", str(tmp_path / "old.json"),
                      "--out", str(out2)]) == 0
     for name in ("fit.json", "fit_arrays.npz", "curve.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
@@ -306,7 +324,7 @@ def test_fit_classification_skips_curve(tmp_path):
                               for a, b in zip(x, y)) + "\n")
     out = tmp_path / "fb"
     code = cli.main(["fit", "--data", str(data), "--method", "laplace",
-                     "--out", str(out)] + SMALL)
+                     "--out", str(out)] + SMALL_FIT)
     assert code == 0
     assert (out / "fit.json").exists()
     assert not (out / "curve.csv").exists()
@@ -331,7 +349,7 @@ def test_report_config_holds_the_settings_once(tmp_path, command):
         "benchmark": ["--data", data, "--splits", "1", "--train-fraction", "0.6",
                       "--methods", "laplace"] + SMALL,
         "fit": ["--data", data, "--method", "laplace",
-                "--config", "curve_points=11"] + SMALL,
+                "--config", "curve_points=11"] + SMALL_FIT,
     }[command]
     out = tmp_path / "o"
     assert cli.main([command, *argv, "--out", str(out)]) == 0
@@ -559,7 +577,8 @@ def test_argparse_rejects_unknown_command():
     ["demo2d", "--workers", "2"],
     ["demo2d", "--eval-samples", "10"],
     ["fit", "--workers", "2"],
-], ids=["demo-workers", "demo-eval-samples", "fit-workers"])
+    ["fit", "--eval-samples", "10"],
+], ids=["demo-workers", "demo-eval-samples", "fit-workers", "fit-eval-samples"])
 def test_subcommands_take_only_their_own_flags(tmp_path, argv):
     # a flag for a setting the command does not read is a usage error
     with pytest.raises(SystemExit) as exc:
@@ -605,9 +624,11 @@ def test_pool_reports_do_not_depend_on_the_parent_blas_threads(tmp_path):
 
 def test_cli_import_loads_no_pool_and_no_scipy():
     # every `mvi` process and every pool process imports the CLI: the pool's
-    # machinery loads only when a suite starts one, and scipy never
+    # machinery loads only when a suite starts one, scipy never, and
+    # numpy.polynomial only when the demo's KL needs its quadrature nodes
     code = ("import sys, mvipkg.cli; print(sorted({m.split('.')[0] for m in sys.modules}"
-            " & {'multiprocessing', 'concurrent', 'scipy'}))")
+            " & {'multiprocessing', 'concurrent', 'scipy'}"
+            " | {m for m in sys.modules if m.startswith('numpy.polynomial')}))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120)

@@ -195,6 +195,29 @@ def test_csv_blank_lines_skipped(tmp_path):
     assert d.n == 2
 
 
+def test_csv_byte_order_mark_keeps_the_first_row(tmp_path):
+    # the mark is no part of the first field, so a first row of numbers stays data
+    p = tmp_path / "bom.csv"
+    p.write_bytes(b"\xef\xbb\xbf1.0,2.0\n3.0,4.0\n5.0,6.0\n")
+    d = load_csv_dataset(p, task="regression")
+    np.testing.assert_array_equal(d.X, [[1.0], [3.0], [5.0]])
+    np.testing.assert_array_equal(d.y, [2.0, 4.0, 6.0])
+
+
+def test_csv_partly_numeric_first_row_is_refused(tmp_path):
+    # a header holds names only; a first row with a missing value is bad data
+    p = _write(tmp_path, "1,NA,3\n4,5,6\n7,8,9\n")
+    with pytest.raises(DataError, match="d.csv:1"):
+        load_csv_dataset(p)
+
+
+def test_csv_header_after_blank_lines(tmp_path):
+    p = _write(tmp_path, "\n\nx,y\n1,2.5\n3,4.5\n")
+    d = load_csv_dataset(p)
+    np.testing.assert_array_equal(d.X, [[1.0], [3.0]])
+    np.testing.assert_array_equal(d.y, [2.5, 4.5])
+
+
 # ---------------------------------------------------------------------------
 # splits and standardisation
 # ---------------------------------------------------------------------------

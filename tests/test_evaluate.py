@@ -1,27 +1,34 @@
 import math
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.stats import multivariate_normal
 
+from mvipkg import bench
+from mvipkg.data import MixtureTarget2D
 from mvipkg.errors import ConfigError, NumericalError
 from mvipkg.evaluate import (classification_metrics, kl_to_target_2d,
-                             log_mean_exp, posterior_draws,
-                             predictive_curve, regression_metrics)
+                             log_mean_exp, predictive_curve, regression_metrics)
 from mvipkg.laplace import find_mode, laplace_approximation
 from mvipkg.models import (BinaryLogistic, CauchyRegression, SoftmaxRegression,
                            rbf_features)
-from mvipkg.variational import PosteriorGaussian
+from mvipkg.variational import (PosteriorGaussian, covariance_root, draw_fixed_samples,
+                                fit_family, laplace_posterior)
 
-from makers import log_mean_exp_se, make_cauchy, make_conjugate, make_logistic, make_softmax
+from makers import log_mean_exp_se, make_cauchy, make_conjugate, make_logistic
 
 
 def _posterior_for(model):
     mode = find_mode(model, np.zeros(model.P))
     lap = laplace_approximation(model, mode.x)
     return PosteriorGaussian(mean=lap.mean, root=lap.chol)
+
+
+def _draws(posterior, n_samples, seed):
+    """Weight draws mean + R z_s from fresh standard normals under ``seed``."""
+    z = np.random.default_rng(seed).standard_normal((n_samples, posterior.dim))
+    return posterior.mean + z @ posterior.root.T
 
 
 # ---------------------------------------------------------------------------
@@ -64,17 +71,8 @@ def test_log_mean_exp_single_value():
 
 
 # ---------------------------------------------------------------------------
-# posterior draws and lpd
+# lpd
 # ---------------------------------------------------------------------------
-
-def test_posterior_draws_moments():
-    mean = np.array([1.0, -2.0])
-    root = np.array([[2.0, 0.0], [0.5, 1.0]])
-    post = PosteriorGaussian(mean=mean, root=root)
-    draws = posterior_draws(post, 200_000, seed=1)
-    np.testing.assert_allclose(draws.mean(axis=0), mean, atol=0.02)
-    np.testing.assert_allclose(np.cov(draws.T), root @ root.T, atol=0.05)
-
 
 def _joint_lpd(posterior, model, X, y, n_samples, seed):
     """(lpd, its standard error) of log_mean_exp over one ``score`` pass on
@@ -90,7 +88,7 @@ def test_zero_root_lpd_is_loglik_at_mean():
     collapsed = PosteriorGaussian(mean=post.mean,
                                   root=np.zeros((model.P, model.P)))
     value = classification_metrics(collapsed, model, model.X, model.y,
-                                   n_samples=17, seed=5).lpd
+                                   n_samples=17, seed=5)["lpd"]
     f = model.phi @ post.mean
     direct = math.fsum(model.y * f - np.logaddexp(0.0, f))
     assert value == pytest.approx(direct, rel=1.0e-12)
@@ -105,9 +103,9 @@ def test_lpd_matches_manual_average():
     z = np.random.default_rng(9).standard_normal((256, model.P))
     ll = model.score(post.mean, post.root, z, model.X, model.y)[1]
     expected = log_mean_exp(ll)
-    assert score.lpd == expected / model.y.size
+    assert score["lpd"] == expected / model.y.size
     assert np.isfinite(expected)
-    W = posterior_draws(post, 256, seed=9)
+    W = _draws(post, 256, seed=9)
     r = model.y[None, :] - W @ model.phi.T
     manual = -np.log(np.pi * model.gamma * (1.0 + (r / model.gamma) ** 2)).sum(axis=1)
     np.testing.assert_allclose(ll, manual, rtol=1.0e-12)
@@ -157,7 +155,7 @@ def test_scoring_memory_is_one_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.isfinite(score.lpd)
+    assert np.isfinite(score["lpd"])
     assert peak < 20e6, f"peak {peak / 1e6:.1f} MB"
 
 
@@ -171,11 +169,10 @@ def test_regression_metrics_per_point_convention():
     score = regression_metrics(post, model, model.X, model.y, n_samples=128,
                                seed=3)
     joint, _ = _joint_lpd(post, model, model.X, model.y, n_samples=128, seed=3)
-    assert score.lpd == pytest.approx(joint / model.y.size, rel=1.0e-12)
-    assert score.error_rate is None
-    draws = posterior_draws(post, 128, seed=3)
-    preds = model.predictive(draws, model.X).mean(axis=0)
-    assert score.mse == pytest.approx(float(np.mean((model.y - preds) ** 2)),
+    assert set(score) == {"lpd", "mse"}
+    assert score["lpd"] == pytest.approx(joint / model.y.size, rel=1.0e-12)
+    preds = model.predictive(_draws(post, 128, seed=3), model.X).mean(axis=0)
+    assert score["mse"] == pytest.approx(float(np.mean((model.y - preds) ** 2)),
                                       rel=1.0e-12)
 
 
@@ -185,9 +182,9 @@ def test_classification_metrics_joint_convention():
     score = classification_metrics(post, model, model.X, model.y,
                                    n_samples=128, seed=3)
     joint, _ = _joint_lpd(post, model, model.X, model.y, n_samples=128, seed=3)
-    assert score.lpd == pytest.approx(joint, rel=1.0e-12)
-    assert score.mse is None
-    assert 0.0 <= score.error_rate <= 1.0
+    assert set(score) == {"lpd", "error_rate"}
+    assert score["lpd"] == pytest.approx(joint, rel=1.0e-12)
+    assert 0.0 <= score["error_rate"] <= 1.0
 
 
 def test_binary_error_rate_hand_case():
@@ -199,7 +196,7 @@ def test_binary_error_rate_hand_case():
     w = np.array([0.0, 2.0])  # constant logit +2: predicts class 1 everywhere
     post = PosteriorGaussian(mean=w, root=np.zeros((2, 2)))
     score = classification_metrics(post, model, X, y, n_samples=8, seed=0)
-    assert score.error_rate == pytest.approx(1.0 / 3.0)
+    assert score["error_rate"] == pytest.approx(1.0 / 3.0)
 
 
 def test_multiclass_error_rate_hand_case():
@@ -212,7 +209,7 @@ def test_multiclass_error_rate_hand_case():
     w[0] = w[1] = 3.0  # class-0 block
     post = PosteriorGaussian(mean=w, root=np.zeros((model.P, model.P)))
     score = classification_metrics(post, model, X, Y, n_samples=8, seed=0)
-    assert score.error_rate == pytest.approx(0.5)
+    assert score["error_rate"] == pytest.approx(0.5)
 
 
 def test_predictive_curve_zero_width_posterior():
@@ -221,33 +218,61 @@ def test_predictive_curve_zero_width_posterior():
     collapsed = PosteriorGaussian(mean=post.mean,
                                   root=np.zeros((model.P, model.P)))
     grid = np.linspace(-2.0, 2.0, 9)
-    mean, sd = predictive_curve(collapsed, model, grid, n_samples=12, seed=1)
+    mean, sd = predictive_curve(collapsed, model, grid)
     phi = rbf_features(grid.reshape(-1, 1), model.centers, model.width)
     np.testing.assert_allclose(mean, phi @ post.mean, rtol=1.0e-12)
-    np.testing.assert_allclose(sd, 0.0, atol=1.0e-12)
+    assert (sd == 0.0).all()
 
 
-def test_predictive_curve_accepts_2d_grid():
-    model = make_softmax(seed=8)
-    post = _posterior_for(model)
-    X = model.X[:4]
-    mean, sd = predictive_curve(post, model, X, n_samples=32, seed=2)
-    assert mean.shape == (4, 3) and sd.shape == (4, 3)
-    np.testing.assert_allclose(mean.sum(axis=1), 1.0, atol=1.0e-12)
+def _curve_cases():
+    """(posterior, model, grid, features on the grid) for the Cauchy model
+    and the conjugate oracle, whose grid is its own design matrix."""
+    cauchy = make_cauchy(seed=2)
+    grid = np.linspace(-3.0, 3.0, 13)
+    yield (_posterior_for(cauchy), cauchy, grid,
+           rbf_features(grid.reshape(-1, 1), cauchy.centers, cauchy.width))
+    conjugate = make_conjugate(seed=3, n=20, p=3)
+    mean, cov = conjugate.exact_posterior()
+    design = np.random.default_rng(5).standard_normal((7, 3))
+    yield (PosteriorGaussian(mean=mean, root=np.linalg.cholesky(cov)), conjugate,
+           design, design)
+
+
+def test_predictive_curve_is_the_closed_form():
+    # f = phi'w under w ~ N(mean, R R') is N(phi'mean, ||R'phi||^2)
+    for post, model, grid, phi in _curve_cases():
+        mean, sd = predictive_curve(post, model, grid)
+        np.testing.assert_allclose(mean, phi @ post.mean, rtol=1.0e-12)
+        np.testing.assert_allclose(sd, np.linalg.norm(phi @ post.root, axis=1),
+                                   rtol=1.0e-12)
+
+
+def test_predictive_curve_agrees_with_draws():
+    # the mean and sd of f over 10,000 posterior draws lie within 4 Monte
+    # Carlo standard errors of the exact values
+    n = 10_000
+    for post, model, grid, _ in _curve_cases():
+        mean, sd = predictive_curve(post, model, grid)
+        f = model.predictive(_draws(post, n, seed=0), grid.reshape(len(grid), -1))
+        assert (np.abs(f.mean(axis=0) - mean) <= 4.0 * sd / math.sqrt(n)).all()
+        assert (np.abs(f.std(axis=0) - sd) <= 4.0 * sd / math.sqrt(2.0 * n)).all()
 
 
 # ---------------------------------------------------------------------------
-# quadrature KL
+# Gauss-Hermite KL
 # ---------------------------------------------------------------------------
 
 class _GaussTarget:
-    """Standard 2-D normal with the grid attributes the quadrature reads."""
-
-    bounds = (-10.0, 10.0)
-    resolution = 801
+    """Standard 2-D normal with a batch log density."""
 
     def log_density(self, pts):
         return multivariate_normal(mean=[0.0, 0.0], cov=np.eye(2)).logpdf(pts)
+
+
+def _kl_to_standard_normal(mean, root):
+    """KL(N(m, S) || N(0, I)) = 0.5 [tr S + m'm - 2 - ln det S] in 2-D."""
+    cov = root @ root.T
+    return 0.5 * (np.trace(cov) + mean @ mean - 2.0 - np.linalg.slogdet(cov)[1])
 
 
 def test_kl_quadrature_matches_gaussian_closed_form():
@@ -256,52 +281,67 @@ def test_kl_quadrature_matches_gaussian_closed_form():
     post = PosteriorGaussian(mean=np.zeros(2), root=s * np.eye(2))
     expected = 0.5 * (2 * s * s - 2.0 - math.log(s ** 4))
     val = kl_to_target_2d(post, _GaussTarget())
-    assert val == pytest.approx(expected, abs=1.0e-6)
+    assert val == pytest.approx(expected, abs=1.0e-12)
 
 
 def test_kl_quadrature_zero_for_identical_gaussian():
     post = PosteriorGaussian(mean=np.zeros(2), root=np.eye(2))
-    assert abs(kl_to_target_2d(post, _GaussTarget())) < 1.0e-8
-
-
-def test_kl_quadrature_resolution_doubling_stable():
-    post = PosteriorGaussian(mean=np.array([0.5, -0.3]),
-                             root=np.array([[1.2, 0.0], [0.4, 0.9]]))
-    target = _GaussTarget()
-    a = kl_to_target_2d(post, target, resolution=801)
-    b = kl_to_target_2d(post, target, resolution=1601)
-    assert abs(a - b) < 1.0e-4
+    assert abs(kl_to_target_2d(post, _GaussTarget())) < 1.0e-12
 
 
 def test_kl_quadrature_correlated_case_closed_form():
+    mean = np.array([0.3, 0.1])
     root = np.array([[1.0, 0.0], [0.7, 0.8]])
-    post = PosteriorGaussian(mean=np.array([0.3, 0.1]), root=root)
-    cov = root @ root.T
-    # KL(N(m, S) || N(0, I)) = 0.5 [tr S + m'm - 2 - ln det S]
-    _, logdet = np.linalg.slogdet(cov)
-    expected = 0.5 * (np.trace(cov) + 0.1 * 0.1 + 0.3 * 0.3 - 2.0 - logdet)
+    post = PosteriorGaussian(mean=mean, root=root)
     assert kl_to_target_2d(post, _GaussTarget()) == \
-        pytest.approx(expected, abs=1.0e-6)
+        pytest.approx(_kl_to_standard_normal(mean, root), abs=1.0e-12)
+
+
+@pytest.mark.parametrize("mean, root", [
+    ([8.0, 0.0], np.eye(2)),
+    ([1.0, 1.0], 0.05 * np.eye(2)),
+    ([0.5, -0.3], [[1.2, 0.0], [0.4, 0.9]]),
+], ids=["off-centre", "narrow", "correlated"])
+def test_kl_quadrature_exact_for_gaussian_target(mean, root):
+    # the sum runs in q's own frame, so no q is too far out or too narrow
+    mean, root = np.array(mean), np.array(root)
+    post = PosteriorGaussian(mean=mean, root=root)
+    assert kl_to_target_2d(post, _GaussTarget()) == \
+        pytest.approx(_kl_to_standard_normal(mean, root), abs=1.0e-12)
+
+
+def _riemann_kl(posterior, target, lo=-10.0, hi=10.0, n=1601, rows=200):
+    """KL(q || target) as a Riemann sum of q (ln q - ln target) over an n x n
+    grid on [lo, hi]^2, ``rows`` grid rows at a time."""
+    xs = np.linspace(lo, hi, n)
+    cell = (xs[1] - xs[0]) ** 2
+    prec = np.linalg.inv(posterior.cov())
+    log_norm = -math.log(2.0 * math.pi) - 0.5 * np.linalg.slogdet(posterior.cov())[1]
+    total = 0.0
+    for start in range(0, n, rows):
+        gx, gy = np.meshgrid(xs[start:start + rows], xs, indexing="ij")
+        pts = np.column_stack([gx.ravel(), gy.ravel()])
+        dev = pts - posterior.mean
+        log_q = log_norm - 0.5 * np.einsum("gi,ij,gj->g", dev, prec, dev)
+        total += float(np.exp(log_q) @ (log_q - target.log_density(pts)))
+    return total * cell
+
+
+def test_kl_quadrature_matches_a_fine_grid_on_the_demo():
+    # the demo's four posteriors on its mixture target, against an
+    # independent Riemann sum on a 1601 x 1601 grid
+    target = MixtureTarget2D()
+    lap = laplace_approximation(target, find_mode(target, np.zeros(2)).x)
+    samples = draw_fixed_samples(1000, 2, bench.SALT_SAMPLES)
+    posteriors = [laplace_posterior(lap)] + [
+        covariance_root(fit_family(target, lap, samples, family,
+                                   seed=bench.SALT_INIT).params, lap)
+        for family in bench.DEMO_FAMILIES]
+    for post in posteriors:
+        assert abs(kl_to_target_2d(post, target) - _riemann_kl(post, target)) <= 1.0e-9
 
 
 def test_kl_quadrature_rejects_wrong_dimension():
     post = PosteriorGaussian(mean=np.zeros(3), root=np.eye(3))
     with pytest.raises(ConfigError, match="2-D"):
         kl_to_target_2d(post, _GaussTarget())
-
-
-def test_kl_quadrature_rejects_grid_too_small():
-    post = PosteriorGaussian(mean=np.array([8.0, 0.0]), root=np.eye(2))
-    with pytest.raises(ConfigError, match="widen"):
-        kl_to_target_2d(post, _GaussTarget())
-
-
-def test_kl_quadrature_rejects_mass_leak():
-    target = SimpleNamespace(bounds=(-10.0, 10.0), resolution=11,
-                             log_density=_GaussTarget().log_density)
-    # grid spacing 2.0, q centred between nodes with sd 0.05: every node is
-    # tens of standard deviations out, so the Riemann mass collapses
-    post = PosteriorGaussian(mean=np.array([1.0, 1.0]),
-                             root=0.05 * np.eye(2))
-    with pytest.raises(ConfigError, match="mass"):
-        kl_to_target_2d(post, target)

@@ -163,7 +163,7 @@ def test_search_rejects_sample_count_below_one(n_samples):
         hyperparameter_search(X, y, "regression", seed=0, n_samples=n_samples)
 
 
-def test_search_clamps_basis_to_training_size():
+def test_search_drops_basis_above_training_size():
     X, y = _toy_regression(n=8)
     grid = GridConfig(basis_sizes=(4, 50), n_pairs=2, search_iters=5)
     res = hyperparameter_search(X, y, "regression", seed=0, n_samples=64,

@@ -143,12 +143,12 @@ def test_decision_requires_both_criteria():
     base = rng.standard_normal(40)
     clear = PairedSample(base + 1.0, base)           # both criteria fire
     tied = PairedSample(base, base.copy())           # identical: p = 1
-    report = significance_decision("m", {"clear": clear, "tied": tied},
+    report = significance_decision({"clear": clear, "tied": tied},
                                    alpha=0.05, n_boot=500, seed=0)
-    assert report.comparisons["clear"]["significant"] is True
-    assert report.comparisons["tied"]["p_value"] == 1.0
-    assert report.comparisons["tied"]["significant"] is False
-    assert report.overall is False
+    assert report["comparisons"]["clear"]["significant"] is True
+    assert report["comparisons"]["tied"]["p_value"] == 1.0
+    assert report["comparisons"]["tied"]["significant"] is False
+    assert report["overall_significant"] is False
 
 
 def test_decision_overall_true_when_all_clear():
@@ -158,15 +158,15 @@ def test_decision_overall_true_when_all_clear():
         "x": PairedSample(base + 0.8, base),
         "y": PairedSample(base + 1.2, base + 0.1 * rng.standard_normal(50)),
     }
-    report = significance_decision("m", others, alpha=0.05, n_boot=1000, seed=2)
-    assert report.overall is True
-    assert all(c["significant"] for c in report.comparisons.values())
+    report = significance_decision(others, alpha=0.05, n_boot=1000, seed=2)
+    assert report["overall_significant"] is True
+    assert all(c["significant"] for c in report["comparisons"].values())
 
 
 def test_decision_no_competitors():
-    report = significance_decision("m", {}, alpha=0.05, n_boot=100)
-    assert report.overall is False
-    assert report.comparisons == {}
+    report = significance_decision({}, alpha=0.05, n_boot=100)
+    assert report["overall_significant"] is False
+    assert report["comparisons"] == {}
 
 
 def test_decision_deterministic_under_dict_order():
@@ -174,16 +174,16 @@ def test_decision_deterministic_under_dict_order():
     base = rng.standard_normal(30)
     sa = PairedSample(base + 0.5, base)
     sb = PairedSample(base + 0.7, base)
-    r1 = significance_decision("m", {"a": sa, "b": sb}, n_boot=300, seed=5)
-    r2 = significance_decision("m", {"b": sb, "a": sa}, n_boot=300, seed=5)
+    r1 = significance_decision({"a": sa, "b": sb}, n_boot=300, seed=5)
+    r2 = significance_decision({"b": sb, "a": sa}, n_boot=300, seed=5)
     for name in ("a", "b"):
-        assert r1.comparisons[name] == r2.comparisons[name]
+        assert r1["comparisons"][name] == r2["comparisons"][name]
 
 
 def test_decision_near_tie_not_significant():
     rng = np.random.default_rng(11)
     base = rng.standard_normal(30)
     noisy = PairedSample(base + 0.01 * rng.standard_normal(30), base)
-    report = significance_decision("m", {"n": noisy}, alpha=0.05, n_boot=500)
-    assert report.comparisons["n"]["significant"] is False
-    assert report.overall is False
+    report = significance_decision({"n": noisy}, alpha=0.05, n_boot=500)
+    assert report["comparisons"]["n"]["significant"] is False
+    assert report["overall_significant"] is False
