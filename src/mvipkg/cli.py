@@ -121,9 +121,9 @@ def load_config_args(entries) -> dict:
         if not path.is_file():
             raise ConfigError(f"config file not found: {entry}")
         try:
-            payload = json.loads(path.read_text())
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"{entry}: not valid JSON ({err})")
+            payload = json.loads(path.read_text(encoding="utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as err:
+            raise ConfigError(f"{entry}: not valid UTF-8 JSON ({err})")
         if isinstance(payload, dict) and isinstance(payload.get("config"), dict):
             payload = payload["config"]
         if not isinstance(payload, dict):

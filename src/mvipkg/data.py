@@ -190,9 +190,10 @@ def load_csv_dataset(path, task: Optional[str] = None,
                      name: Optional[str] = None) -> Dataset:
     """Read a numeric CSV into a Dataset, the last column the target.
 
-    Raises DataError with the offending 1-based line number for ragged rows
-    or non-numeric fields. The first non-blank row is a header, and skipped,
-    when none of its fields is a number; a UTF-8 byte-order mark is dropped.
+    Raises DataError with the offending 1-based line number for ragged rows,
+    non-numeric fields or non-finite numbers, and on a file not in UTF-8.
+    The first non-blank row is a header, and skipped, when none of its fields
+    is a number; a UTF-8 byte-order mark is dropped.
     """
     path = Path(path)
     if not path.is_file():
@@ -200,7 +201,7 @@ def load_csv_dataset(path, task: Optional[str] = None,
     rows: list[list[float]] = []
     seen = False   # a non-blank row came before
     with open(path, newline="", encoding="utf-8-sig") as handle:
-        for line_no, row in enumerate(csv.reader(handle), start=1):
+        for line_no, row in enumerate(_utf8_lines(csv.reader(handle), path), start=1):
             if all(not c.strip() for c in row):
                 continue
             first, seen = not seen, True
@@ -209,6 +210,8 @@ def load_csv_dataset(path, task: Optional[str] = None,
                 if first and values.count(None) == len(values):
                     continue  # header
                 raise DataError(f"{path}:{line_no}: non-numeric field in {row!r}")
+            if not np.isfinite(values).all():
+                raise DataError(f"{path}:{line_no}: non-finite number in {row!r}")
             if rows and len(values) != len(rows[0]):
                 raise DataError(
                     f"{path}:{line_no}: expected {len(rows[0])} columns, got {len(values)}")
@@ -223,6 +226,14 @@ def load_csv_dataset(path, task: Optional[str] = None,
     kind = task or _infer_task(y_raw)
     y = _code_targets(y_raw, kind, path)
     return Dataset(np.delete(table, -1, axis=1), y, kind, name=name or path.stem)
+
+
+def _utf8_lines(lines, path):
+    """Yield ``lines``; one that does not decode is a DataError naming ``path``."""
+    try:
+        yield from lines
+    except UnicodeDecodeError as err:
+        raise DataError(f"{path}: not UTF-8 text ({err})") from None
 
 
 def _number(field: str) -> float | None:
@@ -276,8 +287,8 @@ def load_split_indices(path, n_rows: int) -> list[np.ndarray]:
     if not path.is_file():
         raise DataError(f"split-index file not found: {path}")
     splits = []
-    with open(path) as handle:
-        for line_no, line in enumerate(handle, start=1):
+    with open(path, encoding="utf-8") as handle:
+        for line_no, line in enumerate(_utf8_lines(handle, path), start=1):
             if not line.strip():
                 continue
             try:

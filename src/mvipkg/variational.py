@@ -21,23 +21,23 @@ The sample term is the model's ``expectation(mu, R, draws)``: the means
 over the draws of the log posterior, of its gradient g_s at w_s = mu + R z_s
 (g-bar), of g_s z_s' (G) and of the theta gradient. Each family's
 ``contract`` maps G onto its fields, so no evaluation forms a gradient per
-draw here. A fit forms its family's draws once; an evaluation at a theta
-other than the model's own scores ``model.with_theta(theta)``, a copy with
-the features rebuilt.
+draw here. Every family reads the caller's draws as they are; an evaluation
+at a theta other than the model's own scores ``model.with_theta(theta)``, a
+copy with the features rebuilt.
 
 Families
 --------
 Each family is defined once, by its :class:`FamilySpec` record in
 ``FAMILY_SPECS``: its parameter fields, the covariance root built from the
 Laplace fit, the log-determinant terms of the entropy, the contraction of
-G onto the fields, the sample remap and the starting values. The functions
+G onto the fields and the starting values. The functions
 below read that table; none branches on the name.
 
 mvi_mu    free mean only; R = C (the Laplace Cholesky factor), covariance
           frozen at the Laplace fit.
-mvi_eig   free mean and eigen-scales; R = Q diag(r) with Q the Laplace
-          eigenvector matrix. Initialised at r equal to the Laplace
-          eigenvalue square roots.
+mvi_eig   free mean and eigen-scales; R = Q diag(r) A with Q the Laplace
+          eigenvector matrix and A = diag(1/r0) Q' C orthogonal, r0 the
+          Laplace eigenvalue square roots. Initialised at r = r0.
 mvi_lr    free mean plus a rank-one update of the Cholesky factor,
           in the Laplace frame: R = C (I + t v') = C + (C t) v'. The
           start's C t v' is an outer product of small Gaussian noise,
@@ -56,9 +56,9 @@ Two details matter for exactness guarantees and are easy to miss:
   (conjugate) target this makes the fixed-sample bound attain its maximum of
   exactly ln Z at the exact posterior, instead of ln Z plus an O(1/sqrt(S))
   fluctuation that the optimiser could also overfit.
-* The eigen family consumes the shared samples through an orthogonal remap
-  (see :func:`family_samples`) so that at r equal to the Laplace scales its
-  sample paths coincide with the Cholesky-route paths. Without this, bounds
+* R = C at the Laplace scales: the eigen family's root carries the
+  orthogonal factor A, so at r = r0 it is the Cholesky factor and its sample
+  paths are the Cholesky families' on the same draws. Without this, bounds
   of nested families would differ by Monte Carlo noise at the common
   distribution and warm-start monotonicity would only hold on average.
 """
@@ -68,7 +68,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -187,7 +187,6 @@ class FamilySpec:
     contract: Callable          # (params, laplace, G) -> gradient blocks of the fields:
                                 # the sample term from G alone plus the entropy's terms
     init: Callable              # (laplace, seed) -> starting fields
-    remap: Optional[Callable] = None    # laplace -> M: the family's samples are z M
 
 
 def _log_det_chol(laplace) -> float:
@@ -209,6 +208,12 @@ def _log_scale_block(BG: np.ndarray, log_s: np.ndarray) -> np.ndarray:
     term diag(BG) plus the entropy's 1/s, times s for the log space."""
     scale = np.exp(log_s)
     return (np.diagonal(BG) + 1.0 / scale) * scale
+
+
+def _eig_frame(laplace) -> np.ndarray:
+    """A = diag(1/r0) Q' C, orthogonal since C C' = Q diag(r0^2) Q': mvi_eig's
+    root Q diag(r) A has the covariance Q diag(r^2) Q' and is C at r = r0."""
+    return (laplace.eigvecs.T @ laplace.chol) / laplace.eig_root[:, None]
 
 
 def _contract_lr(params: VariationalParams, laplace, G: np.ndarray) -> list[np.ndarray]:
@@ -242,11 +247,11 @@ FAMILY_SPECS = {
         init=lambda lap, seed: {}),
     "mvi_eig": FamilySpec(
         fields=("log_r",),
-        root=lambda params, lap: lap.eigvecs * np.exp(params.log_r)[None, :],
-        log_det=lambda params, lap: (float(np.sum(params.log_r)),),
-        contract=lambda params, lap, G: [_log_scale_block(lap.eigvecs.T @ G, params.log_r)],
-        init=lambda lap, seed: {"log_r": np.log(lap.eig_root)},
-        remap=lambda lap: (lap.chol.T @ lap.eigvecs) / lap.eig_root[None, :]),
+        root=lambda params, lap: (lap.eigvecs * np.exp(params.log_r)) @ _eig_frame(lap),
+        log_det=lambda params, lap: (float(np.sum(params.log_r)),),   # |det A| = 1
+        contract=lambda params, lap, G: [
+            _log_scale_block(lap.eigvecs.T @ G @ _eig_frame(lap).T, params.log_r)],
+        init=lambda lap, seed: {"log_r": np.log(lap.eig_root)}),
     "mvi_lr": FamilySpec(
         fields=("t", "v"),
         root=lambda params, lap: lap.chol + np.outer(lap.chol @ params.t, params.v),
@@ -297,28 +302,13 @@ def entropy(params: VariationalParams, laplace) -> float:
     return value
 
 
-def family_samples(family: str, samples: FixedDraws, laplace) -> FixedDraws:
-    """Base samples as consumed by a family: ``samples`` itself unless the
-    family remaps them, so their moments and buffers are formed once per draw
-    set, not once per fit.
-
-    The eigen family's root factors the same covariance differently from the
-    Cholesky-based families, so the shared draws are remapped by the
-    orthogonal matrix A = diag(1/r) Q' C. At r equal to the Laplace scales
-    Q diag(r) A z = C z, so nested families then see identical sample paths;
-    orthogonality of A keeps the remapped draws standard (and standardised).
-    """
-    remap = _spec(family).remap
-    return samples if remap is None else FixedDraws(samples.z @ remap(laplace))
-
-
 # ---------------------------------------------------------------------------
 # bound and gradient
 # ---------------------------------------------------------------------------
 
 def _expectation(params: VariationalParams, draws: FixedDraws, model, laplace,
                  gradient: bool):
-    """The model's (value, g-bar, G, theta gradient) over the family's draws,
+    """The model's (value, g-bar, G, theta gradient) over the draws,
     at ``params.theta`` (the caller's model itself while theta is its own)."""
     if not np.array_equal(params.theta, model.theta):
         model = model.with_theta(params.theta)
@@ -332,13 +322,12 @@ def _expectation(params: VariationalParams, draws: FixedDraws, model, laplace,
 def elbo_estimate(params: VariationalParams, samples: FixedDraws,
                   model, laplace) -> float:
     """Fixed-sample evidence lower bound at the given parameters."""
-    draws = family_samples(params.family, samples, laplace)
-    value = _expectation(params, draws, model, laplace, gradient=False)[0]
+    value = _expectation(params, samples, model, laplace, gradient=False)[0]
     return value + entropy(params, laplace)
 
 
 def elbo_and_gradient(params: VariationalParams, samples: FixedDraws,
-                      model, laplace, draws: FixedDraws | None = None) -> tuple[float, np.ndarray]:
+                      model, laplace) -> tuple[float, np.ndarray]:
     """Bound and its gradient w.r.t. the free parameters, laid out as ``params.x``.
 
     All gradients are analytic. The sample term differentiates through
@@ -346,12 +335,9 @@ def elbo_and_gradient(params: VariationalParams, samples: FixedDraws,
     contributes 1/r (resp. 1/sigma) in the scale coordinates and the
     determinant-lemma terms for the rank-one family. In log-space
     coordinates those entropy terms become the constant one. Hyperparameter
-    gradients flow only through the log-posterior term. ``draws`` are the
-    family's samples, :func:`family_samples` of ``samples`` unless given;
-    :func:`fit_family` forms them once per fit.
+    gradients flow only through the log-posterior term.
     """
-    draws = family_samples(params.family, samples, laplace) if draws is None else draws
-    value, gbar, G, theta_g = _expectation(params, draws, model, laplace, gradient=True)
+    value, gbar, G, theta_g = _expectation(params, samples, model, laplace, gradient=True)
     value += entropy(params, laplace)
     grad = np.concatenate([gbar, *_spec(params.family).contract(params, laplace, G), theta_g])
     if not np.isfinite(grad).all():
@@ -455,13 +441,11 @@ def fit_family(model, laplace, samples: FixedDraws, family: str,
     objective. ``params`` is that vector itself: ``params.x is opt.x``.
     """
     params0 = init if init is not None else initialise(family, laplace, seed)
-    draws = family_samples(family, samples, laplace)
-
     at = partial(VariationalParams.wrap, params0.family, dim=params0.dim)
 
     def bound(x: np.ndarray) -> tuple[float, np.ndarray]:
         try:
-            val, grad = elbo_and_gradient(at(x), samples, model, laplace, draws)
+            val, grad = elbo_and_gradient(at(x), samples, model, laplace)
         except NumericalError:
             # A trial point outside the usable region (hyperparameters
             # underflowed to zero or with an overflowing square, a sample with

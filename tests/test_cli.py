@@ -562,6 +562,22 @@ def test_exit_code_data_error(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("command, flag, content, code", [
+    ("fit", "--data", b"x,y\xe9\n1,2\n3,4\n", 3),
+    ("benchmark", "--splits-file", b"1 2\xe9\n", 3),
+    ("cauchy", "--config", b'{"seed": "\xe9"}', 2),
+], ids=["fit-data", "benchmark-splits-file", "cauchy-config"])
+def test_exit_code_file_not_utf8(tmp_path, capsys, command, flag, content, code):
+    bad = tmp_path / "latin.txt"
+    bad.write_bytes(content)
+    argv = {"fit": ["--method", "laplace"],
+            "benchmark": ["--data", str(_write_regression_csv(tmp_path)), "--methods", "laplace"],
+            "cauchy": []}[command]
+    assert cli.main([command, flag, str(bad), *argv, "--out", str(tmp_path / "x")]) == code
+    err = capsys.readouterr().err
+    assert "UTF-8" in err and str(bad) in err
+
+
 def test_exit_code_missing_required(tmp_path):
     assert cli.main(["fit", "--out", str(tmp_path / "x")]) == 2
     assert cli.main(["benchmark", "--out", str(tmp_path / "y")]) == 2

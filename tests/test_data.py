@@ -167,6 +167,16 @@ def test_csv_errors_cite_line_numbers(tmp_path):
         load_csv_dataset(textual)
 
 
+@pytest.mark.parametrize("field", ["nan", "inf", "-Infinity"])
+def test_csv_non_finite_numbers_cite_line_numbers(tmp_path, field):
+    feature = _write(tmp_path, f"x,y\n1,2\n{field},3\n", name="f.csv")
+    with pytest.raises(DataError, match="f.csv:3: non-finite"):
+        load_csv_dataset(feature)
+    target = _write(tmp_path, f"1,2\n3,{field}\n", name="t.csv")
+    with pytest.raises(DataError, match="t.csv:2: non-finite"):
+        load_csv_dataset(target)
+
+
 def test_csv_missing_file(tmp_path):
     with pytest.raises(DataError, match="not found"):
         load_csv_dataset("/nonexistent/path.csv")

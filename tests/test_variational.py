@@ -13,7 +13,7 @@ from mvipkg.optimize import OptimConfig, minimize
 from mvipkg.variational import (FAMILIES, FAMILY_SPECS, VariationalParams,
                                 _theta_scales, _Whitened,
                                 covariance_root, draw_fixed_samples, elbo_and_gradient,
-                                elbo_estimate, entropy, family_samples,
+                                elbo_estimate, entropy,
                                 fit_family, initialise, laplace_posterior,
                                 standardize_draws)
 
@@ -203,27 +203,38 @@ def test_laplace_posterior_wraps_cholesky(cauchy_model):
 
 
 # ---------------------------------------------------------------------------
-# sample transport for the eigen family
+# the eigen family's root in the Laplace frame
 # ---------------------------------------------------------------------------
 
 def test_eigen_remap_is_orthogonal(cauchy_model):
+    # A = diag(1/r0) Q' C in mvi_eig's root Q diag(r) A: orthogonal, so the
+    # root keeps the covariance Q diag(r^2) Q' and |det A| = 1
     lap = _lap(cauchy_model)
-    m = (lap.chol.T @ lap.eigvecs) / lap.eig_root[None, :]
-    np.testing.assert_allclose(m @ m.T, np.eye(lap.dim), atol=1.0e-10)
+    a = variational._eig_frame(lap)
+    np.testing.assert_allclose(a @ a.T, np.eye(lap.dim), atol=1.0e-10)
+    params = initialise("mvi_eig", lap)
+    params.log_r[:] += 0.3
+    root = covariance_root(params, lap).root
+    np.testing.assert_allclose(root @ root.T, (lap.eigvecs * np.exp(2.0 * params.log_r))
+                               @ lap.eigvecs.T, atol=1.0e-10)
 
 
 def test_eigen_family_shares_sample_paths_at_laplace_scales(cauchy_model):
-    # Q diag(r_LA) A z = C z: the eigen family at its start visits exactly
-    # the points the Cholesky families visit
+    # Q diag(r0) A z = C z: the eigen family at its start visits exactly
+    # the points the Cholesky families visit on the same draws
     lap = _lap(cauchy_model)
     samples = draw_fixed_samples(50, lap.dim, seed=9)
-    z_eig = family_samples("mvi_eig", samples, lap).z
-    root = lap.eigvecs * lap.eig_root[None, :]
-    np.testing.assert_allclose(z_eig @ root.T, samples.z @ lap.chol.T,
-                               atol=1.0e-10)
-    for family in ("mvi_mu", "mvi_lr", "vi_diag"):
-        np.testing.assert_array_equal(family_samples(family, samples, lap).z,
-                                      samples.z)
+    paths = {family: samples.z @ covariance_root(initialise(family, lap, seed=1), lap).root.T
+             for family in ("mvi_mu", "mvi_eig")}
+    np.testing.assert_allclose(paths["mvi_eig"], paths["mvi_mu"], atol=1.0e-10)
+
+
+@pytest.mark.parametrize("maker", [make_cauchy, make_logistic, make_softmax, make_conjugate])
+def test_eigen_root_is_the_cholesky_factor_at_its_start(maker):
+    # R = C at the Laplace scales
+    lap = _lap(maker())
+    root = covariance_root(initialise("mvi_eig", lap), lap).root
+    np.testing.assert_allclose(root, lap.chol, rtol=0.0, atol=1.0e-12)
 
 
 def test_initial_elbos_agree_across_mvi_families(cauchy_model):
@@ -299,16 +310,17 @@ def _per_draw_bound(params, samples, model, lap):
     """The bound and its gradient from per-draw gradients: W = mu + z R',
     ``model.evaluate``, sample means, and each family's contraction of g
     with its draws z written out, plus the entropy's terms."""
-    z = family_samples(params.family, samples, lap).z
+    z = samples.z
     n = z.shape[0]
     R = covariance_root(params, lap).root
     moved = model.with_theta(params.theta) if params.theta.size else model
     vals, g, theta_g = moved.evaluate(params.mu[None, :] + z @ R.T)
     value = vals.mean() + entropy(params, lap)
     blocks = [g.mean(axis=0)]
-    if params.family == "mvi_eig":
+    if params.family == "mvi_eig":   # R = Q diag(r) A
         r = np.exp(params.log_r)
-        blocks.append(((g @ lap.eigvecs) * z).mean(axis=0) * r + 1.0)
+        a = variational._eig_frame(lap)
+        blocks.append(((g @ lap.eigvecs) * (z @ a.T)).mean(axis=0) * r + 1.0)
     elif params.family == "vi_diag":
         sigma = np.exp(params.log_sigma)
         blocks.append((g * z).mean(axis=0) * sigma + 1.0)
@@ -439,20 +451,20 @@ def test_fit_elbo_is_the_bound_at_its_params(name, family):
     assert fit.elbo == elbo_estimate(fit.params, samples, model, lap)
 
 
-def test_fits_share_the_callers_draws_unless_remapped(cauchy_model):
+def test_fits_share_the_callers_draws(cauchy_model):
+    # every family reads the caller's FixedDraws itself: its moments and
+    # work buffers are formed by the first fit and kept by the other three
     lap = _lap(cauchy_model)
     samples = draw_fixed_samples(40, lap.dim, seed=3)
     cfg = OptimConfig(max_iters=5)
     phi, theta = cauchy_model.phi, cauchy_model.theta
+    assert "moments" not in samples.__dict__
     fit_family(cauchy_model, lap, samples, "mvi_eig", config=cfg)
-    assert "moments" not in samples.__dict__   # mvi_eig ran on remapped draws
-    eig = family_samples("mvi_eig", samples, lap)
-    assert eig is not samples
-    np.testing.assert_array_equal(eig.z, samples.z @ FAMILY_SPECS["mvi_eig"].remap(lap))
-    fit_family(cauchy_model, lap, samples, "mvi_mu", config=cfg)
-    assert "moments" in samples.__dict__
+    moments, work = samples.__dict__["moments"], samples.work(cauchy_model.N)
     for family in ("mvi_mu", "mvi_lr", "vi_diag"):
-        assert family_samples(family, samples, lap) is samples
+        fit_family(cauchy_model, lap, samples, family, config=cfg)
+    assert samples.moments is moments
+    assert samples.work(cauchy_model.N) is work
     # the fits moved theta on copies: the caller's model keeps its features
     assert cauchy_model.phi is phi
     np.testing.assert_array_equal(cauchy_model.theta, theta)
