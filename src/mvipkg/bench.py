@@ -198,15 +198,26 @@ def usable_cores() -> int:
 def _parallel_map(fn, items, n_workers: int) -> list:
     """``[fn(item) for item in items]``, on ``n_workers`` processes when more than one.
 
-    The pool's processes start by ``spawn``, each a fresh interpreter that
-    imports numpy with BLAS pinned to one thread (the parent's environment is
-    restored afterwards), so a pool's results do not depend on the parent's
-    BLAS settings or on scheduling. ``fn`` and every item and result are
-    pickled: ``fn`` must be importable by name, or a ``functools.partial`` of
-    such a function. An exception raised by ``fn`` reaches the caller with its
-    class. Results come back in item order, and the pool is shut down, its
-    processes joined, before this returns. A pool whose processes die raises
-    ``BrokenProcessPool`` naming the ``__main__`` guard, the usual cause.
+    The processes are forked from the process's forkserver, which the first
+    pool starts with BLAS pinned to one thread (the parent's environment is
+    restored afterwards) and which imports this module, numpy with it, once.
+    So results do not depend on the parent's BLAS settings or on scheduling,
+    and later pools start warm. The server is global to the process and
+    lives until the process exits. CPython 3.11's forkserver ignores the
+    ``sys.path`` it is handed: the preload needs mvipkg on ``PYTHONPATH`` or
+    installed, else it fails silently and each worker imports mvipkg after
+    the fork (same results, slower start). A forkserver that the caller's
+    own code started earlier keeps its BLAS settings, and its workers inherit
+    them. Where the platform has no forkserver, the processes start by
+    ``spawn``.
+
+    ``fn`` and every item and result are pickled: ``fn`` must be importable
+    by name, or a ``functools.partial`` of such a function. An exception
+    raised by ``fn`` reaches the caller with its class. Results come back in
+    item order, and the pool is shut down, its processes joined, before this
+    returns. Every worker imports the caller's ``__main__`` again as it
+    starts; a pool whose processes die raises ``BrokenProcessPool`` naming
+    the ``__main__`` guard, the usual cause.
     """
     if n_workers <= 1:
         return [fn(item) for item in items]
@@ -216,13 +227,19 @@ def _parallel_map(fn, items, n_workers: int) -> list:
 
     saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
     os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
-    pool = ProcessPoolExecutor(n_workers, mp_context=multiprocessing.get_context("spawn"))
+    if "forkserver" in multiprocessing.get_all_start_methods():
+        context = multiprocessing.get_context("forkserver")
+        # the default preload, __main__, would run the caller's script in the server
+        context.set_forkserver_preload([__name__])
+    else:
+        context = multiprocessing.get_context("spawn")
+    pool = ProcessPoolExecutor(n_workers, mp_context=context)
     try:
         return list(pool.map(fn, items))
     except BrokenProcessPool as err:
         raise BrokenProcessPool(
-            "a worker process died. The workers are spawned and import the caller's "
-            "__main__ again: a script that runs a suite must do so under "
+            "a worker process died. Each worker imports the caller's __main__ again "
+            "as it starts: a script that runs a suite must do so under "
             '`if __name__ == "__main__":`') from err
     finally:
         pool.shutdown(cancel_futures=True)
@@ -306,9 +323,10 @@ def run_cauchy(n_runs: int = 20, methods=METHODS, seed: int = 0,
     """The synthetic heavy-tail regression suite: n_runs fresh datasets.
 
     ``n_workers`` processes run the splits; None (the default) starts one
-    per usable core. Several are ``spawn`` processes, which import the
-    caller's ``__main__`` again: call this under ``if __name__ ==
-    "__main__":``, or the pool dies with ``BrokenProcessPool``.
+    per usable core. Several are forked from the process's forkserver,
+    which lives until the process exits (see ``_parallel_map``), and each
+    imports the caller's ``__main__`` again: call this under ``if __name__
+    == "__main__":``, or the pool dies with ``BrokenProcessPool``.
     """
     methods = _check_methods(methods)
     splits = [(*data_mod.generate_cauchy_task(seed + i, n_train, n_test), seed + i)
@@ -323,9 +341,9 @@ def run_benchmark(dataset, methods=METHODS, plan=None,
                   grid: GridConfig | None = None, optim: OptimConfig | None = None,
                   alpha: float = 0.05, n_boot: int = 10_000,
                   n_workers: int | None = None) -> dict:
-    """Split-resampling benchmark on a loaded dataset; ``n_workers``, and
-    the ``__main__`` guard, as in :func:`run_cauchy`. The report's ``task``
-    is the dataset's task kind."""
+    """Split-resampling benchmark on a loaded dataset; ``n_workers``, the
+    forkserver its pool forks from, and the ``__main__`` guard, as in
+    :func:`run_cauchy`. The report's ``task`` is the dataset's task kind."""
     methods = _check_methods(methods)
     plan = plan or data_mod.SplitPlan()
     splits = data_mod.make_splits(dataset, plan)

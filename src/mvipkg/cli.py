@@ -4,7 +4,9 @@ Every setting is one entry of ``_SETTINGS``: its default, its check and, if
 it has one, its flag. ``_COMMANDS`` names the settings each command reads; a
 subcommand takes ``--out``, ``--config`` and the flags of its own settings.
 A setting comes from its default, then the config files, then its flag, and
-every setting a command reads is checked before its output directory exists.
+every setting a command reads is checked before the command runs. The output
+directory is made with the first artefact, so a command that stops on its
+input leaves none behind.
 
 Reports go to --out as JSON plus CSV tables; ``write_report`` alone puts the
 command and its full effective config under "config". Pointing --config at a
@@ -309,6 +311,7 @@ def _write_suite(out_dir: Path, command: str, report: dict, config: dict, kind: 
                  label: str, unit: str):
     """A suite's report, timing and median table, and its two summary lines;
     the task ``kind`` picks the table's error metric."""
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_report(out_dir, command, report, config)
     write_median_table(out_dir / "table.csv", report, config["methods"],
                        ("lpd", bench.error_metric(kind)))
@@ -323,6 +326,7 @@ def _write_suite(out_dir: Path, command: str, report: dict, config: dict, kind: 
 def cmd_demo2d(config: dict, out_dir: Path) -> int:
     report = bench.run_demo2d(**config)
     arrays = report.pop("arrays")
+    out_dir.mkdir(parents=True, exist_ok=True)
     dump_json(out_dir / "kl.json", report["kl"])
     write_csv(out_dir / "contours.csv", ["x", "y", "log_density"],
               arrays["contours"].tolist())
@@ -354,7 +358,6 @@ def cmd_benchmark(config: dict, out_dir: Path) -> int:
         report = bench.run_benchmark(
             dataset, plan=plan, **{key: config[key] for key in _SUITE if key != "seed"})
         target = out_dir / Path(path).stem if multi else out_dir
-        target.mkdir(parents=True, exist_ok=True)
         _write_suite(target, "benchmark", report, dict(config, data=[path]),
                      report["task"], f"benchmark[{dataset.name}]", "splits")
     return 0
@@ -366,6 +369,7 @@ def cmd_fit(config: dict, out_dir: Path) -> int:
     meta, arrays, posterior, model = bench.run_fit(
         dataset, config["method"], seed=config["seed"], n_samples=config["n_samples"],
         grid=config["grid"], optim=config["optim"])
+    out_dir.mkdir(parents=True, exist_ok=True)
     np.savez(out_dir / "fit_arrays.npz", **arrays)
     write_report(out_dir, "fit", meta, config)
     made = ["fit.json", "fit_arrays.npz"]
@@ -423,7 +427,6 @@ def _dispatch(args) -> int:
     file_config = load_config_args(args.config)
     config = effective_config(args.command, file_config, vars(args))
     out_dir = Path(args.out or _path(file_config.get("out") or _DEFAULT_OUT, "out"))
-    out_dir.mkdir(parents=True, exist_ok=True)
     return _COMMANDS[args.command][0](config, out_dir)
 
 

@@ -21,6 +21,7 @@ Conventions worth stating once:
 from __future__ import annotations
 
 import logging
+from functools import lru_cache
 
 import numpy as np
 
@@ -48,11 +49,20 @@ def log_mean_exp(values: np.ndarray) -> float:
     return float(m + np.log(float(np.exp(values - m).mean())))
 
 
+@lru_cache(maxsize=1)
+def _standard_normals(n_samples: int, dim: int, seed: int) -> np.ndarray:
+    """A read-only (n_samples, dim) standard normal draw under ``seed``; the
+    last one is kept, since every method of a split scores on the same draw."""
+    z = np.random.default_rng(seed).standard_normal((n_samples, dim))
+    z.flags.writeable = False
+    return z
+
+
 def _scored(posterior: PosteriorGaussian, model, X_test, y_test, n_samples: int,
             seed: int) -> tuple[np.ndarray, float]:
     """(mean prediction, joint lpd) from one ``model.score`` pass over the
     draws mean + R z_s, z drawn under ``seed``."""
-    z = np.random.default_rng(seed).standard_normal((n_samples, posterior.dim))
+    z = _standard_normals(n_samples, posterior.dim, seed)
     mean, ll = model.score(posterior.mean, posterior.root, z, X_test, y_test)
     value = log_mean_exp(ll)
     if value == -np.inf:

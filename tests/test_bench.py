@@ -215,6 +215,11 @@ def _blas_variables(_):
     return [os.environ.get(v) for v in bench._BLAS_THREAD_VARS]
 
 
+def _parent_pid(_):
+    time.sleep(0.05)   # holds its worker, so both workers of a pool report
+    return os.getppid()
+
+
 def _raise_at_one(job):
     i, error = job
     if i == 1:
@@ -266,9 +271,22 @@ def test_pool_leaves_no_process_and_the_blas_variables_as_they_were(monkeypatch)
     assert _blas_variables(None) == ["3", "2", None]
 
 
+@pytest.mark.skipif("forkserver" not in multiprocessing.get_all_start_methods(),
+                    reason="pools start by spawn where there is no forkserver")
+def test_pools_fork_from_one_server():
+    # every pool forks its workers from the same preloaded server, a process
+    # of its own, rather than starting fresh interpreters
+    first = bench._parallel_map(_parent_pid, range(4), n_workers=2)
+    second = bench._parallel_map(_parent_pid, range(4), n_workers=2)
+    parents = set(first + second)
+    assert len(parents) == 1 and os.getpid() not in parents
+    assert multiprocessing.active_children() == []
+
+
 def test_unguarded_pool_script_names_the_main_guard(tmp_path):
     # a script that runs a suite at its top level starts it again in every
-    # spawned worker; the caller's error must name the guard it lacks
+    # worker, which imports __main__ as it starts; the caller's error must
+    # name the guard it lacks
     script = tmp_path / "unguarded.py"
     script.write_text("\n".join([
         "from mvipkg import bench",

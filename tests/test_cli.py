@@ -578,6 +578,22 @@ def test_exit_code_file_not_utf8(tmp_path, capsys, command, flag, content, code)
     assert "UTF-8" in err and str(bad) in err
 
 
+@pytest.mark.parametrize("content, message", [
+    (b"x,y\n1,2\n3,abc\n", "non-numeric field"),
+    (b"x,y\xe9\n1,2\n3,4\n", "not UTF-8"),
+    (b"x,y\n1,2\n3,inf\n", "non-finite number"),
+], ids=["non-numeric", "not-utf8", "non-finite"])
+def test_data_error_leaves_no_output_directory(tmp_path, capsys, content, message):
+    # the output directory is made with the first artefact, so a command
+    # that fails on its input leaves nothing behind
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(content)
+    out = tmp_path / "p1"
+    assert cli.main(["fit", "--data", str(bad), "--method", "laplace", "--out", str(out)]) == 3
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_exit_code_missing_required(tmp_path):
     assert cli.main(["fit", "--out", str(tmp_path / "x")]) == 2
     assert cli.main(["benchmark", "--out", str(tmp_path / "y")]) == 2

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import multivariate_normal
 
-from mvipkg import bench
+from mvipkg import bench, evaluate
 from mvipkg.data import MixtureTarget2D
 from mvipkg.errors import ConfigError, NumericalError
 from mvipkg.evaluate import (classification_metrics, kl_to_target_2d,
@@ -137,6 +137,21 @@ def test_non_finite_draw_is_a_numerical_error(monkeypatch):
     monkeypatch.setattr(model, "score", nan_draw)
     with pytest.raises(NumericalError):
         regression_metrics(post, model, model.X, model.y, n_samples=4, seed=0)
+
+
+def test_scores_under_one_seed_share_one_read_only_draw():
+    # every method of a split scores on the same seed and dimension, so the
+    # draw is made once, and no scoring pass may write to it
+    model = make_cauchy(seed=7)
+    post = _posterior_for(model)
+    evaluate._standard_normals.cache_clear()
+    first = regression_metrics(post, model, model.X, model.y, n_samples=50, seed=3)
+    assert regression_metrics(post, model, model.X, model.y, n_samples=50, seed=3) == first
+    info = evaluate._standard_normals.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    z = evaluate._standard_normals(50, post.dim, 3)
+    assert not z.flags.writeable
+    assert np.array_equal(z, np.random.default_rng(3).standard_normal((50, post.dim)))
 
 
 def test_scoring_memory_is_one_block():
