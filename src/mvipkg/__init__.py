@@ -8,9 +8,8 @@ variational objectives average the log posterior over a frozen set of
 standard-normal draws, so every fit is a deterministic optimisation problem.
 
 Submodules:
-    models       differentiable log-posterior models (Cauchy RBF regression,
-                 binary logistic, softmax, and a conjugate linear-Gaussian
-                 oracle with closed forms)
+    models       differentiable log-posterior models on RBF features (Cauchy
+                 regression, binary logistic, softmax)
     optimize     deterministic L-BFGS minimiser
     laplace      mode finding, curvature fit, hyperparameter grid search
     variational  families, entropies, fixed-sample ELBO and gradients

@@ -203,11 +203,10 @@ def _parallel_map(fn, items, n_workers: int) -> list:
     restored afterwards) and which imports this module, numpy with it, once.
     So results do not depend on the parent's BLAS settings or on scheduling,
     and later pools start warm. The server is global to the process and
-    lives until the process exits. CPython 3.11's forkserver ignores the
-    ``sys.path`` it is handed: the preload needs mvipkg on ``PYTHONPATH`` or
-    installed, else it fails silently and each worker imports mvipkg after
-    the fork (same results, slower start). A forkserver that the caller's
-    own code started earlier keeps its BLAS settings, and its workers inherit
+    lives until the process exits. It starts with the directory that holds
+    this mvipkg at the head of ``PYTHONPATH``, since CPython 3.11's forkserver
+    ignores the caller's ``sys.path``. A forkserver that the caller's own
+    code started earlier keeps its BLAS settings, and its workers inherit
     them. Where the platform has no forkserver, the processes start by
     ``spawn``.
 
@@ -225,8 +224,10 @@ def _parallel_map(fn, items, n_workers: int) -> list:
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
+    saved = {var: os.environ.get(var) for var in (*_BLAS_THREAD_VARS, "PYTHONPATH")}
     os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    home = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (home, saved["PYTHONPATH"])))
     if "forkserver" in multiprocessing.get_all_start_methods():
         context = multiprocessing.get_context("forkserver")
         # the default preload, __main__, would run the caller's script in the server

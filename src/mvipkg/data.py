@@ -295,8 +295,6 @@ def load_split_indices(path, n_rows: int) -> list[np.ndarray]:
                 idx = np.array([int(tok) for tok in line.split()])
             except ValueError:
                 raise DataError(f"{path}:{line_no}: non-integer split index")
-            if idx.size == 0:
-                continue
             if idx.min() < 1 or idx.max() > n_rows:
                 raise DataError(
                     f"{path}:{line_no}: indices must lie in 1..{n_rows}")

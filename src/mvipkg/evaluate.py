@@ -60,10 +60,10 @@ def _standard_normals(n_samples: int, dim: int, seed: int) -> np.ndarray:
 
 def _scored(posterior: PosteriorGaussian, model, X_test, y_test, n_samples: int,
             seed: int) -> tuple[np.ndarray, float]:
-    """(mean prediction, joint lpd) from one ``model.score`` pass over the
-    draws mean + R z_s, z drawn under ``seed``."""
+    """(mean prediction, joint lpd) from one ``score`` pass of the test rows'
+    model over the draws mean + R z_s, z drawn under ``seed``."""
     z = _standard_normals(n_samples, posterior.dim, seed)
-    mean, ll = model.score(posterior.mean, posterior.root, z, X_test, y_test)
+    mean, ll = model.with_rows(X_test, y_test).score(posterior.mean, posterior.root, z)
     value = log_mean_exp(ll)
     if value == -np.inf:
         log.warning("every posterior draw gave zero test likelihood; lpd is -inf")
@@ -75,8 +75,8 @@ def classification_metrics(posterior: PosteriorGaussian, model, X_test, y_test,
     """``{"lpd", "error_rate"}``, the joint lpd and error rate, from one set of draws.
 
     Class probabilities are Monte Carlo averages of the per-draw predictive
-    probabilities; they and the per-draw likelihoods come from one pass of
-    ``model.score`` over the draws. Binary labels are predicted 1 only above
+    probabilities; they and the per-draw likelihoods come from one ``score``
+    pass of the test rows' model. Binary labels are predicted 1 only above
     probability 0.5 (ties fall to class 0); multiclass predictions take the
     first argmax, which also resolves ties toward the lowest class index.
     """
@@ -104,9 +104,9 @@ def predictive_curve(posterior: PosteriorGaussian, model,
                      x_grid) -> tuple[np.ndarray, np.ndarray]:
     """Exact pointwise mean and sd of a regression function f = phi(x)'w on a
     grid: under w ~ N(mean, R R'), f(x) ~ N(phi'mean, ||R'phi||^2). One
-    ``model.predictive`` pass over the rows [mean; R'] gives both."""
+    product of [mean; R'] with phi' of the grid's model gives both."""
     X = np.asarray(x_grid, dtype=float).reshape(len(x_grid), -1)
-    f = model.predictive(np.vstack([posterior.mean, posterior.root.T]), X)
+    f = np.vstack([posterior.mean, posterior.root.T]) @ model.with_rows(X, np.zeros(len(X))).phi.T
     return f[0], np.linalg.norm(f[1:], axis=0)
 
 

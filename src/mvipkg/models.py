@@ -8,6 +8,8 @@ the Laplace, variational and evaluation layers program against:
     theta_names     matching names, e.g. ("log_gamma", "log_alpha", "log_width")
     with_theta(t)   new model instance with hyperparameters exp(t): same data,
                     centres and centre distances, features rebuilt
+    with_rows(X, y) the same likelihood, centres and hyperparameters over other
+                    rows, e.g. a test set's, built by the constructor
     value/values    unnormalised log posterior at one point / a batch (B, P)
     grad/grads      gradient of the log posterior w.r.t. the weights
     theta_grads     gradient w.r.t. theta (log-space), batch (B, T)
@@ -19,37 +21,32 @@ the Laplace, variational and evaluation layers program against:
                     its weight gradient g, G = sum_s g_s z_s' / S and the
                     theta gradient; one call per variational evaluation
     hessian         dense Hessian w.r.t. the weights at one point, (P, P)
-    score(mu, R, z, X, y)
-                    held-out pass over the draws w_s = mu + R z_s: (mean
-                    prediction over the draws, per-draw test log likelihood),
-                    streaming the draws in fixed blocks
-    predictive(W, X)
-                    per-sample predictions (regression), class-1 (binary) or
-                    class probabilities (softmax, shape (B, N, K))
+    score(mu, R, z) pass over the draws w_s = mu + R z_s on the model's rows:
+                    (mean prediction over the draws, per-draw log
+                    likelihood), streaming the draws in fixed blocks; held-out
+                    rows score as ``model.with_rows(X_test, y_test).score``
 
-Every likelihood here (Cauchy, binary, softmax and the conjugate oracle's)
-depends on the weights only through the projections F = W phi' (one row per
-draw and output, one column per data point; a softmax draw's K class blocks
-give K rows, class-major), and each is written once, as the model's
-``_pass(Q, spare, gradient, y)``. Q holds F - y for a regression
-(``_residual``) or F for the classifiers. The pass returns the log likelihood
-of each draw; the factor ``scale`` with d loglik / dF = scale * Q once a
-gradient pass has rewritten Q; and, per draw, the derivatives in the
-likelihood's own hyperparameters (log gamma for Cauchy). ``_ModelBase``
-derives the rest from it, once: ``values`` (the pass in place), ``evaluate``
-with ``grads`` and ``theta_grads`` (one GEMM of scale * Q with
-[phi | d phi / d log width]), ``predictive`` (through the ``_predict`` link
-of F: the identity, expit for binary, the class softmax), and ``hessian``,
-the blocks -phi' diag(c_kl) phi - alpha I from ``_curvature``, the
-per-point c_kl = -d^2 loglik / dF_k dF_l: one block for K = 1, and
-p_k (delta_kl - p_l) for softmax (Williams & Barber, 1998). For draws
-w_s = mu + R z_s, F - y = Z1 A' exactly, with Z1 = [1 | z] and
+Every likelihood here (Cauchy, binary, softmax) depends on the weights only
+through the projections F = W phi' (one row per draw and output, one column
+per data point; a softmax draw's K class blocks give K rows, class-major),
+and each is written once, as the model's ``_pass(Q, spare, gradient)`` over
+its targets ``y``. Q holds F - y for a regression (``_residual``) or F for
+the classifiers. The pass returns the log likelihood of each draw; the
+factor ``scale`` with d loglik / dF = scale * Q once a gradient pass has
+rewritten Q; and, per draw, the derivatives in the likelihood's own
+hyperparameters (log gamma for Cauchy). ``_ModelBase`` derives the rest from
+it, once: ``values`` (the pass in place), ``evaluate`` with ``grads`` and
+``theta_grads`` (one GEMM of scale * Q with [phi | d phi / d log width]),
+and ``hessian``, the blocks -phi' diag(c_kl) phi - alpha I from
+``_curvature``, the per-point c_kl = -d^2 loglik / dF_k dF_l: one block for
+K = 1, and p_k (delta_kl - p_l) for softmax (Williams & Barber, 1998). For
+draws w_s = mu + R z_s, F - y = Z1 A' exactly, with Z1 = [1 | z] and
 A = [phi mu - y | phi R]: ``expectation`` forms every residual with that one
 GEMM, runs the pass in the draws' buffers, and takes the mean gradients from
-one GEMM E' Z1 and products of size P. ``score`` forms the held-out
-residuals the same way, with phi the test features, one block of draws at a
-time; the identity link's mean prediction is phi (mu + R z-bar) in closed
-form, and binary's is the mean of expit(F) over the draws.
+one GEMM E' Z1 and products of size P. ``score`` forms the residuals the
+same way, one block of draws at a time; a regression's mean prediction is
+phi (mu + R z-bar) in closed form, and binary's is the mean of expit(F)
+over the draws.
 
 Softmax keeps its own ``score`` (mean class probabilities) and
 ``expectation`` from ``sampled_expectation``, which forms the points and the
@@ -58,8 +55,8 @@ flops. The 2-D mixture is no F at all; it writes its own ``values``,
 ``evaluate`` and ``hessian``.
 Every target, the mixture too, takes the scalar wrappers ``value`` and
 ``grad``, ``grads`` and ``theta_grads`` from ``Target``, and a target without
-hyperparameters (the mixture, the conjugate oracle) its empty ``theta`` and
-a ``with_theta`` that refuses a non-empty one.
+hyperparameters (the mixture) its empty ``theta`` and a ``with_theta`` that
+refuses a non-empty one.
 
 Predictions go through RBF features phi_m(x) = exp(-||x - c_m||^2 / (2 width^2))
 with a trailing bias column of ones, so D = M + 1 features per input. Centres
@@ -72,10 +69,12 @@ in one place, ``_RBFBase``: a class declares ``theta_names`` and a
 ``Model(X, y, centers, **hyper)`` takes one positive keyword per name
 without its ``log_`` prefix, checks the rows, the labels and positivity,
 builds the features and sets ``P``; ``theta`` and ``with_theta`` follow from
-the same names. Each RBF class re-binds the shared ``values``, ``grads``,
-``theta_grads`` and ``hessian`` on itself: the benchmark's tracer times them
-through each class's own ``__dict__``, so an inherited kernel would go
-untimed.
+the same names, and ``with_rows`` calls the constructor with the
+hyperparameters as stored, so held-out rows get their features from the
+same code as training rows. Each RBF class re-binds the shared ``values``,
+``grads``, ``theta_grads`` and ``hessian`` on itself: the benchmark's tracer
+times them through each class's own ``__dict__``, so an inherited kernel
+would go untimed.
 
 Priors are kept fully normalised (including the (D/2) ln alpha term), so the
 log-alpha gradient picks up the normaliser's contribution; this is what lets
@@ -118,24 +117,6 @@ def squared_distances(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
     C = np.atleast_2d(np.asarray(centers, dtype=float))
     d = X[:, None, :] - C[None, :, :]
     return np.einsum("nmq,nmq->nm", d, d)
-
-
-def _bumps(d2: np.ndarray, width: float) -> np.ndarray:
-    """RBF features from squared centre distances d2 (N, M), with the bias
-    column appended: shape (N, M + 1)."""
-    phi = np.exp(-d2 / (2.0 * width**2))
-    return np.hstack([phi, np.ones((phi.shape[0], 1))])
-
-
-def rbf_features(X: np.ndarray, centers: np.ndarray, width: float) -> np.ndarray:
-    """Gaussian bump features with a trailing bias column of ones.
-
-    Returns shape (N, M + 1). All entries lie in (0, 1]; a point sitting
-    exactly on a centre scores 1 there.
-    """
-    if width <= 0:
-        raise NumericalError(f"RBF width must be positive, got {width}")
-    return _bumps(squared_distances(X, centers), width)
 
 
 def kmeans(X: np.ndarray, n_centers: int, seed: int, max_iters: int = 100) -> np.ndarray:
@@ -308,15 +289,12 @@ class Target:
 
 class _ModelBase(Target):
     """The Gaussian prior, and every batch method of a model whose likelihood
-    is one F = W phi', derived from its ``_pass``."""
+    is one F = W phi', derived from its ``_pass``. A subclass without
+    ``theta_names`` (fixed features and precisions, such as a conjugate
+    linear-Gaussian model) gets an empty theta gradient."""
 
     _residual = True   # ``_pass`` gets the residuals F - y, else the scores F
     K = 1              # outputs per input: rows of F per draw
-
-    @staticmethod
-    def _predict(F: np.ndarray) -> np.ndarray:
-        """Mean prediction from scores F: the identity link of a regression."""
-        return F
 
     def _projections(self, W: np.ndarray) -> np.ndarray:
         """Q = W phi' - y of a residual likelihood, else W phi', with W read as
@@ -329,14 +307,14 @@ class _ModelBase(Target):
     def values(self, W: np.ndarray) -> np.ndarray:
         W = _as_batch(W, self.P)
         Q = self._projections(W)
-        return self._pass(Q, Q, False, self.y)[0] + self._prior(W)[0]
+        return self._pass(Q, Q, False)[0] + self._prior(W)[0]
 
     def evaluate(self, W: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(values, grads, theta_grads) at a batch of weights, from one pass;
         the theta columns are the pass's lead rows, log alpha and log width."""
         W = _as_batch(W, self.P)
         Q = self._projections(W)
-        rows, scale, lead = self._pass(Q, None, True, self.y)
+        rows, scale, lead = self._pass(Q, None, True)
         if scale != 1.0:
             Q *= scale   # d loglik / dF
         # one GEMM gives the weight gradient and d loglik / d phi_w, which,
@@ -361,33 +339,25 @@ class _ModelBase(Target):
         H[np.diag_indices_from(H)] -= self.alpha
         return H
 
-    def score(self, mu: np.ndarray, R: np.ndarray, z: np.ndarray, X: np.ndarray,
-              y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Mean prediction over the draws w_s = mu + R z_s, shape (N,), and
-        per-draw test log likelihood. Each block of residuals (of scores, for
-        binary) is one GEMM Z1 A' with A = [phi mu - y | phi R], scored in
-        place. The identity link's mean is linear in the draws, so a residual
-        likelihood takes it in closed form, phi (mu + R z-bar)."""
-        phi = self._features(X)
-        y = np.asarray(y, dtype=float).ravel()
-        A = phi @ np.column_stack([mu, R])
+    def score(self, mu: np.ndarray, R: np.ndarray,
+              z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Mean prediction over the draws w_s = mu + R z_s at the model's
+        rows, shape (N,), and per-draw log likelihood. Each block of residuals
+        (of scores, for binary) is one GEMM Z1 A' with A = [phi mu - y | phi R],
+        scored in place. A regression's mean is linear in the draws, so a
+        residual likelihood takes it in closed form, phi (mu + R z-bar)."""
+        A = self.phi @ np.column_stack([mu, R])
         if self._residual:
-            A[:, 0] -= y
+            A[:, 0] -= self.y
         S = z.shape[0]
         total, ll = None, np.empty(S)
         for rows, Q in _projection_blocks(np.hstack([np.ones((S, 1)), z]), A):
             if not self._residual:
                 total = _add_rows(total, self._predict(Q))
-            ll[rows] = self._pass(Q, Q, False, y)[0]
+            ll[rows] = self._pass(Q, Q, False)[0]
         if self._residual:
-            return phi @ (mu + R @ z.mean(axis=0)), ll
+            return self.phi @ (mu + R @ z.mean(axis=0)), ll
         return total / S, ll
-
-    def predictive(self, W: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """Per-sample predictions through the ``_predict`` link of the scores,
-        W read as (B K, D) rows like ``_projections``: shape (B, N), or
-        (B, N, K) class probabilities."""
-        return self._predict(_as_batch(W, self.P).reshape(-1, self.D) @ self._features(X).T)
 
     def _prior(self, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Normalised N(0, I/alpha) log density of each row, and its log-alpha derivative."""
@@ -408,7 +378,7 @@ class _ModelBase(Target):
         Q, spare = draws.work(self.N)
         spare = spare if gradient else Q   # a value-only pass runs in place
         np.matmul(z1, A.T, out=Q)
-        rows, scale, lead = self._pass(Q, spare, gradient, self.y)
+        rows, scale, lead = self._pass(Q, spare, gradient)
         Rz, RM = R @ zbar, R @ second
         ww = mu @ mu + 2.0 * (mu @ Rz) + np.vdot(RM, R)   # mean of |w_s|^2
         value = (float(draws.weights @ rows) + 0.5 * self.P * (math.log(self.alpha) - _LOG_2PI)
@@ -421,7 +391,7 @@ class _ModelBase(Target):
         T = self._phi_stack.T @ B
         gbar = T[:self.D, 0] - self.alpha * (mu + Rz)
         G = T[:self.D, 1:] - self.alpha * (np.outer(mu, zbar) + RM)
-        if not self.theta_names:   # the conjugate oracle's precisions are fixed
+        if not self.theta_names:
             return value, gbar, G, np.zeros(0)
         # d loglik / d log width = E[sum_nm e_n phi_w,nm w_m] over the draws
         d_lwidth = np.vdot(T[self.D:], MR[:-1])
@@ -451,8 +421,8 @@ class _RBFBase(_ModelBase):
     def _set_hyper(self, values) -> None:
         """Check and set the hyperparameters, given in ``theta_names`` order, and
         build [phi | d phi / d log width] in one array, ``_phi_stack``; ``phi``
-        is a view of its leading D columns. Each entry is the one that
-        ``rbf_features`` and phi d2 / width^2 give, bit for bit."""
+        is a view of its leading D columns: phi_nm = exp(-d2_nm / (2 width^2))
+        with a trailing bias column of ones, and phi_nm d2_nm / width^2."""
         names = self._hyper_names()
         # width**2 and gamma**2 would raise OverflowError, where v * v gives inf
         if not all(v > 0 and math.isfinite(v * v) for v in values):
@@ -491,8 +461,12 @@ class _RBFBase(_ModelBase):
         model._set_hyper(hyper.tolist())
         return model
 
-    def _features(self, X: np.ndarray) -> np.ndarray:
-        return rbf_features(X, self.centers, self.width)
+    def with_rows(self, X: np.ndarray, y: np.ndarray):
+        """This model's likelihood, centres and hyperparameters over the rows
+        X with targets y, from the constructor and its checks; the
+        hyperparameters pass as stored, not through exp(log theta)."""
+        return type(self)(X, y, self.centers,
+                          **{name: getattr(self, name) for name in self._hyper_names()})
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +491,7 @@ class CauchyRegression(_RBFBase):
     def _targets(y: np.ndarray) -> np.ndarray:
         return np.asarray(y, dtype=float).ravel()
 
-    def _pass(self, Q: np.ndarray, spare: np.ndarray | None, gradient: bool, y: np.ndarray):
+    def _pass(self, Q: np.ndarray, spare: np.ndarray | None, gradient: bool):
         """Log likelihood N log(gamma / pi) - sum_n log d_n of each row of
         Q = F - y, with d = gamma^2 + r^2 formed in ``spare`` (a new array if
         None). If ``gradient``,
@@ -566,12 +540,12 @@ class BinaryLogistic(_RBFBase):
     _residual = False   # the pass gets the scores F
     _predict = staticmethod(expit)   # the mean prediction is a class-1 probability
 
-    def _pass(self, F: np.ndarray, spare: np.ndarray | None, gradient: bool, y: np.ndarray):
+    def _pass(self, F: np.ndarray, spare: np.ndarray | None, gradient: bool):
         """Log likelihood sum_n y_n f_n - softplus(f_n) of each row of F and,
         if ``gradient``, F overwritten with d loglik / dF = y - expit(F)."""
-        rows = (y * F - np.logaddexp(0.0, F)).sum(axis=1)
+        rows = (self.y * F - np.logaddexp(0.0, F)).sum(axis=1)
         if gradient:
-            np.subtract(y, expit(F, out=F), out=F)
+            np.subtract(self.y, expit(F, out=F), out=F)
         return rows, 1.0, []
 
     def _curvature(self, F: np.ndarray) -> np.ndarray:
@@ -633,15 +607,15 @@ class SoftmaxRegression(_RBFBase):
         """sum_{n,k} Y_nk F_bkn per draw, one mat-vec over the (K, N) layout."""
         return F.reshape(F.shape[0], -1) @ Y.T.ravel()
 
-    def _pass(self, F: np.ndarray, spare: np.ndarray | None, gradient: bool, y: np.ndarray):
+    def _pass(self, F: np.ndarray, spare: np.ndarray | None, gradient: bool):
         """Log likelihood sum_{k,n} Y_nk F_kn - log sum_k exp F_kn of each
         draw's K rows of F and, if ``gradient``, F overwritten with
         d loglik / dF = Y' - softmax(F), row (b, k) being class k of draw b."""
         F = F.reshape(-1, self.K, F.shape[1])
-        labels = self._labels(F, y)   # before the log-sum-exp overwrites F
+        labels = self._labels(F, self.y)   # before the log-sum-exp overwrites F
         rows = labels - _log_normaliser(F, normalise=gradient).sum(axis=1)
         if gradient:
-            np.subtract(y.T, F, out=F)
+            np.subtract(self.y.T, F, out=F)
         return rows, 1.0, []
 
     def _curvature(self, F: np.ndarray) -> np.ndarray:
@@ -650,112 +624,21 @@ class SoftmaxRegression(_RBFBase):
         _log_normaliser(F.reshape(1, self.K, -1), normalise=True)
         return F[:, None, :] * (np.eye(self.K)[:, :, None] - F[None, :, :])
 
-    def _predict(self, F: np.ndarray) -> np.ndarray:
-        """Class probabilities from (B K, N) scores F, formed in F: (B, N, K)."""
-        F = F.reshape(-1, self.K, F.shape[1])
-        _log_normaliser(F, normalise=True)
-        return F.transpose(0, 2, 1)
-
     # projecting the draws through A would cost K times the flops of forming them
     expectation = sampled_expectation
     values, grads, theta_grads, hessian = (_ModelBase.values, _ModelBase.grads,
                                            _ModelBase.theta_grads, _ModelBase.hessian)
 
-    def score(self, mu: np.ndarray, R: np.ndarray, z: np.ndarray, X: np.ndarray,
-              Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Mean class probabilities over the draws w_s = mu + R z_s, shape
-        (N, K), and per-draw test log likelihood, from the draws themselves:
-        projecting them would cost K times the flops."""
+    def score(self, mu: np.ndarray, R: np.ndarray,
+              z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Mean class probabilities over the draws w_s = mu + R z_s at the
+        model's rows, shape (N, K), and per-draw log likelihood, from the
+        draws themselves: projecting them would cost K times the flops."""
         W = mu[None, :] + z @ R.T
-        Y = np.atleast_2d(np.asarray(Y, dtype=float))
         total, ll = None, np.empty(W.shape[0])
-        for rows, F in _projection_blocks(W, self._features(X), self.K):
-            F = F.reshape(-1, self.K, Y.shape[0])
-            labels = self._labels(F, Y)
+        for rows, F in _projection_blocks(W, self.phi, self.K):
+            F = F.reshape(-1, self.K, self.N)
+            labels = self._labels(F, self.y)
             ll[rows] = labels - _log_normaliser(F, normalise=True).sum(axis=1)
             total = _add_rows(total, F)
         return (total / W.shape[0]).T, ll
-
-
-# ---------------------------------------------------------------------------
-# conjugate linear-Gaussian model (exactness oracle)
-# ---------------------------------------------------------------------------
-
-class GaussianLinearModel(_ModelBase):
-    """Bayesian linear regression with known precisions beta and alpha.
-
-    The posterior, evidence, and held-out marginal likelihood are all
-    available in closed form, which makes this model the exactness oracle for
-    the Laplace and variational machinery: the Laplace fit must recover the
-    posterior to rounding error, and the fixed-sample bound must recover the
-    evidence. Exactness statements are relative to the stated model, so beta
-    and alpha are fixed constants here, not tunable hyperparameters: theta is
-    empty and the variational stage has nothing to move.
-
-    The design matrix is taken as given (identity feature map), so the X
-    argument of ``score``/``predictive`` is itself a design matrix.
-    """
-
-    def __init__(self, phi: np.ndarray, y: np.ndarray, beta: float, alpha: float):
-        self.phi = np.atleast_2d(np.asarray(phi, dtype=float))
-        self.y = np.asarray(y, dtype=float).ravel()
-        if self.phi.shape[0] != self.y.size:
-            raise DataError("phi and y disagree on the number of rows")
-        self.beta = float(beta)
-        self.alpha = float(alpha)
-        if min(self.beta, self.alpha) <= 0:
-            raise NumericalError("beta and alpha must be positive")
-        self.N, self.D = self.phi.shape
-        self.P = self.D
-        self._phi_stack = self.phi   # no hyperparameter moves the features
-
-    @staticmethod
-    def _features(X: np.ndarray) -> np.ndarray:
-        return np.atleast_2d(np.asarray(X, dtype=float))   # a design matrix
-
-    def _pass(self, Q: np.ndarray, spare: np.ndarray | None, gradient: bool, y: np.ndarray):
-        """Log likelihood of each row of Q = F - y; d loglik / dF = -beta Q."""
-        return (0.5 * Q.shape[1] * (np.log(self.beta) - _LOG_2PI)
-                - 0.5 * self.beta * np.einsum("bn,bn->b", Q, Q)), -self.beta, []
-
-    def _curvature(self, Q: np.ndarray) -> np.ndarray:
-        """-d^2 loglik / df^2 = beta at every point."""
-        return np.full_like(Q, self.beta)
-
-    # -- closed forms --------------------------------------------------------
-
-    def exact_posterior(self) -> tuple[np.ndarray, np.ndarray]:
-        """Posterior mean and covariance of the weights."""
-        A = self.beta * self.phi.T @ self.phi + self.alpha * np.eye(self.D)
-        cov = np.linalg.inv(A)
-        cov = 0.5 * (cov + cov.T)
-        mean = self.beta * cov @ self.phi.T @ self.y
-        return mean, cov
-
-    def log_evidence(self) -> float:
-        """ln p(y) = ln integral of likelihood * prior, in closed form."""
-        A = self.beta * self.phi.T @ self.phi + self.alpha * np.eye(self.D)
-        mean, _ = self.exact_posterior()
-        resid = self.y - self.phi @ mean
-        energy = 0.5 * self.beta * resid @ resid + 0.5 * self.alpha * mean @ mean
-        sign, logdet_A = np.linalg.slogdet(A)
-        if sign <= 0:
-            raise NumericalError("posterior precision lost positive definiteness")
-        return float(0.5 * self.D * np.log(self.alpha)
-                     + 0.5 * self.N * np.log(self.beta)
-                     - 0.5 * self.N * _LOG_2PI
-                     - energy - 0.5 * logdet_A)
-
-    def test_log_marginal(self, phi_test: np.ndarray, y_test: np.ndarray) -> float:
-        """ln p(y_test | training data): Gaussian with the posterior folded in."""
-        phi_t = np.atleast_2d(np.asarray(phi_test, dtype=float))
-        y_t = np.asarray(y_test, dtype=float).ravel()
-        mean, cov = self.exact_posterior()
-        m = phi_t @ mean
-        S = phi_t @ cov @ phi_t.T + np.eye(y_t.size) / self.beta
-        sign, logdet = np.linalg.slogdet(S)
-        if sign <= 0:
-            raise NumericalError("predictive covariance lost positive definiteness")
-        resid = y_t - m
-        quad = resid @ np.linalg.solve(S, resid)
-        return float(-0.5 * (y_t.size * _LOG_2PI + logdet + quad))

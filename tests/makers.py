@@ -1,12 +1,104 @@
-"""Small models, finite-difference oracles, the nesting warm start and the
-Monte Carlo standard error shared by the test modules: ``from makers import ...``."""
+"""Small models, the conjugate oracle, reference RBF features,
+finite-difference oracles, the nesting warm start and the Monte Carlo
+standard error shared by the test modules: ``from makers import ...``."""
 
 import numpy as np
 
-from mvipkg.errors import NumericalError
-from mvipkg.models import (BinaryLogistic, CauchyRegression,
-                           GaussianLinearModel, SoftmaxRegression)
+from mvipkg.errors import DataError, NumericalError
+from mvipkg.models import (_LOG_2PI, BinaryLogistic, CauchyRegression, SoftmaxRegression,
+                           _ModelBase, squared_distances)
 from mvipkg.variational import VariationalParams
+
+
+# ---------------------------------------------------------------------------
+# conjugate linear-Gaussian model (exactness oracle), on the package's _ModelBase
+# ---------------------------------------------------------------------------
+
+class GaussianLinearModel(_ModelBase):
+    """Bayesian linear regression with known precisions beta and alpha.
+
+    The posterior, evidence, and held-out marginal likelihood are all
+    available in closed form, which makes this model the exactness oracle for
+    the Laplace and variational machinery: the Laplace fit must recover the
+    posterior to rounding error, and the fixed-sample bound must recover the
+    evidence. Exactness statements are relative to the stated model, so beta
+    and alpha are fixed constants here, not tunable hyperparameters: theta is
+    empty and the variational stage has nothing to move.
+
+    The design matrix is taken as given (identity feature map), so the X of
+    ``with_rows`` is itself a design matrix.
+    """
+
+    def __init__(self, phi: np.ndarray, y: np.ndarray, beta: float, alpha: float):
+        self.phi = np.atleast_2d(np.asarray(phi, dtype=float))
+        self.y = np.asarray(y, dtype=float).ravel()
+        if self.phi.shape[0] != self.y.size:
+            raise DataError("phi and y disagree on the number of rows")
+        self.beta = float(beta)
+        self.alpha = float(alpha)
+        if min(self.beta, self.alpha) <= 0:
+            raise NumericalError("beta and alpha must be positive")
+        self.N, self.D = self.phi.shape
+        self.P = self.D
+        self._phi_stack = self.phi   # no hyperparameter moves the features
+
+    def with_rows(self, phi: np.ndarray, y: np.ndarray) -> "GaussianLinearModel":
+        """The same precisions over the design rows phi with targets y."""
+        return GaussianLinearModel(phi, y, self.beta, self.alpha)
+
+    def _pass(self, Q: np.ndarray, spare: np.ndarray | None, gradient: bool):
+        """Log likelihood of each row of Q = F - y; d loglik / dF = -beta Q."""
+        return (0.5 * Q.shape[1] * (np.log(self.beta) - _LOG_2PI)
+                - 0.5 * self.beta * np.einsum("bn,bn->b", Q, Q)), -self.beta, []
+
+    def _curvature(self, Q: np.ndarray) -> np.ndarray:
+        """-d^2 loglik / df^2 = beta at every point."""
+        return np.full_like(Q, self.beta)
+
+    # -- closed forms --------------------------------------------------------
+
+    def exact_posterior(self) -> tuple[np.ndarray, np.ndarray]:
+        """Posterior mean and covariance of the weights."""
+        A = self.beta * self.phi.T @ self.phi + self.alpha * np.eye(self.D)
+        cov = np.linalg.inv(A)
+        cov = 0.5 * (cov + cov.T)
+        mean = self.beta * cov @ self.phi.T @ self.y
+        return mean, cov
+
+    def log_evidence(self) -> float:
+        """ln p(y) = ln integral of likelihood * prior, in closed form."""
+        A = self.beta * self.phi.T @ self.phi + self.alpha * np.eye(self.D)
+        mean, _ = self.exact_posterior()
+        resid = self.y - self.phi @ mean
+        energy = 0.5 * self.beta * resid @ resid + 0.5 * self.alpha * mean @ mean
+        sign, logdet_A = np.linalg.slogdet(A)
+        if sign <= 0:
+            raise NumericalError("posterior precision lost positive definiteness")
+        return float(0.5 * self.D * np.log(self.alpha)
+                     + 0.5 * self.N * np.log(self.beta)
+                     - 0.5 * self.N * _LOG_2PI
+                     - energy - 0.5 * logdet_A)
+
+    def test_log_marginal(self, phi_test: np.ndarray, y_test: np.ndarray) -> float:
+        """ln p(y_test | training data): Gaussian with the posterior folded in."""
+        phi_t = np.atleast_2d(np.asarray(phi_test, dtype=float))
+        y_t = np.asarray(y_test, dtype=float).ravel()
+        mean, cov = self.exact_posterior()
+        m = phi_t @ mean
+        S = phi_t @ cov @ phi_t.T + np.eye(y_t.size) / self.beta
+        sign, logdet = np.linalg.slogdet(S)
+        if sign <= 0:
+            raise NumericalError("predictive covariance lost positive definiteness")
+        resid = y_t - m
+        quad = resid @ np.linalg.solve(S, resid)
+        return float(-0.5 * (y_t.size * _LOG_2PI + logdet + quad))
+
+
+def rbf_reference(X, centers, width: float) -> np.ndarray:
+    """The RBF features exp(-d^2 / (2 width^2)) of the rows X, d the distance
+    to each centre, with a trailing bias column of ones: shape (N, M + 1)."""
+    bumps = np.exp(-squared_distances(X, centers) / (2.0 * width**2))
+    return np.hstack([bumps, np.ones((bumps.shape[0], 1))])
 
 
 def make_cauchy(seed=0, n=12):

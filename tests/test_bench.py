@@ -139,10 +139,10 @@ def test_run_fit_matches_run_split(family):
 def test_non_finite_held_out_draw_skips_the_split(monkeypatch):
     # a NaN log likelihood is a NumericalError, which the suite records as a
     # skipped split, not as an lpd of -inf
-    def nan_score(self, mu, R, z, X, y):
+    def nan_score(self, mu, R, z):
         ll = np.zeros(z.shape[0])
         ll[0] = np.nan
-        return np.zeros(len(y)), ll
+        return np.zeros(self.N), ll
 
     monkeypatch.setattr(models.CauchyRegression, "score", nan_score)
     report = bench.run_cauchy(n_runs=1, methods=("laplace",), seed=0,
@@ -259,6 +259,7 @@ def test_pool_leaves_no_process_and_the_blas_variables_as_they_were(monkeypatch)
     monkeypatch.setenv("OMP_NUM_THREADS", "3")
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
     monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    python_path = os.environ.get("PYTHONPATH")
     report = bench.run_cauchy(n_runs=2, methods=("laplace",), seed=0,
                               n_samples=50, n_eval=50, n_train=20, n_test=40,
                               grid=SMALL_GRID, optim=SMALL_OPTIM, n_boot=100,
@@ -269,6 +270,7 @@ def test_pool_leaves_no_process_and_the_blas_variables_as_they_were(monkeypatch)
     # while the parent keeps its own, the pool's processes start pinned
     assert bench._parallel_map(_blas_variables, range(2), n_workers=2) == [["1"] * 3] * 2
     assert _blas_variables(None) == ["3", "2", None]
+    assert os.environ.get("PYTHONPATH") == python_path
 
 
 @pytest.mark.skipif("forkserver" not in multiprocessing.get_all_start_methods(),
@@ -281,6 +283,31 @@ def test_pools_fork_from_one_server():
     parents = set(first + second)
     assert len(parents) == 1 and os.getpid() not in parents
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif("forkserver" not in multiprocessing.get_all_start_methods()
+                    or not os.path.exists(f"/proc/{os.getpid()}/maps"),
+                    reason="needs a forkserver, and /proc to read the server's mappings")
+def test_server_preloads_mvipkg_found_through_sys_path_alone(tmp_path):
+    # CPython 3.11's forkserver ignores the caller's sys.path; a script that
+    # finds mvipkg only through it must still get a server with numpy loaded
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bench.__file__)))
+    script = tmp_path / "path_only.py"
+    script.write_text("\n".join([
+        "import os, sys",
+        f"sys.path.insert(0, {src!r})",
+        "from mvipkg import bench",
+        "def numpy_in_parent(_):",
+        "    with open(f'/proc/{os.getppid()}/maps') as maps:",
+        "        return 'numpy' in maps.read()",
+        "if __name__ == '__main__':",
+        "    print(bench._parallel_map(numpy_in_parent, range(2), n_workers=2))",
+    ]))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    run = subprocess.run([sys.executable, str(script)], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[True, True]"
 
 
 def test_unguarded_pool_script_names_the_main_guard(tmp_path):

@@ -11,12 +11,11 @@ from mvipkg.errors import ConfigError, NumericalError
 from mvipkg.evaluate import (classification_metrics, kl_to_target_2d,
                              log_mean_exp, predictive_curve, regression_metrics)
 from mvipkg.laplace import find_mode, laplace_approximation
-from mvipkg.models import (BinaryLogistic, CauchyRegression, SoftmaxRegression,
-                           rbf_features)
+from mvipkg.models import BinaryLogistic, CauchyRegression, SoftmaxRegression
 from mvipkg.variational import (PosteriorGaussian, covariance_root, draw_fixed_samples,
                                 fit_family, laplace_posterior)
 
-from makers import log_mean_exp_se, make_cauchy, make_conjugate, make_logistic
+from makers import log_mean_exp_se, make_cauchy, make_conjugate, make_logistic, rbf_reference
 
 
 def _posterior_for(model):
@@ -75,10 +74,10 @@ def test_log_mean_exp_single_value():
 # ---------------------------------------------------------------------------
 
 def _joint_lpd(posterior, model, X, y, n_samples, seed):
-    """(lpd, its standard error) of log_mean_exp over one ``score`` pass on
-    fresh base draws."""
+    """(lpd, its standard error) of log_mean_exp over one ``score`` pass of
+    the model over the rows X, y on fresh base draws."""
     z = np.random.default_rng(seed).standard_normal((n_samples, posterior.dim))
-    ll = model.score(posterior.mean, posterior.root, z, X, y)[1]
+    ll = model.with_rows(X, y).score(posterior.mean, posterior.root, z)[1]
     return log_mean_exp(ll), log_mean_exp_se(ll)
 
 
@@ -101,7 +100,7 @@ def test_lpd_matches_manual_average():
     post = _posterior_for(model)
     score = regression_metrics(post, model, model.X, model.y, n_samples=256, seed=9)
     z = np.random.default_rng(9).standard_normal((256, model.P))
-    ll = model.score(post.mean, post.root, z, model.X, model.y)[1]
+    ll = model.with_rows(model.X, model.y).score(post.mean, post.root, z)[1]
     expected = log_mean_exp(ll)
     assert score["lpd"] == expected / model.y.size
     assert np.isfinite(expected)
@@ -129,12 +128,15 @@ def test_non_finite_draw_is_a_numerical_error(monkeypatch):
     model = make_cauchy(seed=7)
     post = _posterior_for(model)
 
-    def nan_draw(mu, R, z, X, y):
+    held_out = model.with_rows(model.X, model.y)
+
+    def nan_draw(mu, R, z):
         ll = np.full(z.shape[0], -3.0)
         ll[1] = np.nan
-        return np.zeros(len(y)), ll
+        return np.zeros(held_out.N), ll
 
-    monkeypatch.setattr(model, "score", nan_draw)
+    monkeypatch.setattr(held_out, "score", nan_draw)
+    monkeypatch.setattr(model, "with_rows", lambda X, y: held_out)
     with pytest.raises(NumericalError):
         regression_metrics(post, model, model.X, model.y, n_samples=4, seed=0)
 
@@ -186,7 +188,7 @@ def test_regression_metrics_per_point_convention():
     joint, _ = _joint_lpd(post, model, model.X, model.y, n_samples=128, seed=3)
     assert set(score) == {"lpd", "mse"}
     assert score["lpd"] == pytest.approx(joint / model.y.size, rel=1.0e-12)
-    preds = model.predictive(_draws(post, 128, seed=3), model.X).mean(axis=0)
+    preds = (_draws(post, 128, seed=3) @ model.phi.T).mean(axis=0)
     assert score["mse"] == pytest.approx(float(np.mean((model.y - preds) ** 2)),
                                       rel=1.0e-12)
 
@@ -234,7 +236,7 @@ def test_predictive_curve_zero_width_posterior():
                                   root=np.zeros((model.P, model.P)))
     grid = np.linspace(-2.0, 2.0, 9)
     mean, sd = predictive_curve(collapsed, model, grid)
-    phi = rbf_features(grid.reshape(-1, 1), model.centers, model.width)
+    phi = rbf_reference(grid.reshape(-1, 1), model.centers, model.width)
     np.testing.assert_allclose(mean, phi @ post.mean, rtol=1.0e-12)
     assert (sd == 0.0).all()
 
@@ -245,7 +247,7 @@ def _curve_cases():
     cauchy = make_cauchy(seed=2)
     grid = np.linspace(-3.0, 3.0, 13)
     yield (_posterior_for(cauchy), cauchy, grid,
-           rbf_features(grid.reshape(-1, 1), cauchy.centers, cauchy.width))
+           rbf_reference(grid.reshape(-1, 1), cauchy.centers, cauchy.width))
     conjugate = make_conjugate(seed=3, n=20, p=3)
     mean, cov = conjugate.exact_posterior()
     design = np.random.default_rng(5).standard_normal((7, 3))
@@ -266,9 +268,9 @@ def test_predictive_curve_agrees_with_draws():
     # the mean and sd of f over 10,000 posterior draws lie within 4 Monte
     # Carlo standard errors of the exact values
     n = 10_000
-    for post, model, grid, _ in _curve_cases():
+    for post, model, grid, phi in _curve_cases():
         mean, sd = predictive_curve(post, model, grid)
-        f = model.predictive(_draws(post, n, seed=0), grid.reshape(len(grid), -1))
+        f = _draws(post, n, seed=0) @ phi.T   # f = phi'w at each draw
         assert (np.abs(f.mean(axis=0) - mean) <= 4.0 * sd / math.sqrt(n)).all()
         assert (np.abs(f.std(axis=0) - sd) <= 4.0 * sd / math.sqrt(2.0 * n)).all()
 

@@ -11,12 +11,11 @@ from scipy.stats import multivariate_normal
 
 from mvipkg.data import MixtureTarget2D
 from mvipkg.errors import DataError, NumericalError
-from mvipkg.models import (_SCORE_BLOCK, BinaryLogistic, CauchyRegression, GaussianLinearModel,
-                           _ModelBase, SoftmaxRegression, expit, kmeans, rbf_features,
-                           squared_distances)
+from mvipkg.models import (_SCORE_BLOCK, BinaryLogistic, CauchyRegression, _ModelBase,
+                           SoftmaxRegression, expit, kmeans, squared_distances)
 
-from makers import (ALL_MODEL_MAKERS, finite_difference_gradient,
-                    finite_difference_jacobian, make_conjugate)
+from makers import (ALL_MODEL_MAKERS, GaussianLinearModel, finite_difference_gradient,
+                    finite_difference_jacobian, make_conjugate, rbf_reference)
 
 
 # ---------------------------------------------------------------------------
@@ -32,9 +31,10 @@ def test_squared_distances_brute_force():
 
 
 def test_rbf_features_bias_column_and_kernel_values():
+    # a model's features: exp(-d^2 / (2 width^2)) per centre, then a bias column
     X = np.array([[0.0], [2.0]])
     C = np.array([[0.0], [1.0]])
-    phi = rbf_features(X, C, width=2.0)
+    phi = CauchyRegression(X, np.zeros(2), C, gamma=1.0, alpha=1.0, width=2.0).phi
     assert phi.shape == (2, 3)
     np.testing.assert_array_equal(phi[:, -1], 1.0)
     assert phi[0, 0] == pytest.approx(1.0)
@@ -185,12 +185,44 @@ def test_features_and_width_derivative_are_one_array_bit_for_bit(name):
     for log_width in (-2.5, -0.3, 0.0, 0.7, 3.0):
         moved = model.with_theta(np.where(np.arange(model.theta.size) == k, log_width,
                                           model.theta))
-        phi = rbf_features(X, centers, moved.width)
+        phi = rbf_reference(X, centers, moved.width)
         np.testing.assert_array_equal(moved.phi, phi)
         np.testing.assert_array_equal(
             moved._phi_stack, np.hstack([phi, phi[:, :-1] * moved._d2 / moved.width**2]))
         assert np.shares_memory(moved.phi, moved._phi_stack)
         assert moved.phi.shape == (X.shape[0], model.D)
+
+
+@pytest.mark.parametrize("name", sorted(RBF_CLASSES))
+def test_with_rows_on_own_rows_rebuilds_the_model_bit_for_bit(name):
+    model = ALL_MODEL_MAKERS[name]()
+    again = model.with_rows(model.X, model.y)
+    assert type(again) is type(model)
+    for attr in ("phi", "_phi_stack", "y", "theta", "centers"):
+        np.testing.assert_array_equal(getattr(again, attr), getattr(model, attr), err_msg=attr)
+    W = np.random.default_rng(20).standard_normal((6, model.P))
+    np.testing.assert_array_equal(again.values(W), model.values(W))
+    for got, want in zip(again.evaluate(W), model.evaluate(W)):
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(again.hessian(W[0]), model.hessian(W[0]))
+
+
+@pytest.mark.parametrize("name", sorted(RBF_CLASSES))
+def test_with_rows_keeps_the_hyperparameters_with_theta_set(name):
+    # each exp(theta) here changes in a round trip through its log, so a
+    # with_rows that rebuilt the model from theta would not keep it
+    X, labels, centers, hyper = _rbf_args(name)
+    model = RBF_CLASSES[name](X, labels, centers, **hyper)
+    theta = np.array([-0.736, 0.638, 0.663])[-model.theta.size:]
+    assert (np.exp(np.log(np.exp(theta))) != np.exp(theta)).all()
+    moved = model.with_theta(theta)
+    X_new, labels_new = X[::-1][:5], labels[::-1][:5]
+    held_out = moved.with_rows(X_new, labels_new)
+    for hyper_name in model._hyper_names():
+        assert getattr(held_out, hyper_name) == getattr(moved, hyper_name), hyper_name
+    np.testing.assert_array_equal(held_out.theta, moved.theta)
+    np.testing.assert_array_equal(held_out.X, X_new)
+    np.testing.assert_array_equal(held_out.phi, rbf_reference(X_new, centers, moved.width))
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +320,7 @@ def test_cauchy_value_at_zero_residual():
     X = np.array([[0.7]])
     centers = np.array([[0.0]])
     gamma = 0.3
-    phi = rbf_features(X, centers, width=1.0)
+    phi = rbf_reference(X, centers, width=1.0)
     w = np.zeros(2)
     y = np.array([float(phi[0] @ w)])
     model = CauchyRegression(X, y, centers, gamma=gamma, alpha=1.0, width=1.0)
@@ -301,7 +333,7 @@ def test_cauchy_value_direct_formula():
     model = ALL_MODEL_MAKERS["cauchy"]()
     rng = np.random.default_rng(12)
     W = rng.standard_normal((3, model.P))
-    phi = rbf_features(model.X, model.centers, model.width)
+    phi = rbf_reference(model.X, model.centers, model.width)
     signs = np.where(np.arange(model.N) % 2 == 0, 1.0, -1.0)
     y = phi @ W[0] + signs * model.gamma * np.logspace(-6.0, 6.0, model.N)
     model = CauchyRegression(model.X, y, model.centers, gamma=model.gamma,
@@ -311,9 +343,9 @@ def test_cauchy_value_direct_formula():
     prior = -0.5 * model.alpha * np.einsum("bp,bp->b", W, W) \
         + 0.5 * model.P * (np.log(model.alpha) - np.log(2 * np.pi))
     np.testing.assert_allclose(model.values(W), loglik + prior, rtol=1.0e-12)
-    # the draws w = 0 + I z, z = W, through the held-out pass
-    held_out = model.score(np.zeros(model.P), np.eye(model.P), W, model.X, y)[1]
-    np.testing.assert_allclose(held_out, loglik, rtol=1.0e-12)
+    # the draws w = 0 + I z, z = W, through the scoring pass
+    scored = model.score(np.zeros(model.P), np.eye(model.P), W)[1]
+    np.testing.assert_allclose(scored, loglik, rtol=1.0e-12)
 
 
 def test_cauchy_gradient_pass_direct_formula():
@@ -329,7 +361,7 @@ def test_cauchy_gradient_pass_direct_formula():
     g2 = model.gamma ** 2
     r = [[float(f) - float(t) for f, t in zip(row, y)] for row in W @ model.phi.T]
     Q = model._projections(W)
-    rows, scale, (lead,) = model._pass(Q, None, True, model.y)
+    rows, scale, (lead,) = model._pass(Q, None, True)
     assert scale == -2.0
     np.testing.assert_allclose(Q, [[v / (g2 + v * v) for v in row] for row in r], rtol=1.0e-12)
     # the first draw's terms cancel to a sum near 0: an absolute floor of
@@ -355,7 +387,7 @@ def test_logistic_value_direct_formula():
     model = ALL_MODEL_MAKERS["logistic"]()
     rng = np.random.default_rng(13)
     w = rng.standard_normal(model.P)
-    phi = rbf_features(model.X, model.centers, model.width)
+    phi = rbf_reference(model.X, model.centers, model.width)
     f = phi @ w
     loglik = float(np.sum(model.y * f - np.logaddexp(0.0, f)))
     prior = float(-0.5 * model.alpha * w @ w
@@ -394,15 +426,13 @@ def test_softmax_value_direct_formula():
 
     X_test = rng.standard_normal((9, 2))
     Y_test = np.eye(3)[rng.integers(0, 3, size=9)]
-    phi_test = rbf_features(X_test, model.centers, model.width)
-    np.testing.assert_allclose(model.score(np.zeros(model.P), np.eye(model.P), W,
-                                           X_test, Y_test)[1],
-                               _softmax_loglik_direct(W, phi_test, Y_test),
-                               rtol=1.0e-12)
-    # predictive: the softmax of each test row's class scores, draw by draw
+    phi_test = rbf_reference(X_test, model.centers, model.width)
+    mean, ll = model.with_rows(X_test, Y_test).score(np.zeros(model.P), np.eye(model.P), W)
+    np.testing.assert_allclose(ll, _softmax_loglik_direct(W, phi_test, Y_test), rtol=1.0e-12)
+    # the mean over the draws of the softmax of each test row's class scores
     want = np.array([[[math.exp(f_k - math.log(sum(math.exp(v) for v in f))) for f_k in f]
                       for f in phi_test @ w.reshape(model.K, -1).T] for w in W])
-    np.testing.assert_allclose(model.predictive(W, X_test), want, rtol=1.0e-12)
+    np.testing.assert_allclose(mean, want.mean(axis=0), rtol=1.0e-12)
 
 
 def test_softmax_large_logits_stay_finite():
@@ -415,10 +445,10 @@ def test_softmax_large_logits_stay_finite():
     W[1, bias] = [-790.0, 805.0, 799.0]
     with np.errstate(all="raise"):
         values = model.values(W)
-        probs = model.predictive(W, model.X)
-    assert np.all(np.isfinite(values))
-    assert probs.shape == (2, model.N, model.K)
-    np.testing.assert_allclose(probs.sum(axis=2), 1.0, rtol=0.0, atol=1.0e-12)
+        probs, ll = model.score(np.zeros(model.P), np.eye(model.P), W)
+    assert np.all(np.isfinite(values)) and np.all(np.isfinite(ll))
+    assert probs.shape == (model.N, model.K)
+    np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=0.0, atol=1.0e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -539,21 +569,42 @@ def test_rbf_models_define_traced_kernels_on_the_class():
 
 
 def test_binary_predictions_are_class_one_probabilities():
-    # the binary link: predictive and score's mean go through expit(W phi'),
-    # where the regression models return the projections themselves
+    # the binary link: score's mean goes through expit(W phi'), where the
+    # regression models average the projections themselves
     model = ALL_MODEL_MAKERS["logistic"]()
     W = np.random.default_rng(18).standard_normal((4, model.P))
     want = 1.0 / (1.0 + np.exp(-(W @ model.phi.T)))
-    np.testing.assert_allclose(model.predictive(W, model.X), want, rtol=1.0e-12)
-    np.testing.assert_allclose(model.score(np.zeros(model.P), np.eye(model.P), W,
-                                           model.X, model.y)[0],
+    np.testing.assert_allclose(model.score(np.zeros(model.P), np.eye(model.P), W)[0],
                                want.mean(axis=0), rtol=1.0e-12)
+
+
+def _reference_features(model, X):
+    """The features of the rows X: the RBF formula at the model's centres and
+    width, or X itself, a design matrix, for the conjugate oracle."""
+    if isinstance(model, GaussianLinearModel):
+        return X
+    return rbf_reference(X, model.centers, model.width)
+
+
+def _one_shot_predictions(model, mu, R, z, X):
+    """Per-draw predictions at the rows X from W phi' for all draws at once,
+    W = mu + z R': phi'w (regression) or expit (binary), shape (S, N), or
+    the class softmax, shape (S, N, K)."""
+    W = mu[None, :] + z @ R.T
+    F = W.reshape(-1, model.D) @ _reference_features(model, X).T
+    if isinstance(model, BinaryLogistic):
+        return scipy_expit(F)
+    if isinstance(model, SoftmaxRegression):
+        F = F.reshape(z.shape[0], model.K, -1)
+        F = np.exp(F - F.max(axis=1, keepdims=True))
+        return (F / F.sum(axis=1, keepdims=True)).transpose(0, 2, 1)
+    return F
 
 
 def _one_shot_residuals(model, mu, R, z, X, y):
     """Z1 A' for all draws at once: the residuals F - y of the draws
     mu + R z_s (their scores F, for binary), Z1 = [1 | z], A = [phi mu - y | phi R]."""
-    phi = model._features(X)
+    phi = _reference_features(model, X)
     A = phi @ np.column_stack([mu, R])
     if not isinstance(model, BinaryLogistic):
         A[:, 0] -= y
@@ -564,7 +615,7 @@ def _one_shot_log_likelihoods(model, mu, R, z, X, y):
     """Per-draw test log likelihood from the whole projection at once."""
     if isinstance(model, SoftmaxRegression):
         W = mu[None, :] + z @ R.T
-        phi = model._features(X)
+        phi = _reference_features(model, X)
         B, K = W.shape[0], model.K
         F = (W.reshape(B * K, model.D) @ phi.T).reshape(B, K, -1)
         labels = F.reshape(B, -1) @ y.T.ravel()
@@ -582,17 +633,20 @@ def _one_shot_log_likelihoods(model, mu, R, z, X, y):
 
 
 def _score_mismatches(exact: bool, draw_counts=(1, 289, 1001, 10_000)) -> list:
-    """Compare ``score`` over the draws mu + R z_s with one-shot oracles for
-    Cauchy, binary, softmax and conjugate models.
+    """Compare ``score`` over the draws mu + R z_s, on each model built over
+    test rows by ``with_rows``, with one-shot oracles for Cauchy, binary,
+    softmax and conjugate models.
 
     The per-draw log likelihoods must equal the one-shot pass over Z1 A'
     (over W phi', W = mu + z R', for softmax). The binary and softmax means
-    must equal the per-draw mean of the same one-shot predictions; the
-    Cauchy and conjugate means must equal phi (mu + R z-bar). The binary,
-    Cauchy and conjugate means must also equal the per-draw mean of
-    ``predictive`` at rtol 1e-12, with an absolute floor of 1e-12 of the mean
-    |prediction| where a mean cancels to near zero, in either mode. ``exact``
-    asks for bit-for-bit equality, else equality up to round-off.
+    must equal the per-draw mean of the same one-shot predictions (expit of
+    the one-shot scores, for binary); the Cauchy and conjugate means must
+    equal phi (mu + R z-bar). The binary, Cauchy and conjugate means must
+    also equal the per-draw mean of the one-shot predictions W phi' (their
+    scipy expit, for binary) at rtol 1e-12, with an absolute floor of 1e-12
+    of the mean |prediction| where a mean cancels to near zero, in either
+    mode. The features are the formula's (``rbf_reference``). ``exact`` asks
+    for bit-for-bit equality, else equality up to round-off.
 
     The models have 10 centres (D = 11), the benchmark's smallest basis.
     Draw counts (``_SCORE_BLOCK`` = 96): one; 289 = 3 x 96 + 1, one past a
@@ -635,21 +689,22 @@ def _score_mismatches(exact: bool, draw_counts=(1, 289, 1001, 10_000)) -> list:
                 y = X @ mu + rng.standard_normal(n_test)
             for n_draws in draw_counts:
                 z = rng.standard_normal((n_draws, model.P))
-                per_draw = model.predictive(mu[None, :] + z @ R.T, X)
+                per_draw = _one_shot_predictions(model, mu, R, z, X)
                 # rtol 1e-12, and where a mean cancels to near zero (rounding
                 # like its terms, not its result) 1e-12 of the mean |prediction|
                 close = lambda a, b: np.allclose(  # noqa: E731
                     a, b, rtol=1.0e-12, atol=1.0e-12 * np.abs(per_draw).mean())
-                mean, ll = model.score(mu, R, z, X, y)
+                mean, ll = model.with_rows(X, y).score(mu, R, z)
                 checks = [(same, "loglik", ll, _one_shot_log_likelihoods(model, mu, R, z, X, y))]
                 if name == "softmax":
                     checks.append((same, "mean", mean, per_draw.mean(axis=0)))
                 elif name == "logistic":
                     checks += [(same, "mean", mean,
-                                model._predict(_one_shot_residuals(model, mu, R, z, X, y)).mean(axis=0)),
+                                expit(_one_shot_residuals(model, mu, R, z, X, y)).mean(axis=0)),
                                (close, "per-draw mean", mean, per_draw.mean(axis=0))]
                 else:
-                    checks += [(same, "mean", mean, model._features(X) @ (mu + R @ z.mean(axis=0))),
+                    checks += [(same, "mean", mean,
+                                _reference_features(model, X) @ (mu + R @ z.mean(axis=0))),
                                (close, "per-draw mean", mean, per_draw.mean(axis=0))]
                 for equal, label, got, want in checks:
                     if got.shape != want.shape or not equal(got, want):
