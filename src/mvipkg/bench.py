@@ -20,7 +20,7 @@ from . import laplace as laplace_mod
 from .errors import ConfigError, NumericalError
 from .laplace import GridConfig
 from .optimize import OptimConfig
-from .stats import PairedSample, significance_decision
+from .stats import significance_decision
 
 METHODS = ("laplace", "mvi_mu", "mvi_eig", "mvi_lr", "vi_diag")
 DEMO_FAMILIES = ("mvi_mu", "mvi_eig", "mvi_lr")
@@ -96,9 +96,12 @@ def run_split(train, test, methods=METHODS, seed: int = 0, n_samples: int = 1000
               optim: OptimConfig | None = None):
     """Fit the requested methods on one train/test pair and score them.
 
-    Returns (records, timing, search_info). The evaluation seed is shared
-    across methods, so paired comparisons run on common random numbers;
-    each method is scored once.
+    Returns (records, timing, search_info). The held-out base draws are made
+    once, before any method: raw standard normals z of shape (n_eval, P)
+    under the split's evaluation seed ``seed + SALT_EVAL``, not standardised
+    as the fits' sample sets are, so each lpd is a plain Monte Carlo
+    estimate. The array is read-only and every method is scored once on it,
+    so paired comparisons run on common random numbers.
     Each variational record carries ``theta``, the log-space hyperparameters
     its fit ended at; the Laplace ones are ``search_info["theta_la"]``.
     Every record carries its fit's diagnostics: ``n_iters``, ``n_evals``,
@@ -128,7 +131,8 @@ def run_split(train, test, methods=METHODS, seed: int = 0, n_samples: int = 1000
         "grid_failures": dict(sorted(failures.items())),
     }
 
-    eval_seed = seed + SALT_EVAL
+    z = np.random.default_rng(seed + SALT_EVAL).standard_normal((n_eval, model.P))
+    z.flags.writeable = False
     for method in methods:
         t0 = time.perf_counter()
         posterior, scorer, fitted = fit(method)
@@ -139,7 +143,7 @@ def run_split(train, test, methods=METHODS, seed: int = 0, n_samples: int = 1000
             t0 = time.perf_counter()
             rec = {"elbo": float(fitted.elbo), **_fit_diagnostics(fitted.opt),
                    "theta": [float(t) for t in fitted.params.theta]}
-        rec.update(score(posterior, scorer, test.X, test.y, n_samples=n_eval, seed=eval_seed))
+        rec.update(score(posterior, scorer, test.X, test.y, z))
         records[method] = rec
         timing[f"{method}.score"] = time.perf_counter() - t0
     return records, timing, info
@@ -181,9 +185,9 @@ def significance_block(method_records: list[dict], methods, metric: str,
         block["note"] = "non-finite scores present; significance not tested"
         block["overall_significant"] = False
         return block
-    others = {m: PairedSample(scores[best], scores[m])
-              for m in methods if m != best}
-    block.update(significance_decision(others, alpha=alpha, n_boot=n_boot, seed=seed))
+    others = {m: scores[m] for m in methods if m != best}
+    block.update(significance_decision(scores[best], others, alpha=alpha, n_boot=n_boot,
+                                       seed=seed))
     return block
 
 

@@ -125,18 +125,15 @@ class MixtureTarget2D(Target):
             -np.log(2.0 * np.pi) - 0.5 * np.linalg.slogdet(c)[1] for c in self.covs
         ])
 
-    def _component_logpdfs(self, pts: np.ndarray) -> np.ndarray:
+    def _log_density_terms(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Log density, and the unnormalised responsibilities with their row sums."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        out = np.empty((pts.shape[0], 2))
+        lp = np.empty((pts.shape[0], 2))
         for i in range(2):
             dev = pts - self.means[i][None, :]
             quad = np.einsum("gj,jk,gk->g", dev, self._precs[i], dev)
-            out[:, i] = self._log_norm[i] - 0.5 * quad
-        return out
-
-    def _log_density_terms(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Log density, and the unnormalised responsibilities with their row sums."""
-        lp = self._component_logpdfs(pts) + np.log(self.weights)[None, :]
+            lp[:, i] = self._log_norm[i] - 0.5 * quad
+        lp += np.log(self.weights)[None, :]
         m = lp.max(axis=1, keepdims=True)
         resp = np.exp(lp - m)
         total = resp.sum(axis=1, keepdims=True)
@@ -145,6 +142,19 @@ class MixtureTarget2D(Target):
     def log_density(self, pts: np.ndarray) -> np.ndarray:
         return self._log_density_terms(pts)[0]
 
+    def _components(self, W: np.ndarray):
+        """One pass over the components at the rows of W: the log density, the
+        normalised responsibilities, each component's gradient of its own log
+        density, and the mixture's gradient."""
+        W = np.atleast_2d(np.asarray(W, dtype=float))
+        values, resp, total = self._log_density_terms(W)
+        resp /= total
+        comp_grads = [-(W - self.means[i][None, :]) @ self._precs[i] for i in range(2)]
+        grad = np.zeros_like(W)
+        for i in range(2):
+            grad += resp[:, i:i + 1] * comp_grads[i]
+        return values, resp, comp_grads, grad
+
     # -- log-posterior model surface (``Target`` adds the rest) ---------------
 
     def values(self, W: np.ndarray) -> np.ndarray:
@@ -152,34 +162,18 @@ class MixtureTarget2D(Target):
 
     def evaluate(self, W: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(values, grads, theta_grads) from one pass over the components."""
-        W = np.atleast_2d(np.asarray(W, dtype=float))
-        values, resp, total = self._log_density_terms(W)
-        resp /= total
-        grad = np.zeros_like(W)
-        for i in range(2):
-            gi = -(W - self.means[i][None, :]) @ self._precs[i]
-            grad += resp[:, i:i + 1] * gi
-        return values, grad, np.zeros((W.shape[0], 0))
+        values, _, _, grad = self._components(W)
+        return values, grad, np.zeros((grad.shape[0], 0))
 
     expectation = sampled_expectation   # from ``evaluate`` at the points mu + R z
 
     def hessian(self, w: np.ndarray) -> np.ndarray:
-        w = np.asarray(w, dtype=float).ravel()
-        lp = self._component_logpdfs(w[None, :])[0] + np.log(self.weights)
-        m = lp.max()
-        resp = np.exp(lp - m)
-        resp /= resp.sum()
-        g_total = np.zeros(2)
+        """The log density's Hessian at one point, from the same pass as ``evaluate``."""
+        _, resp, comp_grads, grad = self._components(np.ravel(w))
         h = np.zeros((2, 2))
-        comp_grads = []
         for i in range(2):
-            gi = -self._precs[i] @ (w - self.means[i])
-            comp_grads.append(gi)
-            g_total += resp[i] * gi
-        for i in range(2):
-            gi = comp_grads[i]
-            h += resp[i] * (np.outer(gi, gi) - self._precs[i])
-        return h - np.outer(g_total, g_total)
+            h += resp[0, i] * (np.outer(comp_grads[i], comp_grads[i]) - self._precs[i])
+        return h - np.outer(grad, grad)
 
 
 # ---------------------------------------------------------------------------

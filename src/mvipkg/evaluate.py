@@ -12,23 +12,17 @@ Conventions worth stating once:
   the number of test points N. That is the joint lpd over N, not the
   pointwise mean_n ln (1/S) sum_s p(y_n | w_s) that published regression
   benchmarks quote, and the two differ in general.
-* Evaluation draws are fresh, raw standard normals under their own seed; the
-  standardisation applied to optimisation sample sets is deliberately not
-  applied here, so the reported numbers are plain Monte Carlo estimates.
+* The base draws z are the caller's: ``bench.run_split`` draws them once per
+  split and every method is scored on them.
 * The fit curve is exact and the 2-D demo KL a Gauss-Hermite sum: no draws.
 """
 
 from __future__ import annotations
 
-import logging
-from functools import lru_cache
-
 import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .variational import PosteriorGaussian
-
-log = logging.getLogger(__name__)
 
 _KL_NODES = 256   # Gauss-Hermite nodes per axis of the demo KL
 
@@ -49,38 +43,18 @@ def log_mean_exp(values: np.ndarray) -> float:
     return float(m + np.log(float(np.exp(values - m).mean())))
 
 
-@lru_cache(maxsize=1)
-def _standard_normals(n_samples: int, dim: int, seed: int) -> np.ndarray:
-    """A read-only (n_samples, dim) standard normal draw under ``seed``; the
-    last one is kept, since every method of a split scores on the same draw."""
-    z = np.random.default_rng(seed).standard_normal((n_samples, dim))
-    z.flags.writeable = False
-    return z
-
-
-def _scored(posterior: PosteriorGaussian, model, X_test, y_test, n_samples: int,
-            seed: int) -> tuple[np.ndarray, float]:
-    """(mean prediction, joint lpd) from one ``score`` pass of the test rows'
-    model over the draws mean + R z_s, z drawn under ``seed``."""
-    z = _standard_normals(n_samples, posterior.dim, seed)
-    mean, ll = model.with_rows(X_test, y_test).score(posterior.mean, posterior.root, z)
-    value = log_mean_exp(ll)
-    if value == -np.inf:
-        log.warning("every posterior draw gave zero test likelihood; lpd is -inf")
-    return mean, value
-
-
 def classification_metrics(posterior: PosteriorGaussian, model, X_test, y_test,
-                           n_samples: int = 10_000, seed: int = 0) -> dict:
-    """``{"lpd", "error_rate"}``, the joint lpd and error rate, from one set of draws.
+                           z: np.ndarray) -> dict:
+    """``{"lpd", "error_rate"}``, the joint lpd and error rate, on the base draws z.
 
     Class probabilities are Monte Carlo averages of the per-draw predictive
     probabilities; they and the per-draw likelihoods come from one ``score``
-    pass of the test rows' model. Binary labels are predicted 1 only above
-    probability 0.5 (ties fall to class 0); multiclass predictions take the
-    first argmax, which also resolves ties toward the lowest class index.
+    pass of the test rows' model over the draws mean + R z_s. Binary labels
+    are predicted 1 only above probability 0.5 (ties fall to class 0);
+    multiclass predictions take the first argmax, which also resolves ties
+    toward the lowest class index.
     """
-    mean_probs, value = _scored(posterior, model, X_test, y_test, n_samples, seed)
+    mean_probs, ll = model.with_rows(X_test, y_test).score(posterior.mean, posterior.root, z)
     y = np.asarray(y_test)
     if mean_probs.ndim == 1:
         predicted = (mean_probs > 0.5).astype(int)
@@ -88,16 +62,17 @@ def classification_metrics(posterior: PosteriorGaussian, model, X_test, y_test,
     else:
         predicted = mean_probs.argmax(axis=1)
         truth = np.atleast_2d(y).argmax(axis=1)
-    return {"lpd": value, "error_rate": float(np.mean(predicted != truth))}
+    return {"lpd": log_mean_exp(ll), "error_rate": float(np.mean(predicted != truth))}
 
 
 def regression_metrics(posterior: PosteriorGaussian, model, X_test, y_test,
-                       n_samples: int = 10_000, seed: int = 0) -> dict:
-    """``{"lpd", "mse"}``: the joint lpd over the number of test points (not
+                       z: np.ndarray) -> dict:
+    """``{"lpd", "mse"}`` from one ``score`` pass of the test rows' model over
+    the draws mean + R z_s: the joint lpd over the number of test points (not
     the pointwise mean lpd), and the MSE of the Monte Carlo mean prediction."""
-    preds, value = _scored(posterior, model, X_test, y_test, n_samples, seed)
+    preds, ll = model.with_rows(X_test, y_test).score(posterior.mean, posterior.root, z)
     y = np.asarray(y_test, dtype=float).ravel()
-    return {"lpd": value / y.size, "mse": float(np.mean((y - preds) ** 2))}
+    return {"lpd": log_mean_exp(ll) / y.size, "mse": float(np.mean((y - preds) ** 2))}
 
 
 def predictive_curve(posterior: PosteriorGaussian, model,

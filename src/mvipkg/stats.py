@@ -5,13 +5,13 @@ paired differences, and a seeded percentile bootstrap interval for the median
 difference. A method is declared significantly better than a competitor only
 when the sign test rejects at level alpha *and* the 95% bootstrap interval
 excludes zero; a benchmark winner is flagged overall only when that holds
-against every competitor.
+against every competitor. Scores are plain arrays with one value per split,
+paired by position.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,33 +23,14 @@ LEVEL = 0.95   # confidence of the bootstrap interval
 _BOOT_BLOCK = 1024
 
 
-@dataclass
-class PairedSample:
-    """Matched per-split scores for two conditions."""
-
-    a: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        self.a = np.asarray(self.a, dtype=float).ravel()
-        self.b = np.asarray(self.b, dtype=float).ravel()
-        if self.a.size != self.b.size or self.a.size == 0:
-            raise DataError("paired samples need equal, nonzero lengths")
-        if not (np.isfinite(self.a).all() and np.isfinite(self.b).all()):
-            raise DataError("paired samples must be finite")
-
-    def differences(self) -> np.ndarray:
-        return self.a - self.b
-
-
-def sign_test(sample: PairedSample) -> float:
-    """Exact two-sided sign test p-value for median(a - b) = 0.
+def sign_test(d: np.ndarray) -> float:
+    """Exact two-sided sign test p-value for median(d) = 0, d the paired
+    differences a - b.
 
     Zero differences carry no sign information and are discarded; if all
     differences are zero there is no evidence of a difference and p = 1.
     p = 2 min(P[X <= k], P[X >= k]) under Binomial(n, 1/2), clipped to 1.
     """
-    d = sample.differences()
     d = d[d != 0.0]
     n = d.size
     k = int((d > 0).sum())
@@ -60,7 +41,7 @@ def sign_test(sample: PairedSample) -> float:
     return min(1.0, 2 * min(lower, upper) / 2**n)
 
 
-def bootstrap_median_diff_ci(sample: PairedSample, n_boot: int = 10_000,
+def bootstrap_median_diff_ci(a: np.ndarray, b: np.ndarray, n_boot: int = 10_000,
                              seed: int = 0) -> tuple[float, float]:
     """Seeded percentile bootstrap interval for median(a) - median(b), at
     confidence ``LEVEL``.
@@ -71,34 +52,41 @@ def bootstrap_median_diff_ci(sample: PairedSample, n_boot: int = 10_000,
     reduced ``_BOOT_BLOCK`` at a time, the same stream as one n_boot x n draw.
     """
     rng = np.random.default_rng(seed)
-    n = sample.a.size
+    n = a.size
     stat = np.empty(n_boot)
     for start in range(0, n_boot, _BOOT_BLOCK):
         idx = rng.integers(0, n, size=(min(_BOOT_BLOCK, n_boot - start), n))
-        stat[start:start + len(idx)] = (np.median(sample.a[idx], axis=1)
-                                        - np.median(sample.b[idx], axis=1))
+        stat[start:start + len(idx)] = np.median(a[idx], axis=1) - np.median(b[idx], axis=1)
     tail = 0.5 * (1.0 - LEVEL)
     lo, hi = np.quantile(stat, [tail, 1.0 - tail])
     return float(lo), float(hi)
 
 
-def significance_decision(others: dict[str, PairedSample], alpha: float = 0.05,
-                          n_boot: int = 10_000, seed: int = 0) -> dict:
+def significance_decision(best: np.ndarray, others: dict[str, np.ndarray],
+                          alpha: float = 0.05, n_boot: int = 10_000,
+                          seed: int = 0) -> dict:
     """Joint decision: is the best method significantly better than every
     competitor?
 
-    ``others`` maps competitor names to paired samples with the best method's
-    scores in ``a``. Per pair, significance requires the sign test to reject
+    ``best`` holds the best method's per-split scores and ``others`` maps
+    competitor names to theirs, split by split. Every array must match
+    ``best``'s length, hold at least one value and be finite, or DataError
+    is raised. Per pair, significance requires the sign test to reject
     at ``alpha`` and the bootstrap interval to exclude zero. Bootstrap seeds
     derive deterministically from ``seed`` and the competitor's position in
     sorted name order. Returns ``{"comparisons", "overall_significant"}``:
     each competitor's p-value, interval and verdict, and whether the best
     method wins against all of them.
     """
+    best = np.asarray(best, dtype=float).ravel()
+    others = {name: np.asarray(v, dtype=float).ravel() for name, v in others.items()}
+    for v in (best, *others.values()):
+        if v.size != best.size or v.size == 0 or not np.isfinite(v).all():
+            raise DataError("paired scores need equal, nonzero lengths and finite values")
     comparisons = {}
-    for j, (name, sample) in enumerate(sorted(others.items())):
-        p_value = sign_test(sample)
-        lo, hi = bootstrap_median_diff_ci(sample, n_boot=n_boot, seed=seed + j)
+    for j, (name, other) in enumerate(sorted(others.items())):
+        p_value = sign_test(best - other)
+        lo, hi = bootstrap_median_diff_ci(best, other, n_boot=n_boot, seed=seed + j)
         comparisons[name] = {
             "p_value": p_value,
             "ci_low": lo,

@@ -20,7 +20,7 @@ from mvipkg import data as data_mod
 from mvipkg.laplace import find_mode, laplace_approximation
 from mvipkg.models import CauchyRegression
 from mvipkg.optimize import OptimConfig
-from mvipkg.stats import PairedSample, bootstrap_median_diff_ci, sign_test
+from mvipkg.stats import bootstrap_median_diff_ci, sign_test
 from mvipkg.variational import (FAMILIES, VariationalParams, draw_fixed_samples,
                                 elbo_and_gradient, elbo_estimate, entropy,
                                 fit_family, initialise)
@@ -271,14 +271,13 @@ def test_criterion_7_statistics_oracle():
         for k in range(n + 1):
             expected = min(1.0, 2.0 * min(sum(pmf[: k + 1]), sum(pmf[k:])))
             d = np.array([1.0] * k + [-1.0] * (n - k))
-            got = sign_test(PairedSample(d, np.zeros(n)))
+            got = sign_test(d)
             worst = max(worst, abs(got - expected))
     # exactly representable shift so a = b + c holds without rounding
     rng = np.random.default_rng(6)
     b = rng.integers(-50, 50, size=25).astype(float)
     c = 0.5
-    lo, hi = bootstrap_median_diff_ci(PairedSample(b + c, b), n_boot=2000,
-                                      seed=7)
+    lo, hi = bootstrap_median_diff_ci(b + c, b, n_boot=2000, seed=7)
     shift_exact = lo == c and hi == c
     ok = worst < 1.0e-12 and shift_exact
     detail = (f"max sign-test p deviation {worst:.2e} over all n <= 12; "

@@ -102,14 +102,14 @@ def test_run_split_shares_evaluation_draws():
 
 
 def test_run_split_scores_each_method_once(monkeypatch):
-    # one metrics call per reported method, each on the evaluation draws:
-    # the same count under the same seed
-    calls = []
+    # one metrics call per reported method, every one on the same read-only
+    # base draws: raw standard normals under the split's evaluation seed
+    draws = []
     real = evaluate.regression_metrics
 
-    def counted(*args, **kwargs):
-        calls.append((kwargs["n_samples"], kwargs["seed"]))
-        return real(*args, **kwargs)
+    def counted(posterior, model, X, y, z):
+        draws.append((z, posterior.dim))
+        return real(posterior, model, X, y, z)
 
     monkeypatch.setattr(evaluate, "regression_metrics", counted)
     train, test = _small_task(seed=2)
@@ -117,8 +117,13 @@ def test_run_split_scores_each_method_once(monkeypatch):
     recs, _, _ = bench.run_split(
         train, test, methods=methods, seed=5, n_samples=100, n_eval=200,
         grid=SMALL_GRID, optim=SMALL_OPTIM)
-    assert len(calls) == len(methods) == len(recs)
-    assert set(calls) == {(200, 5 + bench.SALT_EVAL)}
+    assert len(draws) == len(methods) == len(recs)
+    z, P = draws[0]
+    assert all(d is z and dim == P for d, dim in draws)
+    assert not z.flags.writeable
+    assert z.shape == (200, P)
+    assert np.array_equal(
+        z, np.random.default_rng(5 + bench.SALT_EVAL).standard_normal((200, P)))
 
 
 @pytest.mark.parametrize("family", variational.FAMILIES)

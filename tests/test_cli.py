@@ -656,10 +656,10 @@ def test_pool_reports_do_not_depend_on_the_parent_blas_threads(tmp_path):
 
 def test_cli_import_loads_no_pool_and_no_scipy():
     # every `mvi` process and every pool process imports the CLI: the pool's
-    # machinery loads only when a suite starts one, scipy never, and
-    # numpy.polynomial only when the demo's KL needs its quadrature nodes
+    # machinery loads only when a suite starts one, scipy and logging never,
+    # and numpy.polynomial only when the demo's KL needs its quadrature nodes
     code = ("import sys, mvipkg.cli; print(sorted({m.split('.')[0] for m in sys.modules}"
-            " & {'multiprocessing', 'concurrent', 'scipy'}"
+            " & {'multiprocessing', 'concurrent', 'scipy', 'logging'}"
             " | {m for m in sys.modules if m.startswith('numpy.polynomial')}))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

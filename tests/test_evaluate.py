@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import multivariate_normal
 
-from mvipkg import bench, evaluate
+from mvipkg import bench
 from mvipkg.data import MixtureTarget2D
 from mvipkg.errors import ConfigError, NumericalError
 from mvipkg.evaluate import (classification_metrics, kl_to_target_2d,
@@ -24,10 +24,15 @@ def _posterior_for(model):
     return PosteriorGaussian(mean=lap.mean, root=lap.chol)
 
 
+def _base(n_samples, dim, seed):
+    """Raw standard normal base draws z under ``seed``, as ``bench.run_split``
+    draws them."""
+    return np.random.default_rng(seed).standard_normal((n_samples, dim))
+
+
 def _draws(posterior, n_samples, seed):
     """Weight draws mean + R z_s from fresh standard normals under ``seed``."""
-    z = np.random.default_rng(seed).standard_normal((n_samples, posterior.dim))
-    return posterior.mean + z @ posterior.root.T
+    return posterior.mean + _base(n_samples, posterior.dim, seed) @ posterior.root.T
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +81,7 @@ def test_log_mean_exp_single_value():
 def _joint_lpd(posterior, model, X, y, n_samples, seed):
     """(lpd, its standard error) of log_mean_exp over one ``score`` pass of
     the model over the rows X, y on fresh base draws."""
-    z = np.random.default_rng(seed).standard_normal((n_samples, posterior.dim))
+    z = _base(n_samples, posterior.dim, seed)
     ll = model.with_rows(X, y).score(posterior.mean, posterior.root, z)[1]
     return log_mean_exp(ll), log_mean_exp_se(ll)
 
@@ -87,19 +92,19 @@ def test_zero_root_lpd_is_loglik_at_mean():
     collapsed = PosteriorGaussian(mean=post.mean,
                                   root=np.zeros((model.P, model.P)))
     value = classification_metrics(collapsed, model, model.X, model.y,
-                                   n_samples=17, seed=5)["lpd"]
+                                   _base(17, collapsed.dim, 5))["lpd"]
     f = model.phi @ post.mean
     direct = math.fsum(model.y * f - np.logaddexp(0.0, f))
     assert value == pytest.approx(direct, rel=1.0e-12)
 
 
 def test_lpd_matches_manual_average():
-    # the held-out pass scores the draws mean + R z_s of the seed's z, and
+    # the held-out pass scores the draws mean + R z_s of the caller's z, and
     # the metric is the log-mean-exp of their per-draw log likelihoods
     model = make_cauchy(seed=2)
     post = _posterior_for(model)
-    score = regression_metrics(post, model, model.X, model.y, n_samples=256, seed=9)
-    z = np.random.default_rng(9).standard_normal((256, model.P))
+    z = _base(256, model.P, 9)
+    score = regression_metrics(post, model, model.X, model.y, z)
     ll = model.with_rows(model.X, model.y).score(post.mean, post.root, z)[1]
     expected = log_mean_exp(ll)
     assert score["lpd"] == expected / model.y.size
@@ -138,22 +143,7 @@ def test_non_finite_draw_is_a_numerical_error(monkeypatch):
     monkeypatch.setattr(held_out, "score", nan_draw)
     monkeypatch.setattr(model, "with_rows", lambda X, y: held_out)
     with pytest.raises(NumericalError):
-        regression_metrics(post, model, model.X, model.y, n_samples=4, seed=0)
-
-
-def test_scores_under_one_seed_share_one_read_only_draw():
-    # every method of a split scores on the same seed and dimension, so the
-    # draw is made once, and no scoring pass may write to it
-    model = make_cauchy(seed=7)
-    post = _posterior_for(model)
-    evaluate._standard_normals.cache_clear()
-    first = regression_metrics(post, model, model.X, model.y, n_samples=50, seed=3)
-    assert regression_metrics(post, model, model.X, model.y, n_samples=50, seed=3) == first
-    info = evaluate._standard_normals.cache_info()
-    assert (info.hits, info.misses) == (1, 1)
-    z = evaluate._standard_normals(50, post.dim, 3)
-    assert not z.flags.writeable
-    assert np.array_equal(z, np.random.default_rng(3).standard_normal((50, post.dim)))
+        regression_metrics(post, model, model.X, model.y, _base(4, post.dim, 0))
 
 
 def test_scoring_memory_is_one_block():
@@ -168,7 +158,7 @@ def test_scoring_memory_is_one_block():
     y_test = np.sin(X_test[:, 0])
     tracemalloc.start()
     try:
-        score = regression_metrics(post, model, X_test, y_test, n_samples=10_000, seed=0)
+        score = regression_metrics(post, model, X_test, y_test, _base(10_000, post.dim, 0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -183,8 +173,7 @@ def test_scoring_memory_is_one_block():
 def test_regression_metrics_per_point_convention():
     model = make_cauchy(seed=4)
     post = _posterior_for(model)
-    score = regression_metrics(post, model, model.X, model.y, n_samples=128,
-                               seed=3)
+    score = regression_metrics(post, model, model.X, model.y, _base(128, post.dim, 3))
     joint, _ = _joint_lpd(post, model, model.X, model.y, n_samples=128, seed=3)
     assert set(score) == {"lpd", "mse"}
     assert score["lpd"] == pytest.approx(joint / model.y.size, rel=1.0e-12)
@@ -197,7 +186,7 @@ def test_classification_metrics_joint_convention():
     model = make_logistic(seed=6)
     post = _posterior_for(model)
     score = classification_metrics(post, model, model.X, model.y,
-                                   n_samples=128, seed=3)
+                                   _base(128, post.dim, 3))
     joint, _ = _joint_lpd(post, model, model.X, model.y, n_samples=128, seed=3)
     assert set(score) == {"lpd", "error_rate"}
     assert score["lpd"] == pytest.approx(joint, rel=1.0e-12)
@@ -212,7 +201,7 @@ def test_binary_error_rate_hand_case():
     model = BinaryLogistic(X, y, centers, alpha=1.0, width=1.0)
     w = np.array([0.0, 2.0])  # constant logit +2: predicts class 1 everywhere
     post = PosteriorGaussian(mean=w, root=np.zeros((2, 2)))
-    score = classification_metrics(post, model, X, y, n_samples=8, seed=0)
+    score = classification_metrics(post, model, X, y, _base(8, post.dim, 0))
     assert score["error_rate"] == pytest.approx(1.0 / 3.0)
 
 
@@ -225,7 +214,7 @@ def test_multiclass_error_rate_hand_case():
     w = np.zeros(model.P)
     w[0] = w[1] = 3.0  # class-0 block
     post = PosteriorGaussian(mean=w, root=np.zeros((model.P, model.P)))
-    score = classification_metrics(post, model, X, Y, n_samples=8, seed=0)
+    score = classification_metrics(post, model, X, Y, _base(8, post.dim, 0))
     assert score["error_rate"] == pytest.approx(0.5)
 
 

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from mvipkg.errors import DataError
-from mvipkg.stats import (LEVEL, PairedSample, bootstrap_median_diff_ci,
-                          sign_test, significance_decision)
+from mvipkg.stats import LEVEL, bootstrap_median_diff_ci, sign_test, significance_decision
 
 
 def exact_two_sided_p(k, n):
@@ -21,19 +20,16 @@ def exact_two_sided_p(k, n):
 # ---------------------------------------------------------------------------
 
 def test_paired_sample_validation():
-    with pytest.raises(DataError):
-        PairedSample(np.zeros(3), np.zeros(4))
-    with pytest.raises(DataError):
-        PairedSample(np.zeros(0), np.zeros(0))
-    with pytest.raises(DataError):
-        PairedSample(np.array([1.0, np.nan]), np.zeros(2))
-    with pytest.raises(DataError):
-        PairedSample(np.array([1.0, np.inf]), np.zeros(2))
-
-
-def test_differences():
-    s = PairedSample(np.array([3.0, 1.0]), np.array([1.0, 2.0]))
-    np.testing.assert_array_equal(s.differences(), [2.0, -1.0])
+    # the decision's scores must pair up split by split and be finite, as
+    # the best method's or as a competitor's
+    for a, b in [(np.zeros(3), np.zeros(4)),
+                 (np.zeros(0), np.zeros(0)),
+                 (np.array([1.0, np.nan]), np.zeros(2)),
+                 (np.array([1.0, np.inf]), np.zeros(2))]:
+        with pytest.raises(DataError):
+            significance_decision(a, {"other": b}, n_boot=10)
+        with pytest.raises(DataError):
+            significance_decision(b, {"other": a}, n_boot=10)
 
 
 # ---------------------------------------------------------------------------
@@ -45,39 +41,32 @@ def test_sign_test_matches_enumeration(n):
     # every possible positive count k for every n up to 12
     for k in range(n + 1):
         d = np.array([1.0] * k + [-1.0] * (n - k))
-        a = d
-        b = np.zeros(n)
-        p = sign_test(PairedSample(a, b))
+        p = sign_test(d)
         assert p == pytest.approx(exact_two_sided_p(k, n), rel=1.0e-12), (n, k)
 
 
 def test_sign_test_drops_zero_differences():
-    a = np.array([1.0, 1.0, 1.0, 0.0, 0.0])
-    b = np.zeros(5)
+    d = np.array([1.0, 1.0, 1.0, 0.0, 0.0])
     # the two ties are discarded: effective n = 3, k = 3
-    assert sign_test(PairedSample(a, b)) == \
+    assert sign_test(d) == \
         pytest.approx(exact_two_sided_p(3, 3), rel=1.0e-12)
 
 
 def test_sign_test_all_zero_gives_one():
     # no nonzero difference is no evidence of one: p = 1, exactly
-    assert sign_test(PairedSample(np.ones(4), np.ones(4))) == 1.0
+    assert sign_test(np.zeros(4)) == 1.0
     # one nonzero difference among zeros is a test on n = 1
-    assert sign_test(PairedSample(np.array([1.0, 2.0, 3.0]),
-                                  np.array([1.0, 2.0, 2.5]))) == 1.0
+    assert sign_test(np.array([0.0, 0.0, 0.5])) == 1.0
 
 
 def test_sign_test_symmetric():
-    a = np.array([1.0, 2.0, 3.0, -1.0])
-    b = np.zeros(4)
-    assert sign_test(PairedSample(a, b)) == \
-        pytest.approx(sign_test(PairedSample(b, a)), rel=1.0e-12)
+    d = np.array([1.0, 2.0, 3.0, -1.0])
+    assert sign_test(d) == pytest.approx(sign_test(-d), rel=1.0e-12)
 
 
 def test_sign_test_magnitudes_irrelevant():
-    b = np.zeros(5)
-    p1 = sign_test(PairedSample(np.array([0.1, 0.2, 0.3, -0.4, 0.5]), b))
-    p2 = sign_test(PairedSample(np.array([10.0, 20.0, 30.0, -4.0, 50.0]), b))
+    p1 = sign_test(np.array([0.1, 0.2, 0.3, -0.4, 0.5]))
+    p2 = sign_test(np.array([10.0, 20.0, 30.0, -4.0, 50.0]))
     assert p1 == p2
 
 
@@ -89,7 +78,7 @@ def test_bootstrap_constant_shift_degenerates():
     rng = np.random.default_rng(0)
     b = rng.standard_normal(20)
     a = b + 0.37
-    lo, hi = bootstrap_median_diff_ci(PairedSample(a, b), n_boot=500, seed=1)
+    lo, hi = bootstrap_median_diff_ci(a, b, n_boot=500, seed=1)
     assert lo == pytest.approx(0.37, abs=1.0e-12)
     assert hi == pytest.approx(0.37, abs=1.0e-12)
 
@@ -98,27 +87,26 @@ def test_bootstrap_deterministic_and_seed_sensitive():
     rng = np.random.default_rng(2)
     a = rng.standard_normal(30) + 0.5
     b = rng.standard_normal(30)
-    s = PairedSample(a, b)
-    assert bootstrap_median_diff_ci(s, n_boot=200, seed=3) == \
-        bootstrap_median_diff_ci(s, n_boot=200, seed=3)
-    assert bootstrap_median_diff_ci(s, n_boot=200, seed=3) != \
-        bootstrap_median_diff_ci(s, n_boot=200, seed=4)
+    assert bootstrap_median_diff_ci(a, b, n_boot=200, seed=3) == \
+        bootstrap_median_diff_ci(a, b, n_boot=200, seed=3)
+    assert bootstrap_median_diff_ci(a, b, n_boot=200, seed=3) != \
+        bootstrap_median_diff_ci(a, b, n_boot=200, seed=4)
 
 
 def test_bootstrap_interval_ordered_and_covers_clear_shift():
     rng = np.random.default_rng(5)
     b = rng.standard_normal(60)
     a = b + 2.0 + 0.1 * rng.standard_normal(60)
-    lo, hi = bootstrap_median_diff_ci(PairedSample(a, b), n_boot=2000, seed=0)
+    lo, hi = bootstrap_median_diff_ci(a, b, n_boot=2000, seed=0)
     assert lo <= hi
     assert lo > 0.0  # unambiguous improvement excludes zero
     assert lo < 2.0 < hi or abs(hi - 2.0) < 0.3
 
 
-def _one_shot_ci(sample, n_boot, seed):
+def _one_shot_ci(a, b, n_boot, seed):
     """The interval from a single n_boot x n draw of the indices."""
-    idx = np.random.default_rng(seed).integers(0, sample.a.size, size=(n_boot, sample.a.size))
-    stat = np.median(sample.a[idx], axis=1) - np.median(sample.b[idx], axis=1)
+    idx = np.random.default_rng(seed).integers(0, a.size, size=(n_boot, a.size))
+    stat = np.median(a[idx], axis=1) - np.median(b[idx], axis=1)
     tail = 0.5 * (1.0 - LEVEL)
     lo, hi = np.quantile(stat, [tail, 1.0 - tail])
     return float(lo), float(hi)
@@ -129,9 +117,9 @@ def _one_shot_ci(sample, n_boot, seed):
 def test_blocked_bootstrap_matches_one_shot_draw(n, n_boot):
     # replicates drawn and reduced in blocks give the one-shot interval to the bit
     rng = np.random.default_rng(n + n_boot)
-    sample = PairedSample(rng.standard_normal(n), rng.standard_normal(n))
-    assert bootstrap_median_diff_ci(sample, n_boot=n_boot, seed=2) == \
-        _one_shot_ci(sample, n_boot, seed=2)
+    a, b = rng.standard_normal(n), rng.standard_normal(n)
+    assert bootstrap_median_diff_ci(a, b, n_boot=n_boot, seed=2) == \
+        _one_shot_ci(a, b, n_boot, seed=2)
 
 
 # ---------------------------------------------------------------------------
@@ -141,10 +129,10 @@ def test_blocked_bootstrap_matches_one_shot_draw(n, n_boot):
 def test_decision_requires_both_criteria():
     rng = np.random.default_rng(8)
     base = rng.standard_normal(40)
-    clear = PairedSample(base + 1.0, base)           # both criteria fire
-    tied = PairedSample(base, base.copy())           # identical: p = 1
-    report = significance_decision({"clear": clear, "tied": tied},
-                                   alpha=0.05, n_boot=500, seed=0)
+    best = base + 1.0
+    others = {"clear": base,          # both criteria fire
+              "tied": best.copy()}    # identical: p = 1
+    report = significance_decision(best, others, alpha=0.05, n_boot=500, seed=0)
     assert report["comparisons"]["clear"]["significant"] is True
     assert report["comparisons"]["tied"]["p_value"] == 1.0
     assert report["comparisons"]["tied"]["significant"] is False
@@ -154,17 +142,14 @@ def test_decision_requires_both_criteria():
 def test_decision_overall_true_when_all_clear():
     rng = np.random.default_rng(9)
     base = rng.standard_normal(50)
-    others = {
-        "x": PairedSample(base + 0.8, base),
-        "y": PairedSample(base + 1.2, base + 0.1 * rng.standard_normal(50)),
-    }
-    report = significance_decision(others, alpha=0.05, n_boot=1000, seed=2)
+    others = {"x": base + 0.4, "y": base + 0.1 * rng.standard_normal(50)}
+    report = significance_decision(base + 1.2, others, alpha=0.05, n_boot=1000, seed=2)
     assert report["overall_significant"] is True
     assert all(c["significant"] for c in report["comparisons"].values())
 
 
 def test_decision_no_competitors():
-    report = significance_decision({}, alpha=0.05, n_boot=100)
+    report = significance_decision(np.zeros(5), {}, alpha=0.05, n_boot=100)
     assert report["overall_significant"] is False
     assert report["comparisons"] == {}
 
@@ -172,10 +157,9 @@ def test_decision_no_competitors():
 def test_decision_deterministic_under_dict_order():
     rng = np.random.default_rng(10)
     base = rng.standard_normal(30)
-    sa = PairedSample(base + 0.5, base)
-    sb = PairedSample(base + 0.7, base)
-    r1 = significance_decision({"a": sa, "b": sb}, n_boot=300, seed=5)
-    r2 = significance_decision({"b": sb, "a": sa}, n_boot=300, seed=5)
+    best, a, b = base + 0.7, base + 0.2, base
+    r1 = significance_decision(best, {"a": a, "b": b}, n_boot=300, seed=5)
+    r2 = significance_decision(best, {"b": b, "a": a}, n_boot=300, seed=5)
     for name in ("a", "b"):
         assert r1["comparisons"][name] == r2["comparisons"][name]
 
@@ -183,7 +167,7 @@ def test_decision_deterministic_under_dict_order():
 def test_decision_near_tie_not_significant():
     rng = np.random.default_rng(11)
     base = rng.standard_normal(30)
-    noisy = PairedSample(base + 0.01 * rng.standard_normal(30), base)
-    report = significance_decision({"n": noisy}, alpha=0.05, n_boot=500)
+    noisy = base + 0.01 * rng.standard_normal(30)
+    report = significance_decision(noisy, {"n": base}, alpha=0.05, n_boot=500)
     assert report["comparisons"]["n"]["significant"] is False
     assert report["overall_significant"] is False
