@@ -108,8 +108,10 @@ def run_split(train, test, methods=METHODS, seed: int = 0, n_samples: int = 1000
     ``stop_reason`` and the final max-norm gradient ``grad_norm`` (for
     laplace, those of the final mode search). Every variational record has
     the same keys.
-    The search info counts the failed grid candidates (``grid_failed``) and
-    the failures of each kind (``grid_failures``). The timing holds the
+    The search info counts the failed grid candidates (``grid_failed``),
+    the failures of each kind (``grid_failures``), the candidates dropped by
+    their score's bound (``grid_pruned``) and the draws the grid's scores
+    evaluated (``grid_draws``). The timing holds the
     search's seconds (``grid``, ``final_mode``, ``curvature``), then
     ``<method>.fit`` for each variational method and ``<method>.score``.
     """
@@ -129,6 +131,8 @@ def run_split(train, test, methods=METHODS, seed: int = 0, n_samples: int = 1000
         "jitter": float(lap.jitter),
         "grid_failed": int(sum(failures.values())),
         "grid_failures": dict(sorted(failures.items())),
+        "grid_pruned": sum("bound" in c for c in search.candidates),
+        "grid_draws": search.draws,
     }
 
     z = np.random.default_rng(seed + SALT_EVAL).standard_normal((n_eval, model.P))

@@ -11,7 +11,8 @@ Hyperparameters (basis size, centres, width, precisions) are chosen by a
 cheap randomized grid: every candidate gets a short mode search and a
 curvature fit, candidates are scored by the Monte Carlo variational bound of
 their own Laplace Gaussian on one shared set of base samples, and the winner
-is refined with a long mode search.
+is refined with a long mode search; for a log-concave likelihood the scoring
+is an exact branch and bound (see ``hyperparameter_search``).
 """
 
 from __future__ import annotations
@@ -23,13 +24,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .models import BinaryLogistic, CauchyRegression, FixedDraws, SoftmaxRegression, kmeans
+from .models import (BinaryLogistic, CauchyRegression, FixedDraws, SoftmaxRegression, kmeans,
+                     sampled_expectation)
 from .optimize import MinimizeResult, OptimConfig, minimize
-from .variational import elbo_estimate, initialise, standardize_draws
+from .variational import elbo_estimate, entropy, initialise, standardize_draws
 
 # Jitter ladder for repairing a curvature matrix that is not quite positive
 # definite: relative steps 1e-8, 1e-7, ..., 1e-2 of the mean diagonal.
 _JITTER_STEPS = tuple(10.0**k for k in range(-8, -1))
+
+# Draws per chunk of a grid candidate's race. With one-thread OpenBLAS, a chunk of a multiple
+# of 24 draws gets the rows of the one-shot product z C' bit for bit (as models._SCORE_BLOCK
+# does), so a softmax score assembled from its chunks' values is elbo_estimate's own.
+_RACE_CHUNK = 120
 
 
 def find_mode(model, w0: np.ndarray, config: OptimConfig | None = None) -> MinimizeResult:
@@ -54,21 +61,34 @@ class LaplaceResult:
 
     ``bound_at_mode`` is the deterministic Laplace evidence approximation
     ln p~(w*) + (P/2) ln 2 pi + (1/2) ln det Sigma; for a Gaussian target it
-    equals the log evidence exactly.
+    equals the log evidence exactly. ``eigvecs`` and ``eig_root`` come from
+    one ``eigh`` of ``cov`` on first access, which raises ``NumericalError``
+    for a non-positive eigenvalue; of a grid's fits only the winner's is read.
     """
 
     mean: np.ndarray
     cov: np.ndarray
     chol: np.ndarray       # lower triangular, cov = chol @ chol.T
-    eigvecs: np.ndarray    # Q, columns are eigenvectors of cov
-    eig_root: np.ndarray   # r, sqrt of cov eigenvalues (ascending)
     theta: np.ndarray      # log-space continuous hyperparameters at the fit
     bound_at_mode: float
     jitter: float = 0.0    # diagonal added to -H before factorization
+    _eig = None            # (Q, r) once formed
 
     @property
     def dim(self) -> int:
         return self.mean.size
+
+    eigvecs = property(lambda self: self._eigh()[0])    # Q, columns are eigenvectors of cov
+    eig_root = property(lambda self: self._eigh()[1])   # r, sqrt of cov eigenvalues (ascending)
+
+    def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._eig is None:
+            eigvals, eigvecs = np.linalg.eigh(self.cov)
+            if eigvals.min() <= 0:
+                raise NumericalError(
+                    f"curvature covariance has a non-positive eigenvalue ({eigvals.min():.3e})")
+            self._eig = (eigvecs, np.sqrt(eigvals))
+        return self._eig
 
 
 def laplace_approximation(model, w_star: np.ndarray) -> LaplaceResult:
@@ -106,10 +126,6 @@ def laplace_approximation(model, w_star: np.ndarray) -> LaplaceResult:
         chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("curvature covariance lost positive definiteness") from exc
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    if eigvals.min() <= 0:
-        raise NumericalError(
-            f"curvature covariance has a non-positive eigenvalue ({eigvals.min():.3e})")
 
     log_det_half = float(np.sum(np.log(np.diag(chol))))
     bound = model.value(w_star) + 0.5 * p * math.log(2.0 * math.pi) + log_det_half
@@ -117,8 +133,6 @@ def laplace_approximation(model, w_star: np.ndarray) -> LaplaceResult:
         mean=w_star.copy(),
         cov=cov,
         chol=chol,
-        eigvecs=eigvecs,
-        eig_root=np.sqrt(eigvals),
         theta=np.asarray(model.theta, dtype=float).copy(),
         bound_at_mode=float(bound),
         jitter=jitter,
@@ -143,10 +157,58 @@ class SearchResult:
     mode: MinimizeResult     # the final mode search
     candidates: list[dict]   # per-candidate record incl. score or failure
     timing: dict             # seconds of "grid", "final_mode" and "curvature"
+    draws: int               # draws at which the grid's scores evaluated ln p~
 
 
 TASK_MODELS = {"regression": CauchyRegression, "binary": BinaryLogistic,
                "multiclass": SoftmaxRegression}
+
+
+def _upper_bound(model, lap: LaplaceResult, draws: FixedDraws) -> float:
+    """U >= the score; +inf unless ``model.log_concave``, when ln p~ is below
+    t(w) = ln p~(mu) + g'(w - mu) - (alpha/2) |w - mu|^2, g its gradient at mu
+    (Challis & Barber, 2013). Over centred draws w_s = mu + C z_s the mean of
+    t is free of g: U = bound_at_mode + P/2 - (alpha/2) tr(C M C'), M = z'z / S."""
+    if not model.log_concave:
+        return math.inf
+    return float(lap.bound_at_mode + 0.5 * lap.dim
+                 - 0.5 * model.alpha * np.vdot(lap.chol @ draws.moments[2], lap.chol))
+
+
+def _chunk_bounds(model, lap: LaplaceResult, draws: FixedDraws, bound: float, values):
+    """Yield (0, U), then fill ``values`` with ln p~(w_s), ``_RACE_CHUNK`` draws at
+    a time, yielding (draws done, bound) after each chunk but the last: U less
+    the sum of t(w_s) - ln p~(w_s) >= 0 over the draws done, over S; the rest
+    of the draws stand at their bound t of ``_upper_bound``."""
+    yield 0, bound
+    mu, S = lap.mean, draws.S
+    (value,), (g,), _ = model.evaluate(mu)
+    for start in range(0, S, _RACE_CHUNK):
+        stop = min(start + _RACE_CHUNK, S)
+        step = draws.z[start:stop] @ lap.chol.T   # w_s - mu
+        values[start:stop] = model.values(mu[None, :] + step)
+        if stop < S:
+            bound += (values[start:stop].sum() - (stop - start) * value
+                      - step.sum(axis=0) @ g + 0.5 * model.alpha * np.vdot(step, step)) / S
+            yield stop, float(bound)
+
+
+def _race(model, lap: LaplaceResult, draws: FixedDraws, bound: float, floor: float):
+    """(score, None, draws evaluated), or (None, bound, draws evaluated) once U or
+    a chunk's finite bound is below ``floor``. ``elbo_estimate`` scores a race
+    without a floor or a model that is not log-concave, and rescores a survivor
+    but softmax's (``sampled_expectation``), the mean of its chunks' values."""
+    params = initialise("mvi_mu", lap)
+    if not model.log_concave or floor == -math.inf:
+        return elbo_estimate(params, draws, model, lap), None, draws.S
+    values = np.empty(draws.S)
+    for done, bound in _chunk_bounds(model, lap, draws, bound, values):
+        if floor > bound > -math.inf:
+            return None, bound, done
+    value = float(values.mean())
+    if type(model).expectation is sampled_expectation and math.isfinite(value):
+        return value + entropy(params, lap), None, draws.S
+    return elbo_estimate(params, draws, model, lap), None, 2 * draws.S
 
 
 def hyperparameter_search(X: np.ndarray, y: np.ndarray, task: str, seed: int,
@@ -158,14 +220,23 @@ def hyperparameter_search(X: np.ndarray, y: np.ndarray, task: str, seed: int,
     Basis sizes above the training-set size are dropped. For each remaining
     size M the centres come from seeded k-means; ``n_pairs`` draws of (width,
     alpha) - and gamma for regression - from Uniform(0, 1) give the
-    candidates. Each candidate gets
-    a ``search_iters``-step mode search from zero and a curvature fit, and is
-    scored with the fixed-sample bound of its own Laplace Gaussian (the
-    ``mvi_mu`` family at the fit) on a shared master sample matrix: a
-    candidate of dimension P consumes its first P columns, standardised once
-    per distinct P, so equal-sized candidates share draws exactly. The
-    best-scoring candidate is refined by a mode search under ``optim``,
-    warm-started at its short-search mode.
+    candidates. Phase 1 gives each, in loop order, a ``search_iters``-step
+    mode search from zero and a curvature fit. Phase 2 scores them with the
+    fixed-sample bound of their own Laplace Gaussian (the ``mvi_mu`` family
+    at the fit) on a shared master sample matrix: a candidate of dimension P
+    consumes its first P columns, standardised once per distinct P, so
+    equal-sized candidates share draws exactly. The highest score wins, ties
+    going to the earliest candidate, and is refined by a mode search under
+    ``optim``, warm-started at its short-search mode.
+
+    Phase 2 is an exact branch and bound, in descending order of the
+    ``_upper_bound`` U (ties in loop order). Where ``model.log_concave``
+    (binary, softmax), a candidate is dropped once U or its bound after one
+    of its ``_RACE_CHUNK``-draw chunks is below best - 1e-9 (1 + |best|), best
+    the highest score so far; its record has score -inf and that ``bound``.
+    The winner and every other score are those of scoring all, bit for bit
+    (``_race``). Cauchy's U is +inf: every candidate is scored, in loop order.
+    ``draws`` counts the draws at which the scores evaluated ln p~.
 
     Failed candidates (indefinite curvature, non-finite objectives) score
     -inf and are recorded with the error and its kind (``reason``, the
@@ -202,39 +273,48 @@ def hyperparameter_search(X: np.ndarray, y: np.ndarray, task: str, seed: int,
     p_max = (max(sizes) + 1) * k_classes
     z_master = np.random.default_rng(ss_z).standard_normal((n_samples, p_max))
 
+    def fail(rec: dict, exc: Exception) -> None:
+        rec["score"] = -np.inf
+        rec["error"] = str(exc)
+        # messages put their numbers in parentheses; the rest is the kind
+        rec["reason"] = rec["error"].split(" (")[0]
+
     search_cfg = OptimConfig(max_iters=grid.search_iters, grad_tol=base_optim.grad_tol)
-    records = []
-    best = None        # (score, model, mode) of the best candidate so far
-    sample_sets = {}   # standardised draws per parameter dimension
+    records, fits = [], []   # fits: (record index, model, mode, Laplace fit)
     for m, km_seed in zip(sizes, km_seeds):
         centers = kmeans(X, m, seed=km_seed)
         for row in pair_rng.uniform(size=(grid.n_pairs, n_hyper)):
             hyper = dict(zip(("width", "alpha", "gamma"), row.tolist()))
-            rec = {"M": m, "gamma": None, **hyper}
+            records.append({"M": m, "gamma": None, **hyper})
             try:
                 model = TASK_MODELS[task](X, y, centers, **hyper)
                 mode = find_mode(model, np.zeros(model.P), search_cfg)
-                lap = laplace_approximation(model, mode.x)
-                if model.P not in sample_sets:
-                    sample_sets[model.P] = FixedDraws(standardize_draws(z_master[:, :model.P]))
-                score = elbo_estimate(initialise("mvi_mu", lap),
-                                      sample_sets[model.P], model, lap)
-                rec["score"] = score
-                # highest score wins, ties go to the earliest; the rest are dropped
-                if best is None or score > best[0]:
-                    best = (score, model, mode)
+                fits.append((len(records) - 1, model, mode, laplace_approximation(model, mode.x)))
             except (NumericalError, np.linalg.LinAlgError) as exc:
-                rec["score"] = -np.inf
-                rec["error"] = str(exc)
-                # messages put their numbers in parentheses; the rest is the kind
-                rec["reason"] = rec["error"].split(" (")[0]
-            records.append(rec)
+                fail(records[-1], exc)
+
+    sample_sets = {p: FixedDraws(standardize_draws(z_master[:, :p]))
+                   for p in {model.P for _, model, _, _ in fits}}
+    bounds = [_upper_bound(model, lap, sample_sets[model.P]) for _, model, _, lap in fits]
+    best, n_draws = None, 0   # best: (score, record index, model, mode)
+    for j in sorted(range(len(fits)), key=lambda j: (-bounds[j], j)):
+        i, model, mode, lap = fits[j]
+        floor = -math.inf if best is None else best[0] - 1e-9 * (1.0 + abs(best[0]))
+        try:
+            score, bound, done = _race(model, lap, sample_sets[model.P], bounds[j], floor)
+        except NumericalError as exc:
+            fail(records[i], exc)
+            continue
+        n_draws += done
+        records[i].update({"score": -np.inf, "bound": bound} if score is None else {"score": score})
+        if score is not None and (best is None or (score, -i) > (best[0], -best[1])):
+            best = (score, i, model, mode)
 
     if best is None:
         failures = "; ".join(r.get("error", "?") for r in records[:5])
         raise NumericalError(f"every grid candidate failed: {failures}")
 
-    _, best_model, best_mode = best
+    _, _, best_model, best_mode = best
     grid_done = time.perf_counter()
     mode = find_mode(best_model, best_mode.x, base_optim)
     mode_done = time.perf_counter()
@@ -242,4 +322,4 @@ def hyperparameter_search(X: np.ndarray, y: np.ndarray, task: str, seed: int,
     timing = {"grid": grid_done - started, "final_mode": mode_done - grid_done,
               "curvature": time.perf_counter() - mode_done}
     return SearchResult(model=best_model, laplace=lap, mode=mode, candidates=records,
-                        timing=timing)
+                        timing=timing, draws=n_draws)

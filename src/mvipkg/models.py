@@ -6,6 +6,8 @@ the Laplace, variational and evaluation layers program against:
     P               parameter dimension (weights, flattened for multiclass)
     theta           log-space vector of continuous hyperparameters
     theta_names     matching names, e.g. ("log_gamma", "log_alpha", "log_width")
+    log_concave     True where the log likelihood is concave in the weights, so
+                    ln p~ is alpha-strongly concave (binary, softmax; not Cauchy)
     with_theta(t)   new model instance with hyperparameters exp(t): same data,
                     centres and centre distances, features rebuilt
     with_rows(X, y) the same likelihood, centres and hyperparameters over other
@@ -264,6 +266,7 @@ class Target:
     which a target with hyperparameters overrides."""
 
     theta_names: tuple = ()
+    log_concave = False
 
     @property
     def theta(self) -> np.ndarray:
@@ -529,6 +532,7 @@ class BinaryLogistic(_RBFBase):
     """
 
     theta_names = ("log_alpha", "log_width")
+    log_concave = True
 
     @staticmethod
     def _targets(y: np.ndarray) -> np.ndarray:
@@ -592,6 +596,7 @@ class SoftmaxRegression(_RBFBase):
     """
 
     theta_names = ("log_alpha", "log_width")
+    log_concave = True
 
     @staticmethod
     def _targets(Y: np.ndarray) -> np.ndarray:

@@ -23,7 +23,9 @@ class GaussianLinearModel(_ModelBase):
     posterior to rounding error, and the fixed-sample bound must recover the
     evidence. Exactness statements are relative to the stated model, so beta
     and alpha are fixed constants here, not tunable hyperparameters: theta is
-    empty and the variational stage has nothing to move.
+    empty and the variational stage has nothing to move. Its log posterior is
+    alpha-strongly concave, so it is marked ``log_concave`` like the
+    classifiers, and the grid's score bound is exact in closed form here.
 
     The design matrix is taken as given (identity feature map), so the X of
     ``with_rows`` is itself a design matrix.
@@ -41,6 +43,8 @@ class GaussianLinearModel(_ModelBase):
         self.N, self.D = self.phi.shape
         self.P = self.D
         self._phi_stack = self.phi   # no hyperparameter moves the features
+
+    log_concave = True
 
     def with_rows(self, phi: np.ndarray, y: np.ndarray) -> "GaussianLinearModel":
         """The same precisions over the design rows phi with targets y."""
@@ -136,6 +140,21 @@ def make_conjugate(seed=0, n=10, p=4, beta=2.0, alpha=0.5):
     w_true = rng.standard_normal(p)
     y = phi @ w_true + rng.standard_normal(n) / np.sqrt(beta)
     return GaussianLinearModel(phi, y, beta=beta, alpha=alpha)
+
+
+def make_class_table(seed=0, n=60, n_classes=3):
+    """A table of 2-D inputs uniform on [-2, 2]^2 whose labels are drawn from a
+    softmax over n_classes spiral sectors, noisier towards the origin:
+    (X, one-hot labels (n, n_classes))."""
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-2.0, 2.0, size=(n, 2))
+    angle = np.arctan2(X[:, 1], X[:, 0])[:, None]
+    r = np.hypot(X[:, 0], X[:, 1])[:, None]
+    logits = 1.5 * r * np.cos(angle - 2.0 * np.pi * np.arange(n_classes) / n_classes - 0.5 * r)
+    prob = np.exp(logits - logits.max(axis=1, keepdims=True))
+    cum = np.cumsum(prob / prob.sum(axis=1, keepdims=True), axis=1)
+    labels = np.minimum((rng.uniform(size=(n, 1)) > cum).sum(axis=1), n_classes - 1)
+    return X, np.eye(n_classes)[labels]
 
 
 ALL_MODEL_MAKERS = {

@@ -4,14 +4,16 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from mvipkg import optimize
-from mvipkg.data import generate_cauchy_task
+from mvipkg import bench, laplace, optimize
+from mvipkg.data import Dataset, generate_cauchy_task
 from mvipkg.errors import NumericalError
-from mvipkg.laplace import (GridConfig, find_mode, hyperparameter_search,
+from mvipkg.laplace import (GridConfig, LaplaceResult, find_mode, hyperparameter_search,
                             laplace_approximation)
+from mvipkg.models import BinaryLogistic, FixedDraws, SoftmaxRegression
 from mvipkg.optimize import MinimizeResult
+from mvipkg.variational import elbo_estimate, entropy, initialise, standardize_draws
 
-from makers import make_cauchy, make_conjugate, make_logistic
+from makers import make_cauchy, make_class_table, make_conjugate, make_logistic
 
 
 # ---------------------------------------------------------------------------
@@ -72,6 +74,24 @@ def test_factor_fields_reassemble_covariance():
                                np.eye(model.P), atol=1.0e-12)
     assert np.all(lap.eig_root > 0)
     assert np.all(np.diff(lap.eig_root) >= 0)
+
+
+def test_eigendecomposition_is_formed_on_first_access():
+    model = make_logistic(seed=5)
+    lap = laplace_approximation(model, find_mode(model, np.zeros(model.P)).x)
+    assert lap._eig is None
+    eigvals, eigvecs = np.linalg.eigh(lap.cov)
+    np.testing.assert_array_equal(lap.eigvecs, eigvecs)
+    np.testing.assert_array_equal(lap.eig_root, np.sqrt(eigvals))
+    assert lap.eigvecs is lap.eigvecs and lap.eig_root is lap.eig_root
+
+
+@pytest.mark.parametrize("field", ["eigvecs", "eig_root"])
+def test_non_positive_covariance_eigenvalue_raises_on_first_access(field):
+    lap = LaplaceResult(mean=np.zeros(2), cov=np.diag([1.0, -1.0e-3]), chol=np.eye(2),
+                        theta=np.zeros(0), bound_at_mode=0.0)
+    with pytest.raises(NumericalError, match="non-positive eigenvalue"):
+        getattr(lap, field)
 
 
 def test_theta_snapshot_stored():
@@ -233,3 +253,120 @@ def test_grid_does_not_depend_on_the_memory(monkeypatch):
     assert any(np.isfinite(c["score"]) for c in now.candidates)
     assert now.candidates == old.candidates
     np.testing.assert_array_equal(now.laplace.theta, old.laplace.theta)
+
+
+# ---------------------------------------------------------------------------
+# branch and bound over the grid's candidates
+# ---------------------------------------------------------------------------
+
+# six candidates per basis size, and 480 draws: four race chunks of 120
+BNB_GRID = GridConfig(basis_sizes=(5, 10), n_pairs=6)
+BNB_SAMPLES = 480
+
+
+def _bnb_task(task):
+    X, Y = make_class_table(seed=1, n=60)
+    return X, (Y if task == "multiclass" else Y[:, 0])
+
+
+def _bnb_search(task):
+    X, y = _bnb_task(task)
+    return hyperparameter_search(X, y, task, seed=1, n_samples=BNB_SAMPLES, grid=BNB_GRID)
+
+
+@pytest.mark.parametrize("task", ["multiclass", "binary"])
+def test_every_bound_is_above_the_score(task, monkeypatch):
+    # (model, Laplace fit, draws) of every candidate the search fitted
+    seen = []
+    upper = laplace._upper_bound
+    monkeypatch.setattr(laplace, "_upper_bound",
+                        lambda *args: seen.append(args) or upper(*args))
+    _bnb_search(task)
+    assert len(seen) == 12
+    for model, lap, draws in seen:
+        params = initialise("mvi_mu", lap)
+        score = elbo_estimate(params, draws, model, lap)
+        values = np.empty(draws.S)
+        bounds = [b for _, b in laplace._chunk_bounds(model, lap, draws, upper(model, lap, draws),
+                                                      values)]
+        assert len(bounds) == 4   # U, then after each of the first three chunks
+        assert all(score <= b for b in bounds)
+        assert bounds == sorted(bounds, reverse=True)
+        if task == "multiclass":   # a softmax score is the mean of the chunks' values
+            assert float(values.mean()) + entropy(params, lap) == score
+
+
+@pytest.mark.parametrize("task", ["multiclass", "binary"])
+def test_pruned_search_is_the_full_search_bit_for_bit(task, monkeypatch):
+    outcomes = []   # (floor, race result) of every race
+    race = laplace._race
+    monkeypatch.setattr(laplace, "_race",
+                        lambda *args: outcomes.append((args[-1], race(*args))) or outcomes[-1][1])
+    pruned = _bnb_search(task)
+    monkeypatch.undo()
+    model_class = SoftmaxRegression if task == "multiclass" else BinaryLogistic
+    monkeypatch.setattr(model_class, "log_concave", False)
+    full = _bnb_search(task)
+
+    dropped = [c for c in pruned.candidates if "bound" in c]
+    drawn = [out[2] for _, out in outcomes if out[0] is None]   # draws before the drop
+    raced = [out for floor, out in outcomes if out[0] is not None and floor > -math.inf]
+    assert len(drawn) == len(dropped)
+    assert 0 in drawn and max(drawn) > 0   # some before their draws, some during
+    assert raced   # a survivor of the race, scored from its chunks' values
+    assert not any("bound" in c for c in full.candidates)
+    assert full.draws == BNB_SAMPLES * len(full.candidates) > pruned.draws
+    for got, want in zip(pruned.candidates, full.candidates):
+        if "bound" in got:
+            assert got["score"] == -np.inf and want["score"] < got["bound"]
+        else:
+            assert got == want
+    np.testing.assert_array_equal(pruned.model.theta, full.model.theta)
+    for name in ("mean", "cov", "chol", "theta", "eigvecs", "eig_root"):
+        np.testing.assert_array_equal(getattr(pruned.laplace, name),
+                                      getattr(full.laplace, name), err_msg=name)
+    assert (pruned.laplace.bound_at_mode, pruned.laplace.jitter) == \
+        (full.laplace.bound_at_mode, full.laplace.jitter)
+    for name, value in vars(full.mode).items():
+        np.testing.assert_array_equal(getattr(pruned.mode, name), value, err_msg=name)
+
+
+@pytest.mark.parametrize("n_samples", [40, 7])   # S > P and S <= P = 8
+def test_bound_gap_is_closed_form_on_the_conjugate_model(n_samples):
+    # at the exact posterior ln p~ is quadratic with no slope, so U exceeds
+    # the fixed-sample score by exactly the likelihood's share of the curvature
+    model = make_conjugate(seed=4, n=12, p=8, beta=2.0, alpha=0.5)
+    mean, _ = model.exact_posterior()
+    lap = laplace_approximation(model, mean)
+    z = standardize_draws(np.random.default_rng(3).standard_normal((n_samples, 8)))
+    draws = FixedDraws(z)
+    gap = (laplace._upper_bound(model, lap, draws)
+           - elbo_estimate(initialise("mvi_mu", lap), draws, model, lap))
+    M = z.T @ z / n_samples
+    PC = model.phi @ lap.chol
+    assert gap == pytest.approx(0.5 * model.beta * np.trace(PC @ M @ PC.T), rel=1.0e-9)
+
+
+def test_cauchy_split_bypasses_the_bound():
+    train, test = generate_cauchy_task(seed=3, n_train=20, n_test=40)
+    grid = GridConfig(basis_sizes=(5,), n_pairs=4, search_iters=5)
+    _, _, info = bench.run_split(train, test, methods=("laplace",), seed=0,
+                                 n_samples=300, n_eval=200, grid=grid)
+    assert info["grid_pruned"] == 0
+    assert info["grid_draws"] == 300 * (4 - info["grid_failed"])
+
+
+def test_pruned_grid_evaluates_at_most_half_the_draws(monkeypatch):
+    # a count, not a time: it repeats exactly on every machine that runs the grid
+    X, Y = make_class_table(seed=2, n=200)
+    train, test = Dataset(X[:105], Y[:105], "multiclass"), Dataset(X[105:], Y[105:], "multiclass")
+
+    def draws():
+        return bench.run_split(train, test, methods=("laplace",), seed=0, n_eval=100)[2]
+
+    pruned = draws()
+    monkeypatch.setattr(SoftmaxRegression, "log_concave", False)
+    full = draws()
+    assert full["grid_pruned"] == 0 and full["grid_failed"] == pruned["grid_failed"]
+    assert full["grid_draws"] == 1000 * (30 - full["grid_failed"])
+    assert pruned["grid_draws"] <= full["grid_draws"] / 2
