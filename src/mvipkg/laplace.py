@@ -11,8 +11,8 @@ Hyperparameters (basis size, centres, width, precisions) are chosen by a
 cheap randomized grid: every candidate gets a short mode search and a
 curvature fit, candidates are scored by the Monte Carlo variational bound of
 their own Laplace Gaussian on one shared set of base samples, and the winner
-is refined with a long mode search; for a log-concave likelihood the scoring
-is an exact branch and bound (see ``hyperparameter_search``).
+is refined with a long mode search; one race over chunks of its draws scores
+every candidate, whatever the likelihood (see ``hyperparameter_search``).
 """
 
 from __future__ import annotations
@@ -24,18 +24,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .models import (BinaryLogistic, CauchyRegression, FixedDraws, SoftmaxRegression, kmeans,
-                     sampled_expectation)
+from .models import BinaryLogistic, CauchyRegression, FixedDraws, SoftmaxRegression, kmeans
 from .optimize import MinimizeResult, OptimConfig, minimize
-from .variational import elbo_estimate, entropy, initialise, standardize_draws
+from .variational import entropy, initialise, standardize_draws
 
 # Jitter ladder for repairing a curvature matrix that is not quite positive
 # definite: relative steps 1e-8, 1e-7, ..., 1e-2 of the mean diagonal.
 _JITTER_STEPS = tuple(10.0**k for k in range(-8, -1))
 
-# Draws per chunk of a grid candidate's race. With one-thread OpenBLAS, a chunk of a multiple
-# of 24 draws gets the rows of the one-shot product z C' bit for bit (as models._SCORE_BLOCK
-# does), so a softmax score assembled from its chunks' values is elbo_estimate's own.
+# Draws per chunk of the race that scores every grid candidate. With one-thread OpenBLAS, a
+# chunk of a multiple of 24 draws gets the rows of the one-shot product z C' bit for bit (as
+# models._SCORE_BLOCK does): a softmax score is the one-shot pass's, a projected one to round-off.
 _RACE_CHUNK = 120
 
 
@@ -194,21 +193,18 @@ def _chunk_bounds(model, lap: LaplaceResult, draws: FixedDraws, bound: float, va
 
 
 def _race(model, lap: LaplaceResult, draws: FixedDraws, bound: float, floor: float):
-    """(score, None, draws evaluated), or (None, bound, draws evaluated) once U or
-    a chunk's finite bound is below ``floor``. ``elbo_estimate`` scores a race
-    without a floor or a model that is not log-concave, and rescores a survivor
-    but softmax's (``sampled_expectation``), the mean of its chunks' values."""
-    params = initialise("mvi_mu", lap)
-    if not model.log_concave or floor == -math.inf:
-        return elbo_estimate(params, draws, model, lap), None, draws.S
+    """(score, None, S), or (None, bound, draws evaluated) once U or a chunk's
+    finite bound is below ``floor``. The score is the mean of the chunks' values
+    plus the entropy of the Laplace Gaussian; with no floor yet, or U = +inf
+    (Cauchy), a race runs its chunks to the end and is never dropped."""
     values = np.empty(draws.S)
     for done, bound in _chunk_bounds(model, lap, draws, bound, values):
         if floor > bound > -math.inf:
             return None, bound, done
     value = float(values.mean())
-    if type(model).expectation is sampled_expectation and math.isfinite(value):
-        return value + entropy(params, lap), None, draws.S
-    return elbo_estimate(params, draws, model, lap), None, 2 * draws.S
+    if not math.isfinite(value):
+        raise NumericalError(f"log posterior not finite (mean over the draws {value})")
+    return value + entropy(initialise("mvi_mu", lap), lap), None, draws.S
 
 
 def hyperparameter_search(X: np.ndarray, y: np.ndarray, task: str, seed: int,
@@ -229,14 +225,14 @@ def hyperparameter_search(X: np.ndarray, y: np.ndarray, task: str, seed: int,
     going to the earliest candidate, and is refined by a mode search under
     ``optim``, warm-started at its short-search mode.
 
-    Phase 2 is an exact branch and bound, in descending order of the
-    ``_upper_bound`` U (ties in loop order). Where ``model.log_concave``
-    (binary, softmax), a candidate is dropped once U or its bound after one
-    of its ``_RACE_CHUNK``-draw chunks is below best - 1e-9 (1 + |best|), best
-    the highest score so far; its record has score -inf and that ``bound``.
-    The winner and every other score are those of scoring all, bit for bit
-    (``_race``). Cauchy's U is +inf: every candidate is scored, in loop order.
-    ``draws`` counts the draws at which the scores evaluated ln p~.
+    Phase 2 is an exact branch and bound in descending order of the
+    ``_upper_bound`` U (ties in loop order), one ``_race`` for every
+    candidate: ln p~ over its ``_RACE_CHUNK``-draw chunks, dropped once U or
+    its bound after a chunk is below best - 1e-9 (1 + |best|), best the
+    highest score so far (record: score -inf and that ``bound``), else scored
+    by the chunks' mean plus its entropy. Cauchy's U is +inf, which no chunk
+    lowers: every candidate is scored, in loop order. ``draws`` counts the
+    draws that evaluated ln p~: S per scored candidate, plus each drop's.
 
     Failed candidates (indefinite curvature, non-finite objectives) score
     -inf and are recorded with the error and its kind (``reason``, the

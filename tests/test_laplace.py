@@ -9,7 +9,7 @@ from mvipkg.data import Dataset, generate_cauchy_task
 from mvipkg.errors import NumericalError
 from mvipkg.laplace import (GridConfig, LaplaceResult, find_mode, hyperparameter_search,
                             laplace_approximation)
-from mvipkg.models import BinaryLogistic, FixedDraws, SoftmaxRegression
+from mvipkg.models import BinaryLogistic, CauchyRegression, FixedDraws, SoftmaxRegression
 from mvipkg.optimize import MinimizeResult
 from mvipkg.variational import elbo_estimate, entropy, initialise, standardize_draws
 
@@ -276,24 +276,76 @@ def _bnb_search(task):
 
 @pytest.mark.parametrize("task", ["multiclass", "binary"])
 def test_every_bound_is_above_the_score(task, monkeypatch):
-    # (model, Laplace fit, draws) of every candidate the search fitted
+    # (model, Laplace fit, draws) of every candidate the search fitted, in loop order
     seen = []
     upper = laplace._upper_bound
     monkeypatch.setattr(laplace, "_upper_bound",
                         lambda *args: seen.append(args) or upper(*args))
-    _bnb_search(task)
-    assert len(seen) == 12
-    for model, lap, draws in seen:
+    records = _bnb_search(task).candidates
+    assert len(seen) == len(records) == 12
+    for record, (model, lap, draws) in zip(records, seen):
         params = initialise("mvi_mu", lap)
-        score = elbo_estimate(params, draws, model, lap)
         values = np.empty(draws.S)
         bounds = [b for _, b in laplace._chunk_bounds(model, lap, draws, upper(model, lap, draws),
                                                       values)]
+        score = float(values.mean()) + entropy(params, lap)   # the mean of the chunks' values
         assert len(bounds) == 4   # U, then after each of the first three chunks
         assert all(score <= b for b in bounds)
         assert bounds == sorted(bounds, reverse=True)
-        if task == "multiclass":   # a softmax score is the mean of the chunks' values
-            assert float(values.mean()) + entropy(params, lap) == score
+        if "bound" not in record:   # a survivor, scored from its chunks
+            assert record["score"] == score
+        elbo = elbo_estimate(params, draws, model, lap)
+        # softmax's one-shot pass is its chunks' values; binary's projected one, to round-off
+        assert score == (elbo if task == "multiclass" else pytest.approx(elbo, rel=1.0e-12))
+
+
+def test_cauchy_scores_are_chunk_means(monkeypatch):
+    # U = +inf leaves every chunk bound at +inf: each candidate runs its chunks
+    # to the end, in loop order, and is scored by the log-concave models' rule
+    races = []
+    race = laplace._race
+    monkeypatch.setattr(laplace, "_race", lambda *args: races.append(args) or race(*args))
+    train, _ = generate_cauchy_task(seed=3, n_train=20, n_test=40)
+    grid = GridConfig(basis_sizes=(5,), n_pairs=4, search_iters=5)
+    res = hyperparameter_search(train.X, train.y, "regression", seed=0, n_samples=300, grid=grid)
+    scores = [c["score"] for c in res.candidates if "error" not in c]
+    assert scores and len(scores) == len(races)
+    for score, (model, lap, draws, bound, _) in zip(scores, races):
+        params = initialise("mvi_mu", lap)
+        values = np.empty(draws.S)
+        assert {b for _, b in laplace._chunk_bounds(model, lap, draws, bound, values)} == {math.inf}
+        assert score == float(values.mean()) + entropy(params, lap)
+        assert score == pytest.approx(elbo_estimate(params, draws, model, lap), rel=1.0e-12)
+
+
+def test_grid_draws_count_each_scored_candidate_once(monkeypatch):
+    # S per scored candidate, plus the draws each dropped one evaluated before
+    # its drop: a raced binary survivor evaluates its draws once, in its chunks
+    outcomes = []
+    race = laplace._race
+    monkeypatch.setattr(laplace, "_race",
+                        lambda *args: outcomes.append((args[-1], race(*args))) or outcomes[-1][1])
+    res = _bnb_search("binary")
+    scored = [c for c in res.candidates if np.isfinite(c["score"])]
+    drawn = [out[2] for _, out in outcomes if out[0] is None]   # draws before the drop
+    assert any(floor > -math.inf and out[0] is not None for floor, out in outcomes)
+    assert res.draws == BNB_SAMPLES * len(scored) + sum(drawn)
+
+
+def test_grid_never_runs_the_fits_expectation(monkeypatch):
+    # every grid candidate is scored from its own chunked draws, whatever the likelihood
+    def refuse(*args, **kwargs):
+        raise AssertionError("the grid called a model's expectation")
+
+    for model_class in (CauchyRegression, BinaryLogistic, SoftmaxRegression):
+        monkeypatch.setattr(model_class, "expectation", refuse)
+    train, _ = generate_cauchy_task(seed=3, n_train=20, n_test=40)
+    grid = GridConfig(basis_sizes=(5, 10), n_pairs=4, search_iters=5)
+    results = [hyperparameter_search(train.X, train.y, "regression", seed=0, n_samples=300,
+                                     grid=grid),
+               _bnb_search("binary"), _bnb_search("multiclass")]
+    for res in results:
+        assert any(np.isfinite(c["score"]) for c in res.candidates)
 
 
 @pytest.mark.parametrize("task", ["multiclass", "binary"])
