@@ -32,9 +32,9 @@ from .variational import entropy, initialise, standardize_draws
 # definite: relative steps 1e-8, 1e-7, ..., 1e-2 of the mean diagonal.
 _JITTER_STEPS = tuple(10.0**k for k in range(-8, -1))
 
-# Draws per chunk of the race that scores every grid candidate. With one-thread OpenBLAS, a
-# chunk of a multiple of 24 draws gets the rows of the one-shot product z C' bit for bit (as
-# models._SCORE_BLOCK does): a softmax score is the one-shot pass's, a projected one to round-off.
+# Draws per chunk of a log-concave model's race; a race with U = +inf (Cauchy) is never dropped
+# and takes all its draws as one chunk. With one-thread OpenBLAS, chunks of a multiple of 24
+# draws get the rows of that one-chunk z C' bit for bit (as models._SCORE_BLOCK does).
 _RACE_CHUNK = 120
 
 
@@ -175,15 +175,16 @@ def _upper_bound(model, lap: LaplaceResult, draws: FixedDraws) -> float:
 
 
 def _chunk_bounds(model, lap: LaplaceResult, draws: FixedDraws, bound: float, values):
-    """Yield (0, U), then fill ``values`` with ln p~(w_s), ``_RACE_CHUNK`` draws at
-    a time, yielding (draws done, bound) after each chunk but the last: U less
-    the sum of t(w_s) - ln p~(w_s) >= 0 over the draws done, over S; the rest
-    of the draws stand at their bound t of ``_upper_bound``."""
+    """Yield (0, U), then fill ``values`` with ln p~(w_s) in chunks (see ``_RACE_CHUNK``),
+    yielding (draws done, bound) after each chunk but the last: U less the sum
+    of t(w_s) - ln p~(w_s) >= 0 over the draws done, over S; the rest of the
+    draws stand at their bound t of ``_upper_bound``."""
     yield 0, bound
     mu, S = lap.mean, draws.S
+    chunk = _RACE_CHUNK if model.log_concave else S
     (value,), (g,), _ = model.evaluate(mu)
-    for start in range(0, S, _RACE_CHUNK):
-        stop = min(start + _RACE_CHUNK, S)
+    for start in range(0, S, chunk):
+        stop = min(start + chunk, S)
         step = draws.z[start:stop] @ lap.chol.T   # w_s - mu
         values[start:stop] = model.values(mu[None, :] + step)
         if stop < S:
@@ -231,8 +232,8 @@ def hyperparameter_search(X: np.ndarray, y: np.ndarray, task: str, seed: int,
     its bound after a chunk is below best - 1e-9 (1 + |best|), best the
     highest score so far (record: score -inf and that ``bound``), else scored
     by the chunks' mean plus its entropy. Cauchy's U is +inf, which no chunk
-    lowers: every candidate is scored, in loop order. ``draws`` counts the
-    draws that evaluated ln p~: S per scored candidate, plus each drop's.
+    lowers: every candidate is scored, in loop order, from one chunk. ``draws``
+    counts the draws that evaluated ln p~: S per scored candidate, plus each drop's.
 
     Failed candidates (indefinite curvature, non-finite objectives) score
     -inf and are recorded with the error and its kind (``reason``, the

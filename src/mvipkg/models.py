@@ -21,7 +21,8 @@ the Laplace, variational and evaluation layers program against:
                     means over fixed draws w_s = mu + R z_s (``FixedDraws``):
                     (value, g-bar, G, theta gradient), i.e. the log posterior,
                     its weight gradient g, G = sum_s g_s z_s' / S and the
-                    theta gradient; one call per variational evaluation
+                    theta gradient, always all four; one call per evaluation
+                    of the bound (``variational.elbo_and_gradient``)
     hessian         dense Hessian w.r.t. the weights at one point, (P, P)
     score(mu, R, z) pass over the draws w_s = mu + R z_s on the model's rows:
                     (mean prediction over the draws, per-draw log
@@ -33,9 +34,10 @@ through the projections F = W phi' (one row per draw and output, one column
 per data point; a softmax draw's K class blocks give K rows, class-major),
 and each is written once, as the model's ``_pass(Q, spare, gradient)`` over
 its targets ``y``. Q holds F - y for a regression (``_residual``) or F for
-the classifiers. The pass returns the log likelihood of each draw; the
-factor ``scale`` with d loglik / dF = scale * Q once a gradient pass has
-rewritten Q; and, per draw, the derivatives in the likelihood's own
+the classifiers. The pass returns the log likelihood of each draw, formed
+before a gradient pass rewrites Q (so it equals the rows of ``values`` bit
+for bit); the factor ``scale`` with d loglik / dF = scale * Q once a gradient
+pass has rewritten Q; and, per draw, the derivatives in the likelihood's own
 hyperparameters (log gamma for Cauchy). ``_ModelBase`` derives the rest from
 it, once: ``values`` (the pass in place), ``evaluate`` with ``grads`` and
 ``theta_grads`` (one GEMM of scale * Q with [phi | d phi / d log width]),
@@ -203,14 +205,10 @@ class FixedDraws:
         return self._work
 
 
-def sampled_expectation(model, mu: np.ndarray, R: np.ndarray, draws: FixedDraws,
-                        gradient: bool = True):
+def sampled_expectation(model, mu: np.ndarray, R: np.ndarray, draws: FixedDraws):
     """``expectation`` of a likelihood that is not one F = W phi': from the
     model's own batch methods at W = mu + z R', per-draw gradients and all."""
-    W = mu[None, :] + draws.z @ R.T
-    if not gradient:
-        return float(model.values(W).mean()), None, None, None
-    vals, g, theta_g = model.evaluate(W)
+    vals, g, theta_g = model.evaluate(mu[None, :] + draws.z @ R.T)
     return (float(vals.mean()), draws.weights @ g, g.T @ draws.z / draws.S,
             draws.weights @ theta_g)
 
@@ -368,26 +366,22 @@ class _ModelBase(Target):
         return (0.5 * self.P * (np.log(self.alpha) - _LOG_2PI) - 0.5 * self.alpha * ww,
                 0.5 * self.P - 0.5 * self.alpha * ww)
 
-    def expectation(self, mu: np.ndarray, R: np.ndarray, draws: FixedDraws,
-                    gradient: bool = True):
-        """(value, g-bar, G, theta gradient) over the draws w_s = mu + R z_s,
-        the gradient terms None unless ``gradient``; see the module docstring.
-        No S x P array forms: the prior's terms come from z-bar and z'z / S."""
+    def expectation(self, mu: np.ndarray, R: np.ndarray, draws: FixedDraws):
+        """(value, g-bar, G, theta gradient) over the draws w_s = mu + R z_s;
+        see the module docstring. No S x P array forms: the prior's terms come
+        from z-bar and z'z / S."""
         z1, zbar, second = draws.moments
         MR = np.column_stack([mu, R])
         A = self.phi @ MR
         if self._residual:
             A[:, 0] -= self.y
         Q, spare = draws.work(self.N)
-        spare = spare if gradient else Q   # a value-only pass runs in place
         np.matmul(z1, A.T, out=Q)
-        rows, scale, lead = self._pass(Q, spare, gradient)
+        rows, scale, lead = self._pass(Q, spare, True)
         Rz, RM = R @ zbar, R @ second
         ww = mu @ mu + 2.0 * (mu @ Rz) + np.vdot(RM, R)   # mean of |w_s|^2
         value = (float(draws.weights @ rows) + 0.5 * self.P * (math.log(self.alpha) - _LOG_2PI)
                  - 0.5 * self.alpha * ww)
-        if not gradient:
-            return value, None, None, None
         # now E = scale * Q; [phi | phi_w]' E' Z1 / S in one more small GEMM
         B = Q.T @ z1
         B *= scale / draws.S

@@ -23,7 +23,9 @@ over the draws of the log posterior, of its gradient g_s at w_s = mu + R z_s
 ``contract`` maps G onto its fields, so no evaluation forms a gradient per
 draw here. Every family reads the caller's draws as they are; an evaluation
 at a theta other than the model's own scores ``model.with_theta(theta)``, a
-copy with the features rebuilt.
+copy with the features rebuilt. The bound has one evaluation path,
+:func:`elbo_and_gradient`: a caller that wants the value alone takes its
+first element.
 
 Families
 --------
@@ -306,29 +308,11 @@ def entropy(params: VariationalParams, laplace) -> float:
 # bound and gradient
 # ---------------------------------------------------------------------------
 
-def _expectation(params: VariationalParams, draws: FixedDraws, model, laplace,
-                 gradient: bool):
-    """The model's (value, g-bar, G, theta gradient) over the draws,
-    at ``params.theta`` (the caller's model itself while theta is its own)."""
-    if not np.array_equal(params.theta, model.theta):
-        model = model.with_theta(params.theta)
-    out = model.expectation(params.mu, _spec(params.family).root(params, laplace), draws,
-                            gradient)
-    if not math.isfinite(out[0]):
-        raise NumericalError(f"log posterior not finite (mean over the draws {out[0]})")
-    return out
-
-
-def elbo_estimate(params: VariationalParams, samples: FixedDraws,
-                  model, laplace) -> float:
-    """Fixed-sample evidence lower bound at the given parameters."""
-    value = _expectation(params, samples, model, laplace, gradient=False)[0]
-    return value + entropy(params, laplace)
-
-
 def elbo_and_gradient(params: VariationalParams, samples: FixedDraws,
                       model, laplace) -> tuple[float, np.ndarray]:
-    """Bound and its gradient w.r.t. the free parameters, laid out as ``params.x``.
+    """Fixed-sample bound and its gradient w.r.t. the free parameters, laid out
+    as ``params.x``; the bound is evaluated at ``params.theta`` (the caller's
+    model itself while theta is its own).
 
     All gradients are analytic. The sample term differentiates through
     w_s = mu + R z_s (g-bar for mu, G through ``contract``); the entropy
@@ -337,7 +321,12 @@ def elbo_and_gradient(params: VariationalParams, samples: FixedDraws,
     coordinates those entropy terms become the constant one. Hyperparameter
     gradients flow only through the log-posterior term.
     """
-    value, gbar, G, theta_g = _expectation(params, samples, model, laplace, gradient=True)
+    if not np.array_equal(params.theta, model.theta):
+        model = model.with_theta(params.theta)
+    value, gbar, G, theta_g = model.expectation(
+        params.mu, _spec(params.family).root(params, laplace), samples)
+    if not math.isfinite(value):
+        raise NumericalError(f"log posterior not finite (mean over the draws {value})")
     value += entropy(params, laplace)
     grad = np.concatenate([gbar, *_spec(params.family).contract(params, laplace, G), theta_g])
     if not np.isfinite(grad).all():

@@ -11,7 +11,7 @@ from mvipkg.laplace import (GridConfig, LaplaceResult, find_mode, hyperparameter
                             laplace_approximation)
 from mvipkg.models import BinaryLogistic, CauchyRegression, FixedDraws, SoftmaxRegression
 from mvipkg.optimize import MinimizeResult
-from mvipkg.variational import elbo_estimate, entropy, initialise, standardize_draws
+from mvipkg.variational import elbo_and_gradient, entropy, initialise, standardize_draws
 
 from makers import make_cauchy, make_class_table, make_conjugate, make_logistic
 
@@ -294,14 +294,31 @@ def test_every_bound_is_above_the_score(task, monkeypatch):
         assert bounds == sorted(bounds, reverse=True)
         if "bound" not in record:   # a survivor, scored from its chunks
             assert record["score"] == score
-        elbo = elbo_estimate(params, draws, model, lap)
+        elbo = elbo_and_gradient(params, draws, model, lap)[0]
         # softmax's one-shot pass is its chunks' values; binary's projected one, to round-off
         assert score == (elbo if task == "multiclass" else pytest.approx(elbo, rel=1.0e-12))
 
 
+def test_cauchy_race_evaluates_its_draws_in_one_call(monkeypatch):
+    # a race with U = +inf is never dropped, so its 300 draws are one chunk, not three
+    model = make_cauchy()
+    lap = laplace_approximation(model, find_mode(model, np.zeros(model.P)).x)
+    draws = FixedDraws(standardize_draws(np.random.default_rng(0).standard_normal((300, 3))))
+    calls = []
+    values = CauchyRegression.values
+    monkeypatch.setattr(CauchyRegression, "values",
+                        lambda self, W: calls.append(len(W)) or values(self, W))
+    bound = laplace._upper_bound(model, lap, draws)
+    assert bound == math.inf
+    score, dropped, done = laplace._race(model, lap, draws, bound, -math.inf)
+    assert calls == [300] and dropped is None and done == 300
+    assert score == pytest.approx(elbo_and_gradient(initialise("mvi_mu", lap), draws, model,
+                                                    lap)[0], rel=1.0e-12)
+
+
 def test_cauchy_scores_are_chunk_means(monkeypatch):
-    # U = +inf leaves every chunk bound at +inf: each candidate runs its chunks
-    # to the end, in loop order, and is scored by the log-concave models' rule
+    # U = +inf could never be lowered: each candidate takes its draws as one
+    # chunk, in loop order, and is scored by the log-concave models' rule
     races = []
     race = laplace._race
     monkeypatch.setattr(laplace, "_race", lambda *args: races.append(args) or race(*args))
@@ -315,7 +332,7 @@ def test_cauchy_scores_are_chunk_means(monkeypatch):
         values = np.empty(draws.S)
         assert {b for _, b in laplace._chunk_bounds(model, lap, draws, bound, values)} == {math.inf}
         assert score == float(values.mean()) + entropy(params, lap)
-        assert score == pytest.approx(elbo_estimate(params, draws, model, lap), rel=1.0e-12)
+        assert score == pytest.approx(elbo_and_gradient(params, draws, model, lap)[0], rel=1.0e-12)
 
 
 def test_grid_draws_count_each_scored_candidate_once(monkeypatch):
@@ -393,7 +410,7 @@ def test_bound_gap_is_closed_form_on_the_conjugate_model(n_samples):
     z = standardize_draws(np.random.default_rng(3).standard_normal((n_samples, 8)))
     draws = FixedDraws(z)
     gap = (laplace._upper_bound(model, lap, draws)
-           - elbo_estimate(initialise("mvi_mu", lap), draws, model, lap))
+           - elbo_and_gradient(initialise("mvi_mu", lap), draws, model, lap)[0])
     M = z.T @ z / n_samples
     PC = model.phi @ lap.chol
     assert gap == pytest.approx(0.5 * model.beta * np.trace(PC @ M @ PC.T), rel=1.0e-9)
