@@ -174,38 +174,32 @@ def _upper_bound(model, lap: LaplaceResult, draws: FixedDraws) -> float:
                  - 0.5 * model.alpha * np.vdot(lap.chol @ draws.moments[2], lap.chol))
 
 
-def _chunk_bounds(model, lap: LaplaceResult, draws: FixedDraws, bound: float, values):
-    """Yield (0, U), then fill ``values`` with ln p~(w_s) in chunks (see ``_RACE_CHUNK``),
-    yielding (draws done, bound) after each chunk but the last: U less the sum
-    of t(w_s) - ln p~(w_s) >= 0 over the draws done, over S; the rest of the
-    draws stand at their bound t of ``_upper_bound``."""
-    yield 0, bound
+def _race(model, lap: LaplaceResult, draws: FixedDraws, bound: float, floor: float):
+    """(score, None, S), or (None, bound, draws evaluated) once U or a chunk's
+    finite bound, checked before each chunk, is below ``floor``. ln p~(w_s)
+    is evaluated in chunks (see ``_RACE_CHUNK``); after each but the last the
+    bound falls by the sum of t(w_s) - ln p~(w_s) >= 0 over its draws, over S,
+    the rest standing at their tangent t of ``_upper_bound``, formed only then.
+    The score is the values' mean plus the entropy of the Laplace Gaussian;
+    with no floor yet, or U = +inf (Cauchy), a race is never dropped."""
     mu, S = lap.mean, draws.S
     chunk = _RACE_CHUNK if model.log_concave else S
-    (value,), (g,), _ = model.evaluate(mu)
+    values = np.empty(S)
     for start in range(0, S, chunk):
+        if floor > bound > -math.inf:
+            return None, float(bound), start
         stop = min(start + chunk, S)
         step = draws.z[start:stop] @ lap.chol.T   # w_s - mu
         values[start:stop] = model.values(mu[None, :] + step)
         if stop < S:
+            if start == 0:
+                (value,), (g,), _ = model.evaluate(mu)
             bound += (values[start:stop].sum() - (stop - start) * value
                       - step.sum(axis=0) @ g + 0.5 * model.alpha * np.vdot(step, step)) / S
-            yield stop, float(bound)
-
-
-def _race(model, lap: LaplaceResult, draws: FixedDraws, bound: float, floor: float):
-    """(score, None, S), or (None, bound, draws evaluated) once U or a chunk's
-    finite bound is below ``floor``. The score is the mean of the chunks' values
-    plus the entropy of the Laplace Gaussian; with no floor yet, or U = +inf
-    (Cauchy), a race runs its chunks to the end and is never dropped."""
-    values = np.empty(draws.S)
-    for done, bound in _chunk_bounds(model, lap, draws, bound, values):
-        if floor > bound > -math.inf:
-            return None, bound, done
-    value = float(values.mean())
-    if not math.isfinite(value):
-        raise NumericalError(f"log posterior not finite (mean over the draws {value})")
-    return value + entropy(initialise("mvi_mu", lap), lap), None, draws.S
+    mean = float(values.mean())
+    if not math.isfinite(mean):
+        raise NumericalError(f"log posterior not finite (mean over the draws {mean})")
+    return mean + entropy(initialise("mvi_mu", lap), lap), None, S
 
 
 def hyperparameter_search(X: np.ndarray, y: np.ndarray, task: str, seed: int,
@@ -231,7 +225,8 @@ def hyperparameter_search(X: np.ndarray, y: np.ndarray, task: str, seed: int,
     candidate: ln p~ over its ``_RACE_CHUNK``-draw chunks, dropped once U or
     its bound after a chunk is below best - 1e-9 (1 + |best|), best the
     highest score so far (record: score -inf and that ``bound``), else scored
-    by the chunks' mean plus its entropy. Cauchy's U is +inf, which no chunk
+    by the chunks' mean plus its entropy; the tangent at the mean is formed
+    only when another chunk is to come. Cauchy's U is +inf, which no chunk
     lowers: every candidate is scored, in loop order, from one chunk. ``draws``
     counts the draws that evaluated ln p~: S per scored candidate, plus each drop's.
 

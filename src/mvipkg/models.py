@@ -99,7 +99,8 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 # Draws per block of the held-out pass; the buffer for F holds one block: 0.8 MB at 1,000
 # test points, inside a 2 MB L2 cache per core (288 draws: 2.3 MB, up to 1.4x slower). With
 # one-thread OpenBLAS, a block of a multiple of 24 draws gets the rows of the one-shot
-# W phi' bit for bit; 256 draws did not, at 300 test points (edge tiles rounded apart).
+# W phi' bit for bit, so each draw's log likelihood (not the block-summed mean, equal to
+# round-off); 256 draws did not, at 300 test points (edge tiles rounded apart).
 _SCORE_BLOCK = 96
 
 
@@ -238,22 +239,6 @@ def _projection_blocks(W: np.ndarray, phi: np.ndarray, rows_per_draw: int = 1):
         start = stop
 
 
-def _add_rows(total: np.ndarray | None, rows: np.ndarray) -> np.ndarray:
-    """``total`` plus ``rows`` summed over its first axis, ``rows`` unchanged.
-
-    The rows are added onto the running total one after another, the order
-    in which numpy sums a whole (B, ...) array over axis 0, so a mean built
-    block by block equals ``mean(axis=0)`` of all the draws bit for bit.
-    """
-    if total is None:
-        return rows.sum(axis=0)
-    first = rows[0].copy()
-    rows[0] += total
-    np.sum(rows, axis=0, out=total)
-    rows[0] = first
-    return total
-
-
 # ---------------------------------------------------------------------------
 # shared model pieces
 # ---------------------------------------------------------------------------
@@ -351,10 +336,10 @@ class _ModelBase(Target):
         if self._residual:
             A[:, 0] -= self.y
         S = z.shape[0]
-        total, ll = None, np.empty(S)
+        total, ll = 0.0, np.empty(S)
         for rows, Q in _projection_blocks(np.hstack([np.ones((S, 1)), z]), A):
             if not self._residual:
-                total = _add_rows(total, self._predict(Q))
+                total += self._predict(Q).sum(axis=0)
             ll[rows] = self._pass(Q, Q, False)[0]
         if self._residual:
             return self.phi @ (mu + R @ z.mean(axis=0)), ll
@@ -634,10 +619,10 @@ class SoftmaxRegression(_RBFBase):
         model's rows, shape (N, K), and per-draw log likelihood, from the
         draws themselves: projecting them would cost K times the flops."""
         W = mu[None, :] + z @ R.T
-        total, ll = None, np.empty(W.shape[0])
+        total, ll = 0.0, np.empty(W.shape[0])
         for rows, F in _projection_blocks(W, self.phi, self.K):
             F = F.reshape(-1, self.K, self.N)
             labels = self._labels(F, self.y)
             ll[rows] = labels - _log_normaliser(F, normalise=True).sum(axis=1)
-            total = _add_rows(total, F)
+            total += F.sum(axis=0)
         return (total / W.shape[0]).T, ll

@@ -183,6 +183,12 @@ def test_search_rejects_sample_count_below_one(n_samples):
         hyperparameter_search(X, y, "regression", seed=0, n_samples=n_samples)
 
 
+def test_search_rejects_an_unknown_task():
+    X, y = _toy_regression()
+    with pytest.raises(ValueError, match="unknown task 'ordinal'"):
+        hyperparameter_search(X, y, "ordinal", seed=0)
+
+
 def test_search_drops_basis_above_training_size():
     X, y = _toy_regression(n=8)
     grid = GridConfig(basis_sizes=(4, 50), n_pairs=2, search_iters=5)
@@ -285,17 +291,24 @@ def test_every_bound_is_above_the_score(task, monkeypatch):
     assert len(seen) == len(records) == 12
     for record, (model, lap, draws) in zip(records, seen):
         params = initialise("mvi_mu", lap)
-        values = np.empty(draws.S)
-        bounds = [b for _, b in laplace._chunk_bounds(model, lap, draws, upper(model, lap, draws),
-                                                      values)]
-        score = float(values.mean()) + entropy(params, lap)   # the mean of the chunks' values
-        assert len(bounds) == 4   # U, then after each of the first three chunks
+        steps = draws.z @ lap.chol.T   # w_s - mu, all draws at once
+        values = model.values(lap.mean[None, :] + steps)
+        (value,), (g,), _ = model.evaluate(lap.mean)
+        # t(w_s) - ln p~(w_s) >= 0, t the tangent of _upper_bound at the mean
+        gaps = value + steps @ g - 0.5 * model.alpha * np.sum(steps**2, axis=1) - values
+        U = upper(model, lap, draws)
+        # U, then after each of the first three 120-draw chunks
+        bounds = [U - gaps[:120 * k].sum() / draws.S for k in range(4)]
+        score = float(values.mean()) + entropy(params, lap)
         assert all(score <= b for b in bounds)
         assert bounds == sorted(bounds, reverse=True)
         if "bound" not in record:   # a survivor, scored from its chunks
-            assert record["score"] == score
+            assert record["score"] == pytest.approx(score, rel=1.0e-12)
+        for k, b in enumerate(bounds):   # a floor just above the k-th bound drops there
+            _, dropped, done = laplace._race(model, lap, draws, U, b + 1.0e-9 * (1.0 + abs(b)))
+            assert done == 120 * k and dropped == pytest.approx(b, rel=1.0e-12)
         elbo = elbo_and_gradient(params, draws, model, lap)[0]
-        # softmax's one-shot pass is its chunks' values; binary's projected one, to round-off
+        # softmax's one-shot pass is its values'; binary's projected one, to round-off
         assert score == (elbo if task == "multiclass" else pytest.approx(elbo, rel=1.0e-12))
 
 
@@ -316,9 +329,61 @@ def test_cauchy_race_evaluates_its_draws_in_one_call(monkeypatch):
                                                     lap)[0], rel=1.0e-12)
 
 
+def test_only_a_race_that_can_tighten_forms_its_tangent(monkeypatch):
+    # the tangent at the mean (one evaluate) only lowers a chunk bound, which a
+    # Cauchy race (U = +inf) or a race of one chunk never has to lower
+    calls = []
+    for model_class in (CauchyRegression, BinaryLogistic):
+        monkeypatch.setattr(model_class, "evaluate",
+                            lambda self, W, original=model_class.evaluate:
+                            calls.append(W) or original(self, W))
+    rng = np.random.default_rng(0)
+    for model, n_calls in [(make_cauchy(), {300: 0}), (make_logistic(), {7: 0, 120: 0, 480: 1})]:
+        lap = laplace_approximation(model, find_mode(model, np.zeros(model.P)).x)
+        for S, want in n_calls.items():
+            draws = FixedDraws(standardize_draws(rng.standard_normal((S, model.P))))
+            calls.clear()
+            _, dropped, done = laplace._race(model, lap, draws,
+                                             laplace._upper_bound(model, lap, draws), -math.inf)
+            assert (len(calls), dropped, done) == (want, None, S)
+            assert all(w is lap.mean for w in calls)   # at the mean, if at all
+
+
+@pytest.mark.parametrize("task", ["regression", "binary"])
+def test_a_race_with_a_non_finite_value_is_a_recorded_failure(task, monkeypatch):
+    # a NaN in the first race's first chunk: a Cauchy race of one chunk, or a
+    # binary race of four, scores -inf with its reason, and the search goes on
+    model_class = CauchyRegression if task == "regression" else BinaryLogistic
+    chunks = []   # rows of every batch of more than one point: the races' chunks
+
+    def values(self, W, original=model_class.values):
+        out = original(self, W)
+        if len(W) > 1:
+            chunks.append(len(W))
+            if len(chunks) == 1:
+                out[0] = np.nan
+        return out
+
+    monkeypatch.setattr(model_class, "values", values)
+    if task == "regression":
+        train, _ = generate_cauchy_task(seed=3, n_train=20, n_test=40)
+        res = hyperparameter_search(train.X, train.y, task, seed=0, n_samples=300,
+                                    grid=GridConfig(basis_sizes=(5,), n_pairs=4, search_iters=5))
+        assert chunks[0] == 300
+    else:
+        res = _bnb_search(task)
+        assert chunks[:4] == [120] * 4   # the first race, with no floor, runs to its end
+    failed = [c for c in res.candidates if c.get("reason") == "log posterior not finite"]
+    assert len(failed) == 1 and failed[0]["score"] == -np.inf and "bound" not in failed[0]
+    assert failed[0]["error"] == "log posterior not finite (mean over the draws nan)"
+    assert any(np.isfinite(c["score"]) for c in res.candidates)
+    assert np.isfinite(res.laplace.bound_at_mode)
+
+
 def test_cauchy_scores_are_chunk_means(monkeypatch):
     # U = +inf could never be lowered: each candidate takes its draws as one
-    # chunk, in loop order, and is scored by the log-concave models' rule
+    # chunk, in loop order, is never dropped, even below a finite floor, and is
+    # scored by the log-concave models' rule
     races = []
     race = laplace._race
     monkeypatch.setattr(laplace, "_race", lambda *args: races.append(args) or race(*args))
@@ -329,8 +394,9 @@ def test_cauchy_scores_are_chunk_means(monkeypatch):
     assert scores and len(scores) == len(races)
     for score, (model, lap, draws, bound, _) in zip(scores, races):
         params = initialise("mvi_mu", lap)
-        values = np.empty(draws.S)
-        assert {b for _, b in laplace._chunk_bounds(model, lap, draws, bound, values)} == {math.inf}
+        values = model.values(lap.mean[None, :] + draws.z @ lap.chol.T)
+        assert bound == math.inf
+        assert race(model, lap, draws, bound, score + 1.0) == (score, None, draws.S)
         assert score == float(values.mean()) + entropy(params, lap)
         assert score == pytest.approx(elbo_and_gradient(params, draws, model, lap)[0], rel=1.0e-12)
 

@@ -59,6 +59,13 @@ def test_kmeans_all_points_returns_data():
     np.testing.assert_allclose(np.sort(centers, axis=0), np.sort(X, axis=0))
 
 
+@pytest.mark.parametrize("n_centers", [0, 7])   # 1 <= n_centers <= N = 6
+def test_kmeans_rejects_a_center_count_outside_one_to_n(n_centers):
+    X = np.random.default_rng(4).standard_normal((6, 2))
+    with pytest.raises(DataError, match=f"need 1 <= n_centers <= 6, got {n_centers}"):
+        kmeans(X, n_centers, seed=0)
+
+
 def test_kmeans_separated_clusters_found():
     rng = np.random.default_rng(5)
     X = np.vstack([rng.normal(-10, 0.1, size=(20, 1)),
@@ -127,6 +134,13 @@ def test_with_theta_overflow_raises_without_a_warning(name):
         for i in range(model.theta.size):
             with pytest.raises(NumericalError, match="finite square"):
                 model.with_theta(np.where(np.arange(model.theta.size) == i, 800.0, model.theta))
+
+
+@pytest.mark.parametrize("name", sorted(RBF_CLASSES))
+def test_values_rejects_a_batch_one_column_too_wide(name):
+    model = RBF_CLASSES[name](*_rbf_args(name)[:3], **_rbf_args(name)[3])
+    with pytest.raises(ValueError, match=f"parameter dimension {model.P}, got {model.P + 1}"):
+        model.values(np.zeros((2, model.P + 1)))
 
 
 def test_binary_constructor_rejects_labels_other_than_0_1():
@@ -638,15 +652,16 @@ def _score_mismatches(exact: bool, draw_counts=(1, 289, 1001, 10_000)) -> list:
     softmax and conjugate models.
 
     The per-draw log likelihoods must equal the one-shot pass over Z1 A'
-    (over W phi', W = mu + z R', for softmax). The binary and softmax means
-    must equal the per-draw mean of the same one-shot predictions (expit of
-    the one-shot scores, for binary); the Cauchy and conjugate means must
-    equal phi (mu + R z-bar). The binary, Cauchy and conjugate means must
-    also equal the per-draw mean of the one-shot predictions W phi' (their
-    scipy expit, for binary) at rtol 1e-12, with an absolute floor of 1e-12
-    of the mean |prediction| where a mean cancels to near zero, in either
-    mode. The features are the formula's (``rbf_reference``). ``exact`` asks
-    for bit-for-bit equality, else equality up to round-off.
+    (over W phi', W = mu + z R', for softmax), and the Cauchy and conjugate
+    means phi (mu + R z-bar). The binary and softmax means, summed block by
+    block, must equal the per-draw mean of the same one-shot predictions
+    (expit of the one-shot scores, for binary) up to round-off in either
+    mode. The binary, Cauchy and conjugate means must also equal the
+    per-draw mean of the one-shot predictions W phi' (their scipy expit, for
+    binary) at rtol 1e-12, with an absolute floor of 1e-12 of the mean
+    |prediction| where a mean cancels to near zero, in either mode. The
+    features are the formula's (``rbf_reference``). ``exact`` asks for
+    bit-for-bit equality of the rest, else equality up to round-off.
 
     The models have 10 centres (D = 11), the benchmark's smallest basis.
     Draw counts (``_SCORE_BLOCK`` = 96): one; 289 = 3 x 96 + 1, one past a
@@ -668,8 +683,8 @@ def _score_mismatches(exact: bool, draw_counts=(1, 289, 1001, 10_000)) -> list:
         "conjugate": GaussianLinearModel(rng.standard_normal((50, 11)),
                                          rng.standard_normal(50), beta=2.0, alpha=0.5),
     }
-    same = np.array_equal if exact else (
-        lambda a, b: np.allclose(a, b, rtol=1.0e-12, atol=1.0e-14))
+    roundoff = lambda a, b: np.allclose(a, b, rtol=1.0e-12, atol=1.0e-14)  # noqa: E731
+    same = np.array_equal if exact else roundoff
     bad = []
     for name, model in models.items():
         mu = rng.standard_normal(model.P)
@@ -697,9 +712,9 @@ def _score_mismatches(exact: bool, draw_counts=(1, 289, 1001, 10_000)) -> list:
                 mean, ll = model.with_rows(X, y).score(mu, R, z)
                 checks = [(same, "loglik", ll, _one_shot_log_likelihoods(model, mu, R, z, X, y))]
                 if name == "softmax":
-                    checks.append((same, "mean", mean, per_draw.mean(axis=0)))
+                    checks.append((roundoff, "mean", mean, per_draw.mean(axis=0)))
                 elif name == "logistic":
-                    checks += [(same, "mean", mean,
+                    checks += [(roundoff, "mean", mean,
                                 expit(_one_shot_residuals(model, mu, R, z, X, y)).mean(axis=0)),
                                (close, "per-draw mean", mean, per_draw.mean(axis=0))]
                 else:
