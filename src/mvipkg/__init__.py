@@ -8,14 +8,14 @@ variational objectives average the log posterior over a frozen set of
 standard-normal draws, so every fit is a deterministic optimisation problem.
 
 Submodules:
-    models       differentiable log-posterior models on RBF features (Cauchy
-                 regression, binary logistic, softmax)
+    models       differentiable log posteriors: RBF models (Cauchy regression,
+                 binary logistic, softmax) and the 2-D mixture target
     optimize     deterministic L-BFGS minimiser
     laplace      mode finding, curvature fit, hyperparameter grid search
     variational  families, entropies, fixed-sample ELBO and gradients
     evaluate     Monte Carlo LPD, error metrics, exact fit curve, 2-D KL
     stats        sign test, bootstrap intervals, significance decisions
-    data         synthetic tasks, CSV loading, split plans
+    data         datasets: synthetic tasks, CSV loading, split plans
     bench        per-split orchestration and report assembly
     cli          command-line entry point
 """

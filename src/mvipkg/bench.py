@@ -19,6 +19,7 @@ from . import evaluate, variational
 from . import laplace as laplace_mod
 from .errors import ConfigError, NumericalError
 from .laplace import GridConfig
+from .models import MixtureTarget2D
 from .optimize import OptimConfig
 from .stats import significance_decision
 
@@ -389,7 +390,7 @@ def run_demo2d(seed: int = 0, n_samples: int = 1000,
     log-density grid and, per method, the posterior mean and its
     ``ellipse_mass`` ellipse polyline.
     """
-    target = data_mod.MixtureTarget2D()
+    target = MixtureTarget2D()
     timing = {}
     t0 = time.perf_counter()
     mode = laplace_mod.find_mode(target, np.zeros(2))

@@ -1,4 +1,4 @@
-"""Datasets, synthetic tasks, and split management.
+"""Datasets: synthetic tasks, CSV loading and split plans.
 
 CSV conventions: numeric, comma-separated, optional header row, the target
 in the last column. Binary targets may arrive as {0, 1} or {-1, +1}
@@ -9,7 +9,7 @@ Splits follow a subsample-with-seed protocol: split i shuffles the rows with
 seed ``base_seed + i`` and takes the first round(fraction * N) as training
 data. Alternatively an index file fixes the training rows explicitly: one
 whitespace-separated list of 1-based indices per line, one line per split,
-test rows being the complement. Feature standardisation is always fit on the
+test rows being the complement in ascending order. Feature standardisation is always fit on the
 training portion only.
 """
 
@@ -23,7 +23,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import DataError
-from .models import Target, sampled_expectation
 
 TASKS = ("regression", "binary", "multiclass")
 
@@ -98,82 +97,6 @@ def generate_cauchy_task(seed: int, n_train: int = 50,
     train = Dataset(x_train.reshape(-1, 1), y_train, "regression", name="cauchy-train")
     test = Dataset(x_test.reshape(-1, 1), y_test, "regression", name="cauchy-test")
     return train, test
-
-
-# ---------------------------------------------------------------------------
-# 2-D mixture target
-# ---------------------------------------------------------------------------
-
-class MixtureTarget2D(Target):
-    """A fixed two-component Gaussian mixture density on the plane.
-
-    Normalised, with analytic gradient and Hessian of the log density, so it
-    doubles as a log-posterior model for the 2-D demonstration: mode finding
-    and the curvature fit run directly on it. ``theta`` is empty (nothing to
-    tune), and ``bounds`` is the square the demo draws its contours on.
-    """
-
-    bounds = (-10.0, 10.0)
-    P = 2
-
-    def __init__(self):
-        self.weights = np.array([2.0 / 3.0, 1.0 / 3.0])
-        self.means = np.array([[0.0, 0.0], [-1.0, -2.0]])
-        self.covs = np.stack([np.eye(2), np.diag([3.5, 0.3])])
-        self._precs = np.stack([np.linalg.inv(c) for c in self.covs])
-        self._log_norm = np.array([
-            -np.log(2.0 * np.pi) - 0.5 * np.linalg.slogdet(c)[1] for c in self.covs
-        ])
-
-    def _log_density_terms(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Log density, and the unnormalised responsibilities with their row sums."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        lp = np.empty((pts.shape[0], 2))
-        for i in range(2):
-            dev = pts - self.means[i][None, :]
-            quad = np.einsum("gj,jk,gk->g", dev, self._precs[i], dev)
-            lp[:, i] = self._log_norm[i] - 0.5 * quad
-        lp += np.log(self.weights)[None, :]
-        m = lp.max(axis=1, keepdims=True)
-        resp = np.exp(lp - m)
-        total = resp.sum(axis=1, keepdims=True)
-        return (m + np.log(total)).ravel(), resp, total
-
-    def log_density(self, pts: np.ndarray) -> np.ndarray:
-        return self._log_density_terms(pts)[0]
-
-    def _components(self, W: np.ndarray):
-        """One pass over the components at the rows of W: the log density, the
-        normalised responsibilities, each component's gradient of its own log
-        density, and the mixture's gradient."""
-        W = np.atleast_2d(np.asarray(W, dtype=float))
-        values, resp, total = self._log_density_terms(W)
-        resp /= total
-        comp_grads = [-(W - self.means[i][None, :]) @ self._precs[i] for i in range(2)]
-        grad = np.zeros_like(W)
-        for i in range(2):
-            grad += resp[:, i:i + 1] * comp_grads[i]
-        return values, resp, comp_grads, grad
-
-    # -- log-posterior model surface (``Target`` adds the rest) ---------------
-
-    def values(self, W: np.ndarray) -> np.ndarray:
-        return self.log_density(W)
-
-    def evaluate(self, W: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(values, grads, theta_grads) from one pass over the components."""
-        values, _, _, grad = self._components(W)
-        return values, grad, np.zeros((grad.shape[0], 0))
-
-    expectation = sampled_expectation   # from ``evaluate`` at the points mu + R z
-
-    def hessian(self, w: np.ndarray) -> np.ndarray:
-        """The log density's Hessian at one point, from the same pass as ``evaluate``."""
-        _, resp, comp_grads, grad = self._components(np.ravel(w))
-        h = np.zeros((2, 2))
-        for i in range(2):
-            h += resp[0, i] * (np.outer(comp_grads[i], comp_grads[i]) - self._precs[i])
-        return h - np.outer(grad, grad)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +204,7 @@ def load_split_indices(path, n_rows: int) -> list[np.ndarray]:
     if not path.is_file():
         raise DataError(f"split-index file not found: {path}")
     splits = []
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         for line_no, line in enumerate(_utf8_lines(handle, path), start=1):
             if not line.strip():
                 continue
@@ -324,24 +247,17 @@ def _take(dataset: Dataset, idx: np.ndarray, suffix: str) -> Dataset:
 def make_splits(dataset: Dataset, plan: SplitPlan) -> list[tuple[Dataset, Dataset, int]]:
     """Materialise (train, test, split_seed) triples, standardised per split."""
     n = dataset.n
-    out = []
     if plan.indices_path:
-        for i, train_idx in enumerate(load_split_indices(plan.indices_path, n)):
-            mask = np.ones(n, dtype=bool)
-            mask[train_idx] = False
-            test_idx = np.flatnonzero(mask)
-            tr, te = standardize(_take(dataset, train_idx, "-train"),
-                                 _take(dataset, test_idx, "-test"))
-            out.append((tr, te, plan.seed + i))
-        return out
-    n_train = int(round(plan.train_fraction * n))
-    if not 1 <= n_train < n:
-        raise DataError(
-            f"train fraction {plan.train_fraction} leaves an empty train or test set")
-    for i in range(plan.n_splits):
-        split_seed = plan.seed + i
-        perm = np.random.default_rng(split_seed).permutation(n)
-        tr, te = standardize(_take(dataset, perm[:n_train], "-train"),
-                             _take(dataset, perm[n_train:], "-test"))
-        out.append((tr, te, split_seed))
-    return out
+        pairs = [(idx, np.setdiff1d(np.arange(n), idx))
+                 for idx in load_split_indices(plan.indices_path, n)]
+    else:
+        n_train = int(round(plan.train_fraction * n))
+        if not 1 <= n_train < n:
+            raise DataError(
+                f"train fraction {plan.train_fraction} leaves an empty train or test set")
+        perms = [np.random.default_rng(plan.seed + i).permutation(n)
+                 for i in range(plan.n_splits)]
+        pairs = [(perm[:n_train], perm[n_train:]) for perm in perms]
+    return [(*standardize(_take(dataset, train_idx, "-train"),
+                          _take(dataset, test_idx, "-test")), plan.seed + i)
+            for i, (train_idx, test_idx) in enumerate(pairs)]

@@ -1,4 +1,5 @@
-"""Log-posterior models over radial-basis-function regression weights.
+"""Log-posterior models over radial-basis-function regression weights, and
+the fixed 2-D mixture target of the demonstration.
 
 Every model in this module exposes the same duck-typed surface, which is what
 the Laplace, variational and evaluation layers program against:
@@ -56,7 +57,8 @@ Softmax keeps its own ``score`` (mean class probabilities) and
 ``expectation`` from ``sampled_expectation``, which forms the points and the
 per-draw gradients: projecting its draws through A would cost K times the
 flops. The 2-D mixture is no F at all; it writes its own ``values``,
-``evaluate`` and ``hessian``.
+``evaluate`` and ``hessian``, its responsibilities being a softmax over its
+two components from the same ``_log_normaliser`` as the softmax likelihood.
 Every target, the mixture too, takes the scalar wrappers ``value`` and
 ``grad``, ``grads`` and ``theta_grads`` from ``Target``, and a target without
 hyperparameters (the mixture) its empty ``theta`` and a ``with_theta`` that
@@ -626,3 +628,72 @@ class SoftmaxRegression(_RBFBase):
             ll[rows] = labels - _log_normaliser(F, normalise=True).sum(axis=1)
             total += F.sum(axis=0)
         return (total / W.shape[0]).T, ll
+
+
+# ---------------------------------------------------------------------------
+# 2-D mixture target
+# ---------------------------------------------------------------------------
+
+class MixtureTarget2D(Target):
+    """A fixed two-component Gaussian mixture density on the plane.
+
+    Normalised, with analytic gradient and Hessian of the log density, so it
+    doubles as a log-posterior model for the 2-D demonstration: mode finding
+    and the curvature fit run directly on it. ``theta`` is empty (nothing to
+    tune), and ``bounds`` is the square the demo draws its contours on.
+    """
+
+    bounds = (-10.0, 10.0)
+    P = 2
+
+    def __init__(self):
+        self.weights = np.array([2.0 / 3.0, 1.0 / 3.0])
+        self.means = np.array([[0.0, 0.0], [-1.0, -2.0]])
+        self.covs = np.stack([np.eye(2), np.diag([3.5, 0.3])])
+        self._precs = np.stack([np.linalg.inv(c) for c in self.covs])
+        self._log_norm = np.array([-np.log(2.0 * np.pi) - 0.5 * np.linalg.slogdet(c)[1]
+                                   for c in self.covs])
+
+    def _log_density_terms(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Log density and the responsibilities, (G,) and (G, 2): the latter a
+        softmax over the components' weighted log densities."""
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        lp = np.empty((pts.shape[0], 2))
+        for i in range(2):
+            dev = pts - self.means[i][None, :]
+            quad = np.einsum("gj,jk,gk->g", dev, self._precs[i], dev)
+            lp[:, i] = self._log_norm[i] - 0.5 * quad
+        lp += np.log(self.weights)[None, :]
+        values = _log_normaliser(lp[:, :, None], normalise=True)   # lp becomes the softmax
+        return values[:, 0], lp
+
+    def values(self, W: np.ndarray) -> np.ndarray:
+        return self._log_density_terms(W)[0]
+
+    log_density = values
+
+    def _components(self, W: np.ndarray):
+        """One pass over the components at the rows of W: the log density, the
+        responsibilities, each component's gradient of its own log density,
+        and the mixture's gradient."""
+        W = np.atleast_2d(np.asarray(W, dtype=float))
+        values, resp = self._log_density_terms(W)
+        comp_grads = [-(W - self.means[i][None, :]) @ self._precs[i] for i in range(2)]
+        grad = sum(resp[:, i:i + 1] * comp_grads[i] for i in range(2))
+        return values, resp, comp_grads, grad
+
+    # -- log-posterior model surface (``Target`` adds the rest) ---------------
+
+    def evaluate(self, W: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(values, grads, theta_grads) from one pass over the components."""
+        values, _, _, grad = self._components(W)
+        return values, grad, np.zeros((grad.shape[0], 0))
+
+    expectation = sampled_expectation   # from ``evaluate`` at the points mu + R z
+
+    def hessian(self, w: np.ndarray) -> np.ndarray:
+        """The log density's Hessian at one point, from the same pass as ``evaluate``."""
+        _, resp, comp_grads, grad = self._components(np.ravel(w))
+        h = sum(resp[0, i] * (np.outer(comp_grads[i], comp_grads[i]) - self._precs[i])
+                for i in range(2))
+        return h - np.outer(grad, grad)

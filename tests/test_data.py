@@ -1,13 +1,17 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.stats import multivariate_normal
 
-from mvipkg.data import (Dataset, MixtureTarget2D, SplitPlan, cauchy_curve,
-                         generate_cauchy_task, load_csv_dataset,
-                         load_split_indices, make_splits, standardize)
+from mvipkg.data import (Dataset, SplitPlan, cauchy_curve, generate_cauchy_task,
+                         load_csv_dataset, load_split_indices, make_splits,
+                         standardize)
 from mvipkg.errors import DataError
+from mvipkg.models import MixtureTarget2D
 
 from makers import finite_difference_gradient, finite_difference_jacobian
 
@@ -241,6 +245,15 @@ def test_split_index_file_round_trip(tmp_path):
     np.testing.assert_array_equal(splits[1], [1, 3, 4])
 
 
+def test_split_index_file_with_byte_order_mark(tmp_path):
+    # an editor may save the file with a UTF-8 byte-order mark, as it may a CSV
+    p = tmp_path / "splits.txt"
+    p.write_text("1 2 3\n4 5 6\n", encoding="utf-8-sig")
+    splits = load_split_indices(p, n_rows=7)
+    np.testing.assert_array_equal(splits[0], [0, 1, 2])
+    np.testing.assert_array_equal(splits[1], [3, 4, 5])
+
+
 def test_split_index_file_validation(tmp_path):
     bad = tmp_path / "s.txt"
     bad.write_text("0 1\n")
@@ -331,6 +344,37 @@ def test_make_splits_from_index_file(tmp_path):
     assert tr.n == 4 and te.n == 4
     np.testing.assert_allclose(te.X * te.sd + te.mean, data.X[4:],
                                atol=1.0e-12)
+
+
+def test_index_file_of_the_shuffle_rows_gives_the_shuffle_splits(tmp_path):
+    # both protocols share one loop: the shuffle's training rows, written in
+    # shuffle order, give the same training sets bit for bit, and the same
+    # test rows in ascending order
+    rng = np.random.default_rng(8)
+    data = Dataset(rng.standard_normal((30, 2)), np.eye(3)[rng.integers(0, 3, size=30)],
+                   "multiclass", name="m")
+    shuffled = make_splits(data, SplitPlan(n_splits=3, train_fraction=0.6, seed=4))
+    perms = [np.random.default_rng(4 + i).permutation(30) for i in range(3)]
+    p = tmp_path / "splits.txt"
+    p.write_text("".join(" ".join(str(k + 1) for k in perm[:18]) + "\n" for perm in perms))
+    indexed = make_splits(data, SplitPlan(seed=4, indices_path=str(p)))
+    assert len(indexed) == len(shuffled) == 3
+    for (tr_s, te_s, seed_s), (tr_i, te_i, seed_i), perm in zip(shuffled, indexed, perms):
+        assert seed_i == seed_s and tr_i.name == tr_s.name and te_i.name == te_s.name
+        for field in ("X", "y", "mean", "sd"):
+            assert getattr(tr_i, field).tobytes() == getattr(tr_s, field).tobytes()
+        order = np.argsort(perm[18:])
+        assert te_i.X.tobytes() == te_s.X[order].tobytes()
+        assert te_i.y.tobytes() == te_s.y[order].tobytes()
+
+
+def test_data_import_loads_no_model_layer():
+    code = "import sys, mvipkg.data; print('mvipkg.models' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"
 
 
 def test_make_splits_degenerate_fraction():

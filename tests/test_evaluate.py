@@ -6,12 +6,12 @@ import pytest
 from scipy.stats import multivariate_normal
 
 from mvipkg import bench
-from mvipkg.data import MixtureTarget2D
 from mvipkg.errors import ConfigError, NumericalError
 from mvipkg.evaluate import (classification_metrics, kl_to_target_2d,
                              log_mean_exp, predictive_curve, regression_metrics)
 from mvipkg.laplace import find_mode, laplace_approximation
-from mvipkg.models import BinaryLogistic, CauchyRegression, SoftmaxRegression
+from mvipkg.models import (BinaryLogistic, CauchyRegression, MixtureTarget2D,
+                           SoftmaxRegression)
 from mvipkg.variational import (PosteriorGaussian, covariance_root, draw_fixed_samples,
                                 fit_family, laplace_posterior)
 

@@ -9,10 +9,9 @@ import pytest
 from scipy.special import expit as scipy_expit
 from scipy.stats import multivariate_normal
 
-from mvipkg.data import MixtureTarget2D
 from mvipkg.errors import DataError, NumericalError
-from mvipkg.models import (_SCORE_BLOCK, BinaryLogistic, CauchyRegression, _ModelBase,
-                           SoftmaxRegression, expit, kmeans, squared_distances)
+from mvipkg.models import (_SCORE_BLOCK, BinaryLogistic, CauchyRegression, MixtureTarget2D,
+                           _ModelBase, SoftmaxRegression, expit, kmeans, squared_distances)
 
 from makers import (ALL_MODEL_MAKERS, GaussianLinearModel, finite_difference_gradient,
                     finite_difference_jacobian, make_conjugate, rbf_reference)
@@ -463,6 +462,31 @@ def test_softmax_large_logits_stay_finite():
     assert np.all(np.isfinite(values)) and np.all(np.isfinite(ll))
     assert probs.shape == (model.N, model.K)
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=0.0, atol=1.0e-12)
+
+
+def test_mixture_normalises_like_a_max_shift_softmax():
+    # the log density and the responsibilities, written out with the shift by
+    # each point's larger weighted component log density; the last two points
+    # lie so deep in one component's tail that the other's responsibility
+    # underflows to 0, once each way
+    target = MixtureTarget2D()
+    pts = np.array([[0.0, 0.0], [-1.0, -2.0], [0.5, -1.5], [3.0, 1.0], [0.0, 40.0],
+                    [60.0, -2.0]])
+    lp = np.empty((len(pts), 2))
+    for i in range(2):
+        dev = pts - target.means[i][None, :]
+        quad = np.einsum("gj,jk,gk->g", dev, np.linalg.inv(target.covs[i]), dev)
+        lp[:, i] = (-np.log(2.0 * np.pi) - 0.5 * np.linalg.slogdet(target.covs[i])[1]
+                    - 0.5 * quad)
+    lp += np.log(target.weights)[None, :]
+    m = lp.max(axis=1, keepdims=True)
+    e = np.exp(lp - m)
+    total = e.sum(axis=1, keepdims=True)
+    values, resp, _, _ = target._components(pts)
+    np.testing.assert_array_equal(values, (m + np.log(total)).ravel())
+    np.testing.assert_array_equal(target.values(pts), values)
+    np.testing.assert_array_equal(resp, e / total)
+    np.testing.assert_array_equal(resp[-2:], [[1.0, 0.0], [0.0, 1.0]])
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,9 @@ import pytest
 from scipy.linalg import solve_triangular
 
 from mvipkg import variational
-from mvipkg.data import MixtureTarget2D
 from mvipkg.errors import NumericalError
 from mvipkg.laplace import find_mode, laplace_approximation
-from mvipkg.models import FixedDraws
+from mvipkg.models import FixedDraws, MixtureTarget2D
 from mvipkg.optimize import OptimConfig, minimize
 from mvipkg.variational import (FAMILIES, FAMILY_SPECS, VariationalParams,
                                 _theta_scales, _Whitened,
