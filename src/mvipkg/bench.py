@@ -56,40 +56,52 @@ def _check_methods(methods):
 # one split
 # ---------------------------------------------------------------------------
 
-def _fit_diagnostics(res) -> dict:
-    """Iterations, evaluations, stop reason and final max|g| of a MinimizeResult."""
-    return {"n_iters": int(res.n_iters), "n_evals": int(res.n_evals),
-            "stop_reason": str(res.reason), "grad_norm": float(res.grad_norm)}
+def search_record(search) -> dict:
+    """A split's search record from its ``SearchResult``: the basis size
+    (``n_centers``), the Laplace hyperparameters (``theta_la``), whether the
+    final mode search converged, the curvature fit's ``jitter``, the failed
+    grid candidates (``grid_failed``) and the failures of each kind
+    (``grid_failures``), the candidates dropped by their score's bound
+    (``grid_pruned``) and the draws the grid's scores evaluated (``grid_draws``)."""
+    failures = Counter(c["reason"] for c in search.candidates if "reason" in c)
+    return {
+        "n_centers": int(search.model.centers.shape[0]),
+        "theta_la": [float(t) for t in search.laplace.theta],
+        "mode_converged": bool(search.mode.converged),
+        "jitter": float(search.laplace.jitter),
+        "grid_failed": int(sum(failures.values())),
+        "grid_failures": dict(sorted(failures.items())),
+        "grid_pruned": sum("bound" in c for c in search.candidates),
+        "grid_draws": search.draws,
+    }
 
 
-def _search_and_fit(train, seed: int, n_samples: int, grid: GridConfig | None,
-                    optim: OptimConfig | None):
-    """The grid search on ``train``, and ``fit(method)``: one method's
-    (posterior, scoring model, fit). For laplace these are the search's
-    Laplace Gaussian and model, and None; for a variational method the
-    family's Gaussian, the model at its hyperparameters and the
-    ``variational.fit_family`` fit, from the family's one start (seeded by
-    ``seed``) on draws of ``seed`` that every method shares, drawn by the
-    first variational fit.
+def fit_method(method: str, model, lap, mode, samples, seed: int,
+               optim: OptimConfig | None):
+    """One method's (Gaussian, scoring model, fit, record), from the Laplace
+    fit ``lap`` of ``model`` at the mode search ``mode``.
+
+    For laplace these are ``lap``'s Gaussian, ``model`` and None. A
+    variational method fits its family from its one start, seeded by
+    ``seed + SALT_INIT``, on ``samples()``, the draws (of ``seed +
+    SALT_SAMPLES``) every method of a fit shares; its Gaussian is the
+    family's, scored by ``model`` at the fitted hyperparameters. The
+    record holds the bound (``elbo``; for laplace, at the mode) and its
+    optimiser's ``n_iters``, ``n_evals``, ``stop_reason`` and final
+    max-norm gradient ``grad_norm`` (for laplace, those of ``mode``); a
+    variational record also the fitted log-space ``theta``.
     """
-    search = laplace_mod.hyperparameter_search(
-        train.X, train.y, train.kind, seed=seed,
-        n_samples=n_samples, grid=grid, optim=optim)
-    model, lap = search.model, search.laplace
-
-    @cache
-    def samples():
-        return variational.draw_fixed_samples(n_samples, model.P, seed + SALT_SAMPLES)
-
-    def fit(method: str):
-        if method == "laplace":
-            return variational.laplace_posterior(lap), model, None
-        fitted = variational.fit_family(model, lap, samples(), method,
-                                        seed=seed + SALT_INIT, config=optim)
-        params = fitted.params
-        return (variational.covariance_root(params, lap), model.with_theta(params.theta),
-                fitted)
-    return search, fit
+    fitted = None if method == "laplace" else variational.fit_family(
+        model, lap, samples(), method, seed=seed + SALT_INIT, config=optim)
+    res, bound = (mode, lap.bound_at_mode) if fitted is None else (fitted.opt, fitted.elbo)
+    record = {"elbo": float(bound), "n_iters": int(res.n_iters), "n_evals": int(res.n_evals),
+              "stop_reason": str(res.reason), "grad_norm": float(res.grad_norm)}
+    if fitted is None:
+        return variational.laplace_posterior(lap), model, None, record
+    params = fitted.params
+    record["theta"] = [float(t) for t in params.theta]
+    return (variational.covariance_root(params, lap), model.with_theta(params.theta),
+            fitted, record)
 
 
 def run_split(train, test, methods=METHODS, seed: int = 0, n_samples: int = 1000,
@@ -97,61 +109,37 @@ def run_split(train, test, methods=METHODS, seed: int = 0, n_samples: int = 1000
               optim: OptimConfig | None = None):
     """Fit the requested methods on one train/test pair and score them.
 
-    Returns (records, timing, search_info). The held-out base draws are made
-    once, before any method: raw standard normals z of shape (n_eval, P)
-    under the split's evaluation seed ``seed + SALT_EVAL``, not standardised
-    as the fits' sample sets are, so each lpd is a plain Monte Carlo
-    estimate. The array is read-only and every method is scored once on it,
-    so paired comparisons run on common random numbers.
-    Each variational record carries ``theta``, the log-space hyperparameters
-    its fit ended at; the Laplace ones are ``search_info["theta_la"]``.
-    Every record carries its fit's diagnostics: ``n_iters``, ``n_evals``,
-    ``stop_reason`` and the final max-norm gradient ``grad_norm`` (for
-    laplace, those of the final mode search). Every variational record has
-    the same keys.
-    The search info counts the failed grid candidates (``grid_failed``),
-    the failures of each kind (``grid_failures``), the candidates dropped by
-    their score's bound (``grid_pruned``) and the draws the grid's scores
-    evaluated (``grid_draws``). The timing holds the
-    search's seconds (``grid``, ``final_mode``, ``curvature``), then
-    ``<method>.fit`` for each variational method and ``<method>.score``.
+    Returns (records, timing, search record). The held-out base draws are
+    made once, before any method: raw standard normals z of shape (n_eval,
+    P) under the split's evaluation seed ``seed + SALT_EVAL``, not
+    standardised as the fits' sample sets are, so each lpd is a plain Monte
+    Carlo estimate. The array is read-only and every method is scored once
+    on it, so paired comparisons run on common random numbers.
+    Each method's record is its ``fit_method`` record plus its scores; the
+    search record is ``search_record``'s. The timing holds the search's
+    seconds (``grid``, ``final_mode``, ``curvature``), then ``<method>.fit``
+    for each variational method and ``<method>.score``.
     """
     methods = _check_methods(methods)
     score = (evaluate.regression_metrics if train.kind == "regression"
              else evaluate.classification_metrics)
-
-    records = {}
-    search, fit = _search_and_fit(train, seed, n_samples, grid, optim)
-    timing = dict(search.timing)
-    model, lap = search.model, search.laplace
-    failures = Counter(c["reason"] for c in search.candidates if "reason" in c)
-    info = {
-        "n_centers": int(model.centers.shape[0]),
-        "theta_la": [float(t) for t in lap.theta],
-        "mode_converged": bool(search.mode.converged),
-        "jitter": float(lap.jitter),
-        "grid_failed": int(sum(failures.values())),
-        "grid_failures": dict(sorted(failures.items())),
-        "grid_pruned": sum("bound" in c for c in search.candidates),
-        "grid_draws": search.draws,
-    }
-
-    z = np.random.default_rng(seed + SALT_EVAL).standard_normal((n_eval, model.P))
+    search = laplace_mod.hyperparameter_search(
+        train.X, train.y, train.kind, seed=seed, n_samples=n_samples, grid=grid, optim=optim)
+    samples = cache(partial(variational.draw_fixed_samples, n_samples, search.model.P,
+                            seed + SALT_SAMPLES))
+    records, timing = {}, dict(search.timing)
+    z = np.random.default_rng(seed + SALT_EVAL).standard_normal((n_eval, search.model.P))
     z.flags.writeable = False
     for method in methods:
         t0 = time.perf_counter()
-        posterior, scorer, fitted = fit(method)
-        if fitted is None:
-            rec = {"elbo": float(lap.bound_at_mode), **_fit_diagnostics(search.mode)}
-        else:
+        posterior, scorer, fitted, records[method] = fit_method(
+            method, search.model, search.laplace, search.mode, samples, seed, optim)
+        if fitted is not None:
             timing[f"{method}.fit"] = time.perf_counter() - t0
             t0 = time.perf_counter()
-            rec = {"elbo": float(fitted.elbo), **_fit_diagnostics(fitted.opt),
-                   "theta": [float(t) for t in fitted.params.theta]}
-        rec.update(score(posterior, scorer, test.X, test.y, z))
-        records[method] = rec
+        records[method].update(score(posterior, scorer, test.X, test.y, z))
         timing[f"{method}.score"] = time.perf_counter() - t0
-    return records, timing, info
+    return records, timing, search_record(search)
 
 
 # ---------------------------------------------------------------------------
@@ -386,33 +374,27 @@ def run_demo2d(seed: int = 0, n_samples: int = 1000,
                contour_resolution: int = 201, ellipse_mass: float = 0.70) -> dict:
     """Fit LA and the three structured families to the fixed 2-D mixture.
 
-    Returns a report dict plus plot-ready arrays under "arrays": the target
-    log-density grid and, per method, the posterior mean and its
-    ``ellipse_mass`` ellipse polyline.
+    The mode search runs from the origin, and each method comes from
+    ``fit_method`` as a split's does, on draws of ``seed``. Returns a report
+    dict, each method's bound (``elbo``) and each family's ``n_iters``
+    among it, plus plot-ready arrays under "arrays": the target log-density
+    grid and, per method, the posterior mean and its ``ellipse_mass``
+    ellipse polyline. ``timing["laplace"]`` covers the mode search and the
+    curvature fit.
     """
     target = MixtureTarget2D()
-    timing = {}
+    timing, posteriors, records = {}, {}, {}
     t0 = time.perf_counter()
     mode = laplace_mod.find_mode(target, np.zeros(2))
     if not mode.converged:
         raise NumericalError("mode search did not converge on the mixture target")
     lap = laplace_mod.laplace_approximation(target, mode.x)
-    timing["laplace"] = time.perf_counter() - t0
-
-    samples = variational.draw_fixed_samples(n_samples, 2, seed + SALT_SAMPLES)
-    posteriors = {"laplace": variational.laplace_posterior(lap)}
-    elbos = {"laplace": float(lap.bound_at_mode)}
-    iters = {}
-    for family in DEMO_FAMILIES:
+    samples = cache(partial(variational.draw_fixed_samples, n_samples, 2, seed + SALT_SAMPLES))
+    for method in ("laplace",) + DEMO_FAMILIES:
+        posteriors[method], _, _, records[method] = fit_method(
+            method, target, lap, mode, samples, seed, optim)
+        timing[method] = time.perf_counter() - t0
         t0 = time.perf_counter()
-        fit = variational.fit_family(target, lap, samples, family, seed=seed + SALT_INIT,
-                                     config=optim)
-        posteriors[family] = variational.covariance_root(fit.params, lap)
-        elbos[family] = float(fit.elbo)
-        iters[family] = int(fit.opt.n_iters)
-        timing[family] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
     kl = {name: float(evaluate.kl_to_target_2d(post, target))
           for name, post in posteriors.items()}
     timing["kl"] = time.perf_counter() - t0
@@ -429,8 +411,8 @@ def run_demo2d(seed: int = 0, n_samples: int = 1000,
     }
     return {
         "kl": kl,
-        "elbo": elbos,
-        "n_iters": iters,
+        "elbo": {name: rec["elbo"] for name, rec in records.items()},
+        "n_iters": {name: records[name]["n_iters"] for name in DEMO_FAMILIES},
         "mode": [float(v) for v in mode.x],
         "timing": timing,
         "arrays": arrays,
@@ -446,35 +428,30 @@ def run_fit(train, method: str, seed: int = 0, n_samples: int = 1000,
     """Fit one method on a dataset, as ``run_split`` fits it, and package it
     for serialisation.
 
-    Returns (meta, arrays, posterior, model): the fit's JSON-safe outputs
-    (the dataset's ``task``, the derived seeds and the bounds; not its
-    settings), the numpy arrays for a binary sidecar, the fitted Gaussian,
-    and the model ``run_split`` scores it with. ``meta["elbo_estimate"]``
-    is the fit's training bound (for laplace, the bound at the mode).
-    A variational ``meta`` carries the fit's diagnostics: ``n_iters``,
-    ``n_evals``, ``stop_reason`` and ``grad_norm``.
+    Returns (meta, arrays, posterior, model): the fit's JSON-safe outputs,
+    the numpy arrays for a binary sidecar, the fitted Gaussian, and the
+    model ``run_split`` scores it with. ``meta`` holds the dataset's
+    ``task``, the derived seeds, the bound at the mode, the method's
+    ``fit_method`` record (its bound as ``elbo_estimate``, its ``theta``
+    among the arrays) and the split's ``search_record``; not the settings.
     """
     (method,) = _check_methods((method,))
-    search, fit = _search_and_fit(train, seed, n_samples, grid, optim)
+    search = laplace_mod.hyperparameter_search(
+        train.X, train.y, train.kind, seed=seed, n_samples=n_samples, grid=grid, optim=optim)
     model, lap = search.model, search.laplace
-    posterior, scorer, fitted = fit(method)
-
-    meta = {
-        "task": train.kind,
-        "sample_seed": seed + SALT_SAMPLES,
-        "init_seed": seed + SALT_INIT,
-        "n_centers": int(model.centers.shape[0]),
-        "jitter": float(lap.jitter),
-        "bound_at_mode": float(lap.bound_at_mode),
-        "elbo_estimate": float(lap.bound_at_mode),
-    }
+    samples = partial(variational.draw_fixed_samples, n_samples, model.P, seed + SALT_SAMPLES)
+    posterior, scorer, fitted, record = fit_method(method, model, lap, search.mode, samples,
+                                                   seed, optim)
+    record.pop("theta", None)
+    meta = {"task": train.kind, "sample_seed": seed + SALT_SAMPLES, "init_seed": seed + SALT_INIT,
+            "bound_at_mode": float(lap.bound_at_mode), "elbo_estimate": record.pop("elbo"),
+            **record, **search_record(search)}
     arrays = {
         "la_mean": lap.mean, "la_cov": lap.cov, "la_chol": lap.chol,
         "la_eigvecs": lap.eigvecs, "la_eig_root": lap.eig_root,
         "theta_la": lap.theta, "centers": model.centers,
     }
     if fitted is not None:
-        meta.update(_fit_diagnostics(fitted.opt), elbo_estimate=float(fitted.elbo))
         params = fitted.params
         arrays.update(mu=params.mu, theta=params.theta)
         for name in variational.FAMILY_SPECS[method].fields:

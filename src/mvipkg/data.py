@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 TASKS = ("regression", "binary", "multiclass")
 
@@ -192,8 +192,11 @@ def _code_targets(y: np.ndarray, kind: str, path) -> np.ndarray:
 
 @dataclass
 class SplitPlan:
-    n_splits: int = 100
-    train_fraction: float = 0.7
+    """``n_splits`` shuffles (None: 100) each training on ``train_fraction``
+    of the rows (None: 0.7), or the splits of the index file at
+    ``indices_path``, which sets both and so refuses either beside it."""
+    n_splits: Optional[int] = None
+    train_fraction: Optional[float] = None
     seed: int = 0
     indices_path: Optional[str] = None
 
@@ -248,15 +251,19 @@ def make_splits(dataset: Dataset, plan: SplitPlan) -> list[tuple[Dataset, Datase
     """Materialise (train, test, split_seed) triples, standardised per split."""
     n = dataset.n
     if plan.indices_path:
+        for key in ("n_splits", "train_fraction"):
+            if getattr(plan, key) is not None:
+                raise ConfigError(f"{key} must be null beside a splits_file, which sets "
+                                  "the splits")
         pairs = [(idx, np.setdiff1d(np.arange(n), idx))
                  for idx in load_split_indices(plan.indices_path, n)]
     else:
-        n_train = int(round(plan.train_fraction * n))
+        fraction = 0.7 if plan.train_fraction is None else plan.train_fraction
+        n_train = int(round(fraction * n))
         if not 1 <= n_train < n:
-            raise DataError(
-                f"train fraction {plan.train_fraction} leaves an empty train or test set")
+            raise DataError(f"train fraction {fraction} leaves an empty train or test set")
         perms = [np.random.default_rng(plan.seed + i).permutation(n)
-                 for i in range(plan.n_splits)]
+                 for i in range(100 if plan.n_splits is None else plan.n_splits)]
         pairs = [(perm[:n_train], perm[n_train:]) for perm in perms]
     return [(*standardize(_take(dataset, train_idx, "-train"),
                           _take(dataset, test_idx, "-test")), plan.seed + i)

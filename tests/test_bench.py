@@ -126,19 +126,25 @@ def test_run_split_scores_each_method_once(monkeypatch):
         z, np.random.default_rng(5 + bench.SALT_EVAL).standard_normal((200, P)))
 
 
-@pytest.mark.parametrize("family", variational.FAMILIES)
-def test_run_fit_matches_run_split(family):
+@pytest.mark.parametrize("method", bench.METHODS)
+def test_run_fit_matches_run_split(method):
+    # one fitter and one search record: fit.json says what a report says of
+    # the same split, the Laplace fit's mode search included
     train, test = _small_task(seed=3)
-    recs, _, _ = bench.run_split(
-        train, test, methods=(family,), seed=2, n_samples=100, n_eval=50,
+    recs, _, info = bench.run_split(
+        train, test, methods=(method,), seed=2, n_samples=100, n_eval=50,
         grid=SMALL_GRID, optim=SMALL_OPTIM)
-    meta, arrays, *_ = bench.run_fit(train, family, seed=2, n_samples=100,
+    meta, arrays, *_ = bench.run_fit(train, method, seed=2, n_samples=100,
                                      grid=SMALL_GRID, optim=SMALL_OPTIM)
-    rec = recs[family]
+    rec = recs[method]
     assert meta["elbo_estimate"] == rec["elbo"]
     for key in ("n_iters", "n_evals", "stop_reason", "grad_norm"):
         assert meta[key] == rec[key]
-    assert [float(t) for t in arrays["theta"]] == rec["theta"]
+    assert {key: meta[key] for key in info} == info
+    if method == "laplace":
+        assert "theta" not in rec and "theta" not in arrays
+    else:
+        assert [float(t) for t in arrays["theta"]] == rec["theta"]
 
 
 def test_non_finite_held_out_draw_skips_the_split(monkeypatch):
@@ -514,14 +520,14 @@ def test_run_fit_outputs(method):
     assert not {"method", "seed", "n_samples", "grid", "optim"} & set(meta)
     assert meta["task"] == "regression"
     np.testing.assert_array_equal(model.centers, arrays["centers"])
+    # fit.json carries the same diagnostics as a report record, laplace's too
+    assert {"n_iters", "n_evals", "stop_reason", "grad_norm"} <= set(meta)
     if method == "laplace":
         assert meta["elbo_estimate"] == meta["bound_at_mode"]
         np.testing.assert_array_equal(posterior.mean, arrays["la_mean"])
         np.testing.assert_array_equal(posterior.root, arrays["la_chol"])
         np.testing.assert_allclose(model.theta, arrays["theta_la"], rtol=1.0e-12)
     else:
-        # fit.json carries the same diagnostics as a report record
-        assert {"n_iters", "n_evals", "stop_reason", "grad_norm"} <= set(meta)
         np.testing.assert_array_equal(posterior.mean, arrays["mu"])
         # the posterior is scored at the fit's own hyperparameters
         np.testing.assert_allclose(model.theta, arrays["theta"], rtol=1.0e-12)

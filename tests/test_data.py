@@ -10,7 +10,7 @@ from scipy.stats import multivariate_normal
 from mvipkg.data import (Dataset, SplitPlan, cauchy_curve, generate_cauchy_task,
                          load_csv_dataset, load_split_indices, make_splits,
                          standardize)
-from mvipkg.errors import DataError
+from mvipkg.errors import ConfigError, DataError
 from mvipkg.models import MixtureTarget2D
 
 from makers import finite_difference_gradient, finite_difference_jacobian
@@ -344,6 +344,24 @@ def test_make_splits_from_index_file(tmp_path):
     assert tr.n == 4 and te.n == 4
     np.testing.assert_allclose(te.X * te.sd + te.mean, data.X[4:],
                                atol=1.0e-12)
+
+
+@pytest.mark.parametrize("key,value", [("n_splits", 7), ("train_fraction", 0.9)])
+def test_index_file_refuses_a_shuffle_setting_beside_it(tmp_path, key, value):
+    # the file sets the splits: a count or fraction beside it would be ignored
+    p = tmp_path / "splits.txt"
+    p.write_text("1 2 3 4\n5 6 7 8\n")
+    data = Dataset(np.zeros((8, 1)), np.zeros(8), "regression")
+    with pytest.raises(ConfigError, match=f"{key} must be null beside a splits_file"):
+        make_splits(data, SplitPlan(seed=4, indices_path=str(p), **{key: value}))
+    assert len(make_splits(data, SplitPlan(seed=4, indices_path=str(p)))) == 2
+
+
+def test_shuffle_plan_defaults_to_100_splits_of_70_percent():
+    data = Dataset(np.arange(20.0)[:, None], np.zeros(20), "regression")
+    splits = make_splits(data, SplitPlan(seed=2))
+    assert len(splits) == 100
+    assert all(tr.n == 14 and te.n == 6 for tr, te, _ in splits)
 
 
 def test_index_file_of_the_shuffle_rows_gives_the_shuffle_splits(tmp_path):
