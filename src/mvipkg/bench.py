@@ -81,13 +81,14 @@ def fit_method(method: str, model, lap, mode, samples, seed: int,
     """One method's (Gaussian, scoring model, fit, record), from the Laplace
     fit ``lap`` of ``model`` at the mode search ``mode``.
 
-    For laplace these are ``lap``'s Gaussian, ``model`` and None. A
-    variational method fits its family from its one start, seeded by
-    ``seed + SALT_INIT``, on ``samples()``, the draws (of ``seed +
-    SALT_SAMPLES``) every method of a fit shares; its Gaussian is the
-    family's, scored by ``model`` at the fitted hyperparameters. The
-    record holds the bound (``elbo``; for laplace, at the mode) and its
-    optimiser's ``n_iters``, ``n_evals``, ``stop_reason`` and final
+    For laplace these are ``lap`` itself, the Laplace method's Gaussian,
+    ``model`` and None. A variational method fits its family from its one
+    start, seeded by ``seed + SALT_INIT``, on ``samples()``, the draws (of
+    ``seed + SALT_SAMPLES``) every method of a fit shares; its Gaussian is
+    the family's ``PosteriorGaussian``, scored by ``model`` at the fitted
+    hyperparameters. Either Gaussian is read through ``mean``, ``root`` and
+    ``dim``. The record holds the bound (``elbo``; for laplace, at the mode)
+    and its optimiser's ``n_iters``, ``n_evals``, ``stop_reason`` and final
     max-norm gradient ``grad_norm`` (for laplace, those of ``mode``); a
     variational record also the fitted log-space ``theta``.
     """
@@ -97,7 +98,7 @@ def fit_method(method: str, model, lap, mode, samples, seed: int,
     record = {"elbo": float(bound), "n_iters": int(res.n_iters), "n_evals": int(res.n_evals),
               "stop_reason": str(res.reason), "grad_norm": float(res.grad_norm)}
     if fitted is None:
-        return variational.laplace_posterior(lap), model, None, record
+        return lap, model, None, record
     params = fitted.params
     record["theta"] = [float(t) for t in params.theta]
     return (variational.covariance_root(params, lap), model.with_theta(params.theta),

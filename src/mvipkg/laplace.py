@@ -56,13 +56,16 @@ def find_mode(model, w0: np.ndarray, config: OptimConfig | None = None) -> Minim
 
 @dataclass
 class LaplaceResult:
-    """Gaussian fit at a mode, with both covariance factorizations.
+    """The Laplace method's Gaussian N(mean, C C'), with both covariance
+    factorizations; scoring reads it, as every Gaussian, by ``mean``, ``root``
+    (C) and ``dim``.
 
     ``bound_at_mode`` is the deterministic Laplace evidence approximation
-    ln p~(w*) + (P/2) ln 2 pi + (1/2) ln det Sigma; for a Gaussian target it
-    equals the log evidence exactly. ``eigvecs`` and ``eig_root`` come from
-    one ``eigh`` of ``cov`` on first access, which raises ``NumericalError``
-    for a non-positive eigenvalue; of a grid's fits only the winner's is read.
+    ln p~(w*) + (P/2) ln 2 pi + ``log_det``, the last (1/2) ln det Sigma, which
+    the families on C read too; for a Gaussian target it equals the log
+    evidence exactly. ``eigvecs`` and ``eig_root`` come from one ``eigh`` of
+    ``cov`` on first access, which raises ``NumericalError`` for a
+    non-positive eigenvalue; of a grid's fits only the winner's is read.
     """
 
     mean: np.ndarray
@@ -77,6 +80,8 @@ class LaplaceResult:
     def dim(self) -> int:
         return self.mean.size
 
+    root = property(lambda self: self.chol)             # R = C
+    log_det = property(lambda self: float(np.sum(np.log(np.diag(self.chol)))))   # sum ln diag C
     eigvecs = property(lambda self: self._eigh()[0])    # Q, columns are eigenvectors of cov
     eig_root = property(lambda self: self._eigh()[1])   # r, sqrt of cov eigenvalues (ascending)
 
@@ -126,16 +131,12 @@ def laplace_approximation(model, w_star: np.ndarray) -> LaplaceResult:
     except np.linalg.LinAlgError as exc:
         raise NumericalError("curvature covariance lost positive definiteness") from exc
 
-    log_det_half = float(np.sum(np.log(np.diag(chol))))
-    bound = model.value(w_star) + 0.5 * p * math.log(2.0 * math.pi) + log_det_half
-    return LaplaceResult(
-        mean=w_star.copy(),
-        cov=cov,
-        chol=chol,
-        theta=np.asarray(model.theta, dtype=float).copy(),
-        bound_at_mode=float(bound),
-        jitter=jitter,
-    )
+    lap = LaplaceResult(mean=w_star.copy(), cov=cov, chol=chol,
+                        theta=np.asarray(model.theta, dtype=float).copy(),
+                        bound_at_mode=math.nan, jitter=jitter)   # set from its log_det
+    lap.bound_at_mode = float(model.value(w_star) + 0.5 * p * math.log(2.0 * math.pi)
+                              + lap.log_det)
+    return lap
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ Laplace fit, the log-determinant terms of the entropy, the contraction of
 G onto the fields and the starting values. The functions
 below read that table; none branches on the name.
 
-mvi_mu    free mean only; R = C (the Laplace Cholesky factor), covariance
+mvi_mu    free mean only; R = C, the Laplace Cholesky factor itself, covariance
           frozen at the Laplace fit.
 mvi_eig   free mean and eigen-scales; R = Q diag(r) A with Q the Laplace
           eigenvector matrix and A = diag(1/r0) Q' C orthogonal, r0 the
@@ -120,7 +120,9 @@ def draw_fixed_samples(n_samples: int, dim: int, seed: int) -> FixedDraws:
 
 @dataclass(frozen=True)
 class PosteriorGaussian:
-    """A Gaussian given by mean and a square covariance root (cov = R R')."""
+    """A family's Gaussian, by mean and a square covariance root (cov = R R').
+    It shares ``mean``, ``root`` and ``dim``, all that scoring reads, with the
+    Laplace method's Gaussian, the ``LaplaceResult`` itself."""
 
     mean: np.ndarray
     root: np.ndarray
@@ -128,9 +130,6 @@ class PosteriorGaussian:
     @property
     def dim(self) -> int:
         return self.mean.size
-
-    def cov(self) -> np.ndarray:
-        return self.root @ self.root.T
 
 
 class VariationalParams:
@@ -191,10 +190,6 @@ class FamilySpec:
     init: Callable              # (laplace, seed) -> starting fields
 
 
-def _log_det_chol(laplace) -> float:
-    return float(np.sum(np.log(np.diag(laplace.chol))))
-
-
 def _lemma(params: VariationalParams) -> float:
     """s = 1 + v' t, so that det(C (I + t v')) = det(C) s."""
     s = 1.0 + float(params.v @ params.t)
@@ -243,8 +238,8 @@ def _init_lr(laplace, seed: int) -> dict:
 FAMILY_SPECS = {
     "mvi_mu": FamilySpec(
         fields=(),
-        root=lambda params, lap: lap.chol.copy(),
-        log_det=lambda params, lap: (_log_det_chol(lap),),
+        root=lambda params, lap: lap.chol,
+        log_det=lambda params, lap: (lap.log_det,),
         contract=lambda params, lap, G: [],
         init=lambda lap, seed: {}),
     "mvi_eig": FamilySpec(
@@ -257,7 +252,7 @@ FAMILY_SPECS = {
     "mvi_lr": FamilySpec(
         fields=("t", "v"),
         root=lambda params, lap: lap.chol + np.outer(lap.chol @ params.t, params.v),
-        log_det=lambda params, lap: (_log_det_chol(lap), float(np.log(abs(_lemma(params))))),
+        log_det=lambda params, lap: (lap.log_det, float(np.log(abs(_lemma(params))))),
         contract=_contract_lr,
         init=_init_lr),
     "vi_diag": FamilySpec(
@@ -285,15 +280,10 @@ def covariance_root(params: VariationalParams, laplace) -> PosteriorGaussian:
     return PosteriorGaussian(params.mu.copy(), _spec(params.family).root(params, laplace))
 
 
-def laplace_posterior(laplace) -> PosteriorGaussian:
-    """The Laplace fit itself, as a PosteriorGaussian (root = Cholesky factor)."""
-    return PosteriorGaussian(mean=laplace.mean.copy(), root=laplace.chol.copy())
-
-
 def entropy(params: VariationalParams, laplace) -> float:
     """Differential entropy of the family's Gaussian.
 
-    mvi_mu reads it off the Laplace Cholesky diagonal; mvi_eig and vi_diag
+    mvi_mu reads the Laplace fit's ``log_det``; mvi_eig and vi_diag
     reduce to sums of log scales; mvi_lr uses the matrix determinant lemma
     det(C (I + t v')) = det(C) (1 + v' t), and refuses to proceed when the
     rank-one update collapses the determinant.

@@ -251,7 +251,8 @@ def test_criterion_6_determinant_lemma():
         v = 0.5 * rng.standard_normal(p)
         params = VariationalParams("mvi_lr", np.zeros(p), np.zeros(0),
                                    t=np.linalg.solve(chol, u), v=v)   # C t = u
-        via_lemma = entropy(params, SimpleNamespace(chol=chol))   # C of a fit
+        fit = SimpleNamespace(chol=chol, log_det=float(np.sum(np.log(np.diag(chol)))))
+        via_lemma = entropy(params, fit)   # C of a fit and its (1/2) ln det C C'
         sign, logdet = np.linalg.slogdet(chol + np.outer(u, v))
         direct = p * half_log_2pie + logdet
         worst = max(worst, abs(via_lemma - direct) / abs(direct))

@@ -4,11 +4,13 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mvipkg import bench, evaluate, models, variational
+from mvipkg import laplace as laplace_mod
 from mvipkg.data import Dataset, SplitPlan, generate_cauchy_task
 from mvipkg.errors import ConfigError, DataError
 from mvipkg.laplace import GridConfig
@@ -145,6 +147,35 @@ def test_run_fit_matches_run_split(method):
         assert "theta" not in rec and "theta" not in arrays
     else:
         assert [float(t) for t in arrays["theta"]] == rec["theta"]
+
+
+def test_fit_method_gives_the_laplace_fit_itself():
+    # the Laplace method's Gaussian is the search's LaplaceResult, read as
+    # every Gaussian is, and laplace draws no fit samples
+    train, _ = _small_task(seed=3)
+    search = laplace_mod.hyperparameter_search(train.X, train.y, train.kind, seed=2,
+                                               n_samples=100, grid=SMALL_GRID, optim=SMALL_OPTIM)
+    posterior, scorer, fitted, record = bench.fit_method(
+        "laplace", search.model, search.laplace, search.mode,
+        lambda: pytest.fail("laplace drew fit samples"), seed=2, optim=SMALL_OPTIM)
+    assert posterior is search.laplace and posterior.root is search.laplace.chol
+    assert scorer is search.model and fitted is None
+    assert record["elbo"] == search.laplace.bound_at_mode
+
+
+def test_readme_library_example_is_run_split():
+    # the first python block under "Library use" prints the bound, lpd and
+    # MSE that run_split records for mvi_lr on the same split, bit for bit
+    root = Path(__file__).resolve().parents[1]
+    section = (root / "README.md").read_text().split("\n## Library use\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(root / "src")}, timeout=120)
+    assert run.returncode == 0, run.stderr
+    printed = [float(v) for v in run.stdout.split()]
+    train, test = generate_cauchy_task(seed=0)
+    rec = bench.run_split(train, test, ("mvi_lr",), seed=0)[0]["mvi_lr"]
+    assert printed == [rec["elbo"], rec["lpd"], rec["mse"]]
 
 
 def test_non_finite_held_out_draw_skips_the_split(monkeypatch):
@@ -531,5 +562,5 @@ def test_run_fit_outputs(method):
         np.testing.assert_array_equal(posterior.mean, arrays["mu"])
         # the posterior is scored at the fit's own hyperparameters
         np.testing.assert_allclose(model.theta, arrays["theta"], rtol=1.0e-12)
-    cov = posterior.cov()
+    cov = posterior.root @ posterior.root.T
     np.testing.assert_allclose(cov, cov.T, atol=1.0e-12)

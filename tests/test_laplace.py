@@ -59,6 +59,18 @@ def test_bound_at_mode_formula():
     assert lap.bound_at_mode == pytest.approx(expected, rel=1.0e-12)
 
 
+def test_log_det_is_written_once_and_the_bound_reads_it():
+    # (1/2) ln det Sigma is the sum of ln diag C, and the bound at the mode
+    # adds it last, bit for bit
+    model = make_cauchy(seed=4)
+    mode = find_mode(model, np.zeros(model.P))
+    lap = laplace_approximation(model, mode.x)
+    assert lap.log_det == np.sum(np.log(np.diag(lap.chol)))
+    assert lap.bound_at_mode == (model.value(mode.x) + 0.5 * model.P * math.log(2 * math.pi)
+                                 + lap.log_det)
+    assert lap.root is lap.chol and lap.dim == model.P
+
+
 # ---------------------------------------------------------------------------
 # factorization consistency
 # ---------------------------------------------------------------------------

@@ -12,8 +12,7 @@ from mvipkg.optimize import OptimConfig, minimize
 from mvipkg.variational import (FAMILIES, FAMILY_SPECS, VariationalParams,
                                 _theta_scales, _Whitened,
                                 covariance_root, draw_fixed_samples, elbo_and_gradient, entropy,
-                                fit_family, initialise, laplace_posterior,
-                                standardize_draws)
+                                fit_family, initialise, standardize_draws)
 
 from makers import (ALL_MODEL_MAKERS, finite_difference_gradient, make_cauchy, make_conjugate,
                     make_logistic, make_softmax, warm_start)
@@ -157,9 +156,9 @@ def test_initial_roots_all_reproduce_laplace_covariance(cauchy_model):
     target = lap.cov
     for family in ("mvi_mu", "mvi_eig"):
         gauss = covariance_root(initialise(family, lap), lap)
-        np.testing.assert_allclose(gauss.cov(), target, rtol=1.0e-12)
+        np.testing.assert_allclose(gauss.root @ gauss.root.T, target, rtol=1.0e-12)
     diag = covariance_root(initialise("vi_diag", lap), lap)
-    np.testing.assert_allclose(np.diag(diag.cov()), np.diag(target),
+    np.testing.assert_allclose(np.diag(diag.root @ diag.root.T), np.diag(target),
                                rtol=1.0e-12)
 
 
@@ -177,7 +176,7 @@ def test_entropy_matches_slogdet(family, cauchy_model):
     elif family == "vi_diag":
         params.log_sigma[:] += 0.4 * rng.standard_normal(params.dim)
     gauss = covariance_root(params, lap)
-    _, logdet = np.linalg.slogdet(gauss.cov())
+    _, logdet = np.linalg.slogdet(gauss.root @ gauss.root.T)
     expected = params.dim * HALF_LOG_2PIE + 0.5 * logdet
     assert entropy(params, lap) == pytest.approx(expected, rel=1.0e-12)
 
@@ -193,11 +192,14 @@ def test_rank_one_entropy_uses_determinant_lemma_safely(cauchy_model):
         entropy(params, lap)
 
 
-def test_laplace_posterior_wraps_cholesky(cauchy_model):
+def test_mvi_mu_reads_the_laplace_factor_and_its_log_det(cauchy_model):
+    # no copy of C per evaluation, and the entropy adds the Laplace fit's
+    # log_det to P (1/2) ln(2 pi e), bit for bit
     lap = _lap(cauchy_model)
-    gauss = laplace_posterior(lap)
-    np.testing.assert_array_equal(gauss.mean, lap.mean)
-    np.testing.assert_allclose(gauss.cov(), lap.cov, atol=1.0e-13)
+    params = initialise("mvi_mu", lap)
+    assert FAMILY_SPECS["mvi_mu"].root(params, lap) is lap.chol
+    assert covariance_root(params, lap).root is lap.chol
+    assert entropy(params, lap) == params.dim * variational._HALF_LOG_2PIE + lap.log_det
 
 
 # ---------------------------------------------------------------------------
