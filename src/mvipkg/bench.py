@@ -328,6 +328,8 @@ def run_cauchy(n_runs: int = 20, methods=METHODS, seed: int = 0,
     == "__main__":``, or the pool dies with ``BrokenProcessPool``.
     """
     methods = _check_methods(methods)
+    if n_runs < 1:
+        raise ConfigError(f"n_runs must be an integer >= 1, got {n_runs!r}")
     splits = [(*data_mod.generate_cauchy_task(seed + i, n_train, n_test), seed + i)
               for i in range(n_runs)]
     return _run_suite(splits, methods, ("lpd", error_metric("regression")), seed,
@@ -405,7 +407,7 @@ def run_demo2d(seed: int = 0, n_samples: int = 1000,
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
     pts = np.column_stack([gx.ravel(), gy.ravel()])
     arrays = {
-        "contours": np.column_stack([pts, target.log_density(pts)]),
+        "contours": np.column_stack([pts, target.values(pts)]),
         "means": {name: post.mean.copy() for name, post in posteriors.items()},
         "ellipses": {name: ellipse_points(post, ellipse_mass)
                      for name, post in posteriors.items()},

@@ -1,16 +1,17 @@
 """Datasets: synthetic tasks, CSV loading and split plans.
 
 CSV conventions: numeric, comma-separated, optional header row, the target
-in the last column. Binary targets may arrive as {0, 1} or {-1, +1}
-(mapped to {0, 1}); multiclass targets must be integers and are one-hot
-encoded against the sorted distinct values; anything else is regression.
+in the last column. Binary targets may arrive as {0, 1} or {-1, +1}, and
+are held as 0/1 floats, the code the models read; multiclass targets must be
+integers and are one-hot encoded against the sorted distinct values;
+anything else is regression.
 
 Splits follow a subsample-with-seed protocol: split i shuffles the rows with
 seed ``base_seed + i`` and takes the first round(fraction * N) as training
 data. Alternatively an index file fixes the training rows explicitly: one
 whitespace-separated list of 1-based indices per line, one line per split,
-test rows being the complement in ascending order. Feature standardisation is always fit on the
-training portion only.
+test rows being the complement in ascending order. Each split's features are
+standardised by its training rows' mean and sd, which are not kept.
 """
 
 from __future__ import annotations
@@ -33,30 +34,21 @@ CAUCHY_NOISE_HALF_WIDTH = 0.5
 
 @dataclass
 class Dataset:
-    """Feature matrix plus task-coded targets.
-
-    Targets: float vector for regression, 0/1 int vector for binary, one-hot
-    (N, K) floats for multiclass. ``mean`` and ``sd`` record standardisation
-    statistics once applied (always learned from a training portion).
-    """
+    """Feature matrix plus targets in the one code the models read, floats:
+    a vector for regression, 0/1 for binary, one-hot rows (N, K) for
+    multiclass. Label values are checked by the model that fits them."""
 
     X: np.ndarray
     y: np.ndarray
     kind: str
     name: str = ""
-    mean: Optional[np.ndarray] = None
-    sd: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.X = np.atleast_2d(np.asarray(self.X, dtype=float))
         if self.kind not in TASKS:
             raise DataError(f"unknown task kind {self.kind!r}")
-        if self.kind == "multiclass":
-            self.y = np.atleast_2d(np.asarray(self.y, dtype=float))
-        elif self.kind == "binary":
-            self.y = np.asarray(self.y).astype(int).ravel()
-        else:
-            self.y = np.asarray(self.y, dtype=float).ravel()
+        y = np.asarray(self.y, dtype=float)
+        self.y = np.atleast_2d(y) if self.kind == "multiclass" else y.ravel()
         if self.X.shape[0] != (self.y.shape[0] if self.y.ndim else 0):
             raise DataError("X and y disagree on the number of rows")
 
@@ -171,19 +163,17 @@ def _infer_task(y: np.ndarray) -> str:
 
 def _code_targets(y: np.ndarray, kind: str, path) -> np.ndarray:
     if kind == "regression":
-        return y.astype(float)
+        return y
     if kind == "binary":
         vals = set(np.unique(y))
         if vals <= {0.0, 1.0}:
-            return y.astype(int)
+            return y
         if vals <= {-1.0, 1.0}:
-            return ((y + 1) / 2).astype(int)
+            return (y + 1) / 2
         raise DataError(f"{path}: binary targets must be 0/1 or -1/+1, saw {sorted(vals)}")
     if not np.all(y == np.round(y)):
         raise DataError(f"{path}: multiclass targets must be integers")
-    classes = np.unique(y)
-    one_hot = (y[:, None] == classes[None, :]).astype(float)
-    return one_hot
+    return (y[:, None] == np.unique(y)[None, :]).astype(float)
 
 
 # ---------------------------------------------------------------------------
@@ -229,17 +219,13 @@ def load_split_indices(path, n_rows: int) -> list[np.ndarray]:
 
 
 def standardize(train: Dataset, test: Dataset) -> tuple[Dataset, Dataset]:
-    """Column-standardise features using training statistics only.
-
-    Constant columns (sd = 0) are left centred but unscaled. Targets are
-    never touched.
-    """
+    """Column-standardise both sets' features by the training set's mean and
+    sd. Constant columns (sd = 0) are left centred but unscaled. Targets are
+    never touched."""
     mean = train.X.mean(axis=0)
     sd = train.X.std(axis=0)
     sd = np.where(sd > 0, sd, 1.0)
-    train_out = replace(train, X=(train.X - mean) / sd, mean=mean, sd=sd)
-    test_out = replace(test, X=(test.X - mean) / sd, mean=mean, sd=sd)
-    return train_out, test_out
+    return replace(train, X=(train.X - mean) / sd), replace(test, X=(test.X - mean) / sd)
 
 
 def _take(dataset: Dataset, idx: np.ndarray, suffix: str) -> Dataset:
@@ -260,10 +246,12 @@ def make_splits(dataset: Dataset, plan: SplitPlan) -> list[tuple[Dataset, Datase
     else:
         fraction = 0.7 if plan.train_fraction is None else plan.train_fraction
         n_train = int(round(fraction * n))
+        n_splits = 100 if plan.n_splits is None else plan.n_splits
+        if n_splits < 1:
+            raise ConfigError(f"n_splits must be an integer >= 1, got {n_splits!r}")
         if not 1 <= n_train < n:
             raise DataError(f"train fraction {fraction} leaves an empty train or test set")
-        perms = [np.random.default_rng(plan.seed + i).permutation(n)
-                 for i in range(100 if plan.n_splits is None else plan.n_splits)]
+        perms = [np.random.default_rng(plan.seed + i).permutation(n) for i in range(n_splits)]
         pairs = [(perm[:n_train], perm[n_train:]) for perm in perms]
     return [(*standardize(_take(dataset, train_idx, "-train"),
                           _take(dataset, test_idx, "-test")), plan.seed + i)

@@ -95,8 +95,8 @@ def kl_to_target_2d(posterior: PosteriorGaussian | LaplaceResult, target) -> flo
     H(q) = 1 + ln 2 pi + ln|det R| in closed form. E_q[ln target] is a tensor
     Gauss-Hermite sum over ``_KL_NODES`` nodes per axis at the points
     mean + R z, exact for a log density polynomial in z of degree below
-    2 ``_KL_NODES`` per coordinate. ``target`` needs a batch
-    ``log_density`` over (G, 2) points.
+    2 ``_KL_NODES`` per coordinate. ``target`` needs a batch ``values``, its
+    normalised log density over (G, 2) points.
     """
     # numpy.polynomial stays out of the package's import
     from numpy.polynomial.hermite_e import hermegauss
@@ -105,7 +105,7 @@ def kl_to_target_2d(posterior: PosteriorGaussian | LaplaceResult, target) -> flo
         raise ConfigError("quadrature KL is only defined for 2-D posteriors")
     z, w = hermegauss(_KL_NODES)   # each axis's weights sum to sqrt(2 pi)
     zz = np.stack(np.meshgrid(z, z, indexing="ij"), axis=-1).reshape(-1, 2)
-    log_p = target.log_density(posterior.mean + zz @ posterior.root.T)
+    log_p = target.values(posterior.mean + zz @ posterior.root.T)
     expected_log_p = np.outer(w, w).ravel() @ log_p / (2.0 * np.pi)
     entropy = 1.0 + np.log(2.0 * np.pi) + np.linalg.slogdet(posterior.root)[1]
     return float(-entropy - expected_log_p)

@@ -56,7 +56,8 @@ over the draws.
 Softmax keeps its own ``score`` (mean class probabilities) and
 ``expectation`` from ``sampled_expectation``, which forms the points and the
 per-draw gradients: projecting its draws through A would cost K times the
-flops. The 2-D mixture is no F at all; it writes its own ``values``,
+flops. The 2-D mixture is no F at all; it writes its own ``values`` (its
+normalised log density, which the demo's contours and KL read too),
 ``evaluate`` and ``hessian``, its responsibilities being a softmax over its
 two components from the same ``_log_normaliser`` as the softmax likelihood.
 Every target, the mixture too, takes the scalar wrappers ``value`` and
@@ -669,8 +670,6 @@ class MixtureTarget2D(Target):
 
     def values(self, W: np.ndarray) -> np.ndarray:
         return self._log_density_terms(W)[0]
-
-    log_density = values
 
     def _components(self, W: np.ndarray):
         """One pass over the components at the rows of W: the log density, the

@@ -200,6 +200,17 @@ def test_run_split_rejects_unknown_method():
         bench.run_split(train, test, methods=("laplace", "typo"))
 
 
+def test_run_split_refuses_binary_labels_not_coded_0_1():
+    # the Dataset holds the labels as given, so the model's own check refuses
+    # 0.2 and 0.9 rather than a cast truncating them to an all-zero fit
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((60, 2))
+    y = np.where(X[:, 0] > 0.0, 0.9, 0.2)
+    train, test = Dataset(X[:40], y[:40], "binary"), Dataset(X[40:], y[40:], "binary")
+    with pytest.raises(DataError, match="binary labels must be coded as 0/1"):
+        bench.run_split(train, test, methods=("laplace",), n_eval=200, grid=SMALL_GRID)
+
+
 # ---------------------------------------------------------------------------
 # aggregation helpers
 # ---------------------------------------------------------------------------
@@ -380,6 +391,13 @@ def test_unguarded_pool_script_names_the_main_guard(tmp_path):
 # ---------------------------------------------------------------------------
 # suites
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n_runs", [0, -3])
+def test_run_cauchy_refuses_a_non_positive_count(n_runs):
+    # an empty suite would report n_completed 0 with empty medians
+    with pytest.raises(ConfigError, match=f"n_runs must be an integer >= 1, got {n_runs}"):
+        bench.run_cauchy(n_runs=n_runs)
+
 
 def test_run_cauchy_small():
     report = bench.run_cauchy(n_runs=2, methods=("laplace", "mvi_mu"), seed=0,

@@ -31,8 +31,9 @@ def test_dataset_unknown_kind():
 
 
 def test_dataset_target_coding():
-    d = Dataset(np.zeros((3, 1)), [1.0, 0.0, 1.0], "binary")
-    assert d.y.dtype.kind == "i"
+    # binary labels are held as the 0/1 floats the model reads, not cast
+    d = Dataset(np.zeros((3, 1)), [1, 0, 1], "binary")
+    assert d.y.dtype == float and d.y.tolist() == [1.0, 0.0, 1.0]
     m = Dataset(np.zeros((2, 1)), [[1, 0], [0, 1]], "multiclass")
     assert m.y.shape == (2, 2)
     assert m.n == 2 and m.n_features == 1
@@ -77,7 +78,7 @@ def test_mixture_normalized():
     xs = np.linspace(-10, 10, 501)
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
     pts = np.column_stack([gx.ravel(), gy.ravel()])
-    mass = np.exp(target.log_density(pts)).sum() * (xs[1] - xs[0]) ** 2
+    mass = np.exp(target.values(pts)).sum() * (xs[1] - xs[0]) ** 2
     assert 0.99 <= mass <= 1.01
 
 
@@ -87,7 +88,7 @@ def test_mixture_log_density_matches_scipy():
     pts = rng.uniform(-4, 4, size=(20, 2))
     dens = sum(w * multivariate_normal(mean=m, cov=c).pdf(pts)
                for w, m, c in zip(target.weights, target.means, target.covs))
-    np.testing.assert_allclose(target.log_density(pts), np.log(dens),
+    np.testing.assert_allclose(target.values(pts), np.log(dens),
                                rtol=1.0e-10)
 
 
@@ -288,7 +289,8 @@ def test_standardize_uses_training_statistics_only():
     np.testing.assert_allclose(tr.X.mean(axis=0), 0.0, atol=1.0e-12)
     np.testing.assert_allclose(tr.X.std(axis=0), 1.0, atol=1.0e-12)
     # test set transformed by train statistics, not its own
-    np.testing.assert_allclose(te.X, (test.X - tr.mean) / tr.sd, atol=1.0e-12)
+    np.testing.assert_allclose(te.X, (test.X - train.X.mean(axis=0)) / train.X.std(axis=0),
+                               atol=1.0e-12)
     assert not np.allclose(te.X.mean(axis=0), 0.0, atol=1.0e-3)
 
 
@@ -297,7 +299,8 @@ def test_standardize_constant_column_left_unscaled():
     train = Dataset(X, np.zeros(5), "regression")
     tr, _ = standardize(train, train)
     np.testing.assert_array_equal(tr.X[:, 0], 0.0)
-    assert tr.sd[0] == 1.0
+    # the other column is scaled by its own sd, the constant one by 1
+    np.testing.assert_allclose(tr.X[:, 1], (X[:, 1] - 2.0) / X[:, 1].std(), rtol=1.0e-12)
 
 
 def test_make_splits_shuffle_protocol():
@@ -314,8 +317,16 @@ def test_make_splits_shuffle_protocol():
     perm = np.random.default_rng(10).permutation(20)
     raw_train = data.X[perm[:14]]
     tr0 = splits[0][0]
-    np.testing.assert_allclose(tr0.X * tr0.sd + tr0.mean, raw_train,
-                               atol=1.0e-12)
+    np.testing.assert_allclose(tr0.X * raw_train.std(axis=0) + raw_train.mean(axis=0),
+                               raw_train, atol=1.0e-12)
+
+
+@pytest.mark.parametrize("n_splits", [0, -3])
+def test_make_splits_refuses_a_non_positive_count(n_splits):
+    # no split would make an empty suite: n_completed 0 and empty medians
+    data = Dataset(np.zeros((5, 1)), np.zeros(5), "regression")
+    with pytest.raises(ConfigError, match=f"n_splits must be an integer >= 1, got {n_splits}"):
+        make_splits(data, SplitPlan(n_splits=n_splits))
 
 
 def test_make_splits_deterministic():
@@ -342,8 +353,9 @@ def test_make_splits_from_index_file(tmp_path):
     tr, te, seed0 = splits[0]
     assert seed0 == 100
     assert tr.n == 4 and te.n == 4
-    np.testing.assert_allclose(te.X * te.sd + te.mean, data.X[4:],
-                               atol=1.0e-12)
+    raw_train = data.X[:4]
+    np.testing.assert_allclose(te.X * raw_train.std(axis=0) + raw_train.mean(axis=0),
+                               data.X[4:], atol=1.0e-12)
 
 
 @pytest.mark.parametrize("key,value", [("n_splits", 7), ("train_fraction", 0.9)])
@@ -379,7 +391,7 @@ def test_index_file_of_the_shuffle_rows_gives_the_shuffle_splits(tmp_path):
     assert len(indexed) == len(shuffled) == 3
     for (tr_s, te_s, seed_s), (tr_i, te_i, seed_i), perm in zip(shuffled, indexed, perms):
         assert seed_i == seed_s and tr_i.name == tr_s.name and te_i.name == te_s.name
-        for field in ("X", "y", "mean", "sd"):
+        for field in ("X", "y"):
             assert getattr(tr_i, field).tobytes() == getattr(tr_s, field).tobytes()
         order = np.argsort(perm[18:])
         assert te_i.X.tobytes() == te_s.X[order].tobytes()

@@ -269,9 +269,9 @@ def test_predictive_curve_agrees_with_draws():
 # ---------------------------------------------------------------------------
 
 class _GaussTarget:
-    """Standard 2-D normal with a batch log density."""
+    """Standard 2-D normal with a batch log density, ``values``."""
 
-    def log_density(self, pts):
+    def values(self, pts):
         return multivariate_normal(mean=[0.0, 0.0], cov=np.eye(2)).logpdf(pts)
 
 
@@ -330,7 +330,7 @@ def _riemann_kl(posterior, target, lo=-10.0, hi=10.0, n=1601, rows=200):
         pts = np.column_stack([gx.ravel(), gy.ravel()])
         dev = pts - posterior.mean
         log_q = log_norm - 0.5 * np.einsum("gi,ij,gj->g", dev, prec, dev)
-        total += float(np.exp(log_q) @ (log_q - target.log_density(pts)))
+        total += float(np.exp(log_q) @ (log_q - target.values(pts)))
     return total * cell
 
 
