@@ -23,7 +23,7 @@ from .models import MixtureTarget2D
 from .optimize import OptimConfig
 from .stats import significance_decision
 
-METHODS = ("laplace", "mvi_mu", "mvi_eig", "mvi_lr", "vi_diag")
+METHODS = ("laplace", *variational.FAMILIES)
 DEMO_FAMILIES = ("mvi_mu", "mvi_eig", "mvi_lr")
 
 # Sub-seed salts, spaced far beyond any plausible split count so the
@@ -78,14 +78,14 @@ def search_record(search) -> dict:
 
 def fit_method(method: str, model, lap, mode, samples, seed: int,
                optim: OptimConfig | None):
-    """One method's (Gaussian, scoring model, fit, record), from the Laplace
-    fit ``lap`` of ``model`` at the mode search ``mode``.
+    """One method's (Gaussian, scoring model, record), from the Laplace fit
+    ``lap`` of ``model`` at the mode search ``mode``.
 
-    For laplace these are ``lap`` itself, the Laplace method's Gaussian,
-    ``model`` and None. A variational method fits its family from its one
-    start, seeded by ``seed + SALT_INIT``, on ``samples()``, the draws (of
+    For laplace the Gaussian is ``lap`` itself, scored by ``model``. A
+    variational method fits its family from its one start, seeded by
+    ``seed + SALT_INIT``, on ``samples()``, the draws (of
     ``seed + SALT_SAMPLES``) every method of a fit shares; its Gaussian is
-    the family's ``PosteriorGaussian``, scored by ``model`` at the fitted
+    the ``FitResult`` itself, scored by ``model`` at the fitted
     hyperparameters. Either Gaussian is read through ``mean``, ``root`` and
     ``dim``. The record holds the bound (``elbo``; for laplace, at the mode)
     and its optimiser's ``n_iters``, ``n_evals``, ``stop_reason`` and final
@@ -98,11 +98,9 @@ def fit_method(method: str, model, lap, mode, samples, seed: int,
     record = {"elbo": float(bound), "n_iters": int(res.n_iters), "n_evals": int(res.n_evals),
               "stop_reason": str(res.reason), "grad_norm": float(res.grad_norm)}
     if fitted is None:
-        return lap, model, None, record
-    params = fitted.params
-    record["theta"] = [float(t) for t in params.theta]
-    return (variational.covariance_root(params, lap), model.with_theta(params.theta),
-            fitted, record)
+        return lap, model, record
+    record["theta"] = [float(t) for t in fitted.params.theta]
+    return fitted, model.with_theta(fitted.params.theta), record
 
 
 def run_split(train, test, methods=METHODS, seed: int = 0, n_samples: int = 1000,
@@ -133,9 +131,9 @@ def run_split(train, test, methods=METHODS, seed: int = 0, n_samples: int = 1000
     z.flags.writeable = False
     for method in methods:
         t0 = time.perf_counter()
-        posterior, scorer, fitted, records[method] = fit_method(
+        posterior, scorer, records[method] = fit_method(
             method, search.model, search.laplace, search.mode, samples, seed, optim)
-        if fitted is not None:
+        if method != "laplace":
             timing[f"{method}.fit"] = time.perf_counter() - t0
             t0 = time.perf_counter()
         records[method].update(score(posterior, scorer, test.X, test.y, z))
@@ -266,15 +264,17 @@ def _run_suite(splits, methods, metrics, base_seed, n_workers, alpha, n_boot,
     """Run ``run_split`` on every split and assemble the suite's report.
 
     ``splits`` holds each split's (train, test, seed). A split whose fit
-    fails numerically is recorded as skipped. ``n_workers`` is the requested
-    worker count; None asks for one per usable core. Either is capped at the
-    number of splits, and the count used is ``timing["n_workers"]``.
+    fails numerically is recorded as skipped. ``n_workers``, at least 1, or
+    None for one per usable core, is capped at the number of splits, and the
+    count used is ``timing["n_workers"]``.
     ``timing["wall"]`` is the suite's elapsed time; the per-split times under
     ``timing["splits"]`` overlap under several workers, and
     ``timing["significance"]`` is the seconds of the significance tests,
     which ``alpha`` and ``n_boot`` set.
     """
-    n_workers = max(1, min(n_workers or usable_cores(), len(splits)))
+    if n_workers is not None and n_workers < 1:
+        raise ConfigError(f"n_workers must be an integer >= 1, got {n_workers!r}")
+    n_workers = min(n_workers or usable_cores(), len(splits))
     started = time.perf_counter()
     outcomes = _parallel_map(partial(_split_outcome, methods, fit_options),
                              enumerate(splits), n_workers)
@@ -394,7 +394,7 @@ def run_demo2d(seed: int = 0, n_samples: int = 1000,
     lap = laplace_mod.laplace_approximation(target, mode.x)
     samples = cache(partial(variational.draw_fixed_samples, n_samples, 2, seed + SALT_SAMPLES))
     for method in ("laplace",) + DEMO_FAMILIES:
-        posteriors[method], _, _, records[method] = fit_method(
+        posteriors[method], _, records[method] = fit_method(
             method, target, lap, mode, samples, seed, optim)
         timing[method] = time.perf_counter() - t0
         t0 = time.perf_counter()
@@ -443,8 +443,7 @@ def run_fit(train, method: str, seed: int = 0, n_samples: int = 1000,
         train.X, train.y, train.kind, seed=seed, n_samples=n_samples, grid=grid, optim=optim)
     model, lap = search.model, search.laplace
     samples = partial(variational.draw_fixed_samples, n_samples, model.P, seed + SALT_SAMPLES)
-    posterior, scorer, fitted, record = fit_method(method, model, lap, search.mode, samples,
-                                                   seed, optim)
+    posterior, scorer, record = fit_method(method, model, lap, search.mode, samples, seed, optim)
     record.pop("theta", None)
     meta = {"task": train.kind, "sample_seed": seed + SALT_SAMPLES, "init_seed": seed + SALT_INIT,
             "bound_at_mode": float(lap.bound_at_mode), "elbo_estimate": record.pop("elbo"),
@@ -454,8 +453,8 @@ def run_fit(train, method: str, seed: int = 0, n_samples: int = 1000,
         "la_eigvecs": lap.eigvecs, "la_eig_root": lap.eig_root,
         "theta_la": lap.theta, "centers": model.centers,
     }
-    if fitted is not None:
-        params = fitted.params
+    if method != "laplace":
+        params = posterior.params
         arrays.update(mu=params.mu, theta=params.theta)
         for name in variational.FAMILY_SPECS[method].fields:
             arrays[name] = getattr(params, name)

@@ -1,7 +1,7 @@
 """Held-out evaluation of fitted Gaussian posteriors.
 
 A posterior is any Gaussian read by ``mean``, ``root`` (R, cov = R R') and
-``dim``: a family's ``PosteriorGaussian`` or the ``LaplaceResult`` itself.
+``dim``: a family's ``FitResult`` or the ``LaplaceResult`` itself.
 
 The central quantity is the Monte Carlo log predictive density: draw weights
 w_s = mean + R z_s from the posterior, average the test-set likelihood over
@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .laplace import LaplaceResult
-from .variational import PosteriorGaussian
+from .variational import FitResult
 
 _KL_NODES = 256   # Gauss-Hermite nodes per axis of the demo KL
 
@@ -47,7 +47,7 @@ def log_mean_exp(values: np.ndarray) -> float:
     return float(m + np.log(float(np.exp(values - m).mean())))
 
 
-def classification_metrics(posterior: PosteriorGaussian | LaplaceResult, model, X_test,
+def classification_metrics(posterior: FitResult | LaplaceResult, model, X_test,
                            y_test, z: np.ndarray) -> dict:
     """``{"lpd", "error_rate"}``, the joint lpd and error rate, on the base draws z.
 
@@ -69,7 +69,7 @@ def classification_metrics(posterior: PosteriorGaussian | LaplaceResult, model, 
     return {"lpd": log_mean_exp(ll), "error_rate": float(np.mean(predicted != truth))}
 
 
-def regression_metrics(posterior: PosteriorGaussian | LaplaceResult, model, X_test, y_test,
+def regression_metrics(posterior: FitResult | LaplaceResult, model, X_test, y_test,
                        z: np.ndarray) -> dict:
     """``{"lpd", "mse"}`` from one ``score`` pass of the test rows' model over
     the draws mean + R z_s: the joint lpd over the number of test points (not
@@ -79,7 +79,7 @@ def regression_metrics(posterior: PosteriorGaussian | LaplaceResult, model, X_te
     return {"lpd": log_mean_exp(ll) / y.size, "mse": float(np.mean((y - preds) ** 2))}
 
 
-def predictive_curve(posterior: PosteriorGaussian | LaplaceResult, model,
+def predictive_curve(posterior: FitResult | LaplaceResult, model,
                      x_grid) -> tuple[np.ndarray, np.ndarray]:
     """Exact pointwise mean and sd of a regression function f = phi(x)'w on a
     grid: under w ~ N(mean, R R'), f(x) ~ N(phi'mean, ||R'phi||^2). One
@@ -89,7 +89,7 @@ def predictive_curve(posterior: PosteriorGaussian | LaplaceResult, model,
     return f[0], np.linalg.norm(f[1:], axis=0)
 
 
-def kl_to_target_2d(posterior: PosteriorGaussian | LaplaceResult, target) -> float:
+def kl_to_target_2d(posterior: FitResult | LaplaceResult, target) -> float:
     """KL(q || target) = -H(q) - E_q[ln target] for a 2-D Gaussian q.
 
     H(q) = 1 + ln 2 pi + ln|det R| in closed form. E_q[ln target] is a tensor

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .models import BinaryLogistic, CauchyRegression, FixedDraws, SoftmaxRegression, kmeans
+from .models import (_HALF_LOG_2PIE, BinaryLogistic, CauchyRegression, FixedDraws,
+                     SoftmaxRegression, kmeans, standardize_draws)
 from .optimize import MinimizeResult, OptimConfig, minimize
-from .variational import entropy, initialise, standardize_draws
 
 # Jitter ladder for repairing a curvature matrix that is not quite positive
 # definite: relative steps 1e-8, 1e-7, ..., 1e-2 of the mean diagonal.
@@ -82,6 +82,7 @@ class LaplaceResult:
 
     root = property(lambda self: self.chol)             # R = C
     log_det = property(lambda self: float(np.sum(np.log(np.diag(self.chol)))))   # sum ln diag C
+    entropy = property(lambda self: self.dim * _HALF_LOG_2PIE + self.log_det)   # of N(mean, cov)
     eigvecs = property(lambda self: self._eigh()[0])    # Q, columns are eigenvectors of cov
     eig_root = property(lambda self: self._eigh()[1])   # r, sqrt of cov eigenvalues (ascending)
 
@@ -200,7 +201,7 @@ def _race(model, lap: LaplaceResult, draws: FixedDraws, bound: float, floor: flo
     mean = float(values.mean())
     if not math.isfinite(mean):
         raise NumericalError(f"log posterior not finite (mean over the draws {mean})")
-    return mean + entropy(initialise("mvi_mu", lap), lap), None, S
+    return mean + lap.entropy, None, S
 
 
 def hyperparameter_search(X: np.ndarray, y: np.ndarray, task: str, seed: int,

@@ -98,6 +98,8 @@ import numpy as np
 from .errors import DataError, NumericalError
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
+# entropy of a unit-variance Gaussian coordinate: 0.5 * ln(2 pi e)
+_HALF_LOG_2PIE = 0.5 * float(np.log(2.0 * np.pi) + 1.0)
 
 # Draws per block of the held-out pass; the buffer for F holds one block: 0.8 MB at 1,000
 # test points, inside a 2 MB L2 cache per core (288 draws: 2.3 MB, up to 1.4x slower). With
@@ -207,6 +209,21 @@ class FixedDraws:
         if self._work is None or self._work[0].shape[1] != n:
             self._work = (np.empty((self.S, n)), np.empty((self.S, n)))
         return self._work
+
+
+def standardize_draws(z: np.ndarray) -> np.ndarray:
+    """Centre columns and whiten the empirical second moment to identity.
+
+    Whitening needs more rows than columns; with S <= P only the centring is
+    applied. With S = 1 the single row centres to zero, which degenerates the
+    bound to value-at-the-mean plus entropy (a useful property in tests).
+    """
+    z = np.asarray(z, dtype=float)
+    z = z - z.mean(axis=0, keepdims=True)
+    s, p = z.shape
+    if s > p:   # z C'^-1, with C C' the second moment
+        z = np.linalg.solve(np.linalg.cholesky(z.T @ z / s), z.T).T
+    return z
 
 
 def sampled_expectation(model, mu: np.ndarray, R: np.ndarray, draws: FixedDraws):

@@ -9,13 +9,14 @@ expectation replaced by an average over a *fixed* set of base samples:
 Because the z_s never change during optimisation, the bound is an ordinary
 deterministic function of the parameters and is optimised with the L-BFGS
 routine from :mod:`.optimize`; no stochastic-gradient machinery is involved.
-Every family is optimised in Laplace-whitened coordinates
-(:class:`_Whitened`): the mean as mu0 + C xi, C the Laplace Cholesky factor,
-and theta scaled by its curvature at the start; mvi_lr's rank-one update is
-written in the same frame, C t v'. The change of variables leaves the
-bound as it is; since the Laplace fit holds the posterior's geometry, the
-whitened bound is better scaled, and L-BFGS reaches its optimum in fewer
-evaluations.
+A fit's ``FitResult`` is the fitted Gaussian itself, read by scoring through
+``mean``, ``root`` and ``dim`` as the ``LaplaceResult`` is. Every family is
+optimised in Laplace-whitened coordinates (:class:`_Whitened`): the mean as
+mu0 + C xi, C the Laplace Cholesky factor, and theta scaled by its curvature
+at the start; mvi_lr's rank-one update is written in the same frame, C t v'.
+The change of variables leaves the bound as it is; since the Laplace fit
+holds the posterior's geometry, the whitened bound is better scaled, and
+L-BFGS reaches its optimum in fewer evaluations.
 
 The sample term is the model's ``expectation(mu, R, draws)``: the means
 over the draws of the log posterior, of its gradient g_s at w_s = mu + R z_s
@@ -75,11 +76,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericalError
-from .models import FixedDraws
+from .models import _HALF_LOG_2PIE, FixedDraws, standardize_draws
 from .optimize import MinimizeResult, OptimConfig, minimize
-
-# entropy of a unit-variance Gaussian coordinate: 0.5 * ln(2 pi e)
-_HALF_LOG_2PIE = 0.5 * float(np.log(2.0 * np.pi) + 1.0)
 
 # |1 + v' t| below this means the rank-one update has numerically
 # annihilated the root determinant
@@ -89,21 +87,6 @@ _DET_LEMMA_FLOOR = 1.0e-12
 # ---------------------------------------------------------------------------
 # fixed sample sets
 # ---------------------------------------------------------------------------
-
-def standardize_draws(z: np.ndarray) -> np.ndarray:
-    """Centre columns and whiten the empirical second moment to identity.
-
-    Whitening needs more rows than columns; with S <= P only the centring is
-    applied. With S = 1 the single row centres to zero, which degenerates the
-    bound to value-at-the-mean plus entropy (a useful property in tests).
-    """
-    z = np.asarray(z, dtype=float)
-    z = z - z.mean(axis=0, keepdims=True)
-    s, p = z.shape
-    if s > p:   # z C'^-1, with C C' the second moment
-        z = np.linalg.solve(np.linalg.cholesky(z.T @ z / s), z.T).T
-    return z
-
 
 def draw_fixed_samples(n_samples: int, dim: int, seed: int) -> FixedDraws:
     """Draw and standardise the base samples for one optimisation, read-only;
@@ -118,54 +101,38 @@ def draw_fixed_samples(n_samples: int, dim: int, seed: int) -> FixedDraws:
 # parameters and the family table
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PosteriorGaussian:
-    """A family's Gaussian, by mean and a square covariance root (cov = R R').
-    It shares ``mean``, ``root`` and ``dim``, all that scoring reads, with the
-    Laplace method's Gaussian, the ``LaplaceResult`` itself."""
-
-    mean: np.ndarray
-    root: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.mean.size
-
-
+@dataclass(frozen=True, eq=False, kw_only=True)
 class VariationalParams:
     """Free parameters of one family, stored as one vector ``x``: the mean,
     then the fields its spec lists, in order, then theta. That vector is the
     point the optimiser moves. ``mu``, ``theta`` and each field are views of
-    ``x`` that cannot be rebound, so ``x`` and the names never disagree: move
-    a point in place through a view (``params.t[:] = ...``) or build a new
-    one. The keyword constructor checks the family, the field names and the
-    sizes once, then copies; :meth:`wrap` checks and copies nothing."""
+    ``x``, and the record is frozen, so ``x`` and the names never disagree:
+    move a point in place through a view (``params.t[:] = ...``) or build a
+    new one. The constructor takes the optimiser's ``x`` itself, for a mean
+    of ``dim`` coordinates, unchecked and not copied; :meth:`of` checks the
+    family, the field names and the sizes once, then copies."""
 
-    def __new__(cls, family: str, mu, theta, **fields):
+    family: str
+    x: np.ndarray
+    dim: int
+
+    @classmethod
+    def of(cls, family: str, mu, theta, **fields) -> VariationalParams:
+        """The family's parameters from mu, theta and its spec's fields, copied into one x."""
         names = _spec(family).fields
         blocks = [np.asarray(b, dtype=float).ravel() for b in (mu, *map(fields.get, names))]
         if set(fields) != set(names) or any(b.size != blocks[0].size for b in blocks):
             raise ValueError(f"family {family} takes the fields {names}, each the size "
                              f"of mu; got {tuple(fields)}")
-        return cls.wrap(family, np.concatenate([*blocks, np.asarray(theta, dtype=float).ravel()]),
-                        blocks[0].size)
-
-    @classmethod
-    def wrap(cls, family: str, x: np.ndarray, dim: int) -> VariationalParams:
-        """The parameters stored in ``x`` itself, for a mean of ``dim``
-        coordinates: the optimiser's point, unchecked and not copied."""
-        params = object.__new__(cls)
-        vars(params).update(family=family, x=x, dim=dim)
-        return params
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot rebind {name!r}: write in place or build new parameters")
-
-    def __reduce__(self):
-        return VariationalParams.wrap, (self.family, self.x, self.dim)
+        return cls(family=family, dim=blocks[0].size,
+                   x=np.concatenate([*blocks, np.asarray(theta, dtype=float).ravel()]))
 
     def __getattr__(self, name: str) -> np.ndarray:
-        """``mu``, ``theta`` or a field of the family's spec, as its view of ``x``."""
+        """``mu``, ``theta`` or a field of the family's spec, as its view of ``x``.
+        A dunder name is refused before ``family`` is read: unpickling asks for
+        ``__setstate__`` while the record is still empty."""
+        if name.startswith("__"):
+            raise AttributeError(name)
         names = ("mu", *FAMILY_SPECS[self.family].fields)
         if name == "theta":
             return self.x[len(names) * self.dim:]
@@ -275,11 +242,6 @@ def _spec(family: str) -> FamilySpec:
 # family geometry
 # ---------------------------------------------------------------------------
 
-def covariance_root(params: VariationalParams, laplace) -> PosteriorGaussian:
-    """The family's current Gaussian as (mean, root)."""
-    return PosteriorGaussian(params.mu.copy(), _spec(params.family).root(params, laplace))
-
-
 def entropy(params: VariationalParams, laplace) -> float:
     """Differential entropy of the family's Gaussian.
 
@@ -332,19 +294,24 @@ def initialise(family: str, laplace, seed: int = 0) -> VariationalParams:
     """The family's one start, at the Laplace fit: its mean and theta, and
     the fields its spec's ``init`` gives (vi_diag's sigma^2 the Laplace
     covariance diagonal)."""
-    return VariationalParams(family, laplace.mean, laplace.theta,
-                             **_spec(family).init(laplace, seed))
+    return VariationalParams.of(family, laplace.mean, laplace.theta,
+                                **_spec(family).init(laplace, seed))
 
 
 @dataclass
 class FitResult:
+    """A fitted family, and its Gaussian N(mean, R R'), read as every Gaussian
+    is, by ``mean`` (a copy of ``params.mu``), ``root`` (the spec's root of
+    ``params``) and ``dim``."""
+
     params: VariationalParams
     elbo: float
     opt: MinimizeResult
+    mean: np.ndarray
+    root: np.ndarray
 
-    @property
-    def family(self) -> str:
-        return self.params.family
+    dim = property(lambda self: self.mean.size)
+    family = property(lambda self: self.params.family)
 
 
 # Step of the forward difference that measures each theta curvature of a whitened fit.
@@ -417,14 +384,15 @@ def fit_family(model, laplace, samples: FixedDraws, family: str,
     The fit runs in the coordinates of :class:`_Whitened`, so its stop test
     reads the whitened gradient; ``opt`` holds the fitted parameter vector,
     the raw max|gradient| of the bound there, and every evaluation of the
-    objective. ``params`` is that vector itself: ``params.x is opt.x``.
+    objective. ``params`` is that vector itself: ``params.x is opt.x``. The
+    result is the fitted Gaussian too, its root formed once, here.
     """
     params0 = init if init is not None else initialise(family, laplace, seed)
-    at = partial(VariationalParams.wrap, params0.family, dim=params0.dim)
+    at = partial(VariationalParams, family=params0.family, dim=params0.dim)
 
     def bound(x: np.ndarray) -> tuple[float, np.ndarray]:
         try:
-            val, grad = elbo_and_gradient(at(x), samples, model, laplace)
+            val, grad = elbo_and_gradient(at(x=x), samples, model, laplace)
         except NumericalError:
             # A trial point outside the usable region (hyperparameters
             # underflowed to zero or with an overflowing square, a sample with
@@ -440,4 +408,6 @@ def fit_family(model, laplace, samples: FixedDraws, family: str,
         raise NumericalError("objective is not finite at the initial point")
     result = _Whitened(bound, params0.x, start, laplace.chol,
                        params0.theta.size).minimize(config or OptimConfig())
-    return FitResult(params=at(result.x), elbo=-result.f, opt=result)
+    params = at(x=result.x)
+    return FitResult(params=params, elbo=-result.f, opt=result, mean=params.mu.copy(),
+                     root=_spec(params.family).root(params, laplace))

@@ -1,6 +1,8 @@
 """Small models, the conjugate oracle, reference RBF features,
-finite-difference oracles, the nesting warm start and the Monte Carlo
-standard error shared by the test modules: ``from makers import ...``."""
+finite-difference oracles, the nesting warm start, any Gaussian and the
+Monte Carlo standard error shared by the test modules: ``from makers import ...``."""
+
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -215,12 +217,18 @@ def warm_start(family: str, at: VariationalParams, laplace, seed: int = 0) -> Va
     theta = at.theta.copy()
     p = mu.size
     if family == "mvi_eig":
-        return VariationalParams("mvi_eig", mu, theta, log_r=np.log(laplace.eig_root))
+        return VariationalParams.of("mvi_eig", mu, theta, log_r=np.log(laplace.eig_root))
     if family == "mvi_lr":
         rng = np.random.default_rng(seed)
-        return VariationalParams("mvi_lr", mu, theta,
-                                 t=np.zeros(p), v=0.1 * rng.standard_normal(p))
+        return VariationalParams.of("mvi_lr", mu, theta,
+                                    t=np.zeros(p), v=0.1 * rng.standard_normal(p))
     raise ValueError(f"no warm start defined for family {family!r}")
+
+
+def gaussian(mean, root) -> SimpleNamespace:
+    """The Gaussian N(mean, R R') as scoring reads every Gaussian: by ``mean``,
+    ``root`` (R) and ``dim``."""
+    return SimpleNamespace(mean=mean, root=root, dim=np.size(mean))
 
 
 def log_mean_exp_se(values: np.ndarray) -> float:

@@ -25,9 +25,8 @@ from mvipkg.variational import (FAMILIES, VariationalParams, draw_fixed_samples,
                                 elbo_and_gradient, entropy,
                                 fit_family, initialise)
 from mvipkg.evaluate import log_mean_exp
-from mvipkg.variational import PosteriorGaussian
 
-from makers import (ALL_MODEL_MAKERS, finite_difference_gradient, log_mean_exp_se,
+from makers import (ALL_MODEL_MAKERS, finite_difference_gradient, gaussian, log_mean_exp_se,
                     make_conjugate, warm_start)
 
 
@@ -103,7 +102,8 @@ def test_criterion_2_gradient_suite():
 
                 _, grad = elbo_and_gradient(params, samples, model, lap)
                 fd = finite_difference_gradient(
-                    lambda x: elbo_and_gradient(VariationalParams.wrap(family, x, params.dim),
+                    lambda x: elbo_and_gradient(VariationalParams(family=family, x=x,
+                                                                  dim=params.dim),
                                                 samples, model, lap)[0],
                     params.x)
                 rel = np.linalg.norm(grad - fd) / max(np.linalg.norm(fd),
@@ -249,8 +249,8 @@ def test_criterion_6_determinant_lemma():
         chol = np.linalg.cholesky(a @ a.T + p * np.eye(p))
         u = 0.5 * rng.standard_normal(p)
         v = 0.5 * rng.standard_normal(p)
-        params = VariationalParams("mvi_lr", np.zeros(p), np.zeros(0),
-                                   t=np.linalg.solve(chol, u), v=v)   # C t = u
+        params = VariationalParams.of("mvi_lr", np.zeros(p), np.zeros(0),
+                                      t=np.linalg.solve(chol, u), v=v)   # C t = u
         fit = SimpleNamespace(chol=chol, log_det=float(np.sum(np.log(np.diag(chol)))))
         via_lemma = entropy(params, fit)   # C of a fit and its (1/2) ln det C C'
         sign, logdet = np.linalg.slogdet(chol + np.outer(u, v))
@@ -294,7 +294,7 @@ def test_criterion_8_lpd_estimator():
     t0 = time.perf_counter()
     model = make_conjugate(seed=8, n=30, p=4)
     mean, cov = model.exact_posterior()
-    post = PosteriorGaussian(mean=mean, root=np.linalg.cholesky(cov))
+    post = gaussian(mean=mean, root=np.linalg.cholesky(cov))
     rng = np.random.default_rng(9)
     phi_t = rng.standard_normal((8, 4))
     y_t = phi_t @ mean + 0.4 * rng.standard_normal(8)

@@ -15,7 +15,8 @@ from mvipkg.data import Dataset, SplitPlan, generate_cauchy_task
 from mvipkg.errors import ConfigError, DataError
 from mvipkg.laplace import GridConfig
 from mvipkg.optimize import OptimConfig
-from mvipkg.variational import PosteriorGaussian
+
+from makers import gaussian
 
 SMALL_GRID = GridConfig(basis_sizes=(5,), n_pairs=4, search_iters=5)
 SMALL_OPTIM = OptimConfig(max_iters=150)
@@ -155,11 +156,11 @@ def test_fit_method_gives_the_laplace_fit_itself():
     train, _ = _small_task(seed=3)
     search = laplace_mod.hyperparameter_search(train.X, train.y, train.kind, seed=2,
                                                n_samples=100, grid=SMALL_GRID, optim=SMALL_OPTIM)
-    posterior, scorer, fitted, record = bench.fit_method(
+    posterior, scorer, record = bench.fit_method(
         "laplace", search.model, search.laplace, search.mode,
         lambda: pytest.fail("laplace drew fit samples"), seed=2, optim=SMALL_OPTIM)
     assert posterior is search.laplace and posterior.root is search.laplace.chol
-    assert scorer is search.model and fitted is None
+    assert scorer is search.model and "theta" not in record
     assert record["elbo"] == search.laplace.bound_at_mode
 
 
@@ -442,6 +443,19 @@ def test_run_cauchy_deterministic_and_worker_invariant():
         1, 2, min(bench.usable_cores(), 2)]
 
 
+@pytest.mark.parametrize("n_workers", (0, -3))
+def test_suites_refuse_a_non_positive_worker_count(n_workers):
+    # None asks for one worker per usable core; 0 and -3 ask for nothing valid
+    small = dict(methods=("laplace",), n_samples=50, n_eval=50, grid=SMALL_GRID,
+                 optim=SMALL_OPTIM, n_boot=10, n_workers=n_workers)
+    message = f"n_workers must be an integer >= 1, got {n_workers}"
+    with pytest.raises(ConfigError, match=message):
+        bench.run_cauchy(n_runs=2, seed=0, n_train=20, n_test=40, **small)
+    with pytest.raises(ConfigError, match=message):
+        bench.run_benchmark(_small_task()[0], plan=SplitPlan(n_splits=2, train_fraction=0.6),
+                            **small)
+
+
 def _spiral_table(seed, n_rows):
     """Three classes on [-2, 2]^2 from a softmax over the logits
     1.5 r cos(angle - 2 pi k / 3 - r / 2): spiral sectors whose labels grow
@@ -514,7 +528,7 @@ def test_run_benchmark_classification_metric():
 # ---------------------------------------------------------------------------
 
 def test_ellipse_points_radius_and_closure():
-    post = PosteriorGaussian(mean=np.array([1.0, -1.0]), root=2.0 * np.eye(2))
+    post = gaussian(mean=np.array([1.0, -1.0]), root=2.0 * np.eye(2))
     pts = bench.ellipse_points(post, mass=0.70, n_points=64)
     assert pts.shape == (65, 2)
     np.testing.assert_allclose(pts[0], pts[-1], atol=1.0e-12)
@@ -524,7 +538,7 @@ def test_ellipse_points_radius_and_closure():
 
 
 def test_ellipse_mass_monotone():
-    post = PosteriorGaussian(mean=np.zeros(2), root=np.eye(2))
+    post = gaussian(mean=np.zeros(2), root=np.eye(2))
     r50 = np.linalg.norm(bench.ellipse_points(post, mass=0.50)[0])
     r90 = np.linalg.norm(bench.ellipse_points(post, mass=0.90)[0])
     assert r90 > r50

@@ -12,16 +12,16 @@ from mvipkg.evaluate import (classification_metrics, kl_to_target_2d,
 from mvipkg.laplace import find_mode, laplace_approximation
 from mvipkg.models import (BinaryLogistic, CauchyRegression, MixtureTarget2D,
                            SoftmaxRegression)
-from mvipkg.variational import (PosteriorGaussian, covariance_root, draw_fixed_samples,
-                                fit_family)
+from mvipkg.variational import draw_fixed_samples, fit_family
 
-from makers import log_mean_exp_se, make_cauchy, make_conjugate, make_logistic, rbf_reference
+from makers import (gaussian, log_mean_exp_se, make_cauchy, make_conjugate, make_logistic,
+                    rbf_reference)
 
 
 def _posterior_for(model):
     mode = find_mode(model, np.zeros(model.P))
     lap = laplace_approximation(model, mode.x)
-    return PosteriorGaussian(mean=lap.mean, root=lap.chol)
+    return gaussian(mean=lap.mean, root=lap.chol)
 
 
 def _base(n_samples, dim, seed):
@@ -89,8 +89,7 @@ def _joint_lpd(posterior, model, X, y, n_samples, seed):
 def test_zero_root_lpd_is_loglik_at_mean():
     model = make_logistic(seed=1)
     post = _posterior_for(model)
-    collapsed = PosteriorGaussian(mean=post.mean,
-                                  root=np.zeros((model.P, model.P)))
+    collapsed = gaussian(mean=post.mean, root=np.zeros((model.P, model.P)))
     value = classification_metrics(collapsed, model, model.X, model.y,
                                    _base(17, collapsed.dim, 5))["lpd"]
     f = model.phi @ post.mean
@@ -120,7 +119,7 @@ def test_lpd_exact_on_conjugate_model():
     # exactly, and a posterior with many draws must approach it
     model = make_conjugate(seed=3, n=20, p=3)
     mean, cov = model.exact_posterior()
-    post = PosteriorGaussian(mean=mean, root=np.linalg.cholesky(cov))
+    post = gaussian(mean=mean, root=np.linalg.cholesky(cov))
     rng = np.random.default_rng(4)
     phi_t = rng.standard_normal((5, 3))
     y_t = phi_t @ mean + 0.3 * rng.standard_normal(5)
@@ -152,8 +151,8 @@ def test_scoring_memory_is_one_block():
     rng = np.random.default_rng(21)
     X = rng.uniform(-3.0, 3.0, size=(50, 1))
     model = CauchyRegression(X, np.sin(X[:, 0]), X[:30], gamma=0.4, alpha=0.8, width=1.2)
-    post = PosteriorGaussian(mean=rng.standard_normal(model.P),
-                             root=0.1 * np.tril(rng.standard_normal((model.P, model.P))))
+    post = gaussian(mean=rng.standard_normal(model.P),
+                    root=0.1 * np.tril(rng.standard_normal((model.P, model.P))))
     X_test = rng.uniform(-3.0, 3.0, size=(1000, 1))
     y_test = np.sin(X_test[:, 0])
     tracemalloc.start()
@@ -200,7 +199,7 @@ def test_binary_error_rate_hand_case():
     centers = np.array([[0.0]])
     model = BinaryLogistic(X, y, centers, alpha=1.0, width=1.0)
     w = np.array([0.0, 2.0])  # constant logit +2: predicts class 1 everywhere
-    post = PosteriorGaussian(mean=w, root=np.zeros((2, 2)))
+    post = gaussian(mean=w, root=np.zeros((2, 2)))
     score = classification_metrics(post, model, X, y, _base(8, post.dim, 0))
     assert score["error_rate"] == pytest.approx(1.0 / 3.0)
 
@@ -213,7 +212,7 @@ def test_multiclass_error_rate_hand_case():
     # weights favouring class 0 at every input: one of two test points wrong
     w = np.zeros(model.P)
     w[0] = w[1] = 3.0  # class-0 block
-    post = PosteriorGaussian(mean=w, root=np.zeros((model.P, model.P)))
+    post = gaussian(mean=w, root=np.zeros((model.P, model.P)))
     score = classification_metrics(post, model, X, Y, _base(8, post.dim, 0))
     assert score["error_rate"] == pytest.approx(0.5)
 
@@ -221,8 +220,7 @@ def test_multiclass_error_rate_hand_case():
 def test_predictive_curve_zero_width_posterior():
     model = make_cauchy(seed=6)
     post = _posterior_for(model)
-    collapsed = PosteriorGaussian(mean=post.mean,
-                                  root=np.zeros((model.P, model.P)))
+    collapsed = gaussian(mean=post.mean, root=np.zeros((model.P, model.P)))
     grid = np.linspace(-2.0, 2.0, 9)
     mean, sd = predictive_curve(collapsed, model, grid)
     phi = rbf_reference(grid.reshape(-1, 1), model.centers, model.width)
@@ -240,8 +238,7 @@ def _curve_cases():
     conjugate = make_conjugate(seed=3, n=20, p=3)
     mean, cov = conjugate.exact_posterior()
     design = np.random.default_rng(5).standard_normal((7, 3))
-    yield (PosteriorGaussian(mean=mean, root=np.linalg.cholesky(cov)), conjugate,
-           design, design)
+    yield gaussian(mean=mean, root=np.linalg.cholesky(cov)), conjugate, design, design
 
 
 def test_predictive_curve_is_the_closed_form():
@@ -284,21 +281,21 @@ def _kl_to_standard_normal(mean, root):
 def test_kl_quadrature_matches_gaussian_closed_form():
     # KL(N(0, s^2 I) || N(0, I)) = 0.5 [2 s^2 - 2 - ln s^4] with s = 1.5
     s = 1.5
-    post = PosteriorGaussian(mean=np.zeros(2), root=s * np.eye(2))
+    post = gaussian(mean=np.zeros(2), root=s * np.eye(2))
     expected = 0.5 * (2 * s * s - 2.0 - math.log(s ** 4))
     val = kl_to_target_2d(post, _GaussTarget())
     assert val == pytest.approx(expected, abs=1.0e-12)
 
 
 def test_kl_quadrature_zero_for_identical_gaussian():
-    post = PosteriorGaussian(mean=np.zeros(2), root=np.eye(2))
+    post = gaussian(mean=np.zeros(2), root=np.eye(2))
     assert abs(kl_to_target_2d(post, _GaussTarget())) < 1.0e-12
 
 
 def test_kl_quadrature_correlated_case_closed_form():
     mean = np.array([0.3, 0.1])
     root = np.array([[1.0, 0.0], [0.7, 0.8]])
-    post = PosteriorGaussian(mean=mean, root=root)
+    post = gaussian(mean=mean, root=root)
     assert kl_to_target_2d(post, _GaussTarget()) == \
         pytest.approx(_kl_to_standard_normal(mean, root), abs=1.0e-12)
 
@@ -311,7 +308,7 @@ def test_kl_quadrature_correlated_case_closed_form():
 def test_kl_quadrature_exact_for_gaussian_target(mean, root):
     # the sum runs in q's own frame, so no q is too far out or too narrow
     mean, root = np.array(mean), np.array(root)
-    post = PosteriorGaussian(mean=mean, root=root)
+    post = gaussian(mean=mean, root=root)
     assert kl_to_target_2d(post, _GaussTarget()) == \
         pytest.approx(_kl_to_standard_normal(mean, root), abs=1.0e-12)
 
@@ -341,14 +338,13 @@ def test_kl_quadrature_matches_a_fine_grid_on_the_demo():
     lap = laplace_approximation(target, find_mode(target, np.zeros(2)).x)
     samples = draw_fixed_samples(1000, 2, bench.SALT_SAMPLES)
     posteriors = [lap] + [
-        covariance_root(fit_family(target, lap, samples, family,
-                                   seed=bench.SALT_INIT).params, lap)
+        fit_family(target, lap, samples, family, seed=bench.SALT_INIT)
         for family in bench.DEMO_FAMILIES]
     for post in posteriors:
         assert abs(kl_to_target_2d(post, target) - _riemann_kl(post, target)) <= 1.0e-9
 
 
 def test_kl_quadrature_rejects_wrong_dimension():
-    post = PosteriorGaussian(mean=np.zeros(3), root=np.eye(3))
+    post = gaussian(mean=np.zeros(3), root=np.eye(3))
     with pytest.raises(ConfigError, match="2-D"):
         kl_to_target_2d(post, _GaussTarget())

@@ -9,9 +9,10 @@ from mvipkg.data import Dataset, generate_cauchy_task
 from mvipkg.errors import NumericalError
 from mvipkg.laplace import (GridConfig, LaplaceResult, find_mode, hyperparameter_search,
                             laplace_approximation)
-from mvipkg.models import BinaryLogistic, CauchyRegression, FixedDraws, SoftmaxRegression
+from mvipkg.models import (BinaryLogistic, CauchyRegression, FixedDraws, SoftmaxRegression,
+                           standardize_draws)
 from mvipkg.optimize import MinimizeResult
-from mvipkg.variational import elbo_and_gradient, entropy, initialise, standardize_draws
+from mvipkg.variational import elbo_and_gradient, entropy, initialise
 
 from makers import make_cauchy, make_class_table, make_conjugate, make_logistic
 
@@ -69,6 +70,14 @@ def test_log_det_is_written_once_and_the_bound_reads_it():
     assert lap.bound_at_mode == (model.value(mode.x) + 0.5 * model.P * math.log(2 * math.pi)
                                  + lap.log_det)
     assert lap.root is lap.chol and lap.dim == model.P
+
+
+@pytest.mark.parametrize("maker", (make_cauchy, make_logistic, make_conjugate))
+def test_entropy_is_the_free_mean_familys_bit_for_bit(maker):
+    # the entropy a grid race adds is mvi_mu's at the Laplace fit, to the bit
+    model = maker()
+    lap = laplace_approximation(model, find_mode(model, np.zeros(model.P)).x)
+    assert lap.entropy == entropy(initialise("mvi_mu", lap), lap)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -7,12 +9,11 @@ from scipy.linalg import solve_triangular
 from mvipkg import variational
 from mvipkg.errors import NumericalError
 from mvipkg.laplace import find_mode, laplace_approximation
-from mvipkg.models import FixedDraws, MixtureTarget2D
+from mvipkg.models import FixedDraws, MixtureTarget2D, standardize_draws
 from mvipkg.optimize import OptimConfig, minimize
-from mvipkg.variational import (FAMILIES, FAMILY_SPECS, VariationalParams,
-                                _theta_scales, _Whitened,
-                                covariance_root, draw_fixed_samples, elbo_and_gradient, entropy,
-                                fit_family, initialise, standardize_draws)
+from mvipkg.variational import (FAMILIES, FAMILY_SPECS, VariationalParams, _theta_scales,
+                                _Whitened, draw_fixed_samples, elbo_and_gradient, entropy,
+                                fit_family, initialise)
 
 from makers import (ALL_MODEL_MAKERS, finite_difference_gradient, make_cauchy, make_conjugate,
                     make_logistic, make_softmax, warm_start)
@@ -71,15 +72,17 @@ def test_single_draw_centres_to_zero():
 
 def test_params_field_validation():
     with pytest.raises(ValueError):
-        VariationalParams("mvi_mu", np.zeros(2), np.zeros(1),
-                          log_r=np.zeros(2))
+        VariationalParams.of("mvi_mu", np.zeros(2), np.zeros(1),
+                             log_r=np.zeros(2))
     with pytest.raises(ValueError):
-        VariationalParams("mvi_eig", np.zeros(2), np.zeros(1))
+        VariationalParams.of("mvi_eig", np.zeros(2), np.zeros(1))
     with pytest.raises(ValueError):
-        VariationalParams("mvi_lr", np.zeros(2), np.zeros(1), t=np.zeros(3),
-                          v=np.zeros(2))
+        VariationalParams.of("mvi_lr", np.zeros(2), np.zeros(1), t=np.zeros(3),
+                             v=np.zeros(2))
     with pytest.raises(ValueError):
-        VariationalParams("nope", np.zeros(2), np.zeros(1))
+        VariationalParams.of("nope", np.zeros(2), np.zeros(1))
+    with pytest.raises(TypeError):   # the constructor takes keywords only
+        VariationalParams("mvi_mu", np.zeros(3), 2)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -101,36 +104,36 @@ def test_params_layout(family, cauchy_model):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_pack_unpack_round_trip(family, cauchy_model):
-    # the keyword constructor packs the blocks into x; wrap unpacks the
+    # ``of`` packs the blocks into x; the constructor unpacks the
     # optimiser's point into the same blocks, without a copy
     params = initialise(family, _lap(cauchy_model), seed=4)
     fields = {n: getattr(params, n) for n in FAMILY_SPECS[family].fields}
-    packed = VariationalParams(family, params.mu, params.theta, **fields)
+    packed = VariationalParams.of(family, params.mu, params.theta, **fields)
     np.testing.assert_array_equal(packed.x, params.x)
     x = params.x.copy()
-    back = VariationalParams.wrap(family, x, params.dim)
+    back = VariationalParams(family=family, x=x, dim=params.dim)
     assert back.x is x and back.family == family and back.dim == params.dim
     for name in ("mu", *fields, "theta"):
         np.testing.assert_array_equal(getattr(back, name), getattr(params, name))
 
 
 def test_unpack_rejects_wrong_length(cauchy_model):
-    # wrap checks nothing, so a point of the wrong length is caught where the
-    # blocks are packed: each field must be the size of mu
+    # the constructor checks nothing, so a point of the wrong length is caught
+    # where the blocks are packed: each field must be the size of mu
     lap = _lap(cauchy_model)
     params = initialise("mvi_eig", lap)
     with pytest.raises(ValueError):
-        VariationalParams("mvi_eig", params.mu, params.theta,
-                          log_r=np.append(params.log_r, 0.0))
+        VariationalParams.of("mvi_eig", params.mu, params.theta,
+                             log_r=np.append(params.log_r, 0.0))
     with pytest.raises(ValueError):
-        VariationalParams("mvi_mu", params.mu, params.theta, log_r=params.log_r)
+        VariationalParams.of("mvi_mu", params.mu, params.theta, log_r=params.log_r)
 
 
 @pytest.mark.parametrize("name", ("mu", "theta", "t", "v", "x", "family"))
 def test_params_cannot_be_rebound(name, cauchy_model):
     params = initialise("mvi_lr", _lap(cauchy_model), seed=4)
     before = params.x.copy()
-    with pytest.raises(AttributeError, match="cannot rebind"):
+    with pytest.raises(AttributeError, match="cannot assign"):
         setattr(params, name, np.zeros(params.dim))
     np.testing.assert_array_equal(params.x, before)
     params.t[:] = 7.0   # a move is made in place, through the view
@@ -141,9 +144,25 @@ def test_params_cannot_be_rebound(name, cauchy_model):
 
 def test_params_keyword_constructor_copies():
     mu, t = np.zeros(2), np.ones(2)
-    params = VariationalParams("mvi_lr", mu, [0.5], t=t, v=[2.0, 3.0])
+    params = VariationalParams.of("mvi_lr", mu, [0.5], t=t, v=[2.0, 3.0])
     assert not np.shares_memory(params.x, mu) and not np.shares_memory(params.x, t)
     np.testing.assert_array_equal(params.x, [0.0, 0.0, 1.0, 1.0, 2.0, 3.0, 0.5])
+
+
+@pytest.mark.parametrize("how", ("pickle", "deepcopy"))
+@pytest.mark.parametrize("family", FAMILIES)
+def test_params_pickle_and_deepcopy_without_a_hook(family, how, cauchy_model):
+    # the frozen record round-trips as it is; only __getattr__'s refusal of
+    # dunder names keeps unpickling from recursing
+    assert not {"__reduce__", "__reduce_ex__", "__setstate__"} & set(vars(VariationalParams))
+    params = initialise(family, _lap(cauchy_model), seed=4)
+    back = pickle.loads(pickle.dumps(params)) if how == "pickle" else copy.deepcopy(params)
+    assert type(back) is VariationalParams and back.x is not params.x
+    assert (back.family, back.dim, back.x.tobytes()) == (params.family, params.dim,
+                                                         params.x.tobytes())
+    for name in ("mu", *FAMILY_SPECS[family].fields, "theta"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(params, name))
+        assert getattr(back, name).base is back.x
 
 
 # ---------------------------------------------------------------------------
@@ -155,11 +174,10 @@ def test_initial_roots_all_reproduce_laplace_covariance(cauchy_model):
     lap = _lap(cauchy_model)
     target = lap.cov
     for family in ("mvi_mu", "mvi_eig"):
-        gauss = covariance_root(initialise(family, lap), lap)
-        np.testing.assert_allclose(gauss.root @ gauss.root.T, target, rtol=1.0e-12)
-    diag = covariance_root(initialise("vi_diag", lap), lap)
-    np.testing.assert_allclose(np.diag(diag.root @ diag.root.T), np.diag(target),
-                               rtol=1.0e-12)
+        root = FAMILY_SPECS[family].root(initialise(family, lap), lap)
+        np.testing.assert_allclose(root @ root.T, target, rtol=1.0e-12)
+    diag = FAMILY_SPECS["vi_diag"].root(initialise("vi_diag", lap), lap)
+    np.testing.assert_allclose(np.diag(diag @ diag.T), np.diag(target), rtol=1.0e-12)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -175,8 +193,8 @@ def test_entropy_matches_slogdet(family, cauchy_model):
         params.v[:] = 0.5 * rng.standard_normal(params.dim)
     elif family == "vi_diag":
         params.log_sigma[:] += 0.4 * rng.standard_normal(params.dim)
-    gauss = covariance_root(params, lap)
-    _, logdet = np.linalg.slogdet(gauss.root @ gauss.root.T)
+    root = FAMILY_SPECS[family].root(params, lap)
+    _, logdet = np.linalg.slogdet(root @ root.T)
     expected = params.dim * HALF_LOG_2PIE + 0.5 * logdet
     assert entropy(params, lap) == pytest.approx(expected, rel=1.0e-12)
 
@@ -198,7 +216,6 @@ def test_mvi_mu_reads_the_laplace_factor_and_its_log_det(cauchy_model):
     lap = _lap(cauchy_model)
     params = initialise("mvi_mu", lap)
     assert FAMILY_SPECS["mvi_mu"].root(params, lap) is lap.chol
-    assert covariance_root(params, lap).root is lap.chol
     assert entropy(params, lap) == params.dim * variational._HALF_LOG_2PIE + lap.log_det
 
 
@@ -214,7 +231,7 @@ def test_eigen_remap_is_orthogonal(cauchy_model):
     np.testing.assert_allclose(a @ a.T, np.eye(lap.dim), atol=1.0e-10)
     params = initialise("mvi_eig", lap)
     params.log_r[:] += 0.3
-    root = covariance_root(params, lap).root
+    root = FAMILY_SPECS["mvi_eig"].root(params, lap)
     np.testing.assert_allclose(root @ root.T, (lap.eigvecs * np.exp(2.0 * params.log_r))
                                @ lap.eigvecs.T, atol=1.0e-10)
 
@@ -224,7 +241,7 @@ def test_eigen_family_shares_sample_paths_at_laplace_scales(cauchy_model):
     # the points the Cholesky families visit on the same draws
     lap = _lap(cauchy_model)
     samples = draw_fixed_samples(50, lap.dim, seed=9)
-    paths = {family: samples.z @ covariance_root(initialise(family, lap, seed=1), lap).root.T
+    paths = {family: samples.z @ FAMILY_SPECS[family].root(initialise(family, lap, seed=1), lap).T
              for family in ("mvi_mu", "mvi_eig")}
     np.testing.assert_allclose(paths["mvi_eig"], paths["mvi_mu"], atol=1.0e-10)
 
@@ -233,7 +250,7 @@ def test_eigen_family_shares_sample_paths_at_laplace_scales(cauchy_model):
 def test_eigen_root_is_the_cholesky_factor_at_its_start(maker):
     # R = C at the Laplace scales
     lap = _lap(maker())
-    root = covariance_root(initialise("mvi_eig", lap), lap).root
+    root = FAMILY_SPECS["mvi_eig"].root(initialise("mvi_eig", lap), lap)
     np.testing.assert_allclose(root, lap.chol, rtol=0.0, atol=1.0e-12)
 
 
@@ -297,8 +314,8 @@ def test_elbo_gradient_matches_finite_differences(family, cauchy_model):
     _, grad = elbo_and_gradient(params, samples, cauchy_model, lap)
 
     def f(x):
-        return elbo_and_gradient(VariationalParams.wrap(family, x, params.dim), samples,
-                                 cauchy_model, lap)[0]
+        return elbo_and_gradient(VariationalParams(family=family, x=x, dim=params.dim),
+                                 samples, cauchy_model, lap)[0]
 
     fd = finite_difference_gradient(f, params.x)
     np.testing.assert_allclose(grad, fd, rtol=5.0e-6, atol=1.0e-7)
@@ -310,7 +327,7 @@ def _per_draw_bound(params, samples, model, lap):
     with its draws z written out, plus the entropy's terms."""
     z = samples.z
     n = z.shape[0]
-    R = covariance_root(params, lap).root
+    R = FAMILY_SPECS[params.family].root(params, lap)
     moved = model.with_theta(params.theta) if params.theta.size else model
     vals, g, theta_g = moved.evaluate(params.mu[None, :] + z @ R.T)
     value = vals.mean() + entropy(params, lap)
@@ -448,6 +465,22 @@ def test_fit_elbo_is_the_bound_at_its_params(name, family):
     assert fit.elbo == elbo_and_gradient(fit.params, samples, model, lap)[0]
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_fit_result_is_the_fitted_gaussian(family, cauchy_model):
+    # mean a copy of the fitted mu, root the spec's root of the fitted
+    # parameters, bit for bit; mvi_mu's is the Laplace factor itself
+    lap = _lap(cauchy_model)
+    samples = draw_fixed_samples(40, lap.dim, seed=3)
+    fit = fit_family(cauchy_model, lap, samples, family, seed=1, config=OptimConfig(max_iters=20))
+    root = FAMILY_SPECS[family].root(fit.params, lap)
+    assert fit.root.shape == root.shape and fit.root.tobytes() == root.tobytes()
+    assert fit.mean.tobytes() == fit.params.mu.tobytes()
+    assert not np.shares_memory(fit.mean, fit.params.x)
+    assert fit.dim == fit.params.dim == lap.dim
+    if family == "mvi_mu":
+        assert fit.root is lap.chol
+
+
 def test_fits_share_the_callers_draws(cauchy_model):
     # every family reads the caller's FixedDraws itself: its moments and
     # work buffers are formed by the first fit and kept by the other three
@@ -497,8 +530,8 @@ def test_richer_families_dominate_at_optimum(cauchy_model):
 
 def _negated_bound(params, samples, model, lap):
     def fun(x):
-        value, grad = elbo_and_gradient(VariationalParams.wrap(params.family, x, params.dim),
-                                        samples, model, lap)
+        value, grad = elbo_and_gradient(
+            VariationalParams(family=params.family, x=x, dim=params.dim), samples, model, lap)
         return -value, -grad
     return fun
 
