@@ -52,6 +52,13 @@ def _check_methods(methods):
     return methods
 
 
+def _check_counts(**counts) -> None:
+    """Refuse a count below 1, in the CLI's wording."""
+    for key, value in counts.items():
+        if value < 1:
+            raise ConfigError(f"{key} must be an integer >= 1, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # one split
 # ---------------------------------------------------------------------------
@@ -82,8 +89,8 @@ def fit_method(method: str, model, lap, mode, samples, seed: int,
     ``lap`` of ``model`` at the mode search ``mode``.
 
     For laplace the Gaussian is ``lap`` itself, scored by ``model``. A
-    variational method fits its family from its one start, seeded by
-    ``seed + SALT_INIT``, on ``samples()``, the draws (of
+    variational method fits its family from ``variational.initialise``'s
+    start of ``seed + SALT_INIT``, on ``samples()``, the draws (of
     ``seed + SALT_SAMPLES``) every method of a fit shares; its Gaussian is
     the ``FitResult`` itself, scored by ``model`` at the fitted
     hyperparameters. Either Gaussian is read through ``mean``, ``root`` and
@@ -93,7 +100,7 @@ def fit_method(method: str, model, lap, mode, samples, seed: int,
     variational record also the fitted log-space ``theta``.
     """
     fitted = None if method == "laplace" else variational.fit_family(
-        model, lap, samples(), method, seed=seed + SALT_INIT, config=optim)
+        model, lap, samples(), variational.initialise(method, lap, seed + SALT_INIT), optim)
     res, bound = (mode, lap.bound_at_mode) if fitted is None else (fitted.opt, fitted.elbo)
     record = {"elbo": float(bound), "n_iters": int(res.n_iters), "n_evals": int(res.n_evals),
               "stop_reason": str(res.reason), "grad_norm": float(res.grad_norm)}
@@ -120,6 +127,7 @@ def run_split(train, test, methods=METHODS, seed: int = 0, n_samples: int = 1000
     for each variational method and ``<method>.score``.
     """
     methods = _check_methods(methods)
+    _check_counts(n_samples=n_samples, n_eval=n_eval)
     score = (evaluate.regression_metrics if train.kind == "regression"
              else evaluate.classification_metrics)
     search = laplace_mod.hyperparameter_search(
@@ -272,8 +280,8 @@ def _run_suite(splits, methods, metrics, base_seed, n_workers, alpha, n_boot,
     ``timing["significance"]`` is the seconds of the significance tests,
     which ``alpha`` and ``n_boot`` set.
     """
-    if n_workers is not None and n_workers < 1:
-        raise ConfigError(f"n_workers must be an integer >= 1, got {n_workers!r}")
+    _check_counts(n_samples=fit_options["n_samples"], n_eval=fit_options["n_eval"],
+                  n_boot=n_boot, n_workers=1 if n_workers is None else n_workers)
     n_workers = min(n_workers or usable_cores(), len(splits))
     started = time.perf_counter()
     outcomes = _parallel_map(partial(_split_outcome, methods, fit_options),
@@ -328,8 +336,7 @@ def run_cauchy(n_runs: int = 20, methods=METHODS, seed: int = 0,
     == "__main__":``, or the pool dies with ``BrokenProcessPool``.
     """
     methods = _check_methods(methods)
-    if n_runs < 1:
-        raise ConfigError(f"n_runs must be an integer >= 1, got {n_runs!r}")
+    _check_counts(n_runs=n_runs)
     splits = [(*data_mod.generate_cauchy_task(seed + i, n_train, n_test), seed + i)
               for i in range(n_runs)]
     return _run_suite(splits, methods, ("lpd", error_metric("regression")), seed,
@@ -385,6 +392,7 @@ def run_demo2d(seed: int = 0, n_samples: int = 1000,
     ellipse polyline. ``timing["laplace"]`` covers the mode search and the
     curvature fit.
     """
+    _check_counts(n_samples=n_samples)
     target = MixtureTarget2D()
     timing, posteriors, records = {}, {}, {}
     t0 = time.perf_counter()
@@ -439,6 +447,7 @@ def run_fit(train, method: str, seed: int = 0, n_samples: int = 1000,
     among the arrays) and the split's ``search_record``; not the settings.
     """
     (method,) = _check_methods((method,))
+    _check_counts(n_samples=n_samples)
     search = laplace_mod.hyperparameter_search(
         train.X, train.y, train.kind, seed=seed, n_samples=n_samples, grid=grid, optim=optim)
     model, lap = search.model, search.laplace

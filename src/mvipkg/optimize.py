@@ -64,9 +64,10 @@ class MinimizeResult:
     f: float
     grad_norm: float
     n_iters: int  # accepted steps
-    converged: bool  # max-norm gradient <= grad_tol
     reason: str  # "grad_tol" | "max_iters" | "f_tol": the value stopped decreasing
     n_evals: int  # calls of the objective, the initial point and rejected trials included
+
+    converged = property(lambda self: self.reason == "grad_tol")   # max-norm gradient <= grad_tol
 
 
 class _Memory:
@@ -173,7 +174,5 @@ def minimize(
         x, f, g = x + s, f_new, g_new
         n_iters += 1
 
-    grad_norm = float(np.max(np.abs(g)))
-    return MinimizeResult(x=x, f=f, grad_norm=grad_norm, n_iters=n_iters,
-                          converged=grad_norm <= cfg.grad_tol, reason=reason,
-                          n_evals=n_evals)
+    return MinimizeResult(x=x, f=f, grad_norm=float(np.max(np.abs(g))), n_iters=n_iters,
+                          reason=reason, n_evals=n_evals)

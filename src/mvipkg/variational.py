@@ -33,8 +33,9 @@ Families
 Each family is defined once, by its :class:`FamilySpec` record in
 ``FAMILY_SPECS``: its parameter fields, the covariance root built from the
 Laplace fit, the log-determinant terms of the entropy, the contraction of
-G onto the fields and the starting values. The functions
-below read that table; none branches on the name.
+G onto the fields and the starting values. The functions below read that
+table; none branches on the name. Only :func:`initialise` takes a name (and a
+seed): every function after it reads the family from the parameters.
 
 mvi_mu    free mean only; R = C, the Laplace Cholesky factor itself, covariance
           frozen at the Laplace fit.
@@ -376,10 +377,9 @@ class _Whitened:
                        n_evals=res.n_evals + self.scales.size)
 
 
-def fit_family(model, laplace, samples: FixedDraws, family: str,
-               seed: int = 0, config: OptimConfig | None = None,
-               init: VariationalParams | None = None) -> FitResult:
-    """Optimise one family's fixed-sample bound from its standard (or given) start.
+def fit_family(model, laplace, samples: FixedDraws, start: VariationalParams,
+               config: OptimConfig | None = None) -> FitResult:
+    """Optimise the fixed-sample bound of ``start.family`` from ``start``.
 
     The fit runs in the coordinates of :class:`_Whitened`, so its stop test
     reads the whitened gradient; ``opt`` holds the fitted parameter vector,
@@ -387,8 +387,7 @@ def fit_family(model, laplace, samples: FixedDraws, family: str,
     objective. ``params`` is that vector itself: ``params.x is opt.x``. The
     result is the fitted Gaussian too, its root formed once, here.
     """
-    params0 = init if init is not None else initialise(family, laplace, seed)
-    at = partial(VariationalParams, family=params0.family, dim=params0.dim)
+    at = partial(VariationalParams, family=start.family, dim=start.dim)
 
     def bound(x: np.ndarray) -> tuple[float, np.ndarray]:
         try:
@@ -403,11 +402,11 @@ def fit_family(model, laplace, samples: FixedDraws, family: str,
             return np.inf, np.full(x.size, np.nan)
         return -val, -grad
 
-    start = bound(params0.x)   # the minimiser's first evaluation, made once
-    if not math.isfinite(start[0]):
+    first = bound(start.x)   # the minimiser's first evaluation, made once
+    if not math.isfinite(first[0]):
         raise NumericalError("objective is not finite at the initial point")
-    result = _Whitened(bound, params0.x, start, laplace.chol,
-                       params0.theta.size).minimize(config or OptimConfig())
+    result = _Whitened(bound, start.x, first, laplace.chol,
+                       start.theta.size).minimize(config or OptimConfig())
     params = at(x=result.x)
     return FitResult(params=params, elbo=-result.f, opt=result, mean=params.mu.copy(),
                      root=_spec(params.family).root(params, laplace))

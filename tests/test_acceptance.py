@@ -62,7 +62,7 @@ def test_criterion_1_conjugate_exactness():
         worst_cov = max(worst_cov, err_cov)
 
         samples = draw_fixed_samples(200, p, seed=trial)
-        fit = fit_family(model, lap, samples, "mvi_lr", seed=trial)
+        fit = fit_family(model, lap, samples, initialise("mvi_lr", lap, seed=trial))
         worst_elbo = max(worst_elbo, abs(fit.elbo - model.log_evidence()))
     elapsed = time.perf_counter() - t0
     ok = worst_mean < 1.0e-8 and worst_cov < 1.0e-8 and worst_elbo < 1.0e-3 \
@@ -217,11 +217,11 @@ def test_criterion_5_nesting_monotonicity():
         mode = find_mode(model, np.zeros(model.P))
         lap = laplace_approximation(model, mode.x)
         samples = draw_fixed_samples(200, model.P, seed=4)
-        fit_mu = fit_family(model, lap, samples, "mvi_mu", seed=0)
+        fit_mu = fit_family(model, lap, samples, initialise("mvi_mu", lap, seed=0))
         for family in ("mvi_eig", "mvi_lr"):
             warm = warm_start(family, fit_mu.params, lap, seed=1)
             at_start = elbo_and_gradient(warm, samples, model, lap)[0]
-            refit = fit_family(model, lap, samples, family, init=warm)
+            refit = fit_family(model, lap, samples, warm)
             for stage, value in (("warm start", at_start),
                                  ("after refit", refit.elbo)):
                 drop = fit_mu.elbo - value

@@ -164,6 +164,27 @@ def test_fit_method_gives_the_laplace_fit_itself():
     assert record["elbo"] == search.laplace.bound_at_mode
 
 
+@pytest.mark.parametrize("family", variational.FAMILIES)
+def test_fit_method_fits_the_initialised_start(family):
+    # a family's fit is fit_family from initialise's start of seed + SALT_INIT,
+    # on the shared draws, bit for bit
+    train, _ = _small_task(seed=3)
+    search = laplace_mod.hyperparameter_search(train.X, train.y, train.kind, seed=2,
+                                               n_samples=100, grid=SMALL_GRID, optim=SMALL_OPTIM)
+    model, lap, seed = search.model, search.laplace, 2
+    samples = variational.draw_fixed_samples(100, model.P, seed + bench.SALT_SAMPLES)
+    fitted, _, record = bench.fit_method(family, model, lap, search.mode, lambda: samples,
+                                         seed, SMALL_OPTIM)
+    direct = variational.fit_family(
+        model, lap, samples, variational.initialise(family, lap, seed + bench.SALT_INIT),
+        SMALL_OPTIM)
+    assert fitted.family == direct.family == family
+    assert fitted.opt.x.tobytes() == direct.opt.x.tobytes()
+    assert fitted.elbo == direct.elbo == record["elbo"]
+    assert fitted.opt.n_evals == direct.opt.n_evals == record["n_evals"]
+    assert fitted.root.tobytes() == direct.root.tobytes()
+
+
 def test_readme_library_example_is_run_split():
     # the first python block under "Library use" prints the bound, lpd and
     # MSE that run_split records for mvi_lr on the same split, bit for bit
@@ -400,6 +421,35 @@ def test_run_cauchy_refuses_a_non_positive_count(n_runs):
         bench.run_cauchy(n_runs=n_runs)
 
 
+_SMALL_SUITE = dict(methods=("laplace",), n_samples=50, n_eval=50, grid=SMALL_GRID,
+                    optim=SMALL_OPTIM, n_boot=10, n_workers=1)
+_COUNT_CALLS = {
+    "run_split": lambda **count: bench.run_split(
+        *_small_task(), ("laplace",), grid=SMALL_GRID, optim=SMALL_OPTIM,
+        **{"n_samples": 50, "n_eval": 50, **count}),
+    "run_cauchy": lambda **count: bench.run_cauchy(
+        n_runs=2, n_train=20, n_test=40, **{**_SMALL_SUITE, **count}),
+    "run_benchmark": lambda **count: bench.run_benchmark(
+        _small_task()[0], plan=SplitPlan(n_splits=2, train_fraction=0.6),
+        **{**_SMALL_SUITE, **count}),
+    "run_demo2d": lambda **count: bench.run_demo2d(optim=SMALL_OPTIM, **count),
+    "run_fit": lambda **count: bench.run_fit(_small_task()[0], "laplace", grid=SMALL_GRID,
+                                             optim=SMALL_OPTIM, **count),
+}
+
+
+@pytest.mark.parametrize("runner, key", [
+    ("run_split", "n_eval"), ("run_split", "n_samples"),
+    ("run_cauchy", "n_eval"), ("run_cauchy", "n_samples"), ("run_cauchy", "n_boot"),
+    ("run_benchmark", "n_eval"), ("run_benchmark", "n_boot"),
+    ("run_demo2d", "n_samples"), ("run_fit", "n_samples")])
+def test_library_runs_refuse_a_non_positive_count(runner, key):
+    # each used to crash untyped, most without naming the count (a reshape of
+    # an empty draw, an empty bootstrap, a division by the sample count)
+    with pytest.raises(ConfigError, match=f"{key} must be an integer >= 1, got 0"):
+        _COUNT_CALLS[runner](**{key: 0})
+
+
 def test_run_cauchy_small():
     report = bench.run_cauchy(n_runs=2, methods=("laplace", "mvi_mu"), seed=0,
                               n_samples=100, n_eval=200, n_train=20, n_test=40,
@@ -446,8 +496,7 @@ def test_run_cauchy_deterministic_and_worker_invariant():
 @pytest.mark.parametrize("n_workers", (0, -3))
 def test_suites_refuse_a_non_positive_worker_count(n_workers):
     # None asks for one worker per usable core; 0 and -3 ask for nothing valid
-    small = dict(methods=("laplace",), n_samples=50, n_eval=50, grid=SMALL_GRID,
-                 optim=SMALL_OPTIM, n_boot=10, n_workers=n_workers)
+    small = {**_SMALL_SUITE, "n_workers": n_workers}
     message = f"n_workers must be an integer >= 1, got {n_workers}"
     with pytest.raises(ConfigError, match=message):
         bench.run_cauchy(n_runs=2, seed=0, n_train=20, n_test=40, **small)

@@ -12,7 +12,7 @@ from mvipkg.evaluate import (classification_metrics, kl_to_target_2d,
 from mvipkg.laplace import find_mode, laplace_approximation
 from mvipkg.models import (BinaryLogistic, CauchyRegression, MixtureTarget2D,
                            SoftmaxRegression)
-from mvipkg.variational import draw_fixed_samples, fit_family
+from mvipkg.variational import draw_fixed_samples, fit_family, initialise
 
 from makers import (gaussian, log_mean_exp_se, make_cauchy, make_conjugate, make_logistic,
                     rbf_reference)
@@ -338,7 +338,7 @@ def test_kl_quadrature_matches_a_fine_grid_on_the_demo():
     lap = laplace_approximation(target, find_mode(target, np.zeros(2)).x)
     samples = draw_fixed_samples(1000, 2, bench.SALT_SAMPLES)
     posteriors = [lap] + [
-        fit_family(target, lap, samples, family, seed=bench.SALT_INIT)
+        fit_family(target, lap, samples, initialise(family, lap, bench.SALT_INIT))
         for family in bench.DEMO_FAMILIES]
     for post in posteriors:
         assert abs(kl_to_target_2d(post, target) - _riemann_kl(post, target)) <= 1.0e-9

@@ -40,8 +40,8 @@ def test_warm_start_preserves_bound_exactly(cauchy_model):
     mode = find_mode(cauchy_model, np.zeros(cauchy_model.P))
     lap = laplace_approximation(cauchy_model, mode.x)
     samples = draw_fixed_samples(60, lap.dim, seed=13)
-    fit_mu = fit_family(cauchy_model, lap, samples, "mvi_mu",
-                        config=OptimConfig(max_iters=200))
+    fit_mu = fit_family(cauchy_model, lap, samples, initialise("mvi_mu", lap),
+                        OptimConfig(max_iters=200))
     for family in ("mvi_eig", "mvi_lr"):
         warm = warm_start(family, fit_mu.params, lap, seed=1)
         np.testing.assert_array_equal(warm.mu, fit_mu.params.mu)

@@ -1,10 +1,12 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
 from mvipkg import optimize
 from mvipkg.errors import NumericalError
 from mvipkg.laplace import GridConfig
-from mvipkg.optimize import OptimConfig, _Memory, minimize
+from mvipkg.optimize import MinimizeResult, OptimConfig, _Memory, minimize
 
 
 def quadratic_problem(n, seed):
@@ -160,9 +162,16 @@ def test_a_stalled_line_search_returns_the_last_point_as_f_tol():
 def test_max_iters_termination_reports_reason():
     f, _ = quadratic_problem(8, seed=3)
     res = minimize(f, np.ones(8), OptimConfig(max_iters=2, grad_tol=0.0))
-    assert res.reason == "max_iters"
+    assert res.reason == "max_iters" and not res.converged
     assert res.n_iters == 2
-    assert not res.converged
+
+
+def test_converged_is_read_from_the_reason():
+    # not a stored field: a copy with another reason reads that reason
+    f, _ = quadratic_problem(4, seed=2)
+    res = minimize(f, np.zeros(4), OptimConfig())
+    assert "converged" not in {field.name for field in fields(MinimizeResult)}
+    assert res.converged and not replace(res, reason="max_iters").converged
 
 
 def test_deterministic_given_start():

@@ -442,10 +442,9 @@ def test_fit_improves_on_initial_bound(cauchy_model):
     lap = _lap(cauchy_model)
     samples = draw_fixed_samples(80, lap.dim, seed=14)
     for family in FAMILIES:
-        init_val = elbo_and_gradient(initialise(family, lap, seed=0), samples,
-                                     cauchy_model, lap)[0]
-        fit = fit_family(cauchy_model, lap, samples, family, seed=0,
-                         config=OptimConfig(max_iters=300))
+        start = initialise(family, lap, seed=0)
+        init_val = elbo_and_gradient(start, samples, cauchy_model, lap)[0]
+        fit = fit_family(cauchy_model, lap, samples, start, OptimConfig(max_iters=300))
         assert fit.elbo >= init_val - 1.0e-10
         assert fit.family == family
         assert fit.elbo == pytest.approx(
@@ -460,8 +459,8 @@ def test_fit_elbo_is_the_bound_at_its_params(name, family):
     model = ALL_MODEL_MAKERS[name]()
     lap = _lap(model)
     samples = draw_fixed_samples(60, lap.dim, seed=8)
-    fit = fit_family(model, lap, samples, family, seed=1,
-                     config=OptimConfig(max_iters=100))
+    fit = fit_family(model, lap, samples, initialise(family, lap, seed=1),
+                     OptimConfig(max_iters=100))
     assert fit.elbo == elbo_and_gradient(fit.params, samples, model, lap)[0]
 
 
@@ -471,7 +470,8 @@ def test_fit_result_is_the_fitted_gaussian(family, cauchy_model):
     # parameters, bit for bit; mvi_mu's is the Laplace factor itself
     lap = _lap(cauchy_model)
     samples = draw_fixed_samples(40, lap.dim, seed=3)
-    fit = fit_family(cauchy_model, lap, samples, family, seed=1, config=OptimConfig(max_iters=20))
+    fit = fit_family(cauchy_model, lap, samples, initialise(family, lap, seed=1),
+                     OptimConfig(max_iters=20))
     root = FAMILY_SPECS[family].root(fit.params, lap)
     assert fit.root.shape == root.shape and fit.root.tobytes() == root.tobytes()
     assert fit.mean.tobytes() == fit.params.mu.tobytes()
@@ -489,10 +489,10 @@ def test_fits_share_the_callers_draws(cauchy_model):
     cfg = OptimConfig(max_iters=5)
     phi, theta = cauchy_model.phi, cauchy_model.theta
     assert "moments" not in samples.__dict__
-    fit_family(cauchy_model, lap, samples, "mvi_eig", config=cfg)
+    fit_family(cauchy_model, lap, samples, initialise("mvi_eig", lap), cfg)
     moments, work = samples.__dict__["moments"], samples.work(cauchy_model.N)
     for family in ("mvi_mu", "mvi_lr", "vi_diag"):
-        fit_family(cauchy_model, lap, samples, family, config=cfg)
+        fit_family(cauchy_model, lap, samples, initialise(family, lap), cfg)
     assert samples.moments is moments
     assert samples.work(cauchy_model.N) is work
     # the fits moved theta on copies: the caller's model keeps its features
@@ -504,8 +504,8 @@ def test_fit_deterministic(cauchy_model):
     lap = _lap(cauchy_model)
     samples = draw_fixed_samples(50, lap.dim, seed=15)
     cfg = OptimConfig(max_iters=100)
-    a = fit_family(cauchy_model, lap, samples, "mvi_lr", seed=7, config=cfg)
-    b = fit_family(cauchy_model, lap, samples, "mvi_lr", seed=7, config=cfg)
+    a = fit_family(cauchy_model, lap, samples, initialise("mvi_lr", lap, seed=7), cfg)
+    b = fit_family(cauchy_model, lap, samples, initialise("mvi_lr", lap, seed=7), cfg)
     np.testing.assert_array_equal(a.params.x, b.params.x)
     assert a.elbo == b.elbo
 
@@ -516,11 +516,10 @@ def test_richer_families_dominate_at_optimum(cauchy_model):
     lap = _lap(cauchy_model)
     samples = draw_fixed_samples(100, lap.dim, seed=16)
     cfg = OptimConfig(max_iters=500)
-    fit_mu = fit_family(cauchy_model, lap, samples, "mvi_mu", config=cfg)
+    fit_mu = fit_family(cauchy_model, lap, samples, initialise("mvi_mu", lap), cfg)
     for family in ("mvi_eig", "mvi_lr"):
-        warm = warm_start(family, fit_mu.params, lap, seed=2)
-        fit = fit_family(cauchy_model, lap, samples, family, config=cfg,
-                         init=warm)
+        fit = fit_family(cauchy_model, lap, samples,
+                         warm_start(family, fit_mu.params, lap, seed=2), cfg)
         assert fit.elbo >= fit_mu.elbo - 1.0e-8
 
 
@@ -542,8 +541,8 @@ def test_every_family_fits_whitened(family, cauchy_model):
     lap = _lap(cauchy_model)
     samples = draw_fixed_samples(60, lap.dim, seed=7)
     cfg = OptimConfig(max_iters=40)
-    fit = fit_family(cauchy_model, lap, samples, family, seed=3, config=cfg)
     params = initialise(family, lap, seed=3)
+    fit = fit_family(cauchy_model, lap, samples, params, cfg)
     fun, x0 = _negated_bound(params, samples, cauchy_model, lap), params.x
     direct = _Whitened(fun, x0, fun(x0), lap.chol, params.theta.size).minimize(cfg)
     np.testing.assert_array_equal(fit.opt.x, direct.x)
@@ -567,7 +566,7 @@ def test_a_non_finite_start_is_an_error_before_any_probe(cauchy_model, monkeypat
     monkeypatch.setattr(variational, "elbo_and_gradient", counted)
     with np.errstate(over="ignore"):
         with pytest.raises(NumericalError, match="not finite at the initial point"):
-            fit_family(cauchy_model, lap, samples, "mvi_lr", init=params)
+            fit_family(cauchy_model, lap, samples, params)
     assert len(calls) == 1
 
 
@@ -595,8 +594,8 @@ def test_whitened_fits_reach_the_raw_fits_bound_on_the_conjugate_oracle(family):
     lap = _lap(model)
     samples = draw_fixed_samples(200, lap.dim, seed=6)
     tight = OptimConfig(max_iters=5000, grad_tol=1.0e-10)
-    whitened = fit_family(model, lap, samples, family, config=tight)
     params = initialise(family, lap)
+    whitened = fit_family(model, lap, samples, params, tight)
     raw = minimize(_negated_bound(params, samples, model, lap), params.x, tight)
     assert abs(whitened.elbo + raw.f) < 1.0e-8
     if family != "vi_diag":   # the exact posterior is in these families
@@ -609,7 +608,8 @@ def test_reported_grad_norm_is_the_raw_gradient_at_the_fit(name, family):
     model = ORACLE_MODELS[name]()
     lap = _lap(model)
     samples = draw_fixed_samples(60, lap.dim, seed=8)
-    fit = fit_family(model, lap, samples, family, seed=1, config=OptimConfig(max_iters=60))
+    fit = fit_family(model, lap, samples, initialise(family, lap, seed=1),
+                     OptimConfig(max_iters=60))
     _, grad = elbo_and_gradient(fit.params, samples, model, lap)
     assert fit.opt.grad_norm == float(np.max(np.abs(grad)))
     # the fit's parameters are the minimiser's point itself, every name a view of it
@@ -630,7 +630,8 @@ def test_whitened_fit_counts_the_curvature_probes(cauchy_model, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(variational, "elbo_and_gradient", counted)
-    fit = fit_family(cauchy_model, lap, samples, "mvi_mu", config=OptimConfig(max_iters=20))
+    fit = fit_family(cauchy_model, lap, samples, initialise("mvi_mu", lap),
+                     OptimConfig(max_iters=20))
     assert fit.opt.n_evals == len(calls)
 
 
