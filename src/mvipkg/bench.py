@@ -115,12 +115,16 @@ def run_split(train, test, methods=METHODS, seed: int = 0, n_samples: int = 1000
               optim: OptimConfig | None = None):
     """Fit the requested methods on one train/test pair and score them.
 
-    Returns (records, timing, search record). The held-out base draws are
-    made once, before any method: raw standard normals z of shape (n_eval,
-    P) under the split's evaluation seed ``seed + SALT_EVAL``, not
-    standardised as the fits' sample sets are, so each lpd is a plain Monte
-    Carlo estimate. The array is read-only and every method is scored once
-    on it, so paired comparisons run on common random numbers.
+    Returns (records, timing, search record). A regression split scores each
+    method by ``evaluate.regression_metrics``: the pointwise mean lpd by
+    quadrature and the MSE of the exact predictive mean, with no draws, so
+    ``n_eval`` goes unread. A classification split's lpd is the joint Monte
+    Carlo sum of ``evaluate.classification_metrics`` over base draws made
+    once, before any method: raw standard normals z of shape (n_eval, P)
+    under the split's evaluation seed ``seed + SALT_EVAL``, not standardised
+    as the fits' sample sets are, so each lpd is a plain Monte Carlo
+    estimate. The array is read-only and every method is scored once on it,
+    so paired comparisons run on common random numbers.
     Each method's record is its ``fit_method`` record plus its scores; the
     search record is ``search_record``'s. The timing holds the search's
     seconds (``grid``, ``final_mode``, ``curvature``), then ``<method>.fit``
@@ -128,15 +132,17 @@ def run_split(train, test, methods=METHODS, seed: int = 0, n_samples: int = 1000
     """
     methods = _check_methods(methods)
     _check_counts(n_samples=n_samples, n_eval=n_eval)
-    score = (evaluate.regression_metrics if train.kind == "regression"
-             else evaluate.classification_metrics)
     search = laplace_mod.hyperparameter_search(
         train.X, train.y, train.kind, seed=seed, n_samples=n_samples, grid=grid, optim=optim)
     samples = cache(partial(variational.draw_fixed_samples, n_samples, search.model.P,
                             seed + SALT_SAMPLES))
     records, timing = {}, dict(search.timing)
-    z = np.random.default_rng(seed + SALT_EVAL).standard_normal((n_eval, search.model.P))
-    z.flags.writeable = False
+    if train.kind == "regression":
+        score = evaluate.regression_metrics
+    else:
+        z = np.random.default_rng(seed + SALT_EVAL).standard_normal((n_eval, search.model.P))
+        z.flags.writeable = False
+        score = partial(evaluate.classification_metrics, z=z)
     for method in methods:
         t0 = time.perf_counter()
         posterior, scorer, records[method] = fit_method(
@@ -144,7 +150,7 @@ def run_split(train, test, methods=METHODS, seed: int = 0, n_samples: int = 1000
         if method != "laplace":
             timing[f"{method}.fit"] = time.perf_counter() - t0
             t0 = time.perf_counter()
-        records[method].update(score(posterior, scorer, test.X, test.y, z))
+        records[method].update(score(posterior, scorer, test.X, test.y))
         timing[f"{method}.score"] = time.perf_counter() - t0
     return records, timing, search_record(search)
 
@@ -327,8 +333,11 @@ def run_cauchy(n_runs: int = 20, methods=METHODS, seed: int = 0,
                grid: GridConfig | None = None, optim: OptimConfig | None = None,
                alpha: float = 0.05, n_boot: int = 10_000,
                n_workers: int | None = None) -> dict:
-    """The synthetic heavy-tail regression suite: n_runs fresh datasets.
+    """The synthetic heavy-tail regression suite: n_runs fresh datasets of
+    ``n_train`` training and ``n_test`` test points.
 
+    A regression suite draws nothing for scoring (see ``run_split``), so
+    ``n_eval`` goes unread; it is still refused below 1, as every count is.
     ``n_workers`` processes run the splits; None (the default) starts one
     per usable core. Several are forked from the process's forkserver,
     which lives until the process exits (see ``_parallel_map``), and each
@@ -336,7 +345,7 @@ def run_cauchy(n_runs: int = 20, methods=METHODS, seed: int = 0,
     == "__main__":``, or the pool dies with ``BrokenProcessPool``.
     """
     methods = _check_methods(methods)
-    _check_counts(n_runs=n_runs)
+    _check_counts(n_runs=n_runs, n_train=n_train, n_test=n_test)
     splits = [(*data_mod.generate_cauchy_task(seed + i, n_train, n_test), seed + i)
               for i in range(n_runs)]
     return _run_suite(splits, methods, ("lpd", error_metric("regression")), seed,
@@ -392,7 +401,9 @@ def run_demo2d(seed: int = 0, n_samples: int = 1000,
     ellipse polyline. ``timing["laplace"]`` covers the mode search and the
     curvature fit.
     """
-    _check_counts(n_samples=n_samples)
+    _check_counts(n_samples=n_samples, contour_resolution=contour_resolution)
+    if not 0.0 < ellipse_mass < 1.0:
+        raise ConfigError(f"ellipse_mass must be a number in (0, 1), got {ellipse_mass!r}")
     target = MixtureTarget2D()
     timing, posteriors, records = {}, {}, {}
     t0 = time.perf_counter()

@@ -238,7 +238,7 @@ _SETTINGS = {
         help="fixed draws for the variational objectives (default 1000)"))),
     "n_eval": (10_000, _count, ("--eval-samples", dict(
         type=int, metavar="SP",
-        help="posterior draws for held-out scoring (default 10000)"))),
+        help="posterior draws for scoring a classification split (default 10000)"))),
     "n_workers": (None, _or_null(_count), ("--workers", dict(
         type=int, help="worker processes for independent splits (default one "
                        "per usable core; 1 runs them in this process)"))),
@@ -356,7 +356,8 @@ def cmd_benchmark(config: dict, out_dir: Path) -> int:
     for path in config["data"]:
         dataset = data_mod.load_csv_dataset(path, task=config["task"], name=path)
         report = bench.run_benchmark(
-            dataset, plan=plan, **{key: config[key] for key in _SUITE if key != "seed"})
+            dataset, plan=plan, n_eval=config["n_eval"],
+            **{key: config[key] for key in _SUITE if key != "seed"})
         target = out_dir / Path(path).stem if multi else out_dir
         _write_suite(target, "benchmark", report, dict(config, data=[path]),
                      report["task"], f"benchmark[{dataset.name}]", "splits")
@@ -388,9 +389,9 @@ def cmd_fit(config: dict, out_dir: Path) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-# the settings of the two split suites
-_SUITE = ("methods", "seed", "n_samples", "n_eval", "grid", "optim", "alpha",
-          "n_boot", "n_workers")
+# the settings of the two split suites; benchmark adds n_eval, the held-out
+# draws of a classification split (a regression split draws none)
+_SUITE = ("methods", "seed", "n_samples", "grid", "optim", "alpha", "n_boot", "n_workers")
 
 # command: (runner, help, the settings it reads)
 _COMMANDS = {
@@ -400,7 +401,8 @@ _COMMANDS = {
     "cauchy": (cmd_cauchy, "synthetic heavy-tail regression suite",
                _SUITE + ("n_runs", "n_train", "n_test")),
     "benchmark": (cmd_benchmark, "split-resampling benchmark on CSV datasets",
-                  _SUITE + ("data", "task", "n_splits", "train_fraction", "splits_file")),
+                  _SUITE + ("n_eval", "data", "task", "n_splits", "train_fraction",
+                            "splits_file")),
     "fit": (cmd_fit, "fit one method once and serialise it",
             ("data", "task", "method", "seed", "n_samples", "grid", "optim", "curve_points")),
 }

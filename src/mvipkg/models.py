@@ -29,6 +29,10 @@ the Laplace, variational and evaluation layers program against:
                     (mean prediction over the draws, per-draw log
                     likelihood), streaming the draws in fixed blocks; held-out
                     rows score as ``model.with_rows(X_test, y_test).score``
+    pointwise_loglik(Q, out)
+                    regression only: ln p(y | f) at each residual f - y of an
+                    array Q of any shape, in ``out`` (Q itself, say; a new
+                    array if None), which the held-out quadrature reads
 
 Every likelihood here (Cauchy, binary, softmax) depends on the weights only
 through the projections F = W phi' (one row per draw and output, one column
@@ -493,15 +497,28 @@ class CauchyRegression(_RBFBase):
     def _targets(y: np.ndarray) -> np.ndarray:
         return np.asarray(y, dtype=float).ravel()
 
+    def _spread(self, Q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """d = gamma^2 + r^2 at each residual r of Q, formed in ``out`` (a new
+        array if None): the Cauchy density is gamma / (pi d)."""
+        d = np.square(Q, out=out)
+        d += self.gamma**2
+        return d
+
+    def pointwise_loglik(self, Q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """ln p(y | f) = ln(gamma / pi) - ln d at each residual r = f - y of Q,
+        an array of any shape, with d from ``_spread``, formed in ``out``."""
+        d = self._spread(Q, out)
+        np.log(d, out=d)
+        return np.subtract(np.log(self.gamma / np.pi), d, out=d)
+
     def _pass(self, Q: np.ndarray, spare: np.ndarray | None, gradient: bool):
         """Log likelihood N log(gamma / pi) - sum_n log d_n of each row of
-        Q = F - y, with d = gamma^2 + r^2 formed in ``spare`` (a new array if
-        None). If ``gradient``,
+        Q = F - y, with d = gamma^2 + r^2 formed by ``_spread`` in ``spare``.
+        If ``gradient``,
         Q becomes (F - y) (1 / d), so that d loglik / dF = -2 Q, and the lead
         row is d loglik / d log gamma = sum_n (r_n^2 - gamma^2) / d_n
         = N - 2 gamma^2 sum_n 1 / d_n, both from one array of reciprocals."""
-        d = np.square(Q, out=spare)
-        d += self.gamma**2
+        d = self._spread(Q, spare)
         lead = []
         if gradient:
             inv = np.reciprocal(d)

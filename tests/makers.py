@@ -52,10 +52,17 @@ class GaussianLinearModel(_ModelBase):
         """The same precisions over the design rows phi with targets y."""
         return GaussianLinearModel(phi, y, self.beta, self.alpha)
 
+    def pointwise_loglik(self, Q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """ln N(y; f, 1 / beta) at each residual f - y of Q, formed in ``out``."""
+        ll = np.square(Q, out=out)
+        ll *= -0.5 * self.beta
+        ll += 0.5 * (np.log(self.beta) - _LOG_2PI)
+        return ll
+
     def _pass(self, Q: np.ndarray, spare: np.ndarray | None, gradient: bool):
-        """Log likelihood of each row of Q = F - y; d loglik / dF = -beta Q."""
-        return (0.5 * Q.shape[1] * (np.log(self.beta) - _LOG_2PI)
-                - 0.5 * self.beta * np.einsum("bn,bn->b", Q, Q)), -self.beta, []
+        """Log likelihood of each row of Q = F - y, the sum of its
+        ``pointwise_loglik`` formed in ``spare``; d loglik / dF = -beta Q."""
+        return self.pointwise_loglik(Q, spare).sum(axis=1), -self.beta, []
 
     def _curvature(self, Q: np.ndarray) -> np.ndarray:
         """-d^2 loglik / df^2 = beta at every point."""

@@ -24,7 +24,7 @@ from mvipkg.stats import bootstrap_median_diff_ci, sign_test
 from mvipkg.variational import (FAMILIES, VariationalParams, draw_fixed_samples,
                                 elbo_and_gradient, entropy,
                                 fit_family, initialise)
-from mvipkg.evaluate import log_mean_exp
+from mvipkg.evaluate import log_mean_exp, pointwise_lpd, predictive_moments
 
 from makers import (ALL_MODEL_MAKERS, finite_difference_gradient, gaussian, log_mean_exp_se,
                     make_conjugate, warm_start)
@@ -150,8 +150,10 @@ def _cauchy_oracle_lpd(half_width: float) -> tuple[float, float]:
     gamma* = a / r* and the maximum is -ln(pi gamma*) - ln(1 + r*^2) + 1.
     Returns (maximum, gamma*). A draw whose curve misses the true one only
     lowers the expectation, so no posterior draw beats this value on
-    average; nor does the regression lpd, the joint test-set lpd over the
-    number of test points, which is at most the best draw's average.
+    average. The regression lpd scores each point's predictive, a Cauchy
+    smoothed by q's Gaussian over the curve, which this bound does not
+    strictly cover: on the 20-run suite one run's lpd of 100 lies 0.005
+    above it, while the best median stays 0.058 below it.
     """
     r = brentq(lambda t: math.atan(t) - 0.5 * t, 1.0, 10.0, xtol=1.0e-14)
     gamma = half_width / r
@@ -165,7 +167,7 @@ def test_criterion_4_cauchy_desk_scale():
     factorised VI (vi_diag); mvi_lr predicts no worse than Laplace in MSE.
     The mvi_eig median lpd must lie between a -0.90 floor and the ceiling
     that the generator's own noise sets (:func:`_cauchy_oracle_lpd`); a median
-    above that ceiling would mean the scoring is inflated.
+    above that ceiling would point to inflated scoring.
     """
     t0 = time.perf_counter()
     report = bench.run_cauchy(n_runs=20, seed=0)
@@ -287,10 +289,14 @@ def test_criterion_7_statistics_oracle():
 
 
 # ---------------------------------------------------------------------------
-# 8. Monte Carlo predictive-density estimator
+# 8. predictive-density estimators
 # ---------------------------------------------------------------------------
 
 def test_criterion_8_lpd_estimator():
+    """The joint Monte Carlo lpd lies within 3 SE of the exact joint predictive
+    in at least 95 of 100 trials, and the quadrature lpd of each test point
+    equals its exact predictive ln N(y; phi'mu, phi' Sigma phi + 1 / beta)
+    within 1e-12."""
     t0 = time.perf_counter()
     model = make_conjugate(seed=8, n=30, p=4)
     mean, cov = model.exact_posterior()
@@ -307,10 +313,15 @@ def test_criterion_8_lpd_estimator():
         value, se = log_mean_exp(ll), log_mean_exp_se(ll)
         if abs(value - exact) <= 3.0 * se:
             hits += 1
+    var = np.einsum("nj,jk,nk->n", phi_t, cov, phi_t) + 1.0 / model.beta
+    exact_points = -0.5 * (np.log(2.0 * np.pi * var) + (y_t - phi_t @ mean) ** 2 / var)
+    quadrature = pointwise_lpd(held_out, *predictive_moments(post, held_out))
+    worst = float(np.abs(quadrature - exact_points).max())
     elapsed = time.perf_counter() - t0
-    ok = hits >= 95
-    detail = f"{hits}/100 trials within 3 SE of the exact value (need >= 95)"
-    assert _verdict(8, "lpd estimator", ok, detail, elapsed), detail
+    ok = hits >= 95 and worst <= 1.0e-12
+    detail = (f"{hits}/100 trials within 3 SE of the exact value (need >= 95); "
+              f"quadrature within {worst:.1e} of the exact pointwise values (need <= 1e-12)")
+    assert _verdict(8, "lpd estimators", ok, detail, elapsed), detail
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +334,7 @@ def test_criterion_9_determinism(tmp_path):
              "--config", "grid.search_iters=5",
              "--config", "optim.max_iters=150", "--config", "n_boot=200",
              "--samples", "100"]
-    scored = ["--eval-samples", "200"]   # the suites' held-out draws
+    scored = ["--eval-samples", "200"]   # a classification split's held-out draws
     rng = np.random.default_rng(10)
     x = rng.uniform(-2.0, 2.0, size=25)
     y = np.sin(2.0 * x) + 0.1 * rng.standard_normal(25)
@@ -336,7 +347,7 @@ def test_criterion_9_determinism(tmp_path):
                     "--config", "contour_resolution=41",
                     "--config", "optim.max_iters=300"], "report.json"),
         "cauchy": (["cauchy", "--splits", "2", "--methods", "all",
-                    "--config", "n_train=20", "--config", "n_test=40"] + small + scored,
+                    "--config", "n_train=20", "--config", "n_test=40"] + small,
                    "report.json"),
         "benchmark": (["benchmark", "--data", str(csv_path), "--splits", "2",
                        "--train-fraction", "0.6",

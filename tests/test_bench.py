@@ -92,8 +92,8 @@ def test_run_split_deterministic():
 
 
 def test_run_split_shares_evaluation_draws():
-    # methods are compared on common random numbers: rerunning a single
-    # method reproduces exactly the lpd it got inside the joint run
+    # a method's record does not depend on the others': rerunning a single
+    # method reproduces exactly the record it got inside the joint run
     train, test = _small_task(seed=2)
     joint, _, _ = bench.run_split(
         train, test, methods=("laplace", "mvi_mu"), seed=5, n_samples=100,
@@ -105,24 +105,36 @@ def test_run_split_shares_evaluation_draws():
 
 
 def test_run_split_scores_each_method_once(monkeypatch):
-    # one metrics call per reported method, every one on the same read-only
-    # base draws: raw standard normals under the split's evaluation seed
-    draws = []
-    real = evaluate.regression_metrics
+    # one metrics call per reported method. A regression split draws
+    # nothing; a classification split scores every method on the same
+    # read-only base draws: raw standard normals under its evaluation seed
+    calls = {"regression": [], "binary": []}
+    real_regression, real_classification = (evaluate.regression_metrics,
+                                             evaluate.classification_metrics)
 
-    def counted(posterior, model, X, y, z):
-        draws.append((z, posterior.dim))
-        return real(posterior, model, X, y, z)
+    def regression(posterior, model, X, y):
+        calls["regression"].append(None)
+        return real_regression(posterior, model, X, y)
 
-    monkeypatch.setattr(evaluate, "regression_metrics", counted)
-    train, test = _small_task(seed=2)
+    def classification(posterior, model, X, y, z):
+        calls["binary"].append((z, posterior.dim))
+        return real_classification(posterior, model, X, y, z)
+
+    monkeypatch.setattr(evaluate, "regression_metrics", regression)
+    monkeypatch.setattr(evaluate, "classification_metrics", classification)
     methods = ("laplace", "mvi_mu", "vi_diag")
-    recs, _, _ = bench.run_split(
-        train, test, methods=methods, seed=5, n_samples=100, n_eval=200,
-        grid=SMALL_GRID, optim=SMALL_OPTIM)
-    assert len(draws) == len(methods) == len(recs)
-    z, P = draws[0]
-    assert all(d is z and dim == P for d, dim in draws)
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((60, 2))
+    y = (X[:, 0] + 0.5 * X[:, 1] > 0).astype(float)
+    tasks = {"regression": _small_task(seed=2),
+             "binary": (Dataset(X[:40], y[:40], "binary"), Dataset(X[40:], y[40:], "binary"))}
+    for kind, (train, test) in tasks.items():
+        recs, _, _ = bench.run_split(
+            train, test, methods=methods, seed=5, n_samples=100, n_eval=200,
+            grid=SMALL_GRID, optim=SMALL_OPTIM)
+        assert len(calls[kind]) == len(methods) == len(recs)
+    z, P = calls["binary"][0]
+    assert all(d is z and dim == P for d, dim in calls["binary"])
     assert not z.flags.writeable
     assert z.shape == (200, P)
     assert np.array_equal(
@@ -201,14 +213,16 @@ def test_readme_library_example_is_run_split():
 
 
 def test_non_finite_held_out_draw_skips_the_split(monkeypatch):
-    # a NaN log likelihood is a NumericalError, which the suite records as a
-    # skipped split, not as an lpd of -inf
-    def nan_score(self, mu, R, z):
-        ll = np.zeros(z.shape[0])
-        ll[0] = np.nan
-        return np.zeros(self.N), ll
+    # a NaN log likelihood at one quadrature node is a NumericalError, which
+    # the suite records as a skipped split, not as an lpd of -inf
+    real = models.CauchyRegression.pointwise_loglik
 
-    monkeypatch.setattr(models.CauchyRegression, "score", nan_score)
+    def nan_node(self, Q, out=None):
+        ll = real(self, Q, out)
+        ll[0, 0] = np.nan
+        return ll
+
+    monkeypatch.setattr(models.CauchyRegression, "pointwise_loglik", nan_node)
     report = bench.run_cauchy(n_runs=1, methods=("laplace",), seed=0,
                               n_samples=50, n_eval=20, n_train=20, n_test=40,
                               grid=SMALL_GRID, optim=SMALL_OPTIM, n_boot=100)
@@ -428,7 +442,7 @@ _COUNT_CALLS = {
         *_small_task(), ("laplace",), grid=SMALL_GRID, optim=SMALL_OPTIM,
         **{"n_samples": 50, "n_eval": 50, **count}),
     "run_cauchy": lambda **count: bench.run_cauchy(
-        n_runs=2, n_train=20, n_test=40, **{**_SMALL_SUITE, **count}),
+        n_runs=2, **{"n_train": 20, "n_test": 40, **_SMALL_SUITE, **count}),
     "run_benchmark": lambda **count: bench.run_benchmark(
         _small_task()[0], plan=SplitPlan(n_splits=2, train_fraction=0.6),
         **{**_SMALL_SUITE, **count}),
@@ -442,12 +456,22 @@ _COUNT_CALLS = {
     ("run_split", "n_eval"), ("run_split", "n_samples"),
     ("run_cauchy", "n_eval"), ("run_cauchy", "n_samples"), ("run_cauchy", "n_boot"),
     ("run_benchmark", "n_eval"), ("run_benchmark", "n_boot"),
-    ("run_demo2d", "n_samples"), ("run_fit", "n_samples")])
+    ("run_demo2d", "n_samples"), ("run_fit", "n_samples"),
+    ("run_cauchy", "n_train"), ("run_cauchy", "n_test"), ("run_demo2d", "contour_resolution")])
 def test_library_runs_refuse_a_non_positive_count(runner, key):
     # each used to crash untyped, most without naming the count (a reshape of
-    # an empty draw, an empty bootstrap, a division by the sample count)
+    # an empty draw, an empty bootstrap, a division by the sample count), or
+    # return an empty result (no training rows, no contour points)
     with pytest.raises(ConfigError, match=f"{key} must be an integer >= 1, got 0"):
         _COUNT_CALLS[runner](**{key: 0})
+
+
+@pytest.mark.parametrize("mass", [0.0, 1.0])
+def test_run_demo2d_refuses_an_ellipse_mass_outside_0_1(mass):
+    # mass 1 has an infinite radius and mass 0 none: NaN and inf ellipses
+    with pytest.raises(ConfigError, match=rf"ellipse_mass must be a number in \(0, 1\), "
+                                          rf"got {mass}"):
+        bench.run_demo2d(ellipse_mass=mass)
 
 
 def test_run_cauchy_small():

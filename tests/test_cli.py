@@ -9,13 +9,13 @@ import pytest
 from mvipkg import cli
 from mvipkg.errors import ConfigError
 
-SMALL_FIT = [
+SMALL = [
     "--config", "grid.basis_sizes=[5]", "--config", "grid.n_pairs=4",
     "--config", "grid.search_iters=5", "--config", "optim.max_iters=150",
     "--config", "n_boot=200", "--samples", "100",
 ]
-# a suite also scores with fewer posterior draws
-SMALL = SMALL_FIT + ["--eval-samples", "200"]
+# benchmark also scores a classification split with fewer posterior draws
+SMALL_SCORED = SMALL + ["--eval-samples", "200"]
 # a fit's required flags; the file is never read when a setting is bad
 FIT = ["--data", "missing.csv", "--method", "laplace"]
 
@@ -197,6 +197,23 @@ def test_cauchy_rerun_from_report_byte_identical(tmp_path):
     assert (out1 / "table.csv").read_bytes() == (out2 / "table.csv").read_bytes()
 
 
+def test_cauchy_accepts_an_older_report_with_n_eval(tmp_path):
+    # a regression suite draws nothing to score, so cauchy does not read
+    # n_eval, and a report that carries it reruns to the same files
+    out1, out2 = tmp_path / "c1", tmp_path / "c2"
+    assert cli.main(["cauchy", "--splits", "1", "--methods", "laplace",
+                     "--config", "n_train=20", "--config", "n_test=40",
+                     "--out", str(out1)] + SMALL) == 0
+    old = json.loads((out1 / "report.json").read_text())
+    assert "n_eval" not in old["config"]
+    old["config"]["n_eval"] = 200
+    (tmp_path / "old.json").write_text(json.dumps(old))
+    assert cli.main(["cauchy", "--config", str(tmp_path / "old.json"),
+                     "--out", str(out2)]) == 0
+    for name in ("report.json", "table.csv"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
 # ---------------------------------------------------------------------------
 # benchmark
 # ---------------------------------------------------------------------------
@@ -206,7 +223,7 @@ def test_benchmark_on_csv(tmp_path, capsys):
     out = tmp_path / "b"
     code = cli.main(["benchmark", "--data", str(data), "--splits", "2",
                      "--train-fraction", "0.6", "--methods", "laplace,vi_diag",
-                     "--out", str(out)] + SMALL)
+                     "--out", str(out)] + SMALL_SCORED)
     assert code == 0
     report = json.loads((out / "report.json").read_text())
     assert report["task"] == "regression" and report["config"]["task"] is None
@@ -225,7 +242,7 @@ def test_benchmark_rerun_byte_identical(tmp_path):
     out1, out2 = tmp_path / "b1", tmp_path / "b2"
     args = ["benchmark", "--data", str(data), "--splits", "1",
             "--train-fraction", "0.6", "--methods", "laplace",
-            "--out", str(out1)] + SMALL
+            "--out", str(out1)] + SMALL_SCORED
     assert cli.main(args) == 0
     assert cli.main(["benchmark", "--config", str(out1 / "report.json"),
                      "--out", str(out2)]) == 0
@@ -239,7 +256,7 @@ def test_benchmark_multiple_datasets_use_subdirs(tmp_path):
     out = tmp_path / "multi"
     code = cli.main(["benchmark", "--data", str(d1), "--data", str(d2),
                      "--splits", "1", "--train-fraction", "0.6",
-                     "--methods", "laplace", "--out", str(out)] + SMALL)
+                     "--methods", "laplace", "--out", str(out)] + SMALL_SCORED)
     assert code == 0
     assert (out / "one" / "report.json").exists()
     assert (out / "two" / "report.json").exists()
@@ -252,7 +269,7 @@ def test_benchmark_with_split_file(tmp_path):
     out = tmp_path / "bs"
     code = cli.main(["benchmark", "--data", str(data),
                      "--splits-file", str(splits), "--methods", "laplace",
-                     "--out", str(out)] + SMALL)
+                     "--out", str(out)] + SMALL_SCORED)
     assert code == 0
     report = json.loads((out / "report.json").read_text())
     # the file sets the splits, so the random splits' settings are null
@@ -270,7 +287,7 @@ def test_fit_writes_artifacts_and_curve(tmp_path, capsys):
     data = _write_regression_csv(tmp_path)
     out = tmp_path / "f"
     code = cli.main(["fit", "--data", str(data), "--method", "mvi_eig",
-                     "--config", "curve_points=11", "--out", str(out)] + SMALL_FIT)
+                     "--config", "curve_points=11", "--out", str(out)] + SMALL)
     assert code == 0
     meta = json.loads((out / "fit.json").read_text())
     assert meta["config"]["method"] == "mvi_eig"
@@ -290,7 +307,7 @@ def test_fit_rerun_byte_identical(tmp_path, method):
     data = _write_regression_csv(tmp_path)
     out1, out2 = tmp_path / "f1", tmp_path / "f2"
     args = ["fit", "--data", str(data), "--method", method,
-            "--config", "curve_points=11", "--out", str(out1)] + SMALL_FIT
+            "--config", "curve_points=11", "--out", str(out1)] + SMALL
     assert cli.main(args) == 0
     assert cli.main(["fit", "--config", str(out1 / "fit.json"),
                      "--out", str(out2)]) == 0
@@ -304,7 +321,7 @@ def test_fit_accepts_an_older_report_with_n_eval(tmp_path):
     data = _write_regression_csv(tmp_path)
     out1, out2 = tmp_path / "f1", tmp_path / "f2"
     assert cli.main(["fit", "--data", str(data), "--method", "laplace",
-                     "--config", "curve_points=11", "--out", str(out1)] + SMALL_FIT) == 0
+                     "--config", "curve_points=11", "--out", str(out1)] + SMALL) == 0
     old = json.loads((out1 / "fit.json").read_text())
     assert "n_eval" not in old["config"]
     old["config"]["n_eval"] = 200
@@ -324,7 +341,7 @@ def test_fit_classification_skips_curve(tmp_path):
                               for a, b in zip(x, y)) + "\n")
     out = tmp_path / "fb"
     code = cli.main(["fit", "--data", str(data), "--method", "laplace",
-                     "--out", str(out)] + SMALL_FIT)
+                     "--out", str(out)] + SMALL)
     assert code == 0
     assert (out / "fit.json").exists()
     assert not (out / "curve.csv").exists()
@@ -347,9 +364,9 @@ def test_report_config_holds_the_settings_once(tmp_path, command):
         "cauchy": ["--splits", "1", "--methods", "laplace", "--workers", "2",
                    "--config", "n_train=20", "--config", "n_test=40"] + SMALL,
         "benchmark": ["--data", data, "--splits", "1", "--train-fraction", "0.6",
-                      "--methods", "laplace"] + SMALL,
+                      "--methods", "laplace"] + SMALL_SCORED,
         "fit": ["--data", data, "--method", "laplace",
-                "--config", "curve_points=11"] + SMALL_FIT,
+                "--config", "curve_points=11"] + SMALL,
     }[command]
     out = tmp_path / "o"
     assert cli.main([command, *argv, "--out", str(out)]) == 0
@@ -425,7 +442,9 @@ def test_exit_code_config_error(tmp_path):
         "config-methods-string", "config-unknown-key", "config-unknown-grid-key",
         "config-unknown-optim-key"])
 def test_exit_code_bad_count(tmp_path, capsys, argv, key):
-    code = cli.main(["cauchy", "--splits", "1", "--out", str(tmp_path / "x")] + argv)
+    # n_eval is benchmark's alone, and is checked before the data are read
+    command = ["benchmark", "--data", "missing.csv"] if key == "n_eval" else ["cauchy"]
+    code = cli.main(command + ["--splits", "1", "--out", str(tmp_path / "x")] + argv)
     assert code == 2
     assert key in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
@@ -558,7 +577,7 @@ def test_exit_code_command_mismatch(tmp_path):
 
 def test_exit_code_data_error(tmp_path):
     code = cli.main(["benchmark", "--data", "/missing/file.csv",
-                     "--out", str(tmp_path / "x")] + SMALL)
+                     "--out", str(tmp_path / "x")] + SMALL_SCORED)
     assert code == 3
 
 
@@ -610,7 +629,9 @@ def test_argparse_rejects_unknown_command():
     ["demo2d", "--eval-samples", "10"],
     ["fit", "--workers", "2"],
     ["fit", "--eval-samples", "10"],
-], ids=["demo-workers", "demo-eval-samples", "fit-workers", "fit-eval-samples"])
+    ["cauchy", "--eval-samples", "10"],
+], ids=["demo-workers", "demo-eval-samples", "fit-workers", "fit-eval-samples",
+        "cauchy-eval-samples"])
 def test_subcommands_take_only_their_own_flags(tmp_path, argv):
     # a flag for a setting the command does not read is a usage error
     with pytest.raises(SystemExit) as exc:
@@ -657,7 +678,8 @@ def test_pool_reports_do_not_depend_on_the_parent_blas_threads(tmp_path):
 def test_cli_import_loads_no_pool_and_no_scipy():
     # every `mvi` process and every pool process imports the CLI: the pool's
     # machinery loads only when a suite starts one, scipy and logging never,
-    # and numpy.polynomial only when the demo's KL needs its quadrature nodes
+    # and numpy.polynomial only when a quadrature (the regression lpd, the
+    # demo's KL) first needs its nodes
     code = ("import sys, mvipkg.cli; print(sorted({m.split('.')[0] for m in sys.modules}"
             " & {'multiprocessing', 'concurrent', 'scipy', 'logging'}"
             " | {m for m in sys.modules if m.startswith('numpy.polynomial')}))")

@@ -666,8 +666,8 @@ def _one_shot_log_likelihoods(model, mu, R, z, X, y):
         return y.size * np.log(model.gamma / np.pi) - np.log(d) @ np.ones(y.size)
     if isinstance(model, BinaryLogistic):
         return (y[None, :] * Q - np.logaddexp(0.0, Q)).sum(axis=1)
-    return (0.5 * y.size * (np.log(model.beta) - np.log(2.0 * np.pi))
-            - 0.5 * model.beta * np.einsum("bn,bn->b", Q, Q))
+    return (0.5 * (np.log(model.beta) - np.log(2.0 * np.pi))
+            - 0.5 * model.beta * Q**2).sum(axis=1)
 
 
 def _score_mismatches(exact: bool, draw_counts=(1, 289, 1001, 10_000)) -> list:
